@@ -55,12 +55,6 @@ SPEEDUP_KEYS = (
     # CI record that *lost* the ratio (backend stopped resolving) fails the
     # gate, which is the point.
     "speedup_compiled_over_vectorized",
-    # PR 10: the distributed ("workdir") backend's N-worker sweep over the
-    # single-worker baseline (see bench_distributed_sweep.py).  The
-    # committed baseline comes from a single-core box, so multi-core CI
-    # runners clear the floor easily; the gate fires only when the
-    # coordination overhead itself regresses.
-    "speedup_workers_over_single",
 )
 
 #: Row sections of the results record the gate compares.  "sizes" is the

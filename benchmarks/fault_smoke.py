@@ -1,31 +1,20 @@
 """Fault-injection smoke test: a faulted sweep must complete and self-heal.
 
 Runs a small scenario sweep through :class:`repro.experiments.ExperimentRunner`
-under a *seeded* :class:`repro.resilience.FaultPlan` and asserts the
-resilience contract end to end:
+on the process pool under a *seeded* :class:`repro.resilience.FaultPlan`
+(worker crashes, a hang past the soft timeout, injected errors, and payload
+corruption) and asserts the resilience contract end to end:
 
 * the sweep completes (no abort) with every scenario ``status="ok"``;
 * the recovered payloads are bit-identical to a fault-free serial run
   (modulo wall time, which is run-dependent by construction);
 * the retry machinery actually engaged (non-empty retry metrics).
 
-Two backends are exercised (``--backend``):
-
-``process`` (default)
-    The process-pool backend under worker crashes, a hang past the soft
-    timeout, injected errors, and payload corruption.
-``workdir``
-    The distributed spool backend under whole-worker chaos: seeded
-    ``worker_die`` kills (dead workers are detected by the lease reaper and
-    replaced), ``envelope_corrupt`` transport corruption (quarantined and
-    reassigned), plus injected errors -- asserting non-empty reassignment
-    counters on top of the shared contract.
-
 Exit code 0 on success; an ``AssertionError`` otherwise.  Run it as::
 
-    PYTHONPATH=src python benchmarks/fault_smoke.py [--backend workdir --workers 3]
+    PYTHONPATH=src python benchmarks/fault_smoke.py [--workers 2]
 
-CI runs both legs (see ``.github/workflows/ci.yml``).
+CI runs it in the ``resilience`` job (see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
@@ -41,10 +30,6 @@ NUM_SCENARIOS = 8
 #: Chosen so the plan covers all four in-sweep fault kinds at these rates:
 #: two crashes, one hang, two corruptions, one injected error.
 SEED = 69
-#: Chosen so the workdir plan covers both worker-chaos kinds at the rates in
-#: :func:`build_workdir_plan`: three worker kills, one corrupted envelope,
-#: one injected error.
-WORKDIR_SEED = 3
 
 
 def build_scenarios() -> list:
@@ -59,7 +44,7 @@ def build_scenarios() -> list:
     ]
 
 
-def build_process_plan() -> FaultPlan:
+def build_plan() -> FaultPlan:
     return FaultPlan.seeded(
         SEED,
         num_scenarios=NUM_SCENARIOS,
@@ -71,21 +56,6 @@ def build_process_plan() -> FaultPlan:
     )
 
 
-def build_workdir_plan() -> FaultPlan:
-    plan = FaultPlan.seeded(
-        WORKDIR_SEED,
-        num_scenarios=NUM_SCENARIOS,
-        error_rate=0.15,
-        worker_die_rate=0.35,
-        envelope_corrupt_rate=0.2,
-    )
-    kinds = {spec.kind for spec in plan.specs}
-    assert {"worker_die", "envelope_corrupt"} <= kinds, (
-        f"WORKDIR_SEED no longer covers the worker-chaos kinds: {sorted(kinds)}"
-    )
-    return plan
-
-
 def stable(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k != "wall_time"}
 
@@ -93,46 +63,31 @@ def stable(payload: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
-        "--backend",
-        choices=("process", "workdir"),
-        default="process",
-        help="executor backend to smoke (default: process)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker count (default: 2 for process, 3 for workdir)",
+        default=2,
+        help="process-pool worker count (default: 2)",
     )
     args = parser.parse_args(argv)
-    workers = args.workers or (3 if args.backend == "workdir" else 2)
 
     scenarios = build_scenarios()
-    plan = build_process_plan() if args.backend == "process" else build_workdir_plan()
+    plan = build_plan()
     kinds = sorted(spec.kind for spec in plan.specs)
     assert plan.specs, "seed produced an empty plan; pick a different seed"
-    print(
-        f"fault plan ({args.backend}, {workers} workers): "
-        f"{len(plan)} faults -> {kinds}"
-    )
+    print(f"fault plan ({args.workers} workers): {len(plan)} faults -> {kinds}")
 
     reference = [
         stable(r.payload)
         for r in ExperimentRunner(cache_dir=None, max_workers=0).run(scenarios)
     ]
 
-    backend_options = {}
-    if args.backend == "workdir":
-        backend_options = {"lease_ttl": 1.5, "heartbeat_interval": 0.3}
     with tempfile.TemporaryDirectory(prefix="repro-fault-smoke-") as tmp:
         runner = ExperimentRunner(
             cache_dir=tmp,
-            max_workers=workers,
+            max_workers=args.workers,
             retries=3,
             timeout=10.0,
             fault_plan=plan,
-            backend=args.backend,
-            backend_options=backend_options,
         )
         results = runner.run(scenarios)
 
@@ -142,26 +97,11 @@ def main(argv=None) -> int:
     assert recovered == reference, "recovered payloads differ from fault-free run"
     stats = runner.last_stats
     assert stats.retries > 0, f"no retries recorded under a faulted plan: {stats}"
-    if args.backend == "workdir":
-        assert stats.reassignments > 0, (
-            f"worker kills produced no lease reassignments: {stats}"
-        )
-        assert stats.worker_replacements > 0, (
-            f"dead workers were never replaced: {stats}"
-        )
-        print(
-            f"ok: {stats.fresh} scenarios completed, {stats.retries} retries, "
-            f"{stats.reassignments} reassignments, "
-            f"{stats.envelopes_rejected} envelopes rejected, "
-            f"{stats.worker_replacements} workers replaced, "
-            f"{stats.duplicate_completions} duplicate completions"
-        )
-    else:
-        print(
-            f"ok: {stats.fresh} scenarios completed, {stats.retries} retries, "
-            f"{stats.timeouts} timeouts, {stats.pool_rebuilds} pool rebuilds, "
-            f"{stats.degraded} degraded"
-        )
+    print(
+        f"ok: {stats.fresh} scenarios completed, {stats.retries} retries, "
+        f"{stats.timeouts} timeouts, {stats.pool_rebuilds} pool rebuilds, "
+        f"{stats.degraded} degraded"
+    )
     return 0
 
 

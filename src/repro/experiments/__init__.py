@@ -6,14 +6,11 @@ sweeps:
 * :class:`~repro.experiments.scenarios.GraphSpec` /
   :class:`~repro.experiments.scenarios.Scenario` describe a workload as plain
   picklable data (graph family, algorithm name, parameters, seed, engine);
-* :class:`~repro.experiments.runner.ExperimentRunner` executes scenarios over
-  a pluggable backend -- ``"serial"`` in-process, ``"process"`` sharding
-  across ``ProcessPoolExecutor`` workers, or ``"workdir"`` distributing over
-  independent worker processes coordinating through a shared spool directory
-  (see :mod:`repro.experiments.executors` / :mod:`repro.experiments.spool` /
-  :mod:`repro.experiments.worker`) -- and memoizes results on disk, keyed by
-  the SHA-256 of the scenario's canonical key (see
-  :mod:`repro.experiments.cache` for the layout);
+* :class:`~repro.experiments.runner.ExperimentRunner` executes scenarios
+  serially in-process (``max_workers`` 0 or 1) or sharded across
+  ``ProcessPoolExecutor`` workers (see :mod:`repro.experiments.executors`)
+  and memoizes results on disk, keyed by the SHA-256 of the scenario's
+  canonical key (see :mod:`repro.experiments.cache` for the layout);
 * results come back as :class:`~repro.experiments.runner.ScenarioResult`
   objects exposing rounds / messages / palette / colors-used / wall time and
   a stable coloring digest.
@@ -45,14 +42,7 @@ from repro.experiments.cache import (
     ResultCache,
     default_cache_dir,
 )
-from repro.experiments.executors import (
-    EXECUTOR_BACKENDS,
-    ExecutorBackend,
-    SoftTimeoutExpired,
-    call_with_soft_timeout,
-    make_executor,
-    register_executor_backend,
-)
+from repro.experiments.executors import SoftTimeoutExpired, call_with_soft_timeout
 from repro.experiments.runner import (
     ExperimentRunner,
     ScenarioResult,
@@ -60,7 +50,6 @@ from repro.experiments.runner import (
     progress_ticker,
     run_scenario,
 )
-from repro.experiments.spool import Lease, ResultEnvelope, Spool, SpoolConfig
 from repro.experiments.scenarios import (
     ALGORITHMS,
     G_FUNCTIONS,
@@ -73,48 +62,28 @@ from repro.experiments.scenarios import (
     register_graph_family,
 )
 
-def __getattr__(name: str):
-    # SpoolWorker is imported lazily so ``python -m repro.experiments.worker``
-    # does not trip runpy's found-in-sys.modules RuntimeWarning (the package
-    # import would otherwise load the module runpy is about to execute).
-    if name == "SpoolWorker":
-        from repro.experiments.worker import SpoolWorker
-
-        return SpoolWorker
-    raise AttributeError(name)
-
-
 __all__ = [
     "ALGORITHMS",
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
     "CacheIntegrityWarning",
     "DEFAULT_QUARANTINE_KEEP",
-    "EXECUTOR_BACKENDS",
-    "ExecutorBackend",
     "ExperimentRunner",
     "G_FUNCTIONS",
     "GRAPH_FAMILIES",
     "GraphSpec",
-    "Lease",
     "QUARANTINE_DIR_NAME",
     "ResultCache",
-    "ResultEnvelope",
     "Scenario",
     "ScenarioResult",
     "SoftTimeoutExpired",
-    "Spool",
-    "SpoolConfig",
-    "SpoolWorker",
     "SweepStats",
     "call_with_soft_timeout",
     "coloring_digest",
     "default_cache_dir",
-    "make_executor",
     "payload_digest",
     "progress_ticker",
     "register_algorithm",
-    "register_executor_backend",
     "register_graph_family",
     "run_scenario",
 ]

@@ -5,31 +5,25 @@ objects and produces one :class:`ScenarioResult` per scenario, in input order:
 
 1. every scenario is first looked up in the on-disk cache (if one is
    configured) by its SHA-256 cache token;
-2. the misses are handed to a pluggable executor backend (see
-   :mod:`repro.experiments.executors`): ``"serial"`` in-process, ``"process"``
-   sharding across a ``concurrent.futures.ProcessPoolExecutor``, or
-   ``"workdir"`` distributing over independent worker processes that claim
-   tasks from a shared spool directory via leases and heartbeats;
+2. the misses execute (see :mod:`repro.experiments.executors`): serially
+   in-process when ``max_workers`` is 0 or 1 (or only one scenario is
+   pending), otherwise sharded across a
+   ``concurrent.futures.ProcessPoolExecutor``;
 3. every fresh result is written back to the cache *as it lands*
    (write-through), so an interrupted sweep acts as a checkpoint: re-running
-   it re-executes only the scenarios that had not finished -- and under the
-   ``"workdir"`` backend a killed coordinator resumes with its workers still
-   draining the queue.
+   it re-executes only the scenarios that had not finished.
 
 A worker failure never aborts the sweep.  Exceptions are captured per
 scenario into ``ScenarioResult.status`` / ``error``, with configurable
 retries (exponential backoff), a per-scenario soft timeout enforced
-identically across backends, transparent recovery from a broken process pool
-(the pool is rebuilt and only unfinished work resubmitted), and -- in the
-distributed backend -- lease reaping that reassigns tasks from dead or
-partitioned workers, dead-worker replacement, and idempotent handling of
-duplicate completions (first digest-valid envelope wins).  Workers apply the
-engine degradation chain (compiled -> vectorized -> batched -> reference, see
-:mod:`repro.resilience`) when an engine fails as infrastructure, and stamp an
-integrity digest on each payload so results corrupted in transit are detected
-and retried.  A seedable :class:`~repro.resilience.FaultPlan` can be injected
-to rehearse all of this deterministically -- including whole-worker chaos
-(``worker_die``, ``worker_stall``, ``lease_steal``, ``envelope_corrupt``).
+identically in-process and in the pool, and transparent recovery from a
+broken process pool (the pool is rebuilt and only unfinished work
+resubmitted).  Workers apply the engine degradation chain (compiled ->
+vectorized -> batched -> reference, see :mod:`repro.resilience`) when an
+engine fails as infrastructure, and stamp an integrity digest on each payload
+so results corrupted in transit are detected and retried.  A seedable
+:class:`~repro.resilience.FaultPlan` can be injected to rehearse all of this
+deterministically.
 
 Only :class:`~repro.exceptions.InvalidParameterError` still propagates: an
 invalid scenario is a caller bug, not a fault, and retrying it cannot help.
@@ -43,7 +37,7 @@ Sweep-level progress is reported through an optional ``on_progress`` callback
 as executions complete for fresh ones -- with ``(done, total, scenario,
 cached)``.  :func:`progress_ticker` builds a ready-made stderr ticker
 callback.  Aggregate reliability counters for the last sweep (retries,
-timeouts, pool rebuilds, reassignments, failures, ...) are kept on
+timeouts, pool rebuilds, failures, ...) are kept on
 ``runner.last_stats``.
 """
 
@@ -65,15 +59,14 @@ from typing import (
     Tuple,
 )
 
+from repro.exceptions import InvalidParameterError
 from repro.experiments.cache import ResultCache
-from repro.experiments.executors import (  # noqa: F401 - re-exported compat
-    _POLL_SECONDS,
+from repro.experiments.executors import (
     ExecutionRequest,
-    ExecutorBackend,
-    _execute_scenario,
     _Outcome,
     _run_payload,
-    make_executor,
+    execute_pool,
+    execute_serial,
 )
 from repro.experiments.scenarios import Scenario
 from repro.resilience.degrade import run_with_degradation
@@ -118,19 +111,10 @@ class SweepStats:
     """Aggregate reliability counters for one ``run`` call.
 
     ``retries`` counts re-executions charged to a specific scenario (worker
-    exceptions, integrity mismatches, soft timeouts, lease reassignments,
-    and the collective charge after a pool breakage); ``pool_rebuilds``
-    counts the process-pool generations created beyond the first;
-    ``degraded`` counts scenarios whose result was produced below their
-    requested engine.
-
-    The distributed (``"workdir"``) backend additionally reports:
-    ``reassignments`` -- tasks recovered from expired leases of dead or
-    partitioned workers; ``duplicate_completions`` -- result envelopes that
-    arrived after their task had already completed elsewhere (ignored
-    idempotently: first digest-valid envelope wins); ``envelopes_rejected``
-    -- unparseable or digest-mismatched envelopes quarantined off the spool;
-    ``worker_replacements`` -- dead worker processes replaced mid-sweep.
+    exceptions, integrity mismatches, soft timeouts, and the collective
+    charge after a pool breakage); ``pool_rebuilds`` counts the process-pool
+    generations created beyond the first; ``degraded`` counts scenarios
+    whose result was produced below their requested engine.
     """
 
     scenarios: int = 0
@@ -141,10 +125,6 @@ class SweepStats:
     timeouts: int = 0
     pool_rebuilds: int = 0
     degraded: int = 0
-    reassignments: int = 0
-    duplicate_completions: int = 0
-    envelopes_rejected: int = 0
-    worker_replacements: int = 0
 
 
 @dataclass
@@ -212,8 +192,8 @@ class ScenarioResult:
 
 
 class ExperimentRunner:
-    """Run scenario sweeps over a pluggable executor backend, with caching
-    and fault tolerance.
+    """Run scenario sweeps serially or on a process pool, with caching and
+    fault tolerance.
 
     Parameters
     ----------
@@ -221,41 +201,32 @@ class ExperimentRunner:
         Directory of the result cache (see :mod:`repro.experiments.cache`).
         ``None`` disables caching (and with it checkpoint/resume).
     max_workers:
-        Worker count.  ``None`` uses ``os.cpu_count()`` (capped by the
-        number of scenarios); ``0`` or ``1`` runs serially in-process (under
-        ``backend="auto"``).
+        Worker count.  ``0`` or ``1`` runs serially in-process; above ``1``
+        the process pool is used whenever more than one scenario is pending.
+        ``None`` uses ``os.cpu_count()`` (capped by the number of pending
+        scenarios).  Negative values raise
+        :class:`~repro.exceptions.InvalidParameterError`.
     on_progress:
         Default sweep-progress callback used by :meth:`run` when none is
         passed explicitly; ``None`` (the default) disables reporting.
     retries:
         How many times a failing scenario is re-executed before it is
         recorded as ``status="failed"`` (so each scenario runs at most
-        ``retries + 1`` times, whichever backend executes it).
+        ``retries + 1`` times, serially or in the pool).  Must be ``>= 0``.
     retry_backoff:
         Base of the exponential backoff slept before retry ``k``:
         ``retry_backoff * 2**(k-1)`` seconds.  ``0`` (the default) retries
         immediately -- the right choice for deterministic in-process faults;
         give it a small positive value when failures are environmental.
-        (The ``"workdir"`` backend retries immediately regardless: its
-        coordinator loop must keep collecting envelopes from other workers.)
     timeout:
-        Per-scenario soft timeout in seconds, measured from when execution
-        starts, enforced identically by every backend (the serial backend
-        runs each scenario under a watchdog thread).  On expiry the scenario
-        is charged an attempt; a hung pool worker additionally loses its
-        pool, because it cannot be reclaimed.
+        Per-scenario soft timeout in seconds (``> 0``, or ``None`` for no
+        timeout), measured from when execution starts, enforced identically
+        in-process (each scenario runs under a watchdog thread) and in the
+        pool.  On expiry the scenario is charged an attempt; a hung pool
+        worker additionally loses its pool, because it cannot be reclaimed.
     fault_plan:
         A :class:`~repro.resilience.FaultPlan` to inject deterministic
         faults, propagated to workers via ``$REPRO_FAULT_PLAN``.
-    backend:
-        Executor backend name (see :mod:`repro.experiments.executors`):
-        ``"serial"``, ``"process"``, ``"workdir"``, or ``"auto"`` (the
-        default: ``"process"`` when ``max_workers`` and the pending count
-        both exceed 1, else ``"serial"`` -- exactly the pre-backend
-        behavior).
-    backend_options:
-        Keyword options forwarded to the backend constructor (e.g.
-        ``{"spool_dir": ..., "lease_ttl": 5.0}`` for ``"workdir"``).
     """
 
     def __init__(
@@ -267,9 +238,15 @@ class ExperimentRunner:
         retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        backend: str = "auto",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
+        if max_workers is not None and max_workers < 0:
+            raise InvalidParameterError(
+                f"max_workers must be >= 0 or None, got {max_workers}"
+            )
+        if retries < 0:
+            raise InvalidParameterError(f"retries must be >= 0, got {retries}")
+        if timeout is not None and timeout <= 0:
+            raise InvalidParameterError(f"timeout must be > 0 or None, got {timeout}")
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_workers = max_workers
         self.on_progress = on_progress
@@ -277,23 +254,15 @@ class ExperimentRunner:
         self.retry_backoff = retry_backoff
         self.timeout = timeout
         self.fault_plan = fault_plan
-        self.backend = backend
-        self.backend_options = dict(backend_options or {})
         #: :class:`SweepStats` of the most recent :meth:`run` call.
         self.last_stats = SweepStats()
-
-    def _executor_for(self, workers: int, pending: int) -> ExecutorBackend:
-        name = self.backend
-        if name == "auto":
-            name = "process" if workers > 1 and pending > 1 else "serial"
-        return make_executor(name, **self.backend_options)
 
     def run(
         self,
         scenarios: Sequence[Scenario],
         on_progress: Optional[ProgressCallback] = None,
     ) -> List[ScenarioResult]:
-        """Run every scenario (cache-first, then via the backend), in input order.
+        """Run every scenario (cache-first, then executed), in input order.
 
         ``on_progress`` (or the runner's default) is invoked once per
         scenario with ``(done, total, scenario, cached)``: immediately for
@@ -353,11 +322,12 @@ class ExperimentRunner:
             workers = self.max_workers
             if workers is None:
                 workers = min(len(pending), os.cpu_count() or 1)
-            executor = self._executor_for(workers, len(pending))
-            executor.execute(
+            execute = (
+                execute_pool if workers > 1 and len(pending) > 1 else execute_serial
+            )
+            execute(
                 ExecutionRequest(
                     scenarios=scenarios,
-                    tokens=tokens,
                     pending=pending,
                     complete=complete,
                     stats=stats,
@@ -365,8 +335,7 @@ class ExperimentRunner:
                     retry_backoff=self.retry_backoff,
                     timeout=self.timeout,
                     fault_plan=self.fault_plan,
-                    workers=max(1, workers or 1),
-                    cache=self.cache,
+                    workers=workers,
                 )
             )
 

@@ -117,22 +117,6 @@ class GraphSpec:
             "extra": [list(pair) for pair in self.extra],
         }
 
-    @classmethod
-    def from_key(cls, document: Mapping[str, Any]) -> "GraphSpec":
-        """Rebuild a spec from its :meth:`key` document (JSON round trip)."""
-        return cls(
-            family=str(document["family"]),
-            n=document.get("n"),
-            degree=document.get("degree"),
-            seed=document.get("seed"),
-            line_graph=bool(document.get("line_graph", False)),
-            backend=str(document.get("backend", "legacy")),
-            extra=tuple(
-                (str(pair[0]), tuple(pair[1]) if isinstance(pair[1], list) else pair[1])
-                for pair in document.get("extra") or ()
-            ),
-        )
-
 
 @register_graph_family("random_regular")
 def _build_random_regular(spec: GraphSpec) -> NetworkLike:
@@ -356,32 +340,6 @@ class Scenario:
             "engine": resolve_engine(self.engine),
             "capture_colors": self.capture_colors,
         }
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """A JSON-safe document round-trippable through :meth:`from_json_dict`.
-
-        This is the wire format the ``"workdir"`` executor backend uses to
-        ship scenarios to spool workers: the :meth:`key` document plus the
-        presentation-only ``name``.
-        """
-        document = self.key()
-        document["name"] = self.name
-        return document
-
-    @classmethod
-    def from_json_dict(cls, document: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from its :meth:`to_json_dict` document."""
-        return cls(
-            name=str(document.get("name", "")),
-            graph=GraphSpec.from_key(document["graph"]),
-            algorithm=str(document["algorithm"]),
-            params=tuple(
-                (str(pair[0]), tuple(pair[1]) if isinstance(pair[1], list) else pair[1])
-                for pair in document.get("params") or ()
-            ),
-            engine=str(document["engine"]),
-            capture_colors=bool(document.get("capture_colors", False)),
-        )
 
     def cache_token(self) -> str:
         """The SHA-256 cache address of this scenario's result.

@@ -14,9 +14,7 @@ one machine first, where every failure mode is deterministic and testable:
   next bit-identical engine when one fails as infrastructure.
 
 The hardened :class:`~repro.experiments.ExperimentRunner` (retries, soft
-timeouts, broken-pool recovery, write-through checkpointing) consumes both;
-the distributed runner and the serving loop on the roadmap reuse the same
-pieces.
+timeouts, broken-pool recovery, write-through checkpointing) consumes both.
 """
 
 from repro.resilience.degrade import (
@@ -28,7 +26,6 @@ from repro.resilience.degrade import (
 from repro.resilience.faults import (
     FAULT_KINDS,
     FAULT_PLAN_ENV,
-    WORKER_FAULT_KINDS,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -44,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFaultError",
-    "WORKER_FAULT_KINDS",
     "degrade_path",
     "run_with_degradation",
 ]

@@ -31,27 +31,6 @@ Fault kinds
     :class:`~repro.exceptions.EngineFailure`, simulating a backend that
     disappears mid-run; the engine degradation chain then re-runs the
     scenario on the next engine down.
-
-Worker-level kinds (:data:`WORKER_FAULT_KINDS`) target the ``"workdir"``
-distributed backend's whole-worker failure modes; they are fired by
-:meth:`FaultInjector.worker_fault` in :mod:`repro.experiments.worker` and
-are inert everywhere else (``fire_before_run`` ignores them):
-
-``"worker_die"``
-    Kill the worker process with ``os._exit`` *while it holds a lease*, so
-    the coordinator must detect the death (expired lease + stale heartbeat)
-    and reassign the task.
-``"worker_stall"``
-    Suppress the worker's heartbeat for ``hang_seconds`` before completing
-    normally -- the coordinator reaps the lease as a partition, then a late
-    duplicate completion arrives and must be ignored idempotently.
-``"lease_steal"``
-    Drop the lease before executing (a revoked-but-still-computing worker);
-    a second worker can then claim and complete the same task.
-``"envelope_corrupt"``
-    Complete normally but corrupt the result envelope's payload *after* its
-    integrity digest was stamped (and after the verified payload was cached),
-    so the coordinator quarantines the envelope and reassigns.
 """
 
 from __future__ import annotations
@@ -75,15 +54,7 @@ FAULT_KINDS = (
     "error",
     "corrupt",
     "lose_backend",
-    "worker_die",
-    "worker_stall",
-    "lease_steal",
-    "envelope_corrupt",
 )
-
-#: The kinds that model whole-worker failures in the distributed backend;
-#: :meth:`FaultInjector.fire_before_run` treats them as inert.
-WORKER_FAULT_KINDS = ("worker_die", "worker_stall", "lease_steal", "envelope_corrupt")
 
 
 class InjectedFaultError(ReproError, RuntimeError):
@@ -170,10 +141,6 @@ class FaultPlan:
         error_rate: float = 0.0,
         corrupt_rate: float = 0.0,
         lose_backend_rate: float = 0.0,
-        worker_die_rate: float = 0.0,
-        worker_stall_rate: float = 0.0,
-        lease_steal_rate: float = 0.0,
-        envelope_corrupt_rate: float = 0.0,
         attempts: int = 1,
         hang_seconds: float = 30.0,
     ) -> "FaultPlan":
@@ -189,10 +156,6 @@ class FaultPlan:
             error_rate,
             corrupt_rate,
             lose_backend_rate,
-            worker_die_rate,
-            worker_stall_rate,
-            lease_steal_rate,
-            envelope_corrupt_rate,
         )
         if sum(rates) > 1.0:
             raise ValueError("fault rates must sum to at most 1.0")
@@ -284,38 +247,8 @@ class FaultInjector:
             return kernels.force_backend(
                 _LostKernelBackend(), reason="injected backend loss"
             )
-        # "corrupt" fires after the run (corrupt_payload); worker-level kinds
-        # are handled by the workdir worker around the claim (worker_fault)
-        # and are deliberately inert here.
+        # "corrupt" fires after the run (corrupt_payload).
         return None
-
-    def worker_fault(self, index: int, attempt: int) -> Optional[FaultSpec]:
-        """The worker-level fault planned for ``(index, attempt)``, if any.
-
-        Consulted by :class:`~repro.experiments.worker.SpoolWorker` after it
-        claims a task; kinds outside :data:`WORKER_FAULT_KINDS` stay with
-        :meth:`fire_before_run` / :meth:`corrupt_payload`.
-        """
-        spec = self.plan.spec_for(index, attempt)
-        if spec is None or spec.kind not in WORKER_FAULT_KINDS:
-            return None
-        return spec
-
-    def corrupt_envelope(self, index: int, attempt: int, payload: Dict) -> bool:
-        """Mutate ``payload`` for an ``"envelope_corrupt"`` fault; True if fired.
-
-        The workdir analogue of :meth:`corrupt_payload`: called after the
-        worker stamped the envelope's integrity digest (and after the good
-        payload was written through to the cache), so the coordinator
-        detects the corruption, quarantines the envelope, and reassigns.
-        """
-        spec = self.plan.spec_for(index, attempt)
-        if spec is None or spec.kind != "envelope_corrupt":
-            return False
-        payload["_injected_envelope_corruption"] = f"scenario {index}, attempt {attempt}"
-        if "coloring_digest" in payload:
-            payload["coloring_digest"] = "f" * 64
-        return True
 
     def corrupt_payload(self, index: int, attempt: int, payload: Dict) -> bool:
         """Mutate ``payload`` in place for a ``"corrupt"`` fault; True if fired.

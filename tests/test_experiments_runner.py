@@ -112,6 +112,22 @@ class TestParallelSweep:
         assert first.coloring_digest == second.coloring_digest
 
 
+class TestRunnerSettings:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"max_workers": -1},
+            {"retries": -1},
+            {"timeout": 0},
+            {"timeout": -2.5},
+        ],
+        ids=["max_workers<0", "retries<0", "timeout=0", "timeout<0"],
+    )
+    def test_invalid_settings_rejected_at_construction(self, settings):
+        with pytest.raises(InvalidParameterError):
+            ExperimentRunner(cache_dir=None, **settings)
+
+
 class TestSweepProgress:
     """The optional per-scenario progress callback (off by default)."""
 

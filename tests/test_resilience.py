@@ -13,6 +13,8 @@ import copy
 import os
 import pickle
 import subprocess
+import threading
+import time
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.experiments import (
     GraphSpec,
     ResultCache,
     Scenario,
+    SoftTimeoutExpired,
+    call_with_soft_timeout,
     payload_digest,
 )
 from repro.local_model import kernels
@@ -101,6 +105,35 @@ class TestFaultPlan:
         assert plan.spec_for(2, 1) is not None
         assert plan.spec_for(2, 2) is None
         assert plan.spec_for(1, 0) is None
+
+    def test_seeded_plan_is_pinned(self):
+        """The smoke plan (``benchmarks/fault_smoke.py``) is fixed for good:
+        ``seeded`` rolls the kinds cumulatively in ``FAULT_KINDS`` order, so
+        changing that tuple's prefix would silently reshuffle every plan."""
+        plan = FaultPlan.seeded(
+            69,
+            8,
+            crash_rate=0.25,
+            hang_rate=0.15,
+            error_rate=0.25,
+            corrupt_rate=0.15,
+            hang_seconds=60.0,
+        )
+        assert plan.specs == tuple(
+            FaultSpec(index=index, kind=kind, hang_seconds=60.0)
+            for index, kind in (
+                (0, "corrupt"),
+                (1, "crash"),
+                (2, "crash"),
+                (3, "error"),
+                (4, "hang"),
+                (6, "corrupt"),
+            )
+        )
+
+    def test_plan_with_retired_kind_fails_loudly(self):
+        with pytest.raises(ValueError, match="worker_die"):
+            FaultPlan.from_json('[{"index": 0, "kind": "worker_die"}]')
 
     def test_unknown_kind_and_bad_attempts_rejected(self):
         with pytest.raises(ValueError):
@@ -351,6 +384,72 @@ class TestPoolFaultMatrix:
         assert all(r.ok for r in results)
         assert resumed.last_stats.cache_hits == on_disk
         assert resumed.last_stats.fresh == len(scenarios) - on_disk
+
+
+class TestSoftTimeoutWrapper:
+    def test_value_passes_through(self):
+        assert call_with_soft_timeout(lambda: 42, None) == 42
+        assert call_with_soft_timeout(lambda: 42, 5.0) == 42
+
+    def test_exception_passes_through(self):
+        with pytest.raises(ZeroDivisionError):
+            call_with_soft_timeout(lambda: 1 / 0, 5.0)
+
+    def test_expiry_raises(self):
+        with pytest.raises(SoftTimeoutExpired, match="soft timeout"):
+            call_with_soft_timeout(lambda: time.sleep(5.0), 0.1)
+
+    def test_none_timeout_runs_on_caller_thread(self):
+        seen = []
+        call_with_soft_timeout(lambda: seen.append(threading.current_thread()), None)
+        assert seen == [threading.current_thread()]
+
+
+class TestStatusMatrixSerialVsPool:
+    """One status matrix, whether the sweep ran in-process or in the pool.
+
+    Both paths route execution through the same soft-timeout semantics and
+    charge the same attempts, so statuses and error shapes agree -- and a
+    permanently hung scenario cannot block a serial sweep forever.
+    """
+
+    PLAN = FaultPlan(
+        specs=(
+            # Permanent error: fails after retries+1 attempts everywhere.
+            FaultSpec(index=1, kind="error", attempts=99),
+            # Permanent hang, longer than the timeout on every attempt.
+            FaultSpec(index=2, kind="hang", attempts=99, hang_seconds=30.0),
+        )
+    )
+
+    def run_sweep(self, max_workers):
+        runner = ExperimentRunner(
+            cache_dir=None,
+            max_workers=max_workers,
+            retries=1,
+            timeout=0.75,
+            fault_plan=self.PLAN,
+        )
+        return runner.run(sweep(3)), runner.last_stats
+
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_statuses_and_attempts_agree(self, max_workers):
+        results, stats = self.run_sweep(max_workers)
+        assert [r.status for r in results] == ["ok", "failed", "failed"]
+        assert [r.attempts for r in results] == [1, 2, 2]
+        assert results[1].error == (
+            "InjectedFaultError: injected worker error at scenario 1, attempt 1"
+        )
+        assert results[2].error == "soft timeout: no result within 0.75s (worker hung)"
+        assert stats.timeouts >= 1
+        assert stats.failures == 2 and stats.fresh == 1
+
+    def test_serial_timeout_is_enforced(self):
+        started = time.monotonic()
+        results, stats = self.run_sweep(0)
+        assert time.monotonic() - started < 10.0
+        assert results[2].status == "failed"
+        assert stats.timeouts == 2  # one per attempt
 
 
 class TestCacheIntegrity:
