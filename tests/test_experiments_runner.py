@@ -127,6 +127,27 @@ class TestRunnerSettings:
         with pytest.raises(InvalidParameterError):
             ExperimentRunner(cache_dir=None, **settings)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"max_workers": 0},
+            {"max_workers": None},
+            {"retries": 0},
+            {"timeout": None},
+            {"timeout": 0.01},
+        ],
+        ids=["max_workers=0", "max_workers=None", "retries=0", "timeout=None",
+             "timeout>0"],
+    )
+    def test_boundary_settings_accepted(self, settings):
+        runner = ExperimentRunner(cache_dir=None, **settings)
+        for name, value in settings.items():
+            assert getattr(runner, name) == value
+
+    def test_executor_is_chosen_by_max_workers_only(self):
+        with pytest.raises(TypeError, match="backend"):
+            ExperimentRunner(cache_dir=None, backend="serial")
+
 
 class TestSweepProgress:
     """The optional per-scenario progress callback (off by default)."""
