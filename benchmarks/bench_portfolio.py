@@ -12,16 +12,15 @@ Two jobs in one harness (committed numbers in
    gated in CI by ``benchmarks/check_regression.py`` at the standard 30%
    tolerance against the committed quick record.
 
-2. **Cost-model calibration.**  The engine / route / rounds coefficients
-   that :func:`repro.portfolio.color_graph` / ``color_edges`` decide with
-   are measured here — per-CSR-entry seconds for each engine (two sizes,
-   fit slope + intercept), per-line-entry seconds for the direct vs.
-   Lemma 5.2 routes, and one fitted multiplier per Theorem 4.8 preset's
-   analytic round shape.  A full-mode ``REPRO_BENCH_RECORD=1`` run rewrites
+2. **Cost-model calibration.**  The route / rounds coefficients that
+   :func:`repro.portfolio.color_graph` / ``color_edges`` decide with are
+   measured here — per-line-entry seconds for the direct vs. Lemma 5.2
+   routes, and one fitted multiplier per Theorem 4.8 preset's analytic
+   round shape.  A full-mode ``REPRO_BENCH_RECORD=1`` run rewrites
    ``portfolio_model.json`` (the record ``CostModel.default()`` loads), and
    the portfolio decisions taken with the fresh model are recorded and
-   sanity-asserted: the large instance class must flip the engine away from
-   the ``batched`` default.
+   sanity-asserted: every instance class runs on the process default
+   engine, and a tight budget degrades the dense instance's preset.
 
 Run with::
 
@@ -45,7 +44,7 @@ from repro import graphs
 from repro.analysis import format_table
 from repro.baselines import luby_vertex_coloring
 from repro.core import color_edges as core_color_edges
-from repro.local_model import kernels
+from repro.local_model import default_engine, kernels
 from repro.local_model.fast_network import fast_view
 from repro.portfolio import CostModel
 from repro.portfolio import color_edges as portfolio_color_edges
@@ -61,8 +60,6 @@ LUBY_SEED = 7
 #: side is measured once (its seconds dwarf any jitter).
 VEC_REPEATS = 3
 
-#: Small anchor for the vectorized overhead intercept (engine fit).
-ENGINE_SMALL = (256, 8)
 #: Instance for route/rounds calibration (Legal-Color runs on L(G)).
 CALIBRATION_EDGE = (96, 6) if QUICK else (600, 8)
 
@@ -110,57 +107,8 @@ def _measure_luby(n: int, degree: int) -> dict:
     }
 
 
-def _calibrate(luby_rows: list) -> dict:
+def _calibrate() -> dict:
     """Measure the CostModel coefficients (see repro.portfolio.cost_model)."""
-    # --- engine: per-entry slopes + vectorized intercept ----------------- #
-    large_row = luby_rows[-1]  # the least extreme large row (lowest degree)
-    large_entries = large_row["csr_entries"]
-    small_n, small_degree = ENGINE_SMALL
-    small = graphs.random_regular(small_n, small_degree, seed=LUBY_SEED, backend="fast")
-    small_fast = fast_view(small)
-    small_entries = _entries(small_n, small_degree)
-    small_batched, _ = _time_luby(small_fast, "batched")
-    small_vectorized = min(_time_luby(small_fast, "vectorized")[0] for _ in range(VEC_REPEATS))
-
-    batched_us = large_row["seconds"]["luby_batched"] / large_entries * 1e6
-    slope_us = (
-        (large_row["seconds"]["luby_vectorized"] - small_vectorized)
-        / (large_entries - small_entries)
-        * 1e6
-    )
-    slope_us = max(slope_us, 1e-3)
-    overhead_us = max(small_vectorized * 1e6 - slope_us * small_entries, 1.0)
-
-    # --- compiled engine: same two-point fit, same instances ------------- #
-    # Measured whether or not a kernel backend resolved (without one the
-    # compiled engine runs its numpy fallback, and the recorded coefficients
-    # honestly describe that configuration); `choose_engine` separately
-    # refuses to *pick* "compiled" on backend-less machines.
-    large_net = graphs.random_regular(
-        large_row["n"], large_row["degree"], seed=LUBY_SEED, backend="fast"
-    )
-    large_fast = fast_view(large_net)
-    small_compiled = min(
-        _time_luby(small_fast, "compiled")[0] for _ in range(VEC_REPEATS)
-    )
-    large_compiled_seconds = float("inf")
-    for _ in range(VEC_REPEATS):
-        seconds, compiled_result = _time_luby(large_fast, "compiled")
-        large_compiled_seconds = min(large_compiled_seconds, seconds)
-    vectorized_result = _time_luby(large_fast, "vectorized")[1]
-    assert compiled_result.colors == vectorized_result.colors, (
-        "compiled and vectorized engines diverged on the calibration instance"
-    )
-    compiled_slope_us = max(
-        (large_compiled_seconds - small_compiled)
-        / (large_entries - small_entries)
-        * 1e6,
-        1e-3,
-    )
-    compiled_overhead_us = max(
-        small_compiled * 1e6 - compiled_slope_us * small_entries, 1.0
-    )
-
     # --- route: direct vs Lemma 5.2 simulation seconds per line entry ---- #
     edge_n, edge_degree = CALIBRATION_EDGE
     edge_net = graphs.random_regular(edge_n, edge_degree, seed=LUBY_SEED, backend="fast")
@@ -188,25 +136,12 @@ def _calibrate(luby_rows: list) -> dict:
         }
 
     return {
-        "engine": {
-            "batched_us_per_entry": round(batched_us, 4),
-            "vectorized_us_per_entry": round(slope_us, 4),
-            "vectorized_overhead_us": round(overhead_us, 1),
-            "compiled_us_per_entry": round(compiled_slope_us, 4),
-            "compiled_overhead_us": round(compiled_overhead_us, 1),
-        },
         "route": {
             "direct_us_per_line_entry": round(route_us["direct"], 4),
             "simulation_us_per_line_entry": round(route_us["simulation"], 4),
         },
         "rounds": rounds_fit,
         "calibration": {
-            "engine_small": {"n": small_n, "degree": small_degree,
-                             "batched_seconds": round(small_batched, 4),
-                             "vectorized_seconds": round(small_vectorized, 4),
-                             "compiled_seconds": round(small_compiled, 4)},
-            "engine_large": {"n": large_row["n"], "degree": large_row["degree"],
-                             "compiled_seconds": round(large_compiled_seconds, 4)},
             "kernel_backend": kernels.backend_name(),
             "kernel_threads": kernels.get_num_threads(),
             "edge_instance": {"n": edge_n, "degree": edge_degree,
@@ -229,10 +164,6 @@ def _pin_decisions(model: CostModel) -> list:
         "route": result.decision.route,
         "is_default": result.decision.is_default(),
     })
-    assert result.decision.engine == "batched", (
-        "tiny instances should stay on the batched default: "
-        f"{result.decision.reasons['engine']}"
-    )
 
     large_n, large_degree = (4096, 8) if QUICK else (20_000, 8)
     large = graphs.random_regular(large_n, large_degree, seed=2, backend="fast")
@@ -245,11 +176,8 @@ def _pin_decisions(model: CostModel) -> list:
         "route": result.decision.route,
         "is_default": result.decision.is_default(),
     })
-    assert (
-        result.decision.engine in ("vectorized", "compiled")
-        and not result.decision.is_default()
-    ), (
-        "the large instance class must flip the engine off the default: "
+    assert result.decision.is_default(), (
+        "the large instance class must run on the default engine: "
         f"{result.decision.reasons['engine']}"
     )
 
@@ -268,6 +196,7 @@ def _pin_decisions(model: CostModel) -> list:
         "a tight round budget on a dense instance must degrade the preset: "
         f"{result.decision.reasons['quality']}"
     )
+    assert all(pin["engine"] == default_engine() for pin in pins), pins
     return pins
 
 
@@ -298,11 +227,10 @@ def test_portfolio(benchmark):
             f"n={headline['n']}, Delta={headline['degree']}"
         )
 
-    model_data = _calibrate(luby_rows)
+    model_data = _calibrate()
     model = CostModel.from_mapping(model_data, source="fresh-calibration")
     print_section("Calibrated cost model")
-    print(json.dumps({k: model_data[k] for k in ("engine", "route", "rounds")},
-                     indent=2))
+    print(json.dumps({k: model_data[k] for k in ("route", "rounds")}, indent=2))
 
     decisions = _pin_decisions(model)
     print_section("Portfolio decisions with the fresh model")

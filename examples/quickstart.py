@@ -22,8 +22,8 @@ def main() -> None:
     print(f"graph: n={network.num_nodes}, |E|={network.num_edges}, Delta={network.max_degree}")
 
     # `repro.color_edges` is the auto-tuning portfolio facade: it picks the
-    # algorithm, execution engine, quality preset, and route for this
-    # instance from a measured cost model, and records every choice.
+    # algorithm, quality preset and route for this instance from a measured
+    # cost model, runs on the default engine, and records every choice.
     auto = color_edges(network)
     decision = auto.decision
     print("\nportfolio decision for this instance:")

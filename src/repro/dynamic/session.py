@@ -141,10 +141,12 @@ class DynamicColoring:
         ``"recompute"``: patch + full from-scratch re-coloring -- the
         differential reference mode.
     engine:
-        Execution engine of every underlying run (``None`` = process
-        default).  The session is deterministic, and engine-equivalent runs
-        produce identical columns (golden-locked in
-        ``tests/data/dynamic_churn_regular32x8.json``).
+        Execution engine of every underlying run.  ``None`` takes the
+        process default at each run: ``"compiled"`` when a kernel backend
+        resolves, else ``"vectorized"`` (see
+        :func:`repro.local_model.engine.default_engine`).  The session is
+        deterministic, and every engine produces identical columns
+        (golden-locked in ``tests/data/dynamic_churn_regular32x8.json``).
     ball_radius:
         How many hops around a conflicted vertex are recolored (>= 0).
         The default 0 recolors exactly the conflicted vertices -- the

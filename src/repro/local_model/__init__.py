@@ -15,16 +15,18 @@ The main entry points are:
   round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
 * :class:`~repro.local_model.batched.BatchedScheduler` -- the batched round
   engine, a drop-in replacement producing bit-identical results over a flat
-  CSR representation (the process default),
+  CSR representation (user-defined phases, and the array engines' per-phase
+  fallback),
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the
   vectorized color-phase engine: declared pure-color phases run as numpy
   kernels over the CSR arrays, everything else falls back to the batched
-  path (select any engine via
+  path (the default when no kernel backend resolves; select any engine via
   :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
 * :class:`~repro.local_model.compiled.CompiledScheduler` -- the compiled
   multi-core engine: the vectorized engine plus fused numba / C-extension
   kernels (see :mod:`repro.local_model.kernels`) for the per-round hot
-  loops, with a per-phase numpy fallback,
+  loops, with a per-phase numpy fallback (the default when a kernel
+  backend resolves),
 * :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the
   Lemma 5.2 simulation of an algorithm for ``L(G)`` on the network ``G``.
 """

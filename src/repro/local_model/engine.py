@@ -1,33 +1,33 @@
-"""Engine selection: reference scheduler, batched engine, vectorized engine.
+"""Engine selection: four bit-identical schedulers and the default rule.
 
-The package ships three interchangeable execution paths for synchronous
-phases:
+The package ships four interchangeable execution paths for synchronous
+phases.  They produce bit-identical states and metrics (enforced by
+``tests/test_engine_equivalence.py``), so the choice changes only the cost:
 
 * ``"reference"`` -- :class:`~repro.local_model.scheduler.Scheduler`, the
   direct transcription of the paper's model (one message object at a time,
   per-round validation).  Maximally transparent; use it when debugging a
   phase or when exactness of the *simulation* itself is under scrutiny.
 * ``"batched"`` -- :class:`~repro.local_model.batched.BatchedScheduler`, the
-  flat-array engine (the process-wide default).  Produces bit-identical
-  states and metrics (enforced by ``tests/test_engine_equivalence.py``) at a
-  fraction of the cost.
+  flat-array per-node engine.  It runs user-defined phases that have no
+  ``vector_run`` and is the array engines' per-phase fallback.
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
-  which additionally executes the pure-color phases (Linial recoloring, the
-  color reductions, the defective polynomial steps, ``psi``-selection) as
-  numpy kernels over the CSR arrays, falling back to the batched path per
-  phase for everything else.  Use it for large instances.
+  which executes every shipped phase as numpy kernels over the CSR arrays,
+  falling back to the batched path per phase for everything else.
 * ``"compiled"`` -- :class:`~repro.local_model.compiled.CompiledScheduler`,
   the vectorized engine plus fused multi-core kernels (numba or a
   C/OpenMP extension, see :mod:`repro.local_model.kernels`) for the per-round
   hot loops, falling back to the numpy ``vector_run`` per phase when no
-  kernel (or no backend) exists.  Bit-identical to ``"vectorized"`` in
-  every configuration; fastest on large instances with multiple cores.
+  kernel (or no backend) exists.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
-accepts an ``engine`` argument that is resolved here; ``None`` falls back to
-the process-wide default, which can be flipped globally with
-:func:`set_default_engine` or temporarily with the :func:`use_engine` context
-manager.
+accepts an ``engine`` argument that is resolved here.  ``None`` follows one
+rule, :func:`default_engine`: ``"compiled"`` when a kernel backend resolves,
+else ``"vectorized"``.  The backend is resolved at the first unpinned call,
+not at import, so importing this module starts no compiler.
+:func:`set_default_engine` pins another default for the process and the
+:func:`use_engine` context manager pins one for a ``with`` block; leaving
+the block restores whatever was in force before, the rule included.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.exceptions import InvalidParameterError
+from repro.local_model import kernels
 from repro.local_model.batched import BatchedScheduler, NetworkLike
 from repro.local_model.compiled import CompiledScheduler
 from repro.local_model.fast_network import FastNetwork
@@ -52,7 +53,9 @@ _ENGINES: Dict[str, Callable[..., SchedulerLike]] = {
     "compiled": CompiledScheduler,
 }
 
-_default_engine: str = "batched"
+#: The engine pinned by :func:`set_default_engine` / :func:`use_engine`;
+#: ``None`` leaves the default to the rule in :func:`default_engine`.
+_pinned_default: Optional[str] = None
 
 
 def available_engines() -> tuple:
@@ -62,7 +65,7 @@ def available_engines() -> tuple:
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Validate ``engine`` and substitute the process default for ``None``."""
-    name = _default_engine if engine is None else engine
+    name = default_engine() if engine is None else engine
     if name not in _ENGINES:
         raise InvalidParameterError(
             f"unknown engine {name!r}; available engines: {available_engines()}"
@@ -71,26 +74,32 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def default_engine() -> str:
-    """The current process-wide default engine name."""
-    return _default_engine
+    """The engine ``engine=None`` resolves to right now.
+
+    A pinned default wins; otherwise ``"compiled"`` when a kernel backend
+    resolves and ``"vectorized"`` when none does.
+    """
+    if _pinned_default is not None:
+        return _pinned_default
+    return "compiled" if kernels.get_backend() is not None else "vectorized"
 
 
 def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine (any of :func:`available_engines`)."""
-    global _default_engine
-    _default_engine = resolve_engine(engine)
+    """Pin the process-wide default engine (any of :func:`available_engines`)."""
+    global _pinned_default
+    _pinned_default = resolve_engine(engine)
 
 
 @contextmanager
 def use_engine(engine: str) -> Iterator[str]:
-    """Temporarily switch the default engine within a ``with`` block."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = resolve_engine(engine)
+    """Pin the default engine within a ``with`` block, then restore it."""
+    global _pinned_default
+    previous = _pinned_default
+    _pinned_default = resolve_engine(engine)
     try:
-        yield _default_engine
+        yield _pinned_default
     finally:
-        _default_engine = previous
+        _pinned_default = previous
 
 
 def make_scheduler(

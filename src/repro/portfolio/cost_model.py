@@ -1,22 +1,20 @@
 """The measured cost model behind the portfolio's per-instance decisions.
 
-The model is deliberately small: three families of coefficients, all
+The model is deliberately small: two families of coefficients, both
 calibrated offline by ``benchmarks/bench_portfolio.py`` and persisted to
 ``benchmarks/results/portfolio_model.json`` next to the other committed
 benchmark records.
 
-* **Engine** — end-to-end seconds per CSR entry for the batched per-node
-  path versus the vectorized kernels versus the compiled kernel backend
-  (the latter two pay a fixed setup overhead but a far smaller per-entry
-  cost).  The crossover is what flips the engine decision from the
-  ``"batched"`` default to ``"vectorized"`` — or to ``"compiled"``, when
-  the machine actually resolved a kernel backend — on large instances.
 * **Route** — seconds per line-graph CSR entry for the direct
   (Theorem 5.5) versus the Lemma 5.2 simulation route of ``color_edges``.
 * **Rounds** — one fitted multiplier per Theorem 4.8 quality preset on top
   of the analytic round shapes (``Delta^eps + log* n``,
   ``log Delta + log* n``, ``(log Delta)^{1+eta} + log* n``), used to pick
   the best palette whose predicted round count fits a caller's ``budget``.
+
+The engine is not a cost decision: every engine produces the same coloring,
+and the portfolio takes the process default of
+:func:`repro.local_model.engine.default_engine`.
 
 ``CostModel.default()`` loads the committed record when the repository
 checkout is present and falls back to the embedded snapshot of the same
@@ -43,13 +41,6 @@ QUALITY_ORDER = ("linear", "subpolynomial", "superlinear")
 #: calibration numbers recorded by ``bench_portfolio.py`` on the reference
 #: machine.  Kept in sync by the benchmark's ``--record`` run.
 DEFAULT_MODEL = {
-    "engine": {
-        "batched_us_per_entry": 4.7111,
-        "vectorized_us_per_entry": 0.6881,
-        "vectorized_overhead_us": 10848.0,
-        "compiled_us_per_entry": 0.5691,
-        "compiled_overhead_us": 9199.9,
-    },
     "route": {
         "direct_us_per_line_entry": 0.6334,
         "simulation_us_per_line_entry": 0.4995,
@@ -82,7 +73,6 @@ def quality_round_shape(quality: str, delta: int, n: int, epsilon: float = 0.75)
 class CostModel:
     """Calibrated decision coefficients (see the module docstring)."""
 
-    engine: Mapping[str, float]
     route: Mapping[str, float]
     rounds: Mapping[str, Mapping[str, float]]
     source: str = "defaults"
@@ -94,7 +84,7 @@ class CostModel:
 
     @classmethod
     def from_mapping(cls, data: Mapping, source: str = "mapping") -> "CostModel":
-        for section in ("engine", "route", "rounds"):
+        for section in ("route", "rounds"):
             if section not in data:
                 raise InvalidParameterError(
                     f"cost model is missing its {section!r} section"
@@ -102,10 +92,9 @@ class CostModel:
         extras = {
             key: value
             for key, value in data.items()
-            if key not in ("engine", "route", "rounds")
+            if key not in ("route", "rounds")
         }
         return cls(
-            engine=dict(data["engine"]),
             route=dict(data["route"]),
             rounds={key: dict(value) for key, value in data["rounds"].items()},
             source=source,
@@ -131,58 +120,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Predictions
     # ------------------------------------------------------------------ #
-
-    def predict_engine_seconds(self, engine: str, entries: int) -> float:
-        """End-to-end seconds to run an instance with ``entries`` CSR entries.
-
-        ``entries`` counts directed adjacency entries plus nodes — the unit
-        of per-round work for both execution paths.
-        """
-        if engine == "batched":
-            return self.engine["batched_us_per_entry"] * entries * 1e-6
-        if engine in ("vectorized", "compiled"):
-            overhead = self.engine.get(f"{engine}_overhead_us")
-            slope = self.engine.get(f"{engine}_us_per_entry")
-            if overhead is None or slope is None:
-                raise InvalidParameterError(
-                    f"cost model has no coefficients for engine {engine!r}"
-                )
-            return (overhead + slope * entries) * 1e-6
-        raise InvalidParameterError(f"cost model has no engine {engine!r}")
-
-    def has_engine(self, engine: str) -> bool:
-        """Whether this model carries coefficients for ``engine``."""
-        if engine == "batched":
-            return "batched_us_per_entry" in self.engine
-        return (
-            f"{engine}_us_per_entry" in self.engine
-            and f"{engine}_overhead_us" in self.engine
-        )
-
-    def choose_engine(
-        self, entries: int, compiled_available: Optional[bool] = None
-    ) -> str:
-        """The cheapest engine for ``entries`` CSR entries.
-
-        ``compiled_available`` gates the ``"compiled"`` candidate on whether
-        a kernel backend actually resolved on this machine; ``None`` (the
-        default) asks :mod:`repro.local_model.kernels` directly, so a
-        numba-less, compiler-less install never gets steered onto an engine
-        that would silently run the numpy fallback with the same cost as
-        ``"vectorized"`` plus dispatch overhead.
-        """
-        candidates = ["batched", "vectorized"]
-        if self.has_engine("compiled"):
-            if compiled_available is None:
-                from repro.local_model import kernels
-
-                compiled_available = kernels.get_backend() is not None
-            if compiled_available:
-                candidates.append("compiled")
-        # Stable under ties: earlier candidates (simpler engines) win.
-        return min(
-            candidates, key=lambda name: self.predict_engine_seconds(name, entries)
-        )
 
     def predict_route_seconds(self, route: str, line_entries: int) -> float:
         key = f"{route}_us_per_line_entry"

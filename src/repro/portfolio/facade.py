@@ -6,8 +6,10 @@ Both entry points take a graph (legacy :class:`Network` or CSR
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
   supplied), the Luby randomized baseline for general vertex coloring;
-* the **engine** — ``"batched"`` versus the ``"vectorized"`` numpy kernels,
-  by predicted wall seconds for the instance's CSR size;
+* the **engine** — the process default of
+  :func:`~repro.local_model.engine.default_engine` (``"compiled"`` when a
+  kernel backend resolves, else ``"vectorized"``); engines are
+  bit-identical, so this is not a cost decision;
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
   round count fits the caller's ``budget``;
@@ -35,6 +37,7 @@ from repro.core.edge_coloring import color_edges as core_color_edges
 from repro.core.legal_coloring import color_vertices as core_color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model import kernels
+from repro.local_model.engine import default_engine
 from repro.local_model.fast_network import fast_view
 from repro.portfolio.cost_model import CostModel
 from repro.portfolio.result import PortfolioDecision, PortfolioResult
@@ -65,11 +68,6 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
     return outcome
 
 
-def _csr_entries(fast) -> int:
-    """Directed adjacency entries plus nodes: the per-round work unit."""
-    return int(fast.degrees_np.sum()) + fast.num_nodes
-
-
 def _line_csr_entries(fast) -> int:
     """The CSR size of ``L(G)``, straight from ``G``'s degree column.
 
@@ -82,33 +80,17 @@ def _line_csr_entries(fast) -> int:
     return int((degrees * degrees).sum()) - 2 * num_edges + num_edges
 
 
-def _decide_engine(model: CostModel, entries: int, override: Optional[str]):
-    predicted = {
-        "engine_batched_seconds": model.predict_engine_seconds("batched", entries),
-        "engine_vectorized_seconds": model.predict_engine_seconds("vectorized", entries),
-    }
-    backend = kernels.backend_name()
-    if model.has_engine("compiled"):
-        predicted["engine_compiled_seconds"] = model.predict_engine_seconds(
-            "compiled", entries
-        )
+def _decide_engine(override: Optional[str]):
+    """The caller's engine, else the process default, with the reason."""
     if override is not None:
-        return override, "engine pinned by caller", predicted
-    engine = model.choose_engine(entries, compiled_available=backend is not None)
-    reason = (
-        f"predicted {predicted['engine_vectorized_seconds']:.4f}s vectorized vs "
-        f"{predicted['engine_batched_seconds']:.4f}s batched on {entries} CSR entries"
+        return override, "engine pinned by caller"
+    backend = kernels.backend_name()
+    where = (
+        f"kernel backend {backend!r}"
+        if backend is not None
+        else "no kernel backend resolved"
     )
-    if "engine_compiled_seconds" in predicted:
-        reason += (
-            f"; compiled predicted {predicted['engine_compiled_seconds']:.4f}s "
-            + (
-                f"on kernel backend {backend!r}"
-                if backend is not None
-                else "but no kernel backend resolved"
-            )
-        )
-    return engine, reason, predicted
+    return default_engine(), f"process default engine ({where})"
 
 
 def _decide_quality(
@@ -216,10 +198,7 @@ def color_graph(
             "quality presets only apply to the Legal-Color algorithm"
         )
 
-    engine, reasons["engine"], engine_predicted = _decide_engine(
-        model, _csr_entries(fast), engine
-    )
-    predicted.update(engine_predicted)
+    engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
         quality, reasons["quality"], quality_predicted = _decide_quality(
@@ -320,15 +299,10 @@ def color_edges(
                 "quality presets only apply to the Legal-Color algorithm"
             )
 
-    # All four algorithms do their work on L(G), so the engine decision is
-    # driven by the line graph's CSR size (computable from G's degrees).
-    line_entries = _line_csr_entries(fast)
-    engine, reasons["engine"], engine_predicted = _decide_engine(
-        model, line_entries, engine
-    )
-    predicted.update(engine_predicted)
+    engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
+        line_entries = _line_csr_entries(fast)
         delta_line = max(1, 2 * fast.max_degree - 2) if fast.max_degree else 1
         quality, reasons["quality"], quality_predicted = _decide_quality(
             model, delta_line, max(2, fast.num_nodes), budget, epsilon, quality

@@ -1,4 +1,11 @@
-"""The portfolio's normalized result and decision records."""
+"""The portfolio's normalized result and decision records.
+
+A :class:`PortfolioDecision` says which algorithm, engine, preset and route
+ran, and why; a :class:`PortfolioResult` carries the coloring in one shape
+for every algorithm.  "Default" in a decision means what a plain ``core``
+call would use, with the engine read from
+:func:`repro.local_model.engine.default_engine` at the time of asking.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,7 @@ import numpy as np
 
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
+from repro.local_model.engine import default_engine
 from repro.local_model.metrics import RunMetrics
 
 
@@ -23,8 +31,8 @@ class PortfolioDecision:
     the portfolio passed through untouched.  ``kernel_backend`` /
     ``kernel_threads`` record what the compiled engine would run on (the
     resolved provider name and its thread count) — populated whether or not
-    the compiled engine was chosen, so a decision record always says *why*
-    ``"compiled"`` was or was not on the table.
+    the compiled engine ran, so a decision record always says *why* the
+    default was or was not ``"compiled"``.
 
     ``engine`` is always the engine that *actually produced* the result:
     when the resilience layer degraded the run (see
@@ -49,12 +57,12 @@ class PortfolioDecision:
         """Whether the chosen (engine, quality, route) is the default triple.
 
         The defaults are the ones a plain ``core`` call would use: the
-        process-default ``"batched"`` engine, the ``"linear"`` preset (or no
-        preset, for the preset-free baselines), and the ``"direct"`` route
-        (or no route, for vertex colorings).
+        process default engine (:func:`default_engine`), the ``"linear"``
+        preset (or no preset, for the preset-free baselines), and the
+        ``"direct"`` route (or no route, for vertex colorings).
         """
         return (
-            self.engine == "batched"
+            self.engine == default_engine()
             and self.quality in (None, "linear")
             and self.route in (None, "direct")
         )

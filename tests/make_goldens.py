@@ -76,12 +76,22 @@ def _randomized(network, c, seed, engine):
 
 
 def _dynamic_churn(network, c, seed, steps, batch, engine):
+    """Freeze a churn session's final coloring, palette bound and metrics."""
+    session = churn_session(network, c, seed, steps, batch, engine)
+    return session.colors, {
+        "palette": session.palette_bound,
+        "steps": steps,
+        "final_edges": session.network.num_edges,
+        **_metrics(session.metrics),
+    }
+
+
+def churn_session(network, c, seed, steps, batch, engine):
     """Drive a seeded churn schedule through a :class:`DynamicColoring`.
 
     The schedule is a deterministic function of the seed and the evolving
     edge set only (never of the coloring), so every engine sees the identical
-    sequence of update batches; the golden freezes the final coloring, the
-    session palette bound and the merged run metrics.
+    sequence of update batches.
     """
     import numpy as np
 
@@ -104,12 +114,7 @@ def _dynamic_churn(network, c, seed, steps, batch, engine):
             removed=(edge_u[pick], edge_v[pick]),
         )
         session.verify()
-    return session.colors, {
-        "palette": session.palette_bound,
-        "steps": steps,
-        "final_edges": session.network.num_edges,
-        **_metrics(session.metrics),
-    }
+    return session
 
 
 def _metrics(metrics) -> Dict[str, int]:
@@ -132,6 +137,9 @@ def _line_of_regular(n, degree, seed):
 
     return line_graph_network(_regular(n, degree, seed))
 
+
+#: The seeded schedule of the ``dynamic_churn_regular32x8`` fixture.
+CHURN_SCHEDULE = {"c": 8, "seed": 11, "steps": 6, "batch": 8}
 
 #: fixture name -> (network builder, runner(network, engine)).
 FIXTURES: Dict[str, Any] = {
@@ -179,9 +187,7 @@ FIXTURES: Dict[str, Any] = {
     # conflict-ball repair on every step, verified legal throughout.
     "dynamic_churn_regular32x8": (
         lambda: _regular(32, 8, 21),
-        lambda network, engine: _dynamic_churn(
-            network, c=8, seed=11, steps=6, batch=8, engine=engine
-        ),
+        lambda network, engine: _dynamic_churn(network, engine=engine, **CHURN_SCHEDULE),
     ),
 }
 

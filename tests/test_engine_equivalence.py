@@ -415,22 +415,62 @@ class TestEngineSelection:
         for engine, engine_cls in ENGINE_CLASSES.items():
             assert isinstance(make_scheduler(triangle, engine=engine), engine_cls)
 
-    def test_default_engine_is_batched(self, triangle):
-        # The ROADMAP's scheduled flip: the batched engine is the process
-        # default, the reference scheduler is the opt-in auditing tool.
+    def test_default_engine_is_compiled_with_a_backend(self, triangle):
+        # The array engine is the default: compiled when a kernel backend
+        # resolves (the numpy ``vectorized`` engine otherwise).
         from repro.local_model import default_engine
 
+        if kernels.get_backend() is None:
+            pytest.skip("no kernel backend resolves on this machine")
+        assert default_engine() == "compiled"
+        assert type(make_scheduler(triangle)) is CompiledScheduler
+
+    def test_default_engine_is_vectorized_without_a_backend(self, triangle):
+        from repro.local_model import default_engine
+
+        restore = kernels.force_backend(None, reason="test: no backend")
+        try:
+            assert default_engine() == "vectorized"
+            assert type(make_scheduler(triangle)) is VectorizedScheduler
+        finally:
+            restore()
+
+    def test_set_default_engine_overrides_the_rule(self, triangle, monkeypatch):
+        import repro.local_model.engine as engine_module
+        from repro.local_model import default_engine, set_default_engine
+
+        # Registered first so teardown puts the rule back in force.
+        monkeypatch.setattr(engine_module, "_pinned_default", None)
+        set_default_engine("batched")
         assert default_engine() == "batched"
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
-        assert not isinstance(make_scheduler(triangle), VectorizedScheduler)
+        assert type(make_scheduler(triangle)) is BatchedScheduler
+        restore = kernels.force_backend(None, reason="test: no backend")
+        try:
+            assert default_engine() == "batched"
+        finally:
+            restore()
 
     def test_use_engine_context_switches_default(self, triangle):
-        with use_engine("vectorized"):
-            assert isinstance(make_scheduler(triangle), VectorizedScheduler)
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
+        rule = type(make_scheduler(triangle))
+        with use_engine("batched"):
+            assert type(make_scheduler(triangle)) is BatchedScheduler
+        assert type(make_scheduler(triangle)) is rule
         with use_engine("reference"):
-            assert isinstance(make_scheduler(triangle), Scheduler)
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
+            assert type(make_scheduler(triangle)) is Scheduler
+        assert type(make_scheduler(triangle)) is rule
+
+    def test_leaving_use_engine_returns_to_the_rule(self):
+        # The rule is re-read after the block, not frozen at entry: a backend
+        # that disappears while the block runs is reflected afterwards.
+        from repro.local_model import default_engine
+
+        restore = kernels.force_backend(None, reason="test: no backend")
+        try:
+            with use_engine("compiled"):
+                assert default_engine() == "compiled"
+            assert default_engine() == "vectorized"
+        finally:
+            restore()
 
     def test_unknown_engine_rejected(self, triangle):
         from repro.exceptions import InvalidParameterError

@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from make_goldens import FIXTURES, compute_fixture, golden_path
+from make_goldens import CHURN_SCHEDULE, FIXTURES, churn_session, compute_fixture, golden_path
+
+from repro.local_model import kernels
 
 #: Fields compared one by one for a readable failure before the full diff.
 SUMMARY_FIELDS = (
@@ -56,3 +58,18 @@ def test_golden_coloring(name, engine):
 def test_goldens_cover_every_fixture():
     for name in FIXTURES:
         assert golden_path(name).exists()
+
+
+def test_unpinned_dynamic_session_matches_batched():
+    # ``engine=None`` takes the array-engine default; the churn golden must
+    # come out exactly as on the batched engine, with nothing falling back.
+    build, _ = FIXTURES["dynamic_churn_regular32x8"]
+    default = churn_session(build(), engine=None, **CHURN_SCHEDULE)
+    batched = churn_session(build(), engine="batched", **CHURN_SCHEDULE)
+    assert (default.color_column == batched.color_column).all()
+    assert default.palette_bound == batched.palette_bound
+    assert default.metrics.summary() == batched.metrics.summary()
+    assert default.fallback_phase_names == []
+    assert default.metrics.degraded_engine_names == []
+    if kernels.get_backend() is not None:
+        assert default.metrics.compiled_fallback_phase_names == []

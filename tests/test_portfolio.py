@@ -1,11 +1,12 @@
 """Decision pinning for the `color_graph` / `color_edges` portfolio façade.
 
-The façade decides (engine, quality preset, route) per instance from the
-committed cost model (``benchmarks/results/portfolio_model.json``).  These
-tests pin the decisions on the three benchmarked instance classes — small,
-large, and dense — so a model re-record that silently flips a decision
-fails loudly, and they check that every decision is carried on the result
-object with its reason and predicted costs.
+The façade decides (quality preset, route) per instance from the committed
+cost model (``benchmarks/results/portfolio_model.json``) and runs on the
+process default engine.  These tests pin the decisions on the three
+benchmarked instance classes — small, large, and dense — so a model
+re-record that silently flips a decision fails loudly, and they check that
+every decision is carried on the result object with its reason and
+predicted costs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.portfolio import (
     color_graph,
 )
 from repro.portfolio.cost_model import DEFAULT_MODEL, quality_round_shape
-from repro.portfolio.facade import _csr_entries, _line_csr_entries
+from repro.portfolio.facade import _line_csr_entries
+from repro.local_model import default_engine, use_engine
 from repro.local_model.fast_network import fast_view
 from repro.verification import (
     assert_legal_edge_coloring,
@@ -53,35 +55,9 @@ class TestCommittedModel:
         # installed package decides identically to a repo checkout.
         with MODEL_RECORD.open() as handle:
             record = json.load(handle)
-        for section in ("engine", "route", "rounds"):
+        for section in ("route", "rounds"):
             assert record[section] == DEFAULT_MODEL[section]
-
-    def test_engine_crossover(self):
-        model = CostModel.default()
-        assert model.choose_engine(500) == "batched"
-        # Without a resolved kernel backend the crossover lands on the
-        # vectorized kernels; with one, the compiled engine's smaller slope
-        # wins the same instance.
-        assert model.choose_engine(200_000, compiled_available=False) == "vectorized"
-        assert model.choose_engine(200_000, compiled_available=True) == "compiled"
-
-    def test_compiled_candidate_requires_coefficients(self):
-        # A model without compiled coefficients never offers the engine,
-        # however large the instance and whatever the backend state.
-        stripped = {
-            "engine": {
-                k: v
-                for k, v in DEFAULT_MODEL["engine"].items()
-                if not k.startswith("compiled")
-            },
-            "route": dict(DEFAULT_MODEL["route"]),
-            "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
-        }
-        model = CostModel.from_mapping(stripped, source="unit-test")
-        assert not model.has_engine("compiled")
-        assert model.choose_engine(10_000_000, compiled_available=True) == "vectorized"
-        with pytest.raises(InvalidParameterError):
-            model.predict_engine_seconds("compiled", 1_000)
+        assert "engine" not in record and "engine" not in DEFAULT_MODEL
 
     def test_route_choice_follows_committed_coefficients(self):
         # The route cost is linear in line entries, so the choice is
@@ -96,7 +72,6 @@ class TestCommittedModel:
         assert model.choose_route(1_000_000) == cheaper
         tied = CostModel.from_mapping(
             {
-                "engine": dict(DEFAULT_MODEL["engine"]),
                 "route": {
                     "direct_us_per_line_entry": 0.5,
                     "simulation_us_per_line_entry": 0.5,
@@ -129,47 +104,30 @@ class TestCommittedModel:
 class TestDecisionPins:
     """The benchmarked instance classes and the decisions they must get."""
 
-    @staticmethod
-    def _expected_fast_engine() -> str:
-        """What the portfolio should pick past the batched crossover."""
-        from repro.local_model import kernels
-
-        return "compiled" if kernels.get_backend() is not None else "vectorized"
-
-    def test_small_instance_keeps_batched_engine(self):
+    def test_small_instance_runs_the_default_engine(self):
         network = graphs.random_regular(32, 4, seed=1, backend="fast")
         result = color_edges(network)
         decision = result.decision
-        assert (decision.algorithm, decision.engine) == ("legal-color", "batched")
+        assert (decision.algorithm, decision.engine) == ("legal-color", default_engine())
         assert decision.quality == "linear"
         # The route follows the committed coefficients (the two routes are
         # nearly tied on the reference machine, so the pin is model-relative).
         model = CostModel.default()
-        assert decision.route == model.choose_route(
-            _line_csr_entries(fast_view(network))
-        )
+        assert decision.route == model.choose_route(_line_csr_entries(fast_view(network)))
         assert decision.is_default() == (decision.route == "direct")
         assert decision.overrides == ()
         assert_legal_edge_coloring(network, result.colors)
 
-    def test_large_instance_flips_engine(self):
+    def test_large_instance_runs_the_default_engine(self):
         network = graphs.random_regular(2048, 8, seed=2, backend="fast")
         result = color_graph(network, seed=1)
         decision = result.decision
         assert decision.algorithm == "luby"
-        assert decision.engine == self._expected_fast_engine()
-        assert not decision.is_default()
-        assert "CSR entries" in decision.reasons["engine"]
-        predicted = decision.predicted
-        assert (
-            predicted["engine_vectorized_seconds"]
-            < predicted["engine_batched_seconds"]
-        )
+        assert decision.engine == default_engine()
+        assert decision.is_default()
+        assert "process default" in decision.reasons["engine"]
+        assert not any(key.startswith("engine") for key in decision.predicted)
         if decision.engine == "compiled":
-            assert (
-                predicted["engine_compiled_seconds"]
-                < predicted["engine_vectorized_seconds"]
-            )
             assert decision.kernel_backend is not None
             assert decision.kernel_threads >= 1
         assert_legal_vertex_coloring(network, result.colors)
@@ -178,34 +136,53 @@ class TestDecisionPins:
         network = graphs.complete_graph(24, backend="fast")
         result = color_edges(network, budget=40.0)
         decision = result.decision
-        # L(G) is big even at n=24, so the engine leaves the batched default.
-        assert decision.engine == self._expected_fast_engine()
+        assert decision.engine == default_engine()
         assert decision.quality == "superlinear"
         assert not decision.is_default()
         assert "infeasible" in decision.reasons["quality"]
         assert_legal_edge_coloring(network, result.colors)
 
+    @pytest.mark.parametrize("engine", ["reference", "batched", "vectorized", "compiled"])
+    def test_engine_override_is_honoured_at_every_size(self, engine):
+        for network in (
+            graphs.random_regular(16, 4, seed=3, backend="fast"),
+            graphs.random_regular(512, 8, seed=2, backend="fast"),
+        ):
+            decision = color_graph(network, seed=1, engine=engine).decision
+            assert decision.engine == engine
+            assert decision.overrides == ("engine",)
+            assert decision.reasons["engine"] == "engine pinned by caller"
+            assert decision.is_default() == (engine == default_engine())
+
+    def test_is_default_follows_use_engine(self):
+        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        with use_engine("vectorized"):
+            decision = color_graph(network, seed=1).decision
+            assert decision.engine == "vectorized"
+            assert decision.is_default()
+            pinned = color_graph(network, seed=1, engine="batched").decision
+            assert not pinned.is_default()
+
     def test_decisions_match_committed_benchmark_pins(self):
-        # bench_portfolio.py records the decisions it took with the fresh
-        # calibration; the committed model must reproduce them.
+        # bench_portfolio.py records the decisions it took; the committed
+        # model must reproduce the preset choices, and every pin ran on the
+        # array engine the recording machine resolved.
         with MODEL_RECORD.open() as handle:
-            pins = json.load(handle)["decisions"]
+            record = json.load(handle)
+        pins = record["decisions"]
         assert len(pins) >= 3
+        assert "engine" not in record
+        recorded = "compiled" if record["calibration"]["kernel_backend"] else "vectorized"
+        assert {pin["engine"] for pin in pins} == {recorded}
         by_instance = {pin["instance"]: pin for pin in pins}
-        small = by_instance["small-regular(n=32, Delta=4)"]
-        assert small["engine"] == "batched"
-        large = next(
-            pin for name, pin in by_instance.items() if name.startswith("large-")
-        )
-        assert large["engine"] in ("vectorized", "compiled")
-        assert not large["is_default"]
+        large = next(pin for name, pin in by_instance.items() if name.startswith("large-"))
+        assert large["is_default"]
         dense = by_instance["dense-complete(n=48, Delta=47)"]
         assert dense["quality"] == "superlinear" and not dense["is_default"]
 
     def test_backend_absent_degrades_to_vectorized(self, monkeypatch):
-        # With no resolvable kernel backend the portfolio must not steer a
-        # large instance onto the compiled engine (it would just pay kernel
-        # dispatch overhead on top of the same numpy fallback).
+        # With no resolvable kernel backend the default is the numpy engine,
+        # and the decision record says why.
         from repro.local_model import kernels
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
@@ -221,12 +198,10 @@ class TestDecisionPins:
             monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
             kernels.reset()
 
-    def test_entry_counts_match_csr(self):
+    def test_line_entry_count_matches_csr(self):
         network = graphs.random_regular(32, 4, seed=1, backend="fast")
-        fast = fast_view(network)
-        assert _csr_entries(fast) == 32 * 4 + 32
         # |E| = 64, each edge has d(u)+d(v)-2 = 6 line neighbors.
-        assert _line_csr_entries(fast) == 64 * 6 + 64
+        assert _line_csr_entries(fast_view(network)) == 64 * 6 + 64
 
 
 class TestFacadeContract:
@@ -252,19 +227,16 @@ class TestFacadeContract:
             assert "pinned by caller" in decision.reasons[knob]
 
     def test_custom_cost_model_is_honored_and_recorded(self):
-        # A model that makes the vectorized engine free must flip even a
-        # tiny instance; the decision records where the model came from.
-        skewed = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_MODEL.items()}
-        skewed["engine"] = {
-            "batched_us_per_entry": 1e6,
-            "vectorized_us_per_entry": 0.0,
-            "vectorized_overhead_us": 0.0,
+        # A model that makes the simulation route free must flip the route;
+        # the decision records where the model came from.
+        skewed = {
+            "route": {"direct_us_per_line_entry": 1.0, "simulation_us_per_line_entry": 0.0},
+            "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
         }
-        skewed["rounds"] = {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER}
         model = CostModel.from_mapping(skewed, source="unit-test")
         network = graphs.random_regular(16, 4, seed=3, backend="fast")
-        result = color_graph(network, cost_model=model, seed=1)
-        assert result.decision.engine == "vectorized"
+        result = color_edges(network, cost_model=model)
+        assert result.decision.route == "simulation"
         assert result.decision.model_source == "unit-test"
 
     def test_normalized_result_shape(self):
