@@ -144,6 +144,9 @@ class PsiSelectionPhase(BroadcastPhase):
 
         if state.get("_psi_announced"):
             state[self.output_key] = state["_psi_selected"]
+            # Drop the selection scratch at halt, as the Luby phase does.
+            state.pop("_psi_waiting", None)
+            state.pop("_psi_counts", None)
             return True
         return False
 
@@ -175,7 +178,8 @@ class PsiSelectionPhase(BroadcastPhase):
         ``phi``-chain below ``v``, which yields the exact round count; every
         vertex broadcasts its ``phi`` once (round 1, a 2-word dict) and its
         ``psi`` once (its announcement round, a 2-word dict), which yields
-        the exact message metrics.
+        the exact message metrics.  The per-node scratch (``_psi_counts``,
+        ``_psi_waiting``) is never built: every engine drops it at halt.
         """
         fast = ctx.fast
         n = fast.num_nodes
@@ -184,9 +188,10 @@ class PsiSelectionPhase(BroadcastPhase):
 
         depth = np.zeros(n, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
-        counts = np.zeros((n, p), dtype=np.int64)
-        for value in np.unique(phi):
-            batch = np.flatnonzero(phi == value)
+        # One stable sort groups the phi-classes; each batch stays ascending.
+        values, sizes = np.unique(phi, return_counts=True)
+        batches = np.split(np.argsort(phi, kind="stable"), np.cumsum(sizes)[:-1])
+        for value, batch in zip(values, batches):
             local_rows, neighbors = ctx.gather_neighbors(batch)
             lower = phi[neighbors] < value
             sources = local_rows[lower]
@@ -197,7 +202,6 @@ class PsiSelectionPhase(BroadcastPhase):
             batch_counts = np.bincount(
                 sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
             ).reshape(batch.size, p)
-            counts[batch] = batch_counts
             psi[batch] = np.argmin(batch_counts, axis=1) + 1
 
         nnz = len(fast.indices)
@@ -210,8 +214,6 @@ class PsiSelectionPhase(BroadcastPhase):
         ctx.write_column(self.output_key, psi)
         ctx.write_column("_psi_selected", psi)
         ctx.write_value("_psi_announced", True)
-        ctx.write_objects("_psi_counts", counts.tolist())
-        ctx.write_objects("_psi_waiting", [set() for _ in range(n)])
 
 
 def defective_color_pipeline(

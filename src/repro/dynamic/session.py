@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.legal_coloring import color_vertices
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.verification.coloring import assert_legal_vertex_coloring
 
@@ -387,7 +387,7 @@ class DynamicColoring:
         entries = np.repeat(indptr[members], counts) + offsets
         neighbor_colors = self._column[indices[entries]]
 
-        by_owner_color = np.lexsort((neighbor_colors, owner))
+        by_owner_color = _lexsort_pairs(owner, neighbor_colors)
         oc = owner[by_owner_color]
         cc = neighbor_colors[by_owner_color]
         distinct = np.empty(len(oc), dtype=bool)

@@ -59,7 +59,7 @@ import networkx as nx
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs
 from repro.local_model.network import Network
 
 #: Return type of every generator: the legacy mapping-based network or the
@@ -250,7 +250,7 @@ def _simple_pairing_repair(
         low = np.minimum(u, v)
         high = np.maximum(u, v)
         keys = low * n + high
-        by_key = np.argsort(keys, kind="stable")
+        by_key = _lexsort_pairs(low, high)
         sorted_keys = keys[by_key]
         duplicate_sorted = np.zeros(len(keys), dtype=bool)
         duplicate_sorted[1:] = sorted_keys[1:] == sorted_keys[:-1]
@@ -604,7 +604,7 @@ def _random_biregular_matchings(
     lanes = np.arange(side, dtype=np.int64)
     for _ in range(_MAX_POOL_ROUNDS):
         keys = (lanes[None, :] * side + matchings).ravel()
-        by_key = np.argsort(keys, kind="stable")
+        by_key = _lexsort_pairs(np.broadcast_to(lanes, matchings.shape).ravel(), matchings.ravel())
         sorted_keys = keys[by_key]
         duplicate_sorted = np.zeros(len(keys), dtype=bool)
         duplicate_sorted[1:] = sorted_keys[1:] == sorted_keys[:-1]
@@ -865,7 +865,7 @@ def _geometric_edges(
     cells = max(1, int(np.floor(1.0 / radius))) if radius < 1.0 else 1
     cell_x = np.minimum((points[:, 0] * cells).astype(np.int64), cells - 1)
     cell_y = np.minimum((points[:, 1] * cells).astype(np.int64), cells - 1)
-    by_cell = np.argsort(cell_x * cells + cell_y, kind="stable")
+    by_cell = _lexsort_pairs(cell_x, cell_y)
     occupied, starts, counts = np.unique(
         (cell_x * cells + cell_y)[by_cell], return_index=True, return_counts=True
     )

@@ -64,6 +64,32 @@ def _int64_array(values: np.ndarray) -> array:
     return out
 
 
+#: Combined sort keys stay below this bound (int64 with a bit to spare).
+_KEY_LIMIT = 1 << 62
+
+
+def _lexsort_pairs(major, minor) -> np.ndarray:
+    """The stable permutation ``np.lexsort((minor, major))`` returns.
+
+    It sorts one ``int64`` key, ``(major - min) * span + (minor - min)``,
+    with the entry index as its lowest digit: the keys are distinct, so a
+    plain in-place sort is stable and ``key % size`` decodes the permutation.
+    Past ``2**62`` it falls back to the lexsort itself.
+    """
+    major, minor = np.asarray(major, dtype=np.int64), np.asarray(minor, dtype=np.int64)
+    size = len(major)
+    if not size:
+        return np.zeros(0, dtype=np.intp)
+    major_lo, minor_lo = int(major.min()), int(minor.min())
+    span = int(minor.max()) - minor_lo + 1
+    if (int(major.max()) - major_lo + 1) * span * size >= _KEY_LIMIT:
+        return np.lexsort((minor, major))
+    key = ((major - major_lo) * span + (minor - minor_lo)) * size
+    key += np.arange(size, dtype=np.int64)
+    key.sort()
+    return key % size
+
+
 class FastNetwork:
     """CSR-style adjacency compiled from a :class:`Network`.
 
@@ -189,11 +215,11 @@ class FastNetwork:
             API boundary, or never).  Defaults to the dense indices
             themselves.
 
-        The CSR arrays are assembled by symmetrizing, lexsorting and
-        deduplicating the endpoint arrays; since dense order is unique-id
-        order, the resulting neighbor order is exactly the unique-id order a
-        legacy :class:`Network` would produce, and :meth:`to_network`
-        materializes the identical network on demand.
+        The CSR arrays are assembled by symmetrizing the endpoint arrays,
+        then sorting and deduplicating one combined ``row * n + col`` key;
+        since dense order is unique-id order, the resulting neighbor order is
+        exactly the unique-id order a legacy :class:`Network` would produce,
+        and :meth:`to_network` materializes the identical network on demand.
         """
         n = int(num_nodes)
         if n < 0:
@@ -224,12 +250,14 @@ class FastNetwork:
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
         if len(rows):
-            by_row_then_col = np.lexsort((cols, rows))
-            rows = rows[by_row_then_col]
-            cols = cols[by_row_then_col]
-            fresh = np.empty(len(rows), dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            if n * n < _KEY_LIMIT:  # one combined key, sorted in place
+                key = rows * n + cols
+                key.sort()
+                rows, cols = np.divmod(key, n)
+            else:
+                by_row_then_col = _lexsort_pairs(rows, cols)
+                rows, cols = rows[by_row_then_col], cols[by_row_then_col]
+            fresh = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
             rows, cols = rows[fresh], cols[fresh]
         degrees = np.bincount(rows, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -326,7 +354,8 @@ class FastNetwork:
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
-            built._order_provider = lambda: range(built.num_nodes)
+            # Capture the count, not `built`: a cycle waits for the cyclic GC.
+            built._order_provider = lambda: range(num_nodes)
         elif callable(order):
             built._order = None
             built._order_provider = order

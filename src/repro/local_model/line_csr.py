@@ -18,7 +18,8 @@ of ``G``'s :class:`~repro.local_model.fast_network.FastNetwork` view:
   unique ids ``1..|E|`` fall out of one boolean mask;
 * the adjacency of ``L(G)`` (edges sharing an endpoint) is the per-vertex
   clique over ``G``'s incidence lists, expanded with ``repeat``/modular
-  arithmetic and finished with a single lexsort -- no Python per-edge work;
+  arithmetic and finished with one in-place sort of a combined
+  ``src * |E| + dst`` key -- no Python per-edge work;
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
   the API boundary (result extraction, reference-engine audits), exactly
@@ -48,7 +49,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _int64_array, fast_view
+from repro.local_model.fast_network import FastNetwork, _int64_array, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import _KEY_LIMIT
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
 #: (kept identical to the scalar phase's ``initialize`` message).
@@ -173,10 +175,15 @@ def build_line_graph_fast(network) -> FastNetwork:
     keep = src != dst
     src, dst = src[keep], dst[keep]
     del keep
-    by_src_then_dst = np.lexsort((dst, src))
-    line_indices = dst[by_src_then_dst]
-    line_degrees = np.bincount(src, minlength=m)
-    del src, dst, by_src_then_dst
+    if m * m < _KEY_LIMIT:  # one int64 key, sorted and decoded in place
+        line_indices = src * m + dst
+        line_indices.sort()
+        line_indices %= m
+    else:
+        line_indices = dst[_lexsort_pairs(src, dst)]
+    del src, dst
+    # Edge (u, v) of a simple graph meets deg(u) + deg(v) - 2 others.
+    line_degrees = degrees[edge_u] + degrees[edge_v] - 2
     line_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(line_degrees, out=line_indptr[1:])
 
@@ -243,7 +250,7 @@ def _derive_line_meta(fast: FastNetwork) -> LineGraphMeta:
     empty = np.zeros(0, dtype=np.int64)
     endpoints = np.concatenate([edge_u, edge_v]) if m else empty
     incident = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else empty
-    by_endpoint = np.lexsort((incident, endpoints))
+    by_endpoint = _lexsort_pairs(endpoints, incident)
     vert_edges = incident[by_endpoint]
     vert_counts = np.bincount(endpoints, minlength=len(codes))
     vert_indptr = np.zeros(len(codes) + 1, dtype=np.int64)

@@ -176,15 +176,6 @@ class VectorContext:
         else:
             self._column_cache.pop(key, None)
 
-    def write_objects(self, key: str, values: List[Any]) -> None:
-        """Write one (arbitrary) Python value per node into ``state[key]``."""
-        if self.table is not None:
-            self.table.set_objects(key, values)
-            return
-        for state, value in zip(self._states, values):
-            state[key] = value
-        self._column_cache.pop(key, None)
-
     def read_values(self, key: str) -> List[Any]:
         """Gather ``state[key]`` over all nodes as plain Python values."""
         if self.table is not None:

@@ -37,7 +37,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ColoringError
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
 from repro.local_model.network import Network
 
 EdgeKey = Tuple[Hashable, Hashable]
@@ -284,7 +284,7 @@ def is_legal_edge_coloring(
         entry_colors = np.concatenate([column, column])
         if not len(endpoints):
             return True
-        by_endpoint_color = np.lexsort((entry_colors, endpoints))
+        by_endpoint_color = _lexsort_pairs(endpoints, entry_colors)
         ep = endpoints[by_endpoint_color]
         ec = entry_colors[by_endpoint_color]
         return not bool(((ep[1:] == ep[:-1]) & (ec[1:] == ec[:-1])).any())
@@ -319,7 +319,7 @@ def edge_coloring_defect(network: NetworkLike, edge_colors: ColorsLike) -> int:
         edge_u, edge_v = _canonical_edge_endpoints(fast)
         endpoints = np.concatenate([edge_u, edge_v])
         entry_colors = np.concatenate([column, column])
-        by_group = np.lexsort((entry_colors, endpoints))
+        by_group = _lexsort_pairs(endpoints, entry_colors)
         ep = endpoints[by_group]
         ec = entry_colors[by_group]
         boundary = np.empty(len(ep), dtype=bool)
@@ -355,8 +355,8 @@ def _find_edge_violation_arrays(
 
     The mapping scan walks nodes in dense order and each node's neighbors in
     CSR order, reporting the first incident edge whose color was already seen
-    at that node.  Sorting the CSR entries by (row, color) with a stable
-    tertiary key on the entry index makes every such "repeat" entry adjacent
+    at that node.  Sorting the CSR entries stably by (row, color) -- ties
+    keep entry-index order -- makes every such "repeat" entry adjacent
     to the first occurrence of its (row, color) group; the scan's answer is
     the repeat entry with the smallest global CSR index.
     """
@@ -364,7 +364,7 @@ def _find_edge_violation_arrays(
     if not len(rows):
         return None
     entry_colors = column[_entry_edge_ids(fast)]
-    by_row_color = np.lexsort((np.arange(len(rows)), entry_colors, rows))
+    by_row_color = _lexsort_pairs(rows, entry_colors)
     r_sorted = rows[by_row_color]
     c_sorted = entry_colors[by_row_color]
     repeat = (r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])

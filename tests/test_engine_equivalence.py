@@ -149,6 +149,32 @@ class TestSchedulerLevelEquivalence:
         )
         self._compare(grid_network, pipeline)
 
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_psi_scratch_is_dropped_on_every_engine(self, grid_network, mode):
+        # Psi-selection keeps per-node count lists and waiting sets only
+        # while it runs: no engine's final states may still hold them.
+        network = line_graph_network(grid_network) if mode == "edge" else grid_network
+        if network.num_nodes == 0:
+            return
+        pipeline, _ = defective_color_pipeline(
+            n=network.num_nodes,
+            b=1,
+            p=2,
+            Lambda=max(2, grid_network.max_degree),
+            c=2 if mode == "edge" else max(1, grid_network.max_degree),
+            mode=mode,
+        )
+        for engine, engine_cls in ENGINE_CLASSES.items():
+            states = engine_cls(network).run(pipeline).states
+            leftovers = {
+                key
+                for state in states.values()
+                for key in ("_psi_counts", "_psi_waiting")
+                if key in state
+            }
+            assert not leftovers, f"{engine} kept {sorted(leftovers)}"
+            assert all("psi_color" in state for state in states.values())
+
     def test_defective_color_pipeline_edge_mode(self, grid_network):
         # The Corollary 5.4 route, full final states included: the line-graph
         # incidence kernel must reproduce the per-node callbacks bit for bit,
