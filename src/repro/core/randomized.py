@@ -105,7 +105,7 @@ def randomized_color_vertices(
         labels = np.fromiter(
             (
                 random.Random(f"{seed}:{unique_id}").randint(1, num_classes)
-                for unique_id in fast.unique_ids
+                for unique_id in fast.unique_ids.tolist()
             ),
             dtype=np.int64,
             count=fast.num_nodes,

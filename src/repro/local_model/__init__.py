@@ -13,15 +13,21 @@ The main entry points are:
   protocol abstraction (one phase of an algorithm),
 * :class:`~repro.local_model.scheduler.Scheduler` -- executes phases round by
   round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
+* :class:`~repro.local_model.fast_network.FastNetwork` -- the CSR form every
+  engine but the reference one runs on: ``indptr`` / ``indices`` /
+  ``degrees`` / ``unique_ids`` are ``int64`` numpy arrays, one copy each,
 * :class:`~repro.local_model.batched.BatchedScheduler` -- the batched round
-  engine, a drop-in replacement producing bit-identical results over a flat
+  engine, a drop-in replacement producing bit-identical results over the
   CSR representation (user-defined phases, and the array engines' per-phase
   fallback),
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the
   vectorized color-phase engine: declared pure-color phases run as numpy
-  kernels over the CSR arrays, everything else falls back to the batched
-  path (the default when no kernel backend resolves; select any engine via
-  :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
+  kernels over the CSR arrays and the columns of a
+  :class:`~repro.local_model.state_table.StateTable` (its only node-state
+  representation; ``run`` wraps ``run_table``), everything else falls back
+  to the batched path (the default when no kernel backend resolves; select
+  any engine via :func:`~repro.local_model.engine.make_scheduler` /
+  ``engine=`` arguments),
 * :class:`~repro.local_model.compiled.CompiledScheduler` -- the compiled
   multi-core engine: the vectorized engine plus fused numba / C-extension
   kernels (see :mod:`repro.local_model.kernels`) for the per-round hot

@@ -173,7 +173,7 @@ class BatchedScheduler:
     def _build_views(self, global_values: Mapping[str, Any]) -> List[LocalView]:
         fast = self._fast
         order = fast.order
-        unique_ids = fast.unique_ids
+        unique_ids = fast.unique_ids.tolist()
         neighbor_ids = fast.neighbor_ids
         return [
             LocalView(
@@ -236,7 +236,7 @@ class BatchedScheduler:
         # Zipping the per-node pieces into single tuples keeps the hot loops
         # down to one index plus one unpack per node.
         inboxes: List[Dict[Hashable, Any]] = [{} for _ in range(n)]
-        indptr, indices = fast.indptr, fast.indices
+        indptr, indices = fast.indptr.tolist(), fast.indices.tolist()
         inbox_targets = [
             [inboxes[j] for j in indices[indptr[i] : indptr[i + 1]]] for i in range(n)
         ]

@@ -8,7 +8,9 @@ resolved); every other phase -- and *every* phase when no backend is
 available -- runs the plain numpy ``vector_run`` unchanged, so results are
 bit-identical to the ``"vectorized"`` engine in all configurations.
 
-Accounting mirrors the vectorized engine's batched-fallback bookkeeping:
+Accounting mirrors the vectorized engine's batched-fallback bookkeeping and
+lives in one place, :meth:`CompiledScheduler.run_table` (``run`` is a thin
+wrapper around it, so both entry points report the same):
 
 * phases with a registered kernel that had to run on numpy because no
   backend resolved are counted per run in
@@ -63,14 +65,6 @@ class CompiledScheduler(VectorizedScheduler):
     # The per-run compiled-fallback names are diffed off the cumulative
     # scheduler list around the base-class execution, mirroring how the
     # vectorized engine threads its batched-fallback names into RunMetrics.
-
-    def run(self, algorithm, *args, **kwargs):
-        mark = len(self.compiled_fallback_phase_names)
-        result = super().run(algorithm, *args, **kwargs)
-        result.metrics.compiled_fallback_phase_names.extend(
-            self.compiled_fallback_phase_names[mark:]
-        )
-        return result
 
     def run_table(self, algorithm, table, *args, **kwargs):
         mark = len(self.compiled_fallback_phase_names)

@@ -11,12 +11,12 @@ compiled form is cached on the network (networks are immutable once
 constructed), so repeated runs -- e.g. the per-level invocations of Procedure
 Legal-Color -- pay the compilation cost only once.
 
-Three further capabilities sit on top of the CSR representation:
+The CSR arrays (``indptr``, ``indices``, ``degrees``, ``unique_ids``) are
+plain contiguous ``int64`` numpy arrays -- one copy of each, read directly by
+the vectorized and compiled kernels and converted with ``tolist()`` wherever
+per-node Python code (the batched engine's loops, ``LocalView`` construction)
+needs Python ints.  Two further capabilities sit on top of them:
 
-* **numpy mirrors** (:attr:`FastNetwork.indptr_np`, :attr:`~FastNetwork.indices_np`,
-  :attr:`~FastNetwork.rows_np`, ...) -- zero-copy ``int64`` views of the CSR
-  arrays, the substrate of the vectorized execution engine
-  (:mod:`repro.local_model.vectorized`);
 * **CSR masking** (:meth:`FastNetwork.filtered` /
   :meth:`~FastNetwork.filtered_by_labels`) -- derive the sub-network of a
   recursion level directly at the array level, without rebuilding a
@@ -36,32 +36,12 @@ Three further capabilities sit on top of the CSR representation:
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.network import Network
-
-
-def _int64_view(values: array) -> np.ndarray:
-    """A zero-copy ``int64`` numpy view of an ``array('q')``."""
-    if len(values) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.frombuffer(values, dtype=np.int64)
-
-
-def _int64_array(values: np.ndarray) -> array:
-    """An ``array('q')`` holding the same integers as ``values``.
-
-    The byte-cast memoryview keeps this a single copy (``tobytes`` would
-    materialize an intermediate ``bytes`` object -- a second full copy on
-    every derived-view construction).
-    """
-    out = array("q")
-    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
-    return out
 
 
 #: Combined sort keys stay below this bound (int64 with a bit to spare).
@@ -105,10 +85,11 @@ class FastNetwork:
     index_of:
         Mapping from node identifier to dense index.
     unique_ids:
-        ``unique_ids[i]`` is the distinct identity number of node ``i``.
+        ``unique_ids[i]`` is the distinct identity number of node ``i``
+        (an ``int64`` array).
     indptr, indices:
-        The CSR arrays: the neighbors of node ``i`` are the dense indices
-        ``indices[indptr[i]:indptr[i + 1]]``.
+        The CSR arrays (``int64``): the neighbors of node ``i`` are the dense
+        indices ``indices[indptr[i]:indptr[i + 1]]``.
     neighbor_ids:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
         ``i`` in deterministic order (shared with the owning network, so
@@ -117,7 +98,7 @@ class FastNetwork:
         ``neighbor_id_sets[i]`` is a frozenset of the same identifiers, used
         for ``O(1)`` message validation.
     degrees:
-        ``degrees[i]`` is the degree of node ``i``.
+        ``degrees[i]`` is the degree of node ``i`` (an ``int64`` array).
     """
 
     __slots__ = (
@@ -138,6 +119,7 @@ class FastNetwork:
     )
 
     def __init__(self, network: Optional[Network]) -> None:
+        #: Derived arrays computed on first use (``rows``, ``edge_keys``).
         self._np_cache: Dict[str, np.ndarray] = {}
         #: Dense incidence encoding for line-graph views (see
         #: :mod:`repro.local_model.line_csr`); ``None`` on ordinary networks.
@@ -152,27 +134,17 @@ class FastNetwork:
         self.max_degree = network.max_degree
         index_of: Dict[Hashable, int] = {node: i for i, node in enumerate(order)}
         self._index_of = index_of
-        self.unique_ids = array("q", (network.unique_id(node) for node in order))
-
-        indptr = array("q", [0])
-        indices = array("q")
-        neighbor_ids = []
-        neighbor_id_sets = []
-        degrees = array("q")
-        offset = 0
-        for node in order:
-            neighbors = network.neighbors(node)
-            neighbor_ids.append(neighbors)
-            neighbor_id_sets.append(frozenset(neighbors))
-            degrees.append(len(neighbors))
-            indices.extend(index_of[neighbor] for neighbor in neighbors)
-            offset += len(neighbors)
-            indptr.append(offset)
-        self.indptr = indptr
-        self.indices = indices
-        self._neighbor_ids = tuple(neighbor_ids)
-        self._neighbor_id_sets = tuple(neighbor_id_sets)
-        self.degrees = degrees
+        self.unique_ids = np.array([network.unique_id(node) for node in order], dtype=np.int64)
+        neighbor_ids = tuple(network.neighbors(node) for node in order)
+        self._neighbor_ids = neighbor_ids
+        self._neighbor_id_sets = tuple(frozenset(ids) for ids in neighbor_ids)
+        self.degrees = np.array([len(ids) for ids in neighbor_ids], dtype=np.int64)
+        self.indptr = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        self.indices = np.array(
+            [index_of[neighbor] for ids in neighbor_ids for neighbor in ids],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------ #
     # Array constructors (no legacy Network involved)
@@ -285,8 +257,10 @@ class FastNetwork:
         ``check=False`` only for arrays produced by trusted array code.
         ``unique_ids`` / ``order`` behave as in :meth:`from_edge_array`.
         """
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64).ravel()
-        indices = np.ascontiguousarray(indices, dtype=np.int64).ravel()
+        # Copies, so the view never aliases (and cannot be mutated through)
+        # the caller's arrays.
+        indptr = np.array(indptr, dtype=np.int64).ravel()
+        indices = np.array(indices, dtype=np.int64).ravel()
         if len(indptr) == 0 or indptr[0] != 0:
             raise InvalidParameterError("indptr must start with 0")
         n = len(indptr) - 1
@@ -330,7 +304,7 @@ class FastNetwork:
         if unique_ids is None:
             unique_ids = np.arange(1, num_nodes + 1, dtype=np.int64)
         else:
-            unique_ids = np.ascontiguousarray(unique_ids, dtype=np.int64).ravel()
+            unique_ids = np.array(unique_ids, dtype=np.int64).ravel()  # a copy
             if unique_ids.shape != (num_nodes,):
                 raise InvalidParameterError(
                     f"unique_ids must have one entry per node ({num_nodes}), "
@@ -344,10 +318,10 @@ class FastNetwork:
         built = cls(None)
         built.network = None
         built.num_nodes = int(num_nodes)
-        built.unique_ids = _int64_array(unique_ids)
-        built.indptr = _int64_array(np.asarray(indptr, dtype=np.int64))
-        built.indices = _int64_array(np.asarray(indices, dtype=np.int64))
-        built.degrees = _int64_array(np.asarray(degrees, dtype=np.int64))
+        built.unique_ids = unique_ids
+        built.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        built.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        built.degrees = np.ascontiguousarray(degrees, dtype=np.int64)
         built.max_degree = int(np.max(degrees)) if num_nodes else 0
         built._neighbor_ids = None
         built._neighbor_id_sets = None
@@ -405,11 +379,11 @@ class FastNetwork:
         return self.order
 
     def unique_id(self, node: Hashable) -> int:
-        """The distinct identity number of ``node``."""
-        return self.unique_ids[self.index_of[node]]
+        """The distinct identity number of ``node`` (a Python ``int``)."""
+        return int(self.unique_ids[self.index_of[node]])
 
-    def neighbor_indices(self, i: int) -> array:
-        """Dense neighbor indices of node ``i`` (a zero-copy CSR slice)."""
+    def neighbor_indices(self, i: int) -> np.ndarray:
+        """Dense neighbor indices of node ``i`` (a zero-copy CSR view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     @property
@@ -422,7 +396,8 @@ class FastNetwork:
         recursion level's sub-view stays free of per-node Python work.
         """
         if self._neighbor_ids is None:
-            order, indptr, indices = self.order, self.indptr, self.indices
+            order = self.order
+            indptr, indices = self.indptr.tolist(), self.indices.tolist()
             self._neighbor_ids = tuple(
                 tuple(order[j] for j in indices[indptr[i] : indptr[i + 1]])
                 for i in range(self.num_nodes)
@@ -439,40 +414,28 @@ class FastNetwork:
         return self._neighbor_id_sets
 
     # ------------------------------------------------------------------ #
-    # Numpy mirrors (lazy, cached; the substrate of the vectorized engine)
+    # Array accessors (the substrate of the vectorized engine)
     # ------------------------------------------------------------------ #
 
     @property
     def indptr_np(self) -> np.ndarray:
-        """``indptr`` as an ``int64`` numpy array (zero-copy, cached)."""
-        cached = self._np_cache.get("indptr")
-        if cached is None:
-            cached = self._np_cache["indptr"] = _int64_view(self.indptr)
-        return cached
+        """``indptr`` (kept for callers that spell the array name this way)."""
+        return self.indptr
 
     @property
     def indices_np(self) -> np.ndarray:
-        """``indices`` as an ``int64`` numpy array (zero-copy, cached)."""
-        cached = self._np_cache.get("indices")
-        if cached is None:
-            cached = self._np_cache["indices"] = _int64_view(self.indices)
-        return cached
+        """``indices`` (kept for callers that spell the array name this way)."""
+        return self.indices
 
     @property
     def degrees_np(self) -> np.ndarray:
-        """``degrees`` as an ``int64`` numpy array (zero-copy, cached)."""
-        cached = self._np_cache.get("degrees")
-        if cached is None:
-            cached = self._np_cache["degrees"] = _int64_view(self.degrees)
-        return cached
+        """``degrees`` (kept for callers that spell the array name this way)."""
+        return self.degrees
 
     @property
     def unique_ids_np(self) -> np.ndarray:
-        """``unique_ids`` as an ``int64`` numpy array (zero-copy, cached)."""
-        cached = self._np_cache.get("unique_ids")
-        if cached is None:
-            cached = self._np_cache["unique_ids"] = _int64_view(self.unique_ids)
-        return cached
+        """``unique_ids`` (kept for callers that spell the array name this way)."""
+        return self.unique_ids
 
     @property
     def rows_np(self) -> np.ndarray:
@@ -596,9 +559,9 @@ class FastNetwork:
         derived.line_meta = line_meta
         derived.unique_ids = self.unique_ids
         derived.num_nodes = self.num_nodes
-        derived.indices = _int64_array(indices)
-        derived.indptr = _int64_array(indptr)
-        derived.degrees = _int64_array(degrees)
+        derived.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        derived.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        derived.degrees = np.ascontiguousarray(degrees, dtype=np.int64)
         derived.max_degree = int(degrees.max()) if self.num_nodes else 0
         # Neighbor-identifier structures are materialized lazily (see the
         # neighbor_ids property): the vectorized engine never touches them.
@@ -769,7 +732,7 @@ class FastNetwork:
             adjacency = {
                 node: self.neighbor_ids[i] for i, node in enumerate(self.order)
             }
-            unique_ids = {node: self.unique_ids[i] for i, node in enumerate(self.order)}
+            unique_ids = dict(zip(self.order, self.unique_ids.tolist()))
             self.network = Network(adjacency, unique_ids=unique_ids)
         return self.network
 

@@ -49,7 +49,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _int64_array, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
 from repro.local_model.fast_network import _KEY_LIMIT
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
@@ -197,10 +197,10 @@ def build_line_graph_fast(network) -> FastNetwork:
     line._order = None
     line._index_of = None
     line.num_nodes = m
-    line.unique_ids = _int64_array(np.arange(1, m + 1, dtype=np.int64))
-    line.indices = _int64_array(line_indices)
-    line.indptr = _int64_array(line_indptr)
-    line.degrees = _int64_array(line_degrees)
+    line.unique_ids = np.arange(1, m + 1, dtype=np.int64)
+    line.indices = line_indices
+    line.indptr = line_indptr
+    line.degrees = line_degrees
     line.max_degree = int(line_degrees.max()) if m else 0
     line._neighbor_ids = None
     line._neighbor_id_sets = None

@@ -1,17 +1,19 @@
 """The columnar node-state store.
 
-Every engine ultimately manipulates *per-node state*: the reference scheduler
-and the batched engine as one Python dictionary per node, the vectorized
-engine as numpy columns gathered from (and scattered back into) those
-dictionaries.  For large instances the dictionaries themselves become the
-bottleneck -- every scheduler run marshals ``n`` dicts in and out, and the
-driver loops of Procedure Legal-Color do per-node tuple bookkeeping between
-runs.
+Every engine ultimately manipulates *per-node state*.  The reference
+scheduler and the batched engine keep one Python dictionary per node; the
+vectorized and compiled engines keep a :class:`StateTable` -- their ``run``
+seeds a table from ``initial_states``, executes through ``run_table`` and
+materializes dictionaries only for the result and for phases without a
+kernel.  For large instances per-node dictionaries are the bottleneck: every
+scheduler run would marshal ``n`` dicts in and out, and the driver loops of
+Procedure Legal-Color would do per-node tuple bookkeeping between runs.
 
 :class:`StateTable` stores the same information column-wise:
 
 * **int columns** -- ``int64`` numpy arrays for values that are plain Python
   ints (colors, psi values, scratch keys), the overwhelmingly common case;
+  a column holding an int outside the ``int64`` range stays an object column;
 * **path columns** -- the recursion-path tuples of Procedure Legal-Color,
   *interned*: the column holds one dense ``int64`` id per node plus a table
   of distinct tuples, so "extend every path by this level's psi-color" and
@@ -32,9 +34,9 @@ normalizations are invisible to ``==`` (and therefore to the engine
 equivalence contract): int columns materialize fresh (equal) int objects, and
 interning replaces equal path tuples by one shared tuple object.
 
-The table is the *native* representation of the batched and vectorized
-schedulers' ``run_table`` entry points (see
-:meth:`repro.local_model.batched.BatchedScheduler.run_table`); rows are in
+The table is the only state representation of the vectorized and compiled
+engines (see :meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`)
+and the exchange format of every engine's ``run_table``; rows are in
 the dense node order of the :class:`~repro.local_model.fast_network.FastNetwork`
 the table travels with, and the table itself never stores node identifiers.
 """
@@ -165,11 +167,14 @@ class StateTable:
         n = len(filled)
         live_values = [v for i, v in enumerate(filled) if present is None or present[i]]
         if live_values and all(type(v) is int for v in live_values):
-            ints = np.fromiter(
-                (v if (present is None or present[i]) else 0 for i, v in enumerate(filled)),
-                dtype=np.int64,
-                count=n,
-            )
+            try:
+                ints = np.fromiter(
+                    (v if (present is None or present[i]) else 0 for i, v in enumerate(filled)),
+                    dtype=np.int64,
+                    count=n,
+                )
+            except OverflowError:  # an int outside int64 -- keep objects
+                return _ObjectColumn(list(filled), present)
             return _IntColumn(ints, present)
         if live_values and all(type(v) is tuple for v in live_values):
             lookup: Dict[Tuple[Any, ...], int] = {}

@@ -30,7 +30,7 @@ all nodes halt together) is fully described by its round count.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,23 +39,24 @@ from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPha
 from repro.local_model.batched import BatchedScheduler
 from repro.local_model.fast_network import FastNetwork
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
+from repro.local_model.scheduler import PhaseResult
 from repro.local_model.state_table import StateTable
 
 
 class VectorContext:
     """Everything a ``vector_run`` kernel may touch.
 
-    The context hides the backing representation of the node states: when a
-    pipeline runs through :meth:`VectorizedScheduler.run_table` the backing
-    is a :class:`~repro.local_model.state_table.StateTable` and column reads
-    and writes are pure array operations; otherwise it is the dense list of
-    per-node state dictionaries.  Kernels use the accessors below and work
-    identically (bit for bit) on both backings.
+    Node states live in :attr:`table`, a
+    :class:`~repro.local_model.state_table.StateTable` in the network's
+    dense node order; the accessors below are array reads and writes of its
+    columns.
 
     Attributes
     ----------
     fast:
         The CSR view the phase runs on.
+    table:
+        The node states.
     metrics:
         The phase's metrics object, filled in through the charging helpers.
     round_limit:
@@ -67,51 +68,22 @@ class VectorContext:
     def __init__(
         self,
         fast: FastNetwork,
-        states: Optional[List[Dict[str, Any]]],
+        table: StateTable,
         metrics: PhaseMetrics,
         round_limit: int,
         phase_name: str,
-        table: Optional[StateTable] = None,
         views_provider: Optional[Callable[[], List[LocalView]]] = None,
     ) -> None:
-        if (states is None) == (table is None):
-            raise SimulationError(
-                "VectorContext requires exactly one backing: states or table"
-            )
         self.fast = fast
-        self._states = states
         self.table = table
         self.metrics = metrics
         self.round_limit = round_limit
         self.phase_name = phase_name
         self._views_provider = views_provider
-        # Dict-backed runs: int64 mirrors of columns already gathered, so a
-        # kernel reading the same key twice pays the per-node Python
-        # iteration once.  Bypassed entirely (and discarded) the moment a
-        # caller takes the raw ``states`` escape hatch, because from then on
-        # the dicts can change behind the mirror's back.
-        self._column_cache: Dict[str, np.ndarray] = {}
-        self._column_cache_enabled = True
 
     # ------------------------------------------------------------------ #
     # State columns
     # ------------------------------------------------------------------ #
-
-    @property
-    def states(self) -> List[Dict[str, Any]]:
-        """The per-node state dictionaries (dict-backed contexts only).
-
-        Kept for kernels that genuinely need per-node Python values; prefer
-        the column accessors, which also work on the columnar backing.
-        """
-        if self._states is None:
-            raise SimulationError(
-                f"phase {self.phase_name!r} asked for per-node state dicts on a "
-                "columnar (StateTable) run; use the VectorContext column accessors"
-            )
-        self._column_cache_enabled = False
-        self._column_cache.clear()
-        return self._states
 
     @property
     def views(self) -> List[LocalView]:
@@ -123,86 +95,35 @@ class VectorContext:
         return self._views_provider()
 
     def column(self, key: str) -> np.ndarray:
-        """Gather ``state[key]`` over all nodes into a fresh ``int64`` array.
-
-        On the columnar backing this is a :class:`StateTable` column read.
-        On the dict backing the context keeps an int64 mirror per key: the
-        per-node ``np.fromiter`` gather runs at most once per key, and a
-        column the kernel itself wrote through :meth:`write_column` is
-        served from the mirror without ever re-touching the dicts.
-        """
-        if self.table is not None:
-            return self.table.get_ints(key)
-        cached = self._column_cache.get(key)
-        if cached is not None:
-            return cached.copy()
-        values = np.fromiter(
-            (state[key] for state in self._states),
-            dtype=np.int64,
-            count=len(self._states),
-        )
-        if self._column_cache_enabled:
-            self._column_cache[key] = values.copy()
-        return values
+        """Gather ``state[key]`` over all nodes into a fresh ``int64`` array."""
+        return self.table.get_ints(key)
 
     def unique_ids(self) -> np.ndarray:
         """The nodes' distinct identity numbers (``int64``, dense order)."""
-        return self.fast.unique_ids_np
+        return self.fast.unique_ids
 
     def write_column(self, key: str, values: np.ndarray) -> None:
-        """Scatter ``values`` into ``state[key]`` as plain Python ints."""
-        if self.table is not None:
-            self.table.set_ints(key, values)
-            return
-        for state, value in zip(self._states, values.tolist()):
-            state[key] = value
-        if self._column_cache_enabled:
-            self._column_cache[key] = np.asarray(values, dtype=np.int64).copy()
+        """Write ``values`` into ``state[key]`` (an int column)."""
+        self.table.set_ints(key, values)
 
     def write_value(self, key: str, value: Any) -> None:
         """Write the same (immutable) value into ``state[key]`` everywhere."""
-        if self.table is not None:
-            if type(value) is int:
-                self.table.fill_int(key, value)
-            else:
-                self.table.fill_object(key, value)
-            return
-        for state in self._states:
-            state[key] = value
-        if self._column_cache_enabled and type(value) is int:
-            self._column_cache[key] = np.full(
-                len(self._states), value, dtype=np.int64
-            )
+        if type(value) is int:
+            self.table.fill_int(key, value)
         else:
-            self._column_cache.pop(key, None)
+            self.table.fill_object(key, value)
 
     def read_values(self, key: str) -> List[Any]:
         """Gather ``state[key]`` over all nodes as plain Python values."""
-        if self.table is not None:
-            return self.table.get_values(key)
-        return [state[key] for state in self._states]
+        return self.table.get_values(key)
 
     def write_values(self, key: str, values: List[Any]) -> None:
         """Write per-node Python values, re-typing the column as needed."""
-        if self.table is not None:
-            self.table.set_values(key, values)
-            return
-        for state, value in zip(self._states, values):
-            state[key] = value
-        self._column_cache.pop(key, None)
+        self.table.set_values(key, values)
 
     def copy_key(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every node, kind-preserving."""
-        if self.table is not None:
-            self.table.copy_column(source_key, target_key)
-            return
-        for state in self._states:
-            state[target_key] = state[source_key]
-        cached = self._column_cache.get(source_key)
-        if cached is not None and self._column_cache_enabled:
-            self._column_cache[target_key] = cached.copy()
-        else:
-            self._column_cache.pop(target_key, None)
+        self.table.copy_column(source_key, target_key)
 
     # ------------------------------------------------------------------ #
     # Adjacency gathers
@@ -217,16 +138,16 @@ class VectorContext:
         network order, matching the scalar engines' inbox iteration order.
         """
         fast = self.fast
-        lengths = fast.degrees_np[nodes]
+        lengths = fast.degrees[nodes]
         total = int(lengths.sum())
         local_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), lengths)
         if total == 0:
             return local_rows, np.zeros(0, dtype=np.int64)
-        starts = np.repeat(fast.indptr_np[nodes], lengths)
+        starts = np.repeat(fast.indptr[nodes], lengths)
         offsets = np.zeros(len(nodes), dtype=np.int64)
         np.cumsum(lengths[:-1], out=offsets[1:])
         within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-        return local_rows, fast.indices_np[starts + within]
+        return local_rows, fast.indices[starts + within]
 
     # ------------------------------------------------------------------ #
     # Metric charging
@@ -306,11 +227,11 @@ class VectorizedScheduler(BatchedScheduler):
     empty list, which is what the zero-fallback tests and the end-to-end
     benchmark assert.
 
-    :meth:`run_table` is the engine's native entry point: the
-    :class:`~repro.local_model.state_table.StateTable` columns feed the
-    kernels directly, per-node state dictionaries (and the per-node
-    :class:`~repro.local_model.algorithm.LocalView` objects) are materialized
-    only if some phase actually falls back.
+    :meth:`run_table` is the engine's only execution path (:meth:`run`
+    wraps it): the :class:`~repro.local_model.state_table.StateTable`
+    columns feed the kernels directly, per-node state dictionaries (and the
+    per-node :class:`~repro.local_model.algorithm.LocalView` objects) are
+    materialized only if some phase actually falls back.
     """
 
     def __init__(
@@ -373,9 +294,8 @@ class VectorizedScheduler(BatchedScheduler):
         self,
         phase: SynchronousPhase,
         vector_run,
-        states: Optional[List[Dict[str, Any]]] = None,
-        table: Optional[StateTable] = None,
-        views_provider: Optional[Callable[[], List[LocalView]]] = None,
+        table: StateTable,
+        views_provider: Callable[[], List[LocalView]],
     ) -> PhaseMetrics:
         fast = self._fast
         phase_metrics = PhaseMetrics(name=phase.name)
@@ -384,15 +304,7 @@ class VectorizedScheduler(BatchedScheduler):
         round_limit = self._round_limit_factor * phase.max_rounds(
             fast.num_nodes, fast.max_degree
         )
-        context = VectorContext(
-            fast,
-            states,
-            phase_metrics,
-            round_limit,
-            phase.name,
-            table=table,
-            views_provider=views_provider,
-        )
+        context = VectorContext(fast, table, phase_metrics, round_limit, phase.name, views_provider)
         self._dispatch_vector_run(phase, vector_run, context)
         return phase_metrics
 
@@ -403,38 +315,22 @@ class VectorizedScheduler(BatchedScheduler):
         routes the phase to a fused kernel when one is registered."""
         vector_run(context)
 
-    def _execute(
+    def run(
         self,
         algorithm: Union[SynchronousPhase, PhasePipeline],
-        states: List[Dict[str, Any]],
-        globals_override: Optional[Mapping[str, Any]],
-    ) -> RunMetrics:
-        """Dict-backed execution (the :meth:`run` path), plan-driven."""
-        plan = self._compile(algorithm)
-        global_values = self._resolved_globals(globals_override)
-        views: Optional[List[LocalView]] = None
+        initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
+        globals_override: Optional[Mapping[str, Any]] = None,
+    ) -> PhaseResult:
+        """Same contract as :meth:`Scheduler.run`, executed through :meth:`run_table`.
 
-        def views_provider() -> List[LocalView]:
-            nonlocal views
-            if views is None:
-                views = self._build_views(global_values)
-            return views
-
-        metrics = RunMetrics()
-        for phase, vector_run in plan:
-            started = time.perf_counter()
-            if vector_run is None:
-                phase_metrics = self._run_single_phase(
-                    phase, states, views_provider()
-                )
-                self._note_fallback(phase, metrics)
-            else:
-                phase_metrics = self._run_vector_phase(
-                    phase, vector_run, states=states, views_provider=views_provider
-                )
-            metrics.add_phase(phase_metrics)
-            metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
-        return metrics
+        The seeds become a :class:`StateTable` (identifiers outside the
+        network are ignored) and the final table is materialized as the
+        identifier-keyed state dictionaries.
+        """
+        order = self._fast.order
+        table = StateTable.from_mapping(initial_states or {}, order)
+        table, metrics = self.run_table(algorithm, table, globals_override)
+        return PhaseResult(states=table.to_mapping(order), metrics=metrics)
 
     def run_table(
         self,
@@ -481,9 +377,7 @@ class VectorizedScheduler(BatchedScheduler):
                 if states is not None:
                     table = StateTable.from_dicts(states)
                     states = None
-                phase_metrics = self._run_vector_phase(
-                    phase, vector_run, table=table, views_provider=views_provider
-                )
+                phase_metrics = self._run_vector_phase(phase, vector_run, table, views_provider)
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
         if states is not None:

@@ -195,27 +195,24 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         if self.class_key is None:
             return None, None
         table = ctx.table
-        if table is not None and self.class_key not in table:
+        if self.class_key not in table:
             return None, None  # state.get(class_key) is None on every node
-        if table is not None:
-            kind = table.kind(self.class_key)
-            try:
-                if kind == "int":
-                    return table.get_ints(self.class_key), None
-                if kind == "path":
-                    ids = table.path_ids(self.class_key)
-                    interned = table.path_interned(self.class_key)
-                    words = np.fromiter(
-                        (1 + payload_size_words(path) for path in interned),
-                        dtype=np.int64,
-                        count=len(interned),
-                    )
-                    return ids, words[ids]
-            except KeyError:
-                pass  # Partially present column: state.get semantics below.
-            values = table.get_values_or_none(self.class_key)
-        else:
-            values = [state.get(self.class_key) for state in ctx.states]
+        kind = table.kind(self.class_key)
+        try:
+            if kind == "int":
+                return table.get_ints(self.class_key), None
+            if kind == "path":
+                ids = table.path_ids(self.class_key)
+                interned = table.path_interned(self.class_key)
+                words = np.fromiter(
+                    (1 + payload_size_words(path) for path in interned),
+                    dtype=np.int64,
+                    count=len(interned),
+                )
+                return ids, words[ids]
+        except KeyError:
+            pass  # Partially present column: state.get semantics below.
+        values = table.get_values_or_none(self.class_key)
 
         codes = np.empty(len(values), dtype=np.int64)
         try:

@@ -6,11 +6,11 @@ constant color, or combining per-level colors into a unified palette.
 
 All three declare vectorized kernels, so a pipeline composed of broadcast
 color phases and these glue steps runs end-to-end on the vectorized engine
-with **zero** batched fallbacks -- on the columnar
-:class:`~repro.local_model.state_table.StateTable` backing, a copy is an
-array copy and a constant fill is an array fill instead of ``n`` dictionary
-writes.  Zero-round phases charge no metrics on any engine, so the kernels
-only have to reproduce the state effect of :meth:`compute` exactly.
+with **zero** batched fallbacks -- on the engine's columnar
+:class:`~repro.local_model.state_table.StateTable`, a copy is an array copy
+and a constant fill is an array fill instead of ``n`` dictionary writes.
+Zero-round phases charge no metrics on any engine, so the kernels only have
+to reproduce the state effect of :meth:`compute` exactly.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ results must be identical either way.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import graphs
@@ -36,12 +37,17 @@ from repro.local_model import (
     BatchedScheduler,
     CompiledScheduler,
     Network,
+    PhasePipeline,
     Scheduler,
+    StateTable,
     VectorizedScheduler,
+    fast_view,
     kernels,
     make_scheduler,
     use_engine,
 )
+from repro.local_model.algorithm import LocalComputationPhase
+from repro.local_model.fast_network import as_network
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
@@ -76,6 +82,33 @@ def metrics_fingerprint(metrics):
     )
 
 
+def assert_python_ints(value, where):
+    """Every integer reachable from ``value`` is a Python ``int``.
+
+    ``np.int64 == int`` holds, so ``==``-based comparisons cannot see a numpy
+    scalar leaking out of the CSR arrays; this check can.
+    """
+    if isinstance(value, dict):
+        for item in value.values():
+            assert_python_ints(item, where)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            assert_python_ints(item, where)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        assert type(value) is int, f"{where}: {type(value).__name__} {value!r}"
+
+
+class RecordView(LocalComputationPhase):
+    """Copies what each node sees into its state, plus an int beyond int64."""
+
+    name = "record-view"
+
+    def compute(self, view, state):
+        state["uid"] = view.unique_id
+        state["neighbors"] = view.neighbors
+        state["big"] = 2**70 + view.unique_id
+
+
 GRAPHS = {
     "triangle": lambda: graphs.cycle_graph(3),
     "path10": lambda: graphs.path_graph(10),
@@ -103,12 +136,17 @@ class TestSchedulerLevelEquivalence:
     """
 
     def _compare(self, network: Network, pipeline, initial_states=None):
-        reference = Scheduler(network).run(pipeline, initial_states=initial_states)
+        reference = Scheduler(as_network(network)).run(pipeline, initial_states=initial_states)
+        fast = fast_view(network)
+        for node in fast.order:
+            assert_python_ints(fast.unique_id(node), "FastNetwork.unique_id")
+            assert_python_ints(fast.to_network().unique_id(node), "to_network")
         for engine_cls in (BatchedScheduler, VectorizedScheduler, CompiledScheduler):
             candidate = engine_cls(network).run(
                 pipeline, initial_states=initial_states
             )
             assert candidate.states == reference.states
+            assert_python_ints(candidate.states, f"{engine_cls.__name__}.run")
             assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
                 reference.metrics
             )
@@ -195,6 +233,49 @@ class TestSchedulerLevelEquivalence:
             edge: {"cls": line.unique_id(edge) % 3} for edge in line.nodes()
         }
         self._compare(line, pipeline, initial_states=classes)
+
+    def test_int_outside_int64_on_every_engine(self, grid_network):
+        # A value past int64 must stay a Python int in run() and run_table().
+        phase = RecordView()
+        self._compare(grid_network, phase)
+        reference = Scheduler(grid_network).run(phase).states
+        order = fast_view(grid_network).order
+        for engine, engine_cls in ENGINE_CLASSES.items():
+            table, _ = engine_cls(grid_network).run_table(phase, StateTable(len(order)))
+            assert table.to_mapping(order) == reference, engine
+
+    def test_array_built_views_hand_out_python_ints(self):
+        # LocalViews, unique ids and neighbor ids of CSR-built and CSR-masked
+        # views all come from int64 arrays; none may leak a numpy scalar.
+        base = graphs.random_regular(30, 6, seed=11, backend="fast")
+        derived = base.filtered_by_labels(np.arange(base.num_nodes) % 2)
+        pipeline, _ = delta_plus_one_pipeline(
+            n=base.num_nodes, degree_bound=base.max_degree, output_key="c"
+        )
+        for network in (base, derived):
+            self._compare(network, PhasePipeline([*pipeline.phases, RecordView()]))
+
+    def test_partial_mixed_seeds(self, small_regular):
+        # Seeds cover three nodes only, one seed names no node of the network
+        # (ignored, like the reference), and values mix bool, None, tuple and
+        # list: the array engines carry them through their state table.
+        nodes = small_regular.nodes()
+        seeds = {
+            nodes[0]: {"flag": True, "note": None},
+            nodes[1]: {"flag": False, "pair": (1, 2), "items": [3, 4]},
+            nodes[2]: {"pair": (5,), "c0": 7},
+            "not-a-node": {"flag": True, "c0": 1},
+        }
+        pipeline, _ = delta_plus_one_pipeline(
+            n=small_regular.num_nodes,
+            degree_bound=small_regular.max_degree,
+            output_key="c",
+        )
+        self._compare(
+            small_regular,
+            PhasePipeline([RecordView(), *pipeline.phases]),
+            initial_states=seeds,
+        )
 
     def test_empty_network(self):
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")

@@ -268,60 +268,3 @@ class TestRunTable:
             final, metrics = engine_cls(network).run_table(pipeline, StateTable(0))
             assert final.to_dicts() == []
             assert metrics.rounds == 0
-
-
-class TestVectorContextColumnCache:
-    """Dict-backed ``column()`` gathers each key at most once (satellite fix)."""
-
-    def _context(self, n=4):
-        from repro.local_model import Network
-        from repro.local_model.metrics import PhaseMetrics
-        from repro.local_model.vectorized import VectorContext
-
-        network = Network({i: [] for i in range(n)})
-        states = [{"c": i + 1} for i in range(n)]
-        ctx = VectorContext(
-            fast_view(network), states, PhaseMetrics(name="t"), 10, "t"
-        )
-        return ctx, states
-
-    def test_repeat_reads_served_from_mirror(self):
-        ctx, states = self._context()
-        first = ctx.column("c")
-        states[0]["c"] = 999  # a stale write the mirror must hide ...
-        second = ctx.column("c")
-        assert np.array_equal(first, second)  # ... so reads stay coherent
-
-    def test_returned_arrays_are_independent_copies(self):
-        ctx, _ = self._context()
-        first = ctx.column("c")
-        first[0] = -5
-        assert ctx.column("c")[0] == 1
-
-    def test_write_column_updates_mirror_and_dicts(self):
-        ctx, states = self._context()
-        ctx.column("c")
-        ctx.write_column("c", np.array([9, 8, 7, 6], dtype=np.int64))
-        assert [s["c"] for s in states] == [9, 8, 7, 6]
-        assert ctx.column("c").tolist() == [9, 8, 7, 6]
-
-    def test_write_value_and_copy_key_keep_mirror_coherent(self):
-        ctx, states = self._context()
-        ctx.write_value("c", 5)
-        assert ctx.column("c").tolist() == [5, 5, 5, 5]
-        ctx.copy_key("c", "d")
-        assert ctx.column("d").tolist() == [5, 5, 5, 5]
-        assert all(s["d"] == 5 for s in states)
-
-    def test_states_escape_hatch_disables_mirror(self):
-        ctx, _ = self._context()
-        ctx.column("c")
-        raw = ctx.states
-        raw[0]["c"] = 42
-        assert ctx.column("c")[0] == 42  # no stale mirror after the escape
-
-    def test_non_int_write_value_invalidates_mirror(self):
-        ctx, _ = self._context()
-        ctx.column("c")
-        ctx.write_value("c", "label")
-        assert ctx.read_values("c") == ["label"] * 4
