@@ -4,11 +4,11 @@ Two jobs in one harness (committed numbers in
 ``benchmarks/results/portfolio.json`` / ``portfolio_quick.json`` and
 ``benchmarks/results/portfolio_model.json``):
 
-1. **Baseline kernel speedup.**  The PR 7 tentpole claim: the vectorized
-   Luby kernel (``StringSeededDraws`` + CSR conflict scatter) beats the
-   per-node batched path by **>= 10x** at ``n = 50,000`` (headline row at
-   ``Delta = 64``), with *bit-identical* colorings — asserted on every
-   measured pair.  The ``speedup_luby_vectorized_over_legacy`` ratio is
+1. **Baseline kernel speedup.**  The vectorized Luby kernel
+   (``StringSeededDraws`` + CSR conflict scatter) beats the reference
+   scheduler by **>= 10x** at ``n = 20,000`` (headline row at
+   ``Delta = 32``), with *bit-identical* colorings — asserted on every
+   measured pair.  The ``speedup_luby_vectorized_over_reference`` ratio is
    gated in CI by ``benchmarks/check_regression.py`` at the standard 30%
    tolerance against the committed quick record.
 
@@ -53,11 +53,11 @@ from repro.portfolio.cost_model import quality_round_shape
 from repro.portfolio.facade import _line_csr_entries
 
 #: (n, degree) Luby speedup instances; the first full-mode row carries the
-#: committed >= 10x claim.
-LUBY_SIZES = ((2048, 8),) if QUICK else ((50_000, 64), (50_000, 16))
+#: >= 10x claim.
+LUBY_SIZES = ((2048, 8),) if QUICK else ((20_000, 32), (20_000, 16))
 LUBY_SEED = 7
-#: The vectorized side is best-of to damp allocation noise; the slow batched
-#: side is measured once (its seconds dwarf any jitter).
+#: The vectorized side is best-of to damp allocation noise; the slow
+#: reference side is measured once (its seconds dwarf any jitter).
 VEC_REPEATS = 3
 
 #: Instance for route/rounds calibration (Legal-Color runs on L(G)).
@@ -78,18 +78,18 @@ def _time_luby(network, engine: str):
 
 
 def _measure_luby(n: int, degree: int) -> dict:
-    """One legacy-vs-vectorized Luby pair, identical colorings asserted."""
+    """One reference-vs-vectorized Luby pair, identical colorings asserted."""
     network = graphs.random_regular(n, degree, seed=LUBY_SEED, backend="fast")
     fast = fast_view(network)
-    batched_seconds, batched = _time_luby(fast, "batched")
+    reference_seconds, reference = _time_luby(fast, "reference")
     vectorized_seconds = float("inf")
     for _ in range(VEC_REPEATS):
         seconds, vectorized = _time_luby(fast, "vectorized")
         vectorized_seconds = min(vectorized_seconds, seconds)
-    assert batched.colors == vectorized.colors, (
+    assert reference.colors == vectorized.colors, (
         f"engines diverged on luby at n={n}, degree={degree}"
     )
-    assert np.array_equal(batched.color_column, vectorized.color_column)
+    assert np.array_equal(reference.color_column, vectorized.color_column)
     assert vectorized.metrics.fallback_phase_names == []
     return {
         "n": n,
@@ -97,11 +97,11 @@ def _measure_luby(n: int, degree: int) -> dict:
         "csr_entries": _entries(n, degree),
         "rounds": int(vectorized.metrics.rounds),
         "seconds": {
-            "luby_batched": round(batched_seconds, 4),
+            "luby_reference": round(reference_seconds, 4),
             "luby_vectorized": round(vectorized_seconds, 4),
         },
-        "speedup_luby_vectorized_over_legacy": round(
-            batched_seconds / max(vectorized_seconds, 1e-9), 2
+        "speedup_luby_vectorized_over_reference": round(
+            reference_seconds / max(vectorized_seconds, 1e-9), 2
         ),
         "identical_outputs": True,
     }
@@ -207,13 +207,13 @@ def test_portfolio(benchmark):
     luby_rows = [_measure_luby(n, degree) for n, degree in LUBY_SIZES]
     print(
         format_table(
-            ["n", "Delta", "CSR entries", "rounds", "batched (s)",
+            ["n", "Delta", "CSR entries", "rounds", "reference (s)",
              "vectorized (s)", "speedup"],
             [
                 [row["n"], row["degree"], row["csr_entries"], row["rounds"],
-                 row["seconds"]["luby_batched"],
+                 row["seconds"]["luby_reference"],
                  row["seconds"]["luby_vectorized"],
-                 row["speedup_luby_vectorized_over_legacy"]]
+                 row["speedup_luby_vectorized_over_reference"]]
                 for row in luby_rows
             ],
         )
@@ -222,8 +222,8 @@ def test_portfolio(benchmark):
 
     if not QUICK:
         headline = luby_rows[0]
-        assert headline["speedup_luby_vectorized_over_legacy"] >= 10.0, (
-            "vectorized Luby fell below the committed 10x at "
+        assert headline["speedup_luby_vectorized_over_reference"] >= 10.0, (
+            "vectorized Luby fell below 10x at "
             f"n={headline['n']}, Delta={headline['degree']}"
         )
 
@@ -246,7 +246,7 @@ def test_portfolio(benchmark):
         results_dir.mkdir(exist_ok=True)
         record = {
             "workload": {
-                "summary": "vectorized vs batched Luby kernel + portfolio "
+                "summary": "vectorized vs reference Luby kernel + portfolio "
                 "cost-model calibration",
                 "graph": f"random_regular(n, degree, seed={LUBY_SEED}, "
                 "backend='fast')",

@@ -96,5 +96,5 @@ def test_tradeoff_curve(benchmark):
     line = line_graph_network(base)
     run_once(
         benchmark,
-        lambda: tradeoff_color_vertices(line, c=2, g=lambda d: d**0.5, engine="batched"),
+        lambda: tradeoff_color_vertices(line, c=2, g=lambda d: d**0.5, engine="vectorized"),
     )

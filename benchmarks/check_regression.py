@@ -11,10 +11,10 @@ committed baseline (``benchmarks/results/engine_speedup_quick.json`` and
 Why ratios and not wall times: CI machines differ wildly in absolute speed,
 so comparing seconds across runners would flake constantly.  The speedup of
 one engine over another on the *same* machine in the *same* run cancels the
-machine out -- a >30% drop in ``vectorized/batched`` or
-``batched/reference`` means the faster engine genuinely lost ground relative
-to the slower one, i.e. a real performance regression in the engine the
-ratio's numerator-side measures.
+machine out -- a >30% drop in ``vectorized/reference`` or in the fused
+kernels' ``compiled/vectorized`` ratio means the faster path genuinely lost
+ground relative to the slower one, i.e. a real performance regression in the
+path the ratio's numerator-side measures.
 
 Usage::
 
@@ -33,27 +33,25 @@ import json
 import sys
 from pathlib import Path
 
-#: The engine-relative ratios the gate watches (higher is better).  The
-#: first two are the per-engine kernel ratios; the third is the *end-to-end*
-#: wall-clock ratio of the fully vectorized Legal-Color pipeline over the
-#: reference scheduler, which additionally covers the driver-level costs
-#: (state marshalling, path bookkeeping, sub-network derivation) that the
-#: pairwise ratios can miss.
+#: The ratios the gate watches (higher is better).  The first is the
+#: *end-to-end* wall-clock ratio of the vectorized engine (numpy path) over
+#: the reference scheduler, which covers the driver-level costs (state
+#: marshalling, path bookkeeping, sub-network derivation) as well as the
+#: kernels.
 SPEEDUP_KEYS = (
-    "speedup_batched_over_reference",
-    "speedup_vectorized_over_batched",
     "speedup_vectorized_over_reference",
     "speedup_fast_setup_over_legacy",
     "speedup_fast_line_setup_over_legacy",
     "speedup_incremental_over_recompute",
-    # PR 7: the vectorized baseline kernels behind the portfolio facade.
-    "speedup_luby_vectorized_over_legacy",
-    "speedup_pr_vectorized_over_batched",
-    "speedup_luby_edge_vectorized_over_batched",
-    # PR 8: the compiled kernel backend over the numpy kernels.  Present in
-    # a record only when a kernel backend resolved at record time; a fresh
-    # CI record that *lost* the ratio (backend stopped resolving) fails the
-    # gate, which is the point.
+    # The vectorized baseline kernels behind the portfolio facade, each over
+    # the same pipeline on the reference scheduler.
+    "speedup_luby_vectorized_over_reference",
+    "speedup_pr_vectorized_over_reference",
+    "speedup_luby_edge_vectorized_over_reference",
+    # The fused kernels over the numpy path, both on the vectorized engine.
+    # Present in a record only when a kernel backend resolved at record
+    # time; a fresh CI record that *lost* the ratio (backend stopped
+    # resolving) fails the gate, which is the point.
     "speedup_compiled_over_vectorized",
 )
 

@@ -12,15 +12,15 @@ plus the paper's analytic curves -- the reproducible essence of Table 1.
 
 The sweep runs through :class:`repro.experiments.ExperimentRunner`: every
 (degree, algorithm) pair becomes a picklable scenario, the scenarios are
-sharded across worker processes (each on the batched round engine, with the
+sharded across worker processes (each on the vectorized engine, with the
 coloring verified in-worker), and the results are memoized in an on-disk
 cache -- re-running this script is nearly instantaneous.  A larger sweep (and
 the crossover analysis) is produced by
 ``pytest benchmarks/bench_table1_deterministic_comparison.py --benchmark-only -s``.
 
-A second sweep times one larger instance on the batched / vectorized /
-compiled engines (identical colorings asserted) and then lets the portfolio
-facade decide, printing the decision together with the kernel backend and
+A second sweep times one larger instance on the vectorized engine with its
+fused kernels on and off (identical colorings asserted) and then lets the
+portfolio facade decide, printing the decision together with the kernel backend and
 thread count it was made against.
 
 Run with:  python examples/scaling_study.py
@@ -34,6 +34,7 @@ import repro
 from repro import graphs
 from repro.analysis import format_table, rounds_new_superlinear, rounds_panconesi_rizzi
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario, default_cache_dir
+from repro.local_model import kernels
 
 #: (row label, experiment algorithm, parameters) -- the three Table 1 columns.
 ALGORITHMS = (
@@ -45,14 +46,14 @@ ALGORITHMS = (
 DEGREES = (4, 8, 12, 16)
 N = 48
 
-#: Instance for the engine sweep -- large enough that the array engines
+#: Instance for the kernel sweep -- large enough that the fused kernels
 #: visibly win, small enough to stay interactive.
 ENGINE_SWEEP_N = 4096
 ENGINE_SWEEP_DEGREE = 16
 
 
 def build_scenarios() -> list:
-    """One scenario per (degree, algorithm), on the batched engine.
+    """One scenario per (degree, algorithm), on the vectorized engine.
 
     The workload graphs use the array-built fast backend (part of the cache
     key, so these results never alias legacy-built ones); the paper
@@ -76,27 +77,34 @@ def build_scenarios() -> list:
 
 
 def engine_sweep() -> None:
-    """Time one instance across the engines, then show the portfolio's pick."""
+    """Time one instance with kernels on and off, then show the portfolio's pick."""
     network = graphs.random_regular(
         ENGINE_SWEEP_N, ENGINE_SWEEP_DEGREE, seed=7, backend="fast"
     )
     rows = []
     colors = None
-    for engine in ("batched", "vectorized", "compiled"):
-        started = time.perf_counter()
-        result = repro.color_graph(network, engine=engine, seed=1)
-        elapsed = time.perf_counter() - started
+    for label, backend in (
+        (f"kernels on ({kernels.backend_name() or 'none resolved'})", kernels.get_backend()),
+        ("kernels off (numpy)", None),
+    ):
+        restore = kernels.force_backend(backend, reason=label)
+        try:
+            started = time.perf_counter()
+            result = repro.color_graph(network, engine="vectorized", seed=1)
+            elapsed = time.perf_counter() - started
+        finally:
+            restore()
         if colors is None:
             colors = result.colors
-        # The engines are bit-identical; the override only changes the clock.
+        # Kernels are bit-identical to numpy; switching them changes only the clock.
         assert result.colors == colors
-        rows.append([engine, round(elapsed, 3), result.colors_used])
+        rows.append([label, round(elapsed, 3), result.colors_used])
     print(
         format_table(
-            ["engine", "seconds", "colors"],
+            ["vectorized engine", "seconds", "colors"],
             rows,
             title=(
-                "One instance, three engines (random_regular "
+                "One instance, kernels on and off (random_regular "
                 f"n = {ENGINE_SWEEP_N}, Delta = {ENGINE_SWEEP_DEGREE})"
             ),
         )

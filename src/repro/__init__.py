@@ -64,7 +64,6 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.local_model import (
-    BatchedScheduler,
     FastNetwork,
     Network,
     RunMetrics,
@@ -79,7 +78,6 @@ from repro.local_model import (
 __version__ = "1.8.0"
 
 __all__ = [
-    "BatchedScheduler",
     "ColoringError",
     "CostModel",
     "DynamicColoring",

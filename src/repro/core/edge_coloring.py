@@ -21,7 +21,7 @@ Both routes derive ``L(G)`` with the CSR line-graph builder
 (:func:`~repro.local_model.line_csr.build_line_graph_fast`): the line graph
 is compiled straight from ``G``'s CSR arrays -- no Python dict-of-set
 construction -- and on the vectorized engine the whole pipeline (including
-the Corollary 5.4 kernel) executes with zero batched fallbacks.
+the Corollary 5.4 kernel) executes with zero reference fallbacks.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def color_edges(
     use_auxiliary_coloring:
         Apply the Section 4.2 auxiliary-coloring improvement.
     engine:
-        Execution engine (``"reference"`` / ``"batched"`` / ``"vectorized"`` /
-        ``None`` for the process default; see :mod:`repro.local_model.engine`).
+        Execution engine (``"reference"`` / ``"vectorized"`` / ``None`` for
+        the process default; see :mod:`repro.local_model.engine`).
 
     Returns
     -------

@@ -27,7 +27,7 @@ throughout: the paths are one interned path-id column (so the per-level
 subgraph filtering, the path extension, and the subgraph count are single
 array operations), and each level's scheduler pass runs through the engines'
 ``run_table`` entry points -- natively columnar on the vectorized engine,
-through the exact dict view on the batched and reference engines.
+through the exact dict view on the reference engine.
 
 The Section 4.2 improvement is applied by default: an auxiliary
 ``O(Delta^2)``-coloring ``rho`` is computed once (``log* n`` rounds) and fed
@@ -43,7 +43,7 @@ from typing import Dict, Hashable, List, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.batched import NetworkLike
+from repro.local_model.fast_network import NetworkLike
 from repro.local_model.engine import make_scheduler, resolve_engine
 from repro.local_model.fast_network import fast_view
 from repro.local_model.line_csr import line_meta_for
@@ -176,7 +176,7 @@ def run_legal_coloring(
         ``O(Delta^2)``-coloring ``rho`` once and reuse it at every level).
     engine:
         Execution engine: ``"reference"`` (the message-at-a-time scheduler),
-        ``"batched"`` (the flat-array engine), or ``None`` for the process
+        ``"vectorized"`` (the array engine), or ``None`` for the process
         default (see :mod:`repro.local_model.engine`).
 
     Returns

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Hashable, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.batched import NetworkLike
+from repro.local_model.fast_network import NetworkLike
 from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import fast_view
 from repro.local_model.metrics import RunMetrics

@@ -105,8 +105,9 @@ class UpdateReport:
     palette_bound:
         The session's palette guarantee after this batch (monotone).
     fallback_phases:
-        Vectorized-engine batched-fallback phase names of the repair run
-        (empty on fully vectorized repairs, and for the other engines).
+        Phases of the repair run that the vectorized engine ran on the
+        reference scheduler (empty on fully vectorized repairs, and for the
+        reference engine).
     """
 
     step: int
@@ -142,8 +143,7 @@ class DynamicColoring:
         differential reference mode.
     engine:
         Execution engine of every underlying run.  ``None`` takes the
-        process default at each run: ``"compiled"`` when a kernel backend
-        resolves, else ``"vectorized"`` (see
+        process default at each run (see
         :func:`repro.local_model.engine.default_engine`).  The session is
         deterministic, and every engine produces identical columns
         (golden-locked in ``tests/data/dynamic_churn_regular32x8.json``).
@@ -206,7 +206,7 @@ class DynamicColoring:
 
     @property
     def fallback_phase_names(self) -> List[str]:
-        """All batched-fallback phase names seen by the session's runs."""
+        """All reference-fallback phase names seen by the session's runs."""
         return list(self._fallbacks)
 
     def verify(self) -> None:

@@ -18,9 +18,9 @@ scenario into ``ScenarioResult.status`` / ``error``, with configurable
 retries (exponential backoff), a per-scenario soft timeout enforced
 identically in-process and in the pool, and transparent recovery from a
 broken process pool (the pool is rebuilt and only unfinished work
-resubmitted).  Workers apply the engine degradation chain (compiled ->
-vectorized -> batched -> reference, see :mod:`repro.resilience`) when an
-engine fails as infrastructure, and stamp an integrity digest on each payload
+resubmitted).  Workers apply the engine degradation chain (vectorized ->
+reference, see :mod:`repro.resilience`) when an engine fails as
+infrastructure, and stamp an integrity digest on each payload
 so results corrupted in transit are detected and retried.  A seedable
 :class:`~repro.resilience.FaultPlan` can be injected to rehearse all of this
 deterministically.

@@ -13,26 +13,17 @@ The main entry points are:
   protocol abstraction (one phase of an algorithm),
 * :class:`~repro.local_model.scheduler.Scheduler` -- executes phases round by
   round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
-* :class:`~repro.local_model.fast_network.FastNetwork` -- the CSR form every
-  engine but the reference one runs on: ``indptr`` / ``indices`` /
-  ``degrees`` / ``unique_ids`` are ``int64`` numpy arrays, one copy each,
-* :class:`~repro.local_model.batched.BatchedScheduler` -- the batched round
-  engine, a drop-in replacement producing bit-identical results over the
-  CSR representation (user-defined phases, and the array engines' per-phase
-  fallback),
-* :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the
-  vectorized color-phase engine: declared pure-color phases run as numpy
-  kernels over the CSR arrays and the columns of a
-  :class:`~repro.local_model.state_table.StateTable` (its only node-state
-  representation; ``run`` wraps ``run_table``), everything else falls back
-  to the batched path (the default when no kernel backend resolves; select
-  any engine via :func:`~repro.local_model.engine.make_scheduler` /
-  ``engine=`` arguments),
-* :class:`~repro.local_model.compiled.CompiledScheduler` -- the compiled
-  multi-core engine: the vectorized engine plus fused numba / C-extension
-  kernels (see :mod:`repro.local_model.kernels`) for the per-round hot
-  loops, with a per-phase numpy fallback (the default when a kernel
-  backend resolves),
+* :class:`~repro.local_model.fast_network.FastNetwork` -- the CSR form the
+  vectorized engine runs on: ``indptr`` / ``indices`` / ``degrees`` /
+  ``unique_ids`` are ``int64`` numpy arrays, one copy each,
+* :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the default
+  engine: the paper's color phases run over the CSR arrays and the columns
+  of a :class:`~repro.local_model.state_table.StateTable` (its only
+  node-state representation; ``run`` wraps ``run_table``), as fused
+  numba / C-extension kernels (see :mod:`repro.local_model.kernels`) when a
+  backend resolves and as numpy programs otherwise; a phase without
+  ``vector_run`` runs on the reference scheduler (select an engine via
+  :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
 * :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the
   Lemma 5.2 simulation of an algorithm for ``L(G)`` on the network ``G``.
 """
@@ -45,8 +36,6 @@ from repro.local_model.algorithm import (
     SynchronousPhase,
 )
 from repro.local_model import kernels
-from repro.local_model.batched import BatchedScheduler, NetworkLike
-from repro.local_model.compiled import CompiledScheduler
 from repro.local_model.engine import (
     available_engines,
     default_engine,
@@ -55,7 +44,7 @@ from repro.local_model.engine import (
     set_default_engine,
     use_engine,
 )
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.line_csr import LineGraphMeta, build_line_graph_fast, line_meta_for
 from repro.local_model.messages import Message, payload_size_words
 from repro.local_model.metrics import RunMetrics
@@ -72,9 +61,7 @@ from repro.local_model.line_graph_sim import (
 
 __all__ = [
     "SILENT",
-    "BatchedScheduler",
     "BroadcastPhase",
-    "CompiledScheduler",
     "FastNetwork",
     "LineGraphMeta",
     "LineGraphSimulationResult",

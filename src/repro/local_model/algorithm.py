@@ -132,20 +132,14 @@ class BroadcastPhase(SynchronousPhase):
     Almost every routine in this package (Linial recoloring, color reduction,
     the defective polynomial steps, the ``psi``-selection loop) announces one
     value -- typically the node's current color -- to all neighbors at once.
-    Declaring that structure lets the batched scheduler skip the per-neighbor
-    outbox dictionaries entirely: the payload is built once, its size is
-    charged once per neighbor arithmetically, and delivery writes straight
-    into the neighbors' inboxes.  The reference scheduler keeps using
-    :meth:`send`, which is derived from :meth:`broadcast` here, so both
-    execution paths run the exact same per-node logic.
+    The schedulers use :meth:`send`, which is derived from
+    :meth:`broadcast` here, and a phase's ``vector_run`` computes the same
+    round as one array program over all nodes.
 
     Subclasses implement :meth:`broadcast` instead of :meth:`send` and return
     :data:`SILENT` to stay quiet for a round.  The payload must be treated as
     immutable by receivers -- the same object is delivered to every neighbor.
     """
-
-    #: Marker the batched scheduler checks to take the broadcast fast path.
-    supports_broadcast: bool = True
 
     @abc.abstractmethod
     def broadcast(self, view: LocalView, state: Dict[str, Any], round_index: int) -> Any:

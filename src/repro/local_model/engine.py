@@ -1,33 +1,27 @@
-"""Engine selection: four bit-identical schedulers and the default rule.
+"""Engine selection: two bit-identical schedulers and the default rule.
 
-The package ships four interchangeable execution paths for synchronous
-phases.  They produce bit-identical states and metrics (enforced by
+The package ships two interchangeable execution paths for synchronous
+phases.  They produce identical outputs and metrics (enforced by
 ``tests/test_engine_equivalence.py``), so the choice changes only the cost:
 
 * ``"reference"`` -- :class:`~repro.local_model.scheduler.Scheduler`, the
   direct transcription of the paper's model (one message object at a time,
   per-round validation).  Maximally transparent; use it when debugging a
   phase or when exactness of the *simulation* itself is under scrutiny.
-* ``"batched"`` -- :class:`~repro.local_model.batched.BatchedScheduler`, the
-  flat-array per-node engine.  It runs user-defined phases that have no
-  ``vector_run`` and is the array engines' per-phase fallback.
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
-  which executes every shipped phase as numpy kernels over the CSR arrays,
-  falling back to the batched path per phase for everything else.
-* ``"compiled"`` -- :class:`~repro.local_model.compiled.CompiledScheduler`,
-  the vectorized engine plus fused multi-core kernels (numba or a
-  C/OpenMP extension, see :mod:`repro.local_model.kernels`) for the per-round
-  hot loops, falling back to the numpy ``vector_run`` per phase when no
-  kernel (or no backend) exists.
+  which runs every shipped phase over the CSR arrays: through a fused
+  multi-core kernel (numba or a C/OpenMP extension, see
+  :mod:`repro.local_model.kernels`) when a kernel backend resolves, else as
+  numpy programs.  A phase without ``vector_run`` runs on the reference
+  scheduler.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
-accepts an ``engine`` argument that is resolved here.  ``None`` follows one
-rule, :func:`default_engine`: ``"compiled"`` when a kernel backend resolves,
-else ``"vectorized"``.  The backend is resolved at the first unpinned call,
-not at import, so importing this module starts no compiler.
-:func:`set_default_engine` pins another default for the process and the
+accepts an ``engine`` argument that is resolved here.  ``None`` means the
+process default, :func:`default_engine`: ``"vectorized"`` unless
+:func:`set_default_engine` pins another engine for the process or the
 :func:`use_engine` context manager pins one for a ``with`` block; leaving
-the block restores whatever was in force before, the rule included.
+the block restores whatever was in force before.  Kernels are switched off
+with ``REPRO_KERNEL_BACKEND=none``, not by choosing an engine.
 """
 
 from __future__ import annotations
@@ -36,25 +30,20 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model import kernels
-from repro.local_model.batched import BatchedScheduler, NetworkLike
-from repro.local_model.compiled import CompiledScheduler
-from repro.local_model.fast_network import FastNetwork
+from repro.local_model.fast_network import FastNetwork, NetworkLike
 from repro.local_model.scheduler import Scheduler
 from repro.local_model.vectorized import VectorizedScheduler
 
 #: Any scheduler class satisfies the same constructor / ``run`` protocol.
-SchedulerLike = Union[Scheduler, BatchedScheduler]
+SchedulerLike = Union[Scheduler, VectorizedScheduler]
 
 _ENGINES: Dict[str, Callable[..., SchedulerLike]] = {
     "reference": Scheduler,
-    "batched": BatchedScheduler,
     "vectorized": VectorizedScheduler,
-    "compiled": CompiledScheduler,
 }
 
 #: The engine pinned by :func:`set_default_engine` / :func:`use_engine`;
-#: ``None`` leaves the default to the rule in :func:`default_engine`.
+#: ``None`` leaves the default at ``"vectorized"``.
 _pinned_default: Optional[str] = None
 
 
@@ -74,14 +63,8 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def default_engine() -> str:
-    """The engine ``engine=None`` resolves to right now.
-
-    A pinned default wins; otherwise ``"compiled"`` when a kernel backend
-    resolves and ``"vectorized"`` when none does.
-    """
-    if _pinned_default is not None:
-        return _pinned_default
-    return "compiled" if kernels.get_backend() is not None else "vectorized"
+    """The engine ``engine=None`` resolves to: the pinned default, else ``"vectorized"``."""
+    return _pinned_default if _pinned_default is not None else "vectorized"
 
 
 def set_default_engine(engine: str) -> None:

@@ -1,21 +1,20 @@
 """A flat, index-based view of a :class:`~repro.local_model.network.Network`.
 
 The reference :class:`~repro.local_model.scheduler.Scheduler` addresses nodes
-by their (hashable) identifiers and re-validates every message with an
-``O(degree)`` adjacency scan.  For large networks that bookkeeping dominates
-the simulation cost, so the batched engine compiles the network once into a
-:class:`FastNetwork`: nodes become dense indices ``0..n-1``, the adjacency is
-stored CSR-style (one flat ``indices`` array plus ``indptr`` offsets), and
-per-node neighbor-identifier sets give ``O(1)`` message validation.  The
-compiled form is cached on the network (networks are immutable once
-constructed), so repeated runs -- e.g. the per-level invocations of Procedure
-Legal-Color -- pay the compilation cost only once.
+by their (hashable) identifiers and moves one message object at a time.  For
+large networks that bookkeeping dominates the simulation cost, so the
+vectorized engine compiles the network once into a :class:`FastNetwork`:
+nodes become dense indices ``0..n-1`` and the adjacency is stored CSR-style
+(one flat ``indices`` array plus ``indptr`` offsets).  The compiled form is
+cached on the network (networks are immutable once constructed), so repeated
+runs -- e.g. the per-level invocations of Procedure Legal-Color -- pay the
+compilation cost only once.
 
 The CSR arrays (``indptr``, ``indices``, ``degrees``, ``unique_ids``) are
 plain contiguous ``int64`` numpy arrays -- one copy of each, read directly by
-the vectorized and compiled kernels and converted with ``tolist()`` wherever
-per-node Python code (the batched engine's loops, ``LocalView`` construction)
-needs Python ints.  Two further capabilities sit on top of them:
+the numpy and fused kernels and converted with ``tolist()`` wherever
+per-node Python code (``LocalView`` construction) needs Python ints.  Two
+further capabilities sit on top of them:
 
 * **CSR masking** (:meth:`FastNetwork.filtered` /
   :meth:`~FastNetwork.filtered_by_labels`) -- derive the sub-network of a
@@ -36,7 +35,7 @@ needs Python ints.  Two further capabilities sit on top of them:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,9 +93,6 @@ class FastNetwork:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
         ``i`` in deterministic order (shared with the owning network, so
         :class:`~repro.local_model.algorithm.LocalView` construction is free).
-    neighbor_id_sets:
-        ``neighbor_id_sets[i]`` is a frozenset of the same identifiers, used
-        for ``O(1)`` message validation.
     degrees:
         ``degrees[i]`` is the degree of node ``i`` (an ``int64`` array).
     """
@@ -110,7 +106,6 @@ class FastNetwork:
         "indptr",
         "indices",
         "_neighbor_ids",
-        "_neighbor_id_sets",
         "degrees",
         "num_nodes",
         "max_degree",
@@ -137,7 +132,6 @@ class FastNetwork:
         self.unique_ids = np.array([network.unique_id(node) for node in order], dtype=np.int64)
         neighbor_ids = tuple(network.neighbors(node) for node in order)
         self._neighbor_ids = neighbor_ids
-        self._neighbor_id_sets = tuple(frozenset(ids) for ids in neighbor_ids)
         self.degrees = np.array([len(ids) for ids in neighbor_ids], dtype=np.int64)
         self.indptr = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
@@ -324,7 +318,6 @@ class FastNetwork:
         built.degrees = np.ascontiguousarray(degrees, dtype=np.int64)
         built.max_degree = int(np.max(degrees)) if num_nodes else 0
         built._neighbor_ids = None
-        built._neighbor_id_sets = None
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
@@ -403,15 +396,6 @@ class FastNetwork:
                 for i in range(self.num_nodes)
             )
         return self._neighbor_ids
-
-    @property
-    def neighbor_id_sets(self) -> Tuple[frozenset, ...]:
-        """Per-node neighbor-identifier frozensets (lazy on derived views)."""
-        if self._neighbor_id_sets is None:
-            self._neighbor_id_sets = tuple(
-                frozenset(neighbors) for neighbors in self.neighbor_ids
-            )
-        return self._neighbor_id_sets
 
     # ------------------------------------------------------------------ #
     # Array accessors (the substrate of the vectorized engine)
@@ -566,7 +550,6 @@ class FastNetwork:
         # Neighbor-identifier structures are materialized lazily (see the
         # neighbor_ids property): the vectorized engine never touches them.
         derived._neighbor_ids = None
-        derived._neighbor_id_sets = None
         return derived
 
     def with_edge_updates(
@@ -738,6 +721,11 @@ class FastNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FastNetwork(n={self.num_nodes}, nnz={len(self.indices)})"
+
+
+#: Every engine accepts either representation; a FastNetwork is used as-is,
+#: so CSR-masked sub-networks (FastNetwork.filtered) run without any rebuild.
+NetworkLike = Union[Network, FastNetwork]
 
 
 def as_network(network) -> Network:

@@ -1,6 +1,6 @@
-"""Fused multi-core kernels behind the ``"compiled"`` engine.
+"""Fused multi-core kernels inside the ``"vectorized"`` engine.
 
-This package is a kernel-dispatch layer over the vectorized engine: for the
+This package is the vectorized engine's kernel-dispatch layer: for the
 hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 and the Luby round) it provides fused single-pass CSR kernels with two
@@ -13,20 +13,25 @@ interchangeable providers --
   numba is absent but a C toolchain exists.
 
 Neither is required: with no provider, :func:`get_backend` returns ``None``
-and the compiled engine falls through to the numpy ``vector_run`` per phase
-(counted in ``RunMetrics.compiled_fallback_phase_names``), reproducing the
-vectorized engine bit for bit.  A freshly loaded provider is *probed* --
-every kernel is run on a small adversarial graph and compared against the
-``_loops`` reference -- so a miscompiled library degrades to the fallback
+and the vectorized engine runs every phase's numpy ``vector_run``, bit for
+bit the same results.  A backend that raises
+:class:`~repro.exceptions.EngineFailure` mid-run is dropped by the scheduler,
+which re-runs the phase on numpy (counted in
+``RunMetrics.compiled_fallback_phase_names``).  A freshly loaded provider is
+*probed* -- every kernel is run on a small adversarial graph and compared
+against the ``_loops`` reference -- so a miscompiled library is rejected
 instead of corrupting colorings.
 
 Environment knobs:
 
 * ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``numba`` | ``cext`` |
   ``none`` -- force a provider or disable dispatch outright.
-* ``REPRO_KERNEL_THREADS``: initial thread count (see
-  :func:`set_num_threads`); numba additionally respects
-  ``NUMBA_NUM_THREADS`` as its upper bound.
+* ``REPRO_KERNEL_THREADS``: initial thread count, an integer ``>= 1`` (see
+  :func:`set_num_threads`; anything else raises
+  :class:`~repro.exceptions.InvalidParameterError` when the backend is
+  resolved); numba additionally respects ``NUMBA_NUM_THREADS`` as its upper
+  bound.  A child forked after the backend resolved (a process-pool worker)
+  runs its kernels on one thread.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.exceptions import InvalidParameterError
 from repro.local_model.kernels import _loops
 
 __all__ = [
@@ -161,10 +167,25 @@ def _probe(backend) -> bool:
     return all(checks)
 
 
+def _thread_count(value) -> int:
+    """``value`` as a kernel thread count; anything but an integer >= 1 raises."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1 or (not isinstance(value, str) and count != value):
+        raise InvalidParameterError(
+            f"kernel thread count must be an integer >= 1, got {value!r}"
+        )
+    return count
+
+
 def _resolve():
     global _RESOLVED, _BACKEND, _REASON
     if _RESOLVED:
         return
+    threads = os.environ.get("REPRO_KERNEL_THREADS")
+    threads = _thread_count(threads) if threads else None
     _RESOLVED = True
     requested = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
     if requested in ("none", "off", "0", "disabled"):
@@ -203,12 +224,8 @@ def _resolve():
             reasons.append(f"{backend.name}: probe mismatch vs reference loops")
             continue
         _BACKEND, _REASON = backend, f"{backend.name} (probed ok)"
-        threads = os.environ.get("REPRO_KERNEL_THREADS")
-        if threads:
-            try:
-                backend.set_threads(int(threads))
-            except ValueError:
-                pass
+        if threads is not None:
+            backend.set_threads(threads)
         return
     _BACKEND = None
     _REASON = "; ".join(reasons) if reasons else "no kernel provider available"
@@ -233,7 +250,8 @@ def backend_reason() -> str:
 
 
 def set_num_threads(count: int) -> None:
-    """Set the kernel thread count (no-op without a backend)."""
+    """Set the kernel thread count (an integer >= 1; no-op without a backend)."""
+    count = _thread_count(count)
     backend = get_backend()
     if backend is not None:
         backend.set_threads(count)
@@ -243,6 +261,21 @@ def get_num_threads() -> int:
     """The kernel thread count the active backend will use (1 without one)."""
     backend = get_backend()
     return backend.max_threads() if backend is not None else 1
+
+
+def _one_thread_after_fork() -> None:
+    """A forked child runs its kernels on one thread.
+
+    GNU OpenMP cannot continue its parent's thread pool in a forked child:
+    the child's first parallel region would wait forever for threads that
+    were not copied.  A one-thread region never touches that pool, so
+    process-pool workers (one per core already) stay safe.
+    """
+    if _BACKEND is not None:
+        _BACKEND.set_threads(1)
+
+
+os.register_at_fork(after_in_child=_one_thread_after_fork)
 
 
 def reset() -> None:
@@ -257,11 +290,13 @@ def force_backend(backend, reason: str = "forced") -> "callable":
     """Install ``backend`` as the resolved provider, bypassing probe/env logic.
 
     This is the seam the fault injector (and tests) use to simulate a backend
-    that breaks mid-run: install a poisoned object here and every compiled
-    scheduler constructed afterwards dispatches into it.  Returns a restore
-    callable that reinstates the previous resolution state exactly; callers
-    must invoke it (typically in a ``finally``) because pool workers are
-    long-lived and an installed backend would leak into unrelated runs.
+    that breaks mid-run: install a poisoned object here and every vectorized
+    scheduler constructed afterwards dispatches into it.
+    ``force_backend(None)`` switches kernels off, the programmatic twin of
+    ``REPRO_KERNEL_BACKEND=none``.  Returns a restore callable that
+    reinstates the previous resolution state exactly; callers must invoke it
+    (typically in a ``finally``) because pool workers are long-lived and an
+    installed backend would leak into unrelated runs.
     """
     global _RESOLVED, _BACKEND, _REASON
     previous = (_RESOLVED, _BACKEND, _REASON)
@@ -275,7 +310,7 @@ def force_backend(backend, reason: str = "forced") -> "callable":
 
 
 def runner_for(phase):
-    """The compiled runner for ``phase``, or ``None`` (late import, no cycles)."""
+    """The kernel runner for ``phase``, or ``None`` (late import, no cycles)."""
     from repro.local_model.kernels.adapters import runner_for as _runner_for
 
     return _runner_for(phase)

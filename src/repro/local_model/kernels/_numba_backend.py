@@ -34,7 +34,7 @@ class NumbaBackend:
         return int(self._numba.get_num_threads())
 
     def set_threads(self, count: int) -> None:
-        self._numba.set_num_threads(max(1, int(count)))
+        self._numba.set_num_threads(count)
 
 
 def load() -> Optional[NumbaBackend]:

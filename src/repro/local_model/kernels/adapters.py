@@ -3,13 +3,16 @@
 Each runner replicates the corresponding ``vector_run`` *exactly* -- same
 validation, same degenerate cases, same metric charging, same state writes
 -- swapping only the per-round array chains for one fused kernel call, so
-the compiled engine stays bit-identical to the vectorized engine (which the
-four-engine equivalence suite and the goldens enforce).
+kernels on and kernels off stay bit-identical (which the equivalence suite
+and the goldens enforce).  Each runner calls the backend before it writes a
+column or charges a metric: when the backend raises
+:class:`~repro.exceptions.EngineFailure`, the vectorized engine re-runs the
+phase's ``vector_run`` on an untouched context.
 
 Runners are registered by *qualified class name*, not by class object: the
 phase modules import the scheduler stack, so importing them here would be
 circular.  Dispatch walks the phase's MRO, which keeps user subclasses of a
-registered phase on the compiled path as long as they do not override
+registered phase on the kernel path as long as they do not override
 ``vector_run`` semantics.
 """
 

@@ -203,7 +203,6 @@ def build_line_graph_fast(network) -> FastNetwork:
     line.degrees = line_degrees
     line.max_degree = int(line_degrees.max()) if m else 0
     line._neighbor_ids = None
-    line._neighbor_id_sets = None
     line.line_meta = LineGraphMeta(
         edge_u=edge_u,
         edge_v=edge_v,

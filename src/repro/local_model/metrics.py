@@ -49,15 +49,17 @@ class RunMetrics:
     phases:
         Per-phase breakdown, in execution order.
     fallback_phase_names:
-        Names of the phases that the vectorized engine executed on its
-        batched fallback path, in execution order (empty for the other
-        engines, and for fully vectorized runs).  Purely informational: it
+        Names of the phases that the vectorized engine executed on the
+        reference scheduler because they have no ``vector_run``, in
+        execution order (empty for the reference engine, and for fully
+        vectorized runs).  Purely informational: it
         is excluded from equality and from the engine-equivalence contract,
         which compares :meth:`summary` and the per-phase breakdown.
     compiled_fallback_phase_names:
-        Names of the phases the compiled engine dispatched back to the plain
-        numpy ``vector_run`` because no kernel backend was available, in
-        execution order (empty for the other engines).  Like
+        Names of the phases the vectorized engine re-ran on the plain numpy
+        ``vector_run`` because their kernel backend raised
+        :class:`~repro.exceptions.EngineFailure`, in execution order (empty
+        when kernels ran cleanly or were switched off).  Like
         ``fallback_phase_names`` it is informational only and excluded from
         equality.
     phase_seconds:

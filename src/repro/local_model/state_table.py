@@ -1,13 +1,13 @@
 """The columnar node-state store.
 
 Every engine ultimately manipulates *per-node state*.  The reference
-scheduler and the batched engine keep one Python dictionary per node; the
-vectorized and compiled engines keep a :class:`StateTable` -- their ``run``
-seeds a table from ``initial_states``, executes through ``run_table`` and
-materializes dictionaries only for the result and for phases without a
-kernel.  For large instances per-node dictionaries are the bottleneck: every
-scheduler run would marshal ``n`` dicts in and out, and the driver loops of
-Procedure Legal-Color would do per-node tuple bookkeeping between runs.
+scheduler keeps one Python dictionary per node; the vectorized engine keeps
+a :class:`StateTable` -- its ``run`` seeds a table from ``initial_states``,
+executes through ``run_table`` and materializes dictionaries only for the
+result and for phases without a kernel.  For large instances per-node
+dictionaries are the bottleneck: every scheduler run would marshal ``n``
+dicts in and out, and the driver loops of Procedure Legal-Color would do
+per-node tuple bookkeeping between runs.
 
 :class:`StateTable` stores the same information column-wise:
 
@@ -34,8 +34,8 @@ normalizations are invisible to ``==`` (and therefore to the engine
 equivalence contract): int columns materialize fresh (equal) int objects, and
 interning replaces equal path tuples by one shared tuple object.
 
-The table is the only state representation of the vectorized and compiled
-engines (see :meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`)
+The table is the only state representation of the vectorized engine
+(see :meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`)
 and the exchange format of every engine's ``run_table``; rows are in
 the dense node order of the :class:`~repro.local_model.fast_network.FastNetwork`
 the table travels with, and the table itself never stores node identifiers.

@@ -1,27 +1,34 @@
-"""The vectorized color-phase engine.
+"""The array engine: numpy kernels, fused kernels, and the reference fallback.
 
-The batched engine (:mod:`repro.local_model.batched`) removed the per-message
-bookkeeping but still executes one Python callback per node per round.  For
-the paper's *pure-color* phases -- Linial's set-system recoloring, the
-Kuhn-Wattenhofer block reduction, the defective polynomial steps, the
-``psi``-selection loop -- a round's messages are just the nodes' current
-colors, so the entire round is expressible as array arithmetic over the CSR
-adjacency of a :class:`~repro.local_model.fast_network.FastNetwork`.
+The reference scheduler (:mod:`repro.local_model.scheduler`) executes one
+Python callback per node per round.  For the paper's *pure-color* phases --
+Linial's set-system recoloring, the Kuhn-Wattenhofer block reduction, the
+defective polynomial steps, the ``psi``-selection loop, the Corollary 5.4
+edge ranking -- a round's messages are just the nodes' current colors, so the
+entire round is expressible as array arithmetic over the CSR adjacency of a
+:class:`~repro.local_model.fast_network.FastNetwork`.
 
-:class:`VectorizedScheduler` runs exactly those phases as numpy kernels and
-transparently falls back to :class:`~repro.local_model.batched.BatchedScheduler`
-for any phase that does not declare one -- a pipeline may freely mix both
-kinds.  A phase opts in by setting ``supports_vectorized = True`` and
-implementing ``vector_run(ctx)``, where ``ctx`` is the :class:`VectorContext`
-defined here.  The contract mirrors the scalar callbacks bit for bit:
+:class:`VectorizedScheduler` runs each phase on the fastest path it has:
 
-* the final per-node state dictionaries must be *identical* to what the
-  reference scheduler produces (including internal scratch keys);
+* a phase with a registered fused kernel (see
+  :mod:`repro.local_model.kernels`) runs through the kernel backend whenever
+  one resolves (``REPRO_KERNEL_BACKEND=none`` turns kernels off);
+* any other phase that sets ``supports_vectorized = True`` and implements
+  ``vector_run(ctx)`` runs that numpy program, where ``ctx`` is the
+  :class:`VectorContext` defined here;
+* a phase without ``vector_run`` (a user-defined phase) runs on the
+  reference :class:`~repro.local_model.scheduler.Scheduler`, so a pipeline
+  may freely mix both kinds.
+
+The contract is the reference scheduler's, for outputs and metrics:
+
+* the phase's output keys must hold *identical* values to what the reference
+  scheduler produces (private scratch keys may differ);
 * the phase's :class:`~repro.local_model.metrics.PhaseMetrics` must be
   identical -- rounds, message count, total words, maximum message size.
 
 ``tests/test_engine_equivalence.py`` and the golden fixtures enforce both,
-for all three engines, across the whole algorithm zoo.  The metric side is
+with kernels on and off, across the whole algorithm zoo.  The metric side is
 made hard to get wrong by the charging helpers on :class:`VectorContext`:
 a uniform broadcast phase (every live node announces one scalar per round,
 all nodes halt together) is fully described by its round count.
@@ -34,12 +41,18 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
+from repro.exceptions import (
+    EngineFailure,
+    InvalidParameterError,
+    RoundLimitExceeded,
+    SimulationError,
+)
+from repro.local_model import kernels
 from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPhase
-from repro.local_model.batched import BatchedScheduler
-from repro.local_model.fast_network import FastNetwork
+from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.scheduler import PhaseResult
+from repro.local_model.network import Network
+from repro.local_model.scheduler import PhaseResult, Scheduler
 from repro.local_model.state_table import StateTable
 
 
@@ -209,47 +222,80 @@ def check_color_range(colors: np.ndarray, palette: int, template: str) -> None:
         )
 
 
-class VectorizedScheduler(BatchedScheduler):
-    """Runs declared color kernels as numpy array programs; falls back otherwise.
+class VectorizedScheduler:
+    """Runs phases as fused kernels or numpy programs; falls back to reference.
 
-    The constructor and the :meth:`run` / :meth:`run_table` signatures are
-    those of :class:`~repro.local_model.batched.BatchedScheduler`; only the
-    per-phase execution differs.  A phase executes vectorized exactly when it
-    sets ``supports_vectorized = True`` and provides ``vector_run``; every
-    other phase (including every user-defined phase) runs on the batched path
-    and therefore behaves identically to the ``"batched"`` engine.
+    Parameters are those of :class:`~repro.local_model.scheduler.Scheduler`:
+
+    network:
+        The communication graph -- a :class:`Network` or a (possibly
+        CSR-masked) :class:`FastNetwork`; a FastNetwork is used as-is, so
+        recursion levels run on their filtered views without any rebuild.
+    globals_extra:
+        Additional globally known values exposed to every node's
+        :class:`~repro.local_model.algorithm.LocalView`.
+    round_limit_factor:
+        Multiplier applied to each phase's ``max_rounds`` safety bound.
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
-    is cached on the pipeline object), not per phase execution.  Every phase
-    that takes the batched path is recorded: cumulatively on the scheduler
-    (:attr:`fallback_phases` / :attr:`fallback_phase_names`) and per run on
-    ``RunMetrics.fallback_phase_names`` -- a fully vectorized run reports an
-    empty list, which is what the zero-fallback tests and the end-to-end
-    benchmark assert.
+    is cached on the pipeline object), not per phase execution.  Two kinds of
+    phase execution are recorded, cumulatively on the scheduler and per run
+    on :class:`~repro.local_model.metrics.RunMetrics`:
+
+    * a phase without ``vector_run`` that ran on the reference scheduler
+      (:attr:`fallback_phases` / :attr:`fallback_phase_names`);
+    * a phase whose kernel backend raised
+      :class:`~repro.exceptions.EngineFailure`
+      (:attr:`compiled_fallback_phases` /
+      :attr:`compiled_fallback_phase_names`).  The scheduler then drops the
+      backend and re-runs that phase's numpy ``vector_run``; every later
+      phase of this scheduler runs on numpy too.  The re-run is exact
+      because every kernel adapter calls the backend before it writes a
+      column or charges a metric.
 
     :meth:`run_table` is the engine's only execution path (:meth:`run`
     wraps it): the :class:`~repro.local_model.state_table.StateTable`
-    columns feed the kernels directly, per-node state dictionaries (and the
+    columns feed the kernels directly, and per-node state dictionaries (and
     per-node :class:`~repro.local_model.algorithm.LocalView` objects) are
-    materialized only if some phase actually falls back.
+    materialized only for a phase that needs them.
     """
 
     def __init__(
         self,
-        network,
+        network: NetworkLike,
         globals_extra: Optional[Mapping[str, Any]] = None,
         round_limit_factor: int = 1,
     ) -> None:
-        super().__init__(
-            network,
-            globals_extra=globals_extra,
-            round_limit_factor=round_limit_factor,
-        )
-        #: Number of phase executions that fell back to the batched path
-        #: (cumulative over every run of this scheduler instance).
+        self._fast: FastNetwork = fast_view(network)
+        self._globals: Dict[str, Any] = {
+            "n": self._fast.num_nodes,
+            "max_degree": self._fast.max_degree,
+        }
+        if globals_extra:
+            self._globals.update(globals_extra)
+        if round_limit_factor < 1:
+            raise SimulationError("round_limit_factor must be at least 1")
+        self._round_limit_factor = round_limit_factor
+        self._backend = kernels.get_backend()
+        self._reference: Optional[Scheduler] = None
+        #: Phase executions that ran on the reference scheduler (cumulative).
         self.fallback_phases: int = 0
         #: Names of those phases, in execution order.
         self.fallback_phase_names: List[str] = []
+        #: Phase executions re-run on numpy after the kernel backend failed.
+        self.compiled_fallback_phases: int = 0
+        #: Names of those phases, in execution order.
+        self.compiled_fallback_phase_names: List[str] = []
+
+    @property
+    def network(self) -> Network:
+        """The :class:`Network` this scheduler runs on (materialized on demand)."""
+        return self._fast.to_network()
+
+    @property
+    def kernel_backend_name(self) -> Optional[str]:
+        """``"numba"`` / ``"cext"`` / ``None`` -- the backend kernels run on."""
+        return self._backend.name if self._backend is not None else None
 
     # ------------------------------------------------------------------ #
     # Pipeline compilation (one-time dispatch resolution)
@@ -281,14 +327,32 @@ class VectorizedScheduler(BatchedScheduler):
             return plan
         return ((algorithm, cls._resolve_vector_run(algorithm)),)
 
-    def _note_fallback(self, phase: SynchronousPhase, metrics: RunMetrics) -> None:
-        self.fallback_phases += 1
-        self.fallback_phase_names.append(phase.name)
-        metrics.fallback_phase_names.append(phase.name)
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+
+    def _resolved_globals(
+        self, globals_override: Optional[Mapping[str, Any]]
+    ) -> Dict[str, Any]:
+        global_values = dict(self._globals)
+        if globals_override:
+            global_values.update(globals_override)
+        return global_values
+
+    def _build_views(self, global_values: Mapping[str, Any]) -> List[LocalView]:
+        fast = self._fast
+        order = fast.order
+        unique_ids = fast.unique_ids.tolist()
+        neighbor_ids = fast.neighbor_ids
+        return [
+            LocalView(
+                node_id=order[i],
+                unique_id=unique_ids[i],
+                neighbors=neighbor_ids[i],
+                globals=global_values,
+            )
+            for i in range(fast.num_nodes)
+        ]
 
     def _run_vector_phase(
         self,
@@ -296,6 +360,7 @@ class VectorizedScheduler(BatchedScheduler):
         vector_run,
         table: StateTable,
         views_provider: Callable[[], List[LocalView]],
+        metrics: RunMetrics,
     ) -> PhaseMetrics:
         fast = self._fast
         phase_metrics = PhaseMetrics(name=phase.name)
@@ -305,15 +370,39 @@ class VectorizedScheduler(BatchedScheduler):
             fast.num_nodes, fast.max_degree
         )
         context = VectorContext(fast, table, phase_metrics, round_limit, phase.name, views_provider)
-        self._dispatch_vector_run(phase, vector_run, context)
+        backend = self._backend
+        runner = kernels.runner_for(phase) if backend is not None else None
+        if runner is None:
+            vector_run(context)
+            return phase_metrics
+        try:
+            runner(phase, context, backend)
+        except EngineFailure:
+            self._backend = None
+            self.compiled_fallback_phases += 1
+            self.compiled_fallback_phase_names.append(phase.name)
+            metrics.compiled_fallback_phase_names.append(phase.name)
+            vector_run(context)
         return phase_metrics
 
-    def _dispatch_vector_run(
-        self, phase: SynchronousPhase, vector_run, context: VectorContext
-    ) -> None:
-        """Execute one vectorized phase.  The compiled engine's override
-        routes the phase to a fused kernel when one is registered."""
-        vector_run(context)
+    def _run_reference_phase(
+        self,
+        phase: SynchronousPhase,
+        table: StateTable,
+        globals_override: Optional[Mapping[str, Any]],
+        metrics: RunMetrics,
+    ) -> Tuple[StateTable, PhaseMetrics]:
+        if self._reference is None:
+            self._reference = Scheduler(
+                self._fast.to_network(),
+                globals_extra=self._globals,
+                round_limit_factor=self._round_limit_factor,
+            )
+        table, run_metrics = self._reference.run_table(phase, table, globals_override)
+        self.fallback_phases += 1
+        self.fallback_phase_names.append(phase.name)
+        metrics.fallback_phase_names.append(phase.name)
+        return table, run_metrics.phases[0]
 
     def run(
         self,
@@ -338,13 +427,14 @@ class VectorizedScheduler(BatchedScheduler):
         table: StateTable,
         globals_override: Optional[Mapping[str, Any]] = None,
     ) -> Tuple[StateTable, RunMetrics]:
-        """Run with the :class:`StateTable` as the *native* node state.
+        """Run a phase or pipeline with a :class:`StateTable` as node state.
 
-        Vectorized phases operate directly on the table's columns; a phase
-        that falls back materializes the dict view once, runs batched, and
-        the columns are re-absorbed before the next vectorized phase.  On a
-        fully vectorized pipeline no per-node dictionary (and no per-node
-        ``LocalView``) is ever created.
+        ``table`` rows must be in this scheduler's dense node order (the
+        ``order`` of its :class:`~repro.local_model.fast_network.FastNetwork`);
+        the input table is consumed and a table holding the final states is
+        returned together with the run's metrics.  Vectorized phases operate
+        directly on the table's columns; a phase without ``vector_run`` runs
+        on the reference scheduler through the table's dict view.
         """
         fast = self._fast
         if table.num_rows != fast.num_nodes:
@@ -353,35 +443,27 @@ class VectorizedScheduler(BatchedScheduler):
                 f"{fast.num_nodes} nodes"
             )
         plan = self._compile(algorithm)
-        global_values = self._resolved_globals(globals_override)
         views: Optional[List[LocalView]] = None
 
         def views_provider() -> List[LocalView]:
             nonlocal views
             if views is None:
-                views = self._build_views(global_values)
+                views = self._build_views(self._resolved_globals(globals_override))
             return views
 
         metrics = RunMetrics()
-        states: Optional[List[Dict[str, Any]]] = None
         for phase, vector_run in plan:
             started = time.perf_counter()
             if vector_run is None:
-                if states is None:
-                    states = table.to_dicts()
-                phase_metrics = self._run_single_phase(
-                    phase, states, views_provider()
+                table, phase_metrics = self._run_reference_phase(
+                    phase, table, globals_override, metrics
                 )
-                self._note_fallback(phase, metrics)
             else:
-                if states is not None:
-                    table = StateTable.from_dicts(states)
-                    states = None
-                phase_metrics = self._run_vector_phase(phase, vector_run, table, views_provider)
+                phase_metrics = self._run_vector_phase(
+                    phase, vector_run, table, views_provider, metrics
+                )
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
-        if states is not None:
-            table = StateTable.from_dicts(states)
         return table, metrics
 
 

@@ -7,9 +7,8 @@ Both entry points take a graph (legacy :class:`Network` or CSR
   edges (and for vertices when a neighborhood-independence bound ``c`` is
   supplied), the Luby randomized baseline for general vertex coloring;
 * the **engine** — the process default of
-  :func:`~repro.local_model.engine.default_engine` (``"compiled"`` when a
-  kernel backend resolves, else ``"vectorized"``); engines are
-  bit-identical, so this is not a cost decision;
+  :func:`~repro.local_model.engine.default_engine` (``"vectorized"`` unless
+  pinned); engines are bit-identical, so this is not a cost decision;
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
   round count fits the caller's ``budget``;
@@ -52,10 +51,10 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
     """Run ``invoke(engine)`` under the engine degradation chain.
 
     On an :class:`~repro.exceptions.EngineFailure` the call is retried on the
-    next bit-identical engine down the chain (compiled -> vectorized ->
-    batched -> reference).  A degradation is narrated in ``reasons["engine"]``
-    and stamped on the result's metrics, so the decision record never claims
-    an engine that did not actually produce the coloring.
+    next bit-identical engine down the chain (vectorized -> reference).  A
+    degradation is narrated in ``reasons["engine"]`` and stamped on the
+    result's metrics, so the decision record never claims an engine that did
+    not actually produce the coloring.
     """
     outcome = run_with_degradation(invoke, engine)
     if outcome.degraded:
@@ -152,8 +151,7 @@ def color_graph(
     algorithm:
         ``"legal-color"`` or ``"luby"`` to bypass the algorithm choice.
     engine:
-        Execution engine override (``"reference"`` / ``"batched"`` /
-        ``"vectorized"`` / ``"compiled"``).
+        Execution engine override (``"reference"`` / ``"vectorized"``).
     epsilon:
         Exponent knob forwarded to the Legal-Color presets.
     seed:

@@ -29,10 +29,10 @@ class PortfolioDecision:
     holds the cost-model numbers (seconds / rounds) the choice was based
     on; ``overrides`` lists the knobs the caller pinned explicitly, which
     the portfolio passed through untouched.  ``kernel_backend`` /
-    ``kernel_threads`` record what the compiled engine would run on (the
-    resolved provider name and its thread count) — populated whether or not
-    the compiled engine ran, so a decision record always says *why* the
-    default was or was not ``"compiled"``.
+    ``kernel_threads`` record what the vectorized engine's fused kernels
+    would run on (the resolved provider name and its thread count) —
+    populated whether or not the vectorized engine ran, so a decision record
+    always says whether kernels were available.
 
     ``engine`` is always the engine that *actually produced* the result:
     when the resilience layer degraded the run (see

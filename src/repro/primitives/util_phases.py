@@ -6,7 +6,7 @@ constant color, or combining per-level colors into a unified palette.
 
 All three declare vectorized kernels, so a pipeline composed of broadcast
 color phases and these glue steps runs end-to-end on the vectorized engine
-with **zero** batched fallbacks -- on the engine's columnar
+with **zero** reference fallbacks -- on the engine's columnar
 :class:`~repro.local_model.state_table.StateTable`, a copy is an array copy
 and a constant fill is an array fill instead of ``n`` dictionary writes.
 Zero-round phases charge no metrics on any engine, so the kernels only have

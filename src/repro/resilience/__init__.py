@@ -10,8 +10,9 @@ one machine first, where every failure mode is deterministic and testable:
   sweep positions and attempts, env-propagated so process-pool runs are
   injectable;
 * :mod:`repro.resilience.degrade` -- the engine degradation chain
-  (compiled -> vectorized -> batched -> reference) that re-runs work on the
-  next bit-identical engine when one fails as infrastructure.
+  (vectorized -> reference) that re-runs work on the next bit-identical
+  engine when one fails as infrastructure.  A lost kernel backend does not
+  need it: the vectorized engine re-runs the affected phase on numpy.
 
 The hardened :class:`~repro.experiments.ExperimentRunner` (retries, soft
 timeouts, broken-pool recovery, write-through checkpointing) consumes both.

@@ -1,12 +1,13 @@
-"""Graceful engine degradation: compiled -> vectorized -> batched -> reference.
+"""Graceful engine degradation: vectorized -> reference.
 
-All four execution engines are bit-identical by contract (enforced by the
-engine-equivalence suite), so when one of them breaks as *infrastructure* --
-a kernel backend whose shared library vanished, a poisoned ctypes handle, an
-injected fault -- the correct recovery is simply to re-run the same work on
-the next engine down the chain instead of failing the caller.  The chain is
-ordered fastest-first, so a degraded run pays a performance price, never a
-correctness one.
+Both execution engines are bit-identical by contract (enforced by the
+engine-equivalence suite), so when the vectorized engine breaks as
+*infrastructure* the correct recovery is simply to re-run the same work on
+the reference engine instead of failing the caller.  The chain is ordered
+fastest-first, so a degraded run pays a performance price, never a
+correctness one.  A lost kernel backend never reaches this layer: the
+vectorized engine re-runs the affected phase on numpy itself and records it
+in ``RunMetrics.compiled_fallback_phase_names``.
 
 :func:`run_with_degradation` is the single wrapper implementing this policy.
 It recovers only from :class:`~repro.exceptions.EngineFailure` (the marker
@@ -26,7 +27,7 @@ from repro.exceptions import EngineFailure
 
 #: Fastest-first fallback order.  ``"reference"`` is the end of the line: it
 #: has no kernels, no numpy fast paths, and no backend to lose.
-DEGRADE_CHAIN: Tuple[str, ...] = ("compiled", "vectorized", "batched", "reference")
+DEGRADE_CHAIN: Tuple[str, ...] = ("vectorized", "reference")
 
 
 def degrade_path(engine: str, chain: Tuple[str, ...] = DEGRADE_CHAIN) -> Tuple[str, ...]:

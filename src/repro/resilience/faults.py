@@ -27,10 +27,10 @@ Fault kinds
     Complete normally but mutate the result payload *after* its integrity
     digest was computed, so the parent detects the corruption and retries.
 ``"lose_backend"``
-    Install a poisoned compiled-kernel backend whose every kernel raises
+    Install a poisoned kernel backend whose every kernel raises
     :class:`~repro.exceptions.EngineFailure`, simulating a backend that
-    disappears mid-run; the engine degradation chain then re-runs the
-    scenario on the next engine down.
+    disappears mid-run; the vectorized engine then re-runs each affected
+    phase on numpy, so the payload is unchanged.
 """
 
 from __future__ import annotations

@@ -37,13 +37,12 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ColoringError
-from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, NetworkLike, _lexsort_pairs, fast_view
 from repro.local_model.network import Network
 
 EdgeKey = Tuple[Hashable, Hashable]
 #: A coloring: mapping form, or an ``int`` color column in dense order.
 ColorsLike = Union[Mapping[Hashable, int], np.ndarray]
-NetworkLike = Union[Network, FastNetwork]
 
 
 def palette_size(colors: ColorsLike) -> int:

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from engine_configs import ARRAY_CONFIGS, engine_config
+
 from repro import graphs
 from repro.local_model import Network
+
+
+@pytest.fixture(params=ARRAY_CONFIGS)
+def array_engine(request):
+    """``"vectorized"``, with kernels as resolved and with kernels off."""
+    with engine_config(request.param) as engine:
+        yield engine
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
-"""Three-engine equivalence for the vectorized baseline kernels.
+"""Engine equivalence for the vectorized baseline kernels.
 
-The PR 7 tentpole gives the Luby, Panconesi–Rizzi, and greedy-reduction
-baselines fully array-native execution paths.  These tests lock down that
-(1) all three engines produce identical colorings, final states, and
-metrics, (2) the vectorized engine runs each baseline with ZERO batched
-fallbacks on regular and heavy-tailed families alike, and (3) the
-normalized result objects carry consistent `color_column`s.
+The Luby, Panconesi–Rizzi, and greedy-reduction baselines have fully
+array-native execution paths.  These tests lock down that (1) the reference
+engine and the vectorized engine, kernels on and off, produce identical
+colorings, final states, and metrics, (2) the vectorized engine runs each
+baseline with ZERO reference fallbacks on regular and heavy-tailed families
+alike, and (3) the normalized result objects carry consistent
+`color_column`s.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 
 from repro import graphs
 from repro.baselines import (
@@ -31,8 +34,6 @@ from repro.verification import (
     assert_legal_vertex_coloring,
 )
 
-ENGINES = ("reference", "batched", "vectorized")
-
 FAMILIES = {
     "regular": lambda: graphs.random_regular(48, 6, seed=11),
     "heavy-tailed-ba": lambda: graphs.barabasi_albert(60, 4, seed=12),
@@ -42,6 +43,15 @@ FAMILIES = {
         backend="fast",
     ),
 }
+
+
+def on_every_config(run):
+    """``{config: run(engine)}`` for every engine configuration."""
+    results = {}
+    for config in ENGINE_CONFIGS:
+        with engine_config(config) as engine:
+            results[config] = run(engine)
+    return results
 
 
 def run_luby_states(network, engine, palette, seed=0):
@@ -58,36 +68,25 @@ class TestLubyEngineEquivalence:
     def test_full_state_and_metrics_identical(self, family):
         network = FAMILIES[family]()
         palette = fast_view(network).max_degree + 1
-        states = {}
-        metrics = {}
-        for engine in ENGINES:
-            states[engine], metrics[engine] = run_luby_states(
-                network, engine, palette
-            )
-        assert states["reference"] == states["batched"] == states["vectorized"]
-        for engine in ("batched", "vectorized"):
-            assert metrics[engine].rounds == metrics["reference"].rounds
-            assert metrics[engine].messages == metrics["reference"].messages
-            assert metrics[engine].total_words == metrics["reference"].total_words
-            assert (
-                metrics[engine].max_message_words
-                == metrics["reference"].max_message_words
-            )
-        assert metrics["vectorized"].fallback_phase_names == []
+        runs = on_every_config(lambda engine: run_luby_states(network, engine, palette))
+        states, reference = runs["reference"]
+        for config in ARRAY_CONFIGS:
+            candidate_states, metrics = runs[config]
+            assert candidate_states == states, config
+            assert metrics.summary() == reference.summary(), config
+            assert metrics.fallback_phase_names == []
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_vertex_results_identical_and_legal(self, family):
         network = FAMILIES[family]()
-        results = {
-            engine: luby_vertex_coloring(network, seed=3, engine=engine)
-            for engine in ENGINES
-        }
-        assert_legal_vertex_coloring(network, results["vectorized"].colors)
-        for engine in ("batched", "vectorized"):
-            assert results[engine].colors == results["reference"].colors
-            assert np.array_equal(
-                results[engine].color_column, results["reference"].color_column
-            )
+        results = on_every_config(
+            lambda engine: luby_vertex_coloring(network, seed=3, engine=engine)
+        )
+        reference = results["reference"]
+        for config in ARRAY_CONFIGS:
+            assert_legal_vertex_coloring(network, results[config].colors)
+            assert results[config].colors == reference.colors
+            assert np.array_equal(results[config].color_column, reference.color_column)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -98,12 +97,16 @@ class TestLubyEngineEquivalence:
     def test_hypothesis_er_equivalence(self, n, seed, p_percent):
         network = graphs.erdos_renyi(n, p_percent / 100.0, seed=seed)
         palette = max(1, fast_view(network).max_degree + 1)
-        sb, mb = run_luby_states(network, "batched", palette, seed=seed)
-        sv, mv = run_luby_states(network, "vectorized", palette, seed=seed)
-        assert sb == sv
-        assert mb.rounds == mv.rounds
-        assert mb.messages == mv.messages
-        assert mv.fallback_phase_names == []
+        runs = on_every_config(
+            lambda engine: run_luby_states(network, engine, palette, seed=seed)
+        )
+        states, reference = runs["reference"]
+        for config in ARRAY_CONFIGS:
+            candidate_states, metrics = runs[config]
+            assert candidate_states == states
+            assert metrics.rounds == reference.rounds
+            assert metrics.messages == reference.messages
+            assert metrics.fallback_phase_names == []
 
 
 class TestLineGraphBaselinesVectorized:
@@ -113,24 +116,18 @@ class TestLineGraphBaselinesVectorized:
         [panconesi_rizzi_edge_coloring, greedy_reduction_edge_coloring, luby_edge_coloring],
         ids=["pr", "greedy", "luby-edge"],
     )
-    def test_three_engines_zero_fallbacks(self, family, baseline):
+    def test_engines_agree_with_zero_fallbacks(self, family, baseline):
         network = FAMILIES[family]()
-        results = {engine: baseline(network, engine=engine) for engine in ENGINES}
-        assert_legal_edge_coloring(network, results["vectorized"].edge_colors)
-        for engine in ("batched", "vectorized"):
-            assert (
-                results[engine].edge_colors == results["reference"].edge_colors
-            )
-            assert results[engine].palette == results["reference"].palette
-            assert (
-                results[engine].metrics.rounds
-                == results["reference"].metrics.rounds
-            )
-            assert (
-                results[engine].metrics.messages
-                == results["reference"].metrics.messages
-            )
-        assert results["vectorized"].metrics.fallback_phase_names == []
+        results = on_every_config(lambda engine: baseline(network, engine=engine))
+        reference = results["reference"]
+        for config in ARRAY_CONFIGS:
+            result = results[config]
+            assert_legal_edge_coloring(network, result.edge_colors)
+            assert result.edge_colors == reference.edge_colors
+            assert result.palette == reference.palette
+            assert result.metrics.rounds == reference.metrics.rounds
+            assert result.metrics.messages == reference.metrics.messages
+            assert result.metrics.fallback_phase_names == []
 
     def test_color_column_matches_mapping(self):
         network = graphs.random_regular(32, 4, seed=5)

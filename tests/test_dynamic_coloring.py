@@ -25,6 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
+
 from repro import graphs
 from repro.dynamic import DynamicColoring, UpdateReport
 from repro.exceptions import InvalidParameterError
@@ -215,18 +217,19 @@ class TestSessionBehavior:
     def test_engines_agree_on_the_full_session(self):
         columns = {}
         metrics = {}
-        for engine in ("reference", "batched", "vectorized"):
-            session = DynamicColoring(
-                graphs.random_regular(24, 4, seed=2, backend="fast"),
-                c=4,
-                engine=engine,
-            )
-            self._schedule(session, seed=9)
-            columns[engine] = session.color_column
-            metrics[engine] = session.metrics.summary()
-        assert (columns["reference"] == columns["batched"]).all()
-        assert (columns["reference"] == columns["vectorized"]).all()
-        assert metrics["reference"] == metrics["vectorized"]
+        for config in ENGINE_CONFIGS:
+            with engine_config(config) as engine:
+                session = DynamicColoring(
+                    graphs.random_regular(24, 4, seed=2, backend="fast"),
+                    c=4,
+                    engine=engine,
+                )
+                self._schedule(session, seed=9)
+            columns[config] = session.color_column
+            metrics[config] = session.metrics.summary()
+        for config in ARRAY_CONFIGS:
+            assert (columns["reference"] == columns[config]).all()
+            assert metrics["reference"] == metrics[config]
 
     def test_vectorized_repairs_never_fall_back(self):
         session = DynamicColoring(

@@ -1,26 +1,25 @@
-"""Batched == vectorized == compiled engine == reference scheduler, bit for bit.
+"""Vectorized engine == reference scheduler, bit for bit, kernels on or off.
 
-The batched round engine (:class:`repro.local_model.BatchedScheduler`), the
-vectorized color-phase engine
-(:class:`repro.local_model.VectorizedScheduler`) and the compiled
-kernel-dispatch engine (:class:`repro.local_model.CompiledScheduler`) are
-only trustworthy because these tests pin them to the reference scheduler:
-for every core algorithm, over a grid of graphs and seeds, all engines must
-produce *identical* final colorings and *identical* metrics (rounds,
-messages, total words, maximum message size -- per phase, not just in
-aggregate).  Any divergence, however small, is a bug in one of the engines.
+The vectorized engine (:class:`repro.local_model.VectorizedScheduler`) is
+only trustworthy because these tests pin it to the reference scheduler: for
+every core algorithm, over a grid of graphs and seeds, it must produce
+*identical* final colorings and *identical* metrics (rounds, messages, total
+words, maximum message size -- per phase, not just in aggregate).  Any
+divergence, however small, is a bug in the engine.
 
-The compiled engine is additionally exercised in *both* of its
-configurations: with whatever kernel backend the machine resolves (numba or
-the C extension), and with dispatch force-disabled so every kernel-eligible
-phase takes the numpy fallback (the ``no_kernel_backend`` fixture) -- the
-results must be identical either way.
+The vectorized engine is exercised in *both* of its configurations (the
+``array_engine`` fixture): with whatever kernel backend the machine resolves
+(numba or the C extension), and with kernels switched off so every phase
+runs its numpy ``vector_run`` -- the results must be identical either way.
+A kernel backend lost mid-run is recovered per phase (``TestLostKernels``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 
 from repro import graphs
 from repro.baselines import luby_edge_coloring, panconesi_rizzi_edge_coloring
@@ -33,9 +32,8 @@ from repro.core import (
 )
 from repro.core.defective_coloring import defective_color_pipeline
 from repro.graphs.line_graph import line_graph_network
+from repro.exceptions import EngineFailure, InvalidParameterError
 from repro.local_model import (
-    BatchedScheduler,
-    CompiledScheduler,
     Network,
     PhasePipeline,
     Scheduler,
@@ -46,29 +44,16 @@ from repro.local_model import (
     make_scheduler,
     use_engine,
 )
-from repro.local_model.algorithm import LocalComputationPhase
+from repro.local_model.algorithm import BroadcastPhase, LocalComputationPhase, SILENT
 from repro.local_model.fast_network import as_network
+from repro.local_model.kernels import _loops
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
-#: The engines whose outputs must be indistinguishable from the reference.
-FAST_ENGINES = ("batched", "vectorized", "compiled")
-
 ENGINE_CLASSES = {
     "reference": Scheduler,
-    "batched": BatchedScheduler,
     "vectorized": VectorizedScheduler,
-    "compiled": CompiledScheduler,
 }
-
-
-@pytest.fixture(name="no_kernel_backend")
-def _no_kernel_backend(monkeypatch):
-    """Force the compiled engine onto its numpy fallback for one test."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
-    kernels.reset()
-    yield
-    kernels.reset()
 
 
 def metrics_fingerprint(metrics):
@@ -141,12 +126,13 @@ class TestSchedulerLevelEquivalence:
         for node in fast.order:
             assert_python_ints(fast.unique_id(node), "FastNetwork.unique_id")
             assert_python_ints(fast.to_network().unique_id(node), "to_network")
-        for engine_cls in (BatchedScheduler, VectorizedScheduler, CompiledScheduler):
-            candidate = engine_cls(network).run(
-                pipeline, initial_states=initial_states
-            )
+        for config in ARRAY_CONFIGS:
+            with engine_config(config):
+                candidate = VectorizedScheduler(network).run(
+                    pipeline, initial_states=initial_states
+                )
             assert candidate.states == reference.states
-            assert_python_ints(candidate.states, f"{engine_cls.__name__}.run")
+            assert_python_ints(candidate.states, f"{config}.run")
             assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
                 reference.metrics
             )
@@ -202,15 +188,16 @@ class TestSchedulerLevelEquivalence:
             c=2 if mode == "edge" else max(1, grid_network.max_degree),
             mode=mode,
         )
-        for engine, engine_cls in ENGINE_CLASSES.items():
-            states = engine_cls(network).run(pipeline).states
+        for config in ENGINE_CONFIGS:
+            with engine_config(config) as engine:
+                states = make_scheduler(network, engine=engine).run(pipeline).states
             leftovers = {
                 key
                 for state in states.values()
                 for key in ("_psi_counts", "_psi_waiting")
                 if key in state
             }
-            assert not leftovers, f"{engine} kept {sorted(leftovers)}"
+            assert not leftovers, f"{config} kept {sorted(leftovers)}"
             assert all("psi_color" in state for state in states.values())
 
     def test_defective_color_pipeline_edge_mode(self, grid_network):
@@ -240,9 +227,11 @@ class TestSchedulerLevelEquivalence:
         self._compare(grid_network, phase)
         reference = Scheduler(grid_network).run(phase).states
         order = fast_view(grid_network).order
-        for engine, engine_cls in ENGINE_CLASSES.items():
-            table, _ = engine_cls(grid_network).run_table(phase, StateTable(len(order)))
-            assert table.to_mapping(order) == reference, engine
+        for config in ENGINE_CONFIGS:
+            with engine_config(config) as engine:
+                scheduler = make_scheduler(grid_network, engine=engine)
+                table, _ = scheduler.run_table(phase, StateTable(len(order)))
+            assert table.to_mapping(order) == reference, config
 
     def test_array_built_views_hand_out_python_ints(self):
         # LocalViews, unique ids and neighbor ids of CSR-built and CSR-masked
@@ -287,14 +276,13 @@ class TestSchedulerLevelEquivalence:
 
 
 class TestLegalColoringEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("quality", ["superlinear", "linear"])
-    def test_identical_colorings_and_metrics(self, grid_network, quality, engine):
+    def test_identical_colorings_and_metrics(self, grid_network, quality, array_engine):
         c = max(1, grid_network.max_degree)
         reference = color_vertices(
             grid_network, c=c, quality=quality, engine="reference"
         )
-        candidate = color_vertices(grid_network, c=c, quality=quality, engine=engine)
+        candidate = color_vertices(grid_network, c=c, quality=quality, engine=array_engine)
         assert candidate.colors == reference.colors
         assert candidate.palette == reference.palette
         assert [level.rounds for level in candidate.levels] == [
@@ -306,25 +294,23 @@ class TestLegalColoringEquivalence:
 
 
 class TestEdgeColoringEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("quality", ["superlinear", "linear"])
     @pytest.mark.parametrize("route", ["direct", "simulation"])
-    def test_identical_edge_colorings(self, quality, route, engine):
+    def test_identical_edge_colorings(self, quality, route, array_engine):
         for seed in (1, 5):
             network = graphs.random_regular(20, 4, seed=seed)
             reference = color_edges(
                 network, quality=quality, route=route, engine="reference"
             )
-            candidate = color_edges(network, quality=quality, route=route, engine=engine)
+            candidate = color_edges(network, quality=quality, route=route, engine=array_engine)
             assert candidate.edge_colors == reference.edge_colors
             assert candidate.palette == reference.palette
             assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
                 reference.metrics
             )
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("route", ["direct", "simulation"])
-    def test_identical_edge_colorings_with_recursion_levels(self, route, engine):
+    def test_identical_edge_colorings_with_recursion_levels(self, route, array_engine):
         # Delta(L) = 30 exceeds the superlinear threshold, so the direct
         # route actually runs Corollary 5.4 levels (the CSR edge kernel).
         network = graphs.random_regular(40, 16, seed=3)
@@ -332,7 +318,7 @@ class TestEdgeColoringEquivalence:
             network, quality="superlinear", route=route, engine="reference"
         )
         candidate = color_edges(
-            network, quality="superlinear", route=route, engine=engine
+            network, quality="superlinear", route=route, engine=array_engine
         )
         assert candidate.edge_colors == reference.edge_colors
         assert candidate.palette == reference.palette
@@ -342,43 +328,40 @@ class TestEdgeColoringEquivalence:
 
 
 class TestDefectiveColoringEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("p", [2, 3])
-    def test_identical_psi_colorings(self, p, engine):
+    def test_identical_psi_colorings(self, p, array_engine):
         for seed in (2, 9):
             line = line_graph_network(graphs.random_regular(18, 4, seed=seed))
             ref_colors, ref_info, ref_metrics = run_defective_color(
                 line, b=1, p=p, c=2, engine="reference"
             )
             colors, info, metrics = run_defective_color(
-                line, b=1, p=p, c=2, engine=engine
+                line, b=1, p=p, c=2, engine=array_engine
             )
             assert colors == ref_colors
             assert info == ref_info
             assert metrics_fingerprint(metrics) == metrics_fingerprint(ref_metrics)
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    def test_edge_mode(self, engine):
+    def test_edge_mode(self, array_engine):
         line = line_graph_network(graphs.random_regular(16, 6, seed=4))
         ref_colors, _, ref_metrics = run_defective_color(
             line, b=2, p=3, c=2, mode="edge", engine="reference"
         )
         colors, _, metrics = run_defective_color(
-            line, b=2, p=3, c=2, mode="edge", engine=engine
+            line, b=2, p=3, c=2, mode="edge", engine=array_engine
         )
         assert colors == ref_colors
         assert metrics_fingerprint(metrics) == metrics_fingerprint(ref_metrics)
 
 
 class TestTradeoffEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize(
         "g_label,g", [("sqrt", lambda d: d**0.5), ("linear", float)]
     )
-    def test_identical_tradeoff_colorings(self, g_label, g, engine):
+    def test_identical_tradeoff_colorings(self, g_label, g, array_engine):
         line = line_graph_network(graphs.random_regular(20, 6, seed=13))
         reference = tradeoff_color_vertices(line, c=2, g=g, engine="reference")
-        candidate = tradeoff_color_vertices(line, c=2, g=g, engine=engine)
+        candidate = tradeoff_color_vertices(line, c=2, g=g, engine=array_engine)
         assert candidate.colors == reference.colors
         assert candidate.palette == reference.palette
         assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
@@ -387,8 +370,7 @@ class TestTradeoffEquivalence:
 
 
 class TestRandomizedEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    def test_identical_randomized_colorings(self, engine):
+    def test_identical_randomized_colorings(self, array_engine):
         # Per-node randomness is keyed by (seed, unique id), so it must be
         # engine-independent.
         network = graphs.random_regular(32, 8, seed=21)
@@ -397,7 +379,7 @@ class TestRandomizedEquivalence:
                 network, c=8, seed=seed, engine="reference"
             )
             candidate = randomized_color_vertices(
-                network, c=8, seed=seed, engine=engine
+                network, c=8, seed=seed, engine=array_engine
             )
             assert candidate.colors == reference.colors
             assert candidate.class_assignment == reference.class_assignment
@@ -409,21 +391,19 @@ class TestRandomizedEquivalence:
 class TestBaselineEquivalence:
     """Baselines exercise the generic (non-broadcast) fallback path too."""
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    def test_panconesi_rizzi(self, engine):
+    def test_panconesi_rizzi(self, array_engine):
         network = graphs.random_regular(18, 4, seed=5)
         reference = panconesi_rizzi_edge_coloring(network, engine="reference")
-        candidate = panconesi_rizzi_edge_coloring(network, engine=engine)
+        candidate = panconesi_rizzi_edge_coloring(network, engine=array_engine)
         assert candidate.edge_colors == reference.edge_colors
         assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
             reference.metrics
         )
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    def test_luby_randomized(self, engine):
+    def test_luby_randomized(self, array_engine):
         network = graphs.random_regular(18, 4, seed=6)
         reference = luby_edge_coloring(network, seed=3, engine="reference")
-        candidate = luby_edge_coloring(network, seed=3, engine=engine)
+        candidate = luby_edge_coloring(network, seed=3, engine=array_engine)
         assert candidate.edge_colors == reference.edge_colors
         assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
             reference.metrics
@@ -431,7 +411,7 @@ class TestBaselineEquivalence:
 
 
 class TestVectorizedFallbackAccounting:
-    """The Legal-Color pipeline runs fully vectorized -- zero batched fallbacks.
+    """The Legal-Color pipeline runs fully vectorized -- zero reference fallbacks.
 
     The whole point of the columnar state store is that no phase of the
     Legal-Color pipeline family hands execution back to per-node Python; the
@@ -469,8 +449,6 @@ class TestVectorizedFallbackAccounting:
         assert result.metrics.fallback_phase_names == []
 
     def test_undeclared_phase_is_counted_and_logged(self, triangle):
-        from repro.local_model import BroadcastPhase, SILENT
-
         class OneShot(BroadcastPhase):
             name = "one-shot"
 
@@ -486,10 +464,30 @@ class TestVectorizedFallbackAccounting:
         assert scheduler.fallback_phase_names == ["one-shot"]
         assert result.metrics.fallback_phase_names == ["one-shot"]
 
+    def test_user_phase_mixed_into_vectorized_pipeline(self, small_regular, array_engine):
+        # A user-defined phase between two kernel phases runs on the reference
+        # scheduler; the pipeline as a whole still matches the reference.
+        pipeline, _ = delta_plus_one_pipeline(
+            n=small_regular.num_nodes,
+            degree_bound=small_regular.max_degree,
+            output_key="c",
+        )
+        first, *rest = pipeline.phases
+        mixed = PhasePipeline([first, MaxNeighborId(), *rest, RecordView()])
+        reference = Scheduler(small_regular).run(mixed)
+        scheduler = make_scheduler(small_regular, engine=array_engine)
+        candidate = scheduler.run(mixed)
+        assert candidate.states == reference.states
+        assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
+            reference.metrics
+        )
+        assert candidate.metrics.fallback_phase_names == ["max-neighbor-id", "record-view"]
+        assert scheduler.fallback_phase_names == ["max-neighbor-id", "record-view"]
+
     def test_edge_mode_runs_vectorized(self):
         # The Corollary 5.4 edge phase has a CSR kernel (over the line-graph
         # incidence encoding): edge-mode Defective-Color must execute with
-        # zero batched fallbacks and still match the reference bit for bit.
+        # zero reference fallbacks and still match the reference bit for bit.
         line = line_graph_network(graphs.random_regular(16, 6, seed=4))
         reference = run_defective_color(line, b=2, p=3, c=2, mode="edge", engine="reference")
         colors, _, metrics = run_defective_color(
@@ -517,85 +515,147 @@ class TestVectorizedFallbackAccounting:
         assert result.metrics.fallback_phase_names == []
 
 
+class MaxNeighborId(BroadcastPhase):
+    """A user-defined phase without ``vector_run``: the largest id seen."""
+
+    name = "max-neighbor-id"
+
+    def initialize(self, view, state):
+        state["seen"] = view.unique_id
+
+    def broadcast(self, view, state, round_index):
+        if round_index == 1:
+            return view.unique_id
+        return SILENT
+
+    def receive(self, view, state, inbox, round_index):
+        if inbox:
+            state["seen"] = max(state["seen"], *inbox.values())
+        return round_index >= 2
+
+    def max_rounds(self, n, max_degree):
+        return 4
+
+
+def _retired_name_entry_points():
+    """``name -> call(network, engine)`` for every public way to pick an engine."""
+    from repro import portfolio
+    from repro.dynamic import DynamicColoring
+    from repro.experiments import GraphSpec, Scenario
+    from repro.local_model import set_default_engine
+
+    def scenario(network, engine):
+        Scenario.make(
+            name="retired",
+            graph=GraphSpec("random_regular", n=8, degree=2, seed=1),
+            algorithm="legal_coloring",
+            engine=engine,
+        )
+
+    def scoped(network, engine):
+        with use_engine(engine):
+            pass
+
+    return {
+        "make_scheduler": lambda network, engine: make_scheduler(network, engine=engine),
+        "color_vertices": lambda network, engine: color_vertices(network, c=2, engine=engine),
+        "color_edges": lambda network, engine: color_edges(network, engine=engine),
+        "color_graph": lambda network, engine: portfolio.color_graph(network, engine=engine),
+        "dynamic_session": lambda network, engine: DynamicColoring(
+            fast_view(network), c=2, engine=engine
+        ),
+        "scenario": scenario,
+        "use_engine": scoped,
+        "set_default_engine": lambda network, engine: set_default_engine(engine),
+    }
+
+
+RETIRED_NAME_ENTRY_POINTS = _retired_name_entry_points()
+
+
 class TestEngineSelection:
+    def test_two_engines(self):
+        from repro.local_model import available_engines
+
+        assert available_engines() == ("reference", "vectorized")
+
+    @pytest.mark.parametrize("entry_point", sorted(RETIRED_NAME_ENTRY_POINTS))
+    @pytest.mark.parametrize("retired", ["batched", "compiled"])
+    def test_retired_engine_names_rejected(self, triangle, entry_point, retired):
+        with pytest.raises(InvalidParameterError, match=retired):
+            RETIRED_NAME_ENTRY_POINTS[entry_point](triangle, retired)
+
+    def test_retired_modules_are_private_aliases(self):
+        # Kept only so existing imports of the old module paths keep working;
+        # neither name is part of the package API.
+        import repro
+        import repro.local_model as local_model
+        from repro.local_model.batched import BatchedScheduler
+        from repro.local_model.compiled import CompiledScheduler
+
+        assert BatchedScheduler is VectorizedScheduler
+        assert CompiledScheduler is VectorizedScheduler
+        for module in (repro, local_model):
+            assert "BatchedScheduler" not in module.__all__
+            assert "CompiledScheduler" not in module.__all__
+
     def test_make_scheduler_types(self, triangle):
         for engine, engine_cls in ENGINE_CLASSES.items():
             assert isinstance(make_scheduler(triangle, engine=engine), engine_cls)
 
-    def test_default_engine_is_compiled_with_a_backend(self, triangle):
-        # The array engine is the default: compiled when a kernel backend
-        # resolves (the numpy ``vectorized`` engine otherwise).
+    @pytest.mark.parametrize("config", ARRAY_CONFIGS)
+    def test_default_engine_is_vectorized_with_kernels_on_or_off(self, triangle, config):
+        # Kernels are a switch inside the engine, not an engine of their own:
+        # the default is "vectorized" either way, and its scheduler reports
+        # the backend the kernels run on.
         from repro.local_model import default_engine
 
-        if kernels.get_backend() is None:
-            pytest.skip("no kernel backend resolves on this machine")
-        assert default_engine() == "compiled"
-        assert type(make_scheduler(triangle)) is CompiledScheduler
-
-    def test_default_engine_is_vectorized_without_a_backend(self, triangle):
-        from repro.local_model import default_engine
-
-        restore = kernels.force_backend(None, reason="test: no backend")
-        try:
+        with engine_config(config):
             assert default_engine() == "vectorized"
-            assert type(make_scheduler(triangle)) is VectorizedScheduler
-        finally:
-            restore()
+            scheduler = make_scheduler(triangle)
+            assert type(scheduler) is VectorizedScheduler
+            assert scheduler.kernel_backend_name == kernels.backend_name()
+        if config == "kernels-off":
+            assert scheduler.kernel_backend_name is None
 
-    def test_set_default_engine_overrides_the_rule(self, triangle, monkeypatch):
+    def test_set_default_engine_pins_the_default(self, triangle, monkeypatch):
         import repro.local_model.engine as engine_module
         from repro.local_model import default_engine, set_default_engine
 
-        # Registered first so teardown puts the rule back in force.
+        # Registered first so teardown unpins the default.
         monkeypatch.setattr(engine_module, "_pinned_default", None)
-        set_default_engine("batched")
-        assert default_engine() == "batched"
-        assert type(make_scheduler(triangle)) is BatchedScheduler
-        restore = kernels.force_backend(None, reason="test: no backend")
-        try:
-            assert default_engine() == "batched"
-        finally:
-            restore()
+        set_default_engine("reference")
+        assert default_engine() == "reference"
+        assert type(make_scheduler(triangle)) is Scheduler
 
     def test_use_engine_context_switches_default(self, triangle):
-        rule = type(make_scheduler(triangle))
-        with use_engine("batched"):
-            assert type(make_scheduler(triangle)) is BatchedScheduler
-        assert type(make_scheduler(triangle)) is rule
         with use_engine("reference"):
             assert type(make_scheduler(triangle)) is Scheduler
-        assert type(make_scheduler(triangle)) is rule
+        assert type(make_scheduler(triangle)) is VectorizedScheduler
+        with use_engine("vectorized"):
+            with use_engine("reference"):
+                assert type(make_scheduler(triangle)) is Scheduler
+            assert type(make_scheduler(triangle)) is VectorizedScheduler
 
-    def test_leaving_use_engine_returns_to_the_rule(self):
-        # The rule is re-read after the block, not frozen at entry: a backend
-        # that disappears while the block runs is reflected afterwards.
+    def test_leaving_use_engine_unpins(self):
         from repro.local_model import default_engine
 
-        restore = kernels.force_backend(None, reason="test: no backend")
-        try:
-            with use_engine("compiled"):
-                assert default_engine() == "compiled"
-            assert default_engine() == "vectorized"
-        finally:
-            restore()
+        with use_engine("reference"):
+            assert default_engine() == "reference"
+        assert default_engine() == "vectorized"
 
     def test_unknown_engine_rejected(self, triangle):
-        from repro.exceptions import InvalidParameterError
-
         with pytest.raises(InvalidParameterError):
             make_scheduler(triangle, engine="warp-drive")
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    def test_default_engine_drives_algorithms(self, small_regular, engine):
+    def test_default_engine_drives_algorithms(self, small_regular, array_engine):
         baseline = color_vertices(small_regular, c=4, engine="reference")
-        with use_engine(engine):
+        with use_engine(array_engine):
             switched = color_vertices(small_regular, c=4)
         assert switched.colors == baseline.colors
 
-    @pytest.mark.parametrize(
-        "engine_cls", [BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
-    def test_non_neighbor_message_rejected(self, triangle, engine_cls):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_non_neighbor_message_rejected(self, triangle, engine):
         from repro.exceptions import SimulationError
         from repro.local_model import SynchronousPhase
 
@@ -609,12 +669,10 @@ class TestEngineSelection:
                 return True
 
         with pytest.raises(SimulationError):
-            engine_cls(triangle).run(Misbehaving())
+            make_scheduler(triangle, engine=engine).run(Misbehaving())
 
-    @pytest.mark.parametrize(
-        "engine_cls", [BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
-    def test_round_limit_enforced(self, triangle, engine_cls):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_round_limit_enforced(self, triangle, engine):
         from repro.exceptions import RoundLimitExceeded
         from repro.local_model import SynchronousPhase
 
@@ -631,31 +689,10 @@ class TestEngineSelection:
                 return 5
 
         with pytest.raises(RoundLimitExceeded):
-            engine_cls(triangle).run(NeverHalting())
+            make_scheduler(triangle, engine=engine).run(NeverHalting())
 
     def test_vectorized_falls_back_for_undeclared_phases(self, small_regular):
-        """A custom phase without a kernel runs on the batched path, unchanged."""
-        from repro.local_model import BroadcastPhase, SILENT
-
-        class MaxNeighborId(BroadcastPhase):
-            name = "max-neighbor-id"
-
-            def initialize(self, view, state):
-                state["seen"] = view.unique_id
-
-            def broadcast(self, view, state, round_index):
-                if round_index == 1:
-                    return view.unique_id
-                return SILENT
-
-            def receive(self, view, state, inbox, round_index):
-                if inbox:
-                    state["seen"] = max(state["seen"], *inbox.values())
-                return round_index >= 2
-
-            def max_rounds(self, n, max_degree):
-                return 4
-
+        """A custom phase without a kernel runs on the reference path, unchanged."""
         reference = Scheduler(small_regular).run(MaxNeighborId())
         vectorized = VectorizedScheduler(small_regular).run(MaxNeighborId())
         assert vectorized.states == reference.states
@@ -664,54 +701,33 @@ class TestEngineSelection:
         )
 
 
-class TestCompiledEngineDispatch:
-    """Compiled-engine specifics: backend resolution and fallback accounting."""
+class TestKernelsResolution:
+    """Kernel specifics: backend resolution and kernels-off behaviour."""
 
-    def test_zero_compiled_fallbacks_with_backend(self, small_regular):
+    def test_zero_kernel_losses_with_backend(self, small_regular):
         if kernels.get_backend() is None:
             pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
-        scheduler = CompiledScheduler(small_regular)
+        scheduler = VectorizedScheduler(small_regular)
         assert scheduler.kernel_backend_name in ("numba", "cext")
-        result = color_vertices(small_regular, c=4, engine="compiled")
+        result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.fallback_phase_names == []
 
-    def test_backend_absent_counts_fallbacks_and_matches(
-        self, small_regular, no_kernel_backend
-    ):
-        scheduler = CompiledScheduler(small_regular)
-        assert scheduler.kernel_backend_name is None
-        baseline = color_vertices(small_regular, c=4, engine="vectorized")
-        result = color_vertices(small_regular, c=4, engine="compiled")
+    def test_kernels_off_match_kernels_on_and_record_no_loss(self, small_regular):
+        # Switching kernels off is not a loss: nothing is recorded.
+        with engine_config("kernels-on"):
+            baseline = color_vertices(small_regular, c=4, engine="vectorized")
+        with engine_config("kernels-off"):
+            assert VectorizedScheduler(small_regular).kernel_backend_name is None
+            result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.colors == baseline.colors
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
             baseline.metrics
         )
-        # Every kernel-eligible phase that executed is accounted for, once.
-        assert result.metrics.compiled_fallback_phase_names
+        assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.fallback_phase_names == []
 
-    def test_backend_absent_end_to_end_reference_identity(
-        self, grid_network, no_kernel_backend
-    ):
-        c = max(1, grid_network.max_degree)
-        reference = color_vertices(grid_network, c=c, engine="reference")
-        candidate = color_vertices(grid_network, c=c, engine="compiled")
-        assert candidate.colors == reference.colors
-        assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
-            reference.metrics
-        )
-
-    def test_backend_absent_luby_matches(self, no_kernel_backend):
-        network = graphs.random_regular(18, 4, seed=6)
-        reference = luby_edge_coloring(network, seed=3, engine="reference")
-        candidate = luby_edge_coloring(network, seed=3, engine="compiled")
-        assert candidate.edge_colors == reference.edge_colors
-        assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
-            reference.metrics
-        )
-
-    def test_unknown_backend_request_degrades_to_fallback(self, monkeypatch):
+    def test_unknown_backend_request_resolves_to_none(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "warp-drive")
         kernels.reset()
         try:
@@ -730,12 +746,352 @@ class TestCompiledEngineDispatch:
             kernels.set_num_threads(count)
 
 
+class FlakyBackend:
+    """A kernel backend that raises EngineFailure on its ``fail_at``-th call.
+
+    Every other call runs the pure-Python reference loop of
+    :mod:`repro.local_model.kernels._loops`, so the backend works on any
+    machine; ``calls`` counts every kernel call made, the failing one included.
+    """
+
+    name = "flaky"
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def max_threads(self):
+        return 1
+
+    def set_threads(self, count):
+        pass
+
+    def __getattr__(self, kernel):
+        loop = getattr(_loops, kernel)
+
+        def call(*args):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise EngineFailure(f"kernel {kernel!r} lost at call {self.calls}")
+            return loop(*args)
+
+        return call
+
+
+def _kernel_pipelines():
+    """Pipelines covering every registered kernel, with their networks and seeds.
+
+    Each makes at least three kernel calls, so a loss at call 3 hits a later
+    phase than a loss at call 1 (Linial's rounds come first).
+    """
+    from repro.baselines.luby_random import LubyRandomColoringPhase
+
+    cycles = graphs.random_regular(300, 2, seed=7)
+    n = cycles.num_nodes
+    line = line_graph_network(graphs.random_regular(200, 3, seed=4))
+    edge, _ = defective_color_pipeline(
+        n=line.num_nodes, b=1, p=2, Lambda=4, c=2, mode="edge", class_key="cls"
+    )
+    line_prefix, _ = delta_plus_one_pipeline(
+        n=line.num_nodes, degree_bound=line.max_degree, output_key="c"
+    )
+    return {
+        "linial-kw": (
+            cycles,
+            delta_plus_one_pipeline(n=n, degree_bound=2, output_key="c")[0],
+            None,
+        ),
+        "linial-iterative": (
+            cycles,
+            delta_plus_one_pipeline(
+                n=n, degree_bound=2, output_key="c", use_kuhn_wattenhofer=False
+            )[0],
+            None,
+        ),
+        "defective-step": (
+            cycles,
+            defective_coloring_pipeline(
+                n=n, degree_bound=2, target_defect=3, output_key="d"
+            )[0],
+            None,
+        ),
+        "edge-rank": (
+            line,
+            PhasePipeline([*line_prefix.phases, *edge.phases]),
+            {e: {"cls": line.unique_id(e) % 3} for e in line.nodes()},
+        ),
+        "luby": (
+            cycles,
+            PhasePipeline([LubyRandomColoringPhase(palette=3, seed=3)]),
+            None,
+        ),
+    }
+
+
+KERNEL_PIPELINES = _kernel_pipelines()
+
+
+class TestLostKernels:
+    """A backend lost mid-run: the phase re-runs on numpy, the run matches reference."""
+
+    @staticmethod
+    def _phase_of_call(network, pipeline, seeds, call):
+        """The name of the phase that makes kernel call number ``call``."""
+        counter = FlakyBackend()
+        restore = kernels.force_backend(counter, reason="counting kernel calls")
+        try:
+            scheduler = VectorizedScheduler(network)
+            table = StateTable.from_mapping(seeds or {}, scheduler._fast.order)
+            for phase in pipeline.phases:
+                table, _ = scheduler.run_table(phase, table)
+                if counter.calls >= call:
+                    return phase.name
+        finally:
+            restore()
+        raise AssertionError(f"the pipeline makes only {counter.calls} kernel calls")
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    @pytest.mark.parametrize("pipeline_name", sorted(KERNEL_PIPELINES))
+    def test_lost_kernel_recovers_per_phase(self, pipeline_name, fail_at):
+        network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
+        lost_phase = self._phase_of_call(network, pipeline, seeds, fail_at)
+        reference = Scheduler(network).run(pipeline, initial_states=seeds)
+
+        backend = FlakyBackend(fail_at)
+        restore = kernels.force_backend(backend, reason="flaky kernels")
+        try:
+            scheduler = VectorizedScheduler(network)
+            result = scheduler.run(pipeline, initial_states=seeds)
+        finally:
+            restore()
+
+        assert result.states == reference.states
+        assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
+            reference.metrics
+        )
+        assert result.metrics.compiled_fallback_phase_names == [lost_phase]
+        assert scheduler.compiled_fallback_phase_names == [lost_phase]
+        assert scheduler.compiled_fallback_phases == 1
+        assert result.metrics.fallback_phase_names == []
+        # The scheduler dropped the backend: no kernel call after the loss.
+        assert backend.calls == fail_at
+        assert scheduler.kernel_backend_name is None
+
+    def test_healthy_flaky_backend_records_nothing(self):
+        # The same backend that never fails runs every phase as a kernel.
+        network, pipeline, _ = KERNEL_PIPELINES["linial-kw"]
+        backend = FlakyBackend()
+        restore = kernels.force_backend(backend, reason="healthy kernels")
+        try:
+            result = VectorizedScheduler(network).run(pipeline)
+        finally:
+            restore()
+        assert backend.calls >= 3
+        assert result.metrics.compiled_fallback_phase_names == []
+
+    def test_algorithm_errors_are_not_recovered(self, triangle):
+        # Only EngineFailure counts as kernel loss; a palette violation
+        # raised by the kernel adapter still reaches the caller.
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
+
+        phase = KuhnWattenhoferReductionPhase(palette=4, target=3, input_key="c")
+        restore = kernels.force_backend(FlakyBackend(), reason="healthy kernels")
+        try:
+            with pytest.raises(InvalidParameterError):
+                VectorizedScheduler(triangle).run(
+                    phase, initial_states={node: {"c": 5} for node in triangle.nodes()}
+                )
+        finally:
+            restore()
+
+
+class LostFromBackend(FlakyBackend):
+    """A backend that works for ``fail_from - 1`` calls and then is gone for good."""
+
+    def __getattr__(self, kernel):
+        loop = getattr(_loops, kernel)
+
+        def call(*args):
+            self.calls += 1
+            if self.calls >= self.fail_at:
+                raise EngineFailure(f"kernel {kernel!r} gone since call {self.fail_at}")
+            return loop(*args)
+
+        return call
+
+
+def _whole_runs():
+    """``name -> run(engine)`` for every algorithm family with kernel phases."""
+    from repro.baselines import greedy_reduction_edge_coloring, luby_vertex_coloring
+
+    regular = graphs.random_regular(40, 6, seed=11)
+    line = line_graph_network(graphs.random_regular(20, 6, seed=13))
+    return {
+        "legal-superlinear": lambda e: color_vertices(
+            regular, c=6, quality="superlinear", engine=e
+        ).colors,
+        "legal-linear": lambda e: color_vertices(regular, c=6, quality="linear", engine=e).colors,
+        "edges-direct": lambda e: color_edges(
+            regular, quality="superlinear", route="direct", engine=e
+        ).edge_colors,
+        "edges-simulation": lambda e: color_edges(
+            regular, quality="linear", route="simulation", engine=e
+        ).edge_colors,
+        "defective-edge": lambda e: run_defective_color(
+            line, b=2, p=3, c=2, mode="edge", engine=e
+        )[0],
+        "tradeoff": lambda e: tradeoff_color_vertices(
+            line, c=2, g=lambda d: d**0.5, engine=e
+        ).colors,
+        "randomized": lambda e: randomized_color_vertices(regular, c=6, seed=4, engine=e).colors,
+        "luby-vertex": lambda e: luby_vertex_coloring(regular, seed=2, engine=e).colors,
+        "luby-edge": lambda e: luby_edge_coloring(regular, seed=2, engine=e).edge_colors,
+        "panconesi-rizzi": lambda e: panconesi_rizzi_edge_coloring(regular, engine=e).edge_colors,
+        "greedy-reduction": lambda e: greedy_reduction_edge_coloring(
+            regular, engine=e
+        ).edge_colors,
+    }
+
+
+WHOLE_RUNS = _whole_runs()
+
+
+class TestLostKernelsWholeRuns:
+    """A backend lost for good: every algorithm still returns the reference result.
+
+    Each scheduler of a run resolves the backend anew, so every scheduler
+    loses it at its first kernel call and re-runs that phase on numpy.
+    """
+
+    @staticmethod
+    def _kernel_calls(run):
+        counter = FlakyBackend()
+        restore = kernels.force_backend(counter, reason="counting kernel calls")
+        try:
+            run("vectorized")
+        finally:
+            restore()
+        return counter.calls
+
+    @pytest.mark.parametrize("lost_at", ["first", "last"])
+    @pytest.mark.parametrize("name", sorted(WHOLE_RUNS))
+    def test_result_matches_reference(self, name, lost_at):
+        # Lose the backend at the run's first kernel call, or only at its last.
+        run = WHOLE_RUNS[name]
+        calls = self._kernel_calls(run)
+        assert calls >= 1
+        fail_from = 1 if lost_at == "first" else calls
+        expected = run("reference")
+        backend = LostFromBackend(fail_from)
+        restore = kernels.force_backend(backend, reason="backend lost for good")
+        try:
+            actual = run("vectorized")
+        finally:
+            restore()
+        assert backend.calls >= fail_from  # the loss did happen
+        assert actual == expected
+
+    def test_loss_is_recorded_in_the_run_metrics(self, small_regular):
+        reference = color_vertices(small_regular, c=4, engine="reference")
+        restore = kernels.force_backend(LostFromBackend(1), reason="backend lost for good")
+        try:
+            result = color_vertices(small_regular, c=4, engine="vectorized")
+        finally:
+            restore()
+        assert result.colors == reference.colors
+        assert metrics_fingerprint(result.metrics) == metrics_fingerprint(reference.metrics)
+        assert result.metrics.compiled_fallback_phase_names
+        assert result.metrics.fallback_phase_names == []
+        assert result.metrics.degraded_engine_names == []
+
+
+class TestKernelsThreadCount:
+    """Thread counts are validated once, the same way for every provider."""
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "abc", None])
+    def test_set_num_threads_rejects(self, bad):
+        before = kernels.get_num_threads()
+        with pytest.raises(InvalidParameterError, match=repr(bad).replace(".", r"\.")):
+            kernels.set_num_threads(bad)
+        assert kernels.get_num_threads() == before
+
+    @pytest.mark.parametrize("bad", ["abc", "0", "-3", "2.5"])
+    def test_env_thread_count_rejected(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", bad)
+        kernels.reset()
+        try:
+            with pytest.raises(InvalidParameterError, match=repr(bad)):
+                kernels.get_backend()
+            # Still rejected on the next call: nothing half-resolved is cached.
+            with pytest.raises(InvalidParameterError):
+                kernels.backend_name()
+        finally:
+            monkeypatch.delenv("REPRO_KERNEL_THREADS")
+            kernels.reset()
+
+    def test_env_thread_count_applied(self, monkeypatch):
+        before = kernels.get_num_threads()
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
+        kernels.reset()
+        try:
+            if kernels.get_backend() is None:
+                pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
+            assert kernels.get_num_threads() == 1
+        finally:
+            monkeypatch.delenv("REPRO_KERNEL_THREADS")
+            kernels.reset()
+            kernels.set_num_threads(before)
+
+    @staticmethod
+    def _fork_and_color():
+        """Fork a child that colors a graph and reports its kernel thread count."""
+        import os
+
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            os.close(read)
+            color_vertices(graphs.random_regular(200, 4, seed=1), c=4, engine="vectorized")
+            os.write(write, str(kernels.get_num_threads()).encode())
+            os._exit(0)
+        os.close(write)
+        return pid, read
+
+    def test_forked_child_runs_one_thread(self):
+        import os
+        import signal
+        import time
+
+        if kernels.get_backend() is None:
+            pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
+        before = kernels.get_num_threads()
+        try:
+            kernels.set_num_threads(2)  # the parent must own a thread team
+        except ValueError:
+            pytest.skip("the backend cannot run two threads here")
+        try:
+            color_vertices(graphs.random_regular(200, 4, seed=1), c=4, engine="vectorized")
+            pid, read = self._fork_and_color()
+        finally:
+            kernels.set_num_threads(before)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in its first parallel region")
+            time.sleep(0.05)
+        with os.fdopen(read) as pipe:
+            assert pipe.read() == "1"
+
+
 class TestPhaseSecondsAccounting:
     """Satellite: every engine records wall-clock per phase in RunMetrics."""
 
-    @pytest.mark.parametrize("engine", ("reference",) + FAST_ENGINES)
-    def test_phase_seconds_cover_all_phases(self, small_regular, engine):
-        result = color_vertices(small_regular, c=4, engine=engine)
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_phase_seconds_cover_all_phases(self, small_regular, config):
+        with engine_config(config) as engine:
+            result = color_vertices(small_regular, c=4, engine=engine)
         seconds = result.metrics.phase_seconds
         assert seconds  # populated for every engine
         assert all(value >= 0.0 for value in seconds.values())

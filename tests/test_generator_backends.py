@@ -349,7 +349,7 @@ class TestNetworkFreeEntryPath:
         legacy = Network.from_edges(zip(u.tolist(), v.tolist()))
         assert_bit_identical(fast, legacy)
         fast_run = color_vertices(fast, c=2, quality="superlinear", engine="vectorized")
-        for engine in ("reference", "batched", "vectorized"):
+        for engine in ("reference", "vectorized"):
             legacy_run = color_vertices(
                 legacy, c=2, quality="superlinear", engine=engine
             )

@@ -1,8 +1,9 @@
 """Golden regression tests: seeded outputs are frozen under ``tests/data/``.
 
-Every fixture in :mod:`make_goldens` is executed on *all four* engines and
-compared -- full coloring, palette, round count, message count, bandwidth --
-against its committed golden file.  A mismatch means an (intentional or not)
+Every fixture in :mod:`make_goldens` is executed on the reference engine
+and on the vectorized engine with kernels on and off, and compared -- full
+coloring, palette, round count, message count, bandwidth -- against its
+committed golden file.  A mismatch means an (intentional or not)
 behavior change: if intentional, regenerate with
 ``PYTHONPATH=src python tests/make_goldens.py`` and review the diff.
 """
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from engine_configs import ENGINE_CONFIGS, engine_config
 from make_goldens import CHURN_SCHEDULE, FIXTURES, churn_session, compute_fixture, golden_path
 
 from repro.local_model import kernels
@@ -31,25 +33,24 @@ SUMMARY_FIELDS = (
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize(
-    "engine", ["reference", "batched", "vectorized", "compiled"]
-)
-def test_golden_coloring(name, engine):
+@pytest.mark.parametrize("config", ENGINE_CONFIGS)
+def test_golden_coloring(name, config):
     path = golden_path(name)
     assert path.exists(), (
         f"missing golden file {path}; generate with "
         "'PYTHONPATH=src python tests/make_goldens.py'"
     )
     golden = json.loads(path.read_text())
-    actual = compute_fixture(name, engine=engine)
+    with engine_config(config) as engine:
+        actual = compute_fixture(name, engine=engine)
 
     for field in SUMMARY_FIELDS:
         assert actual[field] == golden[field], (
-            f"{name} [{engine}]: {field} changed "
+            f"{name} [{config}]: {field} changed "
             f"({golden[field]} -> {actual[field]})"
         )
     assert actual["coloring"] == golden["coloring"], (
-        f"{name} [{engine}]: the coloring itself changed; if intentional, "
+        f"{name} [{config}]: the coloring itself changed; if intentional, "
         "regenerate the goldens and review the diff"
     )
     assert actual == golden
@@ -60,15 +61,15 @@ def test_goldens_cover_every_fixture():
         assert golden_path(name).exists()
 
 
-def test_unpinned_dynamic_session_matches_batched():
-    # ``engine=None`` takes the array-engine default; the churn golden must
-    # come out exactly as on the batched engine, with nothing falling back.
+def test_unpinned_dynamic_session_matches_reference():
+    # ``engine=None`` takes the vectorized default; the churn golden must
+    # come out exactly as on the reference engine, with nothing falling back.
     build, _ = FIXTURES["dynamic_churn_regular32x8"]
     default = churn_session(build(), engine=None, **CHURN_SCHEDULE)
-    batched = churn_session(build(), engine="batched", **CHURN_SCHEDULE)
-    assert (default.color_column == batched.color_column).all()
-    assert default.palette_bound == batched.palette_bound
-    assert default.metrics.summary() == batched.metrics.summary()
+    reference = churn_session(build(), engine="reference", **CHURN_SCHEDULE)
+    assert (default.color_column == reference.color_column).all()
+    assert default.palette_bound == reference.palette_bound
+    assert default.metrics.summary() == reference.metrics.summary()
     assert default.fallback_phase_names == []
     assert default.metrics.degraded_engine_names == []
     if kernels.get_backend() is not None:

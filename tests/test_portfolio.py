@@ -29,7 +29,7 @@ from repro.portfolio import (
 )
 from repro.portfolio.cost_model import DEFAULT_MODEL, quality_round_shape
 from repro.portfolio.facade import _line_csr_entries
-from repro.local_model import default_engine, use_engine
+from repro.local_model import default_engine, kernels, use_engine
 from repro.local_model.fast_network import fast_view
 from repro.verification import (
     assert_legal_edge_coloring,
@@ -127,9 +127,8 @@ class TestDecisionPins:
         assert decision.is_default()
         assert "process default" in decision.reasons["engine"]
         assert not any(key.startswith("engine") for key in decision.predicted)
-        if decision.engine == "compiled":
-            assert decision.kernel_backend is not None
-            assert decision.kernel_threads >= 1
+        assert decision.kernel_backend == kernels.backend_name()
+        assert decision.kernel_threads >= 1
         assert_legal_vertex_coloring(network, result.colors)
 
     def test_dense_instance_with_budget_degrades_quality(self):
@@ -142,7 +141,7 @@ class TestDecisionPins:
         assert "infeasible" in decision.reasons["quality"]
         assert_legal_edge_coloring(network, result.colors)
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "vectorized", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_engine_override_is_honoured_at_every_size(self, engine):
         for network in (
             graphs.random_regular(16, 4, seed=3, backend="fast"),
@@ -156,11 +155,11 @@ class TestDecisionPins:
 
     def test_is_default_follows_use_engine(self):
         network = graphs.random_regular(16, 4, seed=3, backend="fast")
-        with use_engine("vectorized"):
+        with use_engine("reference"):
             decision = color_graph(network, seed=1).decision
-            assert decision.engine == "vectorized"
+            assert decision.engine == "reference"
             assert decision.is_default()
-            pinned = color_graph(network, seed=1, engine="batched").decision
+            pinned = color_graph(network, seed=1, engine="vectorized").decision
             assert not pinned.is_default()
 
     def test_decisions_match_committed_benchmark_pins(self):
@@ -172,17 +171,16 @@ class TestDecisionPins:
         pins = record["decisions"]
         assert len(pins) >= 3
         assert "engine" not in record
-        recorded = "compiled" if record["calibration"]["kernel_backend"] else "vectorized"
-        assert {pin["engine"] for pin in pins} == {recorded}
+        assert {pin["engine"] for pin in pins} == {"vectorized"}
         by_instance = {pin["instance"]: pin for pin in pins}
         large = next(pin for name, pin in by_instance.items() if name.startswith("large-"))
         assert large["is_default"]
         dense = by_instance["dense-complete(n=48, Delta=47)"]
         assert dense["quality"] == "superlinear" and not dense["is_default"]
 
-    def test_backend_absent_degrades_to_vectorized(self, monkeypatch):
-        # With no resolvable kernel backend the default is the numpy engine,
-        # and the decision record says why.
+    def test_backend_absent_still_runs_vectorized(self, monkeypatch):
+        # With no resolvable kernel backend the default is still the
+        # vectorized engine (numpy only), and the decision record says why.
         from repro.local_model import kernels
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")

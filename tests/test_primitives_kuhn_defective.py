@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from engine_configs import ARRAY_CONFIGS, engine_config
+
 from repro import graphs
 from repro.exceptions import InvalidParameterError
 from repro.local_model import Scheduler
@@ -183,11 +185,14 @@ class TestDefectiveEdgeColoringKernel:
     """The Corollary 5.4 numpy kernel against the per-node callbacks."""
 
     def _compare(self, line, phase, initial_states=None):
-        from repro.local_model import BatchedScheduler, VectorizedScheduler
+        from repro.local_model import VectorizedScheduler
 
         reference = Scheduler(line).run(phase, initial_states=initial_states)
-        for engine_cls in (BatchedScheduler, VectorizedScheduler):
-            candidate = engine_cls(line).run(phase, initial_states=initial_states)
+        for config in ARRAY_CONFIGS:
+            with engine_config(config):
+                candidate = VectorizedScheduler(line).run(
+                    phase, initial_states=initial_states
+                )
             assert candidate.states == reference.states
             assert candidate.metrics.summary() == reference.metrics.summary()
         return reference

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from engine_configs import ARRAY_CONFIGS, engine_config
+
 from repro.core import color_edges, run_defective_color
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario
 from repro.graphs.line_graph import line_graph_network
@@ -23,8 +25,6 @@ from repro.graphs.properties import (
     neighborhood_independence,
 )
 from repro.local_model import (
-    BatchedScheduler,
-    CompiledScheduler,
     Network,
     Scheduler,
     VectorizedScheduler,
@@ -297,8 +297,9 @@ class TestFastLineGraphBuilder:
             n=line.num_nodes, b=1, p=2, Lambda=Lambda, c=2, mode="edge"
         )
         reference = Scheduler(line.to_network()).run(pipeline)
-        for engine_cls in (BatchedScheduler, VectorizedScheduler, CompiledScheduler):
-            candidate = engine_cls(line).run(pipeline)
+        for config in ARRAY_CONFIGS:
+            with engine_config(config):
+                candidate = VectorizedScheduler(line).run(pipeline)
             assert candidate.states == reference.states
             assert candidate.metrics.summary() == reference.metrics.summary()
 
@@ -428,13 +429,17 @@ def _metrics_fingerprint(metrics):
     )
 
 
-FAST_ENGINE_CLASSES = (BatchedScheduler, VectorizedScheduler, CompiledScheduler)
+def _array_runs(network, pipeline):
+    """``(config, result)`` of ``pipeline`` on the vectorized engine, kernels on and off."""
+    for config in ARRAY_CONFIGS:
+        with engine_config(config):
+            yield config, VectorizedScheduler(network).run(pipeline)
 
 
 class TestFastEngineProperties:
-    """The batched, vectorized and compiled engines are indistinguishable
-    from the reference scheduler on arbitrary random graphs -- states,
-    per-phase metrics, everything."""
+    """The vectorized engine, kernels on or off, is indistinguishable from
+    the reference scheduler on arbitrary random graphs -- states, per-phase
+    metrics, everything."""
 
     @SLOW
     @given(random_edge_lists(max_nodes=10))
@@ -445,9 +450,8 @@ class TestFastEngineProperties:
             n=network.num_nodes, degree_bound=max(1, network.max_degree), output_key="c"
         )
         reference = Scheduler(network).run(pipeline)
-        for engine_cls in FAST_ENGINE_CLASSES:
-            candidate = engine_cls(network).run(pipeline)
-            assert candidate.states == reference.states
+        for config, candidate in _array_runs(network, pipeline):
+            assert candidate.states == reference.states, config
             assert _metrics_fingerprint(candidate.metrics) == _metrics_fingerprint(
                 reference.metrics
             )
@@ -464,9 +468,8 @@ class TestFastEngineProperties:
             output_key="d",
         )
         reference = Scheduler(network).run(pipeline)
-        for engine_cls in FAST_ENGINE_CLASSES:
-            candidate = engine_cls(network).run(pipeline)
-            assert candidate.states == reference.states
+        for config, candidate in _array_runs(network, pipeline):
+            assert candidate.states == reference.states, config
             assert _metrics_fingerprint(candidate.metrics) == _metrics_fingerprint(
                 reference.metrics
             )
@@ -481,10 +484,11 @@ class TestFastEngineProperties:
         reference = color_edges(
             network, quality="superlinear", route="direct", engine="reference"
         )
-        for engine in ("batched", "vectorized", "compiled"):
-            candidate = color_edges(
-                network, quality="superlinear", route="direct", engine=engine
-            )
+        for config in ARRAY_CONFIGS:
+            with engine_config(config) as engine:
+                candidate = color_edges(
+                    network, quality="superlinear", route="direct", engine=engine
+                )
             assert candidate.edge_colors == reference.edge_colors
             assert _metrics_fingerprint(candidate.metrics) == _metrics_fingerprint(
                 reference.metrics
@@ -505,7 +509,7 @@ def runner_scenarios(draw) -> Scenario:
         n += 1
     seed = draw(st.integers(min_value=0, max_value=5))
     quality = draw(st.sampled_from(["superlinear", "linear"]))
-    engine = draw(st.sampled_from(["batched", "reference", "vectorized", "compiled"]))
+    engine = draw(st.sampled_from(["reference", "vectorized"]))
     return Scenario.make(
         name=f"prop-{degree}-{n}-{seed}-{quality}-{engine}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=seed),
@@ -544,7 +548,7 @@ class TestExperimentRunnerProperties:
         )
         assert renamed.cache_token() == scenario.cache_token()
         assert scenario.with_engine("reference").cache_token() != (
-            scenario.with_engine("batched").cache_token()
+            scenario.with_engine("vectorized").cache_token()
         )
 
     @SLOW
@@ -552,7 +556,7 @@ class TestExperimentRunnerProperties:
     def test_engines_agree_through_the_runner(self, scenario):
         runner = ExperimentRunner(cache_dir=None, max_workers=0)
         (reference,) = runner.run([scenario.with_engine("reference")])
-        (batched,) = runner.run([scenario.with_engine("batched")])
-        assert batched.coloring_digest == reference.coloring_digest
-        assert batched.rounds == reference.rounds
-        assert batched.messages == reference.messages
+        (vectorized,) = runner.run([scenario.with_engine("vectorized")])
+        assert vectorized.coloring_digest == reference.coloring_digest
+        assert vectorized.rounds == reference.rounds
+        assert vectorized.messages == reference.messages

@@ -44,7 +44,7 @@ from repro.resilience import (
 from repro.resilience.faults import _LostKernelBackend
 
 
-def scenario(tag: str, degree: int = 4, n: int = 32, engine: str = "batched") -> Scenario:
+def scenario(tag: str, degree: int = 4, n: int = 32, engine: str = "vectorized") -> Scenario:
     return Scenario.make(
         name=f"res-{tag}-d{degree}-n{n}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=7),
@@ -553,8 +553,8 @@ class TestCacheIntegrity:
 
 class TestEngineDegradation:
     def test_degrade_path_is_a_chain_suffix(self):
-        assert degrade_path("compiled") == DEGRADE_CHAIN
-        assert degrade_path("vectorized") == ("vectorized", "batched", "reference")
+        assert DEGRADE_CHAIN == ("vectorized", "reference")
+        assert degrade_path("vectorized") == DEGRADE_CHAIN
         assert degrade_path("reference") == ("reference",)
         assert degrade_path("custom") == ("custom",)
 
@@ -563,22 +563,22 @@ class TestEngineDegradation:
 
         def invoke(engine):
             calls.append(engine)
-            if engine in ("compiled", "vectorized"):
+            if engine == "vectorized":
                 raise EngineFailure(f"{engine} is broken")
             return f"ran on {engine}"
 
-        outcome = run_with_degradation(invoke, "compiled")
-        assert outcome.result == "ran on batched"
-        assert outcome.engine == "batched"
-        assert outcome.degraded_from == ("compiled", "vectorized")
-        assert calls == ["compiled", "vectorized", "batched"]
+        outcome = run_with_degradation(invoke, "vectorized")
+        assert outcome.result == "ran on reference"
+        assert outcome.engine == "reference"
+        assert outcome.degraded_from == ("vectorized",)
+        assert calls == ["vectorized", "reference"]
 
     def test_non_engine_failures_are_not_recoverable(self):
         def invoke(engine):
             raise ValueError("an algorithm bug, not infrastructure")
 
         with pytest.raises(ValueError):
-            run_with_degradation(invoke, "compiled")
+            run_with_degradation(invoke, "vectorized")
 
     def test_whole_chain_failing_raises_engine_failure(self):
         def invoke(engine):
@@ -588,9 +588,11 @@ class TestEngineDegradation:
             run_with_degradation(invoke, "vectorized")
         assert "reference" in str(excinfo.value)
 
-    def test_lost_backend_degrades_scenario_to_next_engine(self, tmp_path):
-        s = scenario("degrade", n=24, engine="compiled")
-        reference = fault_free([s.with_engine("vectorized")])
+    def test_lost_backend_recovers_inside_the_scenario(self, tmp_path):
+        # A lost kernel backend no longer degrades the scenario: the
+        # vectorized engine re-runs each affected phase on numpy.
+        s = scenario("degrade", n=24)
+        reference = fault_free([s.with_engine("reference")])
         plan = FaultPlan((FaultSpec(index=0, kind="lose_backend", attempts=1),))
         runner = ExperimentRunner(
             cache_dir=tmp_path, max_workers=0, retries=0, fault_plan=plan
@@ -598,14 +600,13 @@ class TestEngineDegradation:
         (result,) = runner.run([s])
         assert result.ok
         assert result.engine_used == "vectorized"
-        assert result.degraded_from == ("compiled",)
-        assert runner.last_stats.degraded == 1
-        # Bit-identical engines: the degraded payload matches a healthy
-        # vectorized run (the engine name is part of the scenario, not the
-        # payload).
+        assert result.degraded_from == ()
+        assert runner.last_stats.degraded == 0
+        # Bit-identical engines: the payload matches a healthy reference run
+        # (the engine name is part of the scenario, not the payload).
         assert stable(result.payload) == reference[0]
 
-    def test_portfolio_surfaces_degradation(self):
+    def test_portfolio_surfaces_kernel_loss(self):
         graph = GraphSpec("random_regular", n=24, degree=4, seed=3).build()
         from repro.portfolio import color_graph
 
@@ -613,15 +614,37 @@ class TestEngineDegradation:
             _LostKernelBackend(), reason="injected for test"
         )
         try:
-            result = color_graph(graph, c=2, engine="compiled")
+            result = color_graph(graph, c=2, engine="vectorized")
         finally:
             restore()
         assert result.decision.engine == "vectorized"
-        assert result.decision.degraded_from == ("compiled",)
-        assert "degraded" in result.decision.reasons["engine"]
-        assert "compiled" in result.metrics.degraded_engine_names
-        # The coloring is still a valid result (engines are bit-identical).
+        assert result.decision.degraded_from == ()
+        assert result.metrics.degraded_engine_names == []
+        lost = result.metrics.compiled_fallback_phase_names
+        assert lost
+        assert set(lost) <= {phase.name for phase in result.metrics.phases}
+        # The coloring is still the reference result (engines are bit-identical).
+        healthy = color_graph(graph, c=2, engine="reference")
+        assert result.colors == healthy.colors
+        assert result.metrics.summary() == healthy.metrics.summary()
+
+    def test_portfolio_surfaces_degradation(self, monkeypatch):
+        # An engine that fails as infrastructure degrades to the reference.
+        import repro.local_model.engine as engine_module
+
+        def broken(*args, **kwargs):
+            raise EngineFailure("vectorized engine unavailable")
+
+        graph = GraphSpec("random_regular", n=24, degree=4, seed=3).build()
+        from repro.portfolio import color_graph
+
         healthy = color_graph(graph, c=2, engine="vectorized")
+        monkeypatch.setitem(engine_module._ENGINES, "vectorized", broken)
+        result = color_graph(graph, c=2, engine="vectorized")
+        assert result.decision.engine == "reference"
+        assert result.decision.degraded_from == ("vectorized",)
+        assert "degraded" in result.decision.reasons["engine"]
+        assert "vectorized" in result.metrics.degraded_engine_names
         assert result.colors == healthy.colors
 
 

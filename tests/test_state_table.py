@@ -15,14 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from engine_configs import ENGINE_CONFIGS, engine_config
+
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
-    BatchedScheduler,
-    CompiledScheduler,
     Scheduler,
     StateTable,
     VectorizedScheduler,
     fast_view,
+    make_scheduler,
 )
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
@@ -205,23 +206,21 @@ class TestRunTable:
         )
         return pipeline
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
-    def test_matches_dict_run(self, small_regular, engine_cls):
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_matches_dict_run(self, small_regular, config):
         pipeline = self._pipeline(small_regular)
         reference = Scheduler(small_regular).run(pipeline)
 
         fast = fast_view(small_regular)
         table = StateTable(fast.num_nodes)
-        final, metrics = engine_cls(small_regular).run_table(pipeline, table)
+        with engine_config(config) as engine:
+            scheduler = make_scheduler(small_regular, engine=engine)
+            final, metrics = scheduler.run_table(pipeline, table)
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
-    def test_seeded_table_matches_seeded_run(self, small_regular, engine_cls):
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_seeded_table_matches_seeded_run(self, small_regular, config):
         fast = fast_view(small_regular)
         pipeline, _ = delta_plus_one_pipeline(
             n=fast.num_nodes,
@@ -234,17 +233,17 @@ class TestRunTable:
         reference = Scheduler(small_regular).run(pipeline, initial_states=seeds)
 
         table = StateTable.from_mapping(seeds, fast.order)
-        final, metrics = engine_cls(small_regular).run_table(pipeline, table)
+        with engine_config(config) as engine:
+            scheduler = make_scheduler(small_regular, engine=engine)
+            final, metrics = scheduler.run_table(pipeline, table)
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
-    def test_row_count_mismatch_rejected(self, small_regular, engine_cls):
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_row_count_mismatch_rejected(self, small_regular, config):
         pipeline = self._pipeline(small_regular)
-        with pytest.raises(SimulationError):
-            engine_cls(small_regular).run_table(pipeline, StateTable(3))
+        with engine_config(config) as engine, pytest.raises(SimulationError):
+            make_scheduler(small_regular, engine=engine).run_table(pipeline, StateTable(3))
 
     def test_vectorized_keeps_columns_native(self, small_regular):
         """A fully vectorized pipeline never materializes state dicts."""
@@ -259,12 +258,9 @@ class TestRunTable:
 
         network = Network({})
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
-        for engine_cls in (
-            Scheduler,
-            BatchedScheduler,
-            VectorizedScheduler,
-            CompiledScheduler,
-        ):
-            final, metrics = engine_cls(network).run_table(pipeline, StateTable(0))
+        for config in ENGINE_CONFIGS:
+            with engine_config(config) as engine:
+                scheduler = make_scheduler(network, engine=engine)
+                final, metrics = scheduler.run_table(pipeline, StateTable(0))
             assert final.to_dicts() == []
             assert metrics.rounds == 0
