@@ -47,12 +47,10 @@ def run_line_graph_delta_plus_one(
     metrics = apply_lemma_5_2_accounting(network, raw_metrics)
     if line_fast.num_nodes:
         column = table.get_ints(output_key)
-        edge_colors = dict(zip(line_fast.order, column.tolist()))
     else:
         column = np.zeros(0, dtype=np.int64)
-        edge_colors = {}
     return EdgeColoringResult(
-        edge_colors=edge_colors,
+        edge_colors=line_fast.column_mapping(column),
         palette=palette,
         metrics=metrics,
         route=route,

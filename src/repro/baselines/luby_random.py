@@ -234,7 +234,7 @@ def luby_vertex_coloring(
     phase = LubyRandomColoringPhase(palette=palette, seed=seed)
     column, metrics, fast = _run_phase(fast, phase, engine)
     return LegalColoringResult(
-        colors=dict(zip(fast.order, column.tolist())),
+        colors=fast.column_mapping(column),
         palette=palette,
         metrics=metrics,
         color_column=column,
@@ -259,7 +259,7 @@ def luby_vertex_coloring_dict(
         stacklevel=2,
     )
     result = luby_vertex_coloring(network, palette=palette, seed=seed, engine=engine)
-    return result.colors, result.metrics
+    return dict(result.colors), result.metrics
 
 
 def luby_edge_coloring(
@@ -281,7 +281,7 @@ def luby_edge_coloring(
     column, raw_metrics, line_fast = _run_phase(line_fast, phase, engine)
     metrics = apply_lemma_5_2_accounting(network, raw_metrics)
     return EdgeColoringResult(
-        edge_colors=dict(zip(line_fast.order, column.tolist())),
+        edge_colors=line_fast.column_mapping(column),
         palette=palette,
         metrics=metrics,
         route="baseline-luby",

@@ -35,7 +35,7 @@ from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView, PhasePipeline
 from repro.local_model.fast_network import NetworkLike
 from repro.local_model.engine import make_scheduler
-from repro.local_model.fast_network import fast_view
+from repro.local_model.fast_network import _lexsort_pairs, fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
@@ -181,17 +181,16 @@ class PsiSelectionPhase(BroadcastPhase):
         the exact message metrics.  The per-node scratch (``_psi_counts``,
         ``_psi_waiting``) is never built: every engine drops it at halt.
         """
-        fast = ctx.fast
-        n = fast.num_nodes
+        n = ctx.fast.num_nodes
         p = self.p
         phi = ctx.column(self.phi_key)
 
         depth = np.zeros(n, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
-        # One stable sort groups the phi-classes; each batch stays ascending.
-        values, sizes = np.unique(phi, return_counts=True)
-        batches = np.split(np.argsort(phi, kind="stable"), np.cumsum(sizes)[:-1])
-        for value, batch in zip(values, batches):
+        order, class_ptr = self.phi_classes(phi)
+        for start, end in zip(class_ptr[:-1].tolist(), class_ptr[1:].tolist()):
+            batch = order[start:end]
+            value = phi[batch[0]]
             local_rows, neighbors = ctx.gather_neighbors(batch)
             lower = phi[neighbors] < value
             sources = local_rows[lower]
@@ -203,8 +202,29 @@ class PsiSelectionPhase(BroadcastPhase):
                 sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
             ).reshape(batch.size, p)
             psi[batch] = np.argmin(batch_counts, axis=1) + 1
+        self.finish(ctx, depth, psi)
 
-        nnz = len(fast.indices)
+    @staticmethod
+    def phi_classes(phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The nodes by ascending ``phi`` and the bounds of its classes.
+
+        Returns ``(order, class_ptr)``: ``order`` is the stable argsort of
+        ``phi`` (one in-place key sort), and class ``k`` is
+        ``order[class_ptr[k]:class_ptr[k + 1]]``, ascending within the class.
+        """
+        n = len(phi)
+        if not n:
+            return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        order = _lexsort_pairs(phi, np.zeros(n, dtype=np.int64))
+        bounds = np.flatnonzero(np.diff(phi[order])) + 1
+        return order, np.r_[0, bounds, n].astype(np.int64)
+
+    def finish(self, ctx: VectorContext, depth: np.ndarray, psi: np.ndarray) -> None:
+        """Charge the phase's metrics and write its state from ``depth``/``psi``.
+
+        Shared by :meth:`vector_run` and the fused kernel's adapter.
+        """
+        nnz = len(ctx.fast.indices)
         ctx.charge(
             rounds=int(depth.max()) + 2,
             messages=2 * nnz,

@@ -27,7 +27,7 @@ the Corollary 5.4 kernel) executes with zero reference fallbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +67,9 @@ class EdgeColoringResult:
     edge_colors:
         Mapping from a canonical edge of ``G`` (a 2-tuple of endpoints) to its
         color.  Lookups in either endpoint order are supported through
-        :meth:`color_of`.
+        :meth:`color_of`.  On the Legal-Color routes it is the lazy mapping
+        of :attr:`LegalColoringResult.colors`: the edge tuples are interned
+        on first access only.
     palette:
         The palette bound guaranteed by the run.
     metrics:
@@ -83,7 +85,7 @@ class EdgeColoringResult:
         ``Delta(L(G))``, recorded for reporting.
     """
 
-    edge_colors: Dict[Tuple[Hashable, Hashable], int]
+    edge_colors: Mapping[Tuple[Hashable, Hashable], int]
     palette: int
     metrics: RunMetrics
     route: str
@@ -115,7 +117,9 @@ class EdgeColoringResult:
     @property
     def colors_used(self) -> int:
         """Number of distinct colors actually used."""
-        return len(set(self.edge_colors.values()))
+        if self.color_column is None:
+            return len(set(self.edge_colors.values()))
+        return int(np.unique(self.color_column).size)
 
 
 def _select_parameters(
@@ -193,7 +197,7 @@ def color_edges(
         metrics = _direct_metrics(params, vertex_result.metrics)
 
     return EdgeColoringResult(
-        edge_colors=dict(vertex_result.colors),
+        edge_colors=vertex_result.colors,
         palette=vertex_result.palette,
         metrics=metrics,
         route=route,

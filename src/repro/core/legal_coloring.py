@@ -38,7 +38,7 @@ on ``Delta``, not on ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Mapping, Optional
 
 import numpy as np
 
@@ -100,7 +100,10 @@ class LegalColoringResult:
     Attributes
     ----------
     colors:
-        The legal coloring, one color in ``{1, ..., palette}`` per node.
+        The legal coloring, one color in ``{1, ..., palette}`` per node: a
+        read-only mapping over ``color_column`` that interns the node
+        identifiers on first access (see
+        :class:`~repro.local_model.fast_network.ColumnMapping`).
     palette:
         The palette bound ``theta^{(0)}`` guaranteed by the run (the number of
         *distinct* colors actually used may be smaller).
@@ -120,7 +123,7 @@ class LegalColoringResult:
         merge palettes without a per-node pass.
     """
 
-    colors: Dict[Hashable, int]
+    colors: Mapping[Hashable, int]
     palette: int
     metrics: RunMetrics
     levels: List[LevelTrace] = field(default_factory=list)
@@ -136,7 +139,9 @@ class LegalColoringResult:
     @property
     def colors_used(self) -> int:
         """Number of distinct colors actually present in the coloring."""
-        return len(set(self.colors.values()))
+        if self.color_column is None:
+            return len(set(self.colors.values()))
+        return int(np.unique(self.color_column).size)
 
 
 def run_legal_coloring(
@@ -239,8 +244,12 @@ def run_legal_coloring(
 
     # ------------------------------------------------------------------ #
     # Recursion levels (executed iteratively; all subgraphs of a level run in
-    # parallel on the path-filtered CSR view of the network).
+    # parallel on the path-filtered CSR view of the network).  Paths only
+    # refine, so each level's view is filtered from the previous one (the
+    # same CSR as filtering the root), and while every path is still equal
+    # the view is the root itself.
     # ------------------------------------------------------------------ #
+    view = fast
     levels: List[LevelTrace] = []
     current_bound = degree_bound
     level = 0
@@ -248,7 +257,8 @@ def run_legal_coloring(
         if params.b * params.p > current_bound or params.p < 2:
             break  # Parameters no longer valid at this degree scale; bottom out.
 
-        filtered = fast.filtered_by_labels(table.path_ids("_path"))
+        if table.num_paths("_path") > 1:
+            view = view.filtered_by_labels(table.path_ids("_path"))
         psi_key = f"_psi_{level}"
         pipeline, info = defective_color_pipeline(
             n=fast.num_nodes,
@@ -262,7 +272,7 @@ def run_legal_coloring(
             class_key="_path",
             output_key=psi_key,
         )
-        table, level_metrics = make_scheduler(filtered, engine=engine).run_table(
+        table, level_metrics = make_scheduler(view, engine=engine).run_table(
             pipeline, table
         )
         metrics.merge(level_metrics)
@@ -277,7 +287,7 @@ def run_legal_coloring(
                 phi_palette=info.phi_palette,
                 next_degree_bound=next_bound,
                 num_subgraphs=table.num_paths("_path"),
-                max_subgraph_degree=filtered.max_degree,
+                max_subgraph_degree=view.max_degree,
                 rounds=level_metrics.rounds,
             )
         )
@@ -291,8 +301,9 @@ def run_legal_coloring(
     # ------------------------------------------------------------------ #
     # Bottom level: a legal (Lambda + 1)-coloring of every remaining subgraph.
     # ------------------------------------------------------------------ #
-    bottom_filtered = fast.filtered_by_labels(table.path_ids("_path"))
-    bottom_bound = max(current_bound, bottom_filtered.max_degree)
+    if table.num_paths("_path") > 1:
+        view = view.filtered_by_labels(table.path_ids("_path"))
+    bottom_bound = max(current_bound, view.max_degree)
     bottom_target = bottom_bound + 1
     bottom_pipeline, _ = delta_plus_one_pipeline(
         n=fast.num_nodes,
@@ -302,7 +313,7 @@ def run_legal_coloring(
         output_key="_bottom_color",
         target=bottom_target,
     )
-    table, bottom_metrics = make_scheduler(bottom_filtered, engine=engine).run_table(
+    table, bottom_metrics = make_scheduler(view, engine=engine).run_table(
         bottom_pipeline, table
     )
     metrics.merge(bottom_metrics)
@@ -320,10 +331,8 @@ def run_legal_coloring(
     color_column = table.get_ints("_bottom_color")
     for j in range(num_levels):
         color_column += (table.get_ints(f"_psi_{j}") - 1) * theta[j + 1]
-    colors: Dict[Hashable, int] = dict(zip(fast.order, color_column.tolist()))
-
     return LegalColoringResult(
-        colors=colors,
+        colors=fast.column_mapping(color_column),
         palette=palette,
         metrics=metrics,
         levels=levels,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class RandomizedColoringResult:
         Whether the random split was applied (``Delta`` large enough).
     """
 
-    colors: Dict[Hashable, int]
+    colors: Mapping[Hashable, int]
     palette: int
     metrics: RunMetrics
     num_classes: int
@@ -138,10 +138,9 @@ def randomized_color_vertices(
     per_class_palette = per_class.palette
     # Both columns follow fast.order, so the palette merge is array work.
     color_column = (labels - 1) * per_class_palette + per_class.color_column
-    colors = dict(zip(fast.order, color_column.tolist()))
     assignment: Dict[Hashable, int] = dict(zip(fast.order, labels.tolist()))
     return RandomizedColoringResult(
-        colors=colors,
+        colors=fast.column_mapping(color_column),
         palette=num_classes * per_class_palette,
         metrics=metrics,
         num_classes=num_classes,

@@ -12,7 +12,7 @@ whose running time depends only on the (much smaller) subgraph degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class TradeoffColoringResult:
         The palette used inside each class.
     """
 
-    colors: Dict[Hashable, int]
+    colors: Mapping[Hashable, int]
     palette: int
     metrics: RunMetrics
     split_palette: int
@@ -128,9 +128,8 @@ def tradeoff_color_vertices(
     # Both columns follow fast.order (class_network shares the parent view's
     # node order), so the Figure 3 palette merge is pure array arithmetic.
     color_column = (split_column - 1) * per_class_palette + per_class.color_column
-    colors = dict(zip(fast.order, color_column.tolist()))
     return TradeoffColoringResult(
-        colors=colors,
+        colors=fast.column_mapping(color_column),
         palette=split_palette * per_class_palette,
         metrics=metrics,
         split_palette=split_palette,

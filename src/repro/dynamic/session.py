@@ -318,14 +318,7 @@ class DynamicColoring:
         )
         self.metrics.merge(result.metrics)
         self._fallbacks.extend(result.metrics.fallback_phase_names)
-        column = result.color_column
-        if column is None:  # pragma: no cover - every driver emits a column
-            column = np.fromiter(
-                (result.colors[node] for node in fast.order),
-                dtype=np.int64,
-                count=fast.num_nodes,
-            )
-        return np.ascontiguousarray(column, dtype=np.int64), result.palette
+        return np.ascontiguousarray(result.color_column, dtype=np.int64), result.palette
 
     def _repair(
         self, conflict_u: np.ndarray, conflict_v: np.ndarray

@@ -35,7 +35,7 @@ further capabilities sit on top of them:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +67,68 @@ def _lexsort_pairs(major, minor) -> np.ndarray:
     key += np.arange(size, dtype=np.int64)
     key.sort()
     return key % size
+
+
+class _RangeIdentifiers:
+    """The order provider of array-built views without explicit identifiers.
+
+    The identifiers are the dense range ``0..n-1``; the provider's type is
+    what :attr:`FastNetwork.has_range_ids` checks, so nothing is interned to
+    tell.
+    """
+
+    __slots__ = ("num_nodes",)
+
+    def __init__(self, num_nodes: int) -> None:
+        self.num_nodes = num_nodes
+
+    def __call__(self) -> range:
+        return range(self.num_nodes)
+
+
+class ColumnMapping(Mapping):
+    """A read-only ``identifier -> value`` mapping over a dense column.
+
+    It keeps the column and the identifier source of a view (its interned
+    ``order``, or the provider that interns it), never the view: a result
+    holding it does not pin the view's CSR arrays.  The identifiers are
+    interned, and the dict built, on first access; ``len`` needs neither.
+    It compares equal to the eager dict, iterates in dense order, and
+    pickles (and copies) as that plain dict.
+    """
+
+    __slots__ = ("_column", "_identifiers", "_dict")
+
+    def __init__(
+        self, column: np.ndarray, identifiers: Union[Tuple, Callable[[], object]]
+    ) -> None:
+        self._column = column
+        self._identifiers = identifiers
+        self._dict: Optional[dict] = None
+
+    def _mapping(self) -> dict:
+        if self._dict is None:
+            identifiers = self._identifiers
+            if callable(identifiers):
+                identifiers = identifiers()
+            self._dict = dict(zip(identifiers, self._column.tolist()))
+            self._identifiers = None
+        return self._dict
+
+    def __getitem__(self, key: Hashable) -> int:
+        return self._mapping()[key]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __repr__(self) -> str:
+        return repr(self._mapping())
+
+    def __reduce__(self):
+        return (dict, (self._mapping(),))
 
 
 class FastNetwork:
@@ -321,8 +383,7 @@ class FastNetwork:
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
-            # Capture the count, not `built`: a cycle waits for the cyclic GC.
-            built._order_provider = lambda: range(num_nodes)
+            built._order_provider = _RangeIdentifiers(built.num_nodes)
         elif callable(order):
             built._order = None
             built._order_provider = order
@@ -359,6 +420,21 @@ class FastNetwork:
         if self._order is None:
             self._order = tuple(self._order_provider())
         return self._order
+
+    @property
+    def has_range_ids(self) -> bool:
+        """Whether the node identifiers are the default range ``0..n-1``."""
+        return isinstance(self._order_provider, _RangeIdentifiers)
+
+    def column_mapping(self, column: np.ndarray) -> ColumnMapping:
+        """``column`` (dense node order) keyed by node identifier, lazily.
+
+        The mapping keeps this view's identifier source, not the view (see
+        :class:`ColumnMapping`).
+        """
+        if self._order is not None:
+            return ColumnMapping(column, self._order)
+        return ColumnMapping(column, self._order_provider)
 
     @property
     def index_of(self) -> Dict[Hashable, int]:

@@ -3,8 +3,9 @@
 This package is the vectorized engine's kernel-dispatch layer: for the
 hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
-and the Luby round) it provides fused single-pass CSR kernels with two
-interchangeable providers --
+Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
+it provides fused single-pass CSR kernels with two interchangeable
+providers --
 
 * **numba** (``_numba_backend``): ``@njit(parallel=True, cache=True)`` over
   the reference loops in ``_loops.py``; preferred when numba imports.
@@ -130,6 +131,18 @@ def _probe(backend) -> bool:
             np.array_equal(expected_u, actual_u)
             and np.array_equal(expected_v, actual_v)
         )
+
+    # psi-selection over phi-classes with ties between neighbors (1 and 2).
+    phi = np.array([3, 1, 1, 2, 5, 2, 4], dtype=np.int64)
+    order = np.argsort(phi, kind="stable").astype(np.int64)
+    class_ptr = np.array([0, 2, 4, 5, 6, 7], dtype=np.int64)
+    picks = []
+    for provider in (_loops, backend):
+        depth = np.zeros(n, dtype=np.int64)
+        psi = np.zeros(n, dtype=np.int64)
+        status = provider.psi_select(indptr, indices, phi, order, class_ptr, 2, depth, psi)
+        picks.append((status, depth.tolist(), psi.tolist()))
+    checks.append(picks[0] == picks[1])
 
     palette = 4
     taken = np.zeros((n, palette), dtype=np.uint8)

@@ -139,6 +139,7 @@ class CExtensionBackend:
             handle = getattr(library, symbol)
             handle.restype = None
             handle.argtypes = argtypes
+        library.psi_select.restype = _I64  # the one kernel returning a status
 
     def max_threads(self) -> int:
         return int(self._lib.repro_max_threads())
@@ -179,6 +180,13 @@ class CExtensionBackend:
             len(indptr) - 1, _as_i64(rank_u), _as_i64(rank_v),
         )
 
+    def psi_select(self, indptr, indices, phi, order, class_ptr, p, depth, psi):
+        return self._lib.psi_select(
+            _as_i64(indptr), _as_i64(indices), _as_i64(order),
+            _as_i64(class_ptr), len(class_ptr) - 1, p, _as_i64(depth),
+            _as_i64(psi),
+        )
+
     def luby_free_counts(self, undecided, taken, palette, free_counts):
         self._lib.luby_free_counts(
             _as_i64(undecided), len(undecided), _as_u8(taken), palette,
@@ -212,6 +220,7 @@ _SIGNATURES = {
     "iter_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR),
     "kw_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
     "edge_rank": (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
+    "psi_select": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "luby_free_counts": (_PTR, _I64, _PTR, _I64, _PTR),
     "luby_candidates": (_PTR, _I64, _PTR, _PTR, _I64, _PTR),
     "luby_absorb": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64),

@@ -43,6 +43,7 @@ KERNEL_NAMES = (
     "iter_reduce",
     "kw_reduce",
     "edge_rank",
+    "psi_select",
     "luby_free_counts",
     "luby_candidates",
     "luby_absorb",
@@ -278,6 +279,38 @@ def edge_rank(
                 count_v += 1
         rank_u[x] = count_u
         rank_v[x] = count_v
+
+
+def psi_select(indptr, indices, phi, order, class_ptr, p, depth, psi):
+    """Algorithm 1's psi-selection as one sweep over the phi-classes.
+
+    ``order`` lists the nodes by ascending ``phi``; class ``k`` is
+    ``order[class_ptr[k]:class_ptr[k + 1]]``.  Every node of a class counts
+    the psi-colors of its neighbors with a smaller ``phi``, takes the first
+    least-used color in ``1..p`` and the depth ``1 + max`` of theirs (0
+    without such neighbors).  A node writes only its own ``depth``/``psi``
+    and reads only lower classes, which are final: the per-class node loop
+    is race-free (Lemma 3.2).  Returns the status ``0``.
+    """
+    for k in range(class_ptr.shape[0] - 1):
+        for i in prange(class_ptr[k], class_ptr[k + 1]):
+            v = order[i]
+            own = phi[v]
+            counts = np.zeros(p, dtype=np.int64)
+            level = np.int64(0)
+            for e in range(indptr[v], indptr[v + 1]):
+                u = indices[e]
+                if phi[u] < own:
+                    counts[psi[u] - 1] += 1
+                    if depth[u] + 1 > level:
+                        level = depth[u] + 1
+            best = np.int64(0)
+            for c in range(1, p):
+                if counts[c] < counts[best]:
+                    best = c
+            depth[v] = level
+            psi[v] = best + 1
+    return 0
 
 
 def luby_free_counts(undecided, taken, palette, free_counts):

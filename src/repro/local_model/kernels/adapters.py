@@ -183,6 +183,34 @@ def run_defective_edge(phase, ctx: VectorContext, backend) -> None:
     ctx.write_column(phase.output_key, (label_u - 1) * phase.p_prime + label_v)
 
 
+def run_psi_selection(phase, ctx: VectorContext, backend) -> None:
+    """Compiled :class:`~repro.core.defective_coloring.PsiSelectionPhase`.
+
+    The kernel sweeps the phi-classes in the order ``phase.phi_classes``
+    lists them.
+    """
+    fast = ctx.fast
+    n = fast.num_nodes
+    phi = np.ascontiguousarray(ctx.column(phase.phi_key), dtype=np.int64)
+    order, class_ptr = phase.phi_classes(phi)
+    depth = np.zeros(n, dtype=np.int64)
+    psi = np.zeros(n, dtype=np.int64)
+    status = backend.psi_select(
+        fast.indptr_np,
+        fast.indices_np,
+        phi,
+        order,
+        class_ptr,
+        phase.p,
+        depth,
+        psi,
+    )
+    if status == 2:  # kernel scratch allocation failed; nothing written
+        phase.vector_run(ctx)
+        return
+    phase.finish(ctx, depth, psi)
+
+
 def run_luby(phase, ctx: VectorContext, backend) -> None:
     """Compiled :class:`~repro.baselines.luby_random.LubyRandomColoringPhase`.
 
@@ -252,6 +280,7 @@ _ADAPTERS: Dict[str, Callable] = {
     "repro.primitives.color_reduction.IterativeColorReductionPhase": run_iterative_reduction,
     "repro.primitives.color_reduction.KuhnWattenhoferReductionPhase": run_kw_reduction,
     "repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase": run_defective_edge,
+    "repro.core.defective_coloring.PsiSelectionPhase": run_psi_selection,
     "repro.baselines.luby_random.LubyRandomColoringPhase": run_luby,
 }
 

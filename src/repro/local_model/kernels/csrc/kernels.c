@@ -2,7 +2,8 @@
  *
  * Line-by-line transcription of the reference loops in `_loops.py`
  * (which is the semantic source of truth -- see its docstring for the
- * conventions and the per-kernel race arguments).  Built on demand by
+ * conventions and the per-kernel race arguments); `psi_select` alone
+ * changes the data layout, as its comment explains.  Built on demand by
  * `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC` and loaded via
  * ctypes; every entry point uses only int64/uint8 pointers and int64
  * scalars so the ABI stays trivial.
@@ -347,6 +348,99 @@ void edge_rank(const i64 *indptr, const i64 *indices, const i64 *edge_u,
         rank_u[x] = count_u;
         rank_v[x] = count_v;
     }
+}
+
+/* Per-node psi counters live on the stack up to this many colors. */
+#define PSI_STACK_COLORS 256
+
+/* A selected node's psi color and depth, side by side: a lower neighbor's
+ * pair is one load. */
+typedef struct {
+    int32_t psi, depth;
+} psi_pick;
+
+/* Algorithm 1's psi-selection, one sweep over the phi-classes (`phi`
+ * itself is not passed: the classes carry all it decides).  One
+ * parallel region spans the sweep; each class is a worksharing loop whose
+ * closing barrier publishes its picks before the next class reads them.
+ * A node writes only its own pick and reads only lower classes, so each
+ * class loop is race-free.
+ *
+ * Layout: "phi(u) < phi(v)" is "class(u) < class(v)", so the sweep reads
+ * a compact int32 class column and int32 picks (class, psi and depth are
+ * all below n, and p is at most n), and prefetches the rows of the nodes
+ * a few steps ahead.  Returns 0, or 2 when the scratch cannot be allocated
+ * or n does not fit int32; `depth`/`psi` are then untouched. */
+i64 psi_select(const i64 *indptr, const i64 *indices, const i64 *order,
+               const i64 *class_ptr, i64 num_classes, i64 p, i64 *depth,
+               i64 *psi)
+{
+    i64 n = class_ptr[num_classes];
+    if (n >= INT32_MAX || p >= INT32_MAX)
+        return 2;
+    int32_t *cls = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    psi_pick *picks = (psi_pick *)malloc((size_t)(n + 1) * sizeof(psi_pick));
+    i64 *heap = NULL;
+    if (p > PSI_STACK_COLORS)
+        heap = (i64 *)malloc((size_t)repro_max_threads() * (size_t)(p + 1) * sizeof(i64));
+    if (cls == NULL || picks == NULL || (p > PSI_STACK_COLORS && heap == NULL)) {
+        free(cls);
+        free(picks);
+        free(heap);
+        return 2;
+    }
+    for (i64 k = 0; k < num_classes; k++)
+        for (i64 i = class_ptr[k]; i < class_ptr[k + 1]; i++)
+            cls[order[i]] = (int32_t)k;
+#pragma omp parallel
+    {
+        i64 stack_counts[PSI_STACK_COLORS + 1];
+        i64 *counts = stack_counts;
+#ifdef _OPENMP
+        if (heap != NULL)
+            counts = heap + (i64)omp_get_thread_num() * (p + 1);
+#else
+        if (heap != NULL)
+            counts = heap;
+#endif
+        for (i64 k = 0; k < num_classes; k++) {
+            i64 end = class_ptr[k + 1];
+#pragma omp for schedule(static)
+            for (i64 i = class_ptr[k]; i < end; i++) {
+                if (i + 16 < end)
+                    __builtin_prefetch(indptr + order[i + 16]);
+                if (i + 8 < end)
+                    __builtin_prefetch(indices + indptr[order[i + 8]]);
+                i64 v = order[i];
+                i64 level = 0;
+                memset(counts, 0, (size_t)(p + 1) * sizeof(i64));
+                for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
+                    i64 u = indices[e];
+                    if (cls[u] < k) {
+                        psi_pick pick = picks[u];
+                        counts[pick.psi]++;
+                        if (pick.depth + 1 > level)
+                            level = pick.depth + 1;
+                    }
+                }
+                i64 best = 1;
+                for (i64 c = 2; c <= p; c++)
+                    if (counts[c] < counts[best])
+                        best = c;
+                picks[v].psi = (int32_t)best;
+                picks[v].depth = (int32_t)level;
+            }
+        }
+#pragma omp for schedule(static)
+        for (i64 v = 0; v < n; v++) {
+            psi[v] = picks[v].psi;
+            depth[v] = picks[v].depth;
+        }
+    }
+    free(cls);
+    free(picks);
+    free(heap);
+    return 0;
 }
 
 void luby_free_counts(const i64 *undecided, i64 m, const u8 *taken,

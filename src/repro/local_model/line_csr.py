@@ -188,8 +188,12 @@ def build_line_graph_fast(network) -> FastNetwork:
     np.cumsum(line_degrees, out=line_indptr[1:])
 
     # The Corollary 5.4 ranking key: node_sort_key order over the edge
-    # tuples is lexicographic over the endpoints' node_sort_key ranks.
-    node_ranks = _node_sort_ranks(g.order)
+    # tuples is lexicographic over the endpoints' node_sort_key ranks.  The
+    # default identifiers 0..n-1 are their own ranks; others take the sort.
+    if g.has_range_ids:
+        node_ranks = np.arange(n, dtype=np.int64)
+    else:
+        node_ranks = _node_sort_ranks(g.order)
     sort_rank = node_ranks[edge_u] * (n + 1) + node_ranks[edge_v]
 
     line = FastNetwork(None)

@@ -412,7 +412,8 @@ class StateTable:
             raise TypeError(f"state key {key!r} is not a path column")
         if self.num_rows == 0:
             return 0
-        return int(np.unique(column.ids).size)
+        # Ids index the interned table, so one bincount finds the used ones.
+        return int(np.count_nonzero(np.bincount(column.ids)))
 
     def append_to_paths(self, key: str, elements: np.ndarray) -> None:
         """``state[key] = state[key] + (element,)`` on every row, vectorized.

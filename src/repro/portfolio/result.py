@@ -10,7 +10,7 @@ call would use, with the engine read from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Hashable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class PortfolioResult:
     to it, so the portfolio result is a drop-in for either.
     """
 
-    colors: Dict[Hashable, int]
+    colors: Mapping[Hashable, int]
     palette: int
     metrics: RunMetrics
     decision: PortfolioDecision
@@ -92,10 +92,12 @@ class PortfolioResult:
 
     @property
     def colors_used(self) -> int:
-        return len(set(self.colors.values()))
+        if self.color_column is None:
+            return len(set(self.colors.values()))
+        return int(np.unique(self.color_column).size)
 
     @property
-    def edge_colors(self) -> Dict[Hashable, int]:
+    def edge_colors(self) -> Mapping[Hashable, int]:
         """Alias of ``colors`` for edge-coloring consumers."""
         return self.colors
 

@@ -749,16 +749,20 @@ class TestKernelsResolution:
 class FlakyBackend:
     """A kernel backend that raises EngineFailure on its ``fail_at``-th call.
 
+    With ``fail_on`` set it fails instead at the first call of that kernel.
     Every other call runs the pure-Python reference loop of
     :mod:`repro.local_model.kernels._loops`, so the backend works on any
-    machine; ``calls`` counts every kernel call made, the failing one included.
+    machine; ``calls`` counts every kernel call made, the failing one
+    included, and ``kernels`` lists their names in order.
     """
 
     name = "flaky"
 
-    def __init__(self, fail_at=None):
+    def __init__(self, fail_at=None, fail_on=None):
         self.fail_at = fail_at
+        self.fail_on = fail_on
         self.calls = 0
+        self.kernels = []
 
     def max_threads(self):
         return 1
@@ -771,7 +775,8 @@ class FlakyBackend:
 
         def call(*args):
             self.calls += 1
-            if self.calls == self.fail_at:
+            self.kernels.append(kernel)
+            if self.calls == self.fail_at or kernel == self.fail_on:
                 raise EngineFailure(f"kernel {kernel!r} lost at call {self.calls}")
             return loop(*args)
 
@@ -876,6 +881,36 @@ class TestLostKernels:
         # The scheduler dropped the backend: no kernel call after the loss.
         assert backend.calls == fail_at
         assert scheduler.kernel_backend_name is None
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_lost_psi_kernel_recovers(self, mode):
+        # The backend is lost exactly at the psi-selection kernel: that phase
+        # re-runs on numpy, is listed once, and the run matches reference.
+        network, pipeline, seeds = KERNEL_PIPELINES["edge-rank"]
+        if mode == "vertex":
+            pipeline, _ = defective_color_pipeline(
+                n=network.num_nodes, b=1, p=2, Lambda=network.max_degree, c=2
+            )
+            seeds = None
+        psi_phase = pipeline.phases[-1]
+        assert psi_phase.name.startswith("psi-selection")
+        reference = Scheduler(network).run(pipeline, initial_states=seeds)
+
+        backend = FlakyBackend(fail_on="psi_select")
+        restore = kernels.force_backend(backend, reason="psi kernel lost")
+        try:
+            scheduler = VectorizedScheduler(network)
+            result = scheduler.run(pipeline, initial_states=seeds)
+        finally:
+            restore()
+
+        assert result.states == reference.states
+        assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
+            reference.metrics
+        )
+        assert result.metrics.compiled_fallback_phase_names == [psi_phase.name]
+        assert backend.kernels.count("psi_select") == 1
+        assert backend.kernels[-1] == "psi_select"
 
     def test_healthy_flaky_backend_records_nothing(self):
         # The same backend that never fails runs every phase as a kernel.

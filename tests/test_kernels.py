@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.defective_coloring import PsiSelectionPhase
 from repro.local_model.kernels import _c_backend, _loops, _numba_backend
 from repro.local_model import kernels
 
@@ -231,6 +232,103 @@ class TestEdgeRankKernel:
         assert np.array_equal(expected_v, actual_v)
 
 
+def run_psi(provider, indptr, indices, phi, p):
+    """``provider.psi_select`` on the classes the adapter would pass."""
+    n = len(indptr) - 1
+    order, class_ptr = PsiSelectionPhase.phi_classes(phi)
+    depth = np.full(n, -7, dtype=np.int64)
+    psi = np.full(n, -7, dtype=np.int64)
+    status = provider.psi_select(indptr, indices, phi, order, class_ptr, p, depth, psi)
+    return status, depth, psi
+
+
+#: phi generators: random classes, neighbours that share their phi, one
+#: class for every node, and a strictly increasing chain.
+PSI_PHIS = {
+    "random": lambda n, rng: rng.integers(1, 6, size=n),
+    "equal_neighbors": lambda n, rng: np.arange(n) // 2 + 1,
+    "single_class": lambda n, rng: np.full(n, 4),
+    "chain": lambda n, rng: np.arange(n) + 1,
+}
+
+
+class TestPsiSelectKernel:
+    @pytest.mark.parametrize("p", [1, 2, 3, 300])
+    @pytest.mark.parametrize("phis", sorted(PSI_PHIS))
+    def test_psi_select(self, backend, instance, phis, p):
+        # p=300 is past the C provider's stack counters (heap scratch).
+        indptr, indices, _ = instance
+        n = len(indptr) - 1
+        phi = PSI_PHIS[phis](n, np.random.default_rng(n + p)).astype(np.int64)
+        status, depth, psi = run_psi(backend, indptr, indices, phi, p)
+        expected = run_psi(_loops, indptr, indices, phi, p)
+        assert status == expected[0] == 0
+        assert np.array_equal(depth, expected[1])
+        assert np.array_equal(psi, expected[2])
+        assert ((psi >= 1) & (psi <= p)).all()
+
+    def test_psi_select_spreads_over_many_colors(self, backend):
+        # A star whose hub is last: it sees every leaf's psi, so with p past
+        # the stack counters it must still pick the least-used color.
+        leaves = 400
+        indptr, indices = csr_from_edges(leaves + 1, [(leaves, v) for v in range(leaves)])
+        phi = np.r_[np.arange(1, leaves + 1), leaves + 1].astype(np.int64)
+        # Leaves are independent, so each takes color 1; give the hub p=300.
+        status, depth, psi = run_psi(backend, indptr, indices, phi, 300)
+        assert status == 0
+        assert psi[leaves] == 2 and depth[leaves] == 1
+        expected = run_psi(_loops, indptr, indices, phi, 300)
+        assert np.array_equal(psi, expected[2])
+        assert np.array_equal(depth, expected[1])
+
+    @pytest.mark.parametrize("status", [0, 2])
+    def test_psi_phase_matches_numpy(self, backend, status):
+        # Through the engine: the kernel path (status 0) and the scratch
+        # failure path (status 2, which re-runs vector_run) both write the
+        # numpy path's state and charge its metrics, and neither is a loss.
+        from repro import graphs
+        from repro.local_model.state_table import StateTable
+        from repro.local_model.vectorized import VectorizedScheduler
+
+        class Provider:
+            name = "psi-test"
+            calls = 0
+
+            def __getattr__(self, kernel):
+                return getattr(backend, kernel)
+
+            def psi_select(self, *args):
+                self.calls += 1
+                if status == 2:
+                    return 2
+                return backend.psi_select(*args)
+
+        fast = graphs.random_regular(120, 7, seed=3, backend="fast")
+        phi = np.random.default_rng(5).integers(1, 9, size=fast.num_nodes)
+        phase = PsiSelectionPhase(p=3, phi_key="phi", phi_palette=8)
+        provider = Provider()
+        outcomes = []
+        for installed in (provider, None):
+            restore = kernels.force_backend(installed, reason="psi phase test")
+            try:
+                table = StateTable(fast.num_nodes)
+                table.set_ints("phi", phi.astype(np.int64))
+                table, metrics = VectorizedScheduler(fast).run_table(phase, table)
+            finally:
+                restore()
+            outcomes.append(
+                (
+                    table.get_ints("psi_color").tolist(),
+                    (metrics.rounds, metrics.messages, metrics.total_words,
+                     metrics.max_message_words),
+                    metrics.compiled_fallback_phase_names,
+                )
+            )
+        assert provider.calls == 1
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == []
+
+
 class TestLubyKernels:
     @pytest.fixture
     def luby_state(self, instance):
@@ -310,6 +408,22 @@ class TestResolutionMachinery:
             def defective_step(self, indptr, indices, colors, q, digits, out):
                 backend.defective_step(indptr, indices, colors, q, digits, out)
                 out += 1  # a miscompiled kernel
+
+        assert kernels._probe(Corrupt()) is False
+
+    def test_probe_rejects_corrupt_psi_select(self, backend):
+        class Corrupt:
+            name = "corrupt"
+
+            def __getattr__(self, attr):
+                return getattr(backend, attr)
+
+            def psi_select(self, indptr, indices, phi, order, class_ptr, p, depth, psi):
+                status = backend.psi_select(
+                    indptr, indices, phi, order, class_ptr, p, depth, psi
+                )
+                psi[:] = 1  # ignores the counts of lower neighbors
+                return status
 
         assert kernels._probe(Corrupt()) is False
 
