@@ -22,8 +22,9 @@ def main() -> None:
     print(f"graph: n={network.num_nodes}, |E|={network.num_edges}, Delta={network.max_degree}")
 
     # `repro.color_edges` is the auto-tuning portfolio facade: it picks the
-    # algorithm, quality preset and route for this instance from a measured
-    # cost model, runs on the default engine, and records every choice.
+    # algorithm, quality preset and route for this instance (the route with
+    # the smaller planned palette), runs on the default engine, and records
+    # every choice.
     auto = color_edges(network)
     decision = auto.decision
     print("\nportfolio decision for this instance:")
@@ -32,6 +33,7 @@ def main() -> None:
         f"quality={decision.quality}, route={decision.route}"
     )
     print(f"  engine reason      : {decision.reasons['engine']}")
+    print(f"  route reason       : {decision.reasons['route']}")
 
     # The paper's fast tradeoff point, pinned explicitly.  Pinned knobs are
     # passed through untouched and show up in `result.decision.overrides`.

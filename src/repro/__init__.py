@@ -19,8 +19,8 @@ Quickstart::
 
 ``color_edges`` / ``color_graph`` at the package root are the auto-tuning
 portfolio façade (:mod:`repro.portfolio`): they pick algorithm, engine,
-quality preset, and route per instance from a measured cost model, and
-every choice has an override kwarg.  The preset-explicit core entry points
+quality preset, and route per instance (the route with the smaller planned
+palette), and every choice has an override kwarg.  The preset-explicit core entry points
 stay available as :func:`repro.core.color_edges` /
 :func:`repro.core.color_vertices`.
 """

@@ -18,11 +18,13 @@ from repro.core.defective_coloring import (
     defective_color_pipeline,
     run_defective_color,
 )
-from repro.core.edge_coloring import EdgeColoringResult, color_edges
+from repro.core.edge_coloring import EdgeColoringResult, color_edges, plan_edge_coloring
 from repro.core.legal_coloring import (
     LegalColoringResult,
+    LegalColorPlan,
     LevelTrace,
     color_vertices,
+    plan_legal_coloring,
     run_legal_coloring,
 )
 from repro.core.parameters import (
@@ -30,6 +32,7 @@ from repro.core.parameters import (
     implied_color_exponent,
     params_for_few_rounds,
     params_for_linear_colors,
+    params_for_quality,
     params_for_subpolynomial_rounds,
 )
 from repro.core.randomized import RandomizedColoringResult, randomized_color_vertices
@@ -39,6 +42,7 @@ __all__ = [
     "DefectiveColorInfo",
     "EdgeColoringResult",
     "LegalColorParameters",
+    "LegalColorPlan",
     "LegalColoringResult",
     "LevelTrace",
     "PsiSelectionPhase",
@@ -50,7 +54,10 @@ __all__ = [
     "implied_color_exponent",
     "params_for_few_rounds",
     "params_for_linear_colors",
+    "params_for_quality",
     "params_for_subpolynomial_rounds",
+    "plan_edge_coloring",
+    "plan_legal_coloring",
     "randomized_color_vertices",
     "run_defective_color",
     "run_legal_coloring",

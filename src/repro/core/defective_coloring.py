@@ -40,6 +40,7 @@ from repro.local_model.metrics import RunMetrics
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 from repro.primitives.kuhn_defective_edge import KuhnDefectiveEdgeColoringPhase
+from repro.primitives.numbers import ceil_div
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,21 @@ class PsiSelectionPhase(BroadcastPhase):
         ctx.write_value("_psi_announced", True)
 
 
+def psi_defect_bound(b: int, p: int, Lambda: int, c: int, mode: str = "vertex") -> int:
+    """The Theorem 3.7 defect bound of ``psi``: ``c * (phi_defect + floor(Lambda/p) + 1)``.
+
+    ``phi_defect`` is ``floor(Lambda/(b p))`` for the Lemma 2.1(3) step 1
+    (``mode="vertex"``) and ``4 * ceil(Lambda/(b p))`` for Corollary 5.4
+    (``mode="edge"``).  It depends on the parameters alone, so the
+    Legal-Color plan computes it without the graph.
+    """
+    if mode == "vertex":
+        phi_defect = Lambda // (b * p)
+    else:
+        phi_defect = 4 * ceil_div(Lambda, b * p)
+    return c * (phi_defect + Lambda // p + 1)
+
+
 def defective_color_pipeline(
     n: int,
     b: int,
@@ -319,12 +335,11 @@ def defective_color_pipeline(
     )
     phases.append(psi_phase)
 
-    psi_defect_bound = c * (phi_defect_bound + Lambda // p + 1)
     info = DefectiveColorInfo(
         p=p,
         phi_palette=phi_palette,
         phi_defect_bound=phi_defect_bound,
-        psi_defect_bound=psi_defect_bound,
+        psi_defect_bound=psi_defect_bound(b, p, Lambda, c, mode),
         output_key=output_key,
     )
     return PhasePipeline(phases, name="defective-color"), info

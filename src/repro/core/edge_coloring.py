@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.local_model.fast_network import fast_view
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.line_graph_sim import (
     SIMULATION_SETUP_ROUNDS,
@@ -39,13 +40,14 @@ from repro.local_model.line_graph_sim import (
 )
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.local_model.network import Network
-from repro.core.legal_coloring import LegalColoringResult, LevelTrace, run_legal_coloring
-from repro.core.parameters import (
-    LegalColorParameters,
-    params_for_few_rounds,
-    params_for_linear_colors,
-    params_for_subpolynomial_rounds,
+from repro.core.legal_coloring import (
+    LegalColoringResult,
+    LegalColorPlan,
+    LevelTrace,
+    plan_legal_coloring,
+    run_legal_coloring,
 )
+from repro.core.parameters import LegalColorParameters, params_for_quality
 
 #: The neighborhood independence of a line graph of an ordinary graph.
 LINE_GRAPH_INDEPENDENCE = 2
@@ -55,6 +57,8 @@ __all__ = [
     "SIMULATION_SETUP_ROUNDS",
     "EdgeColoringResult",
     "color_edges",
+    "line_graph_max_degree",
+    "plan_edge_coloring",
 ]
 
 
@@ -122,18 +126,39 @@ class EdgeColoringResult:
         return int(np.unique(self.color_column).size)
 
 
-def _select_parameters(
-    delta_line: int, quality: str, epsilon: float
-) -> LegalColorParameters:
-    if quality == "linear":
-        return params_for_linear_colors(delta_line, LINE_GRAPH_INDEPENDENCE, epsilon=epsilon)
-    if quality == "superlinear":
-        return params_for_few_rounds(delta_line, LINE_GRAPH_INDEPENDENCE)
-    if quality == "subpolynomial":
-        return params_for_subpolynomial_rounds(
-            delta_line, LINE_GRAPH_INDEPENDENCE, eta=epsilon
-        )
-    raise InvalidParameterError(f"unknown quality {quality!r}")
+def line_graph_max_degree(network: Network) -> int:
+    """``Delta(L(G))`` from ``G``'s CSR: the largest ``d(u) + d(v) - 2`` over edges.
+
+    ``2 Delta - 2`` is only an upper bound; on an irregular graph the two
+    largest degrees need not be adjacent.
+    """
+    fast = fast_view(network)
+    if not len(fast.indices):
+        return 0
+    degrees = fast.degrees
+    return int((degrees[fast.rows_np] + degrees[fast.indices]).max()) - 2
+
+
+def plan_edge_coloring(
+    network: Network,
+    quality: str = "linear",
+    epsilon: float = 0.75,
+    route: str = "direct",
+) -> LegalColorPlan:
+    """The Legal-Color plan :func:`color_edges` runs on ``L(G)``, without building it.
+
+    Its ``palette`` is the palette the run reports: the direct route plans
+    with the Corollary 5.4 defect, the simulation route with Lemma 2.1(3).
+    """
+    if route not in ("direct", "simulation"):
+        raise InvalidParameterError(f"unknown route {route!r}")
+    delta_line = max(1, line_graph_max_degree(network))
+    return plan_legal_coloring(
+        params_for_quality(quality, delta_line, LINE_GRAPH_INDEPENDENCE, epsilon),
+        delta_line,
+        LINE_GRAPH_INDEPENDENCE,
+        edge_mode=(route == "direct"),
+    )
 
 
 def color_edges(
@@ -180,7 +205,9 @@ def color_edges(
 
     line_fast = build_line_graph_fast(network)
     delta_line = max(1, line_fast.max_degree)
-    params = parameters or _select_parameters(delta_line, quality, epsilon)
+    params = parameters or params_for_quality(
+        quality, delta_line, LINE_GRAPH_INDEPENDENCE, epsilon
+    )
 
     vertex_result: LegalColoringResult = run_legal_coloring(
         line_fast,

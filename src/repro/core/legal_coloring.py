@@ -22,6 +22,12 @@ level.  Every vertex carries its recursion *path* (the sequence of
 ``psi``-colors it received so far); two vertices are in the same current
 subgraph exactly when their paths are equal.
 
+The level recursion itself needs no graph: every level's ``Lambda'`` is the
+Theorem 3.7 bound of the level above, so :func:`plan_legal_coloring` works
+out the degree bounds, the bottom bound ``hat-Lambda`` and the palette
+``p^L * (hat-Lambda + 1)`` from ``(b, p, lambda, Delta, c, mode)`` alone, and
+:func:`run_legal_coloring` executes that plan level by level.
+
 Node state lives in a :class:`~repro.local_model.state_table.StateTable`
 throughout: the paths are one interned path-id column (so the per-level
 subgraph filtering, the path extension, and the subgraph count are single
@@ -38,7 +44,7 @@ on ``Delta``, not on ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Mapping, Optional
+from typing import Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,13 +55,8 @@ from repro.local_model.fast_network import fast_view
 from repro.local_model.line_csr import line_meta_for
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
-from repro.core.defective_coloring import defective_color_pipeline
-from repro.core.parameters import (
-    LegalColorParameters,
-    params_for_few_rounds,
-    params_for_linear_colors,
-    params_for_subpolynomial_rounds,
-)
+from repro.core.defective_coloring import defective_color_pipeline, psi_defect_bound
+from repro.core.parameters import LegalColorParameters, params_for_quality
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.linial import LinialColoringPhase
 
@@ -91,6 +92,51 @@ class LevelTrace:
     num_subgraphs: int
     max_subgraph_degree: int
     rounds: int
+
+
+@dataclass(frozen=True)
+class LegalColorPlan:
+    """Procedure Legal-Color's level recursion, worked out without the graph.
+
+    Level ``j`` runs Procedure Defective-Color with
+    ``Lambda = degree_bounds[j]`` and hands its Theorem 3.7 defect bound
+    ``degree_bounds[j + 1]`` to the next level; the last entry is the bound
+    ``hat-Lambda`` the recursion bottoms out at.
+    """
+
+    params: LegalColorParameters
+    degree_bounds: Tuple[int, ...]
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.degree_bounds) - 1
+
+    @property
+    def palette(self) -> int:
+        """``theta^{(0)} = p^L * (hat-Lambda + 1)`` (Figure 3)."""
+        return self.params.p**self.num_levels * (self.degree_bounds[-1] + 1)
+
+
+def plan_legal_coloring(
+    params: LegalColorParameters, degree_bound: int, c: int, edge_mode: bool = False
+) -> LegalColorPlan:
+    """The levels Procedure Legal-Color runs from the degree bound ``degree_bound``.
+
+    The recursion continues while the bound exceeds the threshold ``lambda``
+    and the parameters stay valid at that scale (``b * p <= Lambda``,
+    ``p >= 2``); a level whose bound does not shrink is the last one.
+    ``edge_mode`` selects the Corollary 5.4 defect of the direct route.
+    """
+    mode = "edge" if edge_mode else "vertex"
+    bounds = [degree_bound]
+    while bounds[-1] > params.threshold:
+        bound = bounds[-1]
+        if params.b * params.p > bound or params.p < 2:
+            break  # Parameters no longer valid at this degree scale; bottom out.
+        bounds.append(psi_defect_bound(params.b, params.p, bound, c, mode))
+        if bounds[-1] >= bound:
+            break  # No progress with these parameters; bottom out to stay safe.
+    return LegalColorPlan(params=params, degree_bounds=tuple(bounds))
 
 
 @dataclass
@@ -243,20 +289,17 @@ def run_legal_coloring(
         auxiliary_palette = aux_phase.final_palette
 
     # ------------------------------------------------------------------ #
-    # Recursion levels (executed iteratively; all subgraphs of a level run in
-    # parallel on the path-filtered CSR view of the network).  Paths only
-    # refine, so each level's view is filtered from the previous one (the
-    # same CSR as filtering the root), and while every path is still equal
-    # the view is the root itself.
+    # Recursion levels, as planned (executed iteratively; all subgraphs of a
+    # level run in parallel on the path-filtered CSR view of the network).
+    # Paths only refine, so each level's view is filtered from the previous
+    # one (the same CSR as filtering the root), and while every path is
+    # still equal the view is the root itself.
     # ------------------------------------------------------------------ #
+    plan = plan_legal_coloring(params, degree_bound, c, edge_mode=edge_mode)
+    bounds = plan.degree_bounds
     view = fast
     levels: List[LevelTrace] = []
-    current_bound = degree_bound
-    level = 0
-    while current_bound > params.threshold:
-        if params.b * params.p > current_bound or params.p < 2:
-            break  # Parameters no longer valid at this degree scale; bottom out.
-
+    for level in range(plan.num_levels):
         if table.num_paths("_path") > 1:
             view = view.filtered_by_labels(table.path_ids("_path"))
         psi_key = f"_psi_{level}"
@@ -264,7 +307,7 @@ def run_legal_coloring(
             n=fast.num_nodes,
             b=params.b,
             p=params.p,
-            Lambda=current_bound,
+            Lambda=bounds[level],
             c=c,
             mode="edge" if edge_mode else "vertex",
             auxiliary_key=auxiliary_key,
@@ -278,32 +321,24 @@ def run_legal_coloring(
         metrics.merge(level_metrics)
 
         table.append_to_paths("_path", table.get_ints(psi_key))
-
-        next_bound = info.psi_defect_bound
         levels.append(
             LevelTrace(
                 level=level,
-                degree_bound=current_bound,
+                degree_bound=bounds[level],
                 phi_palette=info.phi_palette,
-                next_degree_bound=next_bound,
+                next_degree_bound=bounds[level + 1],
                 num_subgraphs=table.num_paths("_path"),
                 max_subgraph_degree=view.max_degree,
                 rounds=level_metrics.rounds,
             )
         )
 
-        if next_bound >= current_bound:
-            current_bound = next_bound
-            break  # No progress with these parameters; bottom out to stay safe.
-        current_bound = next_bound
-        level += 1
-
     # ------------------------------------------------------------------ #
     # Bottom level: a legal (Lambda + 1)-coloring of every remaining subgraph.
     # ------------------------------------------------------------------ #
     if table.num_paths("_path") > 1:
         view = view.filtered_by_labels(table.path_ids("_path"))
-    bottom_bound = max(current_bound, view.max_degree)
+    bottom_bound = max(bounds[-1], view.max_degree)
     bottom_target = bottom_bound + 1
     bottom_pipeline, _ = delta_plus_one_pipeline(
         n=fast.num_nodes,
@@ -319,21 +354,18 @@ def run_legal_coloring(
     metrics.merge(bottom_metrics)
 
     # ------------------------------------------------------------------ #
-    # Merge the per-level colorings into disjoint palettes (Figure 3).
+    # Merge the per-level colorings into disjoint palettes (Figure 3):
+    # level j's psi-colors are spaced theta^{(j+1)} = p^{L-j-1} * (Lambda + 1)
+    # apart, and the palette is theta^{(0)}.
     # ------------------------------------------------------------------ #
-    num_levels = len(levels)
-    theta = [0] * (num_levels + 1)
-    theta[num_levels] = bottom_target
-    for j in range(num_levels - 1, -1, -1):
-        theta[j] = params.p * theta[j + 1]
-    palette = theta[0] if num_levels > 0 else bottom_target
-
     color_column = table.get_ints("_bottom_color")
-    for j in range(num_levels):
-        color_column += (table.get_ints(f"_psi_{j}") - 1) * theta[j + 1]
+    theta = bottom_target
+    for j in range(plan.num_levels - 1, -1, -1):
+        color_column += (table.get_ints(f"_psi_{j}") - 1) * theta
+        theta *= params.p
     return LegalColoringResult(
         colors=fast.column_mapping(color_column),
-        palette=palette,
+        palette=theta,
         metrics=metrics,
         levels=levels,
         parameters=params,
@@ -370,18 +402,9 @@ def color_vertices(
         The exponent knob for the ``"linear"`` and ``"subpolynomial"``
         presets.
     """
-    delta = max(1, network.max_degree)
-    if quality == "linear":
-        params = params_for_linear_colors(delta, c, epsilon=epsilon)
-    elif quality == "superlinear":
-        params = params_for_few_rounds(delta, c)
-    elif quality == "subpolynomial":
-        params = params_for_subpolynomial_rounds(delta, c, eta=epsilon)
-    else:
-        raise InvalidParameterError(f"unknown quality {quality!r}")
     return run_legal_coloring(
         network,
-        params,
+        params_for_quality(quality, max(1, network.max_degree), c, epsilon),
         c=c,
         edge_mode=edge_mode,
         use_auxiliary_coloring=use_auxiliary_coloring,

@@ -163,6 +163,19 @@ def params_for_subpolynomial_rounds(
     )
 
 
+def params_for_quality(
+    quality: str, delta: int, c: int, epsilon: float = 0.75
+) -> LegalColorParameters:
+    """The Theorem 4.8 preset ``quality`` (``epsilon`` is its exponent knob)."""
+    if quality == "linear":
+        return params_for_linear_colors(delta, c, epsilon=epsilon)
+    if quality == "superlinear":
+        return params_for_few_rounds(delta, c)
+    if quality == "subpolynomial":
+        return params_for_subpolynomial_rounds(delta, c, eta=epsilon)
+    raise InvalidParameterError(f"unknown quality {quality!r}")
+
+
 def implied_color_exponent(params: LegalColorParameters, c: int) -> float:
     """The exponent ``1 + eta`` such that the preset yields ``O(Delta^{1+eta})`` colors.
 

@@ -1,16 +1,16 @@
 """Auto-tuning portfolio: one entry point that picks the right configuration.
 
 :func:`color_graph` / :func:`color_edges` select algorithm, execution
-engine, Theorem 4.8 quality preset, and edge-coloring route per instance
-from the measured :class:`CostModel` (calibrated offline by
-``benchmarks/bench_portfolio.py``, committed as
-``benchmarks/results/portfolio_model.json``), run the chosen
-configuration, and return one normalized :class:`PortfolioResult` carrying
-the :class:`PortfolioDecision` taken.  Every decision has a kwarg escape
-hatch — see :mod:`repro.portfolio.facade`.
+engine, Theorem 4.8 quality preset, and edge-coloring route per instance,
+run the chosen configuration, and return one normalized
+:class:`PortfolioResult` carrying the :class:`PortfolioDecision` taken.  The
+route is the one with the smaller planned Legal-Color palette; under a
+round ``budget`` the preset comes from the fitted round multipliers of
+:class:`CostModel`.  Every decision has a kwarg escape hatch — see
+:mod:`repro.portfolio.facade`.
 """
 
-from repro.portfolio.cost_model import DEFAULT_MODEL, QUALITY_ORDER, CostModel
+from repro.portfolio.cost_model import QUALITY_ORDER, CostModel
 from repro.portfolio.facade import (
     EDGE_ALGORITHMS,
     VERTEX_ALGORITHMS,
@@ -21,7 +21,6 @@ from repro.portfolio.result import PortfolioDecision, PortfolioResult
 
 __all__ = [
     "CostModel",
-    "DEFAULT_MODEL",
     "EDGE_ALGORITHMS",
     "PortfolioDecision",
     "PortfolioResult",

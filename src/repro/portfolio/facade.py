@@ -1,7 +1,7 @@
 """`color_graph` / `color_edges`: the auto-tuning front door of the repo.
 
 Both entry points take a graph (legacy :class:`Network` or CSR
-:class:`FastNetwork`), consult the measured :class:`CostModel`, and pick
+:class:`FastNetwork`) and pick
 
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
@@ -11,9 +11,10 @@ Both entry points take a graph (legacy :class:`Network` or CSR
   pinned); engines are bit-identical, so this is not a cost decision;
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
-  round count fits the caller's ``budget``;
+  round count (:class:`CostModel`) fits the caller's ``budget``;
 * the **route** — direct (Theorem 5.5) versus Lemma 5.2 simulation for
-  edge coloring, by predicted cost.
+  edge coloring: the one whose Legal-Color plan gives the smaller palette
+  for the chosen preset, the direct route (smaller messages) on a tie.
 
 Every decision can be overridden by passing the corresponding kwarg
 (``algorithm=``, ``engine=``, ``quality=``, ``route=``); overridden knobs
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.baselines.greedy_reduction import greedy_reduction_edge_coloring
 from repro.baselines.luby_random import luby_edge_coloring, luby_vertex_coloring
 from repro.baselines.panconesi_rizzi import panconesi_rizzi_edge_coloring
 from repro.core.edge_coloring import color_edges as core_color_edges
+from repro.core.edge_coloring import plan_edge_coloring
 from repro.core.legal_coloring import color_vertices as core_color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model import kernels
@@ -67,16 +67,38 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
     return outcome
 
 
-def _line_csr_entries(fast) -> int:
-    """The CSR size of ``L(G)``, straight from ``G``'s degree column.
+def _check_budget(budget: Optional[float], algorithm: str) -> None:
+    """A budget is a positive round count, and only Legal-Color has presets."""
+    if budget is None:
+        return
+    if algorithm != "legal-color":
+        raise InvalidParameterError(
+            f"budget only applies to algorithm 'legal-color', not {algorithm!r}"
+        )
+    if not budget > 0:
+        raise InvalidParameterError(
+            f"budget must be a positive number of rounds, got {budget!r}"
+        )
 
-    An edge ``{u, v}`` has ``d(u) + d(v) - 2`` line-graph neighbors, so the
-    directed entries of ``L(G)`` total ``sum_v d(v)^2 - 2|E|``; adding the
-    ``|E|`` line-graph nodes gives the work unit without building ``L(G)``.
-    """
-    degrees = fast.degrees_np.astype(np.int64)
-    num_edges = int(degrees.sum()) // 2
-    return int((degrees * degrees).sum()) - 2 * num_edges + num_edges
+
+def _portfolio_result(outcome, colors, **decided) -> PortfolioResult:
+    """The result of the run behind ``outcome``, with the decision taken."""
+    raw = outcome.result
+    decision = PortfolioDecision(
+        engine=outcome.engine,
+        kernel_backend=kernels.backend_name(),
+        kernel_threads=kernels.get_num_threads(),
+        degraded_from=outcome.degraded_from,
+        **decided,
+    )
+    return PortfolioResult(
+        colors=colors,
+        palette=raw.palette,
+        metrics=raw.metrics,
+        decision=decision,
+        color_column=raw.color_column,
+        raw=raw,
+    )
 
 
 def _decide_engine(override: Optional[str]):
@@ -93,7 +115,6 @@ def _decide_engine(override: Optional[str]):
 
 
 def _decide_quality(
-    model: CostModel,
     delta: int,
     n: int,
     budget: Optional[float],
@@ -102,6 +123,7 @@ def _decide_quality(
 ):
     if override is not None:
         return override, "quality pinned by caller", {}
+    model = CostModel.default()
     quality = model.choose_quality(delta, n, budget, epsilon=epsilon)
     predicted = {
         "rounds_" + name: model.predict_rounds(name, delta, n, epsilon=epsilon)
@@ -129,7 +151,6 @@ def color_graph(
     engine: Optional[str] = None,
     epsilon: float = 0.75,
     seed: int = 0,
-    cost_model: Optional[CostModel] = None,
 ) -> PortfolioResult:
     """Vertex-color ``graph``, choosing algorithm/engine/preset automatically.
 
@@ -146,8 +167,9 @@ def color_graph(
         ``"subpolynomial"``) instead of letting the budget search choose.
         Only meaningful for the Legal-Color algorithm.
     budget:
-        Maximum acceptable number of communication rounds.  The portfolio
-        keeps the best palette guarantee whose predicted rounds fit.
+        Maximum acceptable number of communication rounds (a positive
+        number; Legal-Color only).  The portfolio keeps the best palette
+        guarantee whose predicted rounds fit.
     algorithm:
         ``"legal-color"`` or ``"luby"`` to bypass the algorithm choice.
     engine:
@@ -156,11 +178,7 @@ def color_graph(
         Exponent knob forwarded to the Legal-Color presets.
     seed:
         Random seed for the Luby baseline.
-    cost_model:
-        A :class:`CostModel` to decide with (default: the committed
-        calibration record).
     """
-    model = cost_model if cost_model is not None else CostModel.default()
     fast = fast_view(graph)
     overrides = tuple(
         name
@@ -195,12 +213,13 @@ def color_graph(
         raise InvalidParameterError(
             "quality presets only apply to the Legal-Color algorithm"
         )
+    _check_budget(budget, algorithm)
 
     engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
         quality, reasons["quality"], quality_predicted = _decide_quality(
-            model, fast.max_degree, max(2, fast.num_nodes), budget, epsilon, quality
+            fast.max_degree, max(2, fast.num_nodes), budget, epsilon, quality
         )
         predicted.update(quality_predicted)
         chosen_quality = quality
@@ -217,28 +236,15 @@ def color_graph(
             engine,
             reasons,
         )
-    raw = outcome.result
-
-    decision = PortfolioDecision(
+    return _portfolio_result(
+        outcome,
+        outcome.result.colors,
         algorithm=algorithm,
-        engine=outcome.engine,
         quality=quality,
         route=None,
         reasons=reasons,
         predicted=predicted,
         overrides=overrides,
-        model_source=model.source,
-        kernel_backend=kernels.backend_name(),
-        kernel_threads=kernels.get_num_threads(),
-        degraded_from=outcome.degraded_from,
-    )
-    return PortfolioResult(
-        colors=raw.colors,
-        palette=raw.palette,
-        metrics=raw.metrics,
-        decision=decision,
-        color_column=raw.color_column,
-        raw=raw,
     )
 
 
@@ -253,7 +259,6 @@ def color_edges(
     epsilon: float = 0.75,
     use_auxiliary_coloring: bool = True,
     seed: int = 0,
-    cost_model: Optional[CostModel] = None,
 ) -> PortfolioResult:
     """Edge-color ``graph``, choosing algorithm/engine/preset/route automatically.
 
@@ -261,9 +266,12 @@ def color_edges(
     direct (Theorem 5.5) or Lemma 5.2 simulation implementation, and
     ``algorithm`` may name one of the baselines (``"panconesi-rizzi"``,
     ``"greedy-reduction"``, ``"luby"``) instead of the paper's
-    ``"legal-color"`` pipeline.
+    ``"legal-color"`` pipeline.  The route is the one whose Legal-Color
+    plan (:func:`~repro.core.edge_coloring.plan_edge_coloring`) gives the
+    smaller palette for the chosen preset; ties go to ``"direct"``.  Both
+    planned palettes are quoted in ``decision.predicted`` and
+    ``decision.reasons["route"]``.
     """
-    model = cost_model if cost_model is not None else CostModel.default()
     fast = fast_view(graph)
     overrides = tuple(
         name
@@ -296,28 +304,27 @@ def color_edges(
             raise InvalidParameterError(
                 "quality presets only apply to the Legal-Color algorithm"
             )
+    _check_budget(budget, algorithm)
 
     engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
-        line_entries = _line_csr_entries(fast)
+        # The budget search predicts from the 2 Delta - 2 bound on
+        # Delta(L(G)) its round multipliers were fitted with.
         delta_line = max(1, 2 * fast.max_degree - 2) if fast.max_degree else 1
         quality, reasons["quality"], quality_predicted = _decide_quality(
-            model, delta_line, max(2, fast.num_nodes), budget, epsilon, quality
+            delta_line, max(2, fast.num_nodes), budget, epsilon, quality
         )
         predicted.update(quality_predicted)
-        predicted["route_direct_seconds"] = model.predict_route_seconds(
-            "direct", line_entries
+        direct, simulation = (
+            plan_edge_coloring(fast, quality, epsilon, route=name).palette
+            for name in ("direct", "simulation")
         )
-        predicted["route_simulation_seconds"] = model.predict_route_seconds(
-            "simulation", line_entries
-        )
+        predicted["palette_direct"], predicted["palette_simulation"] = direct, simulation
         if route is None:
-            route = model.choose_route(line_entries)
-            reasons["route"] = (
-                f"predicted {predicted['route_direct_seconds']:.4f}s direct vs "
-                f"{predicted['route_simulation_seconds']:.4f}s simulation"
-            )
+            # Ties go to the direct route: same palette, O(log n)-bit messages.
+            route = "simulation" if simulation < direct else "direct"
+            reasons["route"] = f"planned palette {direct} direct vs {simulation} simulation"
         else:
             reasons["route"] = "route pinned by caller"
         chosen_quality, chosen_route = quality, route
@@ -351,26 +358,13 @@ def color_edges(
             engine,
             reasons,
         )
-    raw = outcome.result
-
-    decision = PortfolioDecision(
+    return _portfolio_result(
+        outcome,
+        outcome.result.edge_colors,
         algorithm=algorithm,
-        engine=outcome.engine,
         quality=quality,
         route=route if algorithm == "legal-color" else None,
         reasons=reasons,
         predicted=predicted,
         overrides=overrides,
-        model_source=model.source,
-        kernel_backend=kernels.backend_name(),
-        kernel_threads=kernels.get_num_threads(),
-        degraded_from=outcome.degraded_from,
-    )
-    return PortfolioResult(
-        colors=raw.edge_colors,
-        palette=raw.palette,
-        metrics=raw.metrics,
-        decision=decision,
-        color_column=raw.color_column,
-        raw=raw,
     )

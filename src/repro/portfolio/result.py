@@ -26,9 +26,12 @@ class PortfolioDecision:
 
     ``reasons`` maps each decided knob (``"algorithm"``, ``"engine"``,
     ``"quality"``, ``"route"``) to a one-line explanation; ``predicted``
-    holds the cost-model numbers (seconds / rounds) the choice was based
-    on; ``overrides`` lists the knobs the caller pinned explicitly, which
-    the portfolio passed through untouched.  ``kernel_backend`` /
+    holds the numbers the choices were based on: each preset's predicted
+    rounds (``rounds_<quality>``, unless the preset is pinned) and, for a
+    Legal-Color edge coloring, each route's planned palette
+    (``palette_direct`` / ``palette_simulation``); ``overrides`` lists the
+    knobs the caller pinned explicitly, which the portfolio passed through
+    untouched.  ``kernel_backend`` /
     ``kernel_threads`` record what the vectorized engine's fused kernels
     would run on (the resolved provider name and its thread count) —
     populated whether or not the vectorized engine ran, so a decision record
@@ -48,7 +51,6 @@ class PortfolioDecision:
     reasons: Mapping[str, str] = field(default_factory=dict)
     predicted: Mapping[str, float] = field(default_factory=dict)
     overrides: Tuple[str, ...] = ()
-    model_source: str = "defaults"
     kernel_backend: Optional[str] = None
     kernel_threads: int = 1
     degraded_from: Tuple[str, ...] = ()

@@ -9,6 +9,7 @@ from repro.core.parameters import (
     implied_color_exponent,
     params_for_few_rounds,
     params_for_linear_colors,
+    params_for_quality,
     params_for_subpolynomial_rounds,
 )
 from repro.exceptions import InvalidParameterError
@@ -78,6 +79,31 @@ class TestSubpolynomialPreset:
     def test_invalid_eta(self):
         with pytest.raises(InvalidParameterError):
             params_for_subpolynomial_rounds(100, c=2, eta=0)
+
+
+class TestQualityTable:
+    def test_names_map_to_the_presets(self):
+        assert params_for_quality("linear", 300, 2, 0.5) == params_for_linear_colors(
+            300, 2, epsilon=0.5
+        )
+        assert params_for_quality("superlinear", 300, 2, 0.5) == params_for_few_rounds(300, 2)
+        assert params_for_quality(
+            "subpolynomial", 300, 2, 0.5
+        ) == params_for_subpolynomial_rounds(300, 2, eta=0.5)
+
+    def test_unknown_quality_message(self):
+        from repro import graphs
+        from repro.core import color_edges, color_vertices, plan_edge_coloring
+
+        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        for call in (
+            lambda: params_for_quality("bogus", 8, 2),
+            lambda: color_edges(network, quality="bogus"),
+            lambda: color_vertices(network, 2, quality="bogus"),
+            lambda: plan_edge_coloring(network, "bogus"),
+        ):
+            with pytest.raises(InvalidParameterError, match=r"^unknown quality 'bogus'$"):
+                call()
 
 
 class TestValidation:

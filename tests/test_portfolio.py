@@ -1,23 +1,27 @@
 """Decision pinning for the `color_graph` / `color_edges` portfolio façade.
 
-The façade decides (quality preset, route) per instance from the committed
-cost model (``benchmarks/results/portfolio_model.json``) and runs on the
-process default engine.  These tests pin the decisions on the three
-benchmarked instance classes — small, large, and dense — so a model
-re-record that silently flips a decision fails loudly, and they check that
-every decision is carried on the result object with its reason and
-predicted costs.
+The façade takes the edge-coloring route whose Legal-Color plan gives the
+smaller palette (ties to the direct route), picks the quality preset under a
+round budget from fitted round multipliers, and runs on the process default
+engine.  These tests check that the plan's palette is the palette every run
+reports, pin the route and budget decisions on the benchmarked instance
+classes, and check that every decision is carried on the result object with
+its reason and predicted numbers.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import builtins
+import functools
+import math
 
 import pytest
 
 import repro
 from repro import graphs
+from repro.core import color_edges as core_color_edges
+from repro.core import plan_edge_coloring
+from repro.core.edge_coloring import line_graph_max_degree
 from repro.exceptions import InvalidParameterError
 from repro.portfolio import (
     EDGE_ALGORITHMS,
@@ -27,60 +31,113 @@ from repro.portfolio import (
     color_edges,
     color_graph,
 )
-from repro.portfolio.cost_model import DEFAULT_MODEL, quality_round_shape
-from repro.portfolio.facade import _line_csr_entries
+from repro.portfolio.cost_model import ROUND_MULTIPLIERS, quality_round_shape
 from repro.local_model import default_engine, kernels, use_engine
-from repro.local_model.fast_network import fast_view
+from repro.local_model.line_csr import build_line_graph_fast
 from repro.verification import (
     assert_legal_edge_coloring,
     assert_legal_vertex_coloring,
 )
 
-MODEL_RECORD = (
-    Path(__file__).resolve().parents[1]
-    / "benchmarks"
-    / "results"
-    / "portfolio_model.json"
-)
+#: Graphs the plan is checked on: regular, bounded-growth, geometric and
+#: heavy-tailed degree sequences.
+PLAN_GRAPHS = {
+    "regular500x6": lambda: graphs.random_regular(500, 6, seed=1, backend="fast"),
+    "regular1000x16": lambda: graphs.random_regular(1000, 16, seed=1, backend="fast"),
+    "grid5x5": lambda: graphs.grid_graph(5, 5, backend="fast"),
+    "geometric400": lambda: graphs.random_geometric(400, 0.1, seed=1, backend="fast"),
+    "barabasi300x3": lambda: graphs.barabasi_albert(300, 3, seed=1, backend="fast"),
+}
 
 
-class TestCommittedModel:
-    def test_default_loads_the_committed_record(self):
-        assert MODEL_RECORD.exists(), "calibration record missing"
-        model = CostModel.default()
-        assert model.source == str(MODEL_RECORD)
+@functools.lru_cache(maxsize=None)
+def _plan_graph(name):
+    return PLAN_GRAPHS[name]()
 
-    def test_embedded_snapshot_matches_committed_record(self):
-        # The in-package fallback must stay in sync with the record so an
-        # installed package decides identically to a repo checkout.
-        with MODEL_RECORD.open() as handle:
-            record = json.load(handle)
-        for section in ("route", "rounds"):
-            assert record[section] == DEFAULT_MODEL[section]
-        assert "engine" not in record and "engine" not in DEFAULT_MODEL
 
-    def test_route_choice_follows_committed_coefficients(self):
-        # The route cost is linear in line entries, so the choice is
-        # whichever measured per-entry coefficient is smaller at every size
-        # (ties break to direct: same wall cost, smaller messages).
-        model = CostModel.default()
-        cheaper = min(
-            ("direct", "simulation"),
-            key=lambda route: model.route[f"{route}_us_per_line_entry"],
+class TestLegalColorPlan:
+    @pytest.mark.parametrize("route", ["direct", "simulation"])
+    @pytest.mark.parametrize("quality", ["linear", "subpolynomial", "superlinear"])
+    @pytest.mark.parametrize("name", sorted(PLAN_GRAPHS))
+    def test_planned_palette_is_the_measured_palette(self, name, quality, route):
+        network = _plan_graph(name)
+        plan = plan_edge_coloring(network, quality, route=route)
+        result = core_color_edges(network, quality=quality, route=route)
+        assert plan.palette == result.palette
+        assert list(plan.degree_bounds[:-1]) == [lv.degree_bound for lv in result.levels]
+        assert list(plan.degree_bounds[1:]) == [
+            lv.next_degree_bound for lv in result.levels
+        ]
+        assert plan.params == result.parameters
+
+    def test_line_graph_max_degree_is_exact_on_irregular_graphs(self):
+        # 2 Delta - 2 assumes the two largest degrees are adjacent; on a
+        # heavy-tailed graph they need not be.
+        network = graphs.barabasi_albert(800, 8, seed=1, backend="fast")
+        exact = line_graph_max_degree(network)
+        assert exact == build_line_graph_fast(network).max_degree
+        assert exact < 2 * network.max_degree - 2
+        assert line_graph_max_degree(graphs.complete_graph(1, backend="fast")) == 0
+
+
+class TestRouteRule:
+    """The route with the smaller planned palette; ties go to ``direct``."""
+
+    @pytest.mark.parametrize(
+        "make, route, direct, simulation",
+        [
+            (lambda: graphs.random_regular(500, 6, seed=1, backend="fast"), "simulation", 126, 42),
+            (lambda: graphs.random_regular(1000, 16, seed=1, backend="fast"), "direct", 222, 324),
+            (lambda: graphs.random_regular(32, 4, seed=1, backend="fast"), "direct", 7, 7),
+            # The Corollary 5.4 defect stops shrinking the degree bound of a
+            # hub-heavy line graph, so the direct palette explodes (n = 800
+            # is the smallest n of this family found to show it).
+            (
+                lambda: graphs.barabasi_albert(800, 8, seed=1, backend="fast"),
+                "simulation",
+                95_738_112,
+                1_908,
+            ),
+        ],
+        ids=["regular-delta6", "regular-delta16", "regular-delta4-tie", "barabasi-albert"],
+    )
+    def test_route_pins(self, make, route, direct, simulation):
+        network = make()
+        result = color_edges(network)
+        decision = result.decision
+        assert decision.route == route
+        assert decision.predicted["palette_direct"] == direct
+        assert decision.predicted["palette_simulation"] == simulation
+        assert decision.reasons["route"] == (
+            f"planned palette {direct} direct vs {simulation} simulation"
         )
-        assert model.choose_route(1_000) == cheaper
-        assert model.choose_route(1_000_000) == cheaper
-        tied = CostModel.from_mapping(
-            {
-                "route": {
-                    "direct_us_per_line_entry": 0.5,
-                    "simulation_us_per_line_entry": 0.5,
-                },
-                "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
-            },
-            source="unit-test",
+        assert result.palette == decision.predicted["palette_" + route]
+        assert_legal_edge_coloring(network, result.color_column)
+
+    def test_pinned_route_still_quotes_both_palettes(self):
+        network = graphs.random_regular(500, 6, seed=1, backend="fast")
+        decision = color_edges(network, route="direct").decision
+        assert decision.route == "direct"
+        assert decision.reasons["route"] == "route pinned by caller"
+        assert decision.predicted["palette_direct"] == 126
+        assert decision.predicted["palette_simulation"] == 42
+
+
+class TestBudgetSearch:
+    def test_default_reads_no_file(self, monkeypatch):
+        def no_files(*args, **kwargs):
+            raise AssertionError("CostModel.default() opened a file")
+
+        monkeypatch.setattr(builtins, "open", no_files)
+        model = CostModel.default()
+        assert model.predict_rounds("linear", 92, 48) == pytest.approx(
+            ROUND_MULTIPLIERS["linear"] * quality_round_shape("linear", 92, 48)
         )
-        assert tied.choose_route(1_000) == "direct"
+        assert ROUND_MULTIPLIERS == {
+            "linear": 15.238,
+            "subpolynomial": 6.877,
+            "superlinear": 13.515,
+        }
 
     def test_quality_budget_walk(self):
         model = CostModel.default()
@@ -110,11 +167,9 @@ class TestDecisionPins:
         decision = result.decision
         assert (decision.algorithm, decision.engine) == ("legal-color", default_engine())
         assert decision.quality == "linear"
-        # The route follows the committed coefficients (the two routes are
-        # nearly tied on the reference machine, so the pin is model-relative).
-        model = CostModel.default()
-        assert decision.route == model.choose_route(_line_csr_entries(fast_view(network)))
-        assert decision.is_default() == (decision.route == "direct")
+        # Both routes plan 7 colors; the tie goes to the direct route.
+        assert decision.route == "direct"
+        assert decision.is_default()
         assert decision.overrides == ()
         assert_legal_edge_coloring(network, result.colors)
 
@@ -131,8 +186,9 @@ class TestDecisionPins:
         assert decision.kernel_threads >= 1
         assert_legal_vertex_coloring(network, result.colors)
 
-    def test_dense_instance_with_budget_degrades_quality(self):
-        network = graphs.complete_graph(24, backend="fast")
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_dense_instance_with_budget_degrades_quality(self, n):
+        network = graphs.complete_graph(n, backend="fast")
         result = color_edges(network, budget=40.0)
         decision = result.decision
         assert decision.engine == default_engine()
@@ -162,22 +218,6 @@ class TestDecisionPins:
             pinned = color_graph(network, seed=1, engine="vectorized").decision
             assert not pinned.is_default()
 
-    def test_decisions_match_committed_benchmark_pins(self):
-        # bench_portfolio.py records the decisions it took; the committed
-        # model must reproduce the preset choices, and every pin ran on the
-        # array engine the recording machine resolved.
-        with MODEL_RECORD.open() as handle:
-            record = json.load(handle)
-        pins = record["decisions"]
-        assert len(pins) >= 3
-        assert "engine" not in record
-        assert {pin["engine"] for pin in pins} == {"vectorized"}
-        by_instance = {pin["instance"]: pin for pin in pins}
-        large = next(pin for name, pin in by_instance.items() if name.startswith("large-"))
-        assert large["is_default"]
-        dense = by_instance["dense-complete(n=48, Delta=47)"]
-        assert dense["quality"] == "superlinear" and not dense["is_default"]
-
     def test_backend_absent_still_runs_vectorized(self, monkeypatch):
         # With no resolvable kernel backend the default is still the
         # vectorized engine (numpy only), and the decision record says why.
@@ -195,11 +235,6 @@ class TestDecisionPins:
         finally:
             monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
             kernels.reset()
-
-    def test_line_entry_count_matches_csr(self):
-        network = graphs.random_regular(32, 4, seed=1, backend="fast")
-        # |E| = 64, each edge has d(u)+d(v)-2 = 6 line neighbors.
-        assert _line_csr_entries(fast_view(network)) == 64 * 6 + 64
 
 
 class TestFacadeContract:
@@ -224,19 +259,6 @@ class TestFacadeContract:
         for knob in ("algorithm", "engine", "quality", "route"):
             assert "pinned by caller" in decision.reasons[knob]
 
-    def test_custom_cost_model_is_honored_and_recorded(self):
-        # A model that makes the simulation route free must flip the route;
-        # the decision records where the model came from.
-        skewed = {
-            "route": {"direct_us_per_line_entry": 1.0, "simulation_us_per_line_entry": 0.0},
-            "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
-        }
-        model = CostModel.from_mapping(skewed, source="unit-test")
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
-        result = color_edges(network, cost_model=model)
-        assert result.decision.route == "simulation"
-        assert result.decision.model_source == "unit-test"
-
     def test_normalized_result_shape(self):
         network = graphs.random_regular(16, 4, seed=3, backend="fast")
         for result in (
@@ -248,7 +270,6 @@ class TestFacadeContract:
             assert len(result.colors) == len(result.color_column)
             assert result.palette >= 1
             assert result.metrics.rounds >= 1
-            assert result.decision.model_source
 
     def test_invalid_knobs_raise(self):
         network = graphs.random_regular(16, 4, seed=3, backend="fast")
@@ -258,3 +279,14 @@ class TestFacadeContract:
             color_edges(network, algorithm="greedy-reduction", quality="linear")
         with pytest.raises(InvalidParameterError):
             color_graph(network, quality="linear")  # luby has no presets
+        # A budget only steers Legal-Color's presets, and must be a positive
+        # number of rounds.
+        with pytest.raises(InvalidParameterError):
+            color_graph(network, budget=40)  # runs luby
+        with pytest.raises(InvalidParameterError):
+            color_edges(network, algorithm="luby", budget=40)
+        for budget in (math.nan, 0, -5.0):
+            with pytest.raises(InvalidParameterError):
+                color_edges(network, budget=budget)
+            with pytest.raises(InvalidParameterError):
+                color_graph(network, c=2, budget=budget)
