@@ -243,9 +243,11 @@ class FastNetwork:
             API boundary, or never).  Defaults to the dense indices
             themselves.
 
-        The CSR arrays are assembled by symmetrizing the endpoint arrays,
-        then sorting and deduplicating one combined ``row * n + col`` key;
-        since dense order is unique-id order, the resulting neighbor order is
+        The CSR arrays are assembled by symmetrizing the endpoint arrays
+        into one combined ``row * n + col`` key, sorted and deduplicated in
+        place; ``indptr`` is the key's ``searchsorted`` against the row
+        starts ``i * n`` and ``indices`` is the key minus its row start.
+        Since dense order is unique-id order, the resulting neighbor order is
         exactly the unique-id order a legacy :class:`Network` would produce,
         and :meth:`to_network` materializes the identical network on demand.
         """
@@ -275,16 +277,22 @@ class FastNetwork:
                 f"self-loop at node {node!r} is not allowed in the LOCAL model"
             )
 
+        if n * n < _KEY_LIMIT:  # one combined key, sorted and deduplicated
+            key = np.concatenate([u * n + v, v * n + u])
+            key.sort()
+            fresh = key[1:] != key[:-1]
+            if not fresh.all():
+                key = key[np.r_[True, fresh]]
+            row_base = np.arange(n + 1, dtype=np.int64) * n
+            indptr = np.searchsorted(key, row_base).astype(np.int64, copy=False)
+            degrees = np.diff(indptr)
+            key -= np.repeat(row_base[:-1], degrees)
+            return cls._from_parts(indptr, key, degrees, n, unique_ids, order)
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
         if len(rows):
-            if n * n < _KEY_LIMIT:  # one combined key, sorted in place
-                key = rows * n + cols
-                key.sort()
-                rows, cols = np.divmod(key, n)
-            else:
-                by_row_then_col = _lexsort_pairs(rows, cols)
-                rows, cols = rows[by_row_then_col], cols[by_row_then_col]
+            by_row_then_col = _lexsort_pairs(rows, cols)
+            rows, cols = rows[by_row_then_col], cols[by_row_then_col]
             fresh = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
             rows, cols = rows[fresh], cols[fresh]
         degrees = np.bincount(rows, minlength=n).astype(np.int64)

@@ -21,14 +21,18 @@ Three contracts are locked down here:
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import graphs
 from repro.core import color_vertices
 from repro.exceptions import InvalidParameterError
+from repro.graphs.generators import _geometric_edges
 from repro.local_model.fast_network import FastNetwork, as_network, fast_view
 from repro.local_model.network import Network
 from repro.verification import assert_legal_vertex_coloring
@@ -48,6 +52,20 @@ def assert_bit_identical(fast: FastNetwork, legacy: Network) -> None:
     assert list(fast.indices) == list(compiled.indices)
     assert fast.max_degree == compiled.max_degree
     assert fast.num_nodes == compiled.num_nodes
+
+
+def all_close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """The all-pairs oracle: every ``(i, j)``, ``i < j``, within ``radius``."""
+    gaps = points[:, None, :] - points[None, :, :]
+    within = (gaps**2).sum(axis=-1) <= radius * radius
+    return np.argwhere(np.triu(within, k=1))
+
+
+def csr_edges(network: FastNetwork) -> np.ndarray:
+    """The ``(i, j)``, ``i < j``, edges of a CSR view in row-major order."""
+    rows = np.repeat(np.arange(network.num_nodes), network.degrees)
+    forward = rows < network.indices
+    return np.column_stack([rows[forward], network.indices[forward]])
 
 
 DETERMINISTIC_FAMILIES = [
@@ -275,20 +293,21 @@ class TestHeavyTailedFamilies:
 
     @QUICK_PROPERTY
     @given(
-        n=st.integers(min_value=1, max_value=50),
-        radius=st.floats(min_value=0.01, max_value=1.5),
+        n=st.integers(min_value=1, max_value=600),
+        radius=st.floats(min_value=0.002, max_value=1.5),
         seed=st.integers(min_value=0, max_value=2**31),
     )
+    # Many uncapped cells, a grid capped at isqrt(n), and a single cell.
+    @example(n=600, radius=0.1, seed=11)
+    @example(n=600, radius=0.002, seed=4)
+    @example(n=40, radius=1.5, seed=0)
     def test_random_geometric_matches_brute_force(self, n, radius, seed):
         network = graphs.random_geometric(n, radius, seed=seed, backend="fast")
         assert network.network is None
         network.to_network()  # validates simplicity and symmetry
         # The documented point stream: the generator's first draws.
         points = np.random.default_rng(seed).random((n, 2))
-        gaps = points[:, None, :] - points[None, :, :]
-        within = (gaps**2).sum(axis=-1) <= radius * radius
-        expected = int(within.sum() - n) // 2
-        assert network.num_edges == expected
+        assert np.array_equal(csr_edges(network), all_close_pairs(points, radius))
         again = graphs.random_geometric(n, radius, seed=seed, backend="fast")
         assert list(again.indices) == list(network.indices)
 
@@ -320,6 +339,107 @@ class TestHeavyTailedFamilies:
         legacy = graphs.bipartite_switch(12, 5, seed=7, backend="legacy")
         assert_bit_identical(fast, legacy)
         assert legacy.nodes()[0] == ("in", 0)
+
+
+class TestGeometricSweep:
+    """The unit-disk sweep: a pinned CSR per seed, and hand-placed edge cases."""
+
+    #: SHA-256 of ``indptr`` then ``indices`` (int64 bytes) of
+    #: ``random_geometric(n, radius, seed, backend="fast")``, recorded with the
+    #: earlier full-radius cell sweep: the sweep may change, the graph may not.
+    #: ``radius=None`` is the vertex workload's ``sqrt(24 / (pi * n))``.
+    CSR_SHA256 = [
+        (100_000, None, 1, "c97334cea40f0de16eb03b648a2878f5962737c40a50d87b8466ec23ec74cd40"),
+        (100_000, None, 2, "67823d6cf8441c4e5de77c866f6bb204f184d3b041b8e7f543b4e69f06705b6b"),
+        (20_000, None, 7, "ebf0fe8830ee811de57daf74332da67b9a420626d62d2a29bc7d96a46a56c60f"),
+        (5_000, None, 1, "214d47101fc74fdfe86d859cf777537dffabd8efdc87ef7c801cfefc419d84aa"),
+        (2000, 0.001, 3, "b2ea88327bd86412695ba69b1fcb8bd17bcbe9099c334ea5cc22873f5ca367e5"),
+        (300, 1e-9, 3, "5d81987966a0197c8a663d8800d87b97c0c5ea4f619d42f44e22bf5321d14cbb"),
+        (1, 0.5, 3, "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+        (400, 1.0, 3, "1167ca709a7ece8a95836a64b77d7bbf38931c6010f3ec8555ee86c1ae90d808"),
+        (400, 5.0, 3, "3fc6ca2d9bf41734e873a4e11f3641199399e3de11dcab1bf6b6efa91c2d1335"),
+        (1000, 0.05, 3, "069aa757ee4f66505b231d0647ad617b972001d120d251e1dcee679899480ff3"),
+    ]
+
+    @pytest.mark.parametrize("n,radius,seed,digest", CSR_SHA256)
+    def test_csr_is_byte_identical_per_seed(self, n, radius, seed, digest):
+        if radius is None:
+            radius = math.sqrt(24 / (math.pi * n))
+        network = graphs.random_geometric(n, radius, seed=seed, backend="fast")
+        sha = hashlib.sha256(network.indptr.astype(np.int64).tobytes())
+        sha.update(network.indices.astype(np.int64).tobytes())
+        assert sha.hexdigest() == digest
+
+    @staticmethod
+    def assert_sweep_is_exact(points, radius: float) -> np.ndarray:
+        """``_geometric_edges`` finds each close pair once, and nothing else."""
+        points = np.asarray(points, dtype=np.float64)
+        u, v = _geometric_edges(points, radius)
+        pairs = np.column_stack([np.minimum(u, v), np.maximum(u, v)])
+        found = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert np.array_equal(found, all_close_pairs(points, radius))  # once each
+        return found
+
+    @staticmethod
+    def with_filler(points, count: int = 300) -> np.ndarray:
+        """``points`` first, then random filler so the grid is not capped at 1."""
+        filler = np.random.default_rng(0).random((count, 2))
+        return np.vstack([np.asarray(points, dtype=np.float64), filler])
+
+    def test_pair_at_exactly_the_radius_is_an_edge(self):
+        found = self.assert_sweep_is_exact(
+            self.with_filler([(0.25, 0.5), (0.375, 0.5), (0.5, 0.25), (0.5, 0.375)]),
+            0.125,
+        )
+        rows = {tuple(pair) for pair in found.tolist()}
+        assert (0, 1) in rows and (2, 3) in rows
+
+    @pytest.mark.parametrize("radius", [0.125, 0.13, 0.1, 2 / 15])
+    def test_points_on_cell_boundaries(self, radius):
+        # Coordinates k / cells for the grids these radii can give (15 to 20
+        # columns over 300+ points), along both axes.
+        ticks = sorted({k / cells for cells in range(15, 21) for k in range(cells)})
+        points = [(t, 0.5) for t in ticks] + [(0.5, t) for t in ticks]
+        points += [(t, t) for t in ticks]
+        self.assert_sweep_is_exact(self.with_filler(points), radius)
+
+    def test_points_at_the_far_edges(self):
+        # The largest draw below 1, and the closed square's edge itself.
+        top = 1 - 2**-53
+        points = [(top, top), (top, 0.0), (0.0, top), (top - 0.05, top), (top, top - 0.1)]
+        points += [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.0, 1.0)]
+        for radius in (0.05, 0.1, 0.3):
+            self.assert_sweep_is_exact(self.with_filler(points), radius)
+            self.assert_sweep_is_exact(points, radius)  # one cell
+
+    def test_float_rounding_cannot_split_a_close_pair_three_cells(self):
+        # 0.15 - 0.049999999999999996 rounds to exactly 0.1 = r, so this is
+        # an edge; on 20 columns (the unmargined floor(2 / r)) the two points
+        # land in columns 0 and 3, out of the sweep's reach.
+        radius = 0.1
+        points = [
+            (0.049999999999999996, 0.5),
+            (0.15, 0.5),
+            (0.5, 0.049999999999999996),
+            (0.5, 0.15),
+        ]
+        found = self.assert_sweep_is_exact(self.with_filler(points, count=500), radius)
+        rows = {tuple(pair) for pair in found.tolist()}
+        assert (0, 1) in rows and (2, 3) in rows
+
+    def test_close_pair_two_cells_apart_in_both_axes(self):
+        # r = 0.13 over 304 points: 15 columns of side 1/15 > r / 2.  Each pair
+        # sits just inside cells two columns and two rows apart, at about
+        # 0.75 r, in the forward column ranges (+2, +2) and (+2, -2).
+        radius, side, eps = 0.13, 1 / 15, 1e-3
+        pairs = [
+            ((4 * side - eps, 4 * side - eps), (5 * side + eps, 5 * side + eps)),
+            ((9 * side - eps, 11 * side + eps), (10 * side + eps, 10 * side - eps)),
+        ]
+        points = [p for pair in pairs for p in pair]
+        found = self.assert_sweep_is_exact(self.with_filler(points), radius)
+        rows = {tuple(pair) for pair in found.tolist()}
+        assert (0, 1) in rows and (2, 3) in rows
 
 
 class TestNetworkFreeEntryPath:
@@ -376,6 +496,30 @@ class TestNetworkFreeEntryPath:
         )
         legacy = Network({0: [1, 1], 1: [0, 2], 2: [1], 3: []})
         assert_bit_identical(fast, legacy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_from_edge_array_deduplicates_against_np_unique(self, data):
+        touched = data.draw(st.integers(2, 25))
+        isolated = data.draw(st.integers(0, 5))  # trailing nodes in no edge
+        n = touched + isolated
+        node = st.integers(0, touched - 1)
+        edges = data.draw(
+            st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=60)
+        )
+        # Every edge again in the other orientation, and some repeated as is.
+        repeats = data.draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+        edges = edges + [(b, a) for a, b in edges] + repeats
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        v = np.array([b for _, b in edges], dtype=np.int64)
+        fast = FastNetwork.from_edge_array(u, v, num_nodes=n)
+        pairs = np.unique(np.column_stack([np.r_[u, v], np.r_[v, u]]), axis=0)
+        degrees = np.bincount(pairs[:, 0], minlength=n)
+        assert fast.indptr.dtype == fast.indices.dtype == fast.degrees.dtype == np.int64
+        assert np.array_equal(fast.degrees, degrees)
+        assert np.array_equal(fast.indptr, np.r_[0, np.cumsum(degrees)])
+        assert np.array_equal(fast.indices, pairs[:, 1])
+        assert fast.max_degree == int(degrees.max(initial=0))
 
     def test_from_csr_roundtrip_and_validation(self):
         base = graphs.grid_graph(3, 4, backend="fast")
