@@ -99,8 +99,7 @@ def main(argv=None) -> int:
     assert stats.retries > 0, f"no retries recorded under a faulted plan: {stats}"
     print(
         f"ok: {stats.fresh} scenarios completed, {stats.retries} retries, "
-        f"{stats.timeouts} timeouts, {stats.pool_rebuilds} pool rebuilds, "
-        f"{stats.degraded} degraded"
+        f"{stats.timeouts} timeouts, {stats.pool_rebuilds} pool rebuilds"
     )
     return 0
 

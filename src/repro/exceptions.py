@@ -39,21 +39,6 @@ class RoundLimitExceeded(SimulationError):
     """
 
 
-class EngineFailure(ReproError, RuntimeError):
-    """An execution engine or kernel backend failed as *infrastructure*.
-
-    Raised when a scheduler or kernel backend breaks at construction or
-    mid-run for reasons unrelated to the algorithm itself (a lost shared
-    library, a poisoned ctypes handle, an injected fault).  This is the
-    exception class the vectorized engine recovers from by re-running the
-    phase on numpy (kernel loss), and the resilience layer's engine
-    degradation chain (:func:`repro.resilience.run_with_degradation`) by
-    re-running the work on the next engine down the chain; algorithmic errors
-    (:class:`InvalidParameterError`, :class:`SimulationError`, ...) are *not*
-    recoverable this way and propagate unchanged.
-    """
-
-
 class ColoringError(ReproError):
     """A produced coloring violates a property it was required to satisfy.
 

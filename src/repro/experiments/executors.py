@@ -24,11 +24,10 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.scenarios import ALGORITHMS, Scenario, payload_digest
-from repro.resilience.degrade import run_with_degradation
 from repro.resilience.faults import FAULT_PLAN_ENV, FaultInjector, FaultPlan
 
 #: How often the pool loop wakes to check soft timeouts (seconds).  It only
@@ -72,8 +71,8 @@ def call_with_soft_timeout(fn: Callable[[], Any], timeout: Optional[float]) -> A
     return box["value"]
 
 
-def _run_payload(scenario: Scenario, engine: str) -> Dict[str, Any]:
-    """Execute ``scenario`` on ``engine`` and return its JSON-safe payload."""
+def _run_payload(scenario: Scenario) -> Dict[str, Any]:
+    """Execute ``scenario`` on its engine and return its JSON-safe payload."""
     try:
         runner = ALGORITHMS[scenario.algorithm]
     except KeyError:
@@ -85,7 +84,7 @@ def _run_payload(scenario: Scenario, engine: str) -> Dict[str, Any]:
     payload = runner(
         network,
         scenario.params_dict,
-        engine,
+        scenario.engine,
         scenario.capture_colors,
     )
     payload["wall_time"] = time.perf_counter() - started
@@ -103,32 +102,17 @@ def _execute_scenario(
 ) -> Dict[str, Any]:
     """The worker entry point (module-level so it pickles): one envelope.
 
-    The envelope wraps the result payload with resilience metadata that must
+    The envelope wraps the result payload with an integrity digest that must
     never leak into the cached payload itself (cached payloads stay
-    bit-identical to fault-free runs): the engine that actually produced the
-    result after degradation, the abandoned engines, and an integrity digest
-    computed *before* any injected corruption so the parent can verify the
-    payload it received.
+    bit-identical to fault-free runs), computed *before* any injected
+    corruption so the parent can verify the payload it received.
     """
     if injector is None:
         injector = FaultInjector.from_env()
-    restore = None
     if injector is not None:
-        restore = injector.fire_before_run(index, attempt)
-    try:
-        outcome = run_with_degradation(
-            lambda engine: _run_payload(scenario, engine), scenario.engine
-        )
-    finally:
-        if restore is not None:
-            restore()
-    payload = outcome.result
-    envelope = {
-        "payload": payload,
-        "engine_used": outcome.engine,
-        "degraded_from": list(outcome.degraded_from),
-        "integrity": payload_digest(payload),
-    }
+        injector.fire_before_run(index, attempt)
+    payload = _run_payload(scenario)
+    envelope = {"payload": payload, "integrity": payload_digest(payload)}
     if injector is not None:
         injector.corrupt_payload(index, attempt, payload)
     return envelope
@@ -143,18 +127,6 @@ class _Outcome:
     status: str = "ok"
     error: Optional[str] = None
     attempts: int = 1
-    engine_used: Optional[str] = None
-    degraded_from: Tuple[str, ...] = ()
-
-
-def _ok_outcome(envelope: Dict[str, Any], attempts: int) -> _Outcome:
-    return _Outcome(
-        payload=envelope["payload"],
-        status="ok",
-        attempts=attempts,
-        engine_used=envelope.get("engine_used"),
-        degraded_from=tuple(envelope.get("degraded_from") or ()),
-    )
 
 
 @dataclass
@@ -223,7 +195,9 @@ def execute_serial(request: ExecutionRequest) -> None:
             ):
                 error = "payload integrity digest mismatch"
             if error is None:
-                request.complete(index, _ok_outcome(envelope, attempt + 1))
+                request.complete(
+                    index, _Outcome(payload=envelope["payload"], attempts=attempt + 1)
+                )
                 break
             attempt += 1
             if attempt > request.retries:
@@ -308,11 +282,21 @@ def _pool_generation(
     remaining = set(unfinished)
     lost = False
     charge_all = False
+
+    def submit(index: int) -> bool:
+        """Queue ``index``; False when a worker already broke the pool."""
+        try:
+            future = pool.submit(_execute_scenario, scenarios[index], index, attempts[index])
+        except BrokenProcessPool:
+            return False
+        futures[future] = index
+        return True
+
     try:
-        for index in unfinished:
-            futures[
-                pool.submit(_execute_scenario, scenarios[index], index, attempts[index])
-            ] = index
+        # A worker crash can break the pool while work is still being
+        # submitted; that is the same collective loss as a broken future.
+        if not all(submit(index) for index in unfinished):
+            lost = charge_all = True
         while futures and not lost:
             tick = _POLL_SECONDS if request.timeout is not None else None
             finished, _ = wait(set(futures), timeout=tick, return_when=FIRST_COMPLETED)
@@ -338,7 +322,10 @@ def _pool_generation(
                     error = "payload integrity digest mismatch (corrupted in transit)"
                 if error is None:
                     remaining.discard(index)
-                    complete(index, _ok_outcome(envelope, attempts[index] + 1))
+                    complete(
+                        index,
+                        _Outcome(payload=envelope["payload"], attempts=attempts[index] + 1),
+                    )
                     continue
                 attempts[index] += 1
                 if attempts[index] > request.retries:
@@ -350,11 +337,9 @@ def _pool_generation(
                 else:
                     stats.retries += 1
                     request.backoff(attempts[index])
-                    futures[
-                        pool.submit(
-                            _execute_scenario, scenarios[index], index, attempts[index]
-                        )
-                    ] = index
+                    if not submit(index):
+                        lost = charge_all = True
+                        break
             if lost or request.timeout is None:
                 continue
             for future in list(futures):

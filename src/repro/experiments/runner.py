@@ -18,10 +18,8 @@ scenario into ``ScenarioResult.status`` / ``error``, with configurable
 retries (exponential backoff), a per-scenario soft timeout enforced
 identically in-process and in the pool, and transparent recovery from a
 broken process pool (the pool is rebuilt and only unfinished work
-resubmitted).  Workers apply the engine degradation chain (vectorized ->
-reference, see :mod:`repro.resilience`) when an engine fails as
-infrastructure, and stamp an integrity digest on each payload
-so results corrupted in transit are detected and retried.  A seedable
+resubmitted).  Workers stamp an integrity digest on each payload so
+results corrupted in transit are detected and retried.  A seedable
 :class:`~repro.resilience.FaultPlan` can be injected to rehearse all of this
 deterministically.
 
@@ -56,7 +54,6 @@ from typing import (
     Optional,
     Sequence,
     TextIO,
-    Tuple,
 )
 
 from repro.exceptions import InvalidParameterError
@@ -69,7 +66,6 @@ from repro.experiments.executors import (
     execute_serial,
 )
 from repro.experiments.scenarios import Scenario
-from repro.resilience.degrade import run_with_degradation
 from repro.resilience.faults import FaultPlan
 
 #: Signature of the sweep progress callback: ``(done, total, scenario, cached)``.
@@ -96,14 +92,9 @@ def progress_ticker(stream: Optional[TextIO] = None) -> ProgressCallback:
 def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario and return its JSON-safe result payload.
 
-    Single-shot, no fault injection; the engine degradation chain still
-    applies, so an infrastructure failure of the requested engine degrades to
-    the next bit-identical engine instead of raising.
+    Single-shot: no cache, no retries, no fault injection.
     """
-    outcome = run_with_degradation(
-        lambda engine: _run_payload(scenario, engine), scenario.engine
-    )
-    return outcome.result
+    return _run_payload(scenario)
 
 
 @dataclass
@@ -113,8 +104,7 @@ class SweepStats:
     ``retries`` counts re-executions charged to a specific scenario (worker
     exceptions, integrity mismatches, soft timeouts, and the collective
     charge after a pool breakage); ``pool_rebuilds`` counts the process-pool
-    generations created beyond the first; ``degraded`` counts scenarios
-    whose result was produced below their requested engine.
+    generations created beyond the first.
     """
 
     scenarios: int = 0
@@ -124,7 +114,6 @@ class SweepStats:
     retries: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
-    degraded: int = 0
 
 
 @dataclass
@@ -139,10 +128,7 @@ class ScenarioResult:
     ``payload=None`` and an attributed ``error`` string (the final exception,
     timeout, or pool breakage, after ``attempts`` executions); unknown
     attribute lookups then raise :class:`AttributeError` instead of
-    dereferencing a payload that does not exist.  ``engine_used`` /
-    ``degraded_from`` record engine degradation (``engine_used`` equals the
-    scenario's engine when no degradation happened; both are ``None``/empty
-    for cache hits, whose execution history was not retained).
+    dereferencing a payload that does not exist.
     """
 
     scenario: Scenario
@@ -151,8 +137,6 @@ class ScenarioResult:
     status: str = "ok"
     error: Optional[str] = None
     attempts: int = 1
-    engine_used: Optional[str] = None
-    degraded_from: Tuple[str, ...] = ()
 
     def __getattr__(self, name: str) -> Any:
         # Dunder probes (pickle's __getstate__, copy's __deepcopy__,
@@ -310,8 +294,6 @@ class ExperimentRunner:
             outcomes[token] = outcome
             if outcome.status == "ok":
                 stats.fresh += 1
-                if outcome.degraded_from:
-                    stats.degraded += 1
                 if self.cache is not None:
                     self.cache.put(token, scenarios[index].key(), outcome.payload)
             else:
@@ -354,8 +336,6 @@ class ExperimentRunner:
                 status=outcomes[token].status,
                 error=outcomes[token].error,
                 attempts=outcomes[token].attempts,
-                engine_used=outcomes[token].engine_used,
-                degraded_from=outcomes[token].degraded_from,
             )
             for scenario, token in zip(scenarios, tokens)
         ]

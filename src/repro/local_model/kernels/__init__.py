@@ -15,13 +15,12 @@ providers --
 
 Neither is required: with no provider, :func:`get_backend` returns ``None``
 and the vectorized engine runs every phase's numpy ``vector_run``, bit for
-bit the same results.  A backend that raises
-:class:`~repro.exceptions.EngineFailure` mid-run is dropped by the scheduler,
-which re-runs the phase on numpy (counted in
-``RunMetrics.compiled_fallback_phase_names``).  A freshly loaded provider is
-*probed* -- every kernel is run on a small adversarial graph and compared
-against the ``_loops`` reference -- so a miscompiled library is rejected
-instead of corrupting colorings.
+bit the same results.  Kernels report failure through a status value, never
+an exception: a kernel whose scratch allocation fails returns status 2 and
+its adapter runs the phase's ``vector_run`` instead.  A freshly loaded
+provider is *probed* -- every kernel is run on a small adversarial graph
+and compared against the ``_loops`` reference -- so a miscompiled library
+is rejected instead of corrupting colorings.
 
 Environment knobs:
 
@@ -302,14 +301,13 @@ def reset() -> None:
 def force_backend(backend, reason: str = "forced") -> "callable":
     """Install ``backend`` as the resolved provider, bypassing probe/env logic.
 
-    This is the seam the fault injector (and tests) use to simulate a backend
-    that breaks mid-run: install a poisoned object here and every vectorized
-    scheduler constructed afterwards dispatches into it.
+    Every vectorized scheduler constructed afterwards dispatches into
+    ``backend`` (tests install stand-in providers this way).
     ``force_backend(None)`` switches kernels off, the programmatic twin of
     ``REPRO_KERNEL_BACKEND=none``.  Returns a restore callable that
     reinstates the previous resolution state exactly; callers must invoke it
-    (typically in a ``finally``) because pool workers are long-lived and an
-    installed backend would leak into unrelated runs.
+    (typically in a ``finally``) so the installed backend does not leak into
+    unrelated runs.
     """
     global _RESOLVED, _BACKEND, _REASON
     previous = (_RESOLVED, _BACKEND, _REASON)

@@ -5,9 +5,9 @@ validation, same degenerate cases, same metric charging, same state writes
 -- swapping only the per-round array chains for one fused kernel call, so
 kernels on and kernels off stay bit-identical (which the equivalence suite
 and the goldens enforce).  Each runner calls the backend before it writes a
-column or charges a metric: when the backend raises
-:class:`~repro.exceptions.EngineFailure`, the vectorized engine re-runs the
-phase's ``vector_run`` on an untouched context.
+column or charges a metric: when a kernel returns status 2 (its scratch
+allocation failed), the runner calls the phase's ``vector_run`` on an
+untouched context instead.
 
 Runners are registered by *qualified class name*, not by class object: the
 phase modules import the scheduler stack, so importing them here would be

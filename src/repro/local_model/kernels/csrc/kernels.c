@@ -1,4 +1,4 @@
-/* Fused CSR kernels for the "compiled" engine.
+/* Fused CSR kernels for the "vectorized" engine.
  *
  * Line-by-line transcription of the reference loops in `_loops.py`
  * (which is the semantic source of truth -- see its docstring for the

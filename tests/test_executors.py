@@ -146,7 +146,6 @@ class TestExecuteSerial:
         for index, outcome in request.done:
             assert outcome.status == "ok" and outcome.attempts == 1
             assert stable(outcome.payload) == expected[index]
-            assert outcome.engine_used == scenarios[index].engine
 
     def test_transient_error_is_retried_and_charged(self):
         plan = FaultPlan((FaultSpec(index=1, kind="error", attempts=1),))
@@ -247,3 +246,33 @@ class TestExecutePool:
         by_index = dict(request.done)
         assert (by_index[0].status, by_index[0].attempts) == ("ok", 2)
         assert os.environ.get(FAULT_PLAN_ENV) == previous
+
+    @pytest.mark.parametrize("broken_at", [1, 3])
+    def test_pool_broken_during_submission_is_rebuilt(self, monkeypatch, broken_at):
+        # A worker crash can break the pool while the parent is still
+        # submitting (the first generation's submissions, or a retry's).
+        # The failed submit loses the pool like a broken future does:
+        # rebuild, charge the unfinished work, complete every scenario.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class BreaksOnce(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args[2])
+                if len(submits) == broken_at:
+                    raise BrokenProcessPool("a worker died during submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", BreaksOnce)
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        scenarios = sweep(2)
+        plan = FaultPlan((FaultSpec(index=0, kind="error", attempts=1),))
+        request = request_for(scenarios, workers=2, retries=3, fault_plan=plan)
+        execute_pool(request)
+        by_index = dict(request.done)
+        assert sorted(by_index) == [0, 1]
+        assert all(outcome.status == "ok" for outcome in by_index.values())
+        assert [stable(by_index[i].payload) for i in range(2)] == fault_free(scenarios)
+        assert request.stats.pool_rebuilds == 1

@@ -205,6 +205,27 @@ class TestReductionKernels:
         assert np.array_equal(expected, actual)
         assert se[0] == sa[0] == 0
 
+    def test_kernel_path_errors_reach_the_caller(self, backend, triangle):
+        # An adapter's algorithm error is not a kernel failure: a palette
+        # violation raised on the kernel path reaches the caller with the
+        # reference scheduler's exact text.
+        from repro.exceptions import InvalidParameterError
+        from repro.local_model import Scheduler
+        from repro.local_model.vectorized import VectorizedScheduler
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
+
+        phase = KuhnWattenhoferReductionPhase(palette=4, target=3, input_key="c")
+        seeds = {node: {"c": 5} for node in triangle.nodes()}
+        with pytest.raises(InvalidParameterError) as expected:
+            Scheduler(triangle).run(phase, initial_states=seeds)
+        restore = kernels.force_backend(backend, reason="error text test")
+        try:
+            with pytest.raises(InvalidParameterError) as actual:
+                VectorizedScheduler(triangle).run(phase, initial_states=seeds)
+        finally:
+            restore()
+        assert str(actual.value) == str(expected.value)
+
 
 class TestEdgeRankKernel:
     @pytest.mark.parametrize("has_codes", [0, 1])
@@ -282,52 +303,73 @@ class TestPsiSelectKernel:
         assert np.array_equal(depth, expected[1])
 
     @pytest.mark.parametrize("status", [0, 2])
-    def test_psi_phase_matches_numpy(self, backend, status):
-        # Through the engine: the kernel path (status 0) and the scratch
-        # failure path (status 2, which re-runs vector_run) both write the
-        # numpy path's state and charge its metrics, and neither is a loss.
+    @pytest.mark.parametrize("kernel", ["psi_select", "kw_reduce"])
+    def test_psi_phase_matches_numpy(self, backend, kernel, status):
+        # Through the engine, for each kernel that reports a scratch failure
+        # as status 2: the kernel path (status 0) and the failure path
+        # (status 2, which re-runs vector_run) both write the numpy path's
+        # state and charge its metrics, with the kernel called exactly once.
         from repro import graphs
         from repro.local_model.state_table import StateTable
         from repro.local_model.vectorized import VectorizedScheduler
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
 
         class Provider:
-            name = "psi-test"
+            name = "status-test"
             calls = 0
 
-            def __getattr__(self, kernel):
-                return getattr(backend, kernel)
+            def __getattr__(self, name):
+                real = getattr(backend, name)
+                if name != kernel:
+                    return real
 
-            def psi_select(self, *args):
-                self.calls += 1
-                if status == 2:
+                def call(*args):
+                    self.calls += 1
+                    if status == 0:
+                        return real(*args)
+                    if kernel == "kw_reduce":  # reports through its status array
+                        args[-1][0] = 2
+                        return None
                     return 2
-                return backend.psi_select(*args)
+
+                return call
 
         fast = graphs.random_regular(120, 7, seed=3, backend="fast")
-        phi = np.random.default_rng(5).integers(1, 9, size=fast.num_nodes)
-        phase = PsiSelectionPhase(p=3, phi_key="phi", phi_palette=8)
+        n = fast.num_nodes
+        if kernel == "psi_select":
+            phase = PsiSelectionPhase(p=3, phi_key="phi", phi_palette=8)
+            seed_key, out_key = "phi", "psi_color"
+            seed = np.random.default_rng(5).integers(1, 9, size=n)
+        else:
+            # A legal coloring spread over three 2k-blocks, as in test_kw_reduce.
+            k = fast.max_degree + 1
+            seed = greedy_colors(n, fast.indptr, fast.indices)
+            seed += (np.arange(n, dtype=np.int64) % 3) * 2 * k
+            phase = KuhnWattenhoferReductionPhase(
+                palette=int(seed.max()), target=k, input_key="c"
+            )
+            seed_key, out_key = "c", phase.output_key
         provider = Provider()
         outcomes = []
         for installed in (provider, None):
-            restore = kernels.force_backend(installed, reason="psi phase test")
+            restore = kernels.force_backend(installed, reason="status test")
             try:
-                table = StateTable(fast.num_nodes)
-                table.set_ints("phi", phi.astype(np.int64))
+                table = StateTable(n)
+                table.set_ints(seed_key, seed.astype(np.int64))
                 table, metrics = VectorizedScheduler(fast).run_table(phase, table)
             finally:
                 restore()
             outcomes.append(
                 (
-                    table.get_ints("psi_color").tolist(),
+                    table.get_ints(out_key).tolist(),
                     (metrics.rounds, metrics.messages, metrics.total_words,
                      metrics.max_message_words),
-                    metrics.compiled_fallback_phase_names,
+                    metrics.fallback_phase_names,
                 )
             )
         assert provider.calls == 1
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == []
-
 
 class TestLubyKernels:
     @pytest.fixture

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.exceptions import EngineFailure, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.experiments import (
     CacheIntegrityWarning,
     ExperimentRunner,
@@ -29,19 +29,14 @@ from repro.experiments import (
     call_with_soft_timeout,
     payload_digest,
 )
-from repro.local_model import kernels
 from repro.local_model.kernels import _c_backend
 from repro.resilience import (
-    DEGRADE_CHAIN,
     FAULT_PLAN_ENV,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     InjectedFaultError,
-    degrade_path,
-    run_with_degradation,
 )
-from repro.resilience.faults import _LostKernelBackend
 
 
 def scenario(tag: str, degree: int = 4, n: int = 32, engine: str = "vectorized") -> Scenario:
@@ -90,6 +85,29 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.seeded(0, num_scenarios=4, crash_rate=0.7, hang_rate=0.7)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {"crash_rate": float("nan")},
+            {"corrupt_rate": float("nan"), "error_rate": 0.5},
+            {"crash_rate": -0.5, "error_rate": 1.5},
+            {"hang_rate": -0.1},
+            {"error_rate": 1.5},
+            {"crash_rate": float("inf")},
+        ],
+        ids=["nan", "nan-beside-valid", "negative-offsets-excess", "negative", "above-one", "inf"],
+    )
+    def test_rates_outside_unit_interval_rejected(self, rates):
+        # NaN fails every comparison, and a negative rate can offset one
+        # above 1 under the sum check: each rate is checked on its own.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FaultPlan.seeded(1, num_scenarios=5, **rates)
+
+    def test_boundary_rates_accepted(self):
+        assert FaultPlan.seeded(1, num_scenarios=5, error_rate=0.0) == FaultPlan()
+        plan = FaultPlan.seeded(1, num_scenarios=5, error_rate=1.0)
+        assert [spec.kind for spec in plan.specs] == ["error"] * 5
+
     def test_json_round_trip(self):
         plan = FaultPlan(
             (
@@ -134,6 +152,8 @@ class TestFaultPlan:
     def test_plan_with_retired_kind_fails_loudly(self):
         with pytest.raises(ValueError, match="worker_die"):
             FaultPlan.from_json('[{"index": 0, "kind": "worker_die"}]')
+        with pytest.raises(ValueError, match="lose_backend"):
+            FaultPlan.from_json('[{"index": 0, "kind": "lose_backend"}]')
 
     def test_unknown_kind_and_bad_attempts_rejected(self):
         with pytest.raises(ValueError):
@@ -549,103 +569,6 @@ class TestCacheIntegrity:
 
         assert ResultCache(tmp_path).quarantine_keep == DEFAULT_QUARANTINE_KEEP
         assert ResultCache(tmp_path, quarantine_keep=0).quarantine_keep == 0
-
-
-class TestEngineDegradation:
-    def test_degrade_path_is_a_chain_suffix(self):
-        assert DEGRADE_CHAIN == ("vectorized", "reference")
-        assert degrade_path("vectorized") == DEGRADE_CHAIN
-        assert degrade_path("reference") == ("reference",)
-        assert degrade_path("custom") == ("custom",)
-
-    def test_run_with_degradation_walks_the_chain(self):
-        calls = []
-
-        def invoke(engine):
-            calls.append(engine)
-            if engine == "vectorized":
-                raise EngineFailure(f"{engine} is broken")
-            return f"ran on {engine}"
-
-        outcome = run_with_degradation(invoke, "vectorized")
-        assert outcome.result == "ran on reference"
-        assert outcome.engine == "reference"
-        assert outcome.degraded_from == ("vectorized",)
-        assert calls == ["vectorized", "reference"]
-
-    def test_non_engine_failures_are_not_recoverable(self):
-        def invoke(engine):
-            raise ValueError("an algorithm bug, not infrastructure")
-
-        with pytest.raises(ValueError):
-            run_with_degradation(invoke, "vectorized")
-
-    def test_whole_chain_failing_raises_engine_failure(self):
-        def invoke(engine):
-            raise EngineFailure(f"{engine} down")
-
-        with pytest.raises(EngineFailure) as excinfo:
-            run_with_degradation(invoke, "vectorized")
-        assert "reference" in str(excinfo.value)
-
-    def test_lost_backend_recovers_inside_the_scenario(self, tmp_path):
-        # A lost kernel backend no longer degrades the scenario: the
-        # vectorized engine re-runs each affected phase on numpy.
-        s = scenario("degrade", n=24)
-        reference = fault_free([s.with_engine("reference")])
-        plan = FaultPlan((FaultSpec(index=0, kind="lose_backend", attempts=1),))
-        runner = ExperimentRunner(
-            cache_dir=tmp_path, max_workers=0, retries=0, fault_plan=plan
-        )
-        (result,) = runner.run([s])
-        assert result.ok
-        assert result.engine_used == "vectorized"
-        assert result.degraded_from == ()
-        assert runner.last_stats.degraded == 0
-        # Bit-identical engines: the payload matches a healthy reference run
-        # (the engine name is part of the scenario, not the payload).
-        assert stable(result.payload) == reference[0]
-
-    def test_portfolio_surfaces_kernel_loss(self):
-        graph = GraphSpec("random_regular", n=24, degree=4, seed=3).build()
-        from repro.portfolio import color_graph
-
-        restore = kernels.force_backend(
-            _LostKernelBackend(), reason="injected for test"
-        )
-        try:
-            result = color_graph(graph, c=2, engine="vectorized")
-        finally:
-            restore()
-        assert result.decision.engine == "vectorized"
-        assert result.decision.degraded_from == ()
-        assert result.metrics.degraded_engine_names == []
-        lost = result.metrics.compiled_fallback_phase_names
-        assert lost
-        assert set(lost) <= {phase.name for phase in result.metrics.phases}
-        # The coloring is still the reference result (engines are bit-identical).
-        healthy = color_graph(graph, c=2, engine="reference")
-        assert result.colors == healthy.colors
-        assert result.metrics.summary() == healthy.metrics.summary()
-
-    def test_portfolio_surfaces_degradation(self, monkeypatch):
-        # An engine that fails as infrastructure degrades to the reference.
-        import repro.local_model.engine as engine_module
-
-        def broken(*args, **kwargs):
-            raise EngineFailure("vectorized engine unavailable")
-
-        graph = GraphSpec("random_regular", n=24, degree=4, seed=3).build()
-        from repro.portfolio import color_graph
-
-        healthy = color_graph(graph, c=2, engine="vectorized")
-        monkeypatch.setitem(engine_module._ENGINES, "vectorized", broken)
-        result = color_graph(graph, c=2, engine="vectorized")
-        assert result.decision.engine == "reference"
-        assert result.decision.degraded_from == ("vectorized",)
-        assert "degraded" in result.decision.reasons["engine"]
-        assert "vectorized" in result.metrics.degraded_engine_names
-        assert result.colors == healthy.colors
 
 
 class TestCompileHardening:
