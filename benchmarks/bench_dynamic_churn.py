@@ -74,7 +74,7 @@ RESULTS_FILE = "dynamic_churn_quick.json" if QUICK else "dynamic_churn.json"
 
 def _measure(n: int, degree: int) -> dict:
     """Drive one churn schedule through both strategies, timed per batch."""
-    base = graphs.random_regular(n, degree, seed=CHURN_SEED, backend="fast")
+    base = graphs.random_regular(n, degree, seed=CHURN_SEED)
     incremental = DynamicColoring(base, c=CHURN_C, engine="vectorized")
     recompute = DynamicColoring(
         base, c=CHURN_C, strategy="recompute", engine="vectorized"
@@ -220,8 +220,7 @@ def test_dynamic_churn(benchmark):
                     "DynamicColoring incremental repair vs. "
                     "strategy='recompute' on identical churn batches"
                 ),
-                "graph": f"random_regular(n, degree, seed={CHURN_SEED}, "
-                "backend='fast')",
+                "graph": f"random_regular(n, degree, seed={CHURN_SEED})",
                 "c": CHURN_C,
                 "churn_fraction": CHURN_FRACTION,
                 "steps": CHURN_STEPS,

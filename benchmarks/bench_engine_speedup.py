@@ -31,14 +31,15 @@ Five claims are demonstrated here (committed numbers in
    vectorized/reference ratio of the quick row is CI-gated like the
    Legal-Color ratios.
 3. **Setup at array speed.**  Everything *around* the engines -- workload
-   generation, CSR compilation, verification -- also runs on arrays: the
-   ``backend="fast"`` generator seam plus the vectorized verification
-   oracles make "build the graph + get it CSR-ready + verify the coloring"
-   >= 10x faster than the legacy networkx -> ``Network`` -> Python-loop
-   path at ``n = 131,072`` (``Delta = 16``), on both the vertex route and
-   the line-graph route (``L(G)`` with ``|V(L)| >= 10^6``).  Both oracle
-   paths are asserted to agree (accept the real coloring, reject a planted
-   violation), and the ratios are CI-gated like the engine ratios.
+   generation, the line graph, verification -- also runs on arrays: the
+   array-built generators, the CSR line-graph builder and the vectorized
+   verification oracles make "build the graph + build ``L(G)`` + verify the
+   edge coloring" several times faster than materializing
+   ``g.to_network()``, building ``L(G)`` as a ``Network`` and running the
+   mapping oracles, up to ``n = 131,072`` (``Delta = 16``, ``|V(L)| >=
+   10^6``).  Both oracle paths are asserted to agree (accept the real
+   coloring, reject a planted violation), and the ratio is CI-gated like
+   the engine ratios.
 4. **Sweep throughput.**  A 36-scenario sweep (degree x algorithm x seed)
    shards across worker processes via ``ExperimentRunner`` and is served
    entirely from the on-disk cache on the second pass.
@@ -70,7 +71,6 @@ from repro.core import color_edges, color_vertices
 from repro.experiments import GraphSpec, Scenario
 from repro.graphs.line_graph import build_line_graph_fast, build_line_graph_network
 from repro.local_model import kernels
-from repro.local_model.fast_network import fast_view
 from repro.verification import is_legal_edge_coloring, is_legal_vertex_coloring
 
 SPEEDUP_DEGREE = 32
@@ -145,8 +145,7 @@ EDGE_SIZES = (
 
 #: Setup-cost column: (n, degree).  Chosen to match the largest EDGE_SIZES
 #: instance in full mode so the (expensive) vectorized edge coloring of the
-#: legacy-built graph is computed once and reused for the verification
-#: timings.
+#: graph is computed once and reused for the verification timings.
 SETUP_SIZES = ((2048, 12),) if QUICK else ((131_072, 16),)
 
 SWEEP_DEGREES = (4, 6) if QUICK else (4, 6, 8, 12, 16, 22)
@@ -268,110 +267,87 @@ def _run_edge_size(n: int, degree: int, configs, edge_runs=None) -> dict:
 
 
 def _run_setup_size(n: int, degree: int, edge_runs) -> dict:
-    """Time (graph build + CSR readiness + verification) on both backends.
+    """Time (graph build + line graph + verification) on the array and mapping paths.
 
-    Vertex route: legacy = networkx generation -> ``Network`` -> CSR compile
-    -> mapping-loop legality check; fast = ``backend="fast"`` generation
-    (CSR-native, nothing to compile) -> masked-CSR legality check.  Line
-    route: the same with the ``L(G)`` construction (legacy dict-of-sets
-    builder vs. the CSR builder) and the edge-coloring oracles.  Each
-    pipeline verifies the coloring its own graph received from an untimed
-    vectorized run; both oracle paths are additionally asserted to agree on
-    a shared input, including a planted violation.
+    Both paths start from the same array-built graph ``g``.  The mapping
+    path materializes ``g.to_network()``, builds ``L(G)`` with the
+    dict-of-sets :func:`build_line_graph_network` and checks the edge
+    coloring with the mapping oracle; the array path builds ``L(G)`` with the
+    CSR builder and checks the color column.  The vertex route is timed on
+    the array path only.  Both oracle paths are asserted to agree on the
+    vertex and the edge coloring, including a planted violation.
     """
-    from repro.local_model.fast_network import FastNetwork
+    fast_net, fast_build = _timed(lambda: graphs.random_regular(n, degree, seed=SPEEDUP_SEED))
+    # One shot: a repeat would only read back the cached Network.
+    started = time.perf_counter()
+    network = fast_net.to_network()
+    materialize = time.perf_counter() - started
 
-    fast_net, fast_build = _timed(
-        lambda: graphs.random_regular(n, degree, seed=SPEEDUP_SEED, backend="fast")
-    )
-    legacy_net, legacy_build = _timed(
-        lambda: graphs.random_regular(n, degree, seed=SPEEDUP_SEED, backend="legacy")
-    )
-    _, legacy_compile = _timed(lambda: FastNetwork(legacy_net))
-
-    fast_coloring = color_vertices(
-        fast_net, c=SPEEDUP_C, quality="superlinear", engine="vectorized"
-    )
-    legacy_coloring = color_vertices(
-        legacy_net, c=SPEEDUP_C, quality="superlinear", engine="vectorized"
-    )
-    fast_ok, fast_verify = _timed(
-        lambda: is_legal_vertex_coloring(fast_net, fast_coloring.color_column)
-    )
-    legacy_ok, legacy_verify = _timed(
-        lambda: is_legal_vertex_coloring(legacy_net, legacy_coloring.colors)
-    )
-    assert fast_ok and legacy_ok
+    coloring = color_vertices(fast_net, c=SPEEDUP_C, quality="superlinear", engine="vectorized")
+    fast_ok, fast_verify = _timed(lambda: is_legal_vertex_coloring(fast_net, coloring.color_column))
+    assert fast_ok and is_legal_vertex_coloring(network, coloring.colors)
 
     # Both oracle paths must agree on a shared input -- including rejection
     # of a planted violation -- before their timings are comparable.
-    planted_column = legacy_coloring.color_column.copy()
-    victim = int(fast_view(legacy_net).indices_np[0])
-    planted_column[victim] = planted_column[0]
-    planted_mapping = dict(legacy_coloring.colors)
-    first = legacy_net.nodes()[0]
-    planted_mapping[legacy_net.neighbors(first)[0]] = planted_mapping[first]
-    assert not is_legal_vertex_coloring(legacy_net, planted_column)
-    assert not is_legal_vertex_coloring(legacy_net, planted_mapping)
-    assert is_legal_vertex_coloring(legacy_net, legacy_coloring.color_column)
+    planted_column = coloring.color_column.copy()
+    planted_column[int(fast_net.indices_np[0])] = planted_column[0]
+    planted_mapping = dict(coloring.colors)
+    first = network.nodes()[0]
+    planted_mapping[network.neighbors(first)[0]] = planted_mapping[first]
+    assert not is_legal_vertex_coloring(fast_net, planted_column)
+    assert not is_legal_vertex_coloring(network, planted_column)
+    assert not is_legal_vertex_coloring(network, planted_mapping)
 
     # ------------------------------------------------------------------ #
     # Line-graph route (same base graph for both L(G) constructions).
     # ------------------------------------------------------------------ #
     if (n, degree) in edge_runs:
-        edge_net, edge_result = edge_runs[(n, degree)]
+        _, edge_result = edge_runs[(n, degree)]
     else:
-        edge_net = legacy_net
         edge_result = color_edges(
-            edge_net, quality="superlinear", route="direct", engine="vectorized"
+            fast_net, quality="superlinear", route="direct", engine="vectorized"
         )
-    line_fast, line_fast_build = _timed(lambda: build_line_graph_fast(edge_net))
-    _, line_legacy_build = _timed(lambda: build_line_graph_network(edge_net))
+    line_fast, line_fast_build = _timed(lambda: build_line_graph_fast(fast_net))
+    _, line_legacy_build = _timed(lambda: build_line_graph_network(network))
     edge_fast_ok, edge_fast_verify = _timed(
-        lambda: is_legal_edge_coloring(edge_net, edge_result.color_column)
+        lambda: is_legal_edge_coloring(fast_net, edge_result.color_column)
     )
     edge_legacy_ok, edge_legacy_verify = _timed(
-        lambda: is_legal_edge_coloring(edge_net, edge_result.edge_colors)
+        lambda: is_legal_edge_coloring(network, edge_result.edge_colors)
     )
     assert edge_fast_ok and edge_legacy_ok
 
     # Planted edge violation: the first two canonical edges share their
     # lower endpoint on these graphs (degree >= 2), so equal colors clash.
-    edges = edge_net.edges()
+    edges = network.edges()
     assert edges[0][0] == edges[1][0]
     planted_edge_column = edge_result.color_column.copy()
     planted_edge_column[1] = planted_edge_column[0]
     planted_edge_mapping = dict(edge_result.edge_colors)
     planted_edge_mapping[edges[1]] = planted_edge_mapping[edges[0]]
-    assert not is_legal_edge_coloring(edge_net, planted_edge_column)
-    assert not is_legal_edge_coloring(edge_net, planted_edge_mapping)
+    assert not is_legal_edge_coloring(fast_net, planted_edge_column)
+    assert not is_legal_edge_coloring(network, planted_edge_mapping)
 
     seconds = {
-        "legacy_vertex": round(legacy_build + legacy_compile + legacy_verify, 4),
         "fast_vertex": round(fast_build + fast_verify, 4),
-        "legacy_line": round(legacy_build + line_legacy_build + edge_legacy_verify, 4),
+        "legacy_line": round(fast_build + materialize + line_legacy_build + edge_legacy_verify, 4),
         "fast_line": round(fast_build + line_fast_build + edge_fast_verify, 4),
     }
     return {
         "n": n,
         "degree": degree,
-        "edges": edge_net.num_edges,
+        "edges": fast_net.num_edges,
         "line_nodes": line_fast.num_nodes,
         "seconds": seconds,
         "components": {
-            "legacy_build": round(legacy_build, 4),
-            "legacy_csr_compile": round(legacy_compile, 4),
-            "legacy_vertex_verify": round(legacy_verify, 4),
             "fast_build": round(fast_build, 4),
             "fast_vertex_verify": round(fast_verify, 4),
+            "legacy_to_network": round(materialize, 4),
             "legacy_line_build": round(line_legacy_build, 4),
             "fast_line_build": round(line_fast_build, 4),
             "legacy_edge_verify": round(edge_legacy_verify, 4),
             "fast_edge_verify": round(edge_fast_verify, 4),
         },
-        "speedup_fast_setup_over_legacy": round(
-            seconds["legacy_vertex"] / max(seconds["fast_vertex"], 1e-9), 2
-        ),
         "speedup_fast_line_setup_over_legacy": round(
             seconds["legacy_line"] / max(seconds["fast_line"], 1e-9), 2
         ),
@@ -404,16 +380,12 @@ def _sweep_scenarios():
 
 
 def _run_size(n: int, configs) -> dict:
-    """Time every configuration on one instance; verify bit-identical outputs."""
-    # Legacy (networkx) generation keeps the historical rows comparable; at
-    # the million-node size the legacy builder alone takes tens of minutes
-    # and ~4 GB, so that row generates through the fast CSR builder --
-    # generation is untimed, and the within-row ratios are what the record
-    # (and the CI gate) compare.
-    backend = "fast" if n >= 500_000 else "legacy"
-    network = graphs.random_regular(
-        n, SPEEDUP_DEGREE, seed=SPEEDUP_SEED, backend=backend
-    )
+    """Time every configuration on one instance; verify bit-identical outputs.
+
+    Generation is untimed; the within-row ratios are what the record (and
+    the CI gate) compare.
+    """
+    network = graphs.random_regular(n, SPEEDUP_DEGREE, seed=SPEEDUP_SEED)
     results = {}
     seconds = {}
     for config in configs:
@@ -436,7 +408,6 @@ def _run_size(n: int, configs) -> dict:
     row = {
         "n": n,
         "degree": SPEEDUP_DEGREE,
-        "generator_backend": backend,
         "seconds": {config: round(seconds[config], 4) for config in configs},
         "rounds": baseline.metrics.rounds,
         "messages": baseline.metrics.messages,
@@ -665,11 +636,11 @@ def test_engine_speedup(benchmark):
     )
 
     # ------------------------------------------------------------------ #
-    # Setup cost: generation + CSR readiness + verification, both backends.
+    # Setup cost: generation + line graph + verification, both paths.
     # ------------------------------------------------------------------ #
     print_section(
-        "Setup cost -- graph build + CSR compile + verification "
-        "(legacy networkx/Network path vs. backend='fast' + array oracles)"
+        "Setup cost -- graph build + line graph + verification "
+        "(to_network() + Network line graph + mapping oracles vs. CSR + array oracles)"
     )
     setup_rows = [_run_setup_size(n, degree, edge_runs) for n, degree in SETUP_SIZES]
     print(
@@ -677,22 +648,18 @@ def test_engine_speedup(benchmark):
             [
                 "n",
                 "Delta",
-                "legacy vertex (s)",
                 "fast vertex (s)",
                 "legacy line (s)",
                 "fast line (s)",
-                "vertex speedup",
                 "line speedup",
             ],
             [
                 [
                     row["n"],
                     row["degree"],
-                    row["seconds"]["legacy_vertex"],
                     row["seconds"]["fast_vertex"],
                     row["seconds"]["legacy_line"],
                     row["seconds"]["fast_line"],
-                    row["speedup_fast_setup_over_legacy"],
                     row["speedup_fast_line_setup_over_legacy"],
                 ]
                 for row in setup_rows
@@ -704,11 +671,10 @@ def test_engine_speedup(benchmark):
         "a planted violation."
     )
 
-    # The committed record claims >= 10x on both routes at n = 131,072; keep
-    # the in-test bound looser so a loaded box does not flake.
+    # The line route is about 10x at n = 131,072; keep the in-test bound
+    # looser so a loaded box does not flake.
     if not QUICK:
         for row in setup_rows:
-            assert row["speedup_fast_setup_over_legacy"] >= 5.0, row
             assert row["speedup_fast_line_setup_over_legacy"] >= 5.0, row
 
     # ------------------------------------------------------------------ #
@@ -755,9 +721,10 @@ def test_engine_speedup(benchmark):
             },
             "setup_workload": {
                 "summary": (
-                    "graph build + CSR readiness + coloring verification; "
-                    "legacy = networkx -> Network -> compile -> mapping "
-                    "oracles, fast = backend='fast' arrays -> CSR oracles"
+                    "graph build + line graph + coloring verification; "
+                    "legacy = array build -> to_network() -> Network line "
+                    "graph -> mapping oracles, fast = array build -> CSR "
+                    "line graph -> CSR oracles"
                 ),
                 "graph": f"random_regular(n, degree, seed={SPEEDUP_SEED})",
             },

@@ -56,7 +56,7 @@ def _time_luby(network, engine: str):
 
 def _measure_luby(n: int, degree: int) -> dict:
     """One reference-vs-vectorized Luby pair, identical colorings asserted."""
-    network = graphs.random_regular(n, degree, seed=LUBY_SEED, backend="fast")
+    network = graphs.random_regular(n, degree, seed=LUBY_SEED)
     fast = fast_view(network)
     reference_seconds, reference = _time_luby(fast, "reference")
     vectorized_seconds = float("inf")
@@ -115,8 +115,7 @@ def test_portfolio(benchmark):
         record = {
             "workload": {
                 "summary": "vectorized vs reference Luby kernel",
-                "graph": f"random_regular(n, degree, seed={LUBY_SEED}, "
-                "backend='fast')",
+                "graph": f"random_regular(n, degree, seed={LUBY_SEED})",
             },
             "quick": QUICK,
             "sizes": luby_rows,

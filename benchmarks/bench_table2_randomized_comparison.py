@@ -48,7 +48,7 @@ RESULTS_FILE = "table2_quick.json" if QUICK else "table2.json"
 def _measure_gate() -> dict:
     """Reference-vs-vectorized ratio for the Luby edge baseline."""
     n, degree = GATE_SIZE
-    network = graphs.random_regular(n, degree, seed=5, backend="fast")
+    network = graphs.random_regular(n, degree, seed=5)
     started = time.perf_counter()
     reference = luby_edge_coloring(network, seed=degree, engine="reference")
     reference_seconds = time.perf_counter() - started

@@ -40,7 +40,6 @@ from pathlib import Path
 #: kernels.
 SPEEDUP_KEYS = (
     "speedup_vectorized_over_reference",
-    "speedup_fast_setup_over_legacy",
     "speedup_fast_line_setup_over_legacy",
     "speedup_incremental_over_recompute",
     # The vectorized baseline kernels behind the portfolio facade, each over
@@ -59,8 +58,8 @@ SPEEDUP_KEYS = (
 #: Legal-Color column (or, for ``dynamic_churn`` records, the churn column);
 #: "edge_sizes" is the end-to-end edge-coloring column (CSR line-graph
 #: builder + Corollary 5.4 kernel); "setup_sizes" is the workload-setup
-#: column (array-built generators + CSR verification oracles vs. the legacy
-#: networkx -> Network -> Python-loop path).  All but "sizes" are optional
+#: column (CSR line graph + array oracles vs. ``to_network()`` + the
+#: ``Network`` line graph + mapping oracles).  All but "sizes" are optional
 #: so records from before those pipelines stay comparable.
 SECTIONS = ("sizes", "edge_sizes", "setup_sizes")
 

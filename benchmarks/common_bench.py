@@ -29,7 +29,7 @@ from repro.experiments import (
     default_cache_dir,
     progress_ticker,
 )
-from repro.local_model import Network
+from repro.local_model import FastNetwork
 
 #: Quick mode: used by CI to smoke-test the harnesses in seconds.
 QUICK: bool = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -65,13 +65,13 @@ def bench_runner(max_workers: Optional[int] = None) -> ExperimentRunner:
 def regular_workload_spec(
     degree: int, n: int = TABLE_NUM_NODES, seed: int = 0
 ) -> GraphSpec:
-    """The Table 1 / Table 2 workload: a random ``degree``-regular graph."""
+    """The Table 1 / Table 2 workload: an array-built random ``degree``-regular graph."""
     if (n * degree) % 2 != 0:
         n += 1
     return GraphSpec("random_regular", n=n, degree=degree, seed=seed + degree)
 
 
-def regular_workload(degree: int, n: int = TABLE_NUM_NODES, seed: int = 0) -> Network:
+def regular_workload(degree: int, n: int = TABLE_NUM_NODES, seed: int = 0) -> FastNetwork:
     """The built network for :func:`regular_workload_spec` (same graph)."""
     return regular_workload_spec(degree, n=n, seed=seed).build()
 

@@ -58,10 +58,10 @@ def main() -> None:
         f"{result.colors_used} instead of {baseline.colors_used} colors -- the paper's tradeoff."
     )
 
-    # Inspect a few edge colors through the convenience lookup.
-    sample_edges = network.edges()[:5]
-    print("\nsample edge colors:")
-    for u, v in sample_edges:
+    # Inspect the edges at one vertex through the convenience lookup.
+    u = network.nodes()[0]
+    print(f"\nedge colors at vertex {u}:")
+    for v in network.neighbor_ids[0]:
         print(f"  ({u}, {v}) -> color {result.color_of(u, v)}")
 
 

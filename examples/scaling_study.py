@@ -55,15 +55,12 @@ ENGINE_SWEEP_DEGREE = 16
 def build_scenarios() -> list:
     """One scenario per (degree, algorithm), on the vectorized engine.
 
-    The workload graphs use the array-built fast backend (part of the cache
-    key, so these results never alias legacy-built ones); the paper
-    algorithms then verify their colorings through the masked-CSR oracles.
+    The workload graphs are array-built; the paper algorithms then verify
+    their colorings through the masked-CSR oracles.
     """
     scenarios = []
     for degree in DEGREES:
-        spec = GraphSpec(
-            "random_regular", n=N, degree=degree, seed=degree, backend="fast"
-        )
+        spec = GraphSpec("random_regular", n=N, degree=degree, seed=degree)
         for label, algorithm, params in ALGORITHMS:
             scenarios.append(
                 Scenario.make(
@@ -78,9 +75,7 @@ def build_scenarios() -> list:
 
 def engine_sweep() -> None:
     """Time one instance with kernels on and off, then show the portfolio's pick."""
-    network = graphs.random_regular(
-        ENGINE_SWEEP_N, ENGINE_SWEEP_DEGREE, seed=7, backend="fast"
-    )
+    network = graphs.random_regular(ENGINE_SWEEP_N, ENGINE_SWEEP_DEGREE, seed=7)
     rows = []
     colors = None
     for label, backend in (

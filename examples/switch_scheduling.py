@@ -52,12 +52,10 @@ def verify_schedule_is_matchings(slots: dict) -> None:
 def main() -> None:
     ports = 16
     demand_degree = 8
-    # backend="fast" builds the demand graph as CSR arrays (exact degrees,
-    # no legacy Network materialized); the whole pipeline below -- line
-    # graph, coloring, verification -- stays on the arrays.
-    network = graphs.random_bipartite_regular(
-        ports, demand_degree, seed=3, backend="fast"
-    )
+    # The demand graph is built as CSR arrays (exact degrees, no Network
+    # materialized); the whole pipeline below -- line graph, coloring,
+    # verification -- stays on the arrays.
+    network = graphs.random_bipartite_regular(ports, demand_degree, seed=3)
     print(
         f"switch demand graph: {ports} input ports x {ports} output ports, "
         f"{network.num_edges} demands, Delta = {network.max_degree}"
@@ -121,9 +119,7 @@ def churn_demo() -> None:
     from repro.graphs.line_graph import line_graph_network
 
     ports, demand_degree, steps = 64, 8, 6
-    demands = graphs.random_bipartite_regular(
-        ports, demand_degree, seed=3, backend="fast"
-    )
+    demands = graphs.random_bipartite_regular(ports, demand_degree, seed=3)
     conflicts = line_graph_network(demands)
     incremental = DynamicColoring(conflicts, c=2, engine="vectorized")
     recompute = DynamicColoring(

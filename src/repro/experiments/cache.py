@@ -44,7 +44,8 @@ from repro.experiments.scenarios import payload_digest
 
 #: Bump to invalidate every existing cache entry on a payload format change.
 #: v2: entries carry a ``sha256`` payload-integrity digest.
-CACHE_VERSION = 2
+#: v3: graph specs lost ``backend``; every family is array-built.
+CACHE_VERSION = 3
 
 #: Environment variable overriding the shared default cache location.
 CACHE_ENV_VAR = "REPRO_EXPERIMENT_CACHE"

@@ -18,30 +18,25 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.engine import resolve_engine
 from repro.local_model.fast_network import FastNetwork
-from repro.local_model.network import Network
-
-#: What a graph builder produces: the legacy mapping-based network
-#: (``backend="legacy"``) or the CSR-native view (``backend="fast"``).
-NetworkLike = Union[Network, FastNetwork]
 
 # --------------------------------------------------------------------------- #
 # Graph family registry
 # --------------------------------------------------------------------------- #
 
-#: family name -> builder(spec) -> NetworkLike.  Builders read only ``n``,
-#: ``degree``, ``seed``, ``backend`` and ``extra`` from the spec.
-GRAPH_FAMILIES: Dict[str, Callable[["GraphSpec"], NetworkLike]] = {}
+#: family name -> builder(spec) -> FastNetwork.  Builders read only ``n``,
+#: ``degree``, ``seed`` and ``extra`` from the spec.
+GRAPH_FAMILIES: Dict[str, Callable[["GraphSpec"], FastNetwork]] = {}
 
 
 def register_graph_family(name: str) -> Callable:
     """Decorator registering a graph builder under ``name``."""
 
-    def decorator(builder: Callable[["GraphSpec"], Network]) -> Callable:
+    def decorator(builder: Callable[["GraphSpec"], FastNetwork]) -> Callable:
         GRAPH_FAMILIES[name] = builder
         return builder
 
@@ -61,17 +56,8 @@ class GraphSpec:
         not use).
     line_graph:
         Build the line graph of the base graph (the paper's edge-coloring
-        workloads are vertex-coloring workloads on ``L(G)``).
-    backend:
-        ``"legacy"`` (the default: networkx / dict-of-tuples ``Network``
-        construction, byte-stable seed streams) or ``"fast"`` (array-built
-        :class:`~repro.local_model.fast_network.FastNetwork`, never
-        materializing a legacy ``Network``; with ``line_graph`` the ``L(G)``
-        derivation also stays on the CSR arrays).  Deterministic families
-        are bit-identical across backends; the random families follow one
-        documented seed stream per backend (see
-        :mod:`repro.graphs.generators`), so the backend is part of the cache
-        key.
+        workloads are vertex-coloring workloads on ``L(G)``), derived on the
+        CSR arrays.
     extra:
         Additional family-specific parameters as a sorted tuple of
         ``(key, value)`` pairs.
@@ -82,11 +68,10 @@ class GraphSpec:
     degree: Optional[int] = None
     seed: Optional[int] = None
     line_graph: bool = False
-    backend: str = "legacy"
     extra: Tuple[Tuple[str, Any], ...] = ()
 
-    def build(self) -> NetworkLike:
-        """Construct the described network."""
+    def build(self) -> FastNetwork:
+        """Construct the described network (array-built, see :mod:`repro.graphs.generators`)."""
         try:
             builder = GRAPH_FAMILIES[self.family]
         except KeyError:
@@ -95,14 +80,9 @@ class GraphSpec:
             ) from None
         network = builder(self)
         if self.line_graph:
-            if self.backend == "fast":
-                from repro.graphs.line_graph import build_line_graph_fast
+            from repro.graphs.line_graph import build_line_graph_fast
 
-                network = build_line_graph_fast(network)
-            else:
-                from repro.graphs.line_graph import line_graph_network
-
-                network = line_graph_network(network)
+            network = build_line_graph_fast(network)
         return network
 
     def key(self) -> Dict[str, Any]:
@@ -113,105 +93,96 @@ class GraphSpec:
             "degree": self.degree,
             "seed": self.seed,
             "line_graph": self.line_graph,
-            "backend": self.backend,
             "extra": [list(pair) for pair in self.extra],
         }
 
 
 @register_graph_family("random_regular")
-def _build_random_regular(spec: GraphSpec) -> NetworkLike:
+def _build_random_regular(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.random_regular(
-        spec.n, spec.degree, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.random_regular(spec.n, spec.degree, seed=spec.seed or 0)
 
 
 @register_graph_family("cycle")
-def _build_cycle(spec: GraphSpec) -> NetworkLike:
+def _build_cycle(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.cycle_graph(spec.n, backend=spec.backend)
+    return graphs.cycle_graph(spec.n)
 
 
 @register_graph_family("path")
-def _build_path(spec: GraphSpec) -> NetworkLike:
+def _build_path(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.path_graph(spec.n, backend=spec.backend)
+    return graphs.path_graph(spec.n)
 
 
 @register_graph_family("star")
-def _build_star(spec: GraphSpec) -> NetworkLike:
+def _build_star(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.star_graph(spec.n, backend=spec.backend)
+    return graphs.star_graph(spec.n)
 
 
 @register_graph_family("complete")
-def _build_complete(spec: GraphSpec) -> NetworkLike:
+def _build_complete(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.complete_graph(spec.n, backend=spec.backend)
+    return graphs.complete_graph(spec.n)
 
 
 @register_graph_family("grid")
-def _build_grid(spec: GraphSpec) -> NetworkLike:
+def _build_grid(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     extra = dict(spec.extra)
     rows = extra.get("rows", spec.n)
     cols = extra.get("cols", spec.n)
-    return graphs.grid_graph(rows, cols, backend=spec.backend)
+    return graphs.grid_graph(rows, cols)
 
 
 @register_graph_family("hypercube")
-def _build_hypercube(spec: GraphSpec) -> NetworkLike:
+def _build_hypercube(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.hypercube_graph(spec.n, backend=spec.backend)
+    return graphs.hypercube_graph(spec.n)
 
 
 @register_graph_family("clique_with_pendants")
-def _build_clique_with_pendants(spec: GraphSpec) -> NetworkLike:
+def _build_clique_with_pendants(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
-    return graphs.clique_with_pendants(spec.n, backend=spec.backend)
+    return graphs.clique_with_pendants(spec.n)
 
 
 @register_graph_family("erdos_renyi")
-def _build_erdos_renyi(spec: GraphSpec) -> NetworkLike:
+def _build_erdos_renyi(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     extra = dict(spec.extra)
     probability = extra.get("edge_probability", 0.1)
-    return graphs.erdos_renyi(
-        spec.n, probability, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.erdos_renyi(spec.n, probability, seed=spec.seed or 0)
 
 
 @register_graph_family("bipartite_regular")
-def _build_bipartite_regular(spec: GraphSpec) -> NetworkLike:
+def _build_bipartite_regular(spec: GraphSpec) -> FastNetwork:
     """The switch-scheduling workload: ``n`` ports per side, ``degree`` demands."""
     from repro import graphs
 
-    return graphs.random_bipartite_regular(
-        spec.n, spec.degree, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.random_bipartite_regular(spec.n, spec.degree, seed=spec.seed or 0)
 
 
 @register_graph_family("barabasi_albert")
-def _build_barabasi_albert(spec: GraphSpec) -> NetworkLike:
+def _build_barabasi_albert(spec: GraphSpec) -> FastNetwork:
     """Preferential attachment with ``degree`` edges per arriving vertex."""
     from repro import graphs
 
-    return graphs.barabasi_albert(
-        spec.n, spec.degree, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.barabasi_albert(spec.n, spec.degree, seed=spec.seed or 0)
 
 
 @register_graph_family("planted_degree_sequence")
-def _build_planted_degree_sequence(spec: GraphSpec) -> NetworkLike:
+def _build_planted_degree_sequence(spec: GraphSpec) -> FastNetwork:
     """Configuration model over a heavy-tailed sequence (knobs via ``extra``)."""
     from repro import graphs
 
@@ -223,31 +194,25 @@ def _build_planted_degree_sequence(spec: GraphSpec) -> NetworkLike:
         max_degree=extra.get("max_degree"),
         seed=spec.seed or 0,
     )
-    return graphs.planted_degree_sequence(
-        degrees, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.planted_degree_sequence(degrees, seed=spec.seed or 0)
 
 
 @register_graph_family("random_geometric")
-def _build_random_geometric(spec: GraphSpec) -> NetworkLike:
+def _build_random_geometric(spec: GraphSpec) -> FastNetwork:
     """Unit-square geometric graph; connection radius via ``extra``."""
     from repro import graphs
 
     extra = dict(spec.extra)
     radius = extra.get("radius", 0.1)
-    return graphs.random_geometric(
-        spec.n, radius, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.random_geometric(spec.n, radius, seed=spec.seed or 0)
 
 
 @register_graph_family("bipartite_switch")
-def _build_bipartite_switch(spec: GraphSpec) -> NetworkLike:
+def _build_bipartite_switch(spec: GraphSpec) -> FastNetwork:
     """Switch-fabric demand instance: ``n`` ports, ``degree`` demands per port."""
     from repro import graphs
 
-    return graphs.bipartite_switch(
-        spec.n, spec.degree, seed=spec.seed or 0, backend=spec.backend
-    )
+    return graphs.bipartite_switch(spec.n, spec.degree, seed=spec.seed or 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -421,7 +386,7 @@ def _coloring_payload(colors: Mapping[Any, int], capture_colors: bool) -> Dict[s
 
 @register_algorithm("legal_coloring")
 def _run_legal_coloring(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.core import color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -447,7 +412,7 @@ def _run_legal_coloring(
 
 @register_algorithm("edge_coloring")
 def _run_edge_coloring(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.core import color_edges
     from repro.verification import assert_legal_edge_coloring
@@ -471,7 +436,7 @@ def _run_edge_coloring(
 
 @register_algorithm("defective_coloring")
 def _run_defective_coloring(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.core import run_defective_color
     from repro.verification.coloring import coloring_defect
@@ -498,7 +463,7 @@ def _run_defective_coloring(
 
 @register_algorithm("tradeoff")
 def _run_tradeoff(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.core import tradeoff_color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -533,7 +498,7 @@ def _run_tradeoff(
 
 @register_algorithm("randomized_coloring")
 def _run_randomized(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.core import randomized_color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -556,7 +521,7 @@ def _run_randomized(
 
 @register_algorithm("panconesi_rizzi")
 def _run_panconesi_rizzi(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.baselines import panconesi_rizzi_edge_coloring
     from repro.verification import assert_legal_edge_coloring
@@ -571,7 +536,7 @@ def _run_panconesi_rizzi(
 
 @register_algorithm("luby_edge")
 def _run_luby_edge(
-    network: NetworkLike, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
 ) -> Dict[str, Any]:
     from repro.baselines import luby_edge_coloring
     from repro.verification import assert_legal_edge_coloring

@@ -19,7 +19,6 @@ from repro.graphs.generators import (
     hypercube_graph,
     path_graph,
     planted_degree_sequence,
-    power_law_graph,
     random_bipartite_regular,
     random_geometric,
     random_regular,
@@ -71,7 +70,6 @@ __all__ = [
     "neighborhood_independence",
     "path_graph",
     "planted_degree_sequence",
-    "power_law_graph",
     "random_bipartite_regular",
     "random_geometric",
     "random_regular",

@@ -8,8 +8,8 @@ These are the graph families the paper motivates or analyses:
   :mod:`repro.graphs.hypergraphs`), the families the edge-coloring results
   reduce to,
 * bounded-growth graphs (grids, hypercubes of fixed dimension growth),
-* generic benchmark graphs (random regular, Erdos-Renyi, power-law) used by
-  the Table 1 / Table 2 sweeps to realize a prescribed maximum degree,
+* generic benchmark graphs (random regular, Erdos-Renyi); the regular ones
+  realize the prescribed maximum degree of the Table 1 / Table 2 sweeps,
 * bipartite regular graphs -- the switch-scheduling / packet-routing
   instances of the paper's introduction,
 * heavy-tailed and geometric workload families with array-native fast
@@ -18,56 +18,25 @@ These are the graph families the paper motivates or analyses:
   :func:`bipartite_switch`) -- the high-variance-degree and churning shapes
   the dynamic recoloring layer (:mod:`repro.dynamic`) is exercised on.
 
-All generators are deterministic given their ``seed`` argument, so benchmark
-runs are reproducible.
-
-Backends
---------
-Every generator takes ``backend="legacy"`` (the default) or
-``backend="fast"``:
-
-* ``"legacy"`` builds a dict-of-tuples
-  :class:`~repro.local_model.network.Network` exactly as previous releases
-  did (networkx construction, Python sorting) -- byte-for-byte stable seed
-  streams;
-* ``"fast"`` builds a CSR
-  :class:`~repro.local_model.fast_network.FastNetwork` directly from numpy
-  index arithmetic via :meth:`FastNetwork.from_edge_array`, never
-  materializing a legacy ``Network`` (``.to_network()`` stays the on-demand
-  audit path).
-
-The **deterministic** families (path, cycle, grid, hypercube, complete, star,
-clique-with-pendants) are *bit-identical* across backends: same node
-identifiers, same unique ids, same CSR arrays (property-tested in
-``tests/test_generator_backends.py``).  The **random** families keep one
-documented seed stream per backend: the legacy stream is
-``random.Random(seed)`` / networkx's generator as before, the fast stream is
-``numpy.random.default_rng(seed)`` driving the vectorized samplers below --
-``family(n, d, seed, backend="fast")`` is therefore a *different* (equally
-distributed) graph than ``backend="legacy"`` with the same seed, but is
-reproducible across runs and platforms.  Both backends guarantee the same
-exact invariants (exact degrees for the regular families, simplicity
-everywhere).
+Every generator is deterministic given its ``seed`` argument, so benchmark
+runs are reproducible, and returns a CSR
+:class:`~repro.local_model.fast_network.FastNetwork` built straight from
+numpy index arithmetic via :meth:`FastNetwork.from_edge_array`.  Code that
+needs the mapping-based :class:`~repro.local_model.network.Network` calls
+``.to_network()`` (the on-demand audit path).  The random families draw from
+``numpy.random.default_rng(seed)``; the vectorized samplers below guarantee
+exact degrees for the regular families and simplicity everywhere.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Iterable, List, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork, _lexsort_pairs
-from repro.local_model.network import Network
-
-#: Return type of every generator: the legacy mapping-based network or the
-#: CSR-native view, depending on ``backend``.
-GeneratedNetwork = Union[Network, FastNetwork]
-
-_BACKENDS = ("legacy", "fast")
 
 #: Vectorized re-pairing rounds attempted before falling back to the exact
 #: switching repair; at benchmark scales (sparse graphs) a couple of rounds
@@ -78,18 +47,13 @@ _MAX_POOL_ROUNDS = 32
 _SWAP_PROBES = 64
 
 
-def _check_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
+def _require_fast(backend: str) -> None:
+    """Accept only ``backend="fast"``, the keyword's one remaining value."""
+    if backend != "fast":
         raise InvalidParameterError(
-            f"unknown backend {backend!r}; known backends: {_BACKENDS}"
+            f"backend={backend!r} is not supported: generators build a "
+            "FastNetwork only; call .to_network() on it for a Network"
         )
-    return backend
-
-
-def _from_networkx_int_labels(graph: "nx.Graph") -> Network:
-    """Relabel nodes to consecutive integers and wrap into a Network."""
-    relabeled = nx.convert_node_labels_to_integers(graph, first_label=0, ordering="sorted")
-    return Network.from_networkx(relabeled)
 
 
 def _fast_from_edges(
@@ -103,11 +67,11 @@ def _fast_from_edges(
 
 
 # --------------------------------------------------------------------------- #
-# Deterministic families (fast backend bit-identical to legacy)
+# Deterministic families
 # --------------------------------------------------------------------------- #
 
 
-def clique_with_pendants(clique_size: int, backend: str = "legacy") -> GeneratedNetwork:
+def clique_with_pendants(clique_size: int) -> FastNetwork:
     """The Figure 1 graph: a clique whose every vertex has one pendant neighbor.
 
     The graph has ``n = 2 * clique_size`` vertices.  Its neighborhood
@@ -120,65 +84,46 @@ def clique_with_pendants(clique_size: int, backend: str = "legacy") -> Generated
     ----------
     clique_size:
         Number of clique vertices (at least 1).
-    backend:
-        ``"legacy"`` or ``"fast"`` (see the module docstring).
     """
     if clique_size < 1:
         raise InvalidParameterError("clique_size must be at least 1")
-    if _check_backend(backend) == "fast":
-        k = clique_size
-        cu, cv = np.triu_indices(k, k=1)
-        pendant_u = np.arange(k, dtype=np.int64)
-        u = np.concatenate([cu.astype(np.int64), pendant_u])
-        v = np.concatenate([cv.astype(np.int64), pendant_u + k])
+    k = clique_size
+    cu, cv = np.triu_indices(k, k=1)
+    pendant_u = np.arange(k, dtype=np.int64)
+    u = np.concatenate([cu.astype(np.int64), pendant_u])
+    v = np.concatenate([cv.astype(np.int64), pendant_u + k])
 
-        def identifiers() -> Iterable:
-            return [("clique", i) for i in range(k)] + [
-                ("pendant", i) for i in range(k)
-            ]
+    def identifiers() -> Iterable:
+        return [("clique", i) for i in range(k)] + [("pendant", i) for i in range(k)]
 
-        return _fast_from_edges(u, v, 2 * k, order=identifiers)
-    adjacency = {}
-    clique = [("clique", i) for i in range(clique_size)]
-    for i, node in enumerate(clique):
-        neighbors = [clique[j] for j in range(clique_size) if j != i]
-        neighbors.append(("pendant", i))
-        adjacency[node] = neighbors
-        adjacency[("pendant", i)] = [node]
-    return Network(adjacency)
+    return _fast_from_edges(u, v, 2 * k, order=identifiers)
 
 
-def complete_graph(n: int, backend: str = "legacy") -> GeneratedNetwork:
+def complete_graph(n: int) -> FastNetwork:
     """The complete graph ``K_n`` (every pair of vertices adjacent)."""
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
-    if _check_backend(backend) == "fast":
-        u, v = np.triu_indices(n, k=1)
-        return _fast_from_edges(u.astype(np.int64), v.astype(np.int64), n)
-    return Network({i: [j for j in range(n) if j != i] for i in range(n)})
+    u, v = np.triu_indices(n, k=1)
+    return _fast_from_edges(u.astype(np.int64), v.astype(np.int64), n)
 
 
-def path_graph(n: int, backend: str = "legacy") -> GeneratedNetwork:
+def path_graph(n: int) -> FastNetwork:
     """The path on ``n`` vertices."""
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
-    if _check_backend(backend) == "fast":
-        u = np.arange(n - 1, dtype=np.int64)
-        return _fast_from_edges(u, u + 1, n)
-    return Network({i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)})
+    u = np.arange(n - 1, dtype=np.int64)
+    return _fast_from_edges(u, u + 1, n)
 
 
-def cycle_graph(n: int, backend: str = "legacy") -> GeneratedNetwork:
+def cycle_graph(n: int) -> FastNetwork:
     """The cycle on ``n`` vertices (``n >= 3``)."""
     if n < 3:
         raise InvalidParameterError("a cycle needs at least 3 vertices")
-    if _check_backend(backend) == "fast":
-        u = np.arange(n, dtype=np.int64)
-        return _fast_from_edges(u, (u + 1) % n, n)
-    return Network({i: [(i - 1) % n, (i + 1) % n] for i in range(n)})
+    u = np.arange(n, dtype=np.int64)
+    return _fast_from_edges(u, (u + 1) % n, n)
 
 
-def star_graph(leaves: int, backend: str = "legacy") -> GeneratedNetwork:
+def star_graph(leaves: int) -> FastNetwork:
     """The star ``K_{1,leaves}``: one center adjacent to ``leaves`` leaves.
 
     For ``leaves >= 3`` this is the smallest graph that is *not* claw-free and
@@ -186,48 +131,46 @@ def star_graph(leaves: int, backend: str = "legacy") -> GeneratedNetwork:
     """
     if leaves < 1:
         raise InvalidParameterError("a star needs at least one leaf")
-    if _check_backend(backend) == "fast":
-        u = np.zeros(leaves, dtype=np.int64)
-        v = np.arange(1, leaves + 1, dtype=np.int64)
+    u = np.zeros(leaves, dtype=np.int64)
+    v = np.arange(1, leaves + 1, dtype=np.int64)
 
-        def identifiers() -> Iterable:
-            return ["center"] + [("leaf", i) for i in range(leaves)]
+    def identifiers() -> Iterable:
+        return ["center"] + [("leaf", i) for i in range(leaves)]
 
-        return _fast_from_edges(u, v, leaves + 1, order=identifiers)
-    adjacency = {"center": [("leaf", i) for i in range(leaves)]}
-    for i in range(leaves):
-        adjacency[("leaf", i)] = ["center"]
-    return Network(adjacency)
+    return _fast_from_edges(u, v, leaves + 1, order=identifiers)
 
 
-def grid_graph(rows: int, cols: int, backend: str = "legacy") -> GeneratedNetwork:
-    """The ``rows x cols`` grid -- a canonical bounded-growth graph."""
+def grid_graph(rows: int, cols: int) -> FastNetwork:
+    """The ``rows x cols`` grid -- a canonical bounded-growth graph.
+
+    Vertex ``r * cols + c`` is the cell in row ``r``, column ``c``.
+    """
     if rows < 1 or cols < 1:
         raise InvalidParameterError("grid dimensions must be positive")
-    if _check_backend(backend) == "fast":
-        index = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-        u = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
-        v = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
-        return _fast_from_edges(u, v, rows * cols)
-    return _from_networkx_int_labels(nx.grid_2d_graph(rows, cols))
+    index = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    u = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
+    v = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
+    return _fast_from_edges(u, v, rows * cols)
 
 
-def hypercube_graph(dimension: int, backend: str = "legacy") -> GeneratedNetwork:
-    """The ``dimension``-dimensional hypercube (``2^dimension`` vertices)."""
+def hypercube_graph(dimension: int) -> FastNetwork:
+    """The ``dimension``-dimensional hypercube (``2^dimension`` vertices).
+
+    Vertices are the integers ``0 .. 2^dimension - 1``; two are adjacent when
+    their binary expansions differ in exactly one bit.
+    """
     if dimension < 1:
         raise InvalidParameterError("dimension must be at least 1")
-    if _check_backend(backend) == "fast":
-        n = 1 << dimension
-        nodes = np.arange(n, dtype=np.int64)
-        lower = [nodes[(nodes >> bit) & 1 == 0] for bit in range(dimension)]
-        u = np.concatenate(lower)
-        v = np.concatenate([part | (1 << bit) for bit, part in enumerate(lower)])
-        return _fast_from_edges(u, v, n)
-    return _from_networkx_int_labels(nx.hypercube_graph(dimension))
+    n = 1 << dimension
+    nodes = np.arange(n, dtype=np.int64)
+    lower = [nodes[(nodes >> bit) & 1 == 0] for bit in range(dimension)]
+    u = np.concatenate(lower)
+    v = np.concatenate([part | (1 << bit) for bit, part in enumerate(lower)])
+    return _fast_from_edges(u, v, n)
 
 
 # --------------------------------------------------------------------------- #
-# Random families (one documented seed stream per backend)
+# Random families
 # --------------------------------------------------------------------------- #
 
 
@@ -348,176 +291,90 @@ def _switching_repair(
             )
 
 
-def random_regular(
-    n: int, degree: int, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def random_regular(n: int, degree: int, seed: int = 0, backend: str = "fast") -> FastNetwork:
     """A random ``degree``-regular graph on ``n`` vertices.
 
     Used by the Table 1 / Table 2 sweeps to realize a prescribed maximum
     degree exactly.  ``n * degree`` must be even and ``degree < n``.
 
-    The fast backend draws a configuration-model pairing of the ``n * degree``
-    stubs from ``numpy.random.default_rng(seed)`` and repairs collisions by
-    re-pairing (see :func:`_simple_pairing_repair`); every vertex keeps degree
-    exactly ``degree``.
+    Draws a configuration-model pairing of the ``n * degree`` stubs from
+    ``numpy.random.default_rng(seed)`` and repairs collisions by re-pairing
+    (see :func:`_simple_pairing_repair`); every vertex keeps degree exactly
+    ``degree``.  ``backend`` accepts only ``"fast"`` (kept for callers that
+    still pass it).
     """
+    _require_fast(backend)
     if degree < 0 or degree >= n:
         raise InvalidParameterError("need 0 <= degree < n for a regular graph")
     if (n * degree) % 2 != 0:
         raise InvalidParameterError("n * degree must be even")
-    if _check_backend(backend) == "fast":
-        if degree == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return _fast_from_edges(empty, empty, n)
-        if degree == n - 1:
-            return complete_graph(n, backend="fast")  # the unique such graph
-        if degree > (n - 1) // 2:
-            # Dense regime: nearly every pair exists, so pairwise repair
-            # cannot converge.  Sample the (n - 1 - degree)-regular
-            # *complement* instead -- sparse, same machinery -- and invert.
-            complement = random_regular(n, n - 1 - degree, seed=seed, backend="fast")
-            rows, cols = complement.rows_np, complement.indices_np
-            absent = rows[rows < cols] * n + cols[rows < cols]
-            all_u, all_v = np.triu_indices(n, k=1)
-            all_keys = all_u.astype(np.int64) * n + all_v.astype(np.int64)
-            keep = np.ones(len(all_keys), dtype=bool)
-            keep[np.searchsorted(all_keys, np.sort(absent))] = False
-            return _fast_from_edges(
-                all_u.astype(np.int64)[keep], all_v.astype(np.int64)[keep], n
-            )
-        rng = np.random.default_rng(seed)
-        stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
-        stubs = stubs[rng.permutation(n * degree)]
-        u = stubs[0::2].copy()
-        v = stubs[1::2].copy()
-        _simple_pairing_repair(u, v, n, rng)
-        return _fast_from_edges(u, v, n)
     if degree == 0:
-        return Network({i: [] for i in range(n)})
-    graph = nx.random_regular_graph(degree, n, seed=seed)
-    return _from_networkx_int_labels(graph)
+        empty = np.zeros(0, dtype=np.int64)
+        return _fast_from_edges(empty, empty, n)
+    if degree == n - 1:
+        return complete_graph(n)  # the unique such graph
+    if degree > (n - 1) // 2:
+        # Dense regime: nearly every pair exists, so pairwise repair cannot
+        # converge.  Sample the (n - 1 - degree)-regular *complement*
+        # instead -- sparse, same machinery -- and invert.
+        complement = random_regular(n, n - 1 - degree, seed=seed)
+        rows, cols = complement.rows_np, complement.indices_np
+        absent = rows[rows < cols] * n + cols[rows < cols]
+        all_u, all_v = np.triu_indices(n, k=1)
+        all_keys = all_u.astype(np.int64) * n + all_v.astype(np.int64)
+        keep = np.ones(len(all_keys), dtype=bool)
+        keep[np.searchsorted(all_keys, np.sort(absent))] = False
+        return _fast_from_edges(all_u.astype(np.int64)[keep], all_v.astype(np.int64)[keep], n)
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+    stubs = stubs[rng.permutation(n * degree)]
+    u = stubs[0::2].copy()
+    v = stubs[1::2].copy()
+    _simple_pairing_repair(u, v, n, rng)
+    return _fast_from_edges(u, v, n)
 
 
-def erdos_renyi(
-    n: int, edge_probability: float, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def erdos_renyi(n: int, edge_probability: float, seed: int = 0) -> FastNetwork:
     """An Erdos-Renyi random graph ``G(n, p)``.
 
-    The fast backend enumerates the ``n (n - 1) / 2`` vertex pairs implicitly
+    The sampler enumerates the ``n (n - 1) / 2`` vertex pairs implicitly
     and jumps between the selected ones with geometric skip sampling
     (``numpy.random.default_rng(seed)``): the work is ``O(p n^2)`` -- the
     number of *edges* -- instead of ``O(n^2)`` coin flips.
     """
     if not 0.0 <= edge_probability <= 1.0:
         raise InvalidParameterError("edge_probability must lie in [0, 1]")
-    if _check_backend(backend) == "fast":
-        num_pairs = n * (n - 1) // 2
-        if edge_probability <= 0.0 or num_pairs == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return _fast_from_edges(empty, empty, n)
-        if edge_probability >= 1.0:
-            u, v = np.triu_indices(n, k=1)
-            return _fast_from_edges(u.astype(np.int64), v.astype(np.int64), n)
-        rng = np.random.default_rng(seed)
-        taken: List[np.ndarray] = []
-        last = -1  # linear index of the previously selected pair
-        while True:
-            expected_left = (num_pairs - last - 1) * edge_probability
-            batch = max(64, int(expected_left * 1.2) + 16)
-            gaps = rng.geometric(edge_probability, size=batch).astype(np.int64)
-            # For minuscule p a geometric draw overflows int64 (wrapping
-            # negative); any such gap provably jumps past the last pair.
-            gaps = np.where(gaps <= 0, num_pairs + 1, gaps)
-            gaps = np.minimum(gaps, num_pairs + 1)
-            positions = last + np.cumsum(gaps)
-            inside = positions[positions < num_pairs]
-            taken.append(inside)
-            if len(inside) < len(positions):
-                break
-            last = int(positions[-1])
-        selected = np.concatenate(taken)
-        # Map linear pair indices to (i, j), i < j, in lexicographic order.
-        row_starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(n - 1 - np.arange(n - 1, dtype=np.int64), out=row_starts[1:])
-        u = np.searchsorted(row_starts, selected, side="right") - 1
-        v = selected - row_starts[u] + u + 1
-        return _fast_from_edges(u, v, n)
-    graph = nx.gnp_random_graph(n, edge_probability, seed=seed)
-    return _from_networkx_int_labels(graph)
-
-
-def power_law_graph(
-    n: int, attachment_edges: int, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
-    """A Barabasi-Albert preferential-attachment graph (skewed degrees).
-
-    Preferential attachment is inherently sequential, so there is no
-    array-native sampler: the fast backend builds the legacy graph and
-    compiles it to CSR (identical graph, identical seed stream).
-    """
-    if attachment_edges < 1 or attachment_edges >= n:
-        raise InvalidParameterError("need 1 <= attachment_edges < n")
-    graph = nx.barabasi_albert_graph(n, attachment_edges, seed=seed)
-    network = _from_networkx_int_labels(graph)
-    if _check_backend(backend) == "fast":
-        from repro.local_model.fast_network import fast_view
-
-        return fast_view(network)
-    return network
-
-
-def _repair_bipartite_matching(
-    permutation: List[int],
-    used: Set[Tuple[int, int]],
-    rand_index,
-    shuffle,
-) -> List[int]:
-    """Swap entries of ``permutation`` until no pair ``(i, p[i])`` is used.
-
-    ``used`` holds the ``(left, right)`` pairs of the already-accepted
-    matchings.  A conflict-free completion always exists while the left
-    degree stays at most ``side`` (the complement of a ``k``-regular
-    bipartite graph with ``k < side`` contains a perfect matching, Hall's
-    theorem); each successful swap removes at least one conflict without
-    creating new ones, and when no swap applies the permutation is
-    reshuffled, so the search terminates with probability 1.
-    """
-    side = len(permutation)
+    num_pairs = n * (n - 1) // 2
+    if edge_probability <= 0.0 or num_pairs == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return _fast_from_edges(empty, empty, n)
+    if edge_probability >= 1.0:
+        u, v = np.triu_indices(n, k=1)
+        return _fast_from_edges(u.astype(np.int64), v.astype(np.int64), n)
+    rng = np.random.default_rng(seed)
+    taken: List[np.ndarray] = []
+    last = -1  # linear index of the previously selected pair
     while True:
-        colliding = [i for i in range(side) if (i, permutation[i]) in used]
-        if not colliding:
-            return permutation
-        progressed = False
-        for i in colliding:
-            if (i, permutation[i]) not in used:
-                continue  # already fixed by an earlier swap of this pass
-            swap_with = -1
-            for _ in range(_SWAP_PROBES):
-                j = rand_index(side)
-                if (
-                    j != i
-                    and (i, permutation[j]) not in used
-                    and (j, permutation[i]) not in used
-                ):
-                    swap_with = j
-                    break
-            if swap_with < 0:
-                for j in range(side):
-                    if (
-                        j != i
-                        and (i, permutation[j]) not in used
-                        and (j, permutation[i]) not in used
-                    ):
-                        swap_with = j
-                        break
-            if swap_with >= 0:
-                permutation[i], permutation[swap_with] = (
-                    permutation[swap_with],
-                    permutation[i],
-                )
-                progressed = True
-        if not progressed:
-            shuffle(permutation)
+        expected_left = (num_pairs - last - 1) * edge_probability
+        batch = max(64, int(expected_left * 1.2) + 16)
+        gaps = rng.geometric(edge_probability, size=batch).astype(np.int64)
+        # For minuscule p a geometric draw overflows int64 (wrapping
+        # negative); any such gap provably jumps past the last pair.
+        gaps = np.where(gaps <= 0, num_pairs + 1, gaps)
+        gaps = np.minimum(gaps, num_pairs + 1)
+        positions = last + np.cumsum(gaps)
+        inside = positions[positions < num_pairs]
+        taken.append(inside)
+        if len(inside) < len(positions):
+            break
+        last = int(positions[-1])
+    selected = np.concatenate(taken)
+    # Map linear pair indices to (i, j), i < j, in lexicographic order.
+    row_starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(n - 1 - np.arange(n - 1, dtype=np.int64), out=row_starts[1:])
+    u = np.searchsorted(row_starts, selected, side="right") - 1
+    v = selected - row_starts[u] + u + 1
+    return _fast_from_edges(u, v, n)
 
 
 def _bipartite_identifiers(side: int):
@@ -543,11 +400,14 @@ def _repair_matching_sorted(
 ) -> np.ndarray:
     """Swap entries of ``row`` until no pair ``(i, row[i])`` is accepted.
 
-    Array twin of :func:`_repair_bipartite_matching`: membership in the
-    accepted-edge set is a ``searchsorted`` probe into one sorted int64
-    pair-key array instead of a Python set of tuples.  Same existence
-    argument (Hall's theorem on the complement), same
-    probe-then-scan-then-reshuffle search.
+    Membership in the accepted-edge set is a ``searchsorted`` probe into
+    one sorted int64 pair-key array.  A conflict-free completion always
+    exists while the left degree stays at most ``side`` (the complement of a
+    ``k``-regular bipartite graph with ``k < side`` contains a perfect
+    matching, Hall's theorem); each successful swap removes at least one
+    conflict without creating new ones, and when no swap applies the row is
+    reshuffled, so the probe-then-scan-then-reshuffle search terminates with
+    probability 1.
     """
     row = row.copy()
     lanes = np.arange(side, dtype=np.int64)
@@ -673,54 +533,24 @@ def _fast_random_bipartite_regular(
     return _fast_from_edges(left, side + right, 2 * side, order=order)
 
 
-def random_bipartite_regular(
-    side: int, degree: int, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def random_bipartite_regular(side: int, degree: int, seed: int = 0) -> FastNetwork:
     """A random bipartite ``degree``-regular graph on ``2 * side`` vertices.
 
     Bipartite regular graphs are the classical hard instances for edge
     coloring (switch scheduling / packet routing workloads in the paper's
     introduction): an optimal schedule needs exactly ``degree`` colors.
 
-    Both backends build the union of ``degree`` random perfect matchings and
-    *repair* colliding matching edges by swapping permutation entries, so
-    every vertex has degree exactly ``degree`` (earlier releases silently
-    dropped collisions that survived 200 resampling attempts, returning
-    graphs of smaller degree).  The fast backend stacks the permutations as
-    one array, draws from ``numpy.random.default_rng(seed)``, detects and
-    repairs collisions with sorted pair-key ``searchsorted`` passes (no
-    Python edge set), and diverts dense instances (``2 * degree > side``) to
-    complement sampling.
+    The sampler stacks ``degree`` random perfect matchings as one array
+    drawn from ``numpy.random.default_rng(seed)`` and *repairs* colliding
+    matching edges by swapping permutation entries, so every vertex has
+    degree exactly ``degree``.  Collisions are detected and repaired with
+    sorted pair-key ``searchsorted`` passes, and dense instances
+    (``2 * degree > side``) are diverted to complement sampling.  Nodes are
+    ``("left", i)`` and ``("right", j)``.
     """
     if degree < 0 or degree > side:
         raise InvalidParameterError("need 0 <= degree <= side")
-    if _check_backend(backend) == "fast":
-        return _fast_random_bipartite_regular(side, degree, seed)
-    rng = random.Random(seed)
-    adjacency = {("left", i): [] for i in range(side)}
-    adjacency.update({("right", i): [] for i in range(side)})
-    # Union of `degree` random perfect matchings; collisions are first
-    # resampled away wholesale, then repaired per edge.
-    used: Set[Tuple[int, int]] = set()
-    for _ in range(degree):
-        attempts = 0
-        while True:
-            attempts += 1
-            permutation = list(range(side))
-            rng.shuffle(permutation)
-            candidate = {(i, permutation[i]) for i in range(side)}
-            if not (candidate & used) or attempts > 200:
-                break
-        if candidate & used:
-            permutation = _repair_bipartite_matching(
-                permutation, used, rng.randrange, rng.shuffle
-            )
-        for i in range(side):
-            j = permutation[i]
-            used.add((i, j))
-            adjacency[("left", i)].append(("right", j))
-            adjacency[("right", j)].append(("left", i))
-    return Network(adjacency)
+    return _fast_random_bipartite_regular(side, degree, seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -728,53 +558,44 @@ def random_bipartite_regular(
 # --------------------------------------------------------------------------- #
 
 
-def barabasi_albert(
-    n: int, attachment_edges: int, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
-    """A Barabasi-Albert graph with an array-native fast sampler.
+def barabasi_albert(n: int, attachment_edges: int, seed: int = 0) -> FastNetwork:
+    """A Barabasi-Albert preferential-attachment graph (skewed degrees).
 
-    Unlike :func:`power_law_graph` (whose fast backend compiles the legacy
-    networkx graph bit-for-bit), this family gives the fast backend its own
-    documented stream so large instances never touch networkx: the
-    repeated-nodes sampler (Batagelj-Brandes) draws each new vertex's
+    The repeated-nodes sampler (Batagelj-Brandes) draws each new vertex's
     ``attachment_edges`` distinct targets uniformly from the running
     edge-endpoint multiset via ``numpy.random.default_rng(seed)`` -- a
     uniform draw from that multiset *is* a degree-proportional draw over the
-    vertices.  Invariants on both backends: simple,
+    vertices.  Invariants: simple,
     ``attachment_edges * (n - attachment_edges)`` edges, and every vertex of
     index ``>= attachment_edges`` has degree at least ``attachment_edges``.
     """
     if attachment_edges < 1 or attachment_edges >= n:
         raise InvalidParameterError("need 1 <= attachment_edges < n")
-    if _check_backend(backend) == "fast":
-        m = attachment_edges
-        rng = np.random.default_rng(seed)
-        u = np.repeat(np.arange(m, n, dtype=np.int64), m)
-        v = np.empty(m * (n - m), dtype=np.int64)
-        endpoints = np.empty(2 * m * (n - m), dtype=np.int64)
-        filled = 0
-        targets = np.arange(m, dtype=np.int64)  # vertex m adopts all seeds
-        for vertex in range(m, n):
-            base = (vertex - m) * m
-            v[base : base + m] = targets
-            endpoints[filled : filled + m] = targets
-            endpoints[filled + m : filled + 2 * m] = vertex
-            filled += 2 * m
-            if vertex == n - 1:
-                break
-            fresh: List[int] = []
-            seen: Set[int] = set()
-            while len(fresh) < m:
-                draws = endpoints[rng.integers(0, filled, size=m - len(fresh))]
-                for target in draws.tolist():
-                    if target not in seen:
-                        seen.add(target)
-                        fresh.append(target)
-            targets = np.array(fresh, dtype=np.int64)
-        return _fast_from_edges(u, v, n)
-    return _from_networkx_int_labels(
-        nx.barabasi_albert_graph(n, attachment_edges, seed=seed)
-    )
+    m = attachment_edges
+    rng = np.random.default_rng(seed)
+    u = np.repeat(np.arange(m, n, dtype=np.int64), m)
+    v = np.empty(m * (n - m), dtype=np.int64)
+    endpoints = np.empty(2 * m * (n - m), dtype=np.int64)
+    filled = 0
+    targets = np.arange(m, dtype=np.int64)  # vertex m adopts all seeds
+    for vertex in range(m, n):
+        base = (vertex - m) * m
+        v[base : base + m] = targets
+        endpoints[filled : filled + m] = targets
+        endpoints[filled + m : filled + 2 * m] = vertex
+        filled += 2 * m
+        if vertex == n - 1:
+            break
+        fresh: List[int] = []
+        seen: Set[int] = set()
+        while len(fresh) < m:
+            draws = endpoints[rng.integers(0, filled, size=m - len(fresh))]
+            for target in draws.tolist():
+                if target not in seen:
+                    seen.add(target)
+                    fresh.append(target)
+        targets = np.array(fresh, dtype=np.int64)
+    return _fast_from_edges(u, v, n)
 
 
 def heavy_tailed_degree_sequence(
@@ -816,17 +637,13 @@ def heavy_tailed_degree_sequence(
     return degrees
 
 
-def planted_degree_sequence(
-    degrees, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def planted_degree_sequence(degrees, seed: int = 0) -> FastNetwork:
     """A random simple graph realizing a *planted* per-vertex degree array.
 
     Configuration-model pairing over the given degrees (sum must be even),
     repaired to a simple graph by :func:`_simple_pairing_repair` -- every
-    vertex ends with exactly its planted degree.  No networkx twin offers
-    this exactness guarantee, so both backends share the single fast stream
-    (``numpy.random.default_rng(seed)``); ``backend="legacy"`` materializes
-    the result via ``to_network()``.  Raises
+    vertex ends with exactly its planted degree.  The pairing is drawn from
+    ``numpy.random.default_rng(seed)``.  Raises
     :class:`~repro.exceptions.InvalidParameterError` for degenerate
     (non-graphical) sequences that no repair can make simple.
     """
@@ -838,15 +655,13 @@ def planted_degree_sequence(
         raise InvalidParameterError("need 0 <= degree < n for every vertex")
     if int(degrees.sum()) % 2:
         raise InvalidParameterError("the degree sum must be even")
-    _check_backend(backend)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     stubs = stubs[rng.permutation(len(stubs))]
     u = stubs[0::2].copy()
     v = stubs[1::2].copy()
     _simple_pairing_repair(u, v, n, rng)
-    fast = _fast_from_edges(u, v, n)
-    return fast if backend == "fast" else fast.to_network()
+    return _fast_from_edges(u, v, n)
 
 
 def _geometric_edges(
@@ -901,37 +716,32 @@ def _geometric_edges(
     return np.concatenate(parts_u), np.concatenate(parts_v)
 
 
-def random_geometric(
-    n: int, radius: float, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def random_geometric(n: int, radius: float, seed: int = 0, backend: str = "fast") -> FastNetwork:
     """A random geometric graph on the unit square (wireless-mesh shape).
 
     ``n`` points uniform in ``[0, 1)^2``; vertices at Euclidean distance at
-    most ``radius`` are adjacent.  The legacy backend is networkx's
-    ``random_geometric_graph``.  The fast backend draws the points as
+    most ``radius`` are adjacent.  The points are
     ``numpy.random.default_rng(seed).random((n, 2))`` -- its first draws, so
-    tests can regenerate them -- and finds the close pairs with the
+    tests can regenerate them -- and the close pairs come from the
     half-radius cell sweep of :func:`_geometric_edges`: three contiguous
     candidate ranges per point, about 2 candidates per edge, so
     ``O(n + edges)`` instead of the ``O(n^2)`` all-pairs check.  The distance
     test is ``dx * dx + dy * dy <= radius * radius`` in float64, so the edge
-    set (and the CSR) of a seed does not depend on the sweep.
+    set (and the CSR) of a seed does not depend on the sweep.  ``backend``
+    accepts only ``"fast"`` (kept for callers that still pass it).
     """
+    _require_fast(backend)
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
     if not radius > 0:
         raise InvalidParameterError("radius must be positive")
-    if _check_backend(backend) == "fast":
-        rng = np.random.default_rng(seed)
-        points = rng.random((n, 2))
-        u, v = _geometric_edges(points, float(radius))
-        return _fast_from_edges(u, v, n)
-    return _from_networkx_int_labels(nx.random_geometric_graph(n, radius, seed=seed))
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    u, v = _geometric_edges(points, float(radius))
+    return _fast_from_edges(u, v, n)
 
 
-def bipartite_switch(
-    ports: int, demand_degree: int, seed: int = 0, backend: str = "legacy"
-) -> GeneratedNetwork:
+def bipartite_switch(ports: int, demand_degree: int, seed: int = 0) -> FastNetwork:
     """A switch-fabric demand instance: random bipartite biregular graph.
 
     The switch-scheduling workload of the paper's introduction: ``ports``
@@ -939,20 +749,16 @@ def bipartite_switch(
     ``demand_degree`` demands.  Structurally :func:`random_bipartite_regular`
     with switch-flavored node identifiers (``("in", i)`` / ``("out", j)``)
     and the same array-native sampler end to end, so million-port instances
-    are practical.  Both backends share the single fast stream
-    (``numpy.random.default_rng(seed)``); ``backend="legacy"`` materializes
-    via ``to_network()``.
+    are practical.
     """
     if ports < 1:
         raise InvalidParameterError("ports must be at least 1")
     if demand_degree < 0 or demand_degree > ports:
         raise InvalidParameterError("need 0 <= demand_degree <= ports")
-    _check_backend(backend)
 
     def identifiers() -> Iterable:
         return [("in", i) for i in range(ports)] + [
             ("out", i) for i in range(ports)
         ]
 
-    fast = _fast_random_bipartite_regular(ports, demand_degree, seed, order=identifiers)
-    return fast if backend == "fast" else fast.to_network()
+    return _fast_random_bipartite_regular(ports, demand_degree, seed, order=identifiers)

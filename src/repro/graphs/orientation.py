@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Mapping, Tuple
 
 from repro.exceptions import InvalidParameterError
+from repro.local_model.fast_network import NetworkLike, as_network
 from repro.local_model.network import Network
 
 #: An orientation: canonical edge -> head (the vertex the edge points to).
@@ -25,7 +26,7 @@ Orientation = Dict[Tuple[Hashable, Hashable], Hashable]
 
 
 def acyclic_orientation_from_coloring(
-    network: Network, colors: Mapping[Hashable, int]
+    network: NetworkLike, colors: Mapping[Hashable, int]
 ) -> Orientation:
     """Orient every edge towards the endpoint with the smaller color.
 
@@ -33,6 +34,7 @@ def acyclic_orientation_from_coloring(
     exactly as in the proof of Lemma 3.5.  The resulting orientation is always
     acyclic, regardless of whether ``colors`` is a legal coloring.
     """
+    network = as_network(network)
     orientation: Orientation = {}
     for u, v in network.edges():
         cu, cv = colors[u], colors[v]
@@ -45,9 +47,10 @@ def acyclic_orientation_from_coloring(
 
 
 def out_neighbors(
-    network: Network, orientation: Orientation, vertex: Hashable
+    network: NetworkLike, orientation: Orientation, vertex: Hashable
 ) -> Tuple[Hashable, ...]:
     """Vertices reached by edges oriented *out of* ``vertex``."""
+    network = as_network(network)
     result = []
     for u, v in network.edges():
         if vertex not in (u, v):
@@ -58,8 +61,9 @@ def out_neighbors(
     return tuple(result)
 
 
-def max_out_degree(network: Network, orientation: Orientation) -> int:
+def max_out_degree(network: NetworkLike, orientation: Orientation) -> int:
     """The out-degree of the orientation (maximum over all vertices)."""
+    network = as_network(network)
     out_degree: Dict[Hashable, int] = {node: 0 for node in network.nodes()}
     for edge, head in orientation.items():
         u, v = edge
@@ -68,8 +72,9 @@ def max_out_degree(network: Network, orientation: Orientation) -> int:
     return max(out_degree.values(), default=0)
 
 
-def is_acyclic_orientation(network: Network, orientation: Orientation) -> bool:
+def is_acyclic_orientation(network: NetworkLike, orientation: Orientation) -> bool:
     """Whether the orientation contains no directed cycle."""
+    network = as_network(network)
     _validate_orientation(network, orientation)
     # Kahn's algorithm on the directed graph defined by the orientation.
     in_degree: Dict[Hashable, int] = {node: 0 for node in network.nodes()}
@@ -92,12 +97,13 @@ def is_acyclic_orientation(network: Network, orientation: Orientation) -> bool:
     return visited == network.num_nodes
 
 
-def longest_directed_path_length(network: Network, orientation: Orientation) -> int:
+def longest_directed_path_length(network: NetworkLike, orientation: Orientation) -> int:
     """The number of edges on the longest directed path of an acyclic orientation.
 
     This is the round complexity of the Lemma 3.4 coloring procedure (every
     vertex waits for its out-neighbors before choosing a color).
     """
+    network = as_network(network)
     if not is_acyclic_orientation(network, orientation):
         raise InvalidParameterError("longest path is only defined for acyclic orientations")
 

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, List, Tuple
 
+from repro.local_model.fast_network import NetworkLike, as_network
 from repro.local_model.network import Network
 
 
@@ -67,11 +68,12 @@ def _max_independent_subset_size(network: Network, candidates: Tuple[Hashable, .
     return best
 
 
-def neighborhood_independence(network: Network) -> int:
+def neighborhood_independence(network: NetworkLike) -> int:
     """The neighborhood independence ``I(G)`` (Definition 3.1).
 
     Returns 0 for a graph with no edges (every neighborhood is empty).
     """
+    network = as_network(network)
     best = 0
     for vertex in network.nodes():
         neighborhood = network.neighbors(vertex)
@@ -81,13 +83,14 @@ def neighborhood_independence(network: Network) -> int:
     return best
 
 
-def has_neighborhood_independence_at_most(network: Network, c: int) -> bool:
+def has_neighborhood_independence_at_most(network: NetworkLike, c: int) -> bool:
     """Whether ``I(G) <= c``.
 
     Cheaper than computing ``I(G)`` exactly: it only searches each
     neighborhood for an independent set of ``c + 1`` vertices and stops at the
     first witness.
     """
+    network = as_network(network)
     if c < 0:
         return network.max_degree == 0
     for vertex in network.nodes():
@@ -100,7 +103,7 @@ def has_neighborhood_independence_at_most(network: Network, c: int) -> bool:
     return True
 
 
-def is_claw_free(network: Network) -> bool:
+def is_claw_free(network: NetworkLike) -> bool:
     """Whether the graph excludes ``K_{1,3}`` as an induced subgraph.
 
     A graph is claw-free exactly when its neighborhood independence is at
@@ -110,7 +113,7 @@ def is_claw_free(network: Network) -> bool:
     return has_neighborhood_independence_at_most(network, 2)
 
 
-def growth_function(network: Network, vertex: Hashable, radius: int) -> int:
+def growth_function(network: NetworkLike, vertex: Hashable, radius: int) -> int:
     """The number of independent vertices within distance ``radius`` of ``vertex``.
 
     A family of graphs is of bounded growth when this quantity is bounded by a
@@ -121,6 +124,7 @@ def growth_function(network: Network, vertex: Hashable, radius: int) -> int:
     the vertices at distance at most ``radius``, which lower-bounds the true
     maximum and is sufficient to certify *unbounded* growth.
     """
+    network = as_network(network)
     # Breadth-first search up to the radius.
     frontier = {vertex}
     reached = {vertex}
@@ -152,8 +156,9 @@ class DegreeStatistics:
     average_degree: float
 
 
-def degree_statistics(network: Network) -> DegreeStatistics:
+def degree_statistics(network: NetworkLike) -> DegreeStatistics:
     """Compute basic degree statistics (used by the benchmark reports)."""
+    network = as_network(network)
     degrees = [network.degree(node) for node in network.nodes()]
     if not degrees:
         return DegreeStatistics(0, 0, 0, 0, 0.0)

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, NetworkLike
+from repro.local_model.fast_network import NetworkLike
 from repro.local_model.scheduler import Scheduler
 from repro.local_model.vectorized import VectorizedScheduler
 
@@ -97,14 +97,11 @@ def make_scheduler(
     executor, so every algorithm runs unchanged on every path.  ``network``
     may be a :class:`~repro.local_model.network.Network` or a (possibly
     CSR-masked) :class:`~repro.local_model.fast_network.FastNetwork`; the
-    reference engine materializes the latter into the identical
-    :class:`~repro.local_model.network.Network` on demand, so filtered views
-    remain fully auditable.
+    reference :class:`~repro.local_model.scheduler.Scheduler` materializes
+    the latter into the identical :class:`~repro.local_model.network.Network`
+    on demand, so filtered views remain fully auditable.
     """
-    name = resolve_engine(engine)
-    if name == "reference" and isinstance(network, FastNetwork):
-        network = network.to_network()
-    factory = _ENGINES[name]
+    factory = _ENGINES[resolve_engine(engine)]
     return factory(
         network,
         globals_extra=globals_extra,

@@ -25,12 +25,11 @@ further capabilities sit on top of them:
   :class:`Network` on demand;
 * **array construction** (:meth:`FastNetwork.from_edge_array` /
   :meth:`FastNetwork.from_csr`) -- build a network straight from endpoint
-  arrays (or ready-made CSR arrays) without ever materializing a legacy
-  :class:`Network`: the vectorized workload generators
-  (:mod:`repro.graphs.generators`, ``backend="fast"``) enter here, node
-  identifiers stay behind a lazy provider exactly like the line-graph views
-  of :mod:`repro.local_model.line_csr`, and :meth:`to_network` remains the
-  on-demand audit path.
+  arrays (or ready-made CSR arrays) without ever materializing a
+  :class:`Network`: the workload generators (:mod:`repro.graphs.generators`)
+  enter here, node identifiers stay behind a lazy provider exactly like the
+  line-graph views of :mod:`repro.local_model.line_csr`, and
+  :meth:`to_network` remains the on-demand audit path.
 """
 
 from __future__ import annotations

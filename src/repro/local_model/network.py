@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.exceptions import InvalidParameterError
 from repro.local_model.node import Node
 
@@ -119,12 +117,6 @@ class Network:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "Network":
-        """Build a network from a :class:`networkx.Graph` (edges only)."""
-        adjacency = {node: list(graph.neighbors(node)) for node in graph.nodes}
-        return cls(adjacency)
-
-    @classmethod
     def from_edges(
         cls,
         edges: Iterable[Tuple[Hashable, Hashable]],
@@ -138,13 +130,6 @@ class Network:
         for node in isolated_nodes:
             adjacency.setdefault(node, [])
         return cls(adjacency)
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the network as a :class:`networkx.Graph`."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._order)
-        graph.add_edges_from(self._edges)
-        return graph
 
     # ------------------------------------------------------------------ #
     # Basic accessors

@@ -21,6 +21,7 @@ from repro.local_model.algorithm import (
     PhasePipeline,
     SynchronousPhase,
 )
+from repro.local_model.fast_network import NetworkLike, as_network
 from repro.local_model.messages import payload_size_words
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.local_model.network import Network
@@ -54,7 +55,9 @@ class Scheduler:
     Parameters
     ----------
     network:
-        The communication graph.
+        The communication graph; a
+        :class:`~repro.local_model.fast_network.FastNetwork` is materialized
+        into the identical :class:`Network` once, here.
     globals_extra:
         Additional globally known values exposed to every node's
         :class:`~repro.local_model.algorithm.LocalView` (algorithm parameters,
@@ -66,11 +69,11 @@ class Scheduler:
 
     def __init__(
         self,
-        network: Network,
+        network: NetworkLike,
         globals_extra: Optional[Mapping[str, Any]] = None,
         round_limit_factor: int = 1,
     ) -> None:
-        self.network = network
+        self.network: Network = as_network(network)
         self._globals: Dict[str, Any] = {
             "n": network.num_nodes,
             "max_degree": network.max_degree,

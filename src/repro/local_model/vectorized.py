@@ -369,7 +369,7 @@ class VectorizedScheduler:
     ) -> Tuple[StateTable, PhaseMetrics]:
         if self._reference is None:
             self._reference = Scheduler(
-                self._fast.to_network(),
+                self._fast,
                 globals_extra=self._globals,
                 round_limit_factor=self._round_limit_factor,
             )

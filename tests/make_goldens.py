@@ -127,9 +127,18 @@ def _metrics(metrics) -> Dict[str, int]:
 
 
 def _regular(n, degree, seed):
-    from repro import graphs
+    """The frozen ``tests/data/regular{n}x{degree}_seed{seed}.edges`` graph.
 
-    return graphs.random_regular(n, degree, seed=seed)
+    The goldens were recorded on these seven random regular graphs
+    (networkx's ``random_regular_graph`` stream); the committed edge lists
+    keep the fixtures' inputs fixed, independent of the generators' seeds.
+    """
+    import numpy as np
+
+    from repro.local_model.fast_network import FastNetwork
+
+    edges = np.loadtxt(DATA_DIR / f"regular{n}x{degree}_seed{seed}.edges", dtype=np.int64)
+    return FastNetwork.from_edge_array(edges[:, 0], edges[:, 1], num_nodes=n)
 
 
 def _line_of_regular(n, degree, seed):

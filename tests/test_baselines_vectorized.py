@@ -40,7 +40,6 @@ FAMILIES = {
     "heavy-tailed-powerlaw": lambda: graphs.planted_degree_sequence(
         graphs.heavy_tailed_degree_sequence(50, exponent=2.2, seed=13),
         seed=13,
-        backend="fast",
     ),
 }
 

@@ -56,7 +56,7 @@ class TestLegality:
 class TestResultObject:
     def test_color_lookup_in_both_endpoint_orders(self, small_regular):
         result = color_edges(small_regular, quality="superlinear")
-        u, v = small_regular.edges()[0]
+        u, v = small_regular.to_network().edges()[0]
         assert result.color_of(u, v) == result.color_of(v, u)
 
     def test_line_graph_degree_recorded(self, small_regular):

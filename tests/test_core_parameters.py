@@ -95,7 +95,7 @@ class TestQualityTable:
         from repro import graphs
         from repro.core import color_edges, color_vertices, plan_edge_coloring
 
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        network = graphs.random_regular(16, 4, seed=3)
         for call in (
             lambda: params_for_quality("bogus", 8, 2),
             lambda: color_edges(network, quality="bogus"),

@@ -39,9 +39,9 @@ QUICK_PROPERTY = settings(
 
 #: (name, base-graph maker, neighborhood-independence bound c).
 BASE_GRAPHS = [
-    ("grid", lambda: graphs.grid_graph(4, 5, backend="fast"), 2),
-    ("regular", lambda: graphs.random_regular(24, 4, seed=3, backend="fast"), 4),
-    ("ba", lambda: graphs.barabasi_albert(20, 3, seed=5, backend="fast"), 4),
+    ("grid", lambda: graphs.grid_graph(4, 5), 2),
+    ("regular", lambda: graphs.random_regular(24, 4, seed=3), 4),
+    ("ba", lambda: graphs.barabasi_albert(20, 3, seed=5), 4),
 ]
 
 
@@ -120,7 +120,7 @@ class TestDifferentialChurn:
 
 class TestBatchSemantics:
     def _session(self, **kwargs):
-        base = graphs.grid_graph(3, 4, backend="fast")
+        base = graphs.grid_graph(3, 4)
         return DynamicColoring(base, c=2, engine="vectorized", **kwargs)
 
     def test_empty_and_none_batches_are_noops(self):
@@ -177,7 +177,7 @@ class TestBatchSemantics:
             session.apply_updates(added=(np.array([0]), np.array([1, 2])))
 
     def test_invalid_session_parameters_rejected(self):
-        base = graphs.grid_graph(3, 3, backend="fast")
+        base = graphs.grid_graph(3, 3)
         with pytest.raises(InvalidParameterError, match="strategy"):
             DynamicColoring(base, c=2, strategy="lazy")
         with pytest.raises(InvalidParameterError, match="ball_radius"):
@@ -206,7 +206,7 @@ class TestSessionBehavior:
         columns = []
         for _ in range(2):
             session = DynamicColoring(
-                graphs.random_regular(32, 4, seed=7, backend="fast"),
+                graphs.random_regular(32, 4, seed=7),
                 c=4,
                 engine="vectorized",
             )
@@ -220,7 +220,7 @@ class TestSessionBehavior:
         for config in ENGINE_CONFIGS:
             with engine_config(config) as engine:
                 session = DynamicColoring(
-                    graphs.random_regular(24, 4, seed=2, backend="fast"),
+                    graphs.random_regular(24, 4, seed=2),
                     c=4,
                     engine=engine,
                 )
@@ -233,7 +233,7 @@ class TestSessionBehavior:
 
     def test_vectorized_repairs_never_fall_back(self):
         session = DynamicColoring(
-            graphs.random_regular(48, 6, seed=1, backend="fast"),
+            graphs.random_regular(48, 6, seed=1),
             c=6,
             engine="vectorized",
         )
@@ -242,7 +242,7 @@ class TestSessionBehavior:
         assert session.fallback_phase_names == []
 
     def test_reports_and_accessors(self):
-        base = graphs.grid_graph(4, 4, backend="fast")
+        base = graphs.grid_graph(4, 4)
         session = DynamicColoring(base, c=2, engine="vectorized")
         report = session.apply_updates(added=[(0, 15)])
         assert session.reports == [report]
@@ -257,7 +257,7 @@ class TestSessionBehavior:
 
     def test_wider_ball_radius_stays_legal(self):
         session = DynamicColoring(
-            graphs.random_regular(24, 4, seed=5, backend="fast"),
+            graphs.random_regular(24, 4, seed=5),
             c=4,
             engine="vectorized",
             ball_radius=2,
@@ -266,14 +266,14 @@ class TestSessionBehavior:
         session.verify()
 
     def test_legacy_network_input_is_accepted(self):
-        legacy = graphs.grid_graph(3, 4, backend="legacy")
+        legacy = graphs.grid_graph(3, 4).to_network()
         session = DynamicColoring(legacy, c=2)
         session.apply_updates(added=[(0, 7)])
         session.verify()
 
     def test_palette_bound_is_monotone(self):
         session = DynamicColoring(
-            graphs.random_regular(20, 4, seed=8, backend="fast"),
+            graphs.random_regular(20, 4, seed=8),
             c=4,
             engine="vectorized",
         )

@@ -238,7 +238,7 @@ class TestSchedulerLevelEquivalence:
     def test_array_built_views_hand_out_python_ints(self):
         # LocalViews, unique ids and neighbor ids of CSR-built and CSR-masked
         # views all come from int64 arrays; none may leak a numpy scalar.
-        base = graphs.random_regular(30, 6, seed=11, backend="fast")
+        base = graphs.random_regular(30, 6, seed=11)
         derived = base.filtered_by_labels(np.arange(base.num_nodes) % 2)
         pipeline, _ = delta_plus_one_pipeline(
             n=base.num_nodes, degree_bound=base.max_degree, output_key="c"

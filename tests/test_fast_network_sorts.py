@@ -111,7 +111,7 @@ def test_array_built_views_are_freed_without_the_cyclic_gc():
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        g = graphs.random_regular(200, 6, seed=1, backend="fast")
+        g = graphs.random_regular(200, 6, seed=1)
         color_edges(g)
         del g
         gc.collect()

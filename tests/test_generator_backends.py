@@ -1,22 +1,25 @@
-"""The ``backend="fast"`` generator seam and the array constructors.
+"""The array-built graph generators and the array constructors.
 
 Three contracts are locked down here:
 
-1. **Bit-identity of the deterministic families.**  For path / cycle / grid /
-   hypercube / complete / star / clique-with-pendants, the fast backend must
-   produce the *same* graph as the legacy backend down to the node
-   identifiers, the unique ids and the CSR arrays (hypothesis-sampled sizes).
-2. **Invariants of the random families.**  The fast samplers follow their own
-   documented seed streams, so they cannot be compared edge-for-edge against
-   networkx; instead the exact guarantees are asserted: exact degrees for the
-   regular families, simplicity and symmetry everywhere (via the validating
-   ``to_network()`` round-trip), and seed-reproducibility.
+1. **The deterministic families are the textbook graphs.**  Path / cycle /
+   complete / star / grid / hypercube / clique-with-pendants are compared
+   against networkx builders called right here (networkx is a test oracle
+   only): same node identifiers, same edge set, and the same CSR arrays and
+   unique ids as the :class:`Network` built from the networkx graph
+   (hypothesis-sampled sizes).
+2. **Invariants of the random families.**  The samplers follow their own
+   documented ``numpy.random.default_rng(seed)`` streams, so they cannot be
+   compared edge-for-edge against networkx; instead the exact guarantees are
+   asserted: exact degrees for the regular families, simplicity and symmetry
+   everywhere (via the validating ``to_network()`` round-trip), and
+   seed-reproducibility.
 3. **The Network-free entry path.**  A golden scenario enters through
    ``FastNetwork.from_edge_array``, runs the full Legal-Color pipeline on the
-   vectorized engine, verifies through the array oracles -- and the legacy
+   vectorized engine, verifies through the array oracles -- and the
    ``Network`` is provably never materialized (``fast.network`` stays
-   ``None``); the colors equal those of the identically-shaped legacy-built
-   run.
+   ``None``); the colors equal those of the identically-shaped
+   ``Network``-built run.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -33,7 +37,7 @@ from repro import graphs
 from repro.core import color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.graphs.generators import _geometric_edges
-from repro.local_model.fast_network import FastNetwork, as_network, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.network import Network
 from repro.verification import assert_legal_vertex_coloring
 
@@ -42,10 +46,10 @@ QUICK_PROPERTY = settings(
 )
 
 
-def assert_bit_identical(fast: FastNetwork, legacy: Network) -> None:
-    """The fast-built view equals the compiled view of the legacy network."""
-    compiled = fast_view(legacy)
-    assert isinstance(fast, FastNetwork) and isinstance(legacy, Network)
+def assert_bit_identical(fast: FastNetwork, network: Network) -> None:
+    """The array-built view equals the compiled view of ``network``."""
+    compiled = fast_view(network)
+    assert isinstance(fast, FastNetwork) and isinstance(network, Network)
     assert fast.order == compiled.order
     assert list(fast.unique_ids) == list(compiled.unique_ids)
     assert list(fast.indptr) == list(compiled.indptr)
@@ -68,46 +72,87 @@ def csr_edges(network: FastNetwork) -> np.ndarray:
     return np.column_stack([rows[forward], network.indices[forward]])
 
 
-DETERMINISTIC_FAMILIES = [
-    ("path", lambda size, backend: graphs.path_graph(size, backend=backend)),
-    ("cycle", lambda size, backend: graphs.cycle_graph(max(3, size), backend=backend)),
-    ("complete", lambda size, backend: graphs.complete_graph(size, backend=backend)),
-    ("star", lambda size, backend: graphs.star_graph(size, backend=backend)),
-    (
-        "grid",
-        lambda size, backend: graphs.grid_graph(size, size + 2, backend=backend),
+def nx_clique_with_pendants(k: int) -> nx.Graph:
+    graph = nx.relabel_nodes(nx.complete_graph(k), lambda i: ("clique", i))
+    graph.add_edges_from((("clique", i), ("pendant", i)) for i in range(k))
+    return graph
+
+
+def nx_hypercube(dimension: int) -> nx.Graph:
+    """networkx's bit-tuple hypercube, vertices read as binary numbers."""
+
+    def number(bits) -> int:  # dimension 1 labels the two vertices 0 and 1
+        return bits if isinstance(bits, int) else int("".join(map(str, bits)), 2)
+
+    return nx.relabel_nodes(nx.hypercube_graph(dimension), number)
+
+
+def nx_star(leaves: int) -> nx.Graph:
+    return nx.relabel_nodes(
+        nx.star_graph(leaves), lambda i: "center" if i == 0 else ("leaf", i - 1)
+    )
+
+
+def nx_grid(rows: int, cols: int) -> nx.Graph:
+    return nx.relabel_nodes(nx.grid_2d_graph(rows, cols), lambda rc: rc[0] * cols + rc[1])
+
+
+#: name -> (generator(size), networkx reference(size)).
+DETERMINISTIC_FAMILIES = {
+    "path": (graphs.path_graph, nx.path_graph),
+    "cycle": (
+        lambda size: graphs.cycle_graph(max(3, size)),
+        lambda size: nx.cycle_graph(max(3, size)),
     ),
-    (
-        "hypercube",
-        lambda size, backend: graphs.hypercube_graph(
-            1 + size % 6, backend=backend
-        ),
+    "complete": (graphs.complete_graph, nx.complete_graph),
+    "star": (graphs.star_graph, nx_star),
+    "grid": (
+        lambda size: graphs.grid_graph(size, size + 2),
+        lambda size: nx_grid(size, size + 2),
     ),
-    (
-        "clique_with_pendants",
-        lambda size, backend: graphs.clique_with_pendants(size, backend=backend),
+    "hypercube": (
+        lambda size: graphs.hypercube_graph(1 + size % 6),
+        lambda size: nx_hypercube(1 + size % 6),
     ),
-]
+    "clique_with_pendants": (graphs.clique_with_pendants, nx_clique_with_pendants),
+}
+
+
+def network_of(graph: nx.Graph) -> Network:
+    """The :class:`Network` with the networkx graph's nodes and edges."""
+    return Network.from_edges(graph.edges, isolated_nodes=graph.nodes)
 
 
 class TestDeterministicFamiliesBitIdentical:
-    @pytest.mark.parametrize("name,maker", DETERMINISTIC_FAMILIES)
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_FAMILIES))
     @QUICK_PROPERTY
     @given(size=st.integers(min_value=1, max_value=40))
-    def test_fast_equals_legacy(self, name, maker, size):
-        assert_bit_identical(maker(size, "fast"), maker(size, "legacy"))
+    def test_matches_the_networkx_graph(self, name, size):
+        maker, reference = DETERMINISTIC_FAMILIES[name]
+        fast, graph = maker(size), reference(size)
+        assert set(fast.nodes()) == set(graph.nodes)
+        edges = fast.to_network().edges()
+        assert {frozenset(edge) for edge in edges} == {frozenset(edge) for edge in graph.edges}
+        assert len(edges) == graph.number_of_edges()
+        assert_bit_identical(fast, network_of(graph))
 
     def test_to_network_materializes_the_identical_network(self):
-        fast = graphs.grid_graph(4, 5, backend="fast")
-        legacy = graphs.grid_graph(4, 5, backend="legacy")
-        materialized = fast.to_network()
-        assert materialized.nodes() == legacy.nodes()
-        assert materialized.edges() == legacy.edges()
-        assert materialized.unique_ids() == legacy.unique_ids()
+        materialized = graphs.grid_graph(4, 5).to_network()
+        expected = network_of(nx_grid(4, 5))
+        assert materialized.nodes() == expected.nodes()
+        assert materialized.edges() == expected.edges()
+        assert materialized.unique_ids() == expected.unique_ids()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            graphs.path_graph(4, backend="numpy")
+    def test_backend_keyword_accepts_only_fast(self):
+        assert graphs.random_regular(8, 3, seed=1, backend="fast").num_edges == 12
+        assert graphs.random_geometric(8, 0.5, seed=1, backend="fast").num_nodes == 8
+        for backend in ("legacy", "numpy"):
+            with pytest.raises(InvalidParameterError, match=r"to_network\(\)"):
+                graphs.random_regular(8, 3, seed=1, backend=backend)
+            with pytest.raises(InvalidParameterError, match=r"to_network\(\)"):
+                graphs.random_geometric(8, 0.5, seed=1, backend=backend)
+        with pytest.raises(TypeError):
+            graphs.path_graph(4, backend="fast")
 
 
 class TestRandomFamilyInvariants:
@@ -120,14 +165,14 @@ class TestRandomFamilyInvariants:
     def test_random_regular_exact_degree_and_simple(self, n, degree, seed):
         if degree >= n or (n * degree) % 2 != 0:
             with pytest.raises(InvalidParameterError):
-                graphs.random_regular(n, degree, seed=seed, backend="fast")
+                graphs.random_regular(n, degree, seed=seed)
             return
-        network = graphs.random_regular(n, degree, seed=seed, backend="fast")
+        network = graphs.random_regular(n, degree, seed=seed)
         degrees = np.asarray(network.degrees_np)
         assert (degrees == degree).all()
         # to_network() re-validates simplicity and symmetry from scratch.
         assert network.to_network().num_edges == n * degree // 2
-        again = graphs.random_regular(n, degree, seed=seed, backend="fast")
+        again = graphs.random_regular(n, degree, seed=seed)
         assert list(again.indices) == list(network.indices)
 
     @QUICK_PROPERTY
@@ -138,17 +183,13 @@ class TestRandomFamilyInvariants:
     )
     def test_bipartite_regular_exact_degree_and_bipartite(self, side, seed, data):
         degree = data.draw(st.integers(min_value=0, max_value=side))
-        network = graphs.random_bipartite_regular(
-            side, degree, seed=seed, backend="fast"
-        )
+        network = graphs.random_bipartite_regular(side, degree, seed=seed)
         degrees = np.asarray(network.degrees_np)
         assert (degrees == degree).all()
         materialized = network.to_network()
         for u, v in materialized.edges():
             assert u[0] != v[0]
-        again = graphs.random_bipartite_regular(
-            side, degree, seed=seed, backend="fast"
-        )
+        again = graphs.random_bipartite_regular(side, degree, seed=seed)
         assert list(again.indices) == list(network.indices)
 
     @QUICK_PROPERTY
@@ -158,25 +199,13 @@ class TestRandomFamilyInvariants:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_erdos_renyi_simple_and_reproducible(self, n, probability, seed):
-        network = graphs.erdos_renyi(n, probability, seed=seed, backend="fast")
+        network = graphs.erdos_renyi(n, probability, seed=seed)
         assert network.num_nodes == n
         network.to_network()  # validates simplicity and symmetry
-        again = graphs.erdos_renyi(n, probability, seed=seed, backend="fast")
+        again = graphs.erdos_renyi(n, probability, seed=seed)
         assert list(again.indices) == list(network.indices)
         if probability >= 1.0 and n > 1:
             assert network.num_edges == n * (n - 1) // 2
-
-    def test_fast_seed_stream_is_distinct_but_same_distribution_knobs(self):
-        fast = graphs.random_regular(32, 4, seed=9, backend="fast")
-        legacy = graphs.random_regular(32, 4, seed=9, backend="legacy")
-        # Different documented streams, identical guarantees.
-        assert fast.num_edges == legacy.num_edges == 64
-        assert fast.max_degree == legacy.max_degree == 4
-
-    def test_power_law_fast_is_the_compiled_legacy_graph(self):
-        fast = graphs.power_law_graph(30, 3, seed=4, backend="fast")
-        legacy = graphs.power_law_graph(30, 3, seed=4, backend="legacy")
-        assert_bit_identical(fast, legacy)
 
 
 class TestBipartiteExactDegreeRegression:
@@ -187,22 +216,14 @@ class TestBipartiteExactDegreeRegression:
     these parameters deterministically exercised the dropped-edge path.
     """
 
-    @pytest.mark.parametrize("backend", ["legacy", "fast"])
     @pytest.mark.parametrize("side,degree", [(6, 6), (10, 9), (12, 12), (16, 8)])
-    def test_exact_degree_guarantee(self, backend, side, degree):
+    def test_exact_degree_guarantee(self, side, degree):
         for seed in range(3):
-            network = graphs.random_bipartite_regular(
-                side, degree, seed=seed, backend=backend
-            )
-            network = as_network(network)
-            assert all(
-                network.degree(node) == degree for node in network.nodes()
-            ), f"degree violated at seed {seed}"
+            network = graphs.random_bipartite_regular(side, degree, seed=seed)
+            assert (network.degrees_np == degree).all(), f"degree violated at seed {seed}"
 
     def test_complete_bipartite_forced(self):
-        network = as_network(
-            graphs.random_bipartite_regular(5, 5, seed=1, backend="legacy")
-        )
+        network = graphs.random_bipartite_regular(5, 5, seed=1)
         assert network.num_edges == 25
 
     @pytest.mark.parametrize(
@@ -217,16 +238,12 @@ class TestBipartiteExactDegreeRegression:
         complement sampling.  Exact biregularity must survive the rewrite.
         """
         for seed in range(3):
-            network = graphs.random_bipartite_regular(
-                side, degree, seed=seed, backend="fast"
-            )
+            network = graphs.random_bipartite_regular(side, degree, seed=seed)
             assert (np.asarray(network.degrees_np) == degree).all()
             materialized = network.to_network()  # validates simple + symmetric
             for u, v in materialized.edges():
                 assert u[0] != v[0]
-            again = graphs.random_bipartite_regular(
-                side, degree, seed=seed, backend="fast"
-            )
+            again = graphs.random_bipartite_regular(side, degree, seed=seed)
             assert list(again.indices) == list(network.indices)
 
 
@@ -242,22 +259,36 @@ class TestHeavyTailedFamilies:
     def test_barabasi_albert_invariants(self, n, attachment, seed):
         if attachment >= n:
             with pytest.raises(InvalidParameterError):
-                graphs.barabasi_albert(n, attachment, seed=seed, backend="fast")
+                graphs.barabasi_albert(n, attachment, seed=seed)
             return
-        network = graphs.barabasi_albert(n, attachment, seed=seed, backend="fast")
+        network = graphs.barabasi_albert(n, attachment, seed=seed)
         assert network.network is None
         assert network.num_edges == attachment * (n - attachment)
         degrees = np.asarray(network.degrees_np)
         # Every arriving vertex attaches to `attachment` distinct targets.
         assert (degrees[attachment:] >= attachment).all()
         network.to_network()  # validates simplicity and symmetry
-        again = graphs.barabasi_albert(n, attachment, seed=seed, backend="fast")
+        again = graphs.barabasi_albert(n, attachment, seed=seed)
         assert list(again.indices) == list(network.indices)
 
-    def test_barabasi_albert_legacy_backend_matches_networkx_counts(self):
-        legacy = graphs.barabasi_albert(40, 3, seed=1, backend="legacy")
-        assert legacy.num_edges == 3 * 37
-        assert legacy.num_nodes == 40
+    @pytest.mark.parametrize("n,attachment,seed", [(40, 3, 1), (200, 1, 2), (300, 5, 3)])
+    def test_barabasi_albert_attaches_each_arrival_to_earlier_vertices(self, n, attachment, seed):
+        network = graphs.barabasi_albert(n, attachment, seed=seed)
+        rows, cols = network.rows_np, network.indices_np
+        earlier = np.bincount(rows[cols < rows], minlength=n)
+        # The seeds share no edge; every later vertex brought exactly
+        # `attachment` edges to vertices that arrived before it.
+        assert (earlier[:attachment] == 0).all()
+        assert (earlier[attachment:] == attachment).all()
+        assert nx.is_connected(nx.Graph(network.to_network().edges()))
+
+    def test_barabasi_albert_degrees_are_heavy_tailed(self):
+        # Preferential attachment: the hubs far outgrow the mean degree,
+        # which a uniform-attachment graph of this size would not.
+        network = graphs.barabasi_albert(4000, 2, seed=5)
+        degrees = network.degrees_np
+        assert degrees.max() >= 10 * degrees.mean()
+        assert degrees.min() >= 2
 
     @QUICK_PROPERTY
     @given(
@@ -270,26 +301,20 @@ class TestHeavyTailedFamilies:
             n, exponent=exponent, seed=seed
         )
         assert int(degrees.sum()) % 2 == 0
-        network = graphs.planted_degree_sequence(degrees, seed=seed, backend="fast")
+        network = graphs.planted_degree_sequence(degrees, seed=seed)
         assert network.network is None
         assert (np.asarray(network.degrees_np) == degrees).all()
         network.to_network()  # validates simplicity and symmetry
-        again = graphs.planted_degree_sequence(degrees, seed=seed, backend="fast")
+        again = graphs.planted_degree_sequence(degrees, seed=seed)
         assert list(again.indices) == list(network.indices)
-
-    def test_planted_sequence_legacy_shares_the_fast_stream(self):
-        degrees = graphs.heavy_tailed_degree_sequence(50, seed=3)
-        fast = graphs.planted_degree_sequence(degrees, seed=1, backend="fast")
-        legacy = graphs.planted_degree_sequence(degrees, seed=1, backend="legacy")
-        assert_bit_identical(fast, legacy)
 
     def test_planted_sequence_validation(self):
         with pytest.raises(InvalidParameterError, match="even"):
-            graphs.planted_degree_sequence([1, 1, 1], backend="fast")
+            graphs.planted_degree_sequence([1, 1, 1])
         with pytest.raises(InvalidParameterError, match="degree"):
-            graphs.planted_degree_sequence([5, 1, 1, 1, 0], backend="fast")
+            graphs.planted_degree_sequence([5, 1, 1, 1, 0])
         with pytest.raises(InvalidParameterError, match="non-empty"):
-            graphs.planted_degree_sequence([], backend="fast")
+            graphs.planted_degree_sequence([])
 
     @QUICK_PROPERTY
     @given(
@@ -302,20 +327,20 @@ class TestHeavyTailedFamilies:
     @example(n=600, radius=0.002, seed=4)
     @example(n=40, radius=1.5, seed=0)
     def test_random_geometric_matches_brute_force(self, n, radius, seed):
-        network = graphs.random_geometric(n, radius, seed=seed, backend="fast")
+        network = graphs.random_geometric(n, radius, seed=seed)
         assert network.network is None
         network.to_network()  # validates simplicity and symmetry
         # The documented point stream: the generator's first draws.
         points = np.random.default_rng(seed).random((n, 2))
         assert np.array_equal(csr_edges(network), all_close_pairs(points, radius))
-        again = graphs.random_geometric(n, radius, seed=seed, backend="fast")
+        again = graphs.random_geometric(n, radius, seed=seed)
         assert list(again.indices) == list(network.indices)
 
-    def test_random_geometric_legacy_backend(self):
-        legacy = graphs.random_geometric(30, 0.3, seed=2, backend="legacy")
-        assert legacy.num_nodes == 30
+    def test_random_geometric_validation(self):
         with pytest.raises(InvalidParameterError, match="radius"):
             graphs.random_geometric(10, 0.0)
+        with pytest.raises(InvalidParameterError, match="n must"):
+            graphs.random_geometric(0, 0.3)
 
     @QUICK_PROPERTY
     @given(
@@ -325,27 +350,22 @@ class TestHeavyTailedFamilies:
     )
     def test_bipartite_switch_biregular(self, ports, seed, data):
         demand = data.draw(st.integers(min_value=0, max_value=ports))
-        network = graphs.bipartite_switch(ports, demand, seed=seed, backend="fast")
+        network = graphs.bipartite_switch(ports, demand, seed=seed)
         assert network.network is None
         assert (np.asarray(network.degrees_np) == demand).all()
         materialized = network.to_network()
+        assert materialized.nodes()[0] == ("in", 0)
         for u, v in materialized.edges():
             assert {u[0], v[0]} == {"in", "out"}
-        again = graphs.bipartite_switch(ports, demand, seed=seed, backend="fast")
+        again = graphs.bipartite_switch(ports, demand, seed=seed)
         assert list(again.indices) == list(network.indices)
-
-    def test_bipartite_switch_legacy_shares_the_fast_stream(self):
-        fast = graphs.bipartite_switch(12, 5, seed=7, backend="fast")
-        legacy = graphs.bipartite_switch(12, 5, seed=7, backend="legacy")
-        assert_bit_identical(fast, legacy)
-        assert legacy.nodes()[0] == ("in", 0)
 
 
 class TestGeometricSweep:
     """The unit-disk sweep: a pinned CSR per seed, and hand-placed edge cases."""
 
     #: SHA-256 of ``indptr`` then ``indices`` (int64 bytes) of
-    #: ``random_geometric(n, radius, seed, backend="fast")``, recorded with the
+    #: ``random_geometric(n, radius, seed)``, recorded with the
     #: earlier full-radius cell sweep: the sweep may change, the graph may not.
     #: ``radius=None`` is the vertex workload's ``sqrt(24 / (pi * n))``.
     CSR_SHA256 = [
@@ -365,7 +385,7 @@ class TestGeometricSweep:
     def test_csr_is_byte_identical_per_seed(self, n, radius, seed, digest):
         if radius is None:
             radius = math.sqrt(24 / (math.pi * n))
-        network = graphs.random_geometric(n, radius, seed=seed, backend="fast")
+        network = graphs.random_geometric(n, radius, seed=seed)
         sha = hashlib.sha256(network.indptr.astype(np.int64).tobytes())
         sha.update(network.indices.astype(np.int64).tobytes())
         assert sha.hexdigest() == digest
@@ -522,7 +542,7 @@ class TestNetworkFreeEntryPath:
         assert fast.max_degree == int(degrees.max(initial=0))
 
     def test_from_csr_roundtrip_and_validation(self):
-        base = graphs.grid_graph(3, 4, backend="fast")
+        base = graphs.grid_graph(3, 4)
         rebuilt = FastNetwork.from_csr(list(base.indptr), list(base.indices))
         assert list(rebuilt.indices) == list(base.indices)
         assert rebuilt.order == base.order

@@ -22,7 +22,7 @@ class TestCanonicalEdge:
         assert triangle.unique_id(edge[0]) < triangle.unique_id(edge[1])
 
     def test_same_result_for_both_orders(self, small_regular):
-        u, v = small_regular.edges()[0]
+        u, v = small_regular.to_network().edges()[0]
         assert canonical_edge(small_regular, u, v) == canonical_edge(small_regular, v, u)
 
 
@@ -108,7 +108,7 @@ class TestIdentifiers:
             assert isinstance(edge, tuple) and len(edge) == 2
             u, v = edge
             assert small_regular.unique_id(u) < small_regular.unique_id(v)
-            assert small_regular.has_edge(u, v)
+            assert small_regular.to_network().has_edge(u, v)
 
 
 #: Networks the CSR builder is pinned against the legacy constructor on,

@@ -29,7 +29,7 @@ EDGE_WORKLOADS = [
     ("random-regular", lambda: graphs.random_regular(40, 8, seed=11)),
     ("erdos-renyi", lambda: graphs.erdos_renyi(40, 0.2, seed=12)),
     ("bipartite-switch", lambda: graphs.random_bipartite_regular(16, 6, seed=13)),
-    ("power-law", lambda: graphs.power_law_graph(40, 4, seed=14)),
+    ("power-law", lambda: graphs.barabasi_albert(40, 4, seed=14)),
     ("grid", lambda: graphs.grid_graph(6, 6)),
 ]
 

@@ -334,7 +334,7 @@ class TestPsiSelectKernel:
 
                 return call
 
-        fast = graphs.random_regular(120, 7, seed=3, backend="fast")
+        fast = graphs.random_regular(120, 7, seed=3)
         n = fast.num_nodes
         if kernel == "psi_select":
             phase = PsiSelectionPhase(p=3, phi_key="phi", phi_palette=8)

@@ -118,7 +118,7 @@ def _spy_line_builder(monkeypatch):
 
 class TestLazyColors:
     def test_color_edges_never_interns_the_edge_tuples(self, monkeypatch):
-        g = graphs.random_regular(60, 6, seed=2, backend="fast")
+        g = graphs.random_regular(60, 6, seed=2)
         records = _spy_line_builder(monkeypatch)
         result = repro.color_edges(g)
         assert result.decision.algorithm == "legal-color"
@@ -141,7 +141,7 @@ class TestLazyColors:
         assert records["provider_calls"] == 1
 
     def test_mapping_pickles_as_a_plain_dict(self):
-        g = graphs.random_regular(30, 4, seed=5, backend="fast")
+        g = graphs.random_regular(30, 4, seed=5)
         result = core_color_edges(g, route="direct")
         eager = dict(zip(build_line_graph_fast(g).order, result.color_column.tolist()))
         restored = pickle.loads(pickle.dumps(result.edge_colors))
@@ -161,7 +161,7 @@ class TestLazyColors:
         assert result.colors != [1, 2]
 
     def test_result_does_not_keep_the_line_graph_alive(self, monkeypatch):
-        g = graphs.random_regular(60, 6, seed=4, backend="fast")
+        g = graphs.random_regular(60, 6, seed=4)
         records = _spy_line_builder(monkeypatch)
         result = repro.color_edges(g)
         gc.collect()
@@ -212,7 +212,7 @@ class TestRankColumn:
         )
 
     def test_range_ids_skip_the_sort_with_identical_ranks(self, monkeypatch):
-        g = graphs.random_regular(80, 5, seed=9, backend="fast")
+        g = graphs.random_regular(80, 5, seed=9)
         assert g.has_range_ids
         calls = self._count_sorts(monkeypatch)
         fast_ranks = build_line_graph_fast(g).line_meta.sort_rank
@@ -234,7 +234,7 @@ class TestRankColumn:
         ids=["tuples", "strings", "non-monotone"],
     )
     def test_other_identifiers_take_the_sort(self, monkeypatch, identifiers):
-        g = graphs.random_regular(40, 4, seed=6, backend="fast")
+        g = graphs.random_regular(40, 4, seed=6)
         twin = self._twin(g, identifiers(g.num_nodes))
         assert not twin.has_range_ids
         calls = self._count_sorts(monkeypatch)

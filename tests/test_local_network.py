@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model import Network
+
+
+# The shared fixtures are array-built; this module tests the mapping-based
+# Network, so it materializes each of them.
+@pytest.fixture
+def small_regular(small_regular):
+    return small_regular.to_network()
+
+
+@pytest.fixture
+def triangle(triangle):
+    return triangle.to_network()
+
+
+@pytest.fixture
+def fig1_graph(fig1_graph):
+    return fig1_graph.to_network()
 
 
 class TestConstruction:
@@ -23,13 +39,6 @@ class TestConstruction:
         network = Network.from_edges([(1, 2), (2, 3)], isolated_nodes=[9])
         assert network.num_nodes == 4
         assert network.degree(9) == 0
-
-    def test_from_networkx_round_trip(self):
-        graph = nx.path_graph(6)
-        network = Network.from_networkx(graph)
-        back = network.to_networkx()
-        assert set(back.edges) == set(graph.edges)
-        assert set(back.nodes) == set(graph.nodes)
 
     def test_empty_network(self):
         network = Network({})

@@ -107,9 +107,16 @@ class TestScheduler:
     def test_single_phase_runs_and_extracts(self, small_regular):
         result = Scheduler(small_regular).run(EchoDegreePhase())
         degrees = result.extract("observed_degree")
-        for node in small_regular.nodes():
-            assert degrees[node] == small_regular.degree(node)
+        for node, degree in zip(small_regular.nodes(), small_regular.degrees_np.tolist()):
+            assert degrees[node] == degree
         assert result.metrics.rounds == 1
+
+    def test_fast_network_runs_like_the_equal_network(self, path10):
+        pipeline = PhasePipeline([EchoDegreePhase(), GossipMaxIdPhase(rounds=4)])
+        on_fast = Scheduler(path10).run(pipeline)
+        on_network = Scheduler(path10.to_network()).run(pipeline)
+        assert on_fast.states == on_network.states
+        assert on_fast.metrics.summary() == on_network.metrics.summary()
 
     def test_messages_counted_per_round(self, triangle):
         result = Scheduler(triangle).run(EchoDegreePhase())

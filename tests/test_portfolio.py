@@ -42,11 +42,11 @@ from repro.verification import (
 #: Graphs the plan is checked on: regular, bounded-growth, geometric and
 #: heavy-tailed degree sequences.
 PLAN_GRAPHS = {
-    "regular500x6": lambda: graphs.random_regular(500, 6, seed=1, backend="fast"),
-    "regular1000x16": lambda: graphs.random_regular(1000, 16, seed=1, backend="fast"),
-    "grid5x5": lambda: graphs.grid_graph(5, 5, backend="fast"),
-    "geometric400": lambda: graphs.random_geometric(400, 0.1, seed=1, backend="fast"),
-    "barabasi300x3": lambda: graphs.barabasi_albert(300, 3, seed=1, backend="fast"),
+    "regular500x6": lambda: graphs.random_regular(500, 6, seed=1),
+    "regular1000x16": lambda: graphs.random_regular(1000, 16, seed=1),
+    "grid5x5": lambda: graphs.grid_graph(5, 5),
+    "geometric400": lambda: graphs.random_geometric(400, 0.1, seed=1),
+    "barabasi300x3": lambda: graphs.barabasi_albert(300, 3, seed=1),
 }
 
 
@@ -73,11 +73,11 @@ class TestLegalColorPlan:
     def test_line_graph_max_degree_is_exact_on_irregular_graphs(self):
         # 2 Delta - 2 assumes the two largest degrees are adjacent; on a
         # heavy-tailed graph they need not be.
-        network = graphs.barabasi_albert(800, 8, seed=1, backend="fast")
+        network = graphs.barabasi_albert(800, 8, seed=1)
         exact = line_graph_max_degree(network)
         assert exact == build_line_graph_fast(network).max_degree
         assert exact < 2 * network.max_degree - 2
-        assert line_graph_max_degree(graphs.complete_graph(1, backend="fast")) == 0
+        assert line_graph_max_degree(graphs.complete_graph(1)) == 0
 
 
 class TestRouteRule:
@@ -86,14 +86,14 @@ class TestRouteRule:
     @pytest.mark.parametrize(
         "make, route, direct, simulation",
         [
-            (lambda: graphs.random_regular(500, 6, seed=1, backend="fast"), "simulation", 126, 42),
-            (lambda: graphs.random_regular(1000, 16, seed=1, backend="fast"), "direct", 222, 324),
-            (lambda: graphs.random_regular(32, 4, seed=1, backend="fast"), "direct", 7, 7),
+            (lambda: graphs.random_regular(500, 6, seed=1), "simulation", 126, 42),
+            (lambda: graphs.random_regular(1000, 16, seed=1), "direct", 222, 324),
+            (lambda: graphs.random_regular(32, 4, seed=1), "direct", 7, 7),
             # The Corollary 5.4 defect stops shrinking the degree bound of a
             # hub-heavy line graph, so the direct palette explodes (n = 800
             # is the smallest n of this family found to show it).
             (
-                lambda: graphs.barabasi_albert(800, 8, seed=1, backend="fast"),
+                lambda: graphs.barabasi_albert(800, 8, seed=1),
                 "simulation",
                 95_738_112,
                 1_908,
@@ -115,7 +115,7 @@ class TestRouteRule:
         assert_legal_edge_coloring(network, result.color_column)
 
     def test_pinned_route_still_quotes_both_palettes(self):
-        network = graphs.random_regular(500, 6, seed=1, backend="fast")
+        network = graphs.random_regular(500, 6, seed=1)
         decision = color_edges(network, route="direct").decision
         assert decision.route == "direct"
         assert decision.reasons["route"] == "route pinned by caller"
@@ -162,7 +162,7 @@ class TestDecisionPins:
     """The benchmarked instance classes and the decisions they must get."""
 
     def test_small_instance_runs_the_default_engine(self):
-        network = graphs.random_regular(32, 4, seed=1, backend="fast")
+        network = graphs.random_regular(32, 4, seed=1)
         result = color_edges(network)
         decision = result.decision
         assert (decision.algorithm, decision.engine) == ("legal-color", default_engine())
@@ -174,7 +174,7 @@ class TestDecisionPins:
         assert_legal_edge_coloring(network, result.colors)
 
     def test_large_instance_runs_the_default_engine(self):
-        network = graphs.random_regular(2048, 8, seed=2, backend="fast")
+        network = graphs.random_regular(2048, 8, seed=2)
         result = color_graph(network, seed=1)
         decision = result.decision
         assert decision.algorithm == "luby"
@@ -188,7 +188,7 @@ class TestDecisionPins:
 
     @pytest.mark.parametrize("n", [24, 48])
     def test_dense_instance_with_budget_degrades_quality(self, n):
-        network = graphs.complete_graph(n, backend="fast")
+        network = graphs.complete_graph(n)
         result = color_edges(network, budget=40.0)
         decision = result.decision
         assert decision.engine == default_engine()
@@ -200,8 +200,8 @@ class TestDecisionPins:
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_engine_override_is_honoured_at_every_size(self, engine):
         for network in (
-            graphs.random_regular(16, 4, seed=3, backend="fast"),
-            graphs.random_regular(512, 8, seed=2, backend="fast"),
+            graphs.random_regular(16, 4, seed=3),
+            graphs.random_regular(512, 8, seed=2),
         ):
             decision = color_graph(network, seed=1, engine=engine).decision
             assert decision.engine == engine
@@ -210,7 +210,7 @@ class TestDecisionPins:
             assert decision.is_default() == (engine == default_engine())
 
     def test_is_default_follows_use_engine(self):
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        network = graphs.random_regular(16, 4, seed=3)
         with use_engine("reference"):
             decision = color_graph(network, seed=1).decision
             assert decision.engine == "reference"
@@ -226,7 +226,7 @@ class TestDecisionPins:
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
         kernels.reset()
         try:
-            network = graphs.random_regular(2048, 8, seed=2, backend="fast")
+            network = graphs.random_regular(2048, 8, seed=2)
             result = color_graph(network, seed=1)
             decision = result.decision
             assert decision.engine == "vectorized"
@@ -243,7 +243,7 @@ class TestFacadeContract:
         assert set(EDGE_ALGORITHMS) >= {"legal-color", "panconesi-rizzi", "luby"}
 
     def test_every_decision_has_an_override(self):
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        network = graphs.random_regular(16, 4, seed=3)
         result = color_edges(
             network,
             algorithm="legal-color",
@@ -260,7 +260,7 @@ class TestFacadeContract:
             assert "pinned by caller" in decision.reasons[knob]
 
     def test_normalized_result_shape(self):
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        network = graphs.random_regular(16, 4, seed=3)
         for result in (
             color_graph(network, seed=1),
             color_edges(network, algorithm="greedy-reduction"),
@@ -272,7 +272,7 @@ class TestFacadeContract:
             assert result.metrics.rounds >= 1
 
     def test_invalid_knobs_raise(self):
-        network = graphs.random_regular(16, 4, seed=3, backend="fast")
+        network = graphs.random_regular(16, 4, seed=3)
         with pytest.raises(InvalidParameterError):
             color_edges(network, algorithm="nope")
         with pytest.raises(InvalidParameterError):

@@ -28,6 +28,12 @@ from repro.verification.coloring import (
 )
 
 
+# The mapping oracles are the subject here: materialize the array-built
+# triangle (TestArrayOracles compares the two forms explicitly).
+@pytest.fixture
+def triangle(triangle):
+    return triangle.to_network()
+
 class TestVertexColoringOracles:
     def test_legal_coloring_accepted(self, triangle):
         colors = {node: index + 1 for index, node in enumerate(triangle.nodes())}
@@ -46,7 +52,7 @@ class TestVertexColoringOracles:
             is_legal_vertex_coloring(triangle, colors)
 
     def test_defect_measurement(self):
-        path = graphs.path_graph(5)
+        path = graphs.path_graph(5).to_network()
         alternating = {node: node % 2 + 1 for node in path.nodes()}
         constant = {node: 1 for node in path.nodes()}
         assert coloring_defect(path, alternating) == 0
@@ -70,7 +76,7 @@ class TestEdgeColoringOracles:
         assert is_legal_edge_coloring(triangle, edge_colors)
 
     def test_incident_same_color_rejected(self):
-        star = graphs.star_graph(3)
+        star = graphs.star_graph(3).to_network()
         edge_colors = {edge: 1 for edge in star.edges()}
         assert not is_legal_edge_coloring(star, edge_colors)
         with pytest.raises(ColoringError):
@@ -82,7 +88,7 @@ class TestEdgeColoringOracles:
             is_legal_edge_coloring(triangle, edge_colors)
 
     def test_edge_defect_measurement(self):
-        star = graphs.star_graph(4)
+        star = graphs.star_graph(4).to_network()
         same = {edge: 1 for edge in star.edges()}
         distinct = {edge: index + 1 for index, edge in enumerate(star.edges())}
         assert edge_coloring_defect(star, same) == 3
@@ -116,7 +122,7 @@ class TestArrayOracles:
 
     @pytest.mark.parametrize("maker", MAKERS)
     def test_vertex_oracles_agree_across_forms(self, maker):
-        network = maker()
+        network = maker().to_network()
         fast = fast_view(network)
         rnd = random.Random(0)
         for _ in range(20):
@@ -136,7 +142,7 @@ class TestArrayOracles:
 
     @pytest.mark.parametrize("maker", MAKERS)
     def test_edge_oracles_agree_across_forms(self, maker):
-        network = maker()
+        network = maker().to_network()
         fast = fast_view(network)
         rnd = random.Random(1)
         for _ in range(20):
@@ -155,7 +161,7 @@ class TestArrayOracles:
             ) == self._message(assert_legal_edge_coloring, network, edge_colors)
 
     def test_missing_entries_report_the_same_errors(self):
-        network = graphs.cycle_graph(3)
+        network = graphs.cycle_graph(3).to_network()
         fast = fast_view(network)
         short_vertex = self._message(
             is_legal_vertex_coloring, fast, np.array([1], dtype=np.int64)
@@ -184,7 +190,7 @@ class TestArrayOracles:
         assert palette_size(np.zeros(0, dtype=np.int64)) == 0
 
     def test_column_verification_on_a_fast_built_workload(self):
-        fast = graphs.random_regular(40, 6, seed=2, backend="fast")
+        fast = graphs.random_regular(40, 6, seed=2)
         from repro.core import color_vertices
 
         result = color_vertices(fast, c=6, quality="superlinear", engine="vectorized")
