@@ -44,8 +44,6 @@ from repro.local_model.metrics import RunMetrics
 class LubyRandomColoringPhase(BroadcastPhase):
     """One phase implementing the trial-and-keep randomized coloring."""
 
-    supports_vectorized = True
-
     def __init__(
         self, palette: int, seed: int = 0, output_key: str = "luby_color"
     ) -> None:
@@ -127,19 +125,26 @@ class LubyRandomColoringPhase(BroadcastPhase):
         realizes by only ever updating rows of still-undecided nodes.  The
         draws delegate to :class:`StringSeededDraws`, whose outputs equal
         ``random.Random(f"{seed}:{uid}:{round}").choice(available)`` with
-        ``available`` the ascending list of untaken palette colors.
+        ``available`` the ascending list of untaken palette colors.  When
+        ``ctx.kernels`` is set, the four per-round sweeps -- free counting,
+        candidate selection, final absorption, conflict resolution -- run as
+        fused ``luby_*`` kernels; the draws stay here (the draw stream
+        defines bit-identity).
         """
         fast = ctx.fast
         n = fast.num_nodes
         palette = self.palette
         degrees = fast.degrees_np
+        kernels = ctx.kernels
         draws = StringSeededDraws(self.seed, ctx.unique_ids())
 
-        taken = np.zeros((n, palette), dtype=bool)
+        # uint8 for the kernels; the numpy steps use the bool views.
+        taken = np.zeros((n, palette), dtype=np.uint8)
+        undecided_mask = np.ones(n, dtype=np.uint8)
+        taken_flags, undecided_flags = taken.view(bool), undecided_mask.view(bool)
         final = np.zeros(n, dtype=np.int64)
         candidate = np.zeros(n, dtype=np.int64)  # 0 encodes "no candidate"
         undecided = np.arange(n, dtype=np.int64)
-        undecided_mask = np.ones(n, dtype=bool)
         announce = np.zeros(0, dtype=np.int64)
 
         messages = 0
@@ -152,40 +157,59 @@ class LubyRandomColoringPhase(BroadcastPhase):
             messages += int(degrees[undecided].sum()) + int(degrees[announce].sum())
 
             # --- broadcast: undecided nodes draw from their free colors --- #
-            free = ~taken[undecided]
-            free_counts = free.sum(axis=1)
+            if kernels is None:
+                free = ~taken_flags[undecided]
+                free_counts = free.sum(axis=1)
+            else:
+                free_counts = np.empty(len(undecided), dtype=np.int64)
+                kernels.luby_free_counts(undecided, taken, palette, free_counts)
             candidate[undecided] = 0
             drawing = free_counts > 0
             lanes = undecided[drawing]
             if len(lanes):
                 picks = draws.draw(lanes, free_counts[drawing], round_index)
-                free_rows = free[drawing]
-                ranks = np.cumsum(free_rows, axis=1)
-                hits = free_rows & (ranks == (picks + 1)[:, None])
-                candidate[lanes] = np.argmax(hits, axis=1) + 1
+                if kernels is None:
+                    free_rows = free[drawing]
+                    ranks = np.cumsum(free_rows, axis=1)
+                    hits = free_rows & (ranks == (picks + 1)[:, None])
+                    candidate[lanes] = np.argmax(hits, axis=1) + 1
+                else:
+                    picks = np.ascontiguousarray(picks, dtype=np.int64)
+                    kernels.luby_candidates(lanes, picks, taken, palette, candidate)
 
             # --- receive: neighbor finals first (undecided rows only) --- #
             if len(announce):
-                local, neighbors = ctx.gather_neighbors(announce)
-                hit = undecided_mask[neighbors]
-                taken[neighbors[hit], final[announce[local[hit]]] - 1] = True
+                if kernels is None:
+                    local, neighbors = ctx.gather_neighbors(announce)
+                    hit = undecided_flags[neighbors]
+                    taken_flags[neighbors[hit], final[announce[local[hit]]] - 1] = True
+                else:
+                    kernels.luby_absorb(
+                        announce, fast.indptr, fast.indices, final, undecided_mask, taken
+                    )
 
-            # --- conflicts: equal candidates among competing neighbors --- #
-            local, neighbors = ctx.gather_neighbors(undecided)
-            mine = candidate[undecided[local]]
-            clash = (mine != 0) & (candidate[neighbors] == mine)
-            conflict = np.zeros(len(undecided), dtype=bool)
-            conflict[local[clash]] = True
-
-            mine = candidate[undecided]
-            keep = (mine != 0) & ~conflict
-            keep &= ~taken[undecided, np.maximum(mine - 1, 0)]
+            # --- conflicts + keep, against the just-updated taken rows --- #
+            if kernels is None:
+                local, neighbors = ctx.gather_neighbors(undecided)
+                mine = candidate[undecided[local]]
+                clash = (mine != 0) & (candidate[neighbors] == mine)
+                conflict = np.zeros(len(undecided), dtype=bool)
+                conflict[local[clash]] = True
+                mine = candidate[undecided]
+                keep = (mine != 0) & ~conflict
+                keep &= ~taken_flags[undecided, np.maximum(mine - 1, 0)]
+            else:
+                keep_flags = np.empty(len(undecided), dtype=np.uint8)
+                kernels.luby_resolve(
+                    undecided, fast.indptr, fast.indices, candidate, taken, keep_flags
+                )
+                keep = keep_flags.view(bool)
             deciders = undecided[keep]
-            final[deciders] = mine[keep]
+            final[deciders] = candidate[deciders]
             # Decided nodes announce {"final": c} next round: their payload
             # has no "candidate" entry, so they stop clashing immediately.
             candidate[deciders] = 0
-            undecided_mask[deciders] = False
+            undecided_flags[deciders] = False
             announce = deciders
             undecided = undecided[~keep]
 

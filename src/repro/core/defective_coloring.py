@@ -165,9 +165,6 @@ class PsiSelectionPhase(BroadcastPhase):
     # Vectorized execution (see repro.local_model.vectorized)
     # ------------------------------------------------------------------ #
 
-    #: Marker the vectorized scheduler checks to run the numpy kernel.
-    supports_vectorized: bool = True
-
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
@@ -181,29 +178,50 @@ class PsiSelectionPhase(BroadcastPhase):
         ``psi`` once (its announcement round, a 2-word dict), which yields
         the exact message metrics.  The per-node scratch (``_psi_counts``,
         ``_psi_waiting``) is never built: every engine drops it at halt.
+
+        The sweep over the ``phi``-classes runs as the fused ``psi_select``
+        kernel when ``ctx.kernels`` is set; when kernels are off, or the
+        kernel cannot allocate its scratch (status 2), it runs as numpy.
         """
-        n = ctx.fast.num_nodes
+        fast = ctx.fast
+        n = fast.num_nodes
         p = self.p
         phi = ctx.column(self.phi_key)
 
         depth = np.zeros(n, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
         order, class_ptr = self.phi_classes(phi)
-        for start, end in zip(class_ptr[:-1].tolist(), class_ptr[1:].tolist()):
-            batch = order[start:end]
-            value = phi[batch[0]]
-            local_rows, neighbors = ctx.gather_neighbors(batch)
-            lower = phi[neighbors] < value
-            sources = local_rows[lower]
-            lower_neighbors = neighbors[lower]
-            batch_depth = np.zeros(batch.size, dtype=np.int64)
-            np.maximum.at(batch_depth, sources, depth[lower_neighbors] + 1)
-            depth[batch] = batch_depth
-            batch_counts = np.bincount(
-                sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
-            ).reshape(batch.size, p)
-            psi[batch] = np.argmin(batch_counts, axis=1) + 1
-        self.finish(ctx, depth, psi)
+        kernels = ctx.kernels
+        if kernels is not None:
+            status = kernels.psi_select(
+                fast.indptr, fast.indices, phi, order, class_ptr, p, depth, psi
+            )
+        if kernels is None or status == 2:
+            for start, end in zip(class_ptr[:-1].tolist(), class_ptr[1:].tolist()):
+                batch = order[start:end]
+                value = phi[batch[0]]
+                local_rows, neighbors = ctx.gather_neighbors(batch)
+                lower = phi[neighbors] < value
+                sources = local_rows[lower]
+                lower_neighbors = neighbors[lower]
+                batch_depth = np.zeros(batch.size, dtype=np.int64)
+                np.maximum.at(batch_depth, sources, depth[lower_neighbors] + 1)
+                depth[batch] = batch_depth
+                batch_counts = np.bincount(
+                    sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
+                ).reshape(batch.size, p)
+                psi[batch] = np.argmin(batch_counts, axis=1) + 1
+
+        nnz = len(fast.indices)
+        ctx.charge(
+            rounds=int(depth.max()) + 2,
+            messages=2 * nnz,
+            total_words=4 * nnz,
+            max_message_words=2 if nnz else 0,
+        )
+        ctx.write_column(self.output_key, psi)
+        ctx.write_column("_psi_selected", psi)
+        ctx.write_value("_psi_announced", True)
 
     @staticmethod
     def phi_classes(phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,22 +237,6 @@ class PsiSelectionPhase(BroadcastPhase):
         order = _lexsort_pairs(phi, np.zeros(n, dtype=np.int64))
         bounds = np.flatnonzero(np.diff(phi[order])) + 1
         return order, np.r_[0, bounds, n].astype(np.int64)
-
-    def finish(self, ctx: VectorContext, depth: np.ndarray, psi: np.ndarray) -> None:
-        """Charge the phase's metrics and write its state from ``depth``/``psi``.
-
-        Shared by :meth:`vector_run` and the fused kernel's adapter.
-        """
-        nnz = len(ctx.fast.indices)
-        ctx.charge(
-            rounds=int(depth.max()) + 2,
-            messages=2 * nnz,
-            total_words=4 * nnz,
-            max_message_words=2 if nnz else 0,
-        )
-        ctx.write_column(self.output_key, psi)
-        ctx.write_column("_psi_selected", psi)
-        ctx.write_value("_psi_announced", True)
 
 
 def psi_defect_bound(b: int, p: int, Lambda: int, c: int, mode: str = "vertex") -> int:

@@ -19,9 +19,9 @@ The main entry points are:
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the default
   engine: the paper's color phases run over the CSR arrays and the columns
   of a :class:`~repro.local_model.state_table.StateTable` (its only
-  node-state representation; ``run`` wraps ``run_table``), as fused
-  numba / C-extension kernels (see :mod:`repro.local_model.kernels`) when a
-  backend resolves and as numpy programs otherwise; a phase without
+  node-state representation; ``run`` wraps ``run_table``), with fused
+  C/OpenMP kernels (see :mod:`repro.local_model.kernels`) for their inner
+  steps when the backend resolves and numpy otherwise; a phase without
   ``vector_run`` runs on the reference scheduler (select an engine via
   :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
 * :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the

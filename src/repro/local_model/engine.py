@@ -9,11 +9,10 @@ phases.  They produce identical outputs and metrics (enforced by
   per-round validation).  Maximally transparent; use it when debugging a
   phase or when exactness of the *simulation* itself is under scrutiny.
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
-  which runs every shipped phase over the CSR arrays: through a fused
-  multi-core kernel (numba or a C/OpenMP extension, see
-  :mod:`repro.local_model.kernels`) when a kernel backend resolves, else as
-  numpy programs.  A phase without ``vector_run`` runs on the reference
-  scheduler.
+  which runs every shipped phase over the CSR arrays: its inner step as a
+  fused multi-core C/OpenMP kernel (see :mod:`repro.local_model.kernels`)
+  when the kernel backend resolves, else as numpy.  A phase without
+  ``vector_run`` runs on the reference scheduler.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
 accepts an ``engine`` argument that is resolved here.  ``None`` means the

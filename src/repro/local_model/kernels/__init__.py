@@ -4,38 +4,34 @@ This package is the vectorized engine's kernel-dispatch layer: for the
 hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
-it provides fused single-pass CSR kernels with two interchangeable
-providers --
+it provides fused single-pass CSR kernels from one provider, **cext**
+(``_c_backend``): the reference loops of ``_loops.py`` transcribed to C with
+OpenMP, built on demand by the system compiler and loaded via ctypes.
 
-* **numba** (``_numba_backend``): ``@njit(parallel=True, cache=True)`` over
-  the reference loops in ``_loops.py``; preferred when numba imports.
-* **cext** (``_c_backend``): the same loops transcribed to C with OpenMP,
-  built on demand by the system compiler and loaded via ctypes; used when
-  numba is absent but a C toolchain exists.
-
-Neither is required: with no provider, :func:`get_backend` returns ``None``
-and the vectorized engine runs every phase's numpy ``vector_run``, bit for
-bit the same results.  Kernels report failure through a status value, never
-an exception: a kernel whose scratch allocation fails returns status 2 and
-its adapter runs the phase's ``vector_run`` instead.  A freshly loaded
-provider is *probed* -- every kernel is run on a small adversarial graph
-and compared against the ``_loops`` reference -- so a miscompiled library
-is rejected instead of corrupting colorings.
+The provider is optional: without a C toolchain :func:`get_backend` returns
+``None`` and every phase's ``vector_run`` runs its numpy step, bit for bit
+the same results.  The resolved backend reaches a phase as
+``VectorContext.kernels``.  Kernels report failure through a status value,
+never an exception: a kernel whose scratch allocation fails returns status 2
+and the phase falls back to its numpy step.  A freshly loaded provider is
+*probed* -- every kernel is run on a small adversarial graph and compared
+against the ``_loops`` reference -- so a miscompiled library is rejected
+instead of corrupting colorings.
 
 Environment knobs:
 
-* ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``numba`` | ``cext`` |
-  ``none`` -- force a provider or disable dispatch outright.
+* ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``cext`` | ``none`` --
+  force the provider or disable dispatch outright.
 * ``REPRO_KERNEL_THREADS``: initial thread count, an integer ``>= 1`` (see
   :func:`set_num_threads`; anything else raises
   :class:`~repro.exceptions.InvalidParameterError` when the backend is
-  resolved); numba additionally respects ``NUMBA_NUM_THREADS`` as its upper
-  bound.  A child forked after the backend resolved (a process-pool worker)
-  runs its kernels on one thread.
+  resolved).  A child forked after the backend resolved (a process-pool
+  worker) runs its kernels on one thread.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Optional
 
@@ -52,7 +48,6 @@ __all__ = [
     "set_num_threads",
     "get_num_threads",
     "reset",
-    "runner_for",
 ]
 
 _RESOLVED = False
@@ -180,12 +175,16 @@ def _probe(backend) -> bool:
 
 
 def _thread_count(value) -> int:
-    """``value`` as a kernel thread count; anything but an integer >= 1 raises."""
+    """``value`` as a kernel thread count; anything but an integer >= 1 raises.
+
+    Integers (numpy ones included) and digit strings (the environment
+    variable) are accepted; bools and floats are not, even integral ones.
+    """
     try:
-        count = int(value)
+        count = int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
         count = 0
-    if count < 1 or (not isinstance(value, str) and count != value):
+    if count < 1 or isinstance(value, bool):
         raise InvalidParameterError(
             f"kernel thread count must be an integer >= 1, got {value!r}"
         )
@@ -203,44 +202,32 @@ def _resolve():
     if requested in ("none", "off", "0", "disabled"):
         _BACKEND, _REASON = None, "disabled via REPRO_KERNEL_BACKEND"
         return
-    if requested not in ("auto", "numba", "cext"):
+    if requested not in ("auto", "cext"):
         _BACKEND, _REASON = None, f"unknown REPRO_KERNEL_BACKEND {requested!r}"
         return
 
-    providers = []
-    if requested in ("auto", "numba"):
-        from repro.local_model.kernels import _numba_backend
+    from repro.local_model.kernels import _c_backend
 
-        providers.append(_numba_backend.load)
-    if requested in ("auto", "cext"):
-        from repro.local_model.kernels import _c_backend
-
-        providers.append(_c_backend.load)
-
-    reasons = []
-    for load in providers:
-        try:
-            backend = load()
-        except Exception as exc:  # pragma: no cover - defensive
-            reasons.append(f"{load.__module__}: {exc!r}")
-            continue
-        if backend is None:
-            reasons.append(f"{load.__module__}: unavailable")
-            continue
-        try:
-            healthy = _probe(backend)
-        except Exception as exc:
-            reasons.append(f"{backend.name}: probe raised {exc!r}")
-            continue
-        if not healthy:
-            reasons.append(f"{backend.name}: probe mismatch vs reference loops")
-            continue
-        _BACKEND, _REASON = backend, f"{backend.name} (probed ok)"
-        if threads is not None:
-            backend.set_threads(threads)
-        return
     _BACKEND = None
-    _REASON = "; ".join(reasons) if reasons else "no kernel provider available"
+    try:
+        backend = _c_backend.load()
+    except Exception as exc:  # pragma: no cover - defensive
+        _REASON = f"cext: {exc!r}"
+        return
+    if backend is None:
+        _REASON = "cext: unavailable (no C compiler, or the build failed)"
+        return
+    try:
+        healthy = _probe(backend)
+    except Exception as exc:
+        _REASON = f"cext: probe raised {exc!r}"
+        return
+    if not healthy:
+        _REASON = "cext: probe mismatch vs reference loops"
+        return
+    _BACKEND, _REASON = backend, "cext (probed ok)"
+    if threads is not None:
+        backend.set_threads(threads)
 
 
 def get_backend():
@@ -250,7 +237,7 @@ def get_backend():
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"`` / ``"cext"`` / ``None``."""
+    """``"cext"`` / ``None``."""
     backend = get_backend()
     return backend.name if backend is not None else None
 
@@ -318,10 +305,3 @@ def force_backend(backend, reason: str = "forced") -> "callable":
         _RESOLVED, _BACKEND, _REASON = previous
 
     return restore
-
-
-def runner_for(phase):
-    """The kernel runner for ``phase``, or ``None`` (late import, no cycles)."""
-    from repro.local_model.kernels.adapters import runner_for as _runner_for
-
-    return _runner_for(phase)

@@ -7,8 +7,8 @@ Artifacts land in ``_build/`` next to this file when writable (gitignored),
 else under the system temp directory, so read-only installs still work.
 
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
-signature of its ``_loops`` reference, so backends are drop-in
-interchangeable for the adapters and the test suite.
+signature of its ``_loops`` reference, so the phases and the test suite can
+swap one for the other.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
@@ -82,7 +82,7 @@ def _compile(source: Path, compiler: str, use_openmp: bool) -> Optional[Path]:
     if artifact.exists():
         return artifact
     # Failure memo: a previous build of this exact (source, flags) pair timed
-    # out or failed, so skip straight to the numba/numpy fallback instead of
+    # out or failed, so skip straight to the numpy fallback instead of
     # re-invoking (and potentially re-hanging on) the system compiler every
     # process start.  The memo is keyed by the same content tag as the
     # artifact, so editing the source or flags retries automatically; delete

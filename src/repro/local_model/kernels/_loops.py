@@ -1,15 +1,14 @@
 """Reference loop bodies for the fused compiled kernels.
 
 Each function here is the *semantic source of truth* for one fused kernel:
-a plain-Python loop nest over CSR arrays, written in the restricted style
-that ``numba.njit(parallel=True)`` compiles directly (no dicts, no object
-arrays, no fancy indexing inside the node loops).  The numba backend jits
-these exact functions; the C backend (``csrc/kernels.c``) is a line-by-line
-transcription, and ``tests/test_kernels.py`` holds every backend to these
-loops on adversarial CSRs.
+a plain-Python loop nest over CSR arrays (no dicts, no object arrays, no
+fancy indexing inside the node loops).  The C backend (``csrc/kernels.c``)
+is a line-by-line transcription; the backend probe and
+``tests/test_kernels.py`` hold it to these loops on adversarial CSRs, and
+the engine-equivalence tests run whole pipelines on them.
 
 They are **not** an execution backend themselves -- pure-Python loops over
-``n`` nodes would be slower than the numpy ``vector_run`` kernels they fuse
+``n`` nodes would be slower than the numpy ``vector_run`` steps they fuse
 -- but they run everywhere, so the correctness story never depends on which
 accelerators the machine has.
 
@@ -19,24 +18,20 @@ Conventions shared by every kernel:
   ``int64``; flag/matrix scratch (``taken``, ``undecided_mask``, ``keep``)
   is ``uint8``.
 * Colors are 1-based; ``0`` encodes "none" where a sentinel is needed.
-* Parallel node loops (``prange``) only ever write cells owned by their own
-  iteration, except where a comment argues the race is benign (idempotent
-  byte stores, or values provably irrelevant to every concurrent reader).
+* The per-node loops (parallel under OpenMP in the C transcription) only
+  ever write cells owned by their own iteration, except where a comment
+  argues the race is benign (idempotent byte stores, or values provably
+  irrelevant to every concurrent reader).
 * Failure is reported through a status return (``0`` ok), never an
-  exception: the adapters raise the scalar engines' exact errors.
+  exception: the phases raise the scalar engines' exact errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-except ImportError:  # pragma: no cover - the CI numba leg covers the other arm
-    prange = range
-
-#: Names of the kernels a backend must provide (the adapters look these up
-#: by name, so the numba and C backends stay drop-in interchangeable).
+#: Names of the kernels a backend must provide (the phases call them by
+#: name on ``VectorContext.kernels``).
 KERNEL_NAMES = (
     "linial_round",
     "defective_step",
@@ -60,7 +55,7 @@ def _digit_table(colors, q, num_digits):
     """
     n = colors.shape[0]
     table = np.empty((n, num_digits), dtype=np.int64)
-    for v in prange(n):
+    for v in range(n):
         remaining = colors[v] - 1
         for j in range(num_digits):
             table[v, j] = remaining % q
@@ -80,7 +75,7 @@ def linial_round(indptr, indices, uids, colors, q, num_digits, out):
     """
     n = indptr.shape[0] - 1
     table = _digit_table(colors, q, num_digits)
-    for v in prange(n):
+    for v in range(n):
         own = colors[v] - 1
         start = indptr[v]
         end = indptr[v + 1]
@@ -126,7 +121,7 @@ def defective_step(indptr, indices, colors, q, num_digits, out):
     """
     n = indptr.shape[0] - 1
     table = _digit_table(colors, q, num_digits)
-    for v in prange(n):
+    for v in range(n):
         own = colors[v] - 1
         start = indptr[v]
         end = indptr[v + 1]
@@ -168,7 +163,7 @@ def iter_reduce(indptr, indices, colors, palette, target, total_rounds, status):
     n = indptr.shape[0] - 1
     for round_index in range(1, total_rounds + 1):
         active = palette - round_index + 1
-        for v in prange(n):
+        for v in range(n):
             if colors[v] != active:
                 continue
             taken = np.zeros(target, dtype=np.uint8)
@@ -211,12 +206,12 @@ def kw_reduce(indptr, indices, colors, k, total_rounds, status):
     # matters when the blocks match, which concurrent recoloring excludes.
     blocks = np.empty(n, dtype=np.int64)
     offsets = np.empty(n, dtype=np.int64)
-    for v in prange(n):
+    for v in range(n):
         blocks[v] = (colors[v] - 1) // block_width
         offsets[v] = (colors[v] - 1) % block_width
     for round_index in range(1, total_rounds + 1):
         step = (round_index - 1) % k
-        for v in prange(n):
+        for v in range(n):
             if offsets[v] != k + step:
                 continue
             block = blocks[v]
@@ -241,7 +236,7 @@ def kw_reduce(indptr, indices, colors, k, total_rounds, status):
         if status[0] != 0:
             return
         if step == k - 1:
-            for v in prange(n):
+            for v in range(n):
                 colors[v] = blocks[v] * k + offsets[v] + 1
                 blocks[v] = (colors[v] - 1) // block_width
                 offsets[v] = (colors[v] - 1) % block_width
@@ -259,7 +254,7 @@ def edge_rank(
     shared columns, one writer per row.
     """
     n = indptr.shape[0] - 1
-    for x in prange(n):
+    for x in range(n):
         u = edge_u[x]
         v = edge_v[x]
         own_rank = sort_rank[x]
@@ -293,7 +288,7 @@ def psi_select(indptr, indices, phi, order, class_ptr, p, depth, psi):
     is race-free (Lemma 3.2).  Returns the status ``0``.
     """
     for k in range(class_ptr.shape[0] - 1):
-        for i in prange(class_ptr[k], class_ptr[k + 1]):
+        for i in range(class_ptr[k], class_ptr[k + 1]):
             v = order[i]
             own = phi[v]
             counts = np.zeros(p, dtype=np.int64)
@@ -316,7 +311,7 @@ def psi_select(indptr, indices, phi, order, class_ptr, p, depth, psi):
 def luby_free_counts(undecided, taken, palette, free_counts):
     """``free_counts[i]`` = number of untaken palette colors of node ``undecided[i]``."""
     m = undecided.shape[0]
-    for i in prange(m):
+    for i in range(m):
         v = undecided[i]
         count = np.int64(0)
         for c in range(palette):
@@ -328,7 +323,7 @@ def luby_free_counts(undecided, taken, palette, free_counts):
 def luby_candidates(lanes, picks, taken, palette, candidate):
     """``candidate[lanes[i]]`` = the ``(picks[i]+1)``-th free color of that node."""
     m = lanes.shape[0]
-    for i in prange(m):
+    for i in range(m):
         v = lanes[i]
         pick = picks[i]
         seen = np.int64(0)
@@ -349,7 +344,7 @@ def luby_absorb(announce, indptr, indices, final, undecided_mask, taken):
     benign under concurrency.
     """
     m = announce.shape[0]
-    for i in prange(m):
+    for i in range(m):
         a = announce[i]
         c = final[a] - 1
         for e in range(indptr[a], indptr[a + 1]):
@@ -366,7 +361,7 @@ def luby_resolve(undecided, indptr, indices, candidate, taken, keep):
     candidate is not already taken.  Read-only over the shared columns.
     """
     m = undecided.shape[0]
-    for i in prange(m):
+    for i in range(m):
         v = undecided[i]
         c = candidate[v]
         if c == 0:

@@ -8,17 +8,16 @@ edge ranking -- a round's messages are just the nodes' current colors, so the
 entire round is expressible as array arithmetic over the CSR adjacency of a
 :class:`~repro.local_model.fast_network.FastNetwork`.
 
-:class:`VectorizedScheduler` runs each phase on the fastest path it has:
-
-* a phase with a registered fused kernel (see
-  :mod:`repro.local_model.kernels`) runs through the kernel backend whenever
-  one resolves (``REPRO_KERNEL_BACKEND=none`` turns kernels off);
-* any other phase that sets ``supports_vectorized = True`` and implements
-  ``vector_run(ctx)`` runs that numpy program, where ``ctx`` is the
-  :class:`VectorContext` defined here;
-* a phase without ``vector_run`` (a user-defined phase) runs on the
-  reference :class:`~repro.local_model.scheduler.Scheduler`, so a pipeline
-  may freely mix both kinds.
+:class:`VectorizedScheduler` runs a phase that implements ``vector_run(ctx)``
+as that array program, where ``ctx`` is the :class:`VectorContext` defined
+here.  The fused kernels of :mod:`repro.local_model.kernels` reach the phase
+as ``ctx.kernels`` (``None`` when no backend resolved or
+``REPRO_KERNEL_BACKEND=none``): a phase with a fused kernel calls it for its
+inner step and runs its numpy step otherwise, so validation, metric charging
+and state writes live once, in ``vector_run``.  A phase without
+``vector_run`` (a user-defined phase) runs on the reference
+:class:`~repro.local_model.scheduler.Scheduler`, so a pipeline may freely mix
+both kinds.
 
 The contract is the reference scheduler's, for outputs and metrics:
 
@@ -71,6 +70,9 @@ class VectorContext:
         The phase's round budget (``round_limit_factor * max_rounds``);
         :meth:`check_round_budget` enforces it with the scheduler's exact
         exception.
+    kernels:
+        The fused-kernel backend (see :mod:`repro.local_model.kernels`), or
+        ``None`` when kernels are off; a phase calls it for its inner step.
     """
 
     def __init__(
@@ -81,12 +83,14 @@ class VectorContext:
         round_limit: int,
         phase_name: str,
         views_provider: Optional[Callable[[], List[LocalView]]] = None,
+        kernels: Any = None,
     ) -> None:
         self.fast = fast
         self.table = table
         self.metrics = metrics
         self.round_limit = round_limit
         self.phase_name = phase_name
+        self.kernels = kernels
         self._views_provider = views_provider
 
     # ------------------------------------------------------------------ #
@@ -218,7 +222,7 @@ def check_color_range(colors: np.ndarray, palette: int, template: str) -> None:
 
 
 class VectorizedScheduler:
-    """Runs phases as fused kernels or numpy programs; falls back to reference.
+    """Runs phases as ``vector_run`` array programs; falls back to reference.
 
     Parameters are those of :class:`~repro.local_model.scheduler.Scheduler`:
 
@@ -234,9 +238,9 @@ class VectorizedScheduler:
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
     is cached on the pipeline object), not per phase execution.  A phase
-    with a registered kernel runs it when a backend resolved, and its numpy
-    ``vector_run`` otherwise.  A phase without ``vector_run`` runs on the
-    reference scheduler; such executions are recorded cumulatively on the
+    with ``vector_run`` runs it, with the resolved kernel backend as
+    ``ctx.kernels``.  A phase without ``vector_run`` runs on the reference
+    scheduler; such executions are recorded cumulatively on the
     scheduler (:attr:`fallback_phases` / :attr:`fallback_phase_names`) and
     per run on :class:`~repro.local_model.metrics.RunMetrics`.
 
@@ -277,7 +281,7 @@ class VectorizedScheduler:
 
     @property
     def kernel_backend_name(self) -> Optional[str]:
-        """``"numba"`` / ``"cext"`` / ``None`` -- the backend kernels run on."""
+        """``"cext"`` / ``None`` -- the backend kernels run on."""
         return self._backend.name if self._backend is not None else None
 
     # ------------------------------------------------------------------ #
@@ -286,9 +290,7 @@ class VectorizedScheduler:
 
     @staticmethod
     def _resolve_vector_run(phase: SynchronousPhase):
-        if getattr(phase, "supports_vectorized", False):
-            return getattr(phase, "vector_run", None)
-        return None
+        return getattr(phase, "vector_run", None)
 
     @classmethod
     def _compile(
@@ -351,13 +353,10 @@ class VectorizedScheduler:
         round_limit = self._round_limit_factor * phase.max_rounds(
             fast.num_nodes, fast.max_degree
         )
-        context = VectorContext(fast, table, phase_metrics, round_limit, phase.name, views_provider)
-        backend = self._backend
-        runner = kernels.runner_for(phase) if backend is not None else None
-        if runner is None:
-            vector_run(context)
-        else:
-            runner(phase, context, backend)
+        context = VectorContext(
+            fast, table, phase_metrics, round_limit, phase.name, views_provider, self._backend
+        )
+        vector_run(context)
         return phase_metrics
 
     def _run_reference_phase(

@@ -37,6 +37,15 @@ from repro.primitives.numbers import ceil_div
 
 #: The exact exception text of the scalar ``initialize`` validations.
 _PALETTE_TEMPLATE = "color {color} outside declared palette 1..{palette}"
+#: The exception texts of a recoloring node that finds no free color.
+_ITERATIVE_NO_FREE = (
+    "no free color during iterative reduction; the target palette "
+    "is smaller than the subgraph degree + 1"
+)
+_KW_NO_FREE = (
+    "no free color during Kuhn-Wattenhofer reduction; the target "
+    "palette is smaller than the subgraph degree + 1"
+)
 
 
 def _validated_colors(ctx: VectorContext, input_key: str, palette: int) -> np.ndarray:
@@ -103,10 +112,7 @@ class IterativeColorReductionPhase(BroadcastPhase):
                 (c for c in range(1, self.target + 1) if c not in taken), None
             )
             if replacement is None:
-                raise SimulationError(
-                    "no free color during iterative reduction; the target palette "
-                    "is smaller than the subgraph degree + 1"
-                )
+                raise SimulationError(_ITERATIVE_NO_FREE)
             state["_reduce_current"] = replacement
 
         if round_index == self.total_rounds:
@@ -121,11 +127,12 @@ class IterativeColorReductionPhase(BroadcastPhase):
     # Vectorized execution (see repro.local_model.vectorized)
     # ------------------------------------------------------------------ #
 
-    #: Marker the vectorized scheduler checks to run the numpy kernel.
-    supports_vectorized: bool = True
-
     def vector_run(self, ctx: VectorContext) -> None:
-        """The whole phase as array arithmetic; bit-identical to the callbacks."""
+        """The whole phase as array arithmetic; bit-identical to the callbacks.
+
+        The rounds run as the fused ``iter_reduce`` kernel when
+        ``ctx.kernels`` is set, else :meth:`_recolor_rounds`.
+        """
         colors = _validated_colors(ctx, self.input_key, self.palette)
         if self.total_rounds == 0:
             ctx.charge_silent_round()
@@ -133,6 +140,28 @@ class IterativeColorReductionPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
+        if ctx.kernels is None:
+            self._recolor_rounds(ctx, colors)
+        else:
+            fast = ctx.fast
+            status = np.zeros(1, dtype=np.int64)
+            ctx.kernels.iter_reduce(
+                fast.indptr,
+                fast.indices,
+                colors,
+                self.palette,
+                self.target,
+                self.total_rounds,
+                status,
+            )
+            if status[0] != 0:
+                raise SimulationError(_ITERATIVE_NO_FREE)
+        ctx.charge_uniform_broadcast(self.total_rounds)
+        ctx.write_column("_reduce_current", colors)
+        ctx.write_column(self.output_key, colors)
+
+    def _recolor_rounds(self, ctx: VectorContext, colors: np.ndarray) -> None:
+        """Every round of the reduction on ``colors``, in place, as numpy."""
         for round_index in range(1, self.total_rounds + 1):
             active_color = self.palette - round_index + 1
             recoloring = np.flatnonzero(colors == active_color)
@@ -148,15 +177,8 @@ class IterativeColorReductionPhase(BroadcastPhase):
                 neighbor_colors[in_target] - 1,
             )
             if (replacement < 0).any():
-                raise SimulationError(
-                    "no free color during iterative reduction; the target palette "
-                    "is smaller than the subgraph degree + 1"
-                )
+                raise SimulationError(_ITERATIVE_NO_FREE)
             colors[recoloring] = replacement + 1
-
-        ctx.charge_uniform_broadcast(self.total_rounds)
-        ctx.write_column("_reduce_current", colors)
-        ctx.write_column(self.output_key, colors)
 
 
 class KuhnWattenhoferReductionPhase(BroadcastPhase):
@@ -244,10 +266,7 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
                     taken.add(n_offset)
             replacement = next((o for o in range(k) if o not in taken), None)
             if replacement is None:
-                raise SimulationError(
-                    "no free color during Kuhn-Wattenhofer reduction; the target "
-                    "palette is smaller than the subgraph degree + 1"
-                )
+                raise SimulationError(_KW_NO_FREE)
             state["_kw_current"] = block * 2 * k + replacement + 1
 
         if step == k - 1:
@@ -270,11 +289,14 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
     # Vectorized execution (see repro.local_model.vectorized)
     # ------------------------------------------------------------------ #
 
-    #: Marker the vectorized scheduler checks to run the numpy kernel.
-    supports_vectorized: bool = True
-
     def vector_run(self, ctx: VectorContext) -> None:
-        """The whole phase as array arithmetic; bit-identical to the callbacks."""
+        """The whole phase as array arithmetic; bit-identical to the callbacks.
+
+        The rounds run as the fused ``kw_reduce`` kernel when
+        ``ctx.kernels`` is set, else (or when the kernel cannot allocate its
+        scratch, status 2, leaving ``colors`` untouched) as
+        :meth:`_recolor_rounds`.
+        """
         colors = _validated_colors(ctx, self.input_key, self.palette)
         if self.total_rounds == 0:
             ctx.charge_silent_round()
@@ -282,6 +304,23 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
+        kernels = ctx.kernels
+        status = np.zeros(1, dtype=np.int64)
+        if kernels is not None:
+            fast = ctx.fast
+            kernels.kw_reduce(
+                fast.indptr, fast.indices, colors, self.target, self.total_rounds, status
+            )
+        if kernels is None or status[0] == 2:
+            colors = self._recolor_rounds(ctx, colors)
+        elif status[0] != 0:
+            raise SimulationError(_KW_NO_FREE)
+        ctx.charge_uniform_broadcast(self.total_rounds)
+        ctx.write_column("_kw_current", colors)
+        ctx.write_column(self.output_key, colors)
+
+    def _recolor_rounds(self, ctx: VectorContext, colors: np.ndarray) -> np.ndarray:
+        """Every round of the reduction as numpy; returns the final colors."""
         k = self.target
         block_width = 2 * k
         for round_index in range(1, self.total_rounds + 1):
@@ -304,20 +343,14 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
                     neighbor_offsets[relevant],
                 )
                 if (replacement < 0).any():
-                    raise SimulationError(
-                        "no free color during Kuhn-Wattenhofer reduction; the target "
-                        "palette is smaller than the subgraph degree + 1"
-                    )
+                    raise SimulationError(_KW_NO_FREE)
                 colors[recoloring] = blocks[recoloring] * block_width + replacement + 1
             if step == k - 1:
                 # End of the iteration: compact (block, lower-offset) pairs.
                 blocks = (colors - 1) // block_width
                 offsets = (colors - 1) % block_width
                 colors = blocks * k + offsets + 1
-
-        ctx.charge_uniform_broadcast(self.total_rounds)
-        ctx.write_column("_kw_current", colors)
-        ctx.write_column(self.output_key, colors)
+        return colors
 
 
 def delta_plus_one_pipeline(

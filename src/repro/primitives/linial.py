@@ -205,11 +205,12 @@ class LinialColoringPhase(BroadcastPhase):
     # Vectorized execution (see repro.local_model.vectorized)
     # ------------------------------------------------------------------ #
 
-    #: Marker the vectorized scheduler checks to run the numpy kernel.
-    supports_vectorized: bool = True
-
     def vector_run(self, ctx: VectorContext) -> None:
-        """The whole phase as array arithmetic; bit-identical to the callbacks."""
+        """The whole phase as array arithmetic; bit-identical to the callbacks.
+
+        Each round runs the fused ``linial_round`` kernel when
+        ``ctx.kernels`` is set, else :func:`_linial_recolor_round`.
+        """
         if self.input_key is None:
             colors = ctx.unique_ids().copy()
         else:
@@ -231,8 +232,16 @@ class LinialColoringPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
+        fast, kernels = ctx.fast, ctx.kernels
         for q, digits, _palette_before in self.schedule:
-            colors = _linial_recolor_round(ctx, colors, q, digits)
+            if kernels is None:
+                colors = _linial_recolor_round(ctx, colors, q, digits)
+            else:
+                out = np.empty(fast.num_nodes, dtype=np.int64)
+                kernels.linial_round(
+                    fast.indptr, fast.indices, fast.unique_ids, colors, q, digits, out
+                )
+                colors = out
         ctx.charge_uniform_broadcast(len(self.schedule))
         ctx.write_column("_linial_current", colors)
         ctx.write_column(self.output_key, colors)

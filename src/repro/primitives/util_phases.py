@@ -34,9 +34,6 @@ class CopyKeyPhase(LocalComputationPhase):
     def compute(self, view: LocalView, state: Dict[str, Any]) -> None:
         state[self._target_key] = state[self._source_key]
 
-    #: Marker the vectorized scheduler checks to run the kernel.
-    supports_vectorized: bool = True
-
     def vector_run(self, ctx: VectorContext) -> None:
         ctx.copy_key(self._source_key, self._target_key)
 
@@ -55,9 +52,6 @@ class ConstantColorPhase(LocalComputationPhase):
 
     def compute(self, view: LocalView, state: Dict[str, Any]) -> None:
         state[self._output_key] = self._color
-
-    #: Marker the vectorized scheduler checks to run the kernel.
-    supports_vectorized: bool = True
 
     def vector_run(self, ctx: VectorContext) -> None:
         ctx.write_value(self._output_key, self._color)
@@ -97,9 +91,6 @@ class TransformKeyPhase(LocalComputationPhase):
 
     def compute(self, view: LocalView, state: Dict[str, Any]) -> None:
         state[self._target_key] = self._transform(view, state[self._source_key])
-
-    #: Marker the vectorized scheduler checks to run the kernel.
-    supports_vectorized: bool = True
 
     def vector_run(self, ctx: VectorContext) -> None:
         if self._vector_transform is not None:

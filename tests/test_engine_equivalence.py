@@ -9,11 +9,11 @@ divergence, however small, is a bug in the engine.
 
 The vectorized engine is exercised in *both* of its configurations (the
 ``array_engine`` fixture): with whatever kernel backend the machine resolves
-(numba or the C extension), and with kernels switched off so every phase
-runs its numpy ``vector_run`` -- the results must be identical either way.
-The kernel adapters are also driven by the pure-Python ``_loops`` backend on
-any machine, with and without kernels reporting a scratch-allocation failure
-(``TestLoopsBackend*``).
+(the C extension), and with kernels switched off so every phase's
+``vector_run`` runs its numpy steps -- the results must be identical either
+way.  The phases' kernel steps are also driven by the pure-Python ``_loops``
+backend on any machine, with and without kernels reporting a
+scratch-allocation failure (``TestLoopsBackend*``).
 """
 
 from __future__ import annotations
@@ -710,7 +710,7 @@ class TestKernelsResolution:
         if kernels.get_backend() is None:
             pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
         scheduler = VectorizedScheduler(small_regular)
-        assert scheduler.kernel_backend_name in ("numba", "cext")
+        assert scheduler.kernel_backend_name == "cext"
         result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.metrics.fallback_phase_names == []
 
@@ -727,12 +727,13 @@ class TestKernelsResolution:
         )
         assert result.metrics.fallback_phase_names == []
 
-    def test_unknown_backend_request_resolves_to_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "warp-drive")
+    @pytest.mark.parametrize("requested", ["warp-drive", "numba"])
+    def test_unknown_backend_request_resolves_to_none(self, monkeypatch, requested):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", requested)
         kernels.reset()
         try:
             assert kernels.get_backend() is None
-            assert "warp-drive" in kernels.backend_reason()
+            assert repr(requested) in kernels.backend_reason()
         finally:
             kernels.reset()
 
@@ -749,7 +750,7 @@ class TestKernelsResolution:
 class LoopsBackend:
     """A kernel backend built from the pure-Python loops of ``_loops``.
 
-    It runs on any machine, so the kernel adapters are held to the reference
+    It runs on any machine, so the phases' kernel steps are held to the reference
     engine even where no compiled provider resolves.  The call numbers in
     ``scratch_fails`` (1-based) must be calls of a kernel with a
     scratch-allocation branch (:data:`SCRATCH_KERNELS`); those calls report
@@ -789,7 +790,7 @@ class LoopsBackend:
         return call
 
 
-#: The kernels whose adapters re-run the phase's ``vector_run`` on status 2.
+#: The kernels whose status 2 sends the phase to its numpy step.
 SCRATCH_KERNELS = ("kw_reduce", "psi_select")
 
 
@@ -859,7 +860,7 @@ KERNEL_PIPELINES = _kernel_pipelines()
 
 
 class TestLoopsBackend:
-    """Every kernel adapter, driven by the ``_loops`` backend, against reference."""
+    """Every kernel step, driven by the ``_loops`` backend, against reference."""
 
     @pytest.mark.parametrize("pipeline_name", sorted(KERNEL_PIPELINES))
     def test_pipeline_matches_reference(self, pipeline_name):
@@ -926,7 +927,7 @@ class TestLoopsBackend:
 
     @pytest.mark.parametrize("case", ["palette", "iterative-no-free", "kw-no-free"])
     def test_kernel_path_errors_match_reference(self, case):
-        # An adapter's algorithm error -- a palette violation, or a kernel's
+        # A kernel phase's algorithm error -- a palette violation, or a kernel's
         # status 1 for "no free color" -- reaches the caller with the
         # reference engine's exact type and text.
         from repro.primitives.color_reduction import (
@@ -1046,10 +1047,48 @@ class TestLoopsBackendWholeRuns:
         assert result.metrics.degraded_engine_names == []
 
 
+class TestKernelsDispatch:
+    """A phase reaches the kernels through ``VectorContext.kernels`` alone."""
+
+    @staticmethod
+    def _kernels_called(phase):
+        network = graphs.cycle_graph(12)
+        seeds = {node: {"a": 1 + i % 12} for i, node in enumerate(network.nodes())}
+        reference = Scheduler(network).run(phase, initial_states=seeds)
+        backend = LoopsBackend()
+        result = run_on(
+            backend,
+            lambda: VectorizedScheduler(network).run(phase, initial_states=seeds),
+        )
+        assert result.states == reference.states
+        assert result.metrics.fallback_phase_names == []
+        return backend.kernels
+
+    def test_plain_subclass_still_calls_its_kernel(self):
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
+
+        class Custom(KuhnWattenhoferReductionPhase):
+            pass
+
+        phase = Custom(palette=12, target=3, input_key="a", output_key="b")
+        assert self._kernels_called(phase) == ["kw_reduce"]
+
+    def test_overridden_vector_run_calls_no_kernel(self):
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
+
+        class NumpyOnly(KuhnWattenhoferReductionPhase):
+            def vector_run(self, ctx):
+                ctx.kernels = None
+                super().vector_run(ctx)
+
+        phase = NumpyOnly(palette=12, target=3, input_key="a", output_key="b")
+        assert self._kernels_called(phase) == []
+
+
 class TestKernelsThreadCount:
     """Thread counts are validated once, the same way for every provider."""
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "abc", None])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "abc", None, True, 2.0])
     def test_set_num_threads_rejects(self, bad):
         before = kernels.get_num_threads()
         with pytest.raises(InvalidParameterError, match=repr(bad).replace(".", r"\.")):

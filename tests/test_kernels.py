@@ -1,14 +1,15 @@
-"""The fused kernel backends against the ``_loops`` reference, adversarially.
+"""The fused kernel backend against the ``_loops`` reference, adversarially.
 
-Every provider the machine can load (the C extension always on CI, numba on
-the legs that install it) is held to the pure-Python reference loops in
+The provider the machine can load (the C extension, built on first use) is
+held to the pure-Python reference loops in
 :mod:`repro.local_model.kernels._loops` over a battery of adversarial CSR
 instances: empty graphs, graphs that are nothing *but* isolated nodes,
 empty rows in the middle of the indptr, non-monotone and negative unique
 ids, and palettes small enough to force the rarely-taken fallback branches
 (the Linial ``uid % q`` escape, the iterative reduction's no-free-color
 status).  The resolution machinery itself (env forcing, probe rejection of
-a corrupt backend, adapter registry lookups) is covered at the bottom.
+a corrupt backend) and the phases' kernel dispatch through
+``VectorContext.kernels`` are covered at the bottom.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ import numpy as np
 import pytest
 
 from repro.core.defective_coloring import PsiSelectionPhase
-from repro.local_model.kernels import _c_backend, _loops, _numba_backend
+from repro.local_model.kernels import _c_backend, _loops
 from repro.local_model import kernels
 
 
 def _load_backends():
     loaded = []
-    for module in (_numba_backend, _c_backend):
-        try:
-            backend = module.load()
-        except Exception:
-            backend = None
-        if backend is not None:
-            loaded.append(backend)
+    try:
+        backend = _c_backend.load()
+    except Exception:
+        backend = None
+    if backend is not None:
+        loaded.append(backend)
     return loaded
 
 
@@ -206,7 +206,7 @@ class TestReductionKernels:
         assert se[0] == sa[0] == 0
 
     def test_kernel_path_errors_reach_the_caller(self, backend, triangle):
-        # An adapter's algorithm error is not a kernel failure: a palette
+        # A kernel phase's algorithm error is not a kernel failure: a palette
         # violation raised on the kernel path reaches the caller with the
         # reference scheduler's exact text.
         from repro.exceptions import InvalidParameterError
@@ -254,7 +254,7 @@ class TestEdgeRankKernel:
 
 
 def run_psi(provider, indptr, indices, phi, p):
-    """``provider.psi_select`` on the classes the adapter would pass."""
+    """``provider.psi_select`` on the classes ``PsiSelectionPhase`` would pass."""
     n = len(indptr) - 1
     order, class_ptr = PsiSelectionPhase.phi_classes(phi)
     depth = np.full(n, -7, dtype=np.int64)
@@ -479,17 +479,6 @@ class TestResolutionMachinery:
         finally:
             kernels.reset()
 
-    def test_env_forced_numba_without_numba_degrades(self, monkeypatch):
-        if any(b.name == "numba" for b in BACKENDS):
-            pytest.skip("numba is installed here")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        kernels.reset()
-        try:
-            assert kernels.get_backend() is None
-            assert kernels.backend_name() is None
-        finally:
-            kernels.reset()
-
     def test_c_backend_artifact_cache_reloads(self):
         if not any(b.name == "cext" for b in BACKENDS):
             pytest.skip("no C toolchain on this machine")
@@ -509,33 +498,3 @@ class TestResolutionMachinery:
         out = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError):
             cext.linial_round(indptr, indices, uids, colors, 3, 1, out)
-
-    def test_runner_registry_covers_subclasses(self):
-        from repro.local_model.kernels.adapters import (
-            run_kw_reduction,
-            runner_for,
-        )
-        from repro.primitives.color_reduction import (
-            KuhnWattenhoferReductionPhase,
-        )
-
-        class Custom(KuhnWattenhoferReductionPhase):
-            pass
-
-        phase = Custom(palette=12, target=3, input_key="a", output_key="b")
-        assert runner_for(phase) is run_kw_reduction
-
-    def test_runner_registry_unknown_phase(self):
-        from repro.local_model import SynchronousPhase
-        from repro.local_model.kernels.adapters import runner_for
-
-        class Strange(SynchronousPhase):
-            name = "strange"
-
-            def send(self, view, state, round_index):
-                return {}
-
-            def receive(self, view, state, inbox, round_index):
-                return True
-
-        assert runner_for(Strange()) is None
