@@ -1,9 +1,9 @@
 """Vectorized-baseline speedup: the Luby kernel behind the portfolio façade.
 
-The vectorized Luby kernel (``StringSeededDraws`` + CSR conflict scatter)
-beats the reference scheduler by **>= 10x** at ``n = 20,000`` (headline row
-at ``Delta = 32``), with *bit-identical* colorings — asserted on every
-measured pair.  Committed numbers are in
+The vectorized Luby kernel (``luby_draw`` on ``uint64`` lanes + CSR
+conflict scatter) beats the reference scheduler by **>= 10x** at
+``n = 20,000`` (headline row at ``Delta = 32``), with *bit-identical*
+colorings — asserted on every measured pair.  Committed numbers are in
 ``benchmarks/results/portfolio.json`` / ``portfolio_quick.json``; the
 ``speedup_luby_vectorized_over_reference`` ratio is gated in CI by
 ``benchmarks/check_regression.py`` at the standard 30% tolerance against
@@ -37,9 +37,9 @@ from repro.local_model.fast_network import fast_view
 #: >= 10x claim.
 LUBY_SIZES = ((2048, 8),) if QUICK else ((20_000, 32), (20_000, 16))
 LUBY_SEED = 7
-#: The vectorized side is best-of to damp allocation noise; the slow
-#: reference side is measured once (its seconds dwarf any jitter).
-VEC_REPEATS = 3
+#: The vectorized side is best-of to damp allocation noise (a quick-mode
+#: call takes about a millisecond); the slow reference side is measured once.
+VEC_REPEATS = 10
 
 RESULTS_FILE = "portfolio_quick.json" if QUICK else "portfolio.json"
 

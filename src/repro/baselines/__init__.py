@@ -16,7 +16,6 @@ from repro.baselines.luby_random import (
     LubyRandomColoringPhase,
     luby_edge_coloring,
     luby_vertex_coloring,
-    luby_vertex_coloring_dict,
 )
 from repro.baselines.panconesi_rizzi import panconesi_rizzi_edge_coloring
 from repro.baselines.sequential import (
@@ -31,6 +30,5 @@ __all__ = [
     "greedy_sequential_vertex_coloring",
     "luby_edge_coloring",
     "luby_vertex_coloring",
-    "luby_vertex_coloring_dict",
     "panconesi_rizzi_edge_coloring",
 ]

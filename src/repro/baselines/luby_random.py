@@ -8,20 +8,18 @@ in ``O(log n)`` rounds with high probability; it stands in for the randomized
 ``(2 Delta - 1)``-edge-coloring / ``(Delta + 1)``-vertex-coloring baselines
 ([29], [18]) the paper compares against in Table 2.
 
-The randomness is derived from ``(seed, unique_id, round)``, so runs are
-reproducible and still independent across vertices.  The phase carries a
-``vector_run`` kernel (engine ``"vectorized"``): one taken-color bitmask per
-node, conflict detection as CSR scatter ops, and the per-node draws batched
-through :class:`~repro.local_model.rng_kernel.StringSeededDraws` -- the
-bit-exact replication of ``random.Random(key).choice``.  The three engines
-produce identical colorings, states and metrics (the equivalence suite and
-golden fixtures lock this down).
+The randomness is a counter hash of ``(seed, unique_id, round)``
+(:func:`luby_draw`), so runs are reproducible and still independent across
+vertices.  The phase carries a ``vector_run`` kernel (engine
+``"vectorized"``): one taken-color bitmask per node, conflict detection as
+CSR scatter ops, and the per-node draws evaluated by the same
+:func:`luby_draw` on ``uint64`` arrays.  Both engines produce identical
+colorings, states and metrics (the equivalence suite locks this down).
 """
 
 from __future__ import annotations
 
-import random
-import warnings
+import operator
 from bisect import bisect_left
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -33,12 +31,41 @@ from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import fast_view
 from repro.verification.coloring import NetworkLike
 from repro.local_model.line_csr import build_line_graph_fast
-from repro.local_model.rng_kernel import StringSeededDraws
 from repro.local_model.state_table import StateTable
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
 from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
 from repro.local_model.metrics import RunMetrics
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(word):
+    """SplitMix64's step: add the golden gamma, then its 64-bit finalizer.
+
+    The first mask leaves only ``word`` modulo ``2**64``, so a negative or
+    wider-than-64-bit Python int hashes like its ``.astype(np.uint64)`` value.
+    """
+    word = (word + 0x9E3779B97F4A7C15) & _MASK64
+    word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return word ^ (word >> 31)
+
+
+def luby_draw(seed, unique_id, round_index, limit):
+    """The index in ``range(limit)`` node ``unique_id`` draws in a round.
+
+    A SplitMix64 chain over ``(seed, unique_id, round_index)``, each word
+    taken modulo ``2**64``, reduced ``% limit``.  The one expression serves
+    both engines: on Python ints the masks wrap it to 64 bits, and on
+    ``uint64`` arrays (``unique_id`` and ``limit``; ``seed`` and
+    ``round_index`` stay ints) numpy wraps it the same way, so an array
+    lane equals the scalar draw with the same arguments.
+    """
+    word = _splitmix64(seed)
+    word = _splitmix64(word ^ unique_id)
+    word = _splitmix64(word ^ round_index)
+    return word % limit
 
 
 class LubyRandomColoringPhase(BroadcastPhase):
@@ -49,9 +76,16 @@ class LubyRandomColoringPhase(BroadcastPhase):
     ) -> None:
         if palette < 1:
             raise InvalidParameterError("palette must be at least 1")
+        # Same rule as the kernel thread count: a true integer, not a bool.
+        try:
+            index = operator.index(seed)
+        except TypeError:
+            index = None
+        if index is None or isinstance(seed, bool):
+            raise InvalidParameterError(f"Luby seed must be an integer, got {seed!r}")
         self.name = f"luby[{palette}]"
         self.palette = palette
-        self.seed = seed
+        self.seed = index
         self.output_key = output_key
 
     def initialize(self, view: LocalView, state: Dict[str, Any]) -> None:
@@ -61,7 +95,7 @@ class LubyRandomColoringPhase(BroadcastPhase):
         # maintained *incrementally* as neighbor finals arrive: rebuilding it
         # every round per node would make big line-graph runs quadratic in
         # the palette.  Same contents and order as the rebuilt list, so the
-        # rng.choice draws -- hence the whole run -- are bit-identical.
+        # draws -- hence the whole run -- are bit-identical.
         state["_luby_available"] = list(range(1, self.palette + 1))
 
     def broadcast(self, view: LocalView, state: Dict[str, Any], round_index: int) -> Any:
@@ -69,8 +103,11 @@ class LubyRandomColoringPhase(BroadcastPhase):
             # Announce the final color one last time, then halt.
             return {"final": state["_luby_final"]}
         available = state["_luby_available"]
-        rng = random.Random(f"{self.seed}:{view.unique_id}:{round_index}")
-        state["_luby_candidate"] = rng.choice(available) if available else None
+        state["_luby_candidate"] = (
+            available[luby_draw(self.seed, view.unique_id, round_index, len(available))]
+            if available
+            else None
+        )
         return {"candidate": state["_luby_candidate"]}
 
     def receive(
@@ -122,10 +159,9 @@ class LubyRandomColoringPhase(BroadcastPhase):
         in round ``r`` announces ``{"final": c}`` in round ``r + 1`` and
         halts in that round's receive *without* reading its inbox -- so its
         taken set freezes at the end of round ``r``, which the kernel
-        realizes by only ever updating rows of still-undecided nodes.  The
-        draws delegate to :class:`StringSeededDraws`, whose outputs equal
-        ``random.Random(f"{seed}:{uid}:{round}").choice(available)`` with
-        ``available`` the ascending list of untaken palette colors.  When
+        realizes by only ever updating rows of still-undecided nodes.  Lane
+        ``i`` takes the ``luby_draw(...)``-th free color in ascending order,
+        exactly as the scalar ``available[luby_draw(...)]``.  When
         ``ctx.kernels`` is set, the four per-round sweeps -- free counting,
         candidate selection, final absorption, conflict resolution -- run as
         fused ``luby_*`` kernels; the draws stay here (the draw stream
@@ -136,7 +172,7 @@ class LubyRandomColoringPhase(BroadcastPhase):
         palette = self.palette
         degrees = fast.degrees_np
         kernels = ctx.kernels
-        draws = StringSeededDraws(self.seed, ctx.unique_ids())
+        unique_ids = ctx.unique_ids().astype(np.uint64)
 
         # uint8 for the kernels; the numpy steps use the bool views.
         taken = np.zeros((n, palette), dtype=np.uint8)
@@ -167,14 +203,16 @@ class LubyRandomColoringPhase(BroadcastPhase):
             drawing = free_counts > 0
             lanes = undecided[drawing]
             if len(lanes):
-                picks = draws.draw(lanes, free_counts[drawing], round_index)
+                limits = free_counts[drawing].astype(np.uint64)
+                picks = luby_draw(
+                    self.seed, unique_ids[lanes], round_index, limits
+                ).astype(np.int64)
                 if kernels is None:
                     free_rows = free[drawing]
                     ranks = np.cumsum(free_rows, axis=1)
                     hits = free_rows & (ranks == (picks + 1)[:, None])
                     candidate[lanes] = np.argmax(hits, axis=1) + 1
                 else:
-                    picks = np.ascontiguousarray(picks, dtype=np.int64)
                     kernels.luby_candidates(lanes, picks, taken, palette, candidate)
 
             # --- receive: neighbor finals first (undecided rows only) --- #
@@ -263,27 +301,6 @@ def luby_vertex_coloring(
         metrics=metrics,
         color_column=column,
     )
-
-
-def luby_vertex_coloring_dict(
-    network: NetworkLike,
-    palette: int | None = None,
-    seed: int = 0,
-    engine: Optional[str] = None,
-) -> Tuple[Dict[Hashable, int], RunMetrics]:
-    """Deprecated pre-1.5 shape of :func:`luby_vertex_coloring`.
-
-    Returns the old ``(colors, metrics)`` tuple; use the result object's
-    ``.colors`` / ``.metrics`` instead.
-    """
-    warnings.warn(
-        "luby_vertex_coloring_dict is deprecated; luby_vertex_coloring now "
-        "returns a LegalColoringResult with .colors and .metrics",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = luby_vertex_coloring(network, palette=palette, seed=seed, engine=engine)
-    return dict(result.colors), result.metrics
 
 
 def luby_edge_coloring(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import graphs
@@ -13,6 +14,7 @@ from repro.baselines import (
     luby_vertex_coloring,
     panconesi_rizzi_edge_coloring,
 )
+from repro.exceptions import InvalidParameterError
 from repro.verification.coloring import (
     assert_legal_edge_coloring,
     assert_legal_vertex_coloring,
@@ -123,12 +125,15 @@ class TestLubyBaseline:
         )
         assert_legal_vertex_coloring(small_regular, result.colors)
 
-    def test_deprecated_dict_shim(self, small_regular):
-        import pytest as _pytest
+    @pytest.mark.parametrize("seed", [1.5, True, False, "3", None])
+    def test_non_integer_seed_rejected(self, small_regular, seed):
+        with pytest.raises(InvalidParameterError):
+            luby_vertex_coloring(small_regular, seed=seed)
+        with pytest.raises(InvalidParameterError):
+            luby_edge_coloring(small_regular, seed=seed)
 
-        from repro.baselines import luby_vertex_coloring_dict
-
-        with _pytest.warns(DeprecationWarning):
-            colors, metrics = luby_vertex_coloring_dict(small_regular, seed=5)
-        assert colors == luby_vertex_coloring(small_regular, seed=5).colors
-        assert metrics.rounds >= 1
+    def test_numpy_integer_seed_same_as_int(self, small_regular):
+        assert (
+            luby_vertex_coloring(small_regular, seed=np.int64(5)).colors
+            == luby_vertex_coloring(small_regular, seed=5).colors
+        )

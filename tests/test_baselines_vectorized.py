@@ -25,7 +25,7 @@ from repro.baselines import (
     luby_vertex_coloring,
     panconesi_rizzi_edge_coloring,
 )
-from repro.baselines.luby_random import LubyRandomColoringPhase
+from repro.baselines.luby_random import LubyRandomColoringPhase, luby_draw
 from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import fast_view
 from repro.local_model.state_table import StateTable
@@ -90,11 +90,12 @@ class TestLubyEngineEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=40),
-        seed=st.integers(min_value=0, max_value=50),
+        # Negative and wider-than-64-bit seeds reach the draw's masking.
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
         p_percent=st.integers(min_value=5, max_value=40),
     )
     def test_hypothesis_er_equivalence(self, n, seed, p_percent):
-        network = graphs.erdos_renyi(n, p_percent / 100.0, seed=seed)
+        network = graphs.erdos_renyi(n, p_percent / 100.0, seed=abs(seed))
         palette = max(1, fast_view(network).max_degree + 1)
         runs = on_every_config(
             lambda engine: run_luby_states(network, engine, palette, seed=seed)
@@ -106,6 +107,40 @@ class TestLubyEngineEquivalence:
             assert metrics.rounds == reference.rounds
             assert metrics.messages == reference.messages
             assert metrics.fallback_phase_names == []
+
+
+class TestLubyDraw:
+    """The one draw both engines share: scalar ints and uint64 lanes agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        round_index=st.integers(min_value=1, max_value=10**6),
+        lanes=st.lists(
+            st.tuples(
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.one_of(st.just(1), st.integers(min_value=2, max_value=4096)),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_array_lanes_equal_scalar_draws(self, seed, round_index, lanes):
+        uids = np.array([uid for uid, _ in lanes], dtype=np.int64)
+        limits = np.array([limit for _, limit in lanes], dtype=np.int64)
+        batched = luby_draw(seed, uids.astype(np.uint64), round_index, limits.astype(np.uint64))
+        assert batched.tolist() == [
+            luby_draw(seed, uid, round_index, limit) for uid, limit in lanes
+        ]
+        assert (batched < limits.astype(np.uint64)).all()
+
+    @pytest.mark.parametrize("limit", [2, 3, 7, 64])
+    def test_every_index_is_drawn(self, limit):
+        uids = np.arange(2000, dtype=np.uint64)
+        draws = luby_draw(5, uids, 1, np.full(len(uids), limit, dtype=np.uint64))
+        counts = np.bincount(draws.astype(np.int64), minlength=limit)
+        assert len(counts) == limit
+        assert counts.min() > 0
 
 
 class TestLineGraphBaselinesVectorized:

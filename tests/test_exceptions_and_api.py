@@ -124,11 +124,3 @@ class TestPublicApi:
             assert isinstance(result, repro.EdgeColoringResult)
             assert result.color_column is not None
 
-    def test_deprecated_luby_dict_shim(self):
-        network = repro.graphs.random_regular(16, 4, seed=3)
-        with pytest.warns(DeprecationWarning):
-            colors, metrics = repro.baselines.luby_vertex_coloring_dict(
-                network, seed=1
-            )
-        assert colors == repro.baselines.luby_vertex_coloring(network, seed=1).colors
-        assert metrics.rounds >= 1
