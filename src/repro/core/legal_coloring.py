@@ -56,7 +56,11 @@ from repro.local_model.line_csr import line_meta_for
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
 from repro.core.defective_coloring import defective_color_pipeline, psi_defect_bound
-from repro.core.parameters import LegalColorParameters, params_for_quality
+from repro.core.parameters import (
+    LegalColorParameters,
+    independence_bound,
+    params_for_quality,
+)
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.linial import LinialColoringPhase
 
@@ -236,8 +240,7 @@ def run_legal_coloring(
         The legal coloring together with its palette bound, metrics and the
         per-level recursion trace.
     """
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     if network.num_nodes == 0:
         return LegalColoringResult(
             colors={},

@@ -26,9 +26,26 @@ palette sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.exceptions import InvalidParameterError
+
+
+def independence_bound(c) -> int:
+    """The neighborhood-independence bound ``c`` as a Python ``int`` >= 1.
+
+    The same rule as the kernel thread count: integers (numpy ones included)
+    pass through :func:`operator.index`; bools, floats (even integral ones)
+    and anything below 1 raise :class:`InvalidParameterError`.
+    """
+    try:
+        value = operator.index(c)
+    except TypeError:
+        value = 0
+    if value < 1 or isinstance(c, bool):
+        raise InvalidParameterError(f"c must be an integer >= 1, got {c!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,8 +109,7 @@ def params_for_linear_colors(
     """
     if not 0 < epsilon <= 1:
         raise InvalidParameterError("epsilon must lie in (0, 1]")
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     delta = max(1, delta)
 
     p = _clamped_power(delta, epsilon / 3, minimum=2 * c + 2)
@@ -120,8 +136,7 @@ def params_for_few_rounds(
     depth is ``O(log Delta)``.  The exponent ``eta`` of the resulting color
     bound is reported by :func:`implied_color_exponent`.
     """
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     delta = max(1, delta)
     if p is None:
         p = max(4 * c + 1, 9)
@@ -146,8 +161,7 @@ def params_for_subpolynomial_rounds(
     """
     if eta <= 0:
         raise InvalidParameterError("eta must be positive")
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     delta = max(2, delta)
     log_delta = max(2.0, math.log2(delta))
     threshold = max(2 * c + 1, math.ceil(log_delta**eta) * (2 * c + 2))
@@ -186,8 +200,7 @@ def implied_color_exponent(params: LegalColorParameters, c: int) -> float:
     few-rounds preset it quantifies the ``eta`` of Theorem 4.6 for the actual
     constants used.
     """
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     shrink = params.p / (c * (1.0 + 1.0 / params.b))
     if shrink <= 1.0:
         return float("inf")

@@ -22,12 +22,15 @@ from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import NetworkLike
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
-from repro.core.parameters import LegalColorParameters, params_for_few_rounds
+from repro.core.parameters import (
+    LegalColorParameters,
+    independence_bound,
+    params_for_few_rounds,
+)
 
 
 @dataclass
@@ -88,8 +91,7 @@ def randomized_color_vertices(
     parameters:
         Optional explicit Legal-Color parameters for the per-class coloring.
     """
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     fast = fast_view(network)
     n = max(2, fast.num_nodes)
     delta = fast.max_degree

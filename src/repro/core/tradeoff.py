@@ -23,7 +23,11 @@ from repro.local_model.fast_network import fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
 from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
-from repro.core.parameters import LegalColorParameters, params_for_few_rounds
+from repro.core.parameters import (
+    LegalColorParameters,
+    independence_bound,
+    params_for_few_rounds,
+)
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 
@@ -82,8 +86,7 @@ def tradeoff_color_vertices(
     parameters:
         Optional explicit Legal-Color parameters for the per-class stage.
     """
-    if c < 1:
-        raise InvalidParameterError("c must be at least 1")
+    c = independence_bound(c)
     if not 0 < eta < 1:
         raise InvalidParameterError("eta must lie in (0, 1)")
     fast = fast_view(network)

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.legal_coloring import color_vertices
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view, index_array
 from repro.local_model.metrics import RunMetrics
 from repro.verification.coloring import assert_legal_vertex_coloring
 
@@ -65,14 +65,14 @@ def _as_endpoint_arrays(batch: EdgeBatch) -> Tuple[np.ndarray, np.ndarray]:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     if isinstance(batch, tuple) and len(batch) == 2:
-        u = np.ascontiguousarray(batch[0], dtype=np.int64).ravel()
-        v = np.ascontiguousarray(batch[1], dtype=np.int64).ravel()
+        u = index_array(batch[0], "edge endpoints").ravel()
+        v = index_array(batch[1], "edge endpoints").ravel()
         if u.shape != v.shape:
             raise InvalidParameterError(
                 f"endpoint arrays disagree in length: {len(u)} vs {len(v)}"
             )
         return u, v
-    edges = np.ascontiguousarray(batch, dtype=np.int64)
+    edges = index_array(batch, "edge endpoints")
     if edges.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
@@ -105,9 +105,7 @@ class UpdateReport:
     palette_bound:
         The session's palette guarantee after this batch (monotone).
     fallback_phases:
-        Phases of the repair run that the vectorized engine ran on the
-        reference scheduler (empty on fully vectorized repairs, and for the
-        reference engine).
+        Always empty; kept only because perfbench reads it (ROADMAP item 1).
     """
 
     step: int
@@ -182,7 +180,6 @@ class DynamicColoring:
         self._step = 0
         self.metrics = RunMetrics()
         self.reports: List[UpdateReport] = []
-        self._fallbacks: List[str] = []
         self._column, self.palette_bound = self._full_recolor(self._fast)
 
     # ------------------------------------------------------------------ #
@@ -203,11 +200,6 @@ class DynamicColoring:
     def colors(self) -> Dict[Hashable, int]:
         """The current coloring as a node-identifier mapping."""
         return dict(zip(self._fast.order, self._column.tolist()))
-
-    @property
-    def fallback_phase_names(self) -> List[str]:
-        """All reference-fallback phase names seen by the session's runs."""
-        return list(self._fallbacks)
 
     def verify(self) -> None:
         """Assert the current coloring is legal (vectorized oracle)."""
@@ -270,10 +262,7 @@ class DynamicColoring:
         else:
             conflict_u = conflict_v = np.zeros(0, dtype=np.int64)
         num_conflicts = len(conflict_u)
-        repaired = 0
-        fallback: Tuple[str, ...] = ()
-        if num_conflicts:
-            repaired, fallback = self._repair(conflict_u, conflict_v)
+        repaired = self._repair(conflict_u, conflict_v) if num_conflicts else 0
         report = UpdateReport(
             step=self._step,
             edges_added=added_count,
@@ -282,7 +271,6 @@ class DynamicColoring:
             repaired_nodes=repaired,
             strategy=self.strategy,
             palette_bound=self.palette_bound,
-            fallback_phases=fallback,
         )
         self.reports.append(report)
         return report
@@ -317,13 +305,10 @@ class DynamicColoring:
             engine=self._engine,
         )
         self.metrics.merge(result.metrics)
-        self._fallbacks.extend(result.metrics.fallback_phase_names)
         return np.ascontiguousarray(result.color_column, dtype=np.int64), result.palette
 
-    def _repair(
-        self, conflict_u: np.ndarray, conflict_v: np.ndarray
-    ) -> Tuple[int, Tuple[str, ...]]:
-        """Recolor the conflict ball; returns (#recolored, fallback phases)."""
+    def _repair(self, conflict_u: np.ndarray, conflict_v: np.ndarray) -> int:
+        """Recolor the conflict ball; returns how many vertices were recolored."""
         fast = self._fast
         indptr, indices, degrees = fast.indptr_np, fast.indices_np, fast.degrees_np
         ball = np.zeros(fast.num_nodes, dtype=bool)
@@ -349,8 +334,6 @@ class DynamicColoring:
             engine=self._engine,
         )
         self.metrics.merge(result.metrics)
-        fallback = tuple(result.metrics.fallback_phase_names)
-        self._fallbacks.extend(fallback)
         ball_colors = result.color_column
 
         # Fold the ball coloring into the global palette class by class.
@@ -363,7 +346,7 @@ class DynamicColoring:
             members = nodes[ball_colors == klass]
             self._column[members] = self._smallest_missing(members)
         self.palette_bound = max(self.palette_bound, fast.max_degree + 1)
-        return len(nodes), fallback
+        return len(nodes)
 
     def _smallest_missing(self, members: np.ndarray) -> np.ndarray:
         """Per-member smallest positive color unused by its neighbors."""

@@ -398,12 +398,8 @@ def _run_legal_coloring(
         epsilon=params.get("epsilon", 0.75),
         engine=engine,
     )
-    # Verify through the color column (masked CSR comparisons) when the run
-    # produced one; the mapping form is the audit fallback.
-    if result.color_column is not None:
-        assert_legal_vertex_coloring(network, result.color_column)
-    else:
-        assert_legal_vertex_coloring(network, result.colors)
+    # Verify through the color column (masked CSR comparisons).
+    assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.colors, capture_colors))
     payload.update(palette=result.palette, levels=result.num_levels, verified=True)
@@ -424,10 +420,7 @@ def _run_edge_coloring(
         route=params.get("route", "direct"),
         engine=engine,
     )
-    if result.color_column is not None:
-        assert_legal_edge_coloring(network, result.color_column)
-    else:
-        assert_legal_edge_coloring(network, result.edge_colors)
+    assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.edge_colors, capture_colors))
     payload.update(palette=result.palette, verified=True)
@@ -482,10 +475,7 @@ def _run_tradeoff(
         eta=params.get("eta", 0.5),
         engine=engine,
     )
-    if result.color_column is not None:
-        assert_legal_vertex_coloring(network, result.color_column)
-    else:
-        assert_legal_vertex_coloring(network, result.colors)
+    assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.colors, capture_colors))
     payload.update(
@@ -509,10 +499,7 @@ def _run_randomized(
         seed=params.get("seed", 0),
         engine=engine,
     )
-    if result.color_column is not None:
-        assert_legal_vertex_coloring(network, result.color_column)
-    else:
-        assert_legal_vertex_coloring(network, result.colors)
+    assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.colors, capture_colors))
     payload.update(palette=result.palette, verified=True)
@@ -527,7 +514,7 @@ def _run_panconesi_rizzi(
     from repro.verification import assert_legal_edge_coloring
 
     result = panconesi_rizzi_edge_coloring(network, engine=engine)
-    assert_legal_edge_coloring(network, result.edge_colors)
+    assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.edge_colors, capture_colors))
     payload.update(palette=result.palette, verified=True)
@@ -542,7 +529,7 @@ def _run_luby_edge(
     from repro.verification import assert_legal_edge_coloring
 
     result = luby_edge_coloring(network, seed=params.get("seed", 0), engine=engine)
-    assert_legal_edge_coloring(network, result.edge_colors)
+    assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
     payload.update(_coloring_payload(result.edge_colors, capture_colors))
     payload.update(palette=result.palette, verified=True)

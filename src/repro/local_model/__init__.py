@@ -21,8 +21,9 @@ The main entry points are:
   of a :class:`~repro.local_model.state_table.StateTable` (its only
   node-state representation; ``run`` wraps ``run_table``), with fused
   C/OpenMP kernels (see :mod:`repro.local_model.kernels`) for their inner
-  steps when the backend resolves and numpy otherwise; a phase without
-  ``vector_run`` runs on the reference scheduler (select an engine via
+  steps when the backend resolves and numpy otherwise; it runs only phases
+  with a ``vector_run``, so a user-defined phase without one runs on the
+  reference scheduler (select an engine via
   :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
 * :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the
   Lemma 5.2 simulation of an algorithm for ``L(G)`` on the network ``G``.

@@ -35,9 +35,9 @@ class LocalView:
     neighbors:
         The identifiers of adjacent vertices, in deterministic order.
     globals:
-        Globally known quantities (``n``, ``max_degree``, and any parameters
-        passed to the algorithm).  In the LOCAL model these are assumed to be
-        known to every processor before the computation starts.
+        Globally known quantities: ``n`` and ``max_degree``.  In the LOCAL
+        model these are assumed to be known to every processor before the
+        computation starts.
     """
 
     node_id: Hashable

@@ -11,8 +11,9 @@ phases.  They produce identical outputs and metrics (enforced by
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
   which runs every shipped phase over the CSR arrays: its inner step as a
   fused multi-core C/OpenMP kernel (see :mod:`repro.local_model.kernels`)
-  when the kernel backend resolves, else as numpy.  A phase without
-  ``vector_run`` runs on the reference scheduler.
+  when the kernel backend resolves, else as numpy.  It runs only phases
+  that define ``vector_run`` (every phase the package ships); a
+  user-defined phase without one runs on ``"reference"``.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
 accepts an ``engine`` argument that is resolved here.  ``None`` means the
@@ -26,7 +27,7 @@ with ``REPRO_KERNEL_BACKEND=none``, not by choosing an engine.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Union
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import NetworkLike
@@ -84,12 +85,7 @@ def use_engine(engine: str) -> Iterator[str]:
         _pinned_default = previous
 
 
-def make_scheduler(
-    network: NetworkLike,
-    engine: Optional[str] = None,
-    globals_extra: Optional[Mapping[str, Any]] = None,
-    round_limit_factor: int = 1,
-) -> SchedulerLike:
+def make_scheduler(network: NetworkLike, engine: Optional[str] = None) -> SchedulerLike:
     """Instantiate the scheduler for ``engine`` (default: the process default).
 
     This is the single seam through which all core algorithms obtain their
@@ -100,9 +96,4 @@ def make_scheduler(
     the latter into the identical :class:`~repro.local_model.network.Network`
     on demand, so filtered views remain fully auditable.
     """
-    factory = _ENGINES[resolve_engine(engine)]
-    return factory(
-        network,
-        globals_extra=globals_extra,
-        round_limit_factor=round_limit_factor,
-    )
+    return _ENGINES[resolve_engine(engine)](network)

@@ -34,6 +34,7 @@ further capabilities sit on top of them:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Hashable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -44,6 +45,19 @@ from repro.local_model.network import Network
 
 #: Combined sort keys stay below this bound (int64 with a bit to spare).
 _KEY_LIMIT = 1 << 62
+
+
+def index_array(values, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``int64`` array of node indices.
+
+    Floats and bools raise :class:`InvalidParameterError` instead of being
+    truncated; an empty input passes whatever its dtype (``np.asarray([])``
+    is float64).
+    """
+    array = np.asarray(values)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise InvalidParameterError(f"{what} must hold integers, got dtype {array.dtype}")
+    return np.ascontiguousarray(array, dtype=np.int64)
 
 
 def _lexsort_pairs(major, minor) -> np.ndarray:
@@ -250,11 +264,16 @@ class FastNetwork:
         exactly the unique-id order a legacy :class:`Network` would produce,
         and :meth:`to_network` materializes the identical network on demand.
         """
-        n = int(num_nodes)
+        try:
+            n = operator.index(num_nodes)
+        except TypeError:
+            raise InvalidParameterError(
+                f"num_nodes must be an integer, got {num_nodes!r}"
+            ) from None
         if n < 0:
             raise InvalidParameterError("num_nodes must be non-negative")
-        u = np.ascontiguousarray(u, dtype=np.int64).ravel()
-        v = np.ascontiguousarray(v, dtype=np.int64).ravel()
+        u = index_array(u, "edge endpoints").ravel()
+        v = index_array(v, "edge endpoints").ravel()
         if u.shape != v.shape:
             raise InvalidParameterError(
                 f"endpoint arrays disagree in length: {len(u)} vs {len(v)}"
@@ -322,8 +341,8 @@ class FastNetwork:
         """
         # Copies, so the view never aliases (and cannot be mutated through)
         # the caller's arrays.
-        indptr = np.array(indptr, dtype=np.int64).ravel()
-        indices = np.array(indices, dtype=np.int64).ravel()
+        indptr = index_array(indptr, "indptr").ravel().copy()
+        indices = index_array(indices, "CSR indices").ravel().copy()
         if len(indptr) == 0 or indptr[0] != 0:
             raise InvalidParameterError("indptr must start with 0")
         n = len(indptr) - 1
@@ -663,10 +682,10 @@ class FastNetwork:
         metadata is dropped (the edge set changed).
         """
         n = self.num_nodes
-        add_u = np.ascontiguousarray(add_u, dtype=np.int64).ravel()
-        add_v = np.ascontiguousarray(add_v, dtype=np.int64).ravel()
-        remove_u = np.ascontiguousarray(remove_u, dtype=np.int64).ravel()
-        remove_v = np.ascontiguousarray(remove_v, dtype=np.int64).ravel()
+        add_u, add_v, remove_u, remove_v = (
+            index_array(endpoints, "edge endpoints").ravel()
+            for endpoints in (add_u, add_v, remove_u, remove_v)
+        )
         if add_u.shape != add_v.shape or remove_u.shape != remove_v.shape:
             raise InvalidParameterError("endpoint arrays disagree in length")
         for endpoints in (add_u, add_v, remove_u, remove_v):

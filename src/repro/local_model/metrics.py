@@ -48,17 +48,10 @@ class RunMetrics:
         independent of ``Delta``.
     phases:
         Per-phase breakdown, in execution order.
-    fallback_phase_names:
-        Names of the phases that the vectorized engine executed on the
-        reference scheduler because they have no ``vector_run``, in
-        execution order (empty for the reference engine, and for fully
-        vectorized runs).  Purely informational: it
-        is excluded from equality and from the engine-equivalence contract,
-        which compares :meth:`summary` and the per-phase breakdown.
-    compiled_fallback_phase_names, degraded_engine_names:
-        Always empty: nothing writes them.  They stay only because the
-        ``perfbench/`` harness still reads them, and go when that harness
-        stops reading them (ROADMAP.md, item 1).  Excluded from equality.
+    fallback_phase_names, compiled_fallback_phase_names, degraded_engine_names:
+        Always empty; kept only because perfbench reads them (ROADMAP item
+        1).  Nothing writes them: the vectorized engine runs ``vector_run``
+        phases only and has no fallback.  Excluded from equality.
     phase_seconds:
         Wall-clock seconds per phase name, accumulated across executions of
         the same phase (recursion levels re-run phases under one name).
@@ -92,7 +85,6 @@ class RunMetrics:
         """Fold another run's metrics (all of its phases) into this one."""
         for phase in other.phases:
             self.add_phase(phase)
-        self.fallback_phase_names.extend(other.fallback_phase_names)
         for name, seconds in other.phase_seconds.items():
             self.add_phase_seconds(name, seconds)
         if not other.phases:

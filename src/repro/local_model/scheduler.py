@@ -57,32 +57,17 @@ class Scheduler:
     network:
         The communication graph; a
         :class:`~repro.local_model.fast_network.FastNetwork` is materialized
-        into the identical :class:`Network` once, here.
-    globals_extra:
-        Additional globally known values exposed to every node's
-        :class:`~repro.local_model.algorithm.LocalView` (algorithm parameters,
-        degree bounds, ...).  ``n`` and ``max_degree`` are always present.
-    round_limit_factor:
-        Multiplier applied to each phase's declared ``max_rounds`` safety
-        bound before aborting (useful in stress tests).
+        into the identical :class:`Network` once, here.  Every node's
+        :class:`~repro.local_model.algorithm.LocalView` exposes the globally
+        known ``n`` and ``max_degree`` as ``view.globals``.
     """
 
-    def __init__(
-        self,
-        network: NetworkLike,
-        globals_extra: Optional[Mapping[str, Any]] = None,
-        round_limit_factor: int = 1,
-    ) -> None:
+    def __init__(self, network: NetworkLike) -> None:
         self.network: Network = as_network(network)
         self._globals: Dict[str, Any] = {
             "n": network.num_nodes,
             "max_degree": network.max_degree,
         }
-        if globals_extra:
-            self._globals.update(globals_extra)
-        if round_limit_factor < 1:
-            raise SimulationError("round_limit_factor must be at least 1")
-        self._round_limit_factor = round_limit_factor
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -92,7 +77,6 @@ class Scheduler:
         self,
         algorithm: Union[SynchronousPhase, PhasePipeline],
         initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
-        globals_override: Optional[Mapping[str, Any]] = None,
     ) -> PhaseResult:
         """Run a phase or a pipeline to completion and return its result.
 
@@ -108,9 +92,6 @@ class Scheduler:
                     nodes[node_id].state.update(dict(seed))
 
         global_values = dict(self._globals)
-        if globals_override:
-            global_values.update(globals_override)
-
         views = {
             node_id: LocalView(
                 node_id=node_id,
@@ -134,7 +115,7 @@ class Scheduler:
             metrics=metrics,
         )
 
-    def run_table(self, algorithm, table, globals_override=None):
+    def run_table(self, algorithm, table):
         """Run with a :class:`~repro.local_model.state_table.StateTable` state.
 
         The reference scheduler has no columnar execution path -- this is the
@@ -149,11 +130,7 @@ class Scheduler:
                 f"state table has {table.num_rows} rows, network has "
                 f"{len(order)} nodes"
             )
-        result = self.run(
-            algorithm,
-            initial_states=table.to_mapping(order),
-            globals_override=globals_override,
-        )
+        result = self.run(algorithm, initial_states=table.to_mapping(order))
         final = StateTable.from_dicts([result.states[node] for node in order])
         return final, result.metrics
 
@@ -185,9 +162,7 @@ class Scheduler:
         if not nodes:
             return phase_metrics
 
-        round_limit = self._round_limit_factor * phase.max_rounds(
-            self.network.num_nodes, self.network.max_degree
-        )
+        round_limit = phase.max_rounds(self.network.num_nodes, self.network.max_degree)
 
         round_index = 0
         while any(not node.halted for node in nodes.values()):

@@ -4,10 +4,10 @@ Every engine ultimately manipulates *per-node state*.  The reference
 scheduler keeps one Python dictionary per node; the vectorized engine keeps
 a :class:`StateTable` -- its ``run`` seeds a table from ``initial_states``,
 executes through ``run_table`` and materializes dictionaries only for the
-result and for phases without a kernel.  For large instances per-node
-dictionaries are the bottleneck: every scheduler run would marshal ``n``
-dicts in and out, and the driver loops of Procedure Legal-Color would do
-per-node tuple bookkeeping between runs.
+result.  For large instances per-node dictionaries are the bottleneck:
+every scheduler run would marshal ``n`` dicts in and out, and the driver
+loops of Procedure Legal-Color would do per-node tuple bookkeeping between
+runs.
 
 :class:`StateTable` stores the same information column-wise:
 
@@ -160,11 +160,6 @@ class StateTable:
         else:
             present = None
             filled = values
-        return StateTable._classify_values(filled, present)
-
-    @staticmethod
-    def _classify_values(filled: List[Any], present: Optional[np.ndarray]) -> Any:
-        n = len(filled)
         live_values = [v for i, v in enumerate(filled) if present is None or present[i]]
         if live_values and all(type(v) is int for v in live_values):
             try:
@@ -306,35 +301,16 @@ class StateTable:
     # Object columns
     # ------------------------------------------------------------------ #
 
-    def set_objects(self, key: str, values: Iterable[Any]) -> None:
-        """Replace ``state[key]`` on every row with per-row Python objects."""
-        values = list(values)
-        if len(values) != self.num_rows:
-            raise InvalidParameterError(
-                f"column {key!r} must have {self.num_rows} values, got {len(values)}"
-            )
-        self._columns[key] = _ObjectColumn(values, None)
-
     def fill_object(self, key: str, value: Any) -> None:
         """Write the same (immutable) object into ``state[key]`` on every row."""
         self._columns[key] = _ObjectColumn([value] * self.num_rows, None)
 
-    def get_values(self, key: str) -> List[Any]:
-        """The per-row Python values of one column (fully present)."""
-        column = self._full_column(key)
-        if column.kind == INT_KIND:
-            return column.values.tolist()
-        if column.kind == PATH_KIND:
-            interned = column.interned
-            return [interned[i] for i in column.ids.tolist()]
-        return list(column.values)
-
     def get_values_or_none(self, key: str) -> List[Any]:
         """Per-row ``state.get(key)``: the value where present, else ``None``.
 
-        Unlike :meth:`get_values` this never raises -- a missing column (or a
-        row the presence mask excludes) yields ``None``, exactly like the
-        dict view's ``state.get``.
+        This never raises -- a missing column (or a row the presence mask
+        excludes) yields ``None``, exactly like the dict view's
+        ``state.get``.
         """
         if key not in self._columns:
             return [None] * self.num_rows
@@ -350,14 +326,6 @@ class StateTable:
             flags = column.present.tolist()
             values = [value if ok else None for value, ok in zip(values, flags)]
         return values
-
-    def set_values(self, key: str, values: Sequence[Any]) -> None:
-        """Replace one column from per-row Python values, re-classifying them."""
-        if len(values) != self.num_rows:
-            raise InvalidParameterError(
-                f"column {key!r} must have {self.num_rows} values, got {len(values)}"
-            )
-        self._columns[key] = self._classify_values(list(values), None)
 
     def copy_column(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every row, kind-preserving."""

@@ -1,12 +1,12 @@
-"""The array engine: numpy kernels, fused kernels, and the reference fallback.
+"""The array engine: numpy steps and fused kernels over the CSR arrays.
 
 The reference scheduler (:mod:`repro.local_model.scheduler`) executes one
 Python callback per node per round.  For the paper's *pure-color* phases --
 Linial's set-system recoloring, the Kuhn-Wattenhofer block reduction, the
 defective polynomial steps, the ``psi``-selection loop, the Corollary 5.4
-edge ranking -- a round's messages are just the nodes' current colors, so the
-entire round is expressible as array arithmetic over the CSR adjacency of a
-:class:`~repro.local_model.fast_network.FastNetwork`.
+edge ranking, Luby -- a round's messages are just the nodes' current colors,
+so the entire round is expressible as array arithmetic over the CSR
+adjacency of a :class:`~repro.local_model.fast_network.FastNetwork`.
 
 :class:`VectorizedScheduler` runs a phase that implements ``vector_run(ctx)``
 as that array program, where ``ctx`` is the :class:`VectorContext` defined
@@ -14,10 +14,10 @@ here.  The fused kernels of :mod:`repro.local_model.kernels` reach the phase
 as ``ctx.kernels`` (``None`` when no backend resolved or
 ``REPRO_KERNEL_BACKEND=none``): a phase with a fused kernel calls it for its
 inner step and runs its numpy step otherwise, so validation, metric charging
-and state writes live once, in ``vector_run``.  A phase without
-``vector_run`` (a user-defined phase) runs on the reference
-:class:`~repro.local_model.scheduler.Scheduler`, so a pipeline may freely mix
-both kinds.
+and state writes live once, in ``vector_run``.  Every phase the package
+ships has a ``vector_run``; a pipeline holding a phase without one (a
+user-defined phase) is rejected before any phase runs -- run it with
+``engine="reference"``.
 
 The contract is the reference scheduler's, for outputs and metrics:
 
@@ -36,17 +36,17 @@ all nodes halt together) is fully described by its round count.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
 from repro.local_model import kernels
-from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPhase
+from repro.local_model.algorithm import PhasePipeline, SynchronousPhase
 from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.local_model.network import Network
-from repro.local_model.scheduler import PhaseResult, Scheduler
+from repro.local_model.scheduler import PhaseResult
 from repro.local_model.state_table import StateTable
 
 
@@ -67,7 +67,7 @@ class VectorContext:
     metrics:
         The phase's metrics object, filled in through the charging helpers.
     round_limit:
-        The phase's round budget (``round_limit_factor * max_rounds``);
+        The phase's round budget (its ``max_rounds``);
         :meth:`check_round_budget` enforces it with the scheduler's exact
         exception.
     kernels:
@@ -82,7 +82,6 @@ class VectorContext:
         metrics: PhaseMetrics,
         round_limit: int,
         phase_name: str,
-        views_provider: Optional[Callable[[], List[LocalView]]] = None,
         kernels: Any = None,
     ) -> None:
         self.fast = fast
@@ -91,20 +90,10 @@ class VectorContext:
         self.round_limit = round_limit
         self.phase_name = phase_name
         self.kernels = kernels
-        self._views_provider = views_provider
 
     # ------------------------------------------------------------------ #
     # State columns
     # ------------------------------------------------------------------ #
-
-    @property
-    def views(self) -> List[LocalView]:
-        """The per-node :class:`LocalView` objects (built lazily)."""
-        if self._views_provider is None:
-            raise SimulationError(
-                f"phase {self.phase_name!r} asked for LocalViews but none are available"
-            )
-        return self._views_provider()
 
     def column(self, key: str) -> np.ndarray:
         """Gather ``state[key]`` over all nodes into a fresh ``int64`` array."""
@@ -124,14 +113,6 @@ class VectorContext:
             self.table.fill_int(key, value)
         else:
             self.table.fill_object(key, value)
-
-    def read_values(self, key: str) -> List[Any]:
-        """Gather ``state[key]`` over all nodes as plain Python values."""
-        return self.table.get_values(key)
-
-    def write_values(self, key: str, values: List[Any]) -> None:
-        """Write per-node Python values, re-typing the column as needed."""
-        self.table.set_values(key, values)
 
     def copy_key(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every node, kind-preserving."""
@@ -222,57 +203,31 @@ def check_color_range(colors: np.ndarray, palette: int, template: str) -> None:
 
 
 class VectorizedScheduler:
-    """Runs phases as ``vector_run`` array programs; falls back to reference.
+    """Runs phases as ``vector_run`` array programs.
 
-    Parameters are those of :class:`~repro.local_model.scheduler.Scheduler`:
-
+    Parameters
+    ----------
     network:
         The communication graph -- a :class:`Network` or a (possibly
         CSR-masked) :class:`FastNetwork`; a FastNetwork is used as-is, so
         recursion levels run on their filtered views without any rebuild.
-    globals_extra:
-        Additional globally known values exposed to every node's
-        :class:`~repro.local_model.algorithm.LocalView`.
-    round_limit_factor:
-        Multiplier applied to each phase's ``max_rounds`` safety bound.
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
-    is cached on the pipeline object), not per phase execution.  A phase
-    with ``vector_run`` runs it, with the resolved kernel backend as
-    ``ctx.kernels``.  A phase without ``vector_run`` runs on the reference
-    scheduler; such executions are recorded cumulatively on the
-    scheduler (:attr:`fallback_phases` / :attr:`fallback_phase_names`) and
-    per run on :class:`~repro.local_model.metrics.RunMetrics`.
+    is cached on the pipeline object), not per phase execution.  Every
+    phase runs its ``vector_run`` with the resolved kernel backend as
+    ``ctx.kernels``; a phase without ``vector_run`` makes :meth:`_compile`
+    raise :class:`~repro.exceptions.InvalidParameterError` before any phase
+    runs (such a phase runs on ``engine="reference"``).
 
     :meth:`run_table` is the engine's only execution path (:meth:`run`
     wraps it): the :class:`~repro.local_model.state_table.StateTable`
-    columns feed the kernels directly, and per-node state dictionaries (and
-    per-node :class:`~repro.local_model.algorithm.LocalView` objects) are
-    materialized only for a phase that needs them.
+    columns feed the kernels directly; no per-node state dictionary or
+    :class:`~repro.local_model.algorithm.LocalView` is ever built.
     """
 
-    def __init__(
-        self,
-        network: NetworkLike,
-        globals_extra: Optional[Mapping[str, Any]] = None,
-        round_limit_factor: int = 1,
-    ) -> None:
+    def __init__(self, network: NetworkLike) -> None:
         self._fast: FastNetwork = fast_view(network)
-        self._globals: Dict[str, Any] = {
-            "n": self._fast.num_nodes,
-            "max_degree": self._fast.max_degree,
-        }
-        if globals_extra:
-            self._globals.update(globals_extra)
-        if round_limit_factor < 1:
-            raise SimulationError("round_limit_factor must be at least 1")
-        self._round_limit_factor = round_limit_factor
         self._backend = kernels.get_backend()
-        self._reference: Optional[Scheduler] = None
-        #: Phase executions that ran on the reference scheduler (cumulative).
-        self.fallback_phases: int = 0
-        #: Names of those phases, in execution order.
-        self.fallback_phase_names: List[str] = []
 
     @property
     def network(self) -> Network:
@@ -290,13 +245,19 @@ class VectorizedScheduler:
 
     @staticmethod
     def _resolve_vector_run(phase: SynchronousPhase):
-        return getattr(phase, "vector_run", None)
+        vector_run = getattr(phase, "vector_run", None)
+        if vector_run is None:
+            raise InvalidParameterError(
+                f"phase {phase.name!r} has no vector_run; "
+                "run it with engine='reference'"
+            )
+        return vector_run
 
     @classmethod
     def _compile(
         cls, algorithm: Union[SynchronousPhase, PhasePipeline]
     ) -> Tuple[Tuple[SynchronousPhase, Any], ...]:
-        """The ``(phase, vector_run-or-None)`` execution plan of ``algorithm``.
+        """The ``(phase, vector_run)`` execution plan of ``algorithm``.
 
         For a :class:`PhasePipeline` the plan is computed once and cached on
         the pipeline object (dispatch does not depend on the scheduler
@@ -316,73 +277,23 @@ class VectorizedScheduler:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _resolved_globals(
-        self, globals_override: Optional[Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        global_values = dict(self._globals)
-        if globals_override:
-            global_values.update(globals_override)
-        return global_values
-
-    def _build_views(self, global_values: Mapping[str, Any]) -> List[LocalView]:
-        fast = self._fast
-        order = fast.order
-        unique_ids = fast.unique_ids.tolist()
-        neighbor_ids = fast.neighbor_ids
-        return [
-            LocalView(
-                node_id=order[i],
-                unique_id=unique_ids[i],
-                neighbors=neighbor_ids[i],
-                globals=global_values,
-            )
-            for i in range(fast.num_nodes)
-        ]
-
     def _run_vector_phase(
-        self,
-        phase: SynchronousPhase,
-        vector_run,
-        table: StateTable,
-        views_provider: Callable[[], List[LocalView]],
+        self, phase: SynchronousPhase, vector_run, table: StateTable
     ) -> PhaseMetrics:
         fast = self._fast
         phase_metrics = PhaseMetrics(name=phase.name)
         if fast.num_nodes == 0:
             return phase_metrics
-        round_limit = self._round_limit_factor * phase.max_rounds(
-            fast.num_nodes, fast.max_degree
+        round_limit = phase.max_rounds(fast.num_nodes, fast.max_degree)
+        vector_run(
+            VectorContext(fast, table, phase_metrics, round_limit, phase.name, self._backend)
         )
-        context = VectorContext(
-            fast, table, phase_metrics, round_limit, phase.name, views_provider, self._backend
-        )
-        vector_run(context)
         return phase_metrics
-
-    def _run_reference_phase(
-        self,
-        phase: SynchronousPhase,
-        table: StateTable,
-        globals_override: Optional[Mapping[str, Any]],
-        metrics: RunMetrics,
-    ) -> Tuple[StateTable, PhaseMetrics]:
-        if self._reference is None:
-            self._reference = Scheduler(
-                self._fast,
-                globals_extra=self._globals,
-                round_limit_factor=self._round_limit_factor,
-            )
-        table, run_metrics = self._reference.run_table(phase, table, globals_override)
-        self.fallback_phases += 1
-        self.fallback_phase_names.append(phase.name)
-        metrics.fallback_phase_names.append(phase.name)
-        return table, run_metrics.phases[0]
 
     def run(
         self,
         algorithm: Union[SynchronousPhase, PhasePipeline],
         initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
-        globals_override: Optional[Mapping[str, Any]] = None,
     ) -> PhaseResult:
         """Same contract as :meth:`Scheduler.run`, executed through :meth:`run_table`.
 
@@ -392,23 +303,20 @@ class VectorizedScheduler:
         """
         order = self._fast.order
         table = StateTable.from_mapping(initial_states or {}, order)
-        table, metrics = self.run_table(algorithm, table, globals_override)
+        table, metrics = self.run_table(algorithm, table)
         return PhaseResult(states=table.to_mapping(order), metrics=metrics)
 
     def run_table(
         self,
         algorithm: Union[SynchronousPhase, PhasePipeline],
         table: StateTable,
-        globals_override: Optional[Mapping[str, Any]] = None,
     ) -> Tuple[StateTable, RunMetrics]:
         """Run a phase or pipeline with a :class:`StateTable` as node state.
 
         ``table`` rows must be in this scheduler's dense node order (the
         ``order`` of its :class:`~repro.local_model.fast_network.FastNetwork`);
-        the input table is consumed and a table holding the final states is
-        returned together with the run's metrics.  Vectorized phases operate
-        directly on the table's columns; a phase without ``vector_run`` runs
-        on the reference scheduler through the table's dict view.
+        the phases operate directly on the table's columns, and the table is
+        returned together with the run's metrics.
         """
         fast = self._fast
         if table.num_rows != fast.num_nodes:
@@ -417,25 +325,10 @@ class VectorizedScheduler:
                 f"{fast.num_nodes} nodes"
             )
         plan = self._compile(algorithm)
-        views: Optional[List[LocalView]] = None
-
-        def views_provider() -> List[LocalView]:
-            nonlocal views
-            if views is None:
-                views = self._build_views(self._resolved_globals(globals_override))
-            return views
-
         metrics = RunMetrics()
         for phase, vector_run in plan:
             started = time.perf_counter()
-            if vector_run is None:
-                table, phase_metrics = self._run_reference_phase(
-                    phase, table, globals_override, metrics
-                )
-            else:
-                phase_metrics = self._run_vector_phase(
-                    phase, vector_run, table, views_provider
-                )
+            phase_metrics = self._run_vector_phase(phase, vector_run, table)
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
         return table, metrics

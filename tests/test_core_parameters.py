@@ -139,3 +139,68 @@ class TestImpliedExponent:
     def test_non_shrinking_parameters_report_infinity(self):
         params = LegalColorParameters(b=1, p=2, threshold=5, description="x")
         assert implied_color_exponent(params, c=2) == float("inf")
+
+
+class TestIndependenceBound:
+    """``c`` is checked once, as an integer, before any entry point runs."""
+
+    @staticmethod
+    def _entry_points():
+        from repro import graphs
+        from repro.core import (
+            color_vertices,
+            randomized_color_vertices,
+            run_defective_color,
+            tradeoff_color_vertices,
+        )
+
+        network = graphs.random_geometric(300, 0.12, seed=1)
+        return {
+            "legal_coloring": lambda c: color_vertices(network, c=c),
+            "tradeoff": lambda c: tradeoff_color_vertices(network, c=c, g=lambda delta: 2.0),
+            "randomized": lambda c: randomized_color_vertices(network, c=c),
+            "defective_coloring": lambda c: run_defective_color(network, b=1, p=2, c=c),
+        }
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, 0, -2, "3", None])
+    def test_every_entry_point_rejects_a_non_integer_or_small_c(self, bad, engine):
+        from repro.local_model import use_engine
+
+        with use_engine(engine):
+            for run in self._entry_points().values():
+                with pytest.raises(InvalidParameterError, match="c must be an integer"):
+                    run(bad)
+
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            lambda c: params_for_linear_colors(100, c),
+            lambda c: params_for_few_rounds(100, c),
+            lambda c: params_for_subpolynomial_rounds(100, c),
+            lambda c: implied_color_exponent(params_for_few_rounds(100, 2), c),
+        ],
+    )
+    def test_presets_reject_a_non_integer_c(self, preset):
+        for bad in (2.5, True, 0):
+            with pytest.raises(InvalidParameterError, match="c must be an integer"):
+                preset(bad)
+
+    def test_numpy_integer_c_yields_python_int_parameters(self):
+        import numpy as np
+
+        from repro import graphs
+        from repro.core import color_vertices
+        from repro.core.parameters import independence_bound
+
+        assert type(independence_bound(np.int64(3))) is int
+        for preset in (
+            params_for_linear_colors,
+            params_for_few_rounds,
+            params_for_subpolynomial_rounds,
+        ):
+            params = preset(100, np.int64(3))
+            assert params == preset(100, 3)
+            assert type(params.p) is int and type(params.threshold) is int
+        result = color_vertices(graphs.random_geometric(300, 0.12, seed=1), c=np.int64(3))
+        assert type(result.parameters.p) is int

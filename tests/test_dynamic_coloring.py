@@ -231,7 +231,7 @@ class TestSessionBehavior:
             assert (columns["reference"] == columns[config]).all()
             assert metrics["reference"] == metrics[config]
 
-    def test_vectorized_repairs_never_fall_back(self):
+    def test_vectorized_repairs_report_no_fallback(self):
         session = DynamicColoring(
             graphs.random_regular(48, 6, seed=1),
             c=6,
@@ -239,7 +239,9 @@ class TestSessionBehavior:
         )
         self._schedule(session, seed=3, steps=6, batch=10)
         assert any(r.conflicts for r in session.reports), "schedule never conflicted"
-        assert session.fallback_phase_names == []
+        # The fields perfbench still reads stay empty: there is no fallback.
+        assert all(report.fallback_phases == () for report in session.reports)
+        assert session.metrics.fallback_phase_names == []
 
     def test_reports_and_accessors(self):
         base = graphs.grid_graph(4, 4)

@@ -224,35 +224,47 @@ class TestSchedulerLevelEquivalence:
         self._compare(line, pipeline, initial_states=classes)
 
     def test_int_outside_int64_on_every_engine(self, grid_network):
-        # A value past int64 must stay a Python int in run() and run_table().
-        phase = RecordView()
-        self._compare(grid_network, phase)
-        reference = Scheduler(grid_network).run(phase).states
-        order = fast_view(grid_network).order
+        # A seeded value past int64 must stay a Python int in run() and
+        # run_table(), carried through a pure vector pipeline.
+        pipeline, _ = delta_plus_one_pipeline(
+            n=grid_network.num_nodes,
+            degree_bound=max(1, grid_network.max_degree),
+            output_key="c",
+        )
+        fast = fast_view(grid_network)
+        order = fast.order
+        seeds = {node: {"big": 2**70 + fast.unique_id(node)} for node in order}
+        self._compare(grid_network, pipeline, initial_states=seeds)
+        reference = Scheduler(grid_network).run(pipeline, initial_states=seeds).states
         for config in ENGINE_CONFIGS:
             with engine_config(config) as engine:
                 scheduler = make_scheduler(grid_network, engine=engine)
-                table, _ = scheduler.run_table(phase, StateTable(len(order)))
+                table = StateTable.from_mapping(seeds, order)
+                table, _ = scheduler.run_table(pipeline, table)
             assert table.to_mapping(order) == reference, config
 
     def test_array_built_views_hand_out_python_ints(self):
         # LocalViews, unique ids and neighbor ids of CSR-built and CSR-masked
         # views all come from int64 arrays; none may leak a numpy scalar.
+        # LocalViews exist on the reference engine only.
         base = graphs.random_regular(30, 6, seed=11)
         derived = base.filtered_by_labels(np.arange(base.num_nodes) % 2)
         pipeline, _ = delta_plus_one_pipeline(
             n=base.num_nodes, degree_bound=base.max_degree, output_key="c"
         )
         for network in (base, derived):
-            self._compare(network, PhasePipeline([*pipeline.phases, RecordView()]))
+            self._compare(network, pipeline)
+            recorded = Scheduler(network).run(RecordView()).states
+            assert_python_ints(recorded, "reference LocalView")
 
     def test_partial_mixed_seeds(self, small_regular):
         # Seeds cover three nodes only, one seed names no node of the network
-        # (ignored, like the reference), and values mix bool, None, tuple and
-        # list: the array engines carry them through their state table.
+        # (ignored, like the reference), and values mix bool, None, tuple,
+        # list and an int past int64: the array engines carry them through
+        # their state table.
         nodes = small_regular.nodes()
         seeds = {
-            nodes[0]: {"flag": True, "note": None},
+            nodes[0]: {"flag": True, "note": None, "big": 2**70},
             nodes[1]: {"flag": False, "pair": (1, 2), "items": [3, 4]},
             nodes[2]: {"pair": (5,), "c0": 7},
             "not-a-node": {"flag": True, "c0": 1},
@@ -262,11 +274,7 @@ class TestSchedulerLevelEquivalence:
             degree_bound=small_regular.max_degree,
             output_key="c",
         )
-        self._compare(
-            small_regular,
-            PhasePipeline([RecordView(), *pipeline.phases]),
-            initial_states=seeds,
-        )
+        self._compare(small_regular, pipeline, initial_states=seeds)
 
     def test_empty_network(self):
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
@@ -391,7 +399,7 @@ class TestRandomizedEquivalence:
 
 
 class TestBaselineEquivalence:
-    """Baselines exercise the generic (non-broadcast) fallback path too."""
+    """The baselines' own phases (Panconesi-Rizzi's reduction, Luby) match too."""
 
     def test_panconesi_rizzi(self, array_engine):
         network = graphs.random_regular(18, 4, seed=5)
@@ -412,17 +420,16 @@ class TestBaselineEquivalence:
         )
 
 
-class TestVectorizedFallbackAccounting:
-    """The Legal-Color pipeline runs fully vectorized -- zero reference fallbacks.
+class TestVectorRunOnly:
+    """The vectorized engine runs ``vector_run`` phases only.
 
-    The whole point of the columnar state store is that no phase of the
-    Legal-Color pipeline family hands execution back to per-node Python; the
-    ``fallback_phases`` counter on :class:`VectorizedScheduler` (and the
-    per-run ``RunMetrics.fallback_phase_names`` log) make that a testable
-    invariant instead of a performance anecdote.
+    Every phase the package ships defines ``vector_run``, so the
+    Legal-Color pipeline family runs on the columnar state store without
+    per-node Python.  A phase without ``vector_run`` (a user-defined phase)
+    is rejected before any phase runs; it runs on ``engine="reference"``.
     """
 
-    def test_legal_color_pipelines_have_zero_fallbacks(self, grid_network):
+    def test_legal_color_pipelines_run_vectorized(self, grid_network):
         from repro.local_model import StateTable, fast_view
 
         scheduler = VectorizedScheduler(grid_network)
@@ -442,33 +449,70 @@ class TestVectorizedFallbackAccounting:
         for pipeline in pipelines:
             table, metrics = scheduler.run_table(pipeline, table)
             assert metrics.fallback_phase_names == []
-        assert scheduler.fallback_phases == 0
-        assert scheduler.fallback_phase_names == []
         assert table.to_mapping(fast_view(grid_network).order)  # states produced
 
     def test_end_to_end_legal_coloring_reports_zero_fallbacks(self, small_regular):
         result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.metrics.fallback_phase_names == []
 
-    def test_undeclared_phase_is_counted_and_logged(self, triangle):
-        class OneShot(BroadcastPhase):
-            name = "one-shot"
+    def test_every_library_phase_defines_vector_run(self):
+        # Structural: nothing the package ships can reach the "no vector_run"
+        # error, so a library pipeline never needs the reference engine.
+        import importlib
+        import inspect
+        import pkgutil
 
-            def broadcast(self, view, state, round_index):
-                return SILENT
+        import repro
+        from repro.local_model.algorithm import SynchronousPhase
 
-            def receive(self, view, state, inbox, round_index):
-                return True
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(info.name)
 
-        scheduler = VectorizedScheduler(triangle)
-        result = scheduler.run(OneShot())
-        assert scheduler.fallback_phases == 1
-        assert scheduler.fallback_phase_names == ["one-shot"]
-        assert result.metrics.fallback_phase_names == ["one-shot"]
+        def concrete_subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from concrete_subclasses(sub)
 
-    def test_user_phase_mixed_into_vectorized_pipeline(self, small_regular, array_engine):
-        # A user-defined phase between two kernel phases runs on the reference
-        # scheduler; the pipeline as a whole still matches the reference.
+        library = {
+            cls
+            for cls in concrete_subclasses(SynchronousPhase)
+            if cls.__module__.startswith("repro.") and not inspect.isabstract(cls)
+        }
+        assert {cls.__name__ for cls in library} >= {
+            "CopyKeyPhase",
+            "DefectiveStepPhase",
+            "IterativeColorReductionPhase",
+            "KuhnDefectiveEdgeColoringPhase",
+            "KuhnWattenhoferReductionPhase",
+            "LinialColoringPhase",
+            "LubyRandomColoringPhase",
+            "PsiSelectionPhase",
+        }
+        missing = sorted(
+            f"{cls.__module__}.{cls.__qualname__}"
+            for cls in library
+            if not callable(getattr(cls, "vector_run", None))
+        )
+        assert missing == []
+
+    def test_phase_without_vector_run_raises_on_vectorized(self, small_regular):
+        with pytest.raises(
+            InvalidParameterError,
+            match=r"phase 'max-neighbor-id' has no vector_run; "
+            r"run it with engine='reference'",
+        ):
+            VectorizedScheduler(small_regular).run(MaxNeighborId())
+        # The same phase runs on the reference engine, unchanged.
+        result = Scheduler(small_regular).run(MaxNeighborId())
+        network = as_network(small_regular)
+        for node in network.nodes():
+            expected = max(network.unique_id(other) for other in (node, *network.neighbors(node)))
+            assert result.states[node]["seen"] == expected
+        assert result.metrics.rounds == 2
+
+    def test_mixed_pipeline_raises_before_any_phase_runs(self, small_regular, array_engine):
+        # A user-defined phase between two kernel phases: the vectorized
+        # engine names it and runs nothing; the input table is untouched.
         pipeline, _ = delta_plus_one_pipeline(
             n=small_regular.num_nodes,
             degree_bound=small_regular.max_degree,
@@ -476,15 +520,17 @@ class TestVectorizedFallbackAccounting:
         )
         first, *rest = pipeline.phases
         mixed = PhasePipeline([first, MaxNeighborId(), *rest, RecordView()])
-        reference = Scheduler(small_regular).run(mixed)
+        order = fast_view(small_regular).order
+        seeds = {node: {"seed": i} for i, node in enumerate(order)}
+        table = StateTable.from_mapping(seeds, order)
         scheduler = make_scheduler(small_regular, engine=array_engine)
-        candidate = scheduler.run(mixed)
-        assert candidate.states == reference.states
-        assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
-            reference.metrics
-        )
-        assert candidate.metrics.fallback_phase_names == ["max-neighbor-id", "record-view"]
-        assert scheduler.fallback_phase_names == ["max-neighbor-id", "record-view"]
+        with pytest.raises(InvalidParameterError, match="'max-neighbor-id'"):
+            scheduler.run_table(mixed, table)
+        assert table.keys() == ("seed",)
+        assert table.to_mapping(order) == seeds
+        # The same pipeline runs on the reference engine.
+        reference = make_scheduler(small_regular, engine="reference").run(mixed)
+        assert all("seen" in state and "c" in state for state in reference.states.values())
 
     def test_edge_mode_runs_vectorized(self):
         # The Corollary 5.4 edge phase has a CSR kernel (over the line-graph
@@ -656,8 +702,9 @@ class TestEngineSelection:
             switched = color_vertices(small_regular, c=4)
         assert switched.colors == baseline.colors
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_non_neighbor_message_rejected(self, triangle, engine):
+    def test_non_neighbor_message_rejected(self, triangle):
+        # Message validation is the reference engine's; a phase with a send
+        # callback but no vector_run never reaches the vectorized engine.
         from repro.exceptions import SimulationError
         from repro.local_model import SynchronousPhase
 
@@ -671,10 +718,9 @@ class TestEngineSelection:
                 return True
 
         with pytest.raises(SimulationError):
-            make_scheduler(triangle, engine=engine).run(Misbehaving())
+            make_scheduler(triangle, engine="reference").run(Misbehaving())
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_round_limit_enforced(self, triangle, engine):
+    def test_round_limit_enforced(self, triangle):
         from repro.exceptions import RoundLimitExceeded
         from repro.local_model import SynchronousPhase
 
@@ -691,16 +737,26 @@ class TestEngineSelection:
                 return 5
 
         with pytest.raises(RoundLimitExceeded):
-            make_scheduler(triangle, engine=engine).run(NeverHalting())
+            make_scheduler(triangle, engine="reference").run(NeverHalting())
 
-    def test_vectorized_falls_back_for_undeclared_phases(self, small_regular):
-        """A custom phase without a kernel runs on the reference path, unchanged."""
-        reference = Scheduler(small_regular).run(MaxNeighborId())
-        vectorized = VectorizedScheduler(small_regular).run(MaxNeighborId())
-        assert vectorized.states == reference.states
-        assert metrics_fingerprint(vectorized.metrics) == metrics_fingerprint(
-            reference.metrics
-        )
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_vector_run_round_budget_matches_reference(self, config):
+        # VectorContext.check_round_budget raises the reference scheduler's
+        # exception with the reference text, kernels on or off.
+        from repro.baselines.luby_random import LubyRandomColoringPhase
+        from repro.exceptions import RoundLimitExceeded
+
+        class OneRoundLuby(LubyRandomColoringPhase):
+            def max_rounds(self, n, max_degree):
+                return 1
+
+        network = graphs.random_regular(200, 8, seed=1)
+        message = "phase 'luby[9]' exceeded its round budget of 1"
+        with engine_config(config) as engine:
+            scheduler = make_scheduler(network, engine=engine)
+            with pytest.raises(RoundLimitExceeded) as raised:
+                scheduler.run(OneRoundLuby(palette=9, seed=0))
+        assert str(raised.value) == message
 
 
 class TestKernelsResolution:
@@ -715,7 +771,7 @@ class TestKernelsResolution:
         assert result.metrics.fallback_phase_names == []
 
     def test_kernels_off_match_kernels_on_and_record_no_loss(self, small_regular):
-        # Switching kernels off runs numpy, not the reference fallback.
+        # Switching kernels off runs the numpy steps of the same vector_run.
         with engine_config("kernels-on"):
             baseline = color_vertices(small_regular, c=4, engine="vectorized")
         with engine_config("kernels-off"):

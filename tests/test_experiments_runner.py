@@ -240,6 +240,39 @@ class TestScenarioAndCache:
         with pytest.raises(InvalidParameterError):
             ExperimentRunner(max_workers=0).run([scenario])
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "legal_coloring",
+            "edge_coloring",
+            "tradeoff",
+            "randomized_coloring",
+            "panconesi_rizzi",
+            "luby_edge",
+        ],
+    )
+    def test_runners_verify_through_the_color_column(self, algorithm, monkeypatch):
+        # Every algorithm result carries a color column, so every runner
+        # verifies through it -- never through the identifier mapping.
+        import numpy as np
+
+        import repro.verification as verification
+        from repro.experiments.scenarios import ALGORITHMS
+
+        seen = []
+        for name in ("assert_legal_vertex_coloring", "assert_legal_edge_coloring"):
+            oracle = getattr(verification, name)
+
+            def spy(network, colors, *args, _oracle=oracle, **kwargs):
+                seen.append(type(colors))
+                return _oracle(network, colors, *args, **kwargs)
+
+            monkeypatch.setattr(verification, name, spy)
+        network = GraphSpec("random_regular", n=16, degree=4, seed=1).build()
+        payload = ALGORITHMS[algorithm](network, {"c": 4}, "vectorized", False)
+        assert payload["verified"] is True
+        assert seen == [np.ndarray]
+
     def test_unknown_graph_family_rejected(self):
         with pytest.raises(InvalidParameterError):
             GraphSpec("no-such-family", n=4).build()

@@ -553,6 +553,36 @@ class TestNetworkFreeEntryPath:
         with pytest.raises(InvalidParameterError, match="self-loops"):
             FastNetwork.from_csr([0, 1, 2], [0, 1])
 
+    def test_non_integer_endpoints_are_rejected_not_truncated(self):
+        # Floats and bools used to be cast silently: [0.7]-[1.2] built edge
+        # 0-1 and num_nodes=2.5 gave two nodes.  Every array entry point now
+        # refuses them; empty inputs (float64 under np.asarray) still pass.
+        from repro.dynamic import DynamicColoring
+
+        dtype = "must hold integers"
+        for u, v in (([0.7], [1.2]), ([0.0], [1.0]), ([True], [False])):
+            with pytest.raises(InvalidParameterError, match=dtype):
+                FastNetwork.from_edge_array(u, v, num_nodes=2)
+        with pytest.raises(InvalidParameterError, match="num_nodes must be an integer"):
+            FastNetwork.from_edge_array([0], [1], num_nodes=2.5)
+        assert FastNetwork.from_edge_array([], [], num_nodes=3).num_edges == 0
+        assert FastNetwork.from_edge_array([0], [1], num_nodes=np.int64(2)).num_edges == 1
+        with pytest.raises(InvalidParameterError, match=dtype):
+            FastNetwork.from_csr([0.0, 1.0, 2.0], [1, 0])
+        with pytest.raises(InvalidParameterError, match=dtype):
+            FastNetwork.from_csr([0, 1, 2], [1.0, 0.0])
+        base = graphs.grid_graph(4, 4)
+        with pytest.raises(InvalidParameterError, match=dtype):
+            base.with_edge_updates([0.5], [3], [], [])
+        assert base.with_edge_updates([], [], [], []).num_edges == base.num_edges
+        session = DynamicColoring(base, c=2)
+        for batch in (np.array([[0.5, 3.7]]), ([0.0], [3.0]), np.array([[True, False]])):
+            with pytest.raises(InvalidParameterError, match=dtype):
+                session.apply_updates(batch)
+        assert session.network.num_edges == base.num_edges
+        for empty in ([], np.zeros((0, 2)), ([], [])):
+            assert session.apply_updates(empty).edges_added == 0
+
     def test_custom_identifiers_and_unique_ids(self):
         names = ("a", "b", "c")
         fast = FastNetwork.from_edge_array(

@@ -1,13 +1,14 @@
-"""Unit tests for the Lemma 5.2 simulation layer and the utility phases."""
+"""Unit tests for the Lemma 5.2 simulation layer and the copy glue phase."""
 
 from __future__ import annotations
 
+import pytest
 
 from repro import graphs
-from repro.local_model import Scheduler
+from repro.local_model import make_scheduler
 from repro.local_model.line_graph_sim import simulate_on_line_graph
 from repro.primitives.linial import LinialColoringPhase
-from repro.primitives.util_phases import ConstantColorPhase, CopyKeyPhase, TransformKeyPhase
+from repro.primitives.util_phases import CopyKeyPhase
 from repro.verification.coloring import assert_legal_vertex_coloring
 
 
@@ -57,25 +58,12 @@ class TestSimulateOnLineGraph:
         assert_legal_vertex_coloring(result.line_network, colors)
 
 
-class TestUtilityPhases:
-    def test_copy_key_phase(self, triangle):
-        result = Scheduler(triangle).run(
+class TestCopyKeyPhase:
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_copy_key_phase(self, triangle, engine):
+        result = make_scheduler(triangle, engine=engine).run(
             CopyKeyPhase("a", "b"),
             initial_states={node: {"a": triangle.unique_id(node)} for node in triangle.nodes()},
         )
         assert result.extract("b") == {node: triangle.unique_id(node) for node in triangle.nodes()}
         assert result.metrics.rounds == 0
-
-    def test_constant_color_phase(self, triangle):
-        result = Scheduler(triangle).run(ConstantColorPhase("c", color=7))
-        assert set(result.extract("c").values()) == {7}
-
-    def test_transform_key_phase_uses_local_view(self, triangle):
-        phase = TransformKeyPhase(
-            "a", "b", lambda view, value: value + view.unique_id, name="shift"
-        )
-        result = Scheduler(triangle).run(
-            phase, initial_states={node: {"a": 10} for node in triangle.nodes()}
-        )
-        for node, value in result.extract("b").items():
-            assert value == 10 + triangle.unique_id(node)

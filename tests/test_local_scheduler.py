@@ -160,10 +160,6 @@ class TestScheduler:
         with pytest.raises(RoundLimitExceeded):
             Scheduler(triangle).run(NeverHaltingPhase())
 
-    def test_round_limit_factor_must_be_positive(self, triangle):
-        with pytest.raises(SimulationError):
-            Scheduler(triangle, round_limit_factor=0)
-
     def test_globals_exposed_to_views(self, small_regular):
         class InspectGlobals(LocalComputationPhase):
             name = "inspect"
@@ -171,14 +167,13 @@ class TestScheduler:
             def compute(self, view, state):
                 state["n"] = view.globals["n"]
                 state["max_degree"] = view.globals["max_degree"]
-                state["extra"] = view.globals.get("extra")
+                state["keys"] = sorted(view.globals)
 
-        scheduler = Scheduler(small_regular, globals_extra={"extra": 42})
-        result = scheduler.run(InspectGlobals())
+        result = Scheduler(small_regular).run(InspectGlobals())
         some_state = next(iter(result.states.values()))
         assert some_state["n"] == small_regular.num_nodes
         assert some_state["max_degree"] == small_regular.max_degree
-        assert some_state["extra"] == 42
+        assert some_state["keys"] == ["max_degree", "n"]
 
     def test_empty_network_runs_without_rounds(self):
         empty = Network({})

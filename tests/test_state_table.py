@@ -114,8 +114,6 @@ class TestColumns:
         table = StateTable(3)
         with pytest.raises(InvalidParameterError):
             table.set_ints("c", np.array([1, 2]))
-        with pytest.raises(InvalidParameterError):
-            table.set_objects("o", [1, 2])
         table.fill_path("_path", ())
         with pytest.raises(InvalidParameterError):
             table.append_to_paths("_path", np.array([1, 2]))
@@ -131,16 +129,6 @@ class TestColumns:
         assert rows[0]["i2"] == 1 and rows[0]["p2"] == (1,) and rows[0]["o2"] == [2]
         # Object copies are by reference, exactly like state[t] = state[s].
         assert rows[0]["o2"] is rows[0]["o"]
-
-    def test_set_values_reclassifies(self):
-        table = StateTable(2)
-        table.set_values("k", [1, 2])
-        assert table.kind("k") == "int"
-        table.set_values("k", [(1,), (2,)])
-        assert table.kind("k") == "path"
-        table.set_values("k", [1, (2,)])
-        assert table.kind("k") == "object"
-        assert table.to_dicts() == [{"k": 1}, {"k": (2,)}]
 
 
 class TestPathColumns:
@@ -250,7 +238,6 @@ class TestRunTable:
         pipeline = self._pipeline(small_regular)
         scheduler = VectorizedScheduler(small_regular)
         final, _ = scheduler.run_table(pipeline, StateTable(small_regular.num_nodes))
-        assert scheduler.fallback_phases == 0
         assert final.kind("d") == "int"
 
     def test_empty_network_run_table(self):
