@@ -19,7 +19,6 @@ colorings, states and metrics (the equivalence suite locks this down).
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -34,6 +33,7 @@ from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.state_table import StateTable
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
+from repro.core.parameters import integer_seed
 from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
 from repro.local_model.metrics import RunMetrics
 
@@ -76,16 +76,9 @@ class LubyRandomColoringPhase(BroadcastPhase):
     ) -> None:
         if palette < 1:
             raise InvalidParameterError("palette must be at least 1")
-        # Same rule as the kernel thread count: a true integer, not a bool.
-        try:
-            index = operator.index(seed)
-        except TypeError:
-            index = None
-        if index is None or isinstance(seed, bool):
-            raise InvalidParameterError(f"Luby seed must be an integer, got {seed!r}")
         self.name = f"luby[{palette}]"
         self.palette = palette
-        self.seed = index
+        self.seed = integer_seed(seed, "Luby seed")
         self.output_key = output_key
 
     def initialize(self, view: LocalView, state: Dict[str, Any]) -> None:

@@ -48,6 +48,16 @@ def independence_bound(c) -> int:
     return value
 
 
+def integer_seed(seed, what: str) -> int:
+    """A random seed as a Python ``int``, by the rule of :func:`independence_bound`."""
+    try:
+        if not isinstance(seed, bool):
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class LegalColorParameters:
     """A concrete parameter choice for Procedure Legal-Color.

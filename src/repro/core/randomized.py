@@ -29,6 +29,7 @@ from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
 from repro.core.parameters import (
     LegalColorParameters,
     independence_bound,
+    integer_seed,
     params_for_few_rounds,
 )
 
@@ -86,12 +87,14 @@ def randomized_color_vertices(
     c:
         The independence bound.
     seed:
-        Seed of the (per-vertex, identifier-keyed) randomness; runs are
-        reproducible given the seed.
+        Integer seed of the (per-vertex, identifier-keyed) randomness; runs
+        are reproducible given the seed.  Bools and non-integers raise
+        :class:`~repro.exceptions.InvalidParameterError`.
     parameters:
         Optional explicit Legal-Color parameters for the per-class coloring.
     """
     c = independence_bound(c)
+    seed = integer_seed(seed, "randomized seed")
     fast = fast_view(network)
     n = max(2, fast.num_nodes)
     delta = fast.max_degree

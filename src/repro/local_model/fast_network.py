@@ -163,10 +163,12 @@ class FastNetwork:
         (an ``int64`` array).
     indptr, indices:
         The CSR arrays (``int64``): the neighbors of node ``i`` are the dense
-        indices ``indices[indptr[i]:indptr[i + 1]]``.
+        indices ``indices[indptr[i]:indptr[i + 1]]``, ascending (unique-id
+        order) except on an ``L(G)`` view and its masks, whose rows are in
+        incidence order (see :meth:`ascending_rows`).
     neighbor_ids:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
-        ``i`` in deterministic order (shared with the owning network, so
+        ``i`` in CSR row order (shared with the owning network, so
         :class:`~repro.local_model.algorithm.LocalView` construction is free).
     degrees:
         ``degrees[i]`` is the degree of node ``i`` (an ``int64`` array).
@@ -189,7 +191,7 @@ class FastNetwork:
     )
 
     def __init__(self, network: Optional[Network]) -> None:
-        #: Derived arrays computed on first use (``rows``, ``edge_keys``).
+        #: Derived arrays computed on first use (``rows``, ``edge_keys``, ``ascending_indices``).
         self._np_cache: Dict[str, np.ndarray] = {}
         #: Dense incidence encoding for line-graph views (see
         #: :mod:`repro.local_model.line_csr`); ``None`` on ordinary networks.
@@ -486,7 +488,7 @@ class FastNetwork:
         """Per-node neighbor *identifier* tuples (lazy on derived views).
 
         Views compiled from a :class:`Network` share the network's tuples;
-        CSR-masked views materialize them from the CSR arrays on first use --
+        other views materialize them from the CSR rows on first use --
         the fully vectorized execution path never needs them, so deriving a
         recursion level's sub-view stays free of per-node Python work.
         """
@@ -519,11 +521,6 @@ class FastNetwork:
         return self.degrees
 
     @property
-    def unique_ids_np(self) -> np.ndarray:
-        """``unique_ids`` (kept for callers that spell the array name this way)."""
-        return self.unique_ids
-
-    @property
     def rows_np(self) -> np.ndarray:
         """``rows_np[e]`` is the *source* node of CSR entry ``e`` (cached).
 
@@ -539,20 +536,36 @@ class FastNetwork:
 
     @property
     def edge_keys_np(self) -> np.ndarray:
-        """``rows_np * num_nodes + indices_np``: directed-entry keys (cached).
+        """The directed-entry keys ``row * num_nodes + col``, ascending (cached).
 
-        The keys are globally ascending (rows ascend, and neighbor lists
-        ascend within a row), so presence tests and delta merges are plain
-        ``searchsorted`` work.  :meth:`with_edge_updates` hands the merged
-        key array straight to the derived view's cache, so a chain of
-        patches never recomputes it from ``rows_np``.
+        Presence tests and delta merges are plain ``searchsorted`` work on
+        them.  The order is checked once, when the keys are first computed;
+        an ``L(G)`` view's keys are sorted then.  :meth:`with_edge_updates`
+        hands the merged keys straight to the derived view's cache, so a
+        chain of patches never recomputes or rechecks them.
         """
         cached = self._np_cache.get("edge_keys")
         if cached is None:
-            cached = self._np_cache["edge_keys"] = (
-                self.rows_np * self.num_nodes + self.indices_np
-            )
+            cached = self.rows_np * self.num_nodes + self.indices_np
+            if not (cached[1:] > cached[:-1]).all():
+                cached.sort()
+                self._np_cache["ascending_indices"] = cached % self.num_nodes
+            self._np_cache["edge_keys"] = cached
         return cached
+
+    def ascending_rows(self) -> "FastNetwork":
+        """This view, or its sibling listing every row's neighbors ascending.
+
+        For consumers that read the entries with ``row < col`` as the
+        canonical edges in pair-key order, or merge against the keys.
+        """
+        keys = self.edge_keys_np
+        indices = self._np_cache.get("ascending_indices")
+        if indices is None:
+            return self
+        sibling = self._sibling(self.indptr, indices, self.degrees, self.line_meta)
+        sibling._np_cache["edge_keys"] = keys
+        return sibling
 
     # ------------------------------------------------------------------ #
     # CSR masking: derived sub-networks without Network rebuilds
@@ -671,7 +684,8 @@ class FastNetwork:
         a full symmetrize-lexsort over the whole edge set, so a small batch
         costs ``O(|E| + |batch| log |batch|)`` straight array work (the
         ``O(|E|)`` part is just masks/inserts on the key and index columns;
-        no per-entry key decode, no full bincount).
+        no per-entry key decode, no full bincount).  This view's rows may be
+        in any order; the derived view's are ascending.
 
         Semantics match :meth:`from_edge_array`: the node set is fixed,
         duplicate insertions (and insertions of already-present edges) are
@@ -703,8 +717,8 @@ class FastNetwork:
         # The key and index columns are patched in lockstep, and degrees are
         # adjusted per affected row -- the only O(|E|) work is the masks and
         # inserts themselves; rows are never decoded out of the keys.
-        keys = self.edge_keys_np
-        cols = self.indices_np
+        base = self.ascending_rows()
+        keys, cols = base.edge_keys_np, base.indices
         degrees = self.degrees_np.copy()
         if len(remove_u):
             drop = np.unique(

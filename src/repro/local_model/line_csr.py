@@ -1,25 +1,20 @@
 """CSR line-graph construction and the dense incidence encoding.
 
 The paper's entire edge-coloring route (Section 5) runs vertex-coloring
-algorithms on the line graph ``L(G)``.  The legacy constructor
-(:func:`repro.graphs.line_graph.build_line_graph_network`) builds ``L(G)`` as
-a :class:`~repro.local_model.network.Network` with pure-Python dict-of-set
-bookkeeping -- ``O(sum_v deg(v)^2)`` Python-level work plus a full
-:class:`Network` re-sort -- which dominated the wall clock of ``color_edges``
-long before a single round was simulated.
-
-:func:`build_line_graph_fast` derives ``L(G)`` directly from the CSR arrays
-of ``G``'s :class:`~repro.local_model.fast_network.FastNetwork` view:
+algorithms on the line graph ``L(G)``.  :func:`build_line_graph_fast`
+derives ``L(G)`` directly from the CSR arrays of ``G``'s
+:class:`~repro.local_model.fast_network.FastNetwork` view, with no Python
+per-edge work and no sort:
 
 * the canonical edges of ``G`` (ordered by endpoint unique id, Lemma 5.2's
   pair-identifier scheme) are exactly the CSR entries with
   ``row < column`` -- dense node order *is* unique-id order -- and their CSR
   enumeration order is the lexicographic pair-key order, so the line-graph
   unique ids ``1..|E|`` fall out of one boolean mask;
-* the adjacency of ``L(G)`` (edges sharing an endpoint) is the per-vertex
-  clique over ``G``'s incidence lists, expanded with ``repeat``/modular
-  arithmetic and finished with one in-place sort of a combined
-  ``src * |E| + dst`` key -- no Python per-edge work;
+* the adjacency of ``L(G)`` is one incidence gather: Lemma 5.2 simulates
+  ``e = (u, v)`` at its endpoints, so row ``e`` is ``inc(u) \\ {e}`` then
+  ``inc(v) \\ {e}``.  Rows are in incidence order, not ascending; every
+  consumer is row-order free (``tests/test_line_graph_row_order.py``);
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
   the API boundary (result extraction, reference-engine audits), exactly
@@ -36,10 +31,9 @@ of Procedure Legal-Color) inherit the encoding, so the whole edge-mode
 recursion stays on the array path.
 
 ``FastNetwork.to_network()`` on the returned view materializes the *exact*
-legacy ``Network`` (same node identifiers, same unique ids, same adjacency
-and orderings), which keeps the reference engine and every existing caller
-auditable against the Python constructor (property-tested in
-``tests/test_graphs_line_graph.py``).
+``Network`` of :func:`repro.graphs.line_graph.build_line_graph_network`
+(``Network`` orders neighbors itself), which keeps the reference engine
+auditable against it (property-tested in ``tests/test_graphs_line_graph.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
-from repro.local_model.fast_network import _KEY_LIMIT
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
 #: (kept identical to the scalar phase's ``initialize`` message).
@@ -124,20 +117,40 @@ def _node_sort_ranks(identifiers: Tuple) -> np.ndarray:
     return ranks
 
 
+def entry_edge_ids(g: FastNetwork) -> np.ndarray:
+    """Canonical-edge index of every directed CSR entry of ``g`` (rows ascending).
+
+    Forward entries (``row < col``) count off ``0..m-1`` in pair-key order;
+    each backward entry finds its twin by pair-key binary search.
+    """
+    rows, cols = g.rows_np, g.indices
+    forward = rows < cols
+    eid = np.empty(len(rows), dtype=np.int64)
+    eid[forward] = np.arange(int(forward.sum()), dtype=np.int64)
+    backward = ~forward
+    eid[backward] = np.searchsorted(
+        g.edge_keys_np[forward], cols[backward] * g.num_nodes + rows[backward]
+    )
+    return eid
+
+
 def build_line_graph_fast(network) -> FastNetwork:
     """Derive ``L(G)`` as a :class:`FastNetwork` straight from ``G``'s CSR.
 
     ``network`` may be a :class:`~repro.local_model.network.Network` or a
-    (possibly CSR-masked) :class:`FastNetwork`.  The result carries a
+    :class:`FastNetwork` with rows in any order (a CSR-masked view, or an
+    ``L(G)`` view itself).  Row ``e = (u, v)`` of the result lists
+    ``inc(u) \\ {e}`` then ``inc(v) \\ {e}``, each in ``G``'s neighbor
+    order -- incidence order, not ascending.  The result carries a
     :class:`LineGraphMeta` (``line_meta`` attribute) and defers its
     edge-tuple node identifiers behind a lazy provider; its unique ids are
-    ``1..|E|`` in lexicographic pair-key order, matching the legacy
+    ``1..|E|`` in lexicographic pair-key order, matching the pure-Python
     constructor bit for bit (``to_network()`` materializes the identical
     :class:`Network`).
     """
-    g = fast_view(network)
+    g = fast_view(network).ascending_rows()
     n = g.num_nodes
-    rows, cols = g.rows_np, g.indices_np
+    rows, cols = g.rows_np, g.indices
 
     # Canonical edges: dense order is unique-id order, so the CSR entries
     # with row < col enumerate the pairs (Id(u), Id(v)), u < v, already in
@@ -147,45 +160,25 @@ def build_line_graph_fast(network) -> FastNetwork:
     edge_v = cols[forward]
     m = len(edge_u)
 
-    # Edge index of every directed CSR entry of G (the per-vertex incidence
-    # CSR): forward entries count off 0..m-1; each backward entry finds its
-    # canonical twin by pair-key binary search.
-    eid = np.empty(len(rows), dtype=np.int64)
-    eid[forward] = np.arange(m, dtype=np.int64)
-    backward = ~forward
-    if m:
-        keys = edge_u * n + edge_v  # sorted ascending by construction
-        eid[backward] = np.searchsorted(keys, cols[backward] * n + rows[backward])
-
-    # Clique expansion: edges e != f are adjacent in L(G) iff they share an
-    # endpoint, and a simple graph's edges share at most one, so emitting
-    # every ordered pair within every vertex's incidence list enumerates each
-    # directed line-graph edge exactly once.
-    degrees = g.degrees_np
-    pair_counts = degrees * degrees
-    total = int(pair_counts.sum())
-    src = np.repeat(eid, np.repeat(degrees, degrees))
-    block_offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(pair_counts[:-1], out=block_offsets[1:])
-    position = np.arange(total, dtype=np.int64) - np.repeat(block_offsets, pair_counts)
-    width = np.repeat(degrees, pair_counts)
-    starts = np.repeat(g.indptr_np[:-1], pair_counts)
-    dst = eid[starts + position % width]  # width >= 1 on every emitted entry
-    del position, width, starts
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    del keep
-    if m * m < _KEY_LIMIT:  # one int64 key, sorted and decoded in place
-        line_indices = src * m + dst
-        line_indices.sort()
-        line_indices %= m
-    else:
-        line_indices = dst[_lexsort_pairs(src, dst)]
-    del src, dst
-    # Edge (u, v) of a simple graph meets deg(u) + deg(v) - 2 others.
-    line_degrees = degrees[edge_u] + degrees[edge_v] - 2
+    eid = entry_edge_ids(g)  # the per-vertex incidence CSR
+    backward = np.flatnonzero(~forward)
+    # The incidence gather (Lemma 5.2 simulates e = (u, v) at its endpoints):
+    # row e reads G's row u around e's own entry u -> v, then row v around
+    # the twin v -> u.  Two edges of a simple graph share at most one
+    # endpoint, so no neighbour repeats.
+    own = np.empty(2 * m, dtype=np.int64)  # chunk 2e: slot of u -> v; 2e + 1: v -> u
+    own[0::2] = np.flatnonzero(forward)
+    own[1::2][eid[backward]] = backward
+    chunk_rows = rows[own]
+    chunk_sizes = g.degrees[chunk_rows] - 1
+    line_degrees = chunk_sizes[0::2] + chunk_sizes[1::2]
     line_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(line_degrees, out=line_indptr[1:])
+    # Slot k of a chunk is CSR slot indptr[row] + k, stepping over its own.
+    slot = np.repeat(g.indptr[chunk_rows] - (np.cumsum(chunk_sizes) - chunk_sizes), chunk_sizes)
+    slot += np.arange(len(slot), dtype=np.int64)
+    slot += slot >= np.repeat(own, chunk_sizes)
+    line_indices = eid[slot]
 
     # The Corollary 5.4 ranking key: node_sort_key order over the edge
     # tuples is lexicographic over the endpoints' node_sort_key ranks.  The
@@ -211,7 +204,7 @@ def build_line_graph_fast(network) -> FastNetwork:
         edge_u=edge_u,
         edge_v=edge_v,
         sort_rank=sort_rank,
-        vert_indptr=g.indptr_np,
+        vert_indptr=g.indptr,
         vert_edges=eid,
         source=g,
     )

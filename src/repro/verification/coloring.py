@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.exceptions import ColoringError
 from repro.local_model.fast_network import FastNetwork, NetworkLike, _lexsort_pairs, fast_view
+from repro.local_model.line_csr import entry_edge_ids
 from repro.local_model.network import Network
 
 EdgeKey = Tuple[Hashable, Hashable]
@@ -165,10 +166,11 @@ def _find_vertex_violation_arrays(
     conflict = column[rows] == column[cols]
     if not conflict.any():
         return None
-    # CSR entries with row < col enumerate the canonical edges in exactly the
-    # (unique-id, unique-id) order Network.edges() iterates, so the first
-    # forward conflict is the same edge the mapping-based scan reports.
-    forward = np.flatnonzero(conflict & (rows < cols))[0]
+    # The forward conflict with the smallest (row, col) is the canonical edge
+    # Network.edges() reaches first: the edge the mapping-based scan reports,
+    # whatever order each row lists its neighbors in.
+    hits = np.flatnonzero(conflict & (rows < cols))
+    forward = hits[np.argmin(rows[hits] * fast.num_nodes + cols[hits])]
     order = fast.order
     return (order[int(rows[forward])], order[int(cols[forward])])
 
@@ -240,23 +242,6 @@ def _edge_column(fast: FastNetwork, edge_colors: ColorsLike) -> np.ndarray:
     return column
 
 
-def _entry_edge_ids(fast: FastNetwork) -> np.ndarray:
-    """Canonical-edge index of every directed CSR entry."""
-    rows, cols = fast.rows_np, fast.indices_np
-    n = fast.num_nodes
-    forward = rows < cols
-    edge_ids = np.empty(len(rows), dtype=np.int64)
-    num_edges = int(forward.sum())
-    edge_ids[forward] = np.arange(num_edges, dtype=np.int64)
-    if num_edges:
-        keys = rows[forward] * n + cols[forward]  # ascending by construction
-        backward = ~forward
-        edge_ids[backward] = np.searchsorted(
-            keys, cols[backward] * n + rows[backward]
-        )
-    return edge_ids
-
-
 def _normalize_edge_colors(
     network: Network, edge_colors: Mapping[EdgeKey, int]
 ) -> Dict[frozenset, int]:
@@ -276,7 +261,7 @@ def is_legal_edge_coloring(
 ) -> bool:
     """Whether ``edge_colors`` is a legal edge coloring of ``network``."""
     if _use_arrays(network, edge_colors):
-        fast = fast_view(network)
+        fast = fast_view(network).ascending_rows()
         column = _edge_column(fast, edge_colors)
         edge_u, edge_v = _canonical_edge_endpoints(fast)
         endpoints = np.concatenate([edge_u, edge_v])
@@ -295,7 +280,7 @@ def assert_legal_edge_coloring(
 ) -> None:
     """Raise :class:`~repro.exceptions.ColoringError` if the edge coloring is not legal."""
     if _use_arrays(network, edge_colors):
-        fast = fast_view(network)
+        fast = fast_view(network).ascending_rows()
         column = _edge_column(fast, edge_colors)
         violation = _find_edge_violation_arrays(fast, column)
     else:
@@ -310,7 +295,7 @@ def assert_legal_edge_coloring(
 def edge_coloring_defect(network: NetworkLike, edge_colors: ColorsLike) -> int:
     """The defect of an edge coloring (max incident same-colored edges per edge)."""
     if _use_arrays(network, edge_colors):
-        fast = fast_view(network)
+        fast = fast_view(network).ascending_rows()
         column = _edge_column(fast, edge_colors)
         num_edges = len(column)
         if num_edges == 0:
@@ -362,7 +347,7 @@ def _find_edge_violation_arrays(
     rows = fast.rows_np
     if not len(rows):
         return None
-    entry_colors = column[_entry_edge_ids(fast)]
+    entry_colors = column[entry_edge_ids(fast)]
     by_row_color = _lexsort_pairs(rows, entry_colors)
     r_sorted = rows[by_row_color]
     c_sorted = entry_colors[by_row_color]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import graphs
@@ -44,6 +45,18 @@ class TestRandomizedColoring:
         first = randomized_color_vertices(network, c=2, seed=7)
         second = randomized_color_vertices(network, c=2, seed=7)
         assert first.colors == second.colors
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, False, None])
+    def test_non_integer_seed_rejected(self, fig1_graph, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            randomized_color_vertices(fig1_graph, c=2, seed=seed)
+
+    def test_numpy_integer_seed_same_as_int(self):
+        network = graphs.clique_with_pendants(20)
+        as_numpy = randomized_color_vertices(network, c=2, seed=np.int64(7))
+        as_int = randomized_color_vertices(network, c=2, seed=7)
+        assert as_numpy.class_assignment == as_int.class_assignment
+        assert as_numpy.colors == as_int.colors
 
     def test_different_seeds_usually_differ(self):
         network = graphs.clique_with_pendants(20)
