@@ -17,7 +17,7 @@ from common_bench import print_section, run_once
 from repro import graphs
 from repro.analysis import format_table
 from repro.core import run_defective_color
-from repro.graphs.line_graph import line_graph_network
+from repro.local_model import build_line_graph_fast
 from repro.local_model import Scheduler
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 from repro.verification import coloring_defect
@@ -27,7 +27,7 @@ P_VALUES = (2, 3, 4, 6)
 
 def _sweep():
     base = graphs.random_regular(40, 10, seed=31)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     Lambda = line.max_degree
 
     rows = []
@@ -103,5 +103,5 @@ def test_defect_times_colors_product(benchmark):
         assert row[3] <= 8 * Lambda + 8 * row[0]
 
     base = graphs.random_regular(40, 10, seed=31)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     run_once(benchmark, lambda: run_defective_color(line, b=1, p=4, c=2))

@@ -33,13 +33,9 @@ Five claims are demonstrated here (committed numbers in
 3. **Setup at array speed.**  Everything *around* the engines -- workload
    generation, the line graph, verification -- also runs on arrays: the
    array-built generators, the CSR line-graph builder and the vectorized
-   verification oracles make "build the graph + build ``L(G)`` + verify the
-   edge coloring" several times faster than materializing
-   ``g.to_network()``, building ``L(G)`` as a ``Network`` and running the
-   mapping oracles, up to ``n = 131,072`` (``Delta = 16``, ``|V(L)| >=
-   10^6``).  Both oracle paths are asserted to agree (accept the real
-   coloring, reject a planted violation), and the ratio is CI-gated like
-   the engine ratios.
+   verification oracles, timed up to ``n = 131,072`` (``Delta = 16``,
+   ``|V(L)| >= 10^6``).  The checks must accept the real coloring and
+   reject a planted violation that the dict-scan test oracles also find.
 4. **Sweep throughput.**  A 36-scenario sweep (degree x algorithm x seed)
    shards across worker processes via ``ExperimentRunner`` and is served
    entirely from the on-disk cache on the second pass.
@@ -63,14 +59,14 @@ import platform
 import time
 from pathlib import Path
 
+import graph_oracles
 from common_bench import QUICK, bench_runner, print_section, run_once
 
 from repro import graphs
 from repro.analysis import format_table
 from repro.core import color_edges, color_vertices
 from repro.experiments import GraphSpec, Scenario
-from repro.graphs.line_graph import build_line_graph_fast, build_line_graph_network
-from repro.local_model import kernels
+from repro.local_model import build_line_graph_fast, kernels
 from repro.verification import is_legal_edge_coloring, is_legal_vertex_coloring
 
 SPEEDUP_DEGREE = 32
@@ -267,39 +263,27 @@ def _run_edge_size(n: int, degree: int, configs, edge_runs=None) -> dict:
 
 
 def _run_setup_size(n: int, degree: int, edge_runs) -> dict:
-    """Time (graph build + line graph + verification) on the array and mapping paths.
+    """Time (graph build + line graph + verification) on the arrays.
 
-    Both paths start from the same array-built graph ``g``.  The mapping
-    path materializes ``g.to_network()``, builds ``L(G)`` with the
-    dict-of-sets :func:`build_line_graph_network` and checks the edge
-    coloring with the mapping oracle; the array path builds ``L(G)`` with the
-    CSR builder and checks the color column.  The vertex route is timed on
-    the array path only.  Both oracle paths are asserted to agree on the
-    vertex and the edge coloring, including a planted violation.
+    The vertex route times the generator and the vertex-coloring check; the
+    line route adds the CSR line-graph build and the edge-coloring check.
+    Each check must accept the computed coloring and reject a planted
+    violation, and the dict-scan oracles of ``tests/graph_oracles.py`` must
+    name the same planted offenders.
     """
     fast_net, fast_build = _timed(lambda: graphs.random_regular(n, degree, seed=SPEEDUP_SEED))
-    # One shot: a repeat would only read back the cached Network.
-    started = time.perf_counter()
-    network = fast_net.to_network()
-    materialize = time.perf_counter() - started
-
     coloring = color_vertices(fast_net, c=SPEEDUP_C, quality="superlinear", engine="vectorized")
     fast_ok, fast_verify = _timed(lambda: is_legal_vertex_coloring(fast_net, coloring.color_column))
-    assert fast_ok and is_legal_vertex_coloring(network, coloring.colors)
+    assert fast_ok
 
-    # Both oracle paths must agree on a shared input -- including rejection
-    # of a planted violation -- before their timings are comparable.
     planted_column = coloring.color_column.copy()
     planted_column[int(fast_net.indices_np[0])] = planted_column[0]
-    planted_mapping = dict(coloring.colors)
-    first = network.nodes()[0]
-    planted_mapping[network.neighbors(first)[0]] = planted_mapping[first]
+    planted_mapping = dict(zip(fast_net.order, planted_column.tolist()))
     assert not is_legal_vertex_coloring(fast_net, planted_column)
-    assert not is_legal_vertex_coloring(network, planted_column)
-    assert not is_legal_vertex_coloring(network, planted_mapping)
+    assert graph_oracles.vertex_violation(fast_net, planted_mapping) is not None
 
     # ------------------------------------------------------------------ #
-    # Line-graph route (same base graph for both L(G) constructions).
+    # Line-graph route.
     # ------------------------------------------------------------------ #
     if (n, degree) in edge_runs:
         _, edge_result = edge_runs[(n, degree)]
@@ -308,29 +292,23 @@ def _run_setup_size(n: int, degree: int, edge_runs) -> dict:
             fast_net, quality="superlinear", route="direct", engine="vectorized"
         )
     line_fast, line_fast_build = _timed(lambda: build_line_graph_fast(fast_net))
-    _, line_legacy_build = _timed(lambda: build_line_graph_network(network))
     edge_fast_ok, edge_fast_verify = _timed(
         lambda: is_legal_edge_coloring(fast_net, edge_result.color_column)
     )
-    edge_legacy_ok, edge_legacy_verify = _timed(
-        lambda: is_legal_edge_coloring(network, edge_result.edge_colors)
-    )
-    assert edge_fast_ok and edge_legacy_ok
+    assert edge_fast_ok
 
     # Planted edge violation: the first two canonical edges share their
     # lower endpoint on these graphs (degree >= 2), so equal colors clash.
-    edges = network.edges()
+    edges = graph_oracles.edges(fast_net)
     assert edges[0][0] == edges[1][0]
     planted_edge_column = edge_result.color_column.copy()
     planted_edge_column[1] = planted_edge_column[0]
-    planted_edge_mapping = dict(edge_result.edge_colors)
-    planted_edge_mapping[edges[1]] = planted_edge_mapping[edges[0]]
+    planted_edge_mapping = dict(zip(edges, planted_edge_column.tolist()))
     assert not is_legal_edge_coloring(fast_net, planted_edge_column)
-    assert not is_legal_edge_coloring(network, planted_edge_mapping)
+    assert graph_oracles.edge_violation(fast_net, planted_edge_mapping) is not None
 
     seconds = {
         "fast_vertex": round(fast_build + fast_verify, 4),
-        "legacy_line": round(fast_build + materialize + line_legacy_build + edge_legacy_verify, 4),
         "fast_line": round(fast_build + line_fast_build + edge_fast_verify, 4),
     }
     return {
@@ -342,15 +320,9 @@ def _run_setup_size(n: int, degree: int, edge_runs) -> dict:
         "components": {
             "fast_build": round(fast_build, 4),
             "fast_vertex_verify": round(fast_verify, 4),
-            "legacy_to_network": round(materialize, 4),
-            "legacy_line_build": round(line_legacy_build, 4),
             "fast_line_build": round(line_fast_build, 4),
-            "legacy_edge_verify": round(edge_legacy_verify, 4),
             "fast_edge_verify": round(edge_fast_verify, 4),
         },
-        "speedup_fast_line_setup_over_legacy": round(
-            seconds["legacy_line"] / max(seconds["fast_line"], 1e-9), 2
-        ),
         "identical_outputs": True,
     }
 
@@ -636,46 +608,28 @@ def test_engine_speedup(benchmark):
     )
 
     # ------------------------------------------------------------------ #
-    # Setup cost: generation + line graph + verification, both paths.
+    # Setup cost: generation + line graph + verification.
     # ------------------------------------------------------------------ #
-    print_section(
-        "Setup cost -- graph build + line graph + verification "
-        "(to_network() + Network line graph + mapping oracles vs. CSR + array oracles)"
-    )
+    print_section("Setup cost -- graph build + CSR line graph + array verification")
     setup_rows = [_run_setup_size(n, degree, edge_runs) for n, degree in SETUP_SIZES]
     print(
         format_table(
-            [
-                "n",
-                "Delta",
-                "fast vertex (s)",
-                "legacy line (s)",
-                "fast line (s)",
-                "line speedup",
-            ],
+            ["n", "Delta", "vertex route (s)", "line route (s)"],
             [
                 [
                     row["n"],
                     row["degree"],
                     row["seconds"]["fast_vertex"],
-                    row["seconds"]["legacy_line"],
                     row["seconds"]["fast_line"],
-                    row["speedup_fast_line_setup_over_legacy"],
                 ]
                 for row in setup_rows
             ],
         )
     )
     print(
-        "\nBoth verification paths accept the computed colorings and reject "
-        "a planted violation."
+        "\nThe array checks accept the computed colorings and reject a planted "
+        "violation the dict-scan oracles also find."
     )
-
-    # The line route is about 10x at n = 131,072; keep the in-test bound
-    # looser so a loaded box does not flake.
-    if not QUICK:
-        for row in setup_rows:
-            assert row["speedup_fast_line_setup_over_legacy"] >= 5.0, row
 
     # ------------------------------------------------------------------ #
     # Parallel sweep with caching.
@@ -721,10 +675,8 @@ def test_engine_speedup(benchmark):
             },
             "setup_workload": {
                 "summary": (
-                    "graph build + line graph + coloring verification; "
-                    "legacy = array build -> to_network() -> Network line "
-                    "graph -> mapping oracles, fast = array build -> CSR "
-                    "line graph -> CSR oracles"
+                    "graph build + line graph + coloring verification: "
+                    "array build -> CSR line graph -> CSR oracles"
                 ),
                 "graph": f"random_regular(n, degree, seed={SPEEDUP_SEED})",
             },

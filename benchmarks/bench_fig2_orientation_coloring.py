@@ -20,7 +20,7 @@ from common_bench import print_section, run_once
 from repro import graphs
 from repro.analysis import format_table
 from repro.core import run_defective_color
-from repro.graphs.line_graph import line_graph_network
+from repro.local_model import build_line_graph_fast
 from repro.graphs.orientation import (
     acyclic_orientation_from_coloring,
     is_acyclic_orientation,
@@ -31,7 +31,7 @@ from repro.graphs.orientation import (
 
 def _sweep():
     base = graphs.random_regular(40, 8, seed=21)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     Lambda = line.max_degree
     p = 4
     b = max(1, Lambda // (3 * p))
@@ -88,7 +88,7 @@ def test_fig2_orientation_coloring(benchmark):
     )
 
     base = graphs.random_regular(40, 8, seed=21)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     Lambda = line.max_degree
     run_once(
         benchmark,

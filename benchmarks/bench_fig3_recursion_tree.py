@@ -21,13 +21,13 @@ from repro import graphs
 from repro.analysis import format_table
 from repro.core.legal_coloring import run_legal_coloring
 from repro.core.parameters import params_for_few_rounds
-from repro.graphs.line_graph import line_graph_network
+from repro.local_model import build_line_graph_fast
 from repro.verification import assert_legal_vertex_coloring
 
 
 def _run():
     base = graphs.random_regular(44, 16, seed=23)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     params = params_for_few_rounds(line.max_degree, c=2)
     result = run_legal_coloring(line, params, c=2)
     assert_legal_vertex_coloring(line, result.colors)
@@ -101,5 +101,5 @@ def test_fig3_recursion_tree(benchmark):
         assert trace.num_subgraphs <= params.p ** (trace.level + 1)
 
     base = graphs.random_regular(44, 16, seed=23)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     run_once(benchmark, lambda: run_legal_coloring(line, params, c=2))

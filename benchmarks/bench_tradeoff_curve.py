@@ -19,7 +19,7 @@ from repro.analysis import format_table
 from repro.core import tradeoff_color_vertices
 from repro.experiments import G_FUNCTIONS as G_REGISTRY
 from repro.experiments import GraphSpec, Scenario
-from repro.graphs.line_graph import line_graph_network
+from repro.local_model import build_line_graph_fast
 
 #: (display label, name in the experiments g-function registry).
 G_FUNCTIONS = [
@@ -93,7 +93,7 @@ def test_tradeoff_curve(benchmark):
     assert palettes[0] >= palettes[-1]
 
     base = graphs.random_regular(BASE_N, BASE_DEGREE, seed=BASE_SEED)
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     run_once(
         benchmark,
         lambda: tradeoff_color_vertices(line, c=2, g=lambda d: d**0.5, engine="vectorized"),

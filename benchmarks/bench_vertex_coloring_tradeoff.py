@@ -20,7 +20,7 @@ from repro import graphs
 from repro.analysis import format_table
 from repro.core import color_vertices
 from repro.graphs.hypergraphs import hypergraph_line_graph, random_r_hypergraph
-from repro.graphs.line_graph import line_graph_network
+from repro.local_model import build_line_graph_fast
 from repro.verification import assert_legal_vertex_coloring
 
 BASE_DEGREES = (6, 10, 14)
@@ -30,7 +30,7 @@ def _sweep_line_graphs():
     rows = []
     for degree in BASE_DEGREES:
         base = graphs.random_regular(40, degree, seed=41 + degree)
-        line = line_graph_network(base)
+        line = build_line_graph_fast(base)
         delta = line.max_degree
         per_quality = {}
         for quality in ("linear", "superlinear", "subpolynomial"):
@@ -97,5 +97,5 @@ def test_vertex_coloring_tradeoff(benchmark):
         assert row[2] <= 12.0
 
     base = graphs.random_regular(40, BASE_DEGREES[-1], seed=41 + BASE_DEGREES[-1])
-    line = line_graph_network(base)
+    line = build_line_graph_fast(base)
     run_once(benchmark, lambda: color_vertices(line, c=2, quality="linear"))

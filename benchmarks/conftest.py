@@ -17,11 +17,16 @@ collects the ``bench_*.py`` modules exactly when the benchmarks directory
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 _BENCH_DIR = Path(__file__).resolve().parent
+
+# The harnesses cross-check the library against the dict-scan oracles of
+# tests/graph_oracles.py.
+sys.path.insert(0, str(_BENCH_DIR.parent / "tests"))
 
 
 def _benchmarks_targeted(config) -> bool:

@@ -52,9 +52,9 @@ def verify_schedule_is_matchings(slots: dict) -> None:
 def main() -> None:
     ports = 16
     demand_degree = 8
-    # The demand graph is built as CSR arrays (exact degrees, no Network
-    # materialized); the whole pipeline below -- line graph, coloring,
-    # verification -- stays on the arrays.
+    # The demand graph is built as CSR arrays (exact degrees); the whole
+    # pipeline below -- line graph, coloring, verification -- stays on the
+    # arrays.
     network = graphs.random_bipartite_regular(ports, demand_degree, seed=3)
     print(
         f"switch demand graph: {ports} input ports x {ports} output ports, "
@@ -116,11 +116,11 @@ def churn_demo() -> None:
     of recomputing the whole assignment -- the differential ``recompute``
     session below is fed the identical batches to show what that saves.
     """
-    from repro.graphs.line_graph import line_graph_network
+    from repro.local_model import build_line_graph_fast
 
     ports, demand_degree, steps = 64, 8, 6
     demands = graphs.random_bipartite_regular(ports, demand_degree, seed=3)
-    conflicts = line_graph_network(demands)
+    conflicts = build_line_graph_fast(demands)
     incremental = DynamicColoring(conflicts, c=2, engine="vectorized")
     recompute = DynamicColoring(
         conflicts, c=2, strategy="recompute", engine="vectorized"

@@ -65,7 +65,6 @@ from repro.exceptions import (
 )
 from repro.local_model import (
     FastNetwork,
-    Network,
     RunMetrics,
     Scheduler,
     VectorizedScheduler,
@@ -87,7 +86,6 @@ __all__ = [
     "HypergraphError",
     "InvalidParameterError",
     "LegalColoringResult",
-    "Network",
     "PortfolioDecision",
     "PortfolioResult",
     "ReproError",

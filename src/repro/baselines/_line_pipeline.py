@@ -3,8 +3,8 @@
 Panconesi–Rizzi and the greedy class-by-class reduction are the same shape:
 derive ``L(G)``, run the :func:`delta_plus_one_pipeline` vertex-coloring
 pipeline on it, apply Lemma 5.2 accounting.  This helper runs that shape
-array-native — :func:`build_line_graph_fast` for the line graph (no legacy
-``Network`` construction) and ``run_table`` over a :class:`StateTable`, so
+array-native — :func:`build_line_graph_fast` for the line graph and
+``run_table`` over a :class:`StateTable`, so
 the vectorized engine executes the whole pipeline as array rounds — and
 returns the normalized result with ``color_column`` in the line graph's
 dense edge order.
@@ -22,11 +22,11 @@ from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
 from repro.local_model.state_table import StateTable
 from repro.primitives.color_reduction import delta_plus_one_pipeline
-from repro.verification.coloring import NetworkLike
+from repro.local_model.fast_network import FastNetwork
 
 
 def run_line_graph_delta_plus_one(
-    network: NetworkLike,
+    network: FastNetwork,
     *,
     output_key: str,
     use_kuhn_wattenhofer: bool,

@@ -13,15 +13,15 @@ from typing import Optional
 
 from repro.baselines._line_pipeline import run_line_graph_delta_plus_one
 from repro.core.edge_coloring import EdgeColoringResult
-from repro.verification.coloring import NetworkLike
+from repro.local_model.fast_network import FastNetwork
 
 
 def greedy_reduction_edge_coloring(
-    network: NetworkLike, engine: Optional[str] = None
+    network: FastNetwork, engine: Optional[str] = None
 ) -> EdgeColoringResult:
     """A legal ``(2 Delta - 1)``-edge-coloring via one-class-per-round reduction.
 
-    Accepts ``Network | FastNetwork``; ``Delta(L(G))`` comes from the CSR
+    Takes a ``FastNetwork``; ``Delta(L(G))`` comes from the CSR
     degree column of the array-built line graph, and the result carries
     ``color_column`` over the canonical edges in pair-key order.
     """

@@ -27,8 +27,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView
 from repro.local_model.engine import make_scheduler
-from repro.local_model.fast_network import fast_view
-from repro.verification.coloring import NetworkLike
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.state_table import StateTable
 from repro.core.edge_coloring import EdgeColoringResult
@@ -256,7 +255,7 @@ class LubyRandomColoringPhase(BroadcastPhase):
 
 
 def _run_phase(
-    network: NetworkLike, phase: LubyRandomColoringPhase, engine: Optional[str]
+    network: FastNetwork, phase: LubyRandomColoringPhase, engine: Optional[str]
 ) -> Tuple[np.ndarray, RunMetrics, Any]:
     """Run the phase table-native and return (color column, metrics, fast)."""
     fast = fast_view(network)
@@ -268,15 +267,14 @@ def _run_phase(
 
 
 def luby_vertex_coloring(
-    network: NetworkLike,
+    network: FastNetwork,
     palette: int | None = None,
     seed: int = 0,
     engine: Optional[str] = None,
 ) -> LegalColoringResult:
     """Randomized ``(Delta + 1)``-vertex-coloring of ``network``.
 
-    Accepts a :class:`~repro.local_model.network.Network` or a
-    :class:`~repro.local_model.fast_network.FastNetwork` and returns a
+    Takes a :class:`~repro.local_model.fast_network.FastNetwork` and returns a
     :class:`~repro.core.legal_coloring.LegalColoringResult` -- the same
     result shape as :func:`repro.core.legal_coloring.color_vertices`, with
     ``color_column`` in dense node order.  The default palette is
@@ -297,14 +295,14 @@ def luby_vertex_coloring(
 
 
 def luby_edge_coloring(
-    network: NetworkLike,
+    network: FastNetwork,
     palette: int | None = None,
     seed: int = 0,
     engine: Optional[str] = None,
 ) -> EdgeColoringResult:
     """Randomized ``(2 Delta - 1)``-edge-coloring via the line graph.
 
-    Accepts ``Network | FastNetwork``; the line graph is derived CSR-native
+    Takes a ``FastNetwork``; the line graph is derived CSR-native
     (:func:`~repro.local_model.line_csr.build_line_graph_fast`) and the
     result carries ``color_column`` in the line graph's dense edge order.
     """

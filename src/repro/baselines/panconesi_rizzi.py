@@ -22,16 +22,15 @@ from typing import Optional
 
 from repro.baselines._line_pipeline import run_line_graph_delta_plus_one
 from repro.core.edge_coloring import EdgeColoringResult
-from repro.verification.coloring import NetworkLike
+from repro.local_model.fast_network import FastNetwork
 
 
 def panconesi_rizzi_edge_coloring(
-    network: NetworkLike, engine: Optional[str] = None
+    network: FastNetwork, engine: Optional[str] = None
 ) -> EdgeColoringResult:
     """A legal ``(2 Delta - 1)``-edge-coloring of ``network``.
 
-    Accepts a :class:`~repro.local_model.network.Network` or a
-    :class:`~repro.local_model.fast_network.FastNetwork` and returns an
+    Takes a :class:`~repro.local_model.fast_network.FastNetwork` and returns an
     :class:`~repro.core.edge_coloring.EdgeColoringResult` whose ``route`` is
     ``"baseline-pr"`` and whose ``color_column`` covers the canonical edges
     in pair-key order; the palette bound is

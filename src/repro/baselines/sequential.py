@@ -9,41 +9,38 @@ the palette a distributed run claims.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
-from repro.local_model.fast_network import as_network
-from repro.local_model.network import Network
+from repro.local_model.fast_network import FastNetwork, fast_view
 
 
-def greedy_sequential_vertex_coloring(network: Network) -> Dict[Hashable, int]:
+def greedy_sequential_vertex_coloring(network: FastNetwork) -> Dict[Hashable, int]:
     """Greedy vertex coloring in identifier order (at most ``Delta + 1`` colors)."""
-    network = as_network(network)
-    colors: Dict[Hashable, int] = {}
-    for node in sorted(network.nodes(), key=network.unique_id):
-        taken = {
-            colors[neighbor]
-            for neighbor in network.neighbors(node)
-            if neighbor in colors
-        }
+    fast = fast_view(network)
+    indptr, indices = fast.indptr.tolist(), fast.indices.tolist()
+    column: List[int] = []
+    # Dense order is unique-id order: node i's colored neighbors are those below i.
+    for i in range(fast.num_nodes):
+        taken = {column[j] for j in indices[indptr[i] : indptr[i + 1]] if j < i}
         color = 1
         while color in taken:
             color += 1
-        colors[node] = color
-    return colors
+        column.append(color)
+    return dict(zip(fast.order, column))
 
 
 def greedy_sequential_edge_coloring(
-    network: Network,
+    network: FastNetwork,
 ) -> Dict[Tuple[Hashable, Hashable], int]:
     """Greedy edge coloring (at most ``2 Delta - 1`` colors).
 
     Edges are processed in the deterministic order of
-    :meth:`~repro.local_model.network.Network.edges`; each edge takes the
-    smallest color unused by the already-colored edges sharing an endpoint.
+    :meth:`~repro.local_model.fast_network.FastNetwork.edges`; each edge takes
+    the smallest color unused by the already-colored edges sharing an
+    endpoint.
     """
-    network = as_network(network)
     edge_colors: Dict[Tuple[Hashable, Hashable], int] = {}
-    incident: Dict[Hashable, set] = {node: set() for node in network.nodes()}
+    incident: Dict[Hashable, Set[int]] = {node: set() for node in fast_view(network).order}
     for edge in network.edges():
         u, v = edge
         taken = incident[u] | incident[v]

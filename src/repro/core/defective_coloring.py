@@ -34,9 +34,8 @@ import numpy as np
 from repro.core.parameters import independence_bound
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView, PhasePipeline
-from repro.local_model.fast_network import NetworkLike
 from repro.local_model.engine import make_scheduler
-from repro.local_model.fast_network import _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
@@ -348,7 +347,7 @@ def defective_color_pipeline(
 
 
 def run_defective_color(
-    network: NetworkLike,
+    network: FastNetwork,
     b: int,
     p: int,
     c: int,
@@ -358,8 +357,8 @@ def run_defective_color(
 ) -> Tuple[Dict[Hashable, int], DefectiveColorInfo, RunMetrics]:
     """Convenience wrapper: run Procedure Defective-Color on a whole network.
 
-    ``network`` may be a :class:`~repro.local_model.network.Network` or a
-    (possibly CSR-masked) :class:`~repro.local_model.fast_network.FastNetwork`.
+    ``network`` is a (possibly CSR-masked)
+    :class:`~repro.local_model.fast_network.FastNetwork`.
     Returns the ``psi``-coloring (a mapping from node to a color in
     ``{1, ..., p}``), the static guarantees, and the measured metrics.
     ``engine`` selects the execution path (see

@@ -32,14 +32,13 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.line_graph_sim import (
     SIMULATION_SETUP_ROUNDS,
     apply_lemma_5_2_accounting,
 )
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.network import Network
 from repro.core.legal_coloring import (
     LegalColoringResult,
     LegalColorPlan,
@@ -99,8 +98,7 @@ class EdgeColoringResult:
     #: The same coloring as ``edge_colors``, as an ``int64`` array over the
     #: canonical edges of ``G`` in unique-id pair order (= the dense node
     #: order of ``L(G)``) -- the array-form input of the vectorized
-    #: verification oracles.  ``None`` on the baselines that run through the
-    #: legacy line-graph constructor.
+    #: verification oracles.
     color_column: Optional["np.ndarray"] = field(
         default=None, repr=False, compare=False
     )
@@ -126,7 +124,7 @@ class EdgeColoringResult:
         return int(np.unique(self.color_column).size)
 
 
-def line_graph_max_degree(network: Network) -> int:
+def line_graph_max_degree(network: FastNetwork) -> int:
     """``Delta(L(G))`` from ``G``'s CSR: the largest ``d(u) + d(v) - 2`` over edges.
 
     ``2 Delta - 2`` is only an upper bound; on an irregular graph the two
@@ -140,7 +138,7 @@ def line_graph_max_degree(network: Network) -> int:
 
 
 def plan_edge_coloring(
-    network: Network,
+    network: FastNetwork,
     quality: str = "linear",
     epsilon: float = 0.75,
     route: str = "direct",
@@ -162,7 +160,7 @@ def plan_edge_coloring(
 
 
 def color_edges(
-    network: Network,
+    network: FastNetwork,
     quality: str = "linear",
     epsilon: float = 0.75,
     route: str = "direct",

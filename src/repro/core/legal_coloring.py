@@ -49,9 +49,8 @@ from typing import Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import NetworkLike
 from repro.local_model.engine import make_scheduler, resolve_engine
-from repro.local_model.fast_network import fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.line_csr import line_meta_for
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
@@ -195,7 +194,7 @@ class LegalColoringResult:
 
 
 def run_legal_coloring(
-    network: NetworkLike,
+    network: FastNetwork,
     params: LegalColorParameters,
     c: int,
     degree_bound: Optional[int] = None,
@@ -208,12 +207,12 @@ def run_legal_coloring(
     Parameters
     ----------
     network:
-        The graph to color -- a :class:`~repro.local_model.network.Network`
-        or a (possibly CSR-masked)
+        The graph to color -- a (possibly CSR-masked)
         :class:`~repro.local_model.fast_network.FastNetwork`.  In
-        ``edge_mode`` this must be a line-graph network (node identifiers are
-        edge 2-tuples), as produced by
-        :func:`repro.graphs.line_graph.build_line_graph_network`.
+        ``edge_mode`` this must be a line graph, as produced by
+        :func:`repro.local_model.line_csr.build_line_graph_fast`, or a view
+        whose node identifiers are edge 2-tuples (built by hand with
+        :meth:`~repro.local_model.fast_network.FastNetwork.from_adjacency`).
     params:
         The ``(b, p, lambda)`` preset (see :mod:`repro.core.parameters`).
     c:
@@ -378,7 +377,7 @@ def run_legal_coloring(
 
 
 def color_vertices(
-    network: NetworkLike,
+    network: FastNetwork,
     c: int,
     quality: str = "linear",
     epsilon: float = 0.75,

@@ -22,7 +22,6 @@ from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
-from repro.local_model.fast_network import NetworkLike
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
@@ -72,7 +71,7 @@ class RandomizedColoringResult:
 
 
 def randomized_color_vertices(
-    network: NetworkLike,
+    network: FastNetwork,
     c: int,
     seed: int = 0,
     parameters: Optional[LegalColorParameters] = None,

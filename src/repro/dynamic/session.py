@@ -10,7 +10,7 @@ array-native steps:
 1. **CSR patch** -- :meth:`FastNetwork.with_edge_updates` delta-merges the
    removal/insertion keys into the existing (sorted) directed-entry keys and
    rebuilds the CSR with one bincount/cumsum pass; no full symmetrize-lexsort
-   of the edge set, no legacy ``Network``.
+   of the edge set.
 2. **Conflict detection** -- deletions never create conflicts and the
    pre-state is legal, so every monochromatic edge of the patched graph is a
    freshly inserted one: the batch's canonical insertion pairs are checked
@@ -124,10 +124,8 @@ class DynamicColoring:
     Parameters
     ----------
     network:
-        The initial graph -- a :class:`FastNetwork` (array-built or
-        compiled) or a legacy :class:`~repro.local_model.network.Network`.
-        The node set is fixed for the lifetime of the session; only edges
-        churn.
+        The initial graph, a :class:`FastNetwork`.  The node set is fixed
+        for the lifetime of the session; only edges churn.
     c:
         Neighborhood-independence bound handed to Procedure Legal-Color
         (conservatively kept valid under churn: inserting edges can only

@@ -80,7 +80,7 @@ class GraphSpec:
             ) from None
         network = builder(self)
         if self.line_graph:
-            from repro.graphs.line_graph import build_line_graph_fast
+            from repro.local_model.line_csr import build_line_graph_fast
 
             network = build_line_graph_fast(network)
         return network

@@ -25,11 +25,6 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.hypergraphs import Hypergraph, hypergraph_line_graph, random_r_hypergraph
-from repro.graphs.line_graph import (
-    build_line_graph_fast,
-    build_line_graph_network,
-    line_graph_network,
-)
 from repro.graphs.orientation import (
     acyclic_orientation_from_coloring,
     is_acyclic_orientation,
@@ -43,6 +38,7 @@ from repro.graphs.properties import (
     is_claw_free,
     neighborhood_independence,
 )
+from repro.local_model.line_csr import build_line_graph_fast
 
 __all__ = [
     "Hypergraph",
@@ -50,7 +46,6 @@ __all__ = [
     "barabasi_albert",
     "bipartite_switch",
     "build_line_graph_fast",
-    "build_line_graph_network",
     "clique_with_pendants",
     "complete_graph",
     "cycle_graph",
@@ -64,7 +59,6 @@ __all__ = [
     "hypergraph_line_graph",
     "is_acyclic_orientation",
     "is_claw_free",
-    "line_graph_network",
     "longest_directed_path_length",
     "max_out_degree",
     "neighborhood_independence",

@@ -21,11 +21,10 @@ These are the graph families the paper motivates or analyses:
 Every generator is deterministic given its ``seed`` argument, so benchmark
 runs are reproducible, and returns a CSR
 :class:`~repro.local_model.fast_network.FastNetwork` built straight from
-numpy index arithmetic via :meth:`FastNetwork.from_edge_array`.  Code that
-needs the mapping-based :class:`~repro.local_model.network.Network` calls
-``.to_network()`` (the on-demand audit path).  The random families draw from
-``numpy.random.default_rng(seed)``; the vectorized samplers below guarantee
-exact degrees for the regular families and simplicity everywhere.
+numpy index arithmetic via :meth:`FastNetwork.from_edge_array`.  The random
+families draw from ``numpy.random.default_rng(seed)``; the vectorized
+samplers below guarantee exact degrees for the regular families and
+simplicity everywhere.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def _require_fast(backend: str) -> None:
     """Accept only ``backend="fast"``, the keyword's one remaining value."""
     if backend != "fast":
         raise InvalidParameterError(
-            f"backend={backend!r} is not supported: generators build a "
-            "FastNetwork only; call .to_network() on it for a Network"
+            f"backend={backend!r} is not supported: generators build a FastNetwork only"
         )
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.exceptions import HypergraphError
-from repro.local_model.network import Network
+from repro.local_model.fast_network import FastNetwork
 
 
 @dataclass
@@ -90,7 +92,7 @@ class Hypergraph:
         return max((self.vertex_degree(v) for v in self._vertices), default=0)
 
 
-def hypergraph_line_graph(hypergraph: Hypergraph) -> Network:
+def hypergraph_line_graph(hypergraph: Hypergraph) -> FastNetwork:
     """The line graph ``L(H)``: one vertex per hyperedge, adjacency = sharing.
 
     The resulting network's node identifiers are the hyperedge indices, so the
@@ -98,12 +100,11 @@ def hypergraph_line_graph(hypergraph: Hypergraph) -> Network:
     paper's observation, ``I(L(H)) <= r`` when ``H`` is an ``r``-hypergraph.
     """
     edges = hypergraph.edges
-    adjacency: Dict[int, List[int]] = {index: [] for index in range(len(edges))}
-    for i, j in itertools.combinations(range(len(edges)), 2):
-        if edges[i] & edges[j]:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    return Network(adjacency)
+    pairs = [
+        (i, j) for i, j in itertools.combinations(range(len(edges)), 2) if edges[i] & edges[j]
+    ]
+    u, v = (np.array(side, dtype=np.int64) for side in zip(*pairs)) if pairs else ((), ())
+    return FastNetwork.from_edge_array(u, v, num_nodes=len(edges))
 
 
 def random_r_hypergraph(

@@ -10,7 +10,9 @@ orienting every edge towards the endpoint with the smaller ``phi``-color
 (ties broken by identifier).
 
 An orientation is represented as a mapping from canonical edges ``(u, v)`` to
-the head vertex (the endpoint the edge points *towards*).
+the head vertex (the endpoint the edge points *towards*).  The canonical
+edges are :meth:`~repro.local_model.fast_network.FastNetwork.edges`: each
+pair in unique-id order, listed in pair-key order.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ from __future__ import annotations
 from typing import Dict, Hashable, Mapping, Tuple
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import NetworkLike, as_network
-from repro.local_model.network import Network
+from repro.local_model.fast_network import FastNetwork, fast_view
 
 #: An orientation: canonical edge -> head (the vertex the edge points to).
 Orientation = Dict[Tuple[Hashable, Hashable], Hashable]
 
 
 def acyclic_orientation_from_coloring(
-    network: NetworkLike, colors: Mapping[Hashable, int]
+    network: FastNetwork, colors: Mapping[Hashable, int]
 ) -> Orientation:
     """Orient every edge towards the endpoint with the smaller color.
 
@@ -34,11 +35,12 @@ def acyclic_orientation_from_coloring(
     exactly as in the proof of Lemma 3.5.  The resulting orientation is always
     acyclic, regardless of whether ``colors`` is a legal coloring.
     """
-    network = as_network(network)
+    network = fast_view(network)
     orientation: Orientation = {}
     for u, v in network.edges():
         cu, cv = colors[u], colors[v]
-        if (cu, network.unique_id(u)) < (cv, network.unique_id(v)):
+        # u precedes v in unique-id order, so a color tie points at u.
+        if cu <= cv:
             head = u
         else:
             head = v
@@ -47,10 +49,10 @@ def acyclic_orientation_from_coloring(
 
 
 def out_neighbors(
-    network: NetworkLike, orientation: Orientation, vertex: Hashable
+    network: FastNetwork, orientation: Orientation, vertex: Hashable
 ) -> Tuple[Hashable, ...]:
     """Vertices reached by edges oriented *out of* ``vertex``."""
-    network = as_network(network)
+    network = fast_view(network)
     result = []
     for u, v in network.edges():
         if vertex not in (u, v):
@@ -61,9 +63,9 @@ def out_neighbors(
     return tuple(result)
 
 
-def max_out_degree(network: NetworkLike, orientation: Orientation) -> int:
+def max_out_degree(network: FastNetwork, orientation: Orientation) -> int:
     """The out-degree of the orientation (maximum over all vertices)."""
-    network = as_network(network)
+    network = fast_view(network)
     out_degree: Dict[Hashable, int] = {node: 0 for node in network.nodes()}
     for edge, head in orientation.items():
         u, v = edge
@@ -72,9 +74,9 @@ def max_out_degree(network: NetworkLike, orientation: Orientation) -> int:
     return max(out_degree.values(), default=0)
 
 
-def is_acyclic_orientation(network: NetworkLike, orientation: Orientation) -> bool:
+def is_acyclic_orientation(network: FastNetwork, orientation: Orientation) -> bool:
     """Whether the orientation contains no directed cycle."""
-    network = as_network(network)
+    network = fast_view(network)
     _validate_orientation(network, orientation)
     # Kahn's algorithm on the directed graph defined by the orientation.
     in_degree: Dict[Hashable, int] = {node: 0 for node in network.nodes()}
@@ -97,13 +99,13 @@ def is_acyclic_orientation(network: NetworkLike, orientation: Orientation) -> bo
     return visited == network.num_nodes
 
 
-def longest_directed_path_length(network: NetworkLike, orientation: Orientation) -> int:
+def longest_directed_path_length(network: FastNetwork, orientation: Orientation) -> int:
     """The number of edges on the longest directed path of an acyclic orientation.
 
     This is the round complexity of the Lemma 3.4 coloring procedure (every
     vertex waits for its out-neighbors before choosing a color).
     """
-    network = as_network(network)
+    network = fast_view(network)
     if not is_acyclic_orientation(network, orientation):
         raise InvalidParameterError("longest path is only defined for acyclic orientations")
 
@@ -128,7 +130,7 @@ def longest_directed_path_length(network: NetworkLike, orientation: Orientation)
     return max((depth(node) for node in network.nodes()), default=0)
 
 
-def _validate_orientation(network: Network, orientation: Orientation) -> None:
+def _validate_orientation(network: FastNetwork, orientation: Orientation) -> None:
     """Check that the orientation covers exactly the network's edges."""
     edges = set(network.edges())
     given = set(orientation.keys())

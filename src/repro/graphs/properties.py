@@ -13,29 +13,37 @@ Exact neighborhood-independence computation is NP-hard in general, but the
 neighborhoods arising in the test workloads are small, and the bounded check
 :func:`has_neighborhood_independence_at_most` only needs to search for an
 independent set of size ``c + 1``, which is polynomial for constant ``c``.
+
+The checkers walk dense indices over the CSR rows and report results under
+the view's ``order`` identifiers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Tuple
+from typing import Hashable, List, Sequence, Set
 
-from repro.local_model.fast_network import NetworkLike, as_network
-from repro.local_model.network import Network
+from repro.local_model.fast_network import FastNetwork, fast_view
 
 
-def _is_independent(network: Network, vertices: Iterable[Hashable]) -> bool:
+def _neighbor_sets(network: FastNetwork) -> List[Set[int]]:
+    """Each node's neighbors as a set of dense indices."""
+    fast = fast_view(network)
+    indptr, indices = fast.indptr.tolist(), fast.indices.tolist()
+    return [set(indices[indptr[i] : indptr[i + 1]]) for i in range(fast.num_nodes)]
+
+
+def _is_independent(adjacency: List[Set[int]], vertices: Sequence[int]) -> bool:
     """Whether the given vertices are pairwise non-adjacent."""
-    vertex_list = list(vertices)
-    for i, u in enumerate(vertex_list):
-        for v in vertex_list[i + 1 :]:
-            if network.has_edge(u, v):
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
+            if v in adjacency[u]:
                 return False
     return True
 
 
-def _max_independent_subset_size(network: Network, candidates: Tuple[Hashable, ...]) -> int:
+def _max_independent_subset_size(adjacency: List[Set[int]], candidates: Sequence[int]) -> int:
     """Exact maximum independent set size within ``candidates``.
 
     Uses a simple branch-and-bound over the candidate set; intended for
@@ -45,13 +53,11 @@ def _max_independent_subset_size(network: Network, candidates: Tuple[Hashable, .
     if not candidates:
         return 0
 
-    adjacency = {
-        u: {v for v in candidates if network.has_edge(u, v)} for u in candidates
-    }
+    local = {u: adjacency[u].intersection(candidates) for u in candidates}
 
     best = 0
 
-    def branch(remaining: List[Hashable], chosen: int) -> None:
+    def branch(remaining: List[int], chosen: int) -> None:
         nonlocal best
         if chosen > best:
             best = chosen
@@ -60,7 +66,7 @@ def _max_independent_subset_size(network: Network, candidates: Tuple[Hashable, .
         vertex = remaining[0]
         rest = remaining[1:]
         # Branch 1: include `vertex`.
-        branch([v for v in rest if v not in adjacency[vertex]], chosen + 1)
+        branch([v for v in rest if v not in local[vertex]], chosen + 1)
         # Branch 2: exclude `vertex`.
         branch(rest, chosen)
 
@@ -68,42 +74,40 @@ def _max_independent_subset_size(network: Network, candidates: Tuple[Hashable, .
     return best
 
 
-def neighborhood_independence(network: NetworkLike) -> int:
+def neighborhood_independence(network: FastNetwork) -> int:
     """The neighborhood independence ``I(G)`` (Definition 3.1).
 
     Returns 0 for a graph with no edges (every neighborhood is empty).
     """
-    network = as_network(network)
+    adjacency = _neighbor_sets(network)
     best = 0
-    for vertex in network.nodes():
-        neighborhood = network.neighbors(vertex)
+    for neighborhood in adjacency:
         if len(neighborhood) <= best:
             continue
-        best = max(best, _max_independent_subset_size(network, neighborhood))
+        best = max(best, _max_independent_subset_size(adjacency, sorted(neighborhood)))
     return best
 
 
-def has_neighborhood_independence_at_most(network: NetworkLike, c: int) -> bool:
+def has_neighborhood_independence_at_most(network: FastNetwork, c: int) -> bool:
     """Whether ``I(G) <= c``.
 
     Cheaper than computing ``I(G)`` exactly: it only searches each
     neighborhood for an independent set of ``c + 1`` vertices and stops at the
     first witness.
     """
-    network = as_network(network)
+    adjacency = _neighbor_sets(network)
     if c < 0:
         return network.max_degree == 0
-    for vertex in network.nodes():
-        neighborhood = network.neighbors(vertex)
+    for neighborhood in adjacency:
         if len(neighborhood) <= c:
             continue
-        for subset in itertools.combinations(neighborhood, c + 1):
-            if _is_independent(network, subset):
+        for subset in itertools.combinations(sorted(neighborhood), c + 1):
+            if _is_independent(adjacency, subset):
                 return False
     return True
 
 
-def is_claw_free(network: NetworkLike) -> bool:
+def is_claw_free(network: FastNetwork) -> bool:
     """Whether the graph excludes ``K_{1,3}`` as an induced subgraph.
 
     A graph is claw-free exactly when its neighborhood independence is at
@@ -113,7 +117,7 @@ def is_claw_free(network: NetworkLike) -> bool:
     return has_neighborhood_independence_at_most(network, 2)
 
 
-def growth_function(network: NetworkLike, vertex: Hashable, radius: int) -> int:
+def growth_function(network: FastNetwork, vertex: Hashable, radius: int) -> int:
     """The number of independent vertices within distance ``radius`` of ``vertex``.
 
     A family of graphs is of bounded growth when this quantity is bounded by a
@@ -124,23 +128,25 @@ def growth_function(network: NetworkLike, vertex: Hashable, radius: int) -> int:
     the vertices at distance at most ``radius``, which lower-bounds the true
     maximum and is sufficient to certify *unbounded* growth.
     """
-    network = as_network(network)
+    adjacency = _neighbor_sets(network)
+    order = network.order
+    start = network.index_of[vertex]
     # Breadth-first search up to the radius.
-    frontier = {vertex}
-    reached = {vertex}
+    frontier = {start}
+    reached = {start}
     for _ in range(radius):
         next_frontier = set()
         for node in frontier:
-            for neighbor in network.neighbors(node):
+            for neighbor in adjacency[node]:
                 if neighbor not in reached:
                     reached.add(neighbor)
                     next_frontier.add(neighbor)
         frontier = next_frontier
-    ball = sorted(reached - {vertex}, key=repr)
+    ball = sorted(reached - {start}, key=lambda node: repr(order[node]))
 
-    independent: List[Hashable] = []
+    independent: List[int] = []
     for candidate in ball:
-        if all(not network.has_edge(candidate, chosen) for chosen in independent):
+        if all(chosen not in adjacency[candidate] for chosen in independent):
             independent.append(candidate)
     return len(independent)
 
@@ -156,10 +162,9 @@ class DegreeStatistics:
     average_degree: float
 
 
-def degree_statistics(network: NetworkLike) -> DegreeStatistics:
+def degree_statistics(network: FastNetwork) -> DegreeStatistics:
     """Compute basic degree statistics (used by the benchmark reports)."""
-    network = as_network(network)
-    degrees = [network.degree(node) for node in network.nodes()]
+    degrees = fast_view(network).degrees.tolist()
     if not degrees:
         return DegreeStatistics(0, 0, 0, 0, 0.0)
     return DegreeStatistics(

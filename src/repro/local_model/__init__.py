@@ -8,14 +8,15 @@ algorithm is the number of rounds until every vertex has terminated.
 
 The main entry points are:
 
-* :class:`~repro.local_model.network.Network` -- the communication graph,
+* :class:`~repro.local_model.fast_network.FastNetwork` -- the communication
+  graph, the one graph type both engines run on: ``indptr`` / ``indices`` /
+  ``degrees`` / ``unique_ids`` are ``int64`` numpy arrays, one copy each,
+  and :meth:`~repro.local_model.fast_network.FastNetwork.from_adjacency`
+  builds one from a hand-written adjacency mapping,
 * :class:`~repro.local_model.algorithm.SynchronousPhase` -- the per-node
   protocol abstraction (one phase of an algorithm),
 * :class:`~repro.local_model.scheduler.Scheduler` -- executes phases round by
   round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
-* :class:`~repro.local_model.fast_network.FastNetwork` -- the CSR form the
-  vectorized engine runs on: ``indptr`` / ``indices`` / ``degrees`` /
-  ``unique_ids`` are ``int64`` numpy arrays, one copy each,
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the default
   engine: the paper's color phases run over the CSR arrays and the columns
   of a :class:`~repro.local_model.state_table.StateTable` (its only
@@ -45,12 +46,10 @@ from repro.local_model.engine import (
     set_default_engine,
     use_engine,
 )
-from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view, node_sort_key
 from repro.local_model.line_csr import LineGraphMeta, build_line_graph_fast, line_meta_for
 from repro.local_model.messages import Message, payload_size_words
 from repro.local_model.metrics import RunMetrics
-from repro.local_model.network import Network, node_sort_key
-from repro.local_model.node import Node
 from repro.local_model.scheduler import PhaseResult, Scheduler
 from repro.local_model.state_table import StateTable
 from repro.local_model.vectorized import VectorContext, VectorizedScheduler
@@ -68,9 +67,6 @@ __all__ = [
     "LineGraphSimulationResult",
     "LocalView",
     "Message",
-    "Network",
-    "NetworkLike",
-    "Node",
     "PhasePipeline",
     "PhaseResult",
     "RunMetrics",

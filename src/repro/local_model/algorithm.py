@@ -207,10 +207,6 @@ class PhasePipeline:
         """The phases in execution order."""
         return tuple(self._phases)
 
-    def extended(self, *more: SynchronousPhase) -> "PhasePipeline":
-        """Return a new pipeline with extra phases appended."""
-        return PhasePipeline(self._phases + list(more), name=self.name)
-
     def __len__(self) -> int:
         return len(self._phases)
 

@@ -6,7 +6,7 @@ phases.  They produce identical outputs and metrics (enforced by
 
 * ``"reference"`` -- :class:`~repro.local_model.scheduler.Scheduler`, the
   direct transcription of the paper's model (one message object at a time,
-  per-round validation).  Maximally transparent; use it when debugging a
+  per-round validation), over the same CSR view.  Maximally transparent; use it when debugging a
   phase or when exactness of the *simulation* itself is under scrutiny.
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
   which runs every shipped phase over the CSR arrays: its inner step as a
@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Union
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import NetworkLike
+from repro.local_model.fast_network import FastNetwork
 from repro.local_model.scheduler import Scheduler
 from repro.local_model.vectorized import VectorizedScheduler
 
@@ -85,15 +85,14 @@ def use_engine(engine: str) -> Iterator[str]:
         _pinned_default = previous
 
 
-def make_scheduler(network: NetworkLike, engine: Optional[str] = None) -> SchedulerLike:
+def make_scheduler(network: FastNetwork, engine: Optional[str] = None) -> SchedulerLike:
     """Instantiate the scheduler for ``engine`` (default: the process default).
 
     This is the single seam through which all core algorithms obtain their
     executor, so every algorithm runs unchanged on every path.  ``network``
-    may be a :class:`~repro.local_model.network.Network` or a (possibly
-    CSR-masked) :class:`~repro.local_model.fast_network.FastNetwork`; the
-    reference :class:`~repro.local_model.scheduler.Scheduler` materializes
-    the latter into the identical :class:`~repro.local_model.network.Network`
-    on demand, so filtered views remain fully auditable.
+    is a (possibly CSR-masked)
+    :class:`~repro.local_model.fast_network.FastNetwork`, which both engines
+    run on as it is; anything else raises
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
     return _ENGINES[resolve_engine(engine)](network)

@@ -1,50 +1,65 @@
-"""A flat, index-based view of a :class:`~repro.local_model.network.Network`.
+"""The graph type: a CSR adjacency with unique identities in dense order.
 
-The reference :class:`~repro.local_model.scheduler.Scheduler` addresses nodes
-by their (hashable) identifiers and moves one message object at a time.  For
-large networks that bookkeeping dominates the simulation cost, so the
-vectorized engine compiles the network once into a :class:`FastNetwork`:
-nodes become dense indices ``0..n-1`` and the adjacency is stored CSR-style
-(one flat ``indices`` array plus ``indptr`` offsets).  The compiled form is
-cached on the network (networks are immutable once constructed), so repeated
-runs -- e.g. the per-level invocations of Procedure Legal-Color -- pay the
-compilation cost only once.
+Every graph in this package -- the workload generators' output, ``L(G)``,
+the per-level subgraphs of Procedure Legal-Color, a hand-built adjacency --
+is a :class:`FastNetwork`.  Nodes are dense indices ``0..n-1`` in unique-id
+order, and the adjacency is stored CSR-style (one flat ``indices`` array
+plus ``indptr`` offsets).  Both engines run on it: the vectorized engine
+reads the arrays, and the reference
+:class:`~repro.local_model.scheduler.Scheduler` builds its per-node views
+from ``order``, ``unique_ids`` and ``neighbor_ids``.
 
 The CSR arrays (``indptr``, ``indices``, ``degrees``, ``unique_ids``) are
 plain contiguous ``int64`` numpy arrays -- one copy of each, read directly by
 the numpy and fused kernels and converted with ``tolist()`` wherever
-per-node Python code (``LocalView`` construction) needs Python ints.  Two
-further capabilities sit on top of them:
+per-node Python code (``LocalView`` construction) needs Python ints.  On top
+of them sit:
 
+* **construction** -- :meth:`FastNetwork.from_edge_array` and
+  :meth:`FastNetwork.from_csr` build a view straight from endpoint arrays
+  (or ready-made CSR arrays): the workload generators
+  (:mod:`repro.graphs.generators`) enter here, and node identifiers stay
+  behind a lazy provider exactly like the line-graph views of
+  :mod:`repro.local_model.line_csr`.  :meth:`FastNetwork.from_adjacency`
+  takes a hand-built ``node -> neighbors`` mapping with hashable
+  identifiers, ordered by :func:`node_sort_key`;
 * **CSR masking** (:meth:`FastNetwork.filtered` /
   :meth:`~FastNetwork.filtered_by_labels`) -- derive the sub-network of a
-  recursion level directly at the array level, without rebuilding a
-  :class:`Network` (no re-sorting, no set-based deduplication).  The
-  reference engine can still audit such a derived view through
-  :meth:`FastNetwork.to_network`, which materializes the identical
-  :class:`Network` on demand;
-* **array construction** (:meth:`FastNetwork.from_edge_array` /
-  :meth:`FastNetwork.from_csr`) -- build a network straight from endpoint
-  arrays (or ready-made CSR arrays) without ever materializing a
-  :class:`Network`: the workload generators (:mod:`repro.graphs.generators`)
-  enter here, node identifiers stay behind a lazy provider exactly like the
-  line-graph views of :mod:`repro.local_model.line_csr`, and
-  :meth:`to_network` remains the on-demand audit path.
+  recursion level directly at the array level (no re-sorting, no set-based
+  deduplication).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Hashable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.network import Network
 
 
 #: Combined sort keys stay below this bound (int64 with a bit to spare).
 _KEY_LIMIT = 1 << 62
+
+
+def node_sort_key(node: Hashable) -> Tuple:
+    """A total order over the identifier types used in this package.
+
+    Integers (and floats) compare numerically, strings lexicographically, and
+    tuples element-wise by the same rule; distinct types are segregated so the
+    comparison never raises.  Unlike ordering by ``repr`` -- which puts ``10``
+    before ``2`` and interleaves tuples with integers arbitrarily -- this key
+    is stable under renaming-free changes of ``repr`` and orders numeric
+    identifiers numerically.
+    """
+    if isinstance(node, tuple):
+        return (2, tuple(node_sort_key(item) for item in node))
+    if isinstance(node, (bool, int, float)):
+        return (0, node)
+    if isinstance(node, str):
+        return (1, node)
+    return (3, repr(node))
 
 
 def index_array(values, what: str) -> np.ndarray:
@@ -145,22 +160,18 @@ class ColumnMapping(Mapping):
 
 
 class FastNetwork:
-    """CSR-style adjacency compiled from a :class:`Network`.
+    """An undirected graph with unique node identities, in CSR form.
 
     Attributes
     ----------
-    network:
-        The :class:`Network` this view was compiled from, or ``None`` for a
-        derived (filtered) view that has not been materialized yet (see
-        :meth:`to_network`).
     order:
-        Node identifiers in the network's deterministic order; position in
-        this tuple is the node's dense index.
+        Node identifiers in unique-id order; position in this tuple is the
+        node's dense index.
     index_of:
         Mapping from node identifier to dense index.
     unique_ids:
         ``unique_ids[i]`` is the distinct identity number of node ``i``
-        (an ``int64`` array).
+        (an ``int64`` array, strictly increasing).
     indptr, indices:
         The CSR arrays (``int64``): the neighbors of node ``i`` are the dense
         indices ``indices[indptr[i]:indptr[i + 1]]``, ascending (unique-id
@@ -168,14 +179,14 @@ class FastNetwork:
         incidence order (see :meth:`ascending_rows`).
     neighbor_ids:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
-        ``i`` in CSR row order (shared with the owning network, so
-        :class:`~repro.local_model.algorithm.LocalView` construction is free).
+        ``i`` in CSR row order (materialized on first use).
     degrees:
         ``degrees[i]`` is the degree of node ``i`` (an ``int64`` array).
+
+    Views are built by the class-method constructors, never directly.
     """
 
     __slots__ = (
-        "network",
         "_order",
         "_index_of",
         "_order_provider",
@@ -190,35 +201,57 @@ class FastNetwork:
         "_np_cache",
     )
 
-    def __init__(self, network: Optional[Network]) -> None:
+    def __init__(self) -> None:
         #: Derived arrays computed on first use (``rows``, ``edge_keys``, ``ascending_indices``).
         self._np_cache: Dict[str, np.ndarray] = {}
         #: Dense incidence encoding for line-graph views (see
         #: :mod:`repro.local_model.line_csr`); ``None`` on ordinary networks.
         self.line_meta = None
         self._order_provider = None
-        if network is None:
-            return  # Fields are filled in by _masked / build_line_graph_fast.
-        self.network = network
-        order: Tuple[Hashable, ...] = network.nodes()
-        self._order = order
-        self.num_nodes = len(order)
-        self.max_degree = network.max_degree
-        index_of: Dict[Hashable, int] = {node: i for i, node in enumerate(order)}
-        self._index_of = index_of
-        self.unique_ids = np.array([network.unique_id(node) for node in order], dtype=np.int64)
-        neighbor_ids = tuple(network.neighbors(node) for node in order)
-        self._neighbor_ids = neighbor_ids
-        self.degrees = np.array([len(ids) for ids in neighbor_ids], dtype=np.int64)
-        self.indptr = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=self.indptr[1:])
-        self.indices = np.array(
-            [index_of[neighbor] for ids in neighbor_ids for neighbor in ids],
-            dtype=np.int64,
-        )
+
+    @classmethod
+    def from_adjacency(
+        cls,
+        adjacency: Mapping[Hashable, Iterable[Hashable]],
+        unique_ids: Optional[Mapping[Hashable, int]] = None,
+    ) -> "FastNetwork":
+        """Build a view from a ``node -> neighbors`` mapping with hashable ids.
+
+        Missing reverse entries are added (a neighbor that is no key becomes
+        a node) and self-loops are rejected.  ``unique_ids`` maps every node
+        to its distinct identity number; when omitted, nodes are numbered
+        ``1..n`` along :func:`node_sort_key`.  Dense order is unique-id order.
+        """
+        nodes: Dict[Hashable, None] = dict.fromkeys(adjacency)
+        pairs = []
+        for node, neighbors in adjacency.items():
+            for neighbor in neighbors:
+                if neighbor == node:
+                    raise InvalidParameterError(
+                        f"self-loop at node {node!r} is not allowed in the LOCAL model"
+                    )
+                nodes.setdefault(neighbor)
+                pairs.append((node, neighbor))
+        if unique_ids is None:
+            order = sorted(nodes, key=node_sort_key)
+            ids = None
+        else:
+            missing = [node for node in nodes if node not in unique_ids]
+            if missing:
+                raise InvalidParameterError(
+                    f"unique_ids missing entries for nodes: {missing[:5]!r}"
+                )
+            if len({unique_ids[node] for node in nodes}) != len(nodes):
+                raise InvalidParameterError("unique_ids must be distinct")
+            order = sorted(nodes, key=lambda node: int(unique_ids[node]))
+            ids = [int(unique_ids[node]) for node in order]
+        index = {node: i for i, node in enumerate(order)}
+        u = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
+        v = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
+        return cls.from_edge_array(u, v, num_nodes=len(order), unique_ids=ids, order=order)
 
     # ------------------------------------------------------------------ #
-    # Array constructors (no legacy Network involved)
+    # Array constructors
     # ------------------------------------------------------------------ #
 
     @classmethod
@@ -231,16 +264,15 @@ class FastNetwork:
         unique_ids=None,
         order=None,
     ) -> "FastNetwork":
-        """Build a :class:`FastNetwork` from endpoint arrays, Network-free.
+        """Build a :class:`FastNetwork` from endpoint arrays.
 
         Parameters
         ----------
         u, v:
             Integer arrays of equal length holding the dense endpoint indices
             of the undirected edges (each edge listed once, in either
-            endpoint order).  Duplicate edges are deduplicated silently --
-            the same semantics as :class:`Network`'s set-based adjacency --
-            and self-loops are rejected.
+            endpoint order).  Duplicate edges are deduplicated silently and
+            self-loops are rejected.
         num_nodes:
             Number of nodes ``n``; indices must lie in ``0..n-1``.  Nodes
             that appear in no edge become isolated vertices.
@@ -248,9 +280,8 @@ class FastNetwork:
             Optional ``int64`` array of distinct identity numbers, one per
             dense index.  Must be *strictly increasing*: dense order is
             unique-id order everywhere in this package (the line-graph
-            builder and the canonical-edge enumeration rely on it), exactly
-            as a :class:`Network`-compiled view guarantees it.  Defaults to
-            ``1..n``.
+            builder and the canonical-edge enumeration rely on it).
+            Defaults to ``1..n``.
         order:
             Node identifiers -- a sequence, or a zero-argument callable
             returning one (the lazy-provider protocol of the line-graph
@@ -262,9 +293,8 @@ class FastNetwork:
         into one combined ``row * n + col`` key, sorted and deduplicated in
         place; ``indptr`` is the key's ``searchsorted`` against the row
         starts ``i * n`` and ``indices`` is the key minus its row start.
-        Since dense order is unique-id order, the resulting neighbor order is
-        exactly the unique-id order a legacy :class:`Network` would produce,
-        and :meth:`to_network` materializes the identical network on demand.
+        Since dense order is unique-id order, every row lists its neighbors
+        in unique-id order.
         """
         try:
             n = operator.index(num_nodes)
@@ -399,8 +429,7 @@ class FastNetwork:
                     "unique_ids must be strictly increasing along the dense "
                     "index (dense order is unique-id order)"
                 )
-        built = cls(None)
-        built.network = None
+        built = cls()
         built.num_nodes = int(num_nodes)
         built.unique_ids = unique_ids
         built.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -426,7 +455,7 @@ class FastNetwork:
         return built
 
     # ------------------------------------------------------------------ #
-    # Basic accessors (duck-typed with Network where algorithms need it)
+    # Basic accessors
     # ------------------------------------------------------------------ #
 
     @property
@@ -479,6 +508,19 @@ class FastNetwork:
         """The distinct identity number of ``node`` (a Python ``int``)."""
         return int(self.unique_ids[self.index_of[node]])
 
+    def edges(self) -> Tuple[Tuple[Hashable, Hashable], ...]:
+        """The edges as identifier pairs, each in unique-id order, in pair-key order.
+
+        These are the ``row < col`` entries of :meth:`ascending_rows`.
+        """
+        view = self.ascending_rows()
+        forward = view.rows_np < view.indices
+        order = self.order
+        return tuple(
+            (order[u], order[v])
+            for u, v in zip(view.rows_np[forward].tolist(), view.indices[forward].tolist())
+        )
+
     def neighbor_indices(self, i: int) -> np.ndarray:
         """Dense neighbor indices of node ``i`` (a zero-copy CSR view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -487,10 +529,9 @@ class FastNetwork:
     def neighbor_ids(self) -> Tuple[Tuple[Hashable, ...], ...]:
         """Per-node neighbor *identifier* tuples (lazy on derived views).
 
-        Views compiled from a :class:`Network` share the network's tuples;
-        other views materialize them from the CSR rows on first use --
-        the fully vectorized execution path never needs them, so deriving a
-        recursion level's sub-view stays free of per-node Python work.
+        They are materialized from the CSR rows on first use -- the fully
+        vectorized execution path never needs them, so deriving a recursion
+        level's sub-view stays free of per-node Python work.
         """
         if self._neighbor_ids is None:
             order = self.order
@@ -568,7 +609,7 @@ class FastNetwork:
         return sibling
 
     # ------------------------------------------------------------------ #
-    # CSR masking: derived sub-networks without Network rebuilds
+    # CSR masking: derived sub-networks
     # ------------------------------------------------------------------ #
 
     def filtered(
@@ -588,17 +629,15 @@ class FastNetwork:
         node_mask:
             Boolean array over the nodes (length ``num_nodes``); an edge
             survives only if *both* endpoints are unmasked.  All nodes are
-            preserved in the result (masked-out nodes become isolated),
-            matching :meth:`Network.filtered_by_edge`'s spanning-subgraph
-            semantics, which is what the "run all subgraphs of a recursion
-            level in parallel" execution requires.
+            preserved in the result (masked-out nodes become isolated): a
+            spanning subgraph, which is what the "run all subgraphs of a
+            recursion level in parallel" execution requires.
 
         Returns
         -------
         FastNetwork
             A derived view sharing ``order`` / ``index_of`` / ``unique_ids``
-            with this one.  Its ``network`` attribute is ``None`` until
-            :meth:`to_network` materializes it.
+            with this one.
         """
         if edge_mask is None and node_mask is None:
             raise InvalidParameterError("filtered() requires edge_mask or node_mask")
@@ -650,8 +689,7 @@ class FastNetwork:
         self, indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray, line_meta
     ) -> "FastNetwork":
         """A view over the same node set (order, ids) with new CSR arrays."""
-        derived = FastNetwork(None)
-        derived.network = None
+        derived = FastNetwork()
         derived._order = self._order
         derived._index_of = self._index_of
         derived._order_provider = self._order_provider
@@ -816,59 +854,19 @@ class FastNetwork:
         )
         return sub, nodes
 
-    def to_network(self) -> Network:
-        """The :class:`Network` with exactly this adjacency (cached).
-
-        For a view compiled from a network this is that network; for a
-        derived (filtered) view the network is materialized on first use --
-        the reference engine audits filtered runs through this path.  The
-        materialized network is identical (same node order, same neighbor
-        order, same unique identifiers) to the one
-        :meth:`Network.filtered_by_edge` would have produced, because both
-        orders are determined by the inherited unique identifiers.
-        """
-        if self.network is None:
-            adjacency = {
-                node: self.neighbor_ids[i] for i, node in enumerate(self.order)
-            }
-            unique_ids = dict(zip(self.order, self.unique_ids.tolist()))
-            self.network = Network(adjacency, unique_ids=unique_ids)
-        return self.network
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FastNetwork(n={self.num_nodes}, nnz={len(self.indices)})"
 
 
-#: Every engine accepts either representation; a FastNetwork is used as-is,
-#: so CSR-masked sub-networks (FastNetwork.filtered) run without any rebuild.
-NetworkLike = Union[Network, FastNetwork]
-
-
-def as_network(network) -> Network:
-    """The legacy :class:`Network` for ``network`` (materialized on demand).
-
-    The inverse convenience of :func:`fast_view`: algorithms that still need
-    the mapping-based :class:`Network` API (the sequential baselines, the
-    legacy line-graph constructor) call this at their boundary, so they keep
-    accepting array-built :class:`FastNetwork` workloads.
-    """
-    if isinstance(network, FastNetwork):
-        return network.to_network()
-    return network
-
-
 def fast_view(network) -> FastNetwork:
-    """The cached :class:`FastNetwork` of ``network`` (compiled on first use).
+    """``network``, checked to be a :class:`FastNetwork` (the one graph type).
 
-    Accepts a :class:`FastNetwork` and returns it unchanged, so algorithm
-    code can be handed either representation.  Networks are immutable once
-    constructed, so the compiled view is stored on the network object and
-    shared by every scheduler that runs on it.
+    Every entry point that takes a graph calls this at its boundary; anything
+    else raises :class:`~repro.exceptions.InvalidParameterError`.
     """
-    if isinstance(network, FastNetwork):
-        return network
-    cached = getattr(network, "_fast_view_cache", None)
-    if cached is None:
-        cached = FastNetwork(network)
-        object.__setattr__(network, "_fast_view_cache", cached)
-    return cached
+    if not isinstance(network, FastNetwork):
+        raise InvalidParameterError(
+            f"expected a FastNetwork, got {type(network).__name__}; build a "
+            "hand-made graph with FastNetwork.from_adjacency"
+        )
+    return network

@@ -17,7 +17,7 @@ per-edge work and no sort:
   consumer is row-order free (``tests/test_line_graph_row_order.py``);
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
-  the API boundary (result extraction, reference-engine audits), exactly
+  the API boundary (result extraction, reference-engine runs), exactly
   like the interned path-id column of the state table.
 
 The builder also attaches a :class:`LineGraphMeta` -- int64 ``edge_u`` /
@@ -25,25 +25,21 @@ The builder also attaches a :class:`LineGraphMeta` -- int64 ``edge_u`` /
 deterministic incident-edge order of Corollary 5.4 (the columns the
 vectorized
 :class:`~repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase`
-kernel ranks against), plus a per-vertex CSR of incident edge indices for
-line-graph-aware consumers.  CSR-masked sub-views (the per-level subgraphs
-of Procedure Legal-Color) inherit the encoding, so the whole edge-mode
-recursion stays on the array path.
-
-``FastNetwork.to_network()`` on the returned view materializes the *exact*
-``Network`` of :func:`repro.graphs.line_graph.build_line_graph_network`
-(``Network`` orders neighbors itself), which keeps the reference engine
-auditable against it (property-tested in ``tests/test_graphs_line_graph.py``).
+kernel ranks against).  CSR-masked sub-views (the per-level subgraphs of
+Procedure Legal-Color) inherit the encoding, so the whole edge-mode
+recursion stays on the array path.  A hand-built line graph (edge-2-tuple
+identifiers, :meth:`FastNetwork.from_adjacency`) gets the encoding derived
+on demand by :func:`line_meta_for`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view, node_sort_key
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
 #: (kept identical to the scalar phase's ``initialize`` message).
@@ -67,38 +63,17 @@ class LineGraphMeta:
         equality is identifier equality, which is all the kernels compare.
     sort_rank:
         ``int64`` key per line-graph node, strictly increasing in the
-        :func:`~repro.local_model.network.node_sort_key` order of the edge
-        tuples -- the deterministic order in which Corollary 5.4's
+        :func:`~repro.local_model.fast_network.node_sort_key` order of the
+        edge tuples -- the deterministic order in which Corollary 5.4's
         "sort the incident edges and chunk" rule ranks them.
-    vert_indptr, vert_edges:
-        Per-endpoint CSR of incident edge indices: the edges incident to
-        endpoint code ``w`` are ``vert_edges[vert_indptr[w]:vert_indptr[w+1]]``,
-        ascending.  Not consumed by the Corollary 5.4 kernel (which ranks
-        through ``edge_u``/``edge_v``/``sort_rank`` over the line-graph CSR);
-        exposed for line-graph-aware consumers and pinned by the builder
-        tests.
-    source:
-        The ``FastNetwork`` view of ``G`` the encoding was derived from
-        (``None`` when reconstructed from an existing line-graph network).
     """
 
-    __slots__ = ("edge_u", "edge_v", "sort_rank", "vert_indptr", "vert_edges", "source")
+    __slots__ = ("edge_u", "edge_v", "sort_rank")
 
-    def __init__(
-        self,
-        edge_u: np.ndarray,
-        edge_v: np.ndarray,
-        sort_rank: np.ndarray,
-        vert_indptr: np.ndarray,
-        vert_edges: np.ndarray,
-        source: Optional[FastNetwork] = None,
-    ) -> None:
+    def __init__(self, edge_u: np.ndarray, edge_v: np.ndarray, sort_rank: np.ndarray) -> None:
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.sort_rank = sort_rank
-        self.vert_indptr = vert_indptr
-        self.vert_edges = vert_edges
-        self.source = source
 
     @property
     def num_edges(self) -> int:
@@ -108,8 +83,6 @@ class LineGraphMeta:
 
 def _node_sort_ranks(identifiers: Tuple) -> np.ndarray:
     """``rank[i]`` = position of ``identifiers[i]`` in node_sort_key order."""
-    from repro.local_model.network import node_sort_key
-
     n = len(identifiers)
     ranks = np.empty(n, dtype=np.int64)
     by_key = sorted(range(n), key=lambda i: node_sort_key(identifiers[i]))
@@ -137,16 +110,13 @@ def entry_edge_ids(g: FastNetwork) -> np.ndarray:
 def build_line_graph_fast(network) -> FastNetwork:
     """Derive ``L(G)`` as a :class:`FastNetwork` straight from ``G``'s CSR.
 
-    ``network`` may be a :class:`~repro.local_model.network.Network` or a
-    :class:`FastNetwork` with rows in any order (a CSR-masked view, or an
-    ``L(G)`` view itself).  Row ``e = (u, v)`` of the result lists
+    ``network`` is a :class:`FastNetwork` with rows in any order (a
+    CSR-masked view, or an ``L(G)`` view itself).  Row ``e = (u, v)`` of the result lists
     ``inc(u) \\ {e}`` then ``inc(v) \\ {e}``, each in ``G``'s neighbor
     order -- incidence order, not ascending.  The result carries a
     :class:`LineGraphMeta` (``line_meta`` attribute) and defers its
     edge-tuple node identifiers behind a lazy provider; its unique ids are
-    ``1..|E|`` in lexicographic pair-key order, matching the pure-Python
-    constructor bit for bit (``to_network()`` materializes the identical
-    :class:`Network`).
+    ``1..|E|`` in lexicographic pair-key order (Lemma 5.2).
     """
     g = fast_view(network).ascending_rows()
     n = g.num_nodes
@@ -160,7 +130,7 @@ def build_line_graph_fast(network) -> FastNetwork:
     edge_v = cols[forward]
     m = len(edge_u)
 
-    eid = entry_edge_ids(g)  # the per-vertex incidence CSR
+    eid = entry_edge_ids(g)
     backward = np.flatnonzero(~forward)
     # The incidence gather (Lemma 5.2 simulates e = (u, v) at its endpoints):
     # row e reads G's row u around e's own entry u -> v, then row v around
@@ -189,8 +159,7 @@ def build_line_graph_fast(network) -> FastNetwork:
         node_ranks = _node_sort_ranks(g.order)
     sort_rank = node_ranks[edge_u] * (n + 1) + node_ranks[edge_v]
 
-    line = FastNetwork(None)
-    line.network = None
+    line = FastNetwork()
     line._order = None
     line._index_of = None
     line.num_nodes = m
@@ -200,14 +169,7 @@ def build_line_graph_fast(network) -> FastNetwork:
     line.degrees = line_degrees
     line.max_degree = int(line_degrees.max()) if m else 0
     line._neighbor_ids = None
-    line.line_meta = LineGraphMeta(
-        edge_u=edge_u,
-        edge_v=edge_v,
-        sort_rank=sort_rank,
-        vert_indptr=g.indptr,
-        vert_edges=eid,
-        source=g,
-    )
+    line.line_meta = LineGraphMeta(edge_u=edge_u, edge_v=edge_v, sort_rank=sort_rank)
 
     def edge_tuples() -> Iterator[Tuple]:
         g_order = g.order
@@ -223,8 +185,8 @@ def build_line_graph_fast(network) -> FastNetwork:
 def _derive_line_meta(fast: FastNetwork) -> LineGraphMeta:
     """Reconstruct the incidence encoding from edge-tuple node identifiers.
 
-    This is the compatibility path for line graphs built the legacy way
-    (:func:`repro.graphs.line_graph.build_line_graph_network` or by hand):
+    This is the path for line graphs built by hand
+    (:meth:`FastNetwork.from_adjacency` over edge-tuple identifiers):
     endpoints are interned into dense codes and the ranking key is computed
     by one Python sort.  The result is cached on the view, so repeated
     kernel executions on the same network pay it once.
@@ -241,24 +203,7 @@ def _derive_line_meta(fast: FastNetwork) -> LineGraphMeta:
         edge_u[k] = codes.setdefault(a, len(codes))
         edge_v[k] = codes.setdefault(b, len(codes))
 
-    sort_rank = _node_sort_ranks(order)
-
-    empty = np.zeros(0, dtype=np.int64)
-    endpoints = np.concatenate([edge_u, edge_v]) if m else empty
-    incident = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else empty
-    by_endpoint = _lexsort_pairs(endpoints, incident)
-    vert_edges = incident[by_endpoint]
-    vert_counts = np.bincount(endpoints, minlength=len(codes))
-    vert_indptr = np.zeros(len(codes) + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=vert_indptr[1:])
-    return LineGraphMeta(
-        edge_u=edge_u,
-        edge_v=edge_v,
-        sort_rank=sort_rank,
-        vert_indptr=vert_indptr,
-        vert_edges=vert_edges,
-        source=None,
-    )
+    return LineGraphMeta(edge_u=edge_u, edge_v=edge_v, sort_rank=_node_sort_ranks(order))
 
 
 def line_meta_for(fast: FastNetwork) -> LineGraphMeta:

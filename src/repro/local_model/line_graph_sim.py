@@ -35,7 +35,6 @@ from typing import Any, Dict, Hashable, Mapping, Optional, Tuple, Union
 from repro.local_model.algorithm import PhasePipeline, SynchronousPhase
 from repro.local_model.fast_network import FastNetwork
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.network import Network
 from repro.local_model.scheduler import PhaseResult
 
 #: Additive setup cost of Lemma 5.2 (computing the unique edge identifiers).
@@ -58,9 +57,7 @@ class LineGraphSimulationResult:
         The raw metrics of the algorithm as executed on ``L(G)`` itself,
         before adjustment (useful for comparing the two accountings).
     line_fast:
-        The CSR line-graph view the algorithm ran on; :attr:`line_network`
-        materializes (and caches) the equivalent legacy
-        :class:`~repro.local_model.network.Network` on first use.
+        The CSR line-graph view the algorithm ran on.
     """
 
     edge_states: Dict[Tuple[Hashable, Hashable], Dict[str, Any]]
@@ -68,14 +65,9 @@ class LineGraphSimulationResult:
     line_graph_metrics: RunMetrics
     line_fast: FastNetwork
 
-    @property
-    def line_network(self) -> Network:
-        """The explicit line-graph :class:`Network` (materialized lazily)."""
-        return self.line_fast.to_network()
-
 
 def simulate_on_line_graph(
-    network: Network,
+    network: FastNetwork,
     algorithm: Union[SynchronousPhase, PhasePipeline],
     initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
     engine: Optional[str] = None,
@@ -120,7 +112,7 @@ def apply_lemma_5_2_accounting(network, raw: RunMetrics) -> RunMetrics:
     ``G`` simulates up to ``deg(v)`` line-graph vertices, so the words it must
     push over a single edge of ``G`` in one round grow by a factor of at most
     ``Delta`` -- this is the ``O(Delta log n)`` message size of Theorem 5.3.
-    ``network`` is ``G`` (a :class:`Network` or ``FastNetwork`` view).
+    ``network`` is ``G``.
     """
     load_factor = max(1, network.max_degree)
     adjusted = RunMetrics()

@@ -1,9 +1,13 @@
 """The synchronous round scheduler.
 
 The scheduler executes a phase (or a pipeline of phases) on a
-:class:`~repro.local_model.network.Network`: in every round it collects the
-outgoing messages of all live nodes, validates that messages only travel over
-edges of the network, delivers them, and lets every node process its inbox.
+:class:`~repro.local_model.fast_network.FastNetwork`, one Python callback
+per node per round: in every round it collects the outgoing messages of all
+live nodes, validates that messages only travel over edges of the network,
+delivers them, and lets every node process its inbox.  Each node's
+:class:`~repro.local_model.algorithm.LocalView` lists its neighbors in
+unique-id order (the rows of :meth:`FastNetwork.ascending_rows`), whatever
+order the view's CSR rows are in.
 It accumulates :class:`~repro.local_model.metrics.RunMetrics` -- the exact
 quantities (rounds, message sizes) the paper's theorems bound.
 """
@@ -21,11 +25,9 @@ from repro.local_model.algorithm import (
     PhasePipeline,
     SynchronousPhase,
 )
-from repro.local_model.fast_network import NetworkLike, as_network
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.messages import payload_size_words
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.network import Network
-from repro.local_model.node import Node
 from repro.local_model.state_table import StateTable
 
 
@@ -55,15 +57,13 @@ class Scheduler:
     Parameters
     ----------
     network:
-        The communication graph; a
-        :class:`~repro.local_model.fast_network.FastNetwork` is materialized
-        into the identical :class:`Network` once, here.  Every node's
+        The communication graph.  Every node's
         :class:`~repro.local_model.algorithm.LocalView` exposes the globally
         known ``n`` and ``max_degree`` as ``view.globals``.
     """
 
-    def __init__(self, network: NetworkLike) -> None:
-        self.network: Network = as_network(network)
+    def __init__(self, network: FastNetwork) -> None:
+        self._fast = fast_view(network)
         self._globals: Dict[str, Any] = {
             "n": network.num_nodes,
             "max_degree": network.max_degree,
@@ -85,35 +85,35 @@ class Scheduler:
         coloring -- can be fed into a later algorithm, mirroring how the paper
         reuses the coloring ``rho`` across procedures.
         """
-        nodes = self.network.create_nodes()
+        fast = self._fast
+        states: Dict[Hashable, Dict[str, Any]] = {node_id: {} for node_id in fast.order}
         if initial_states:
             for node_id, seed in initial_states.items():
-                if node_id in nodes:
-                    nodes[node_id].state.update(dict(seed))
+                if node_id in states:
+                    states[node_id].update(dict(seed))
 
         global_values = dict(self._globals)
         views = {
             node_id: LocalView(
                 node_id=node_id,
-                unique_id=node.unique_id,
-                neighbors=node.neighbors,
+                unique_id=unique_id,
+                neighbors=neighbors,
                 globals=global_values,
             )
-            for node_id, node in nodes.items()
+            for node_id, unique_id, neighbors in zip(
+                fast.order, fast.unique_ids.tolist(), fast.ascending_rows().neighbor_ids
+            )
         }
 
         metrics = RunMetrics()
         phases = algorithm.phases if isinstance(algorithm, PhasePipeline) else (algorithm,)
         for phase in phases:
             started = time.perf_counter()
-            phase_metrics = self._run_single_phase(phase, nodes, views)
+            phase_metrics = self._run_single_phase(phase, states, views)
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
 
-        return PhaseResult(
-            states={node_id: node.state for node_id, node in nodes.items()},
-            metrics=metrics,
-        )
+        return PhaseResult(states=states, metrics=metrics)
 
     def run_table(self, algorithm, table):
         """Run with a :class:`~repro.local_model.state_table.StateTable` state.
@@ -124,7 +124,7 @@ class Scheduler:
         :meth:`run` executes unchanged, and the final states are re-absorbed.
         Returns ``(table, metrics)`` like the other engines' ``run_table``.
         """
-        order = self.network.nodes()
+        order = self._fast.order
         if table.num_rows != len(order):
             raise SimulationError(
                 f"state table has {table.num_rows} rows, network has "
@@ -141,31 +141,29 @@ class Scheduler:
     def _run_single_phase(
         self,
         phase: SynchronousPhase,
-        nodes: Dict[Hashable, Node],
+        states: Dict[Hashable, Dict[str, Any]],
         views: Dict[Hashable, LocalView],
     ) -> PhaseMetrics:
         phase_metrics = PhaseMetrics(name=phase.name)
 
-        for node in nodes.values():
-            node.reset_for_phase()
-        for node_id, node in nodes.items():
-            phase.initialize(views[node_id], node.state)
+        for node_id, state in states.items():
+            phase.initialize(views[node_id], state)
 
         if isinstance(phase, LocalComputationPhase):
-            for node_id, node in nodes.items():
-                phase.compute(views[node_id], node.state)
-                node.halted = True
-            for node_id, node in nodes.items():
-                phase.finalize(views[node_id], node.state)
+            for node_id, state in states.items():
+                phase.compute(views[node_id], state)
+            for node_id, state in states.items():
+                phase.finalize(views[node_id], state)
             return phase_metrics
 
-        if not nodes:
+        if not states:
             return phase_metrics
 
-        round_limit = phase.max_rounds(self.network.num_nodes, self.network.max_degree)
+        round_limit = phase.max_rounds(self._fast.num_nodes, self._fast.max_degree)
 
+        halted = dict.fromkeys(states, False)
         round_index = 0
-        while any(not node.halted for node in nodes.values()):
+        while not all(halted.values()):
             round_index += 1
             if round_index > round_limit:
                 raise RoundLimitExceeded(
@@ -174,14 +172,15 @@ class Scheduler:
 
             # Collect and validate outgoing messages from live nodes.
             inboxes: Dict[Hashable, Dict[Hashable, Any]] = {
-                node_id: {} for node_id in nodes
+                node_id: {} for node_id in states
             }
-            for node_id, node in nodes.items():
-                if node.halted:
+            for node_id, state in states.items():
+                if halted[node_id]:
                     continue
-                outbox = phase.send(views[node_id], node.state, round_index) or {}
+                view = views[node_id]
+                outbox = phase.send(view, state, round_index) or {}
                 for receiver, payload in outbox.items():
-                    if not self.network.has_edge(node_id, receiver):
+                    if receiver not in view.neighbors:
                         raise SimulationError(
                             f"node {node_id!r} attempted to message non-neighbor {receiver!r}"
                         )
@@ -189,17 +188,14 @@ class Scheduler:
                     phase_metrics.record_message(payload_size_words(payload))
 
             # Deliver and process.
-            for node_id, node in nodes.items():
-                if node.halted:
+            for node_id, state in states.items():
+                if halted[node_id]:
                     continue
-                halted = phase.receive(
-                    views[node_id], node.state, inboxes[node_id], round_index
-                )
-                if halted:
-                    node.halted = True
+                if phase.receive(views[node_id], state, inboxes[node_id], round_index):
+                    halted[node_id] = True
 
             phase_metrics.rounds = round_index
 
-        for node_id, node in nodes.items():
-            phase.finalize(views[node_id], node.state)
+        for node_id, state in states.items():
+            phase.finalize(views[node_id], state)
         return phase_metrics

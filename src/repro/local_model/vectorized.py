@@ -43,9 +43,8 @@ import numpy as np
 from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
 from repro.local_model import kernels
 from repro.local_model.algorithm import PhasePipeline, SynchronousPhase
-from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.network import Network
 from repro.local_model.scheduler import PhaseResult
 from repro.local_model.state_table import StateTable
 
@@ -208,9 +207,9 @@ class VectorizedScheduler:
     Parameters
     ----------
     network:
-        The communication graph -- a :class:`Network` or a (possibly
-        CSR-masked) :class:`FastNetwork`; a FastNetwork is used as-is, so
-        recursion levels run on their filtered views without any rebuild.
+        The communication graph, a (possibly CSR-masked)
+        :class:`FastNetwork`, used as-is, so recursion levels run on their
+        filtered views without any rebuild.
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
     is cached on the pipeline object), not per phase execution.  Every
@@ -225,14 +224,9 @@ class VectorizedScheduler:
     :class:`~repro.local_model.algorithm.LocalView` is ever built.
     """
 
-    def __init__(self, network: NetworkLike) -> None:
+    def __init__(self, network: FastNetwork) -> None:
         self._fast: FastNetwork = fast_view(network)
         self._backend = kernels.get_backend()
-
-    @property
-    def network(self) -> Network:
-        """The :class:`Network` this scheduler runs on (materialized on demand)."""
-        return self._fast.to_network()
 
     @property
     def kernel_backend_name(self) -> Optional[str]:

@@ -1,7 +1,6 @@
 """`color_graph` / `color_edges`: the auto-tuning front door of the repo.
 
-Both entry points take a graph (legacy :class:`Network` or CSR
-:class:`FastNetwork`) and pick
+Both entry points take a graph (a :class:`FastNetwork`) and pick
 
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
@@ -37,10 +36,9 @@ from repro.core.legal_coloring import color_vertices as core_color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model import kernels
 from repro.local_model.engine import default_engine
-from repro.local_model.fast_network import fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.portfolio.cost_model import CostModel
 from repro.portfolio.result import PortfolioDecision, PortfolioResult
-from repro.verification.coloring import NetworkLike
 
 VERTEX_ALGORITHMS = ("legal-color", "luby")
 EDGE_ALGORITHMS = ("legal-color", "panconesi-rizzi", "greedy-reduction", "luby")
@@ -119,7 +117,7 @@ def _decide_quality(
 
 
 def color_graph(
-    graph: NetworkLike,
+    graph: FastNetwork,
     *,
     c: Optional[int] = None,
     quality: Optional[str] = None,
@@ -134,7 +132,7 @@ def color_graph(
     Parameters
     ----------
     graph:
-        ``Network | FastNetwork``.
+        The graph, a :class:`FastNetwork`.
     c:
         Neighborhood-independence bound, when known.  Supplying it unlocks
         the paper's deterministic Legal-Color pipeline; without it the
@@ -216,7 +214,7 @@ def color_graph(
 
 
 def color_edges(
-    graph: NetworkLike,
+    graph: FastNetwork,
     *,
     quality: Optional[str] = None,
     budget: Optional[float] = None,

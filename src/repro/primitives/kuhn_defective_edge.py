@@ -29,7 +29,7 @@ from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView
 from repro.local_model.line_csr import NOT_A_LINE_GRAPH, line_meta_for
 from repro.local_model.messages import payload_size_words
-from repro.local_model.network import node_sort_key
+from repro.local_model.fast_network import node_sort_key
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.numbers import ceil_div
 

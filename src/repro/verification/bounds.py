@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.exceptions import ColoringError
 from repro.verification.coloring import (
     ColorsLike,
-    NetworkLike,
+    FastNetwork,
     assert_legal_vertex_coloring,
     coloring_defect,
     max_color,
@@ -32,7 +32,7 @@ def theorem_3_7_defect_bound(Lambda: int, b: int, p: int, c: int) -> int:
 
 
 def assert_defective_coloring(
-    network: NetworkLike,
+    network: FastNetwork,
     colors: ColorsLike,
     max_defect: int,
     max_palette: int,
@@ -55,7 +55,7 @@ def assert_defective_coloring(
 
 
 def verify_legal_coloring_result(
-    network: NetworkLike,
+    network: FastNetwork,
     colors: ColorsLike,
     palette_bound: int,
     context: str = "legal coloring",

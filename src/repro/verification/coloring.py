@@ -9,25 +9,21 @@ and 3 of the paper:
 * the *defect* of a vertex coloring is the maximum, over all vertices, of the
   number of neighbors sharing the vertex's color (and analogously for edges).
 
-Every oracle accepts two input shapes:
+Every oracle takes a :class:`~repro.local_model.fast_network.FastNetwork`
+and a coloring in one of two shapes:
 
-* the **mapping form** -- a legacy :class:`~repro.local_model.network.Network`
-  plus a mapping from node (or canonical edge) to color.  This is the
-  transparent audit path; it runs the original pure-Python ``O(E)`` scans
-  with their exact error messages.
-* the **array form** -- a :class:`~repro.local_model.fast_network.FastNetwork`
-  and/or a numpy *color column* (``colors[i]`` is the color of dense node
-  ``i``; for edge colorings, of the ``i``-th canonical edge in unique-id
-  pair order, which is exactly the dense node order of the line graph
-  ``L(G)``).  Legality and defect then reduce to masked comparisons over the
-  CSR arrays -- no per-node Python -- which is how the benchmark sweeps
-  verify million-edge colorings at array speed.  Error messages are
-  bit-identical to the mapping form (node identifiers are interned lazily,
-  only on the failure path).
+* a numpy *color column* -- ``colors[i]`` is the color of dense node ``i``;
+  for edge colorings, of the ``i``-th canonical edge in unique-id pair
+  order, which is exactly the dense node order of the line graph ``L(G)``;
+* a mapping from node (or edge, in either endpoint order) to color, which is
+  converted to the column at the boundary (:func:`_vertex_column` /
+  :func:`_edge_column`).
 
-A mapping paired with a ``FastNetwork``, or a column paired with a legacy
-``Network``, is converted at the boundary; the verdicts and messages are the
-same either way (property-tested in ``tests/test_verification.py``).
+Legality and defect then reduce to masked comparisons over the CSR arrays --
+no per-node Python -- which is how the benchmark sweeps verify million-edge
+colorings at array speed.  A failure names the offender the natural scan
+reaches first (nodes in unique-id order, each node's neighbors in unique-id
+order); node identifiers are interned lazily, only on the failure path.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ColoringError
-from repro.local_model.fast_network import FastNetwork, NetworkLike, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
 from repro.local_model.line_csr import entry_edge_ids
-from repro.local_model.network import Network
 
 EdgeKey = Tuple[Hashable, Hashable]
 #: A coloring: mapping form, or an ``int`` color column in dense order.
@@ -65,11 +60,6 @@ def min_color(colors: ColorsLike) -> int:
     if isinstance(colors, np.ndarray):
         return int(colors.min()) if colors.size else 1
     return min(colors.values(), default=1)
-
-
-def _use_arrays(network: NetworkLike, colors: ColorsLike) -> bool:
-    """Whether to dispatch to the masked-CSR kernels."""
-    return isinstance(network, FastNetwork) or isinstance(colors, np.ndarray)
 
 
 def _vertex_column(fast: FastNetwork, colors: ColorsLike) -> np.ndarray:
@@ -104,61 +94,41 @@ def _vertex_column(fast: FastNetwork, colors: ColorsLike) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def is_legal_vertex_coloring(network: NetworkLike, colors: ColorsLike) -> bool:
+def is_legal_vertex_coloring(network: FastNetwork, colors: ColorsLike) -> bool:
     """Whether ``colors`` is a legal vertex coloring of ``network``."""
-    if _use_arrays(network, colors):
-        fast = fast_view(network)
-        column = _vertex_column(fast, colors)
-        rows, cols = fast.rows_np, fast.indices_np
-        return not bool((column[rows] == column[cols]).any())
-    return _find_vertex_violation(network, colors) is None
+    fast = fast_view(network)
+    column = _vertex_column(fast, colors)
+    rows, cols = fast.rows_np, fast.indices_np
+    return not bool((column[rows] == column[cols]).any())
 
 
 def assert_legal_vertex_coloring(
-    network: NetworkLike, colors: ColorsLike, context: str = "vertex coloring"
+    network: FastNetwork, colors: ColorsLike, context: str = "vertex coloring"
 ) -> None:
     """Raise :class:`~repro.exceptions.ColoringError` if the coloring is not legal."""
-    if _use_arrays(network, colors):
-        fast = fast_view(network)
-        column = _vertex_column(fast, colors)
-        violation = _find_vertex_violation_arrays(fast, column)
-        if violation is not None:
-            u, v = violation
-            raise ColoringError(
-                f"{context}: adjacent vertices {u!r} and {v!r} share color "
-                f"{int(column[fast.index_of[u]])}"
-            )
-        return
-    violation = _find_vertex_violation(network, colors)
+    fast = fast_view(network)
+    column = _vertex_column(fast, colors)
+    violation = _find_vertex_violation(fast, column)
     if violation is not None:
         u, v = violation
         raise ColoringError(
-            f"{context}: adjacent vertices {u!r} and {v!r} share color {colors[u]}"
+            f"{context}: adjacent vertices {u!r} and {v!r} share color "
+            f"{int(column[fast.index_of[u]])}"
         )
 
 
-def coloring_defect(network: NetworkLike, colors: ColorsLike) -> int:
+def coloring_defect(network: FastNetwork, colors: ColorsLike) -> int:
     """The defect of a vertex coloring (0 for a legal coloring)."""
-    if _use_arrays(network, colors):
-        fast = fast_view(network)
-        column = _vertex_column(fast, colors)
-        if fast.num_nodes == 0 or len(fast.indices) == 0:
-            return 0
-        rows, cols = fast.rows_np, fast.indices_np
-        same = column[rows] == column[cols]
-        return int(np.bincount(rows[same], minlength=fast.num_nodes).max())
-    worst = 0
-    for node in network.nodes():
-        same = sum(
-            1
-            for neighbor in network.neighbors(node)
-            if colors[neighbor] == colors[node]
-        )
-        worst = max(worst, same)
-    return worst
+    fast = fast_view(network)
+    column = _vertex_column(fast, colors)
+    if fast.num_nodes == 0 or len(fast.indices) == 0:
+        return 0
+    rows, cols = fast.rows_np, fast.indices_np
+    same = column[rows] == column[cols]
+    return int(np.bincount(rows[same], minlength=fast.num_nodes).max())
 
 
-def _find_vertex_violation_arrays(
+def _find_vertex_violation(
     fast: FastNetwork, column: np.ndarray
 ) -> Optional[Tuple[Hashable, Hashable]]:
     """First monochromatic edge in canonical order (identifiers interned lazily)."""
@@ -166,25 +136,12 @@ def _find_vertex_violation_arrays(
     conflict = column[rows] == column[cols]
     if not conflict.any():
         return None
-    # The forward conflict with the smallest (row, col) is the canonical edge
-    # Network.edges() reaches first: the edge the mapping-based scan reports,
-    # whatever order each row lists its neighbors in.
+    # The forward conflict with the smallest (row, col) is the first canonical
+    # edge in pair-key order, whatever order each row lists its neighbors in.
     hits = np.flatnonzero(conflict & (rows < cols))
     forward = hits[np.argmin(rows[hits] * fast.num_nodes + cols[hits])]
     order = fast.order
     return (order[int(rows[forward])], order[int(cols[forward])])
-
-
-def _find_vertex_violation(
-    network: Network, colors: Mapping[Hashable, int]
-) -> Optional[Tuple[Hashable, Hashable]]:
-    missing = [node for node in network.nodes() if node not in colors]
-    if missing:
-        raise ColoringError(f"coloring misses {len(missing)} vertices (e.g. {missing[0]!r})")
-    for u, v in network.edges():
-        if colors[u] == colors[v]:
-            return (u, v)
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -242,49 +199,28 @@ def _edge_column(fast: FastNetwork, edge_colors: ColorsLike) -> np.ndarray:
     return column
 
 
-def _normalize_edge_colors(
-    network: Network, edge_colors: Mapping[EdgeKey, int]
-) -> Dict[frozenset, int]:
-    normalized: Dict[frozenset, int] = {}
-    for (u, v), color in edge_colors.items():
-        normalized[frozenset((u, v))] = color
-    missing = [edge for edge in network.edges() if frozenset(edge) not in normalized]
-    if missing:
-        raise ColoringError(
-            f"edge coloring misses {len(missing)} edges (e.g. {missing[0]!r})"
-        )
-    return normalized
-
-
-def is_legal_edge_coloring(
-    network: NetworkLike, edge_colors: ColorsLike
-) -> bool:
+def is_legal_edge_coloring(network: FastNetwork, edge_colors: ColorsLike) -> bool:
     """Whether ``edge_colors`` is a legal edge coloring of ``network``."""
-    if _use_arrays(network, edge_colors):
-        fast = fast_view(network).ascending_rows()
-        column = _edge_column(fast, edge_colors)
-        edge_u, edge_v = _canonical_edge_endpoints(fast)
-        endpoints = np.concatenate([edge_u, edge_v])
-        entry_colors = np.concatenate([column, column])
-        if not len(endpoints):
-            return True
-        by_endpoint_color = _lexsort_pairs(endpoints, entry_colors)
-        ep = endpoints[by_endpoint_color]
-        ec = entry_colors[by_endpoint_color]
-        return not bool(((ep[1:] == ep[:-1]) & (ec[1:] == ec[:-1])).any())
-    return _find_edge_violation(network, edge_colors) is None
+    fast = fast_view(network).ascending_rows()
+    column = _edge_column(fast, edge_colors)
+    edge_u, edge_v = _canonical_edge_endpoints(fast)
+    endpoints = np.concatenate([edge_u, edge_v])
+    entry_colors = np.concatenate([column, column])
+    if not len(endpoints):
+        return True
+    by_endpoint_color = _lexsort_pairs(endpoints, entry_colors)
+    ep = endpoints[by_endpoint_color]
+    ec = entry_colors[by_endpoint_color]
+    return not bool(((ep[1:] == ep[:-1]) & (ec[1:] == ec[:-1])).any())
 
 
 def assert_legal_edge_coloring(
-    network: NetworkLike, edge_colors: ColorsLike, context: str = "edge coloring"
+    network: FastNetwork, edge_colors: ColorsLike, context: str = "edge coloring"
 ) -> None:
     """Raise :class:`~repro.exceptions.ColoringError` if the edge coloring is not legal."""
-    if _use_arrays(network, edge_colors):
-        fast = fast_view(network).ascending_rows()
-        column = _edge_column(fast, edge_colors)
-        violation = _find_edge_violation_arrays(fast, column)
-    else:
-        violation = _find_edge_violation(network, edge_colors)
+    fast = fast_view(network).ascending_rows()
+    column = _edge_column(fast, edge_colors)
+    violation = _find_edge_violation(fast, column)
     if violation is not None:
         e1, e2, color = violation
         raise ColoringError(
@@ -292,54 +228,40 @@ def assert_legal_edge_coloring(
         )
 
 
-def edge_coloring_defect(network: NetworkLike, edge_colors: ColorsLike) -> int:
+def edge_coloring_defect(network: FastNetwork, edge_colors: ColorsLike) -> int:
     """The defect of an edge coloring (max incident same-colored edges per edge)."""
-    if _use_arrays(network, edge_colors):
-        fast = fast_view(network).ascending_rows()
-        column = _edge_column(fast, edge_colors)
-        num_edges = len(column)
-        if num_edges == 0:
-            return 0
-        edge_u, edge_v = _canonical_edge_endpoints(fast)
-        endpoints = np.concatenate([edge_u, edge_v])
-        entry_colors = np.concatenate([column, column])
-        by_group = _lexsort_pairs(endpoints, entry_colors)
-        ep = endpoints[by_group]
-        ec = entry_colors[by_group]
-        boundary = np.empty(len(ep), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (ep[1:] != ep[:-1]) | (ec[1:] != ec[:-1])
-        starts = np.flatnonzero(boundary)
-        sizes = np.diff(np.append(starts, len(ep)))
-        group_size = np.empty(len(ep), dtype=np.int64)
-        group_size[by_group] = np.repeat(sizes, sizes)
-        # Incident same-colored edges of edge e: its color's multiplicity at
-        # each endpoint, minus e itself at each.
-        defects = (group_size[:num_edges] - 1) + (group_size[num_edges:] - 1)
-        return int(defects.max())
-    normalized = _normalize_edge_colors(network, edge_colors)
-    worst = 0
-    for u, v in network.edges():
-        own = normalized[frozenset((u, v))]
-        same = 0
-        for endpoint, other in ((u, v), (v, u)):
-            for neighbor in network.neighbors(endpoint):
-                if neighbor == other:
-                    continue
-                if normalized[frozenset((endpoint, neighbor))] == own:
-                    same += 1
-        worst = max(worst, same)
-    return worst
+    fast = fast_view(network).ascending_rows()
+    column = _edge_column(fast, edge_colors)
+    num_edges = len(column)
+    if num_edges == 0:
+        return 0
+    edge_u, edge_v = _canonical_edge_endpoints(fast)
+    endpoints = np.concatenate([edge_u, edge_v])
+    entry_colors = np.concatenate([column, column])
+    by_group = _lexsort_pairs(endpoints, entry_colors)
+    ep = endpoints[by_group]
+    ec = entry_colors[by_group]
+    boundary = np.empty(len(ep), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (ep[1:] != ep[:-1]) | (ec[1:] != ec[:-1])
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, len(ep)))
+    group_size = np.empty(len(ep), dtype=np.int64)
+    group_size[by_group] = np.repeat(sizes, sizes)
+    # Incident same-colored edges of edge e: its color's multiplicity at
+    # each endpoint, minus e itself at each.
+    defects = (group_size[:num_edges] - 1) + (group_size[num_edges:] - 1)
+    return int(defects.max())
 
 
-def _find_edge_violation_arrays(
+def _find_edge_violation(
     fast: FastNetwork, column: np.ndarray
 ) -> Optional[Tuple[EdgeKey, EdgeKey, int]]:
-    """The violation the mapping-based scan reports first, from the arrays.
+    """The first violation of the node-by-node scan, from the arrays.
 
-    The mapping scan walks nodes in dense order and each node's neighbors in
-    CSR order, reporting the first incident edge whose color was already seen
-    at that node.  Sorting the CSR entries stably by (row, color) -- ties
+    The scan walks nodes in dense order and each node's neighbors in
+    ascending order, reporting the first incident edge whose color was
+    already seen at that node.  Sorting the CSR entries stably by (row, color) -- ties
     keep entry-index order -- makes every such "repeat" entry adjacent
     to the first occurrence of its (row, color) group; the scan's answer is
     the repeat entry with the smallest global CSR index.
@@ -365,17 +287,3 @@ def _find_edge_violation_arrays(
     seen_neighbor = order[int(cols[by_row_color[first]])]
     repeat_neighbor = order[int(cols[by_row_color[winner]])]
     return ((node, seen_neighbor), (node, repeat_neighbor), int(c_sorted[winner]))
-
-
-def _find_edge_violation(
-    network: Network, edge_colors: Mapping[EdgeKey, int]
-) -> Optional[Tuple[EdgeKey, EdgeKey, int]]:
-    normalized = _normalize_edge_colors(network, edge_colors)
-    for node in network.nodes():
-        seen: Dict[int, Hashable] = {}
-        for neighbor in network.neighbors(node):
-            color = normalized[frozenset((node, neighbor))]
-            if color in seen:
-                return ((node, seen[color]), (node, neighbor), color)
-            seen[color] = neighbor
-    return None

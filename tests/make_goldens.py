@@ -142,7 +142,7 @@ def _regular(n, degree, seed):
 
 
 def _line_of_regular(n, degree, seed):
-    from repro.graphs.line_graph import line_graph_network
+    from graph_oracles import line_graph_network
 
     return line_graph_network(_regular(n, degree, seed))
 

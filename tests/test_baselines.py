@@ -53,9 +53,9 @@ class TestSequentialOracles:
         assert max_color(edge_colors) <= max(1, 2 * network.max_degree - 1)
 
     def test_empty_graph_oracles(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        empty = Network({1: [], 2: []})
+        empty = FastNetwork.from_adjacency({1: [], 2: []})
         assert greedy_sequential_edge_coloring(empty) == {}
         colors = greedy_sequential_vertex_coloring(empty)
         assert set(colors.values()) == {1}

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from graph_oracles import line_graph_network
+
 from repro import graphs
 from repro.exceptions import InvalidParameterError
-from repro.graphs.line_graph import line_graph_network
 from repro.core.defective_coloring import (
     defective_color_pipeline,
     run_defective_color,

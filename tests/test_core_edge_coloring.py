@@ -41,9 +41,9 @@ class TestLegality:
         assert_legal_edge_coloring(network, result.edge_colors)
 
     def test_single_edge_graph(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        network = Network.from_edges([(1, 2)])
+        network = FastNetwork.from_adjacency({1: [2]})
         result = color_edges(network, quality="superlinear")
         assert result.edge_colors and set(result.edge_colors.values()) == {1}
 
@@ -56,7 +56,7 @@ class TestLegality:
 class TestResultObject:
     def test_color_lookup_in_both_endpoint_orders(self, small_regular):
         result = color_edges(small_regular, quality="superlinear")
-        u, v = small_regular.to_network().edges()[0]
+        u, v = small_regular.edges()[0]
         assert result.color_of(u, v) == result.color_of(v, u)
 
     def test_line_graph_degree_recorded(self, small_regular):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from graph_oracles import line_graph_network
+
 from repro import graphs
 from repro.core.legal_coloring import color_vertices, run_legal_coloring
 from repro.core.parameters import params_for_few_rounds, params_for_linear_colors
 from repro.exceptions import InvalidParameterError
-from repro.graphs.line_graph import line_graph_network
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
 
@@ -118,14 +119,14 @@ class TestRecursionBehaviour:
             assert with_aux.metrics.rounds <= without_aux.metrics.rounds + 4
 
     def test_empty_and_single_vertex_networks(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        empty = Network({})
+        empty = FastNetwork.from_adjacency({})
         params = params_for_few_rounds(1, c=2)
         result = run_legal_coloring(empty, params, c=2)
         assert result.colors == {}
 
-        single = Network({"v": []})
+        single = FastNetwork.from_adjacency({"v": []})
         result_single = run_legal_coloring(single, params, c=2)
         assert result_single.colors["v"] >= 1
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
-from repro.local_model import Network, Scheduler
+from repro.local_model import FastNetwork, Scheduler
 
 
 def run_psi(network, phi, p):
@@ -53,7 +53,7 @@ class TestPsiSelection:
         assert center_load == best_possible
 
     def test_isolated_vertices_terminate(self):
-        network = Network({1: [], 2: [], 3: []})
+        network = FastNetwork.from_adjacency({1: [], 2: [], 3: []})
         psi, metrics = run_psi(network, {1: 1, 2: 2, 3: 3}, p=2)
         assert set(psi.values()) <= {1, 2}
         assert metrics.rounds <= 3

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from graph_oracles import line_graph_network
+
 from repro import graphs
 from repro.core.randomized import randomized_color_vertices
 from repro.core.tradeoff import tradeoff_color_vertices
 from repro.exceptions import InvalidParameterError
-from repro.graphs.line_graph import line_graph_network
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
 

@@ -25,13 +25,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import graph_oracles
 from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 
 from repro import graphs
 from repro.dynamic import DynamicColoring, UpdateReport
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork
-from repro.verification import assert_legal_vertex_coloring
 
 QUICK_PROPERTY = settings(
     max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -267,9 +267,10 @@ class TestSessionBehavior:
         self._schedule(session, seed=6, steps=4)
         session.verify()
 
-    def test_legacy_network_input_is_accepted(self):
-        legacy = graphs.grid_graph(3, 4).to_network()
-        session = DynamicColoring(legacy, c=2)
+    def test_hand_built_input_is_accepted(self):
+        grid = graph_oracles.adjacency(graphs.grid_graph(3, 4))
+        hand_built = FastNetwork.from_adjacency(grid)
+        session = DynamicColoring(hand_built, c=2)
         session.apply_updates(added=[(0, 7)])
         session.verify()
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import graph_oracles
 from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 
 from repro import graphs
@@ -33,10 +34,9 @@ from repro.core import (
     tradeoff_color_vertices,
 )
 from repro.core.defective_coloring import defective_color_pipeline
-from repro.graphs.line_graph import line_graph_network
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
-    Network,
+    FastNetwork,
     PhasePipeline,
     Scheduler,
     StateTable,
@@ -47,7 +47,6 @@ from repro.local_model import (
     use_engine,
 )
 from repro.local_model.algorithm import BroadcastPhase, LocalComputationPhase, SILENT
-from repro.local_model.fast_network import as_network
 from repro.local_model.kernels import _loops
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
@@ -122,12 +121,11 @@ class TestSchedulerLevelEquivalence:
     of the vectorized kernels.
     """
 
-    def _compare(self, network: Network, pipeline, initial_states=None):
-        reference = Scheduler(as_network(network)).run(pipeline, initial_states=initial_states)
+    def _compare(self, network: FastNetwork, pipeline, initial_states=None):
+        reference = Scheduler(network).run(pipeline, initial_states=initial_states)
         fast = fast_view(network)
         for node in fast.order:
             assert_python_ints(fast.unique_id(node), "FastNetwork.unique_id")
-            assert_python_ints(fast.to_network().unique_id(node), "to_network")
         for config in ARRAY_CONFIGS:
             with engine_config(config):
                 candidate = VectorizedScheduler(network).run(
@@ -179,7 +177,7 @@ class TestSchedulerLevelEquivalence:
     def test_psi_scratch_is_dropped_on_every_engine(self, grid_network, mode):
         # Psi-selection keeps per-node count lists and waiting sets only
         # while it runs: no engine's final states may still hold them.
-        network = line_graph_network(grid_network) if mode == "edge" else grid_network
+        network = graph_oracles.line_graph_network(grid_network) if mode == "edge" else grid_network
         if network.num_nodes == 0:
             return
         pipeline, _ = defective_color_pipeline(
@@ -206,7 +204,7 @@ class TestSchedulerLevelEquivalence:
         # The Corollary 5.4 route, full final states included: the line-graph
         # incidence kernel must reproduce the per-node callbacks bit for bit,
         # with and without a class restriction.
-        line = line_graph_network(grid_network)
+        line = graph_oracles.line_graph_network(grid_network)
         if line.num_nodes == 0:
             return
         pipeline, _ = defective_color_pipeline(
@@ -278,11 +276,11 @@ class TestSchedulerLevelEquivalence:
 
     def test_empty_network(self):
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
-        self._compare(Network({}), pipeline)
+        self._compare(FastNetwork.from_adjacency({}), pipeline)
 
     def test_single_node_network(self):
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
-        self._compare(Network({"only": []}), pipeline)
+        self._compare(FastNetwork.from_adjacency({"only": []}), pipeline)
 
 
 class TestLegalColoringEquivalence:
@@ -341,7 +339,7 @@ class TestDefectiveColoringEquivalence:
     @pytest.mark.parametrize("p", [2, 3])
     def test_identical_psi_colorings(self, p, array_engine):
         for seed in (2, 9):
-            line = line_graph_network(graphs.random_regular(18, 4, seed=seed))
+            line = graph_oracles.line_graph_network(graphs.random_regular(18, 4, seed=seed))
             ref_colors, ref_info, ref_metrics = run_defective_color(
                 line, b=1, p=p, c=2, engine="reference"
             )
@@ -353,7 +351,7 @@ class TestDefectiveColoringEquivalence:
             assert metrics_fingerprint(metrics) == metrics_fingerprint(ref_metrics)
 
     def test_edge_mode(self, array_engine):
-        line = line_graph_network(graphs.random_regular(16, 6, seed=4))
+        line = graph_oracles.line_graph_network(graphs.random_regular(16, 6, seed=4))
         ref_colors, _, ref_metrics = run_defective_color(
             line, b=2, p=3, c=2, mode="edge", engine="reference"
         )
@@ -369,7 +367,7 @@ class TestTradeoffEquivalence:
         "g_label,g", [("sqrt", lambda d: d**0.5), ("linear", float)]
     )
     def test_identical_tradeoff_colorings(self, g_label, g, array_engine):
-        line = line_graph_network(graphs.random_regular(20, 6, seed=13))
+        line = graph_oracles.line_graph_network(graphs.random_regular(20, 6, seed=13))
         reference = tradeoff_color_vertices(line, c=2, g=g, engine="reference")
         candidate = tradeoff_color_vertices(line, c=2, g=g, engine=array_engine)
         assert candidate.colors == reference.colors
@@ -504,9 +502,9 @@ class TestVectorRunOnly:
             VectorizedScheduler(small_regular).run(MaxNeighborId())
         # The same phase runs on the reference engine, unchanged.
         result = Scheduler(small_regular).run(MaxNeighborId())
-        network = as_network(small_regular)
-        for node in network.nodes():
-            expected = max(network.unique_id(other) for other in (node, *network.neighbors(node)))
+        network = graph_oracles.adjacency(small_regular)
+        for node, neighbors in network.items():
+            expected = max(small_regular.unique_id(other) for other in (node, *neighbors))
             assert result.states[node]["seen"] == expected
         assert result.metrics.rounds == 2
 
@@ -536,7 +534,7 @@ class TestVectorRunOnly:
         # The Corollary 5.4 edge phase has a CSR kernel (over the line-graph
         # incidence encoding): edge-mode Defective-Color must execute with
         # zero reference fallbacks and still match the reference bit for bit.
-        line = line_graph_network(graphs.random_regular(16, 6, seed=4))
+        line = graph_oracles.line_graph_network(graphs.random_regular(16, 6, seed=4))
         reference = run_defective_color(line, b=2, p=3, c=2, mode="edge", engine="reference")
         colors, _, metrics = run_defective_color(
             line, b=2, p=3, c=2, mode="edge", engine="vectorized"
@@ -865,7 +863,7 @@ def _kernel_pipelines():
 
     cycles = graphs.random_regular(300, 2, seed=7)
     n = cycles.num_nodes
-    line = line_graph_network(graphs.random_regular(200, 3, seed=4))
+    line = graph_oracles.line_graph_network(graphs.random_regular(200, 3, seed=4))
     edge, _ = defective_color_pipeline(
         n=line.num_nodes, b=1, p=2, Lambda=4, c=2, mode="edge", class_key="cls"
     )
@@ -1031,7 +1029,7 @@ def _whole_runs():
     from repro.baselines import greedy_reduction_edge_coloring, luby_vertex_coloring
 
     regular = graphs.random_regular(40, 6, seed=11)
-    line = line_graph_network(graphs.random_regular(20, 6, seed=13))
+    line = graph_oracles.line_graph_network(graphs.random_regular(20, 6, seed=13))
     return {
         "legal-superlinear": lambda e: color_vertices(
             regular, c=6, quality="superlinear", engine=e

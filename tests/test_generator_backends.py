@@ -6,20 +6,18 @@ Three contracts are locked down here:
    complete / star / grid / hypercube / clique-with-pendants are compared
    against networkx builders called right here (networkx is a test oracle
    only): same node identifiers, same edge set, and the same CSR arrays and
-   unique ids as the :class:`Network` built from the networkx graph
-   (hypothesis-sampled sizes).
+   unique ids as ``FastNetwork.from_adjacency`` builds from the networkx
+   graph (hypothesis-sampled sizes).
 2. **Invariants of the random families.**  The samplers follow their own
    documented ``numpy.random.default_rng(seed)`` streams, so they cannot be
    compared edge-for-edge against networkx; instead the exact guarantees are
    asserted: exact degrees for the regular families, simplicity and symmetry
-   everywhere (via the validating ``to_network()`` round-trip), and
-   seed-reproducibility.
-3. **The Network-free entry path.**  A golden scenario enters through
+   everywhere (re-validated from scratch by ``FastNetwork.from_csr(...,
+   check=True)``), and seed-reproducibility.
+3. **The array entry path.**  A golden scenario enters through
    ``FastNetwork.from_edge_array``, runs the full Legal-Color pipeline on the
-   vectorized engine, verifies through the array oracles -- and the
-   ``Network`` is provably never materialized (``fast.network`` stays
-   ``None``); the colors equal those of the identically-shaped
-   ``Network``-built run.
+   vectorized engine and verifies through the array oracles; the colors
+   equal those of the same graph built by ``FastNetwork.from_adjacency``.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from repro import graphs
 from repro.core import color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.graphs.generators import _geometric_edges
-from repro.local_model.fast_network import FastNetwork, fast_view
-from repro.local_model.network import Network
+from repro.local_model.fast_network import FastNetwork
 from repro.verification import assert_legal_vertex_coloring
 
 QUICK_PROPERTY = settings(
@@ -46,10 +43,9 @@ QUICK_PROPERTY = settings(
 )
 
 
-def assert_bit_identical(fast: FastNetwork, network: Network) -> None:
-    """The array-built view equals the compiled view of ``network``."""
-    compiled = fast_view(network)
-    assert isinstance(fast, FastNetwork) and isinstance(network, Network)
+def assert_bit_identical(fast: FastNetwork, compiled: FastNetwork) -> None:
+    """The array-built view equals the hand-built view ``compiled``."""
+    assert isinstance(fast, FastNetwork)
     assert fast.order == compiled.order
     assert list(fast.unique_ids) == list(compiled.unique_ids)
     assert list(fast.indptr) == list(compiled.indptr)
@@ -63,6 +59,13 @@ def all_close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
     gaps = points[:, None, :] - points[None, :, :]
     within = (gaps**2).sum(axis=-1) <= radius * radius
     return np.argwhere(np.triu(within, k=1))
+
+
+def assert_simple_and_symmetric(network: FastNetwork) -> None:
+    """Re-validate the CSR from scratch: simple, ascending rows, symmetric."""
+    FastNetwork.from_csr(
+        network.indptr, network.indices, unique_ids=network.unique_ids, check=True
+    )
 
 
 def csr_edges(network: FastNetwork) -> np.ndarray:
@@ -118,9 +121,20 @@ DETERMINISTIC_FAMILIES = {
 }
 
 
-def network_of(graph: nx.Graph) -> Network:
-    """The :class:`Network` with the networkx graph's nodes and edges."""
-    return Network.from_edges(graph.edges, isolated_nodes=graph.nodes)
+def network_of(graph: nx.Graph) -> FastNetwork:
+    """The hand-built view with the networkx graph's nodes and edges."""
+    return FastNetwork.from_adjacency({node: list(graph[node]) for node in graph.nodes})
+
+
+def assert_matches_networkx(name: str, size: int) -> None:
+    """The ``name`` family at ``size`` is the networkx graph, CSR and all."""
+    maker, reference = DETERMINISTIC_FAMILIES[name]
+    fast, graph = maker(size), reference(size)
+    assert set(fast.nodes()) == set(graph.nodes)
+    edges = fast.edges()
+    assert {frozenset(edge) for edge in edges} == {frozenset(edge) for edge in graph.edges}
+    assert len(edges) == graph.number_of_edges()
+    assert_bit_identical(fast, network_of(graph))
 
 
 class TestDeterministicFamiliesBitIdentical:
@@ -128,28 +142,15 @@ class TestDeterministicFamiliesBitIdentical:
     @QUICK_PROPERTY
     @given(size=st.integers(min_value=1, max_value=40))
     def test_matches_the_networkx_graph(self, name, size):
-        maker, reference = DETERMINISTIC_FAMILIES[name]
-        fast, graph = maker(size), reference(size)
-        assert set(fast.nodes()) == set(graph.nodes)
-        edges = fast.to_network().edges()
-        assert {frozenset(edge) for edge in edges} == {frozenset(edge) for edge in graph.edges}
-        assert len(edges) == graph.number_of_edges()
-        assert_bit_identical(fast, network_of(graph))
-
-    def test_to_network_materializes_the_identical_network(self):
-        materialized = graphs.grid_graph(4, 5).to_network()
-        expected = network_of(nx_grid(4, 5))
-        assert materialized.nodes() == expected.nodes()
-        assert materialized.edges() == expected.edges()
-        assert materialized.unique_ids() == expected.unique_ids()
+        assert_matches_networkx(name, size)
 
     def test_backend_keyword_accepts_only_fast(self):
         assert graphs.random_regular(8, 3, seed=1, backend="fast").num_edges == 12
         assert graphs.random_geometric(8, 0.5, seed=1, backend="fast").num_nodes == 8
         for backend in ("legacy", "numpy"):
-            with pytest.raises(InvalidParameterError, match=r"to_network\(\)"):
+            with pytest.raises(InvalidParameterError, match="build a FastNetwork only"):
                 graphs.random_regular(8, 3, seed=1, backend=backend)
-            with pytest.raises(InvalidParameterError, match=r"to_network\(\)"):
+            with pytest.raises(InvalidParameterError, match="build a FastNetwork only"):
                 graphs.random_geometric(8, 0.5, seed=1, backend=backend)
         with pytest.raises(TypeError):
             graphs.path_graph(4, backend="fast")
@@ -170,8 +171,8 @@ class TestRandomFamilyInvariants:
         network = graphs.random_regular(n, degree, seed=seed)
         degrees = np.asarray(network.degrees_np)
         assert (degrees == degree).all()
-        # to_network() re-validates simplicity and symmetry from scratch.
-        assert network.to_network().num_edges == n * degree // 2
+        assert_simple_and_symmetric(network)
+        assert network.num_edges == n * degree // 2
         again = graphs.random_regular(n, degree, seed=seed)
         assert list(again.indices) == list(network.indices)
 
@@ -186,8 +187,8 @@ class TestRandomFamilyInvariants:
         network = graphs.random_bipartite_regular(side, degree, seed=seed)
         degrees = np.asarray(network.degrees_np)
         assert (degrees == degree).all()
-        materialized = network.to_network()
-        for u, v in materialized.edges():
+        assert_simple_and_symmetric(network)
+        for u, v in network.edges():
             assert u[0] != v[0]
         again = graphs.random_bipartite_regular(side, degree, seed=seed)
         assert list(again.indices) == list(network.indices)
@@ -201,7 +202,7 @@ class TestRandomFamilyInvariants:
     def test_erdos_renyi_simple_and_reproducible(self, n, probability, seed):
         network = graphs.erdos_renyi(n, probability, seed=seed)
         assert network.num_nodes == n
-        network.to_network()  # validates simplicity and symmetry
+        assert_simple_and_symmetric(network)
         again = graphs.erdos_renyi(n, probability, seed=seed)
         assert list(again.indices) == list(network.indices)
         if probability >= 1.0 and n > 1:
@@ -240,8 +241,8 @@ class TestBipartiteExactDegreeRegression:
         for seed in range(3):
             network = graphs.random_bipartite_regular(side, degree, seed=seed)
             assert (np.asarray(network.degrees_np) == degree).all()
-            materialized = network.to_network()  # validates simple + symmetric
-            for u, v in materialized.edges():
+            assert_simple_and_symmetric(network)
+            for u, v in network.edges():
                 assert u[0] != v[0]
             again = graphs.random_bipartite_regular(side, degree, seed=seed)
             assert list(again.indices) == list(network.indices)
@@ -262,12 +263,11 @@ class TestHeavyTailedFamilies:
                 graphs.barabasi_albert(n, attachment, seed=seed)
             return
         network = graphs.barabasi_albert(n, attachment, seed=seed)
-        assert network.network is None
         assert network.num_edges == attachment * (n - attachment)
         degrees = np.asarray(network.degrees_np)
         # Every arriving vertex attaches to `attachment` distinct targets.
         assert (degrees[attachment:] >= attachment).all()
-        network.to_network()  # validates simplicity and symmetry
+        assert_simple_and_symmetric(network)
         again = graphs.barabasi_albert(n, attachment, seed=seed)
         assert list(again.indices) == list(network.indices)
 
@@ -280,7 +280,7 @@ class TestHeavyTailedFamilies:
         # `attachment` edges to vertices that arrived before it.
         assert (earlier[:attachment] == 0).all()
         assert (earlier[attachment:] == attachment).all()
-        assert nx.is_connected(nx.Graph(network.to_network().edges()))
+        assert nx.is_connected(nx.Graph(network.edges()))
 
     def test_barabasi_albert_degrees_are_heavy_tailed(self):
         # Preferential attachment: the hubs far outgrow the mean degree,
@@ -302,9 +302,8 @@ class TestHeavyTailedFamilies:
         )
         assert int(degrees.sum()) % 2 == 0
         network = graphs.planted_degree_sequence(degrees, seed=seed)
-        assert network.network is None
         assert (np.asarray(network.degrees_np) == degrees).all()
-        network.to_network()  # validates simplicity and symmetry
+        assert_simple_and_symmetric(network)
         again = graphs.planted_degree_sequence(degrees, seed=seed)
         assert list(again.indices) == list(network.indices)
 
@@ -328,8 +327,7 @@ class TestHeavyTailedFamilies:
     @example(n=40, radius=1.5, seed=0)
     def test_random_geometric_matches_brute_force(self, n, radius, seed):
         network = graphs.random_geometric(n, radius, seed=seed)
-        assert network.network is None
-        network.to_network()  # validates simplicity and symmetry
+        assert_simple_and_symmetric(network)
         # The documented point stream: the generator's first draws.
         points = np.random.default_rng(seed).random((n, 2))
         assert np.array_equal(csr_edges(network), all_close_pairs(points, radius))
@@ -351,11 +349,10 @@ class TestHeavyTailedFamilies:
     def test_bipartite_switch_biregular(self, ports, seed, data):
         demand = data.draw(st.integers(min_value=0, max_value=ports))
         network = graphs.bipartite_switch(ports, demand, seed=seed)
-        assert network.network is None
         assert (np.asarray(network.degrees_np) == demand).all()
-        materialized = network.to_network()
-        assert materialized.nodes()[0] == ("in", 0)
-        for u, v in materialized.edges():
+        assert_simple_and_symmetric(network)
+        assert network.nodes()[0] == ("in", 0)
+        for u, v in network.edges():
             assert {u[0], v[0]} == {"in", "out"}
         again = graphs.bipartite_switch(ports, demand, seed=seed)
         assert list(again.indices) == list(network.indices)
@@ -474,19 +471,20 @@ class TestNetworkFreeEntryPath:
         v = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
         return u, v, rows * cols
 
-    def test_vectorized_run_never_builds_a_network(self):
+    def test_vectorized_run_verifies_on_the_arrays(self):
         u, v, n = self._edge_arrays()
         fast = FastNetwork.from_edge_array(u, v, num_nodes=n)
         result = color_vertices(fast, c=2, quality="superlinear", engine="vectorized")
         assert result.metrics.fallback_phase_names == []
         assert_legal_vertex_coloring(fast, result.color_column)
-        # The whole pipeline -- build, run, verify -- stayed Network-free.
-        assert fast.network is None
 
-    def test_colors_match_the_legacy_built_graph(self):
+    def test_colors_match_the_hand_built_graph(self):
         u, v, n = self._edge_arrays()
         fast = FastNetwork.from_edge_array(u, v, num_nodes=n)
-        legacy = Network.from_edges(zip(u.tolist(), v.tolist()))
+        adjacency = {node: [] for node in range(n)}
+        for a, b in zip(u.tolist(), v.tolist()):
+            adjacency[a].append(b)
+        legacy = FastNetwork.from_adjacency(adjacency)
         assert_bit_identical(fast, legacy)
         fast_run = color_vertices(fast, c=2, quality="superlinear", engine="vectorized")
         for engine in ("reference", "vectorized"):
@@ -510,11 +508,11 @@ class TestNetworkFreeEntryPath:
                 [0], [1], num_nodes=2, unique_ids=[7, 3]
             )
 
-    def test_from_edge_array_deduplicates_like_network(self):
+    def test_from_edge_array_deduplicates_like_from_adjacency(self):
         fast = FastNetwork.from_edge_array(
             [0, 1, 1, 2], [1, 0, 2, 1], num_nodes=4
         )
-        legacy = Network({0: [1, 1], 1: [0, 2], 2: [1], 3: []})
+        legacy = FastNetwork.from_adjacency({0: [1, 1], 1: [0, 2], 2: [1], 3: []})
         assert_bit_identical(fast, legacy)
 
     @settings(max_examples=100, deadline=None)
@@ -590,5 +588,4 @@ class TestNetworkFreeEntryPath:
         )
         assert fast.nodes() == names
         assert fast.unique_id("b") == 5
-        materialized = fast.to_network()
-        assert materialized.neighbors("b") == ("a", "c")
+        assert fast.neighbor_ids[fast.index_of["b"]] == ("a", "c")

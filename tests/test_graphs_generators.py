@@ -94,7 +94,7 @@ class TestRandomFamilies:
     def test_random_regular_deterministic_given_seed(self):
         a = graphs.random_regular(20, 3, seed=9)
         b = graphs.random_regular(20, 3, seed=9)
-        assert a.to_network().edges() == b.to_network().edges()
+        assert a.edges() == b.edges()
 
     def test_random_regular_zero_degree(self):
         network = graphs.random_regular(10, 0, seed=1)
@@ -124,7 +124,7 @@ class TestRandomFamilies:
     def test_bipartite_regular_is_bipartite_and_near_regular(self):
         network = graphs.random_bipartite_regular(12, 4, seed=5)
         assert network.num_nodes == 24
-        for u, v in network.to_network().edges():
+        for u, v in network.edges():
             assert u[0] != v[0]
         assert network.max_degree <= 4
         with pytest.raises(InvalidParameterError):
@@ -143,5 +143,5 @@ class TestLineGraphsOfGeneratedGraphs:
     )
     def test_line_graph_independence_at_most_two(self, maker):
         network = maker()
-        line = graphs.line_graph_network(network)
+        line = graphs.build_line_graph_fast(network)
         assert has_neighborhood_independence_at_most(line, 2)

@@ -60,9 +60,7 @@ class TestHypergraphLineGraph:
         hypergraph.add_edge([3, 4])     # edge 1 (shares vertex 3 with edge 0)
         hypergraph.add_edge([5, 6])     # edge 2 (disjoint)
         line = hypergraph_line_graph(hypergraph)
-        assert line.has_edge(0, 1)
-        assert not line.has_edge(0, 2)
-        assert not line.has_edge(1, 2)
+        assert line.edges() == ((0, 1),)
 
     def test_line_graph_node_count(self):
         hypergraph = random_r_hypergraph(num_vertices=12, num_edges=15, rank=3, seed=4)

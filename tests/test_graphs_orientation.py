@@ -14,7 +14,6 @@ from repro.graphs.orientation import (
     out_neighbors,
 )
 from repro.baselines import greedy_sequential_vertex_coloring
-from repro.local_model.fast_network import as_network
 
 
 class TestOrientationFromColoring:
@@ -22,7 +21,7 @@ class TestOrientationFromColoring:
         small_regular = shape(small_regular)
         colors = greedy_sequential_vertex_coloring(small_regular)
         orientation = acyclic_orientation_from_coloring(small_regular, colors)
-        assert set(orientation.keys()) == set(as_network(small_regular).edges())
+        assert set(orientation.keys()) == set(small_regular.edges())
 
     def test_orientation_is_acyclic_for_legal_coloring(self, small_regular, shape):
         small_regular = shape(small_regular)
@@ -67,7 +66,7 @@ class TestAcyclicityAndPaths:
         nodes = triangle.nodes()
         # Build a rotating orientation: 0 -> 1 -> 2 -> 0.
         orientation = {}
-        for u, v in as_network(triangle).edges():
+        for u, v in triangle.edges():
             i, j = nodes.index(u), nodes.index(v)
             head = v if (j - i) % 3 == 1 else u
             orientation[(u, v)] = head
@@ -83,7 +82,7 @@ class TestAcyclicityAndPaths:
         triangle = shape(triangle)
         nodes = triangle.nodes()
         orientation = {}
-        for u, v in as_network(triangle).edges():
+        for u, v in triangle.edges():
             i, j = nodes.index(u), nodes.index(v)
             orientation[(u, v)] = v if (j - i) % 3 == 1 else u
         with pytest.raises(InvalidParameterError):
@@ -101,14 +100,14 @@ class TestAcyclicityAndPaths:
 
     def test_incomplete_orientation_rejected(self, triangle, shape):
         triangle = shape(triangle)
-        first = as_network(triangle).edges()[0]
+        first = triangle.edges()[0]
         orientation = {first: first[0]}
         with pytest.raises(InvalidParameterError):
             is_acyclic_orientation(triangle, orientation)
 
     def test_orientation_with_foreign_head_rejected(self, triangle, shape):
         triangle = shape(triangle)
-        edges = as_network(triangle).edges()
+        edges = triangle.edges()
         orientation = {edge: edge[0] for edge in edges}
         orientation[edges[0]] = "foreign"
         with pytest.raises(InvalidParameterError):

@@ -13,16 +13,16 @@ from repro.graphs.properties import (
     is_claw_free,
     neighborhood_independence,
 )
-from repro.local_model import Network
+from repro.local_model import FastNetwork
 
 
 class TestNeighborhoodIndependence:
     def test_edgeless_graph_has_zero_independence(self, shape):
-        network = shape(Network({1: [], 2: [], 3: []}))
+        network = shape(FastNetwork.from_adjacency({1: [], 2: [], 3: []}))
         assert neighborhood_independence(network) == 0
 
     def test_single_edge(self, shape):
-        network = shape(Network.from_edges([(1, 2)]))
+        network = shape(FastNetwork.from_adjacency({1: [2]}))
         assert neighborhood_independence(network) == 1
 
     def test_clique_has_independence_one(self, shape):
@@ -54,8 +54,9 @@ class TestNeighborhoodIndependence:
                 assert not has_neighborhood_independence_at_most(network, exact - 1)
 
     def test_bounded_check_with_negative_c(self, shape):
-        assert has_neighborhood_independence_at_most(shape(Network({1: [], 2: []})), -1)
-        edge = shape(Network.from_edges([(1, 2)]))
+        edgeless = shape(FastNetwork.from_adjacency({1: [], 2: []}))
+        assert has_neighborhood_independence_at_most(edgeless, -1)
+        edge = shape(FastNetwork.from_adjacency({1: [2]}))
         assert not has_neighborhood_independence_at_most(edge, -1)
 
     def test_grid_independence_is_four(self, shape):
@@ -65,7 +66,7 @@ class TestNeighborhoodIndependence:
 
 class TestClawFreeness:
     def test_line_graphs_are_claw_free(self, medium_regular, shape):
-        line = graphs.line_graph_network(medium_regular)
+        line = graphs.build_line_graph_fast(medium_regular)
         assert is_claw_free(shape(line))
 
     def test_star_is_not_claw_free(self, shape):
@@ -119,6 +120,6 @@ class TestDegreeStatistics:
         assert stats.num_nodes == 24
 
     def test_empty_graph_statistics(self):
-        stats = degree_statistics(Network({}))
+        stats = degree_statistics(FastNetwork.from_adjacency({}))
         assert stats.num_nodes == 0
         assert stats.average_degree == 0.0

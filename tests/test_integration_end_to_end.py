@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+import graph_oracles
+from graph_oracles import line_graph_network
+
 from repro import graphs
 from repro.baselines import (
     greedy_sequential_edge_coloring,
@@ -15,7 +18,6 @@ from repro.core import color_edges, color_vertices, run_defective_color
 from repro.core.parameters import params_for_few_rounds
 from repro.core.legal_coloring import run_legal_coloring
 from repro.graphs.hypergraphs import hypergraph_line_graph, random_r_hypergraph
-from repro.graphs.line_graph import line_graph_network
 from repro.graphs.properties import has_neighborhood_independence_at_most
 from repro.verification.coloring import (
     assert_legal_edge_coloring,
@@ -106,7 +108,7 @@ class TestDefectiveToLegalPipeline:
         psi, info, _ = run_defective_color(line, b=b, p=p, c=2)
         assert coloring_defect(line, psi) <= info.psi_defect_bound
 
-        filtered = line.filtered_by_edge(lambda u, v: psi[u] == psi[v])
+        filtered = graph_oracles.filtered_by_edge(line, lambda u, v: psi[u] == psi[v])
         assert filtered.max_degree <= info.psi_defect_bound
 
         params = params_for_few_rounds(max(1, filtered.max_degree), c=2)

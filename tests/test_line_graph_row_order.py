@@ -7,13 +7,15 @@ tests pin the three things that make that safe:
 * **row-order independence** -- every consumer of an ``L(G)`` view (both
   Legal-Color routes and the three line-graph baselines, on every engine
   configuration) gives the identical coloring and per-phase metrics when
-  every row of the view is shuffled;
+  every row of the view is shuffled, and the reference engine on the
+  shuffled view gives what the vectorized engine gives on the built one;
 * **the builder's layout** -- each row is exactly ``inc(u) \\ {e} ++
   inc(v) \\ {e}``, and as a set it is the networkx ``line_graph``
   neighbourhood (networkx is a test-only oracle);
 * **order-agnostic consumers** -- the CSR patch, the verification oracles and
   a dynamic session give on an ``L(G)`` view exactly what they give on the
-  same graph with ascending rows.
+  same graph with ascending rows, and the verification oracles name the
+  offender the node-by-node scans of ``graph_oracles`` name.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_oracles
 from engine_configs import ENGINE_CONFIGS, engine_config
 
 from repro import graphs
@@ -39,8 +42,7 @@ from repro.baselines import (
 from repro.core import color_edges
 from repro.dynamic import DynamicColoring
 from repro.exceptions import ColoringError
-from repro.graphs.line_graph import build_line_graph_fast
-from repro.local_model import FastNetwork, Network, fast_view
+from repro.local_model import FastNetwork, build_line_graph_fast, fast_view
 from repro.verification.coloring import (
     assert_legal_edge_coloring,
     assert_legal_vertex_coloring,
@@ -100,8 +102,10 @@ def fingerprint(result):
 
 
 def assert_row_order_free(run, shuffle_seed):
-    plain = fingerprint(run())
-    assert fingerprint(run_with_shuffled_line_graphs(run, shuffle_seed)) == plain
+    """``run()`` gives the same fingerprint with shuffled L(G) rows; returns it."""
+    shuffled = fingerprint(run_with_shuffled_line_graphs(run, shuffle_seed))
+    assert shuffled == fingerprint(run())
+    return shuffled
 
 
 class TestLineGraphRowOrderIndependence:
@@ -117,10 +121,15 @@ class TestLineGraphRowOrderIndependence:
     def test_line_graph_routes(self, config, route, family, graph_seed, shuffle_seed, quality):
         network = FAMILIES[family](graph_seed)
         with engine_config(config) as engine:
-            assert_row_order_free(
+            shuffled = assert_row_order_free(
                 lambda: color_edges(network, quality=quality, route=route, engine=engine),
                 shuffle_seed,
             )
+        if config == "reference":
+            # The reference engine lists each node's neighbors by unique id,
+            # so a shuffled view still gives the vectorized engine's answer.
+            built = color_edges(network, quality=quality, route=route, engine="vectorized")
+            assert shuffled == fingerprint(built)
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGS)
     @settings(max_examples=6, deadline=None)
@@ -138,7 +147,11 @@ class TestLineGraphRowOrderIndependence:
             "luby": lambda net, engine: luby_edge_coloring(net, seed=graph_seed, engine=engine),
         }
         with engine_config(config) as engine:
-            assert_row_order_free(lambda: runs[baseline](network, engine=engine), shuffle_seed)
+            shuffled = assert_row_order_free(
+                lambda: runs[baseline](network, engine=engine), shuffle_seed
+            )
+        if config == "reference":
+            assert shuffled == fingerprint(runs[baseline](network, engine="vectorized"))
 
 
 # --------------------------------------------------------------------------- #
@@ -148,16 +161,14 @@ class TestLineGraphRowOrderIndependence:
 #: Graphs the incidence layout is pinned on: degenerate shapes, skewed
 #: degrees, and identifiers that are not the dense range.
 LAYOUT_CASES = {
-    "empty": lambda: Network({}),
-    "isolated-only": lambda: Network({1: [], 2: [], 3: []}),
+    "empty": lambda: FastNetwork.from_adjacency({}),
+    "isolated-only": lambda: FastNetwork.from_adjacency({1: [], 2: [], 3: []}),
     "isolated-and-edges": lambda: FastNetwork.from_edge_array([0, 2, 2], [2, 5, 6], num_nodes=8),
     "star7": lambda: graphs.star_graph(7),
     "barabasi-albert": lambda: graphs.barabasi_albert(40, 3, seed=4),
     "regular": lambda: graphs.random_regular(30, 5, seed=2),
-    "tuple-ids": lambda: fast_view(
-        Network.from_edges(
-            [((0, 1), (2, 3)), ((2, 3), (4, 5)), ((4, 5), (0, 1)), ((4, 5), (6, 7))]
-        )
+    "tuple-ids": lambda: FastNetwork.from_adjacency(
+        {(0, 1): [(2, 3)], (2, 3): [(4, 5)], (4, 5): [(0, 1), (6, 7)]}
     ),
 }
 
@@ -280,22 +291,25 @@ def test_line_graph_verification_reports_the_mapping_form_offender(rows):
     line = line_graph_60x4()
     if rows == "shuffled":
         line = shuffled_rows(line, seed=5)
-    network = line.to_network()
     column = np.arange(line.num_nodes, dtype=np.int64) % 3
-    colors = dict(zip(network.nodes(), column.tolist()))
+    colors = dict(zip(line.order, column.tolist()))
     assert failure_text(assert_legal_vertex_coloring, line, column) == failure_text(
-        assert_legal_vertex_coloring, network, colors
+        graph_oracles.assert_legal_vertex, line, colors
     )
 
     # L(G) as the graph G' of an edge coloring: the column follows G''s
     # canonical edges in pair-key order, whatever the row order.
     edge_column = np.arange(line.num_edges, dtype=np.int64) % 7
-    edge_colors = dict(zip(network.edges(), edge_column.tolist()))
+    edge_colors = dict(zip(graph_oracles.edges(line), edge_column.tolist()))
     assert failure_text(assert_legal_edge_coloring, line, edge_column) == failure_text(
-        assert_legal_edge_coloring, network, edge_colors
+        graph_oracles.assert_legal_edge, line, edge_colors
     )
-    assert edge_coloring_defect(line, edge_column) == edge_coloring_defect(network, edge_colors)
+    assert edge_coloring_defect(line, edge_column) == graph_oracles.edge_defect(line, edge_colors)
 
+    # The same graph G' rebuilt from a dict, every row ascending.
+    network = FastNetwork.from_adjacency(
+        graph_oracles.adjacency(line), unique_ids=graph_oracles.unique_ids(line)
+    )
     on_view, on_network = color_edges(line), color_edges(network)
     np.testing.assert_array_equal(on_view.color_column, on_network.color_column)
     assert_legal_edge_coloring(line, on_view.color_column)

@@ -20,7 +20,7 @@ class TestSimulateOnLineGraph:
             output_key="color",
         )
         result = simulate_on_line_graph(small_regular, phase)
-        assert set(result.edge_states.keys()) == set(result.line_network.nodes())
+        assert set(result.edge_states.keys()) == set(result.line_fast.nodes())
         assert len(result.edge_states) == small_regular.num_edges
 
     def test_round_accounting_doubles_plus_setup(self):
@@ -55,7 +55,7 @@ class TestSimulateOnLineGraph:
         )
         result = simulate_on_line_graph(small_regular, phase)
         colors = {edge: state["color"] for edge, state in result.edge_states.items()}
-        assert_legal_vertex_coloring(result.line_network, colors)
+        assert_legal_vertex_coloring(result.line_fast, colors)
 
 
 class TestCopyKeyPhase:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import RoundLimitExceeded, SimulationError
 from repro.local_model import (
-    Network,
+    FastNetwork,
     PhasePipeline,
     RunMetrics,
     Scheduler,
@@ -114,7 +114,8 @@ class TestScheduler:
     def test_fast_network_runs_like_the_equal_network(self, path10):
         pipeline = PhasePipeline([EchoDegreePhase(), GossipMaxIdPhase(rounds=4)])
         on_fast = Scheduler(path10).run(pipeline)
-        on_network = Scheduler(path10.to_network()).run(pipeline)
+        hand_built = FastNetwork.from_adjacency({i: [i + 1] for i in range(9)})
+        on_network = Scheduler(hand_built).run(pipeline)
         assert on_fast.states == on_network.states
         assert on_fast.metrics.summary() == on_network.metrics.summary()
 
@@ -176,7 +177,7 @@ class TestScheduler:
         assert some_state["keys"] == ["max_degree", "n"]
 
     def test_empty_network_runs_without_rounds(self):
-        empty = Network({})
+        empty = FastNetwork.from_adjacency({})
         result = Scheduler(empty).run(EchoDegreePhase())
         assert result.states == {}
         assert result.metrics.rounds == 0

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from engine_configs import ARRAY_CONFIGS, engine_config
+from graph_oracles import line_graph_network
 
 from repro import graphs
 from repro.exceptions import InvalidParameterError
 from repro.local_model import Scheduler
-from repro.graphs.line_graph import build_line_graph_network
 from repro.primitives.kuhn_defective import (
     DefectiveStepPhase,
     defective_coloring_pipeline,
@@ -133,8 +133,7 @@ class TestDefectiveVertexColoring:
 
 class TestDefectiveEdgeColoring:
     def _line_graph(self, network):
-        line, _ = build_line_graph_network(network)
-        return line
+        return line_graph_network(network)
 
     @pytest.mark.parametrize("p_prime", [2, 3, 5])
     def test_corollary_5_4_defect_and_palette(self, p_prime):
@@ -200,7 +199,7 @@ class TestDefectiveEdgeColoringKernel:
     @pytest.mark.parametrize("p_prime", [2, 3, 5])
     def test_bit_identical_without_classes(self, p_prime):
         network = graphs.random_regular(30, 6, seed=7)
-        line, _ = build_line_graph_network(network)
+        line = line_graph_network(network)
         phase = KuhnDefectiveEdgeColoringPhase(
             p_prime=p_prime, degree_bound=network.max_degree, output_key="edge_color"
         )
@@ -208,7 +207,7 @@ class TestDefectiveEdgeColoringKernel:
 
     def test_bit_identical_with_class_restriction(self):
         network = graphs.random_regular(20, 4, seed=9)
-        line, _ = build_line_graph_network(network)
+        line = line_graph_network(network)
         states = {edge: {"cls": index % 3} for index, edge in enumerate(line.nodes())}
         phase = KuhnDefectiveEdgeColoringPhase(
             p_prime=3, degree_bound=4, output_key="edge_color", class_key="cls"
@@ -219,7 +218,7 @@ class TestDefectiveEdgeColoringKernel:
         # Tuple-valued classes (the Legal-Color recursion paths) change the
         # broadcast payload size; metrics must still match exactly.
         network = graphs.random_regular(18, 4, seed=3)
-        line, _ = build_line_graph_network(network)
+        line = line_graph_network(network)
         states = {
             edge: {"cls": (1, line.unique_id(edge) % 2)} for edge in line.nodes()
         }
@@ -231,13 +230,13 @@ class TestDefectiveEdgeColoringKernel:
     def test_bit_identical_with_non_monotone_unique_ids(self):
         # node_sort_key order of the edge tuples disagrees with pair-key
         # order here; the kernel's sort_rank column must follow the former.
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        base = Network(
+        base = FastNetwork.from_adjacency(
             {10: [20, 30, 40], 20: [30, 40], 30: [40], 40: []},
             unique_ids={10: 4, 20: 3, 30: 2, 40: 1},
         )
-        line, _ = build_line_graph_network(base)
+        line = line_graph_network(base)
         phase = KuhnDefectiveEdgeColoringPhase(
             p_prime=2, degree_bound=3, output_key="edge_color"
         )
@@ -252,16 +251,15 @@ class TestDefectiveEdgeColoringKernel:
 
     def test_kernel_on_the_csr_builder_view(self):
         # The fast-builder view carries the incidence encoding natively; the
-        # kernel must agree with the reference run on the materialized twin.
-        from repro.graphs.line_graph import build_line_graph_fast
-        from repro.local_model import VectorizedScheduler
+        # kernel must agree with the reference run on the same view.
+        from repro.local_model import VectorizedScheduler, build_line_graph_fast
 
         network = graphs.random_regular(26, 8, seed=1)
         fast = build_line_graph_fast(network)
         phase = KuhnDefectiveEdgeColoringPhase(
             p_prime=4, degree_bound=network.max_degree, output_key="edge_color"
         )
-        reference = Scheduler(fast.to_network()).run(phase)
+        reference = Scheduler(fast).run(phase)
         candidate = VectorizedScheduler(fast).run(phase)
         assert candidate.states == reference.states
         assert candidate.metrics.summary() == reference.metrics.summary()

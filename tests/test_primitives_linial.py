@@ -80,16 +80,16 @@ class TestDistributedExecution:
         assert metrics.rounds == max(1, len(phase.schedule))
 
     def test_edgeless_graph_gets_single_color(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        network = Network({i: [] for i in range(5)})
+        network = FastNetwork.from_adjacency({i: [] for i in range(5)})
         colors, metrics, phase = run_linial(network, degree_bound=0)
         assert set(colors.values()) == {1}
 
     def test_isolated_vertices_mixed_with_edges(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        network = Network.from_edges([(1, 2), (2, 3)], isolated_nodes=[10, 11])
+        network = FastNetwork.from_adjacency({1: [2], 2: [3], 10: [], 11: []})
         colors, _, phase = run_linial(network)
         assert_legal_vertex_coloring(network, colors)
 

@@ -15,19 +15,20 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import graph_oracles
 from engine_configs import ARRAY_CONFIGS, engine_config
 
 from repro.core import color_edges, run_defective_color
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario
-from repro.graphs.line_graph import line_graph_network
 from repro.graphs.properties import (
     has_neighborhood_independence_at_most,
     neighborhood_independence,
 )
 from repro.local_model import (
-    Network,
+    FastNetwork,
     Scheduler,
     VectorizedScheduler,
+    build_line_graph_fast,
     fast_view,
 )
 from repro.local_model.messages import payload_size_words
@@ -58,8 +59,11 @@ def random_edge_lists(draw, max_nodes: int = 12) -> Tuple[int, List[Tuple[int, i
     return n, edges
 
 
-def build_network(n: int, edges: List[Tuple[int, int]]) -> Network:
-    return Network.from_edges(edges, isolated_nodes=range(n))
+def build_network(n: int, edges: List[Tuple[int, int]]) -> FastNetwork:
+    adjacency = {node: [] for node in range(n)}
+    for u, v in edges:
+        adjacency[u].append(v)
+    return FastNetwork.from_adjacency(adjacency)
 
 
 SLOW = settings(
@@ -80,7 +84,7 @@ class TestStructuralProperties:
     def test_line_graphs_always_have_independence_at_most_two(self, data):
         n, edges = data
         network = build_network(n, edges)
-        line = line_graph_network(network)
+        line = build_line_graph_fast(network)
         assert has_neighborhood_independence_at_most(line, 2)
 
     @SLOW
@@ -88,7 +92,7 @@ class TestStructuralProperties:
     def test_line_graph_size_and_degree_bounds(self, data):
         n, edges = data
         network = build_network(n, edges)
-        line = line_graph_network(network)
+        line = build_line_graph_fast(network)
         assert line.num_nodes == network.num_edges
         if network.max_degree >= 1:
             assert line.max_degree <= 2 * (network.max_degree - 1)
@@ -102,7 +106,7 @@ class TestStructuralProperties:
         if not has_neighborhood_independence_at_most(network, c):
             return
         subset = [node for node in network.nodes() if node % 2 == 0]
-        induced = network.induced_subgraph(subset)
+        induced = graph_oracles.induced_subgraph(network, subset)
         assert has_neighborhood_independence_at_most(induced, c)
 
     @SLOW
@@ -224,7 +228,7 @@ class TestColoringProperties:
     def test_defective_color_procedure_defect_bound(self, data, p):
         n, edges = data
         network = build_network(n, edges)
-        line = line_graph_network(network)
+        line = build_line_graph_fast(network)
         if line.num_nodes == 0:
             return
         Lambda = max(1, line.max_degree)
@@ -247,45 +251,31 @@ class TestColoringProperties:
 
 
 # --------------------------------------------------------------------------- #
-# CSR line-graph builder == legacy Python constructor
+# CSR line-graph builder == dict-built oracle
 # --------------------------------------------------------------------------- #
 
 
 class TestFastLineGraphBuilder:
-    """build_line_graph_fast reproduces build_line_graph_network exactly."""
+    """build_line_graph_fast reproduces the dict-built line graph exactly."""
 
     @SLOW
     @given(random_edge_lists(), st.booleans())
     def test_builder_matches_legacy_constructor(self, data, scramble_ids):
-        from repro.graphs.line_graph import build_line_graph_fast, build_line_graph_network
-
         n, edges = data
         network = build_network(n, edges)
         if scramble_ids:
             # Non-monotone unique ids: identifier order and node_sort_key
             # order disagree, which exercises the pair-key/sort-rank split.
-            network = Network(
-                {node: network.neighbors(node) for node in network.nodes()},
-                unique_ids={
-                    node: n + 1 - network.unique_id(node) for node in network.nodes()
-                },
+            network = FastNetwork.from_adjacency(
+                graph_oracles.adjacency(network),
+                unique_ids={node: n + 1 - network.unique_id(node) for node in network.nodes()},
             )
-        legacy, edge_ids = build_line_graph_network(network)
-        fast = build_line_graph_fast(network)
-        assert fast.num_nodes == legacy.num_nodes
-        assert fast.max_degree == legacy.max_degree
-        materialized = fast.to_network()
-        assert materialized.nodes() == legacy.nodes()
-        assert materialized.unique_ids() == legacy.unique_ids()
-        for node in legacy.nodes():
-            assert materialized.neighbors(node) == legacy.neighbors(node)
-        assert {edge: fast.unique_id(edge) for edge in fast.order} == edge_ids
+        graph_oracles.assert_line_graph_matches(network)
 
     @SLOW
     @given(random_edge_lists())
     def test_edge_mode_defective_color_identical_on_all_engines(self, data):
         from repro.core.defective_coloring import defective_color_pipeline
-        from repro.graphs.line_graph import build_line_graph_fast
 
         n, edges = data
         network = build_network(n, edges)
@@ -296,7 +286,7 @@ class TestFastLineGraphBuilder:
         pipeline, _ = defective_color_pipeline(
             n=line.num_nodes, b=1, p=2, Lambda=Lambda, c=2, mode="edge"
         )
-        reference = Scheduler(line.to_network()).run(pipeline)
+        reference = Scheduler(line).run(pipeline)
         for config in ARRAY_CONFIGS:
             with engine_config(config):
                 candidate = VectorizedScheduler(line).run(pipeline)
@@ -305,26 +295,25 @@ class TestFastLineGraphBuilder:
 
 
 # --------------------------------------------------------------------------- #
-# CSR masking: FastNetwork.filtered == Network.filtered_by_edge
+# CSR masking: FastNetwork.filtered == the dict-filtered oracle
 # --------------------------------------------------------------------------- #
 
 
-def _assert_same_filtered(derived, expected: Network) -> None:
-    """A derived FastNetwork and a filtered Network describe the same graph."""
+def _assert_same_filtered(derived: FastNetwork, expected: FastNetwork) -> None:
+    """A CSR-masked view and a dict-rebuilt graph are the same graph."""
     assert derived.num_nodes == expected.num_nodes
     assert derived.num_edges == expected.num_edges
     assert derived.max_degree == expected.max_degree
     assert derived.nodes() == expected.nodes()
-    for i, node in enumerate(derived.order):
-        assert derived.neighbor_ids[i] == expected.neighbors(node)
-    materialized = derived.to_network()
-    assert materialized.nodes() == expected.nodes()
-    assert materialized.edges() == expected.edges()
-    assert materialized.unique_ids() == expected.unique_ids()
+    assert derived.neighbor_ids == expected.neighbor_ids
+    assert graph_oracles.edges(derived) == graph_oracles.edges(expected)
+    np.testing.assert_array_equal(derived.unique_ids, expected.unique_ids)
+    np.testing.assert_array_equal(derived.indptr, expected.indptr)
+    np.testing.assert_array_equal(derived.indices, expected.indices)
 
 
 class TestFastNetworkFiltering:
-    """CSR masking agrees with the Network-rebuilding path on random graphs."""
+    """CSR masking agrees with rebuilding the graph from a filtered dict."""
 
     @SLOW
     @given(
@@ -340,8 +329,8 @@ class TestFastNetworkFiltering:
             node: (network.unique_id(node) * 2654435761 + salt) % num_labels
             for node in network.nodes()
         }
-        expected = network.filtered_by_edge(
-            lambda u, v: label_of[u] == label_of[v]
+        expected = graph_oracles.filtered_by_edge(
+            network, lambda u, v: label_of[u] == label_of[v]
         )
         labels = np.fromiter(
             (label_of[node] for node in fast.order), dtype=np.int64, count=n
@@ -356,10 +345,12 @@ class TestFastNetworkFiltering:
         fast = fast_view(network)
         # Keep every second canonical edge -- an arbitrary symmetric subset.
         kept_edges = {
-            frozenset(edge) for i, edge in enumerate(network.edges()) if i % 2 == 0
+            frozenset(edge)
+            for i, edge in enumerate(graph_oracles.edges(network))
+            if i % 2 == 0
         }
-        expected = network.filtered_by_edge(
-            lambda u, v: frozenset((u, v)) in kept_edges
+        expected = graph_oracles.filtered_by_edge(
+            network, lambda u, v: frozenset((u, v)) in kept_edges
         )
         rows, cols = fast.rows_np, fast.indices_np
         order = fast.order
@@ -380,7 +371,7 @@ class TestFastNetworkFiltering:
         network = build_network(n, edges)
         fast = fast_view(network)
         kept = {node for node in network.nodes() if node % 3 != 0}
-        expected = network.filtered_by_edge(lambda u, v: u in kept and v in kept)
+        expected = graph_oracles.filtered_by_edge(network, lambda u, v: u in kept and v in kept)
         node_mask = np.fromiter(
             (node in kept for node in fast.order), dtype=bool, count=n
         )
@@ -392,26 +383,24 @@ class TestFastNetworkFiltering:
         n, edges = data
         network = build_network(n, edges)
         fast = fast_view(network)
-        expected = network.filtered_by_edge(lambda u, v: False)
+        expected = graph_oracles.filtered_by_edge(network, lambda u, v: False)
         derived = fast.filtered(edge_mask=np.zeros(len(fast.indices), dtype=bool))
         _assert_same_filtered(derived, expected)
         assert derived.num_edges == 0
         assert derived.max_degree == 0
 
     def test_single_node_network(self):
-        network = Network({"only": []})
-        fast = fast_view(network)
-        derived = fast.filtered_by_labels(np.zeros(1, dtype=np.int64))
-        _assert_same_filtered(derived, network.filtered_by_edge(lambda u, v: True))
+        network = FastNetwork.from_adjacency({"only": []})
+        derived = network.filtered_by_labels(np.zeros(1, dtype=np.int64))
+        _assert_same_filtered(derived, graph_oracles.filtered_by_edge(network, lambda u, v: True))
         assert derived.num_nodes == 1
         assert derived.neighbor_ids == ((),)
 
     def test_empty_network(self):
-        fast = fast_view(Network({}))
+        fast = FastNetwork.from_adjacency({})
         derived = fast.filtered_by_labels(np.zeros(0, dtype=np.int64))
         assert derived.num_nodes == 0
         assert derived.num_edges == 0
-        assert derived.to_network().num_nodes == 0
 
 
 # --------------------------------------------------------------------------- #

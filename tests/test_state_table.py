@@ -241,9 +241,9 @@ class TestRunTable:
         assert final.kind("d") == "int"
 
     def test_empty_network_run_table(self):
-        from repro.local_model import Network
+        from repro.local_model import FastNetwork
 
-        network = Network({})
+        network = FastNetwork.from_adjacency({})
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
         for config in ENGINE_CONFIGS:
             with engine_config(config) as engine:

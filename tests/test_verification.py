@@ -7,10 +7,11 @@ import random
 import numpy as np
 import pytest
 
+import graph_oracles
+
 from repro import graphs
 from repro.exceptions import ColoringError
-from repro.local_model import Network
-from repro.local_model.fast_network import fast_view
+from repro.local_model import FastNetwork
 from repro.verification.bounds import (
     assert_defective_coloring,
     theorem_3_7_defect_bound,
@@ -27,12 +28,6 @@ from repro.verification.coloring import (
     palette_size,
 )
 
-
-# The mapping oracles are the subject here: materialize the array-built
-# triangle (TestArrayOracles compares the two forms explicitly).
-@pytest.fixture
-def triangle(triangle):
-    return triangle.to_network()
 
 class TestVertexColoringOracles:
     def test_legal_coloring_accepted(self, triangle):
@@ -52,7 +47,7 @@ class TestVertexColoringOracles:
             is_legal_vertex_coloring(triangle, colors)
 
     def test_defect_measurement(self):
-        path = graphs.path_graph(5).to_network()
+        path = graphs.path_graph(5)
         alternating = {node: node % 2 + 1 for node in path.nodes()}
         constant = {node: 1 for node in path.nodes()}
         assert coloring_defect(path, alternating) == 0
@@ -76,7 +71,7 @@ class TestEdgeColoringOracles:
         assert is_legal_edge_coloring(triangle, edge_colors)
 
     def test_incident_same_color_rejected(self):
-        star = graphs.star_graph(3).to_network()
+        star = graphs.star_graph(3)
         edge_colors = {edge: 1 for edge in star.edges()}
         assert not is_legal_edge_coloring(star, edge_colors)
         with pytest.raises(ColoringError):
@@ -88,21 +83,22 @@ class TestEdgeColoringOracles:
             is_legal_edge_coloring(triangle, edge_colors)
 
     def test_edge_defect_measurement(self):
-        star = graphs.star_graph(4).to_network()
+        star = graphs.star_graph(4)
         same = {edge: 1 for edge in star.edges()}
         distinct = {edge: index + 1 for index, edge in enumerate(star.edges())}
         assert edge_coloring_defect(star, same) == 3
         assert edge_coloring_defect(star, distinct) == 0
 
     def test_disjoint_edges_may_share_colors(self):
-        network = Network.from_edges([(1, 2), (3, 4)])
+        network = FastNetwork.from_adjacency({1: [2], 3: [4]})
         edge_colors = {edge: 1 for edge in network.edges()}
         assert is_legal_edge_coloring(network, edge_colors)
 
 
 class TestArrayOracles:
-    """The masked-CSR oracle paths agree with the mapping paths exactly --
-    verdicts, defects, and error messages byte for byte."""
+    """The masked-CSR checks agree with the node-by-node scans of
+    ``graph_oracles`` exactly -- verdicts, defects, and error messages byte
+    for byte -- whether the coloring comes as a column or a mapping."""
 
     MAKERS = [
         lambda: graphs.random_regular(24, 4, seed=7),
@@ -122,61 +118,52 @@ class TestArrayOracles:
 
     @pytest.mark.parametrize("maker", MAKERS)
     def test_vertex_oracles_agree_across_forms(self, maker):
-        network = maker().to_network()
-        fast = fast_view(network)
+        fast = maker()
         rnd = random.Random(0)
         for _ in range(20):
-            colors = {node: rnd.randrange(1, 5) for node in network.nodes()}
+            colors = {node: rnd.randrange(1, 5) for node in fast.nodes()}
             column = np.array([colors[node] for node in fast.order], dtype=np.int64)
-            assert is_legal_vertex_coloring(fast, column) == is_legal_vertex_coloring(
-                network, colors
-            )
-            assert coloring_defect(fast, column) == coloring_defect(network, colors)
-            assert self._message(
-                assert_legal_vertex_coloring, fast, column
-            ) == self._message(assert_legal_vertex_coloring, network, colors)
-            # Mixed forms dispatch to the array kernels too.
-            assert is_legal_vertex_coloring(fast, colors) == is_legal_vertex_coloring(
-                network, column
-            )
+            legal = graph_oracles.vertex_violation(fast, colors) is None
+            assert is_legal_vertex_coloring(fast, column) == legal
+            assert is_legal_vertex_coloring(fast, colors) == legal
+            assert coloring_defect(fast, column) == graph_oracles.vertex_defect(fast, colors)
+            assert coloring_defect(fast, colors) == coloring_defect(fast, column)
+            expected = self._message(graph_oracles.assert_legal_vertex, fast, colors)
+            assert self._message(assert_legal_vertex_coloring, fast, column) == expected
+            assert self._message(assert_legal_vertex_coloring, fast, colors) == expected
 
     @pytest.mark.parametrize("maker", MAKERS)
     def test_edge_oracles_agree_across_forms(self, maker):
-        network = maker().to_network()
-        fast = fast_view(network)
+        fast = maker()
+        edges = graph_oracles.edges(fast)
         rnd = random.Random(1)
         for _ in range(20):
-            edge_colors = {edge: rnd.randrange(1, 7) for edge in network.edges()}
-            column = np.array(
-                [edge_colors[edge] for edge in network.edges()], dtype=np.int64
-            )
-            assert is_legal_edge_coloring(fast, column) == is_legal_edge_coloring(
-                network, edge_colors
-            )
-            assert edge_coloring_defect(fast, column) == edge_coloring_defect(
-                network, edge_colors
-            )
-            assert self._message(
-                assert_legal_edge_coloring, fast, column
-            ) == self._message(assert_legal_edge_coloring, network, edge_colors)
+            edge_colors = {edge: rnd.randrange(1, 7) for edge in edges}
+            column = np.array([edge_colors[edge] for edge in edges], dtype=np.int64)
+            legal = graph_oracles.edge_violation(fast, edge_colors) is None
+            assert is_legal_edge_coloring(fast, column) == legal
+            assert is_legal_edge_coloring(fast, edge_colors) == legal
+            defect = graph_oracles.edge_defect(fast, edge_colors)
+            assert edge_coloring_defect(fast, column) == defect
+            assert edge_coloring_defect(fast, edge_colors) == defect
+            expected = self._message(graph_oracles.assert_legal_edge, fast, edge_colors)
+            assert self._message(assert_legal_edge_coloring, fast, column) == expected
+            assert self._message(assert_legal_edge_coloring, fast, edge_colors) == expected
 
     def test_missing_entries_report_the_same_errors(self):
-        network = graphs.cycle_graph(3).to_network()
-        fast = fast_view(network)
+        fast = graphs.cycle_graph(3)
+        first_node = {fast.nodes()[0]: 1}
+        first_edge = {graph_oracles.edges(fast)[0]: 1}
         short_vertex = self._message(
             is_legal_vertex_coloring, fast, np.array([1], dtype=np.int64)
         )
-        mapping_vertex = self._message(
-            is_legal_vertex_coloring, network, {network.nodes()[0]: 1}
-        )
-        assert short_vertex == mapping_vertex
-        short_edge = self._message(
-            is_legal_edge_coloring, fast, np.array([1], dtype=np.int64)
-        )
-        mapping_edge = self._message(
-            is_legal_edge_coloring, network, {network.edges()[0]: 1}
-        )
-        assert short_edge == mapping_edge
+        assert short_vertex == self._message(is_legal_vertex_coloring, fast, first_node)
+        assert short_vertex == self._message(graph_oracles.vertex_violation, fast, first_node)
+        assert short_vertex == "coloring misses 2 vertices (e.g. 1)"
+        short_edge = self._message(is_legal_edge_coloring, fast, np.array([1], dtype=np.int64))
+        assert short_edge == self._message(is_legal_edge_coloring, fast, first_edge)
+        assert short_edge == self._message(graph_oracles.edge_violation, fast, first_edge)
+        assert short_edge == "edge coloring misses 2 edges (e.g. (0, 2))"
         oversized = self._message(
             is_legal_vertex_coloring, fast, np.ones(9, dtype=np.int64)
         )
