@@ -33,39 +33,9 @@ from repro.local_model.state_table import StateTable
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
 from repro.core.parameters import integer_seed
+from repro.primitives.numbers import luby_draw
 from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
 from repro.local_model.metrics import RunMetrics
-
-_MASK64 = 2**64 - 1
-
-
-def _splitmix64(word):
-    """SplitMix64's step: add the golden gamma, then its 64-bit finalizer.
-
-    The first mask leaves only ``word`` modulo ``2**64``, so a negative or
-    wider-than-64-bit Python int hashes like its ``.astype(np.uint64)`` value.
-    """
-    word = (word + 0x9E3779B97F4A7C15) & _MASK64
-    word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return word ^ (word >> 31)
-
-
-def luby_draw(seed, unique_id, round_index, limit):
-    """The index in ``range(limit)`` node ``unique_id`` draws in a round.
-
-    A SplitMix64 chain over ``(seed, unique_id, round_index)``, each word
-    taken modulo ``2**64``, reduced ``% limit``.  The one expression serves
-    both engines: on Python ints the masks wrap it to 64 bits, and on
-    ``uint64`` arrays (``unique_id`` and ``limit``; ``seed`` and
-    ``round_index`` stay ints) numpy wraps it the same way, so an array
-    lane equals the scalar draw with the same arguments.
-    """
-    word = _splitmix64(seed)
-    word = _splitmix64(word ^ unique_id)
-    word = _splitmix64(word ^ round_index)
-    return word % limit
-
 
 class LubyRandomColoringPhase(BroadcastPhase):
     """One phase implementing the trial-and-keep randomized coloring."""

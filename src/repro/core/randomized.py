@@ -16,9 +16,8 @@ argues).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -31,6 +30,11 @@ from repro.core.parameters import (
     integer_seed,
     params_for_few_rounds,
 )
+from repro.primitives.numbers import luby_draw
+
+#: The round word of the split's counter-hash draw.  Luby's rounds count up
+#: from 0, so a Luby run and a split with the same seed never share a draw.
+_SPLIT_DOMAIN = 2**62
 
 
 @dataclass
@@ -64,7 +68,7 @@ class RandomizedColoringResult:
     split_defect: int
     per_class_palette: int
     used_random_split: bool
-    class_assignment: Dict[Hashable, int] = field(default_factory=dict)
+    class_assignment: Mapping[Hashable, int] = field(default_factory=dict)
     #: The coloring as an int64 array in the dense node order of the
     #: network's FastNetwork view (the array-form verification input).
     color_column: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -104,16 +108,11 @@ def randomized_color_vertices(
     if use_split:
         num_classes = max(2, math.ceil(delta / log_n))
         # Per-vertex randomness is keyed by (seed, unique id), so the split
-        # is reproducible and engine-independent; the draw itself is the only
-        # per-node Python step left in this driver.
-        labels = np.fromiter(
-            (
-                random.Random(f"{seed}:{unique_id}").randint(1, num_classes)
-                for unique_id in fast.unique_ids.tolist()
-            ),
-            dtype=np.int64,
-            count=fast.num_nodes,
+        # is reproducible and engine-independent: one draw per uint64 lane.
+        draws = luby_draw(
+            seed, fast.unique_ids.astype(np.uint64), _SPLIT_DOMAIN, np.uint64(num_classes)
         )
+        labels = draws.astype(np.int64) + 1
         # One round: every vertex announces its class to its neighbors.
         metrics.add_phase(
             PhaseMetrics(
@@ -124,8 +123,9 @@ def randomized_color_vertices(
                 max_message_words=1,
             )
         )
-        split_defect = _intra_class_defect(fast, labels)
         class_network = fast.filtered_by_labels(labels)
+        # A class's subgraph keeps exactly the same-class edges.
+        split_defect = class_network.max_degree
     else:
         num_classes = 1
         labels = np.ones(fast.num_nodes, dtype=np.int64)
@@ -142,7 +142,6 @@ def randomized_color_vertices(
     per_class_palette = per_class.palette
     # Both columns follow fast.order, so the palette merge is array work.
     color_column = (labels - 1) * per_class_palette + per_class.color_column
-    assignment: Dict[Hashable, int] = dict(zip(fast.order, labels.tolist()))
     return RandomizedColoringResult(
         colors=fast.column_mapping(color_column),
         palette=num_classes * per_class_palette,
@@ -151,15 +150,7 @@ def randomized_color_vertices(
         split_defect=split_defect,
         per_class_palette=per_class_palette,
         used_random_split=use_split,
-        class_assignment=assignment,
+        class_assignment=fast.column_mapping(labels),
         color_column=color_column,
     )
 
-
-def _intra_class_defect(fast: FastNetwork, labels: np.ndarray) -> int:
-    """The maximum number of same-class neighbors over all vertices."""
-    if fast.num_nodes == 0 or len(fast.indices) == 0:
-        return 0
-    rows, cols = fast.rows_np, fast.indices_np
-    same = labels[rows] == labels[cols]
-    return int(np.bincount(rows[same], minlength=fast.num_nodes).max())

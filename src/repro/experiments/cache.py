@@ -45,7 +45,9 @@ from repro.experiments.scenarios import payload_digest
 #: Bump to invalidate every existing cache entry on a payload format change.
 #: v2: entries carry a ``sha256`` payload-integrity digest.
 #: v3: graph specs lost ``backend``; every family is array-built.
-CACHE_VERSION = 3
+#: v4: the Theorem 6.1 split draws through the ``luby_draw`` counter hash,
+#: so a stored randomized result no longer matches a fresh run.
+CACHE_VERSION = 4
 
 #: Environment variable overriding the shared default cache location.
 CACHE_ENV_VAR = "REPRO_EXPERIMENT_CACHE"

@@ -11,10 +11,8 @@ to ``r`` resources at once).
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
-from typing import FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -89,7 +87,20 @@ class Hypergraph:
 
     def max_vertex_degree(self) -> int:
         """The maximum vertex degree (0 for an empty hypergraph)."""
-        return max((self.vertex_degree(v) for v in self._vertices), default=0)
+        _, vertex = self._incidence()
+        return int(np.bincount(vertex).max()) if len(vertex) else 0
+
+    def _incidence(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The membership columns ``(hyperedge, vertex)``, one entry per membership.
+
+        Hyperedge indices are ascending; vertices are interned to dense
+        indices ``0..|V|-1``.
+        """
+        index: Dict[Hashable, int] = {v: i for i, v in enumerate(self._vertices)}
+        members = [v for edge in self._edges for v in edge]
+        vertex = np.fromiter(map(index.__getitem__, members), dtype=np.int64, count=len(members))
+        sizes = np.fromiter(map(len, self._edges), dtype=np.int64, count=len(self._edges))
+        return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes), vertex
 
 
 def hypergraph_line_graph(hypergraph: Hypergraph) -> FastNetwork:
@@ -98,13 +109,23 @@ def hypergraph_line_graph(hypergraph: Hypergraph) -> FastNetwork:
     The resulting network's node identifiers are the hyperedge indices, so the
     ``i``-th hyperedge of ``H`` corresponds to node ``i`` of ``L(H)``.  By the
     paper's observation, ``I(L(H)) <= r`` when ``H`` is an ``r``-hypergraph.
+
+    The hyperedges through one vertex form a clique of ``L(H)``: every
+    vertex's clique is emitted as endpoint arrays in one pass, and
+    :meth:`FastNetwork.from_edge_array` removes the pairs that two hyperedges
+    sharing several vertices contribute more than once.
     """
-    edges = hypergraph.edges
-    pairs = [
-        (i, j) for i, j in itertools.combinations(range(len(edges)), 2) if edges[i] & edges[j]
-    ]
-    u, v = (np.array(side, dtype=np.int64) for side in zip(*pairs)) if pairs else ((), ())
-    return FastNetwork.from_edge_array(u, v, num_nodes=len(edges))
+    edge, vertex = hypergraph._incidence()
+    # Memberships grouped by vertex; the stable sort keeps each group's
+    # hyperedges ascending.
+    by_vertex = np.argsort(vertex, kind="stable")
+    edge = edge[by_vertex]
+    group_end = np.cumsum(np.bincount(vertex))[vertex[by_vertex]]
+    # Membership k pairs with every later membership of its group.
+    later = group_end - np.arange(len(edge)) - 1
+    first = np.repeat(np.arange(len(edge)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return FastNetwork.from_edge_array(edge[first], edge[second], num_nodes=hypergraph.num_edges)
 
 
 def random_r_hypergraph(
@@ -116,24 +137,30 @@ def random_r_hypergraph(
 ) -> Hypergraph:
     """A random ``r``-hypergraph on ``num_vertices`` vertices.
 
-    Each hyperedge picks its size uniformly from ``{2, ..., rank}`` (or
-    exactly ``rank`` when ``exact_size``) and its vertices uniformly without
-    replacement.  Deterministic given ``seed``.
+    Each of the ``num_edges`` draws picks its size uniformly from
+    ``{2, ..., rank}`` (or exactly ``rank`` when ``exact_size``) and its
+    vertices uniformly without replacement; a draw repeating an earlier
+    hyperedge is skipped, so the first one drawn wins.  Deterministic given
+    ``seed`` (``numpy.random.default_rng(seed)``).
     """
     if rank < 2:
         raise HypergraphError("rank must be at least 2")
     if num_vertices < rank:
         raise HypergraphError("need at least `rank` vertices")
-    rng = random.Random(seed)
-    hypergraph = Hypergraph(rank=rank)
-    for vertex in range(num_vertices):
-        hypergraph.add_vertex(vertex)
-    seen = set()
-    for _ in range(num_edges):
-        size = rank if exact_size else rng.randint(2, rank)
-        edge = frozenset(rng.sample(range(num_vertices), size))
-        if edge in seen:
-            continue
-        seen.add(edge)
-        hypergraph.add_edge(edge)
-    return hypergraph
+    rng = np.random.default_rng(seed)
+    if exact_size:
+        sizes = np.full(num_edges, rank, dtype=np.int64)
+    else:
+        sizes = rng.integers(2, rank + 1, size=num_edges)
+    # Column k draws from the num_vertices - k vertices its row has not taken:
+    # stepping past each taken vertex, ascending, maps the draw onto them.
+    picks = np.empty((num_edges, rank), dtype=np.int64)
+    for k in range(rank):
+        draw = rng.integers(0, num_vertices - k, size=num_edges)
+        for taken in np.sort(picks[:, :k], axis=1).T:
+            draw += draw >= taken
+        picks[:, k] = draw
+    drawn = dict.fromkeys(
+        frozenset(row[:size]) for row, size in zip(picks.tolist(), sizes.tolist())
+    )
+    return Hypergraph(rank=rank, _vertices=set(range(num_vertices)), _edges=list(drawn))

@@ -48,7 +48,7 @@ from repro.local_model.engine import (
 )
 from repro.local_model.fast_network import FastNetwork, fast_view, node_sort_key
 from repro.local_model.line_csr import LineGraphMeta, build_line_graph_fast, line_meta_for
-from repro.local_model.messages import Message, payload_size_words
+from repro.local_model.messages import payload_size_words
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.scheduler import PhaseResult, Scheduler
 from repro.local_model.state_table import StateTable
@@ -66,7 +66,6 @@ __all__ = [
     "LineGraphMeta",
     "LineGraphSimulationResult",
     "LocalView",
-    "Message",
     "PhasePipeline",
     "PhaseResult",
     "RunMetrics",

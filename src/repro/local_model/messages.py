@@ -1,4 +1,4 @@
-"""Message envelopes and message-size accounting.
+"""Message-size accounting.
 
 The paper measures message sizes in bits and distinguishes algorithms that use
 ``O(log n)``-bit messages from those that need ``O(Delta log n)`` bits.  We
@@ -9,8 +9,7 @@ quantity (an identifier, a color, or a counter bounded by a polynomial in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any
 
 
 def payload_size_words(payload: Any) -> int:
@@ -50,31 +49,3 @@ def payload_size_words(payload: Any) -> int:
     # Unknown objects are conservatively charged one word per attribute-free
     # scalar; callers should prefer plain containers for payloads.
     return 1
-
-
-@dataclass(frozen=True)
-class Message:
-    """A single message sent over one edge in one round.
-
-    Attributes
-    ----------
-    sender:
-        Identifier of the sending node.
-    receiver:
-        Identifier of the receiving node (must be a neighbor of the sender).
-    payload:
-        Arbitrary payload; its size is charged via :func:`payload_size_words`.
-    round_index:
-        The round (1-based, within the current phase) in which the message was
-        sent.
-    """
-
-    sender: Hashable
-    receiver: Hashable
-    payload: Any
-    round_index: int
-
-    @property
-    def size_words(self) -> int:
-        """Size of the payload in ``O(log n)``-bit words."""
-        return payload_size_words(self.payload)

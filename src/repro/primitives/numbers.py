@@ -1,9 +1,12 @@
-"""Arithmetic helpers: primes, base-``q`` expansions, and the iterated log.
+"""Arithmetic helpers: primes, base-``q`` expansions, the iterated log, and
+the library's one seeded draw.
 
 Linial's algorithm and the defective-coloring steps encode a color as the
 coefficient vector of a polynomial over a prime field ``GF(q)``; this module
 provides the small number-theoretic utilities those constructions need, plus
 the ``log*`` function that appears throughout the paper's running-time bounds.
+:func:`luby_draw`, a counter hash, serves Luby's rounds and the random split
+of Theorem 6.1.
 """
 
 from __future__ import annotations
@@ -125,3 +128,36 @@ def poly_eval(coefficients: List[int], point: int, q: int) -> int:
     for coefficient in reversed(coefficients):
         result = (result * point + coefficient) % q
     return result
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(word):
+    """SplitMix64's step: add the golden gamma, then its 64-bit finalizer.
+
+    The first mask leaves only ``word`` modulo ``2**64``, so a negative or
+    wider-than-64-bit Python int hashes like its ``.astype(np.uint64)`` value.
+    """
+    word = (word + 0x9E3779B97F4A7C15) & _MASK64
+    word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return word ^ (word >> 31)
+
+
+def luby_draw(seed, unique_id, round_index, limit):
+    """The index in ``range(limit)`` node ``unique_id`` draws in a round.
+
+    A SplitMix64 chain over ``(seed, unique_id, round_index)``, each word
+    taken modulo ``2**64``, reduced ``% limit``.  Luby's rounds count
+    ``round_index`` up from 0; a draw outside Luby (the Theorem 6.1 split)
+    passes a domain word there that no round reaches.  The one expression serves
+    both engines: on Python ints the masks wrap it to 64 bits, and on
+    ``uint64`` arrays (``unique_id`` and ``limit``; ``seed`` and
+    ``round_index`` stay ints) numpy wraps it the same way, so an array
+    lane equals the scalar draw with the same arguments.
+    """
+    word = _splitmix64(seed)
+    word = _splitmix64(word ^ unique_id)
+    word = _splitmix64(word ^ round_index)
+    return word % limit

@@ -8,9 +8,12 @@ with plain dictionaries, sets and sorts:
   their unique-id pair);
 * the line graph ``L(G)`` built pair by pair from the incident edges of each
   vertex, with the pair-sorted unique ids ``1..|E|`` of Lemma 5.2;
+* the line graph ``L(H)`` of a hypergraph, every pair of hyperedges tested
+  for a shared vertex;
 * spanning and induced subgraphs built from filtered adjacency dicts;
 * the node-by-node legality scans and defect counts of vertex and edge
-  colorings, raising the library's exact error texts.
+  colorings, raising the library's exact error texts, and a hyperedge
+  coloring's legality read off the incidence, without ``L(H)``.
 
 The library's array code (``build_line_graph_fast``, the CSR masks, the
 verification kernels) must agree with them, so a fault in the shared CSR
@@ -19,9 +22,11 @@ code cannot hide behind two engines agreeing with each other.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ColoringError
+from repro.graphs.hypergraphs import Hypergraph
 from repro.local_model import FastNetwork, build_line_graph_fast
 
 Edge = Tuple[Hashable, Hashable]
@@ -85,6 +90,27 @@ def assert_line_graph_matches(network: FastNetwork, name: str = "") -> None:
     assert unique_ids(fast) == ids, name
     assert fast.max_degree == max(map(len, adjacency.values()), default=0), name
     assert fast.ascending_rows().neighbor_ids == tuple(map(tuple, adjacency.values())), name
+
+
+def hypergraph_line_rows(hypergraph: Hypergraph) -> List[List[int]]:
+    """``L(H)`` pair by pair: row ``i`` lists, ascending, the hyperedges ``j != i``
+    that share a vertex with hyperedge ``i``."""
+    hyperedges = hypergraph.edges
+    rows: List[List[int]] = [[] for _ in hyperedges]
+    for i, j in itertools.combinations(range(len(hyperedges)), 2):
+        if hyperedges[i] & hyperedges[j]:
+            rows[i].append(j)
+            rows[j].append(i)
+    return rows
+
+
+def assert_hypergraph_line_graph_matches(hypergraph: Hypergraph, line: FastNetwork) -> None:
+    """``line`` holds the pairwise ``L(H)`` array for array: range ids, uids ``1..|E|``."""
+    rows = hypergraph_line_rows(hypergraph)
+    assert line.indptr.tolist() == [0, *itertools.accumulate(map(len, rows))]
+    assert line.indices.tolist() == [j for row in rows for j in row]
+    assert line.unique_ids.tolist() == list(range(1, len(rows) + 1))
+    assert list(line.order) == list(range(len(rows)))
 
 
 def filtered_by_edge(g: FastNetwork, keep: Callable[[Hashable, Hashable], bool]) -> FastNetwork:
@@ -183,3 +209,20 @@ def edge_defect(g: FastNetwork, edge_colors: Mapping[Edge, int]) -> int:
         )
         worst = max(worst, same)
     return worst
+
+
+def hyperedge_violation(
+    hypergraph: Hypergraph, colors: Mapping[int, int]
+) -> Optional[Tuple[int, int, Hashable]]:
+    """The first two hyperedges sharing a vertex and a color, and that vertex.
+
+    ``colors`` maps hyperedge indices to colors; the scan reads the
+    incidence only, never ``L(H)``.
+    """
+    holder: Dict[Tuple[Hashable, int], int] = {}
+    for index, hyperedge in enumerate(hypergraph.edges):
+        for vertex in hyperedge:
+            first = holder.setdefault((vertex, colors[index]), index)
+            if first != index:
+                return first, index, vertex
+    return None

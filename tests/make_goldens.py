@@ -71,6 +71,8 @@ def _randomized(network, c, seed, engine):
     return result.colors, {
         "palette": result.palette,
         "num_classes": result.num_classes,
+        "split_defect": result.split_defect,
+        "per_class_palette": result.per_class_palette,
         **_metrics(result.metrics),
     }
 

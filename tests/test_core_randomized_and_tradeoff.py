@@ -10,9 +10,10 @@ import pytest
 from graph_oracles import line_graph_network
 
 from repro import graphs
-from repro.core.randomized import randomized_color_vertices
+from repro.core.randomized import _SPLIT_DOMAIN, randomized_color_vertices
 from repro.core.tradeoff import tradeoff_color_vertices
 from repro.exceptions import InvalidParameterError
+from repro.primitives.numbers import luby_draw
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
 
@@ -58,6 +59,18 @@ class TestRandomizedColoring:
         as_int = randomized_color_vertices(network, c=2, seed=7)
         assert as_numpy.class_assignment == as_int.class_assignment
         assert as_numpy.colors == as_int.colors
+
+    def test_split_draws_through_the_counter_hash(self):
+        # Each class is the scalar counter-hash draw of (seed, unique id) in
+        # the split's domain word; the driver draws them all as uint64 lanes.
+        network = graphs.clique_with_pendants(20)
+        result = randomized_color_vertices(network, c=2, seed=7)
+        expected = {
+            node: luby_draw(7, uid, _SPLIT_DOMAIN, result.num_classes) + 1
+            for node, uid in zip(network.order, network.unique_ids.tolist())
+        }
+        assert dict(result.class_assignment) == expected
+        assert sorted(set(expected.values())) == list(range(1, result.num_classes + 1))
 
     def test_different_seeds_usually_differ(self):
         network = graphs.clique_with_pendants(20)

@@ -13,7 +13,7 @@ from repro.local_model import (
     SynchronousPhase,
 )
 from repro.local_model.algorithm import LocalComputationPhase
-from repro.local_model.messages import Message, payload_size_words
+from repro.local_model.messages import payload_size_words
 from repro.local_model.metrics import PhaseMetrics
 
 
@@ -97,10 +97,6 @@ class TestPayloadAccounting:
         assert payload_size_words((1, (2, 3))) == 3
         assert payload_size_words({"phi": 4, "psi": 5}) == 4
         assert payload_size_words({}) == 1
-
-    def test_message_size_property(self):
-        message = Message(sender=1, receiver=2, payload=[1, 2, 3, 4], round_index=1)
-        assert message.size_words == 4
 
 
 class TestScheduler:
