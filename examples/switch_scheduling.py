@@ -65,7 +65,7 @@ def main() -> None:
     # Distributed schedule: O(Delta) colors in few rounds, computed by the
     # ports themselves with O(log n)-bit messages.  The root `color_edges`
     # is the portfolio facade -- we pin the paper's linear preset and direct
-    # route and leave the execution engine at the process default.
+    # route and leave the execution engine at its default, "vectorized".
     distributed = color_edges(network, quality="linear", route="direct")
     assert_legal_edge_coloring(network, distributed.color_column)  # masked-CSR check
     slots = schedule_from_coloring(distributed.edge_colors)

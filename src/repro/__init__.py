@@ -70,8 +70,6 @@ from repro.local_model import (
     VectorizedScheduler,
     available_engines,
     make_scheduler,
-    set_default_engine,
-    use_engine,
 )
 
 __version__ = "1.8.0"
@@ -113,8 +111,6 @@ __all__ = [
     "randomized_color_vertices",
     "run_defective_color",
     "run_legal_coloring",
-    "set_default_engine",
     "tradeoff_color_vertices",
-    "use_engine",
     "verification",
 ]

@@ -165,7 +165,6 @@ def color_edges(
     epsilon: float = 0.75,
     route: str = "direct",
     parameters: Optional[LegalColorParameters] = None,
-    use_auxiliary_coloring: bool = True,
     engine: Optional[str] = None,
 ) -> EdgeColoringResult:
     """Distributed edge coloring of a general graph (Theorems 5.3 / 5.5).
@@ -187,11 +186,9 @@ def color_edges(
         (Theorem 5.3, Lemma 5.2 simulation with ``O(Delta log n)`` messages).
     parameters:
         Explicit Legal-Color parameters, overriding the ``quality`` preset.
-    use_auxiliary_coloring:
-        Apply the Section 4.2 auxiliary-coloring improvement.
     engine:
-        Execution engine (``"reference"`` / ``"vectorized"`` / ``None`` for
-        the process default; see :mod:`repro.local_model.engine`).
+        Execution engine (``"reference"`` / ``"vectorized"``; ``None`` is
+        ``"vectorized"``, see :mod:`repro.local_model.engine`).
 
     Returns
     -------
@@ -212,7 +209,6 @@ def color_edges(
         params,
         c=LINE_GRAPH_INDEPENDENCE,
         edge_mode=(route == "direct"),
-        use_auxiliary_coloring=use_auxiliary_coloring,
         engine=engine,
     )
 

@@ -381,8 +381,6 @@ def color_vertices(
     c: int,
     quality: str = "linear",
     epsilon: float = 0.75,
-    edge_mode: bool = False,
-    use_auxiliary_coloring: bool = True,
     engine: Optional[str] = None,
 ) -> LegalColoringResult:
     """High-level entry point for Theorem 4.8.
@@ -408,7 +406,5 @@ def color_vertices(
         network,
         params_for_quality(quality, max(1, network.max_degree), c, epsilon),
         c=c,
-        edge_mode=edge_mode,
-        use_auxiliary_coloring=use_auxiliary_coloring,
         engine=engine,
     )

@@ -16,12 +16,11 @@ array-native steps:
    freshly inserted one: the batch's canonical insertion pairs are checked
    directly (``colors[u] == colors[v]``), an ``O(|batch|)`` probe instead of
    an ``O(|E|)`` scan over the CSR.
-3. **Local repair** -- the *conflict ball* (conflicted vertices plus
-   ``ball_radius`` hops of neighborhood; the default radius 0 repairs
-   exactly the conflicted vertices, whose induced subgraph is a
-   near-matching of the conflict edges) is extracted as a **compact**
-   induced sub-view (:meth:`FastNetwork.induced`, ``k`` nodes instead of
-   ``n``), the existing vectorized Legal-Color pipeline
+3. **Local repair** -- the *conflict ball* (exactly the conflicted
+   vertices, whose induced subgraph is a near-matching of the conflict
+   edges) is extracted as a **compact** induced sub-view
+   (:meth:`FastNetwork.induced`, ``k`` nodes instead of ``n``), the
+   existing vectorized Legal-Color pipeline
    (:func:`repro.core.color_vertices`) recolors it, and the ball-run's color
    classes -- independent sets of the *full* graph, because every edge
    between ball vertices is inside the induced sub-view -- are folded back
@@ -138,17 +137,10 @@ class DynamicColoring:
         ``"recompute"``: patch + full from-scratch re-coloring -- the
         differential reference mode.
     engine:
-        Execution engine of every underlying run.  ``None`` takes the
-        process default at each run (see
-        :func:`repro.local_model.engine.default_engine`).  The session is
-        deterministic, and every engine produces identical columns
-        (golden-locked in ``tests/data/dynamic_churn_regular32x8.json``).
-    ball_radius:
-        How many hops around a conflicted vertex are recolored (>= 0).
-        The default 0 recolors exactly the conflicted vertices -- the
-        fold-back kernel guarantees legality for any recolored set, so a
-        wider ball only trades repair cost for more context in the ball
-        run, never correctness.
+        Execution engine of every underlying run (``None`` is
+        ``"vectorized"``).  The session is deterministic, and every engine
+        produces identical columns (golden-locked in
+        ``tests/data/dynamic_churn_regular32x8.json``).
     """
 
     def __init__(
@@ -160,16 +152,12 @@ class DynamicColoring:
         epsilon: float = 0.75,
         strategy: str = "incremental",
         engine: Optional[str] = None,
-        ball_radius: int = 0,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise InvalidParameterError(
                 f"unknown strategy {strategy!r}; known strategies: {_STRATEGIES}"
             )
-        if ball_radius < 0:
-            raise InvalidParameterError("ball_radius must not be negative")
         self.strategy = strategy
-        self.ball_radius = ball_radius
         self._c = c
         self._quality = quality
         self._epsilon = epsilon
@@ -308,21 +296,9 @@ class DynamicColoring:
     def _repair(self, conflict_u: np.ndarray, conflict_v: np.ndarray) -> int:
         """Recolor the conflict ball; returns how many vertices were recolored."""
         fast = self._fast
-        indptr, indices, degrees = fast.indptr_np, fast.indices_np, fast.degrees_np
         ball = np.zeros(fast.num_nodes, dtype=bool)
         ball[conflict_u] = True
         ball[conflict_v] = True
-        # Grow by gathering the ball members' adjacency slices -- O(volume
-        # of the ball) per hop, never an O(|E|) scan of the whole CSR.
-        for _ in range(self.ball_radius):
-            seeds = np.flatnonzero(ball)
-            counts = degrees[seeds]
-            total = int(counts.sum())
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            ball[indices[np.repeat(indptr[seeds], counts) + offsets]] = True
-
         sub, nodes = fast.induced(ball)
         result = color_vertices(
             sub,
@@ -348,18 +324,10 @@ class DynamicColoring:
 
     def _smallest_missing(self, members: np.ndarray) -> np.ndarray:
         """Per-member smallest positive color unused by its neighbors."""
-        fast = self._fast
-        indptr, indices = fast.indptr_np, fast.indices_np
-        counts = fast.degrees_np[members]
-        total = int(counts.sum())
-        if total == 0:
+        owner, neighbors = self._fast.gather_adjacency(members)
+        if not len(owner):
             return np.ones(len(members), dtype=np.int64)
-        owner = np.repeat(np.arange(len(members), dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        entries = np.repeat(indptr[members], counts) + offsets
-        neighbor_colors = self._column[indices[entries]]
+        neighbor_colors = self._column[neighbors]
 
         by_owner_color = _lexsort_pairs(owner, neighbor_colors)
         oc = owner[by_owner_color]

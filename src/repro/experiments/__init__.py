@@ -7,7 +7,7 @@ sweeps:
   :class:`~repro.experiments.scenarios.Scenario` describe a workload as plain
   picklable data (graph family, algorithm name, parameters, seed, engine);
 * :class:`~repro.experiments.runner.ExperimentRunner` executes scenarios
-  serially in-process (``max_workers`` 0 or 1) or sharded across
+  in-process (``max_workers=0``) or sharded across
   ``ProcessPoolExecutor`` workers (see :mod:`repro.experiments.executors`)
   and memoizes results on disk, keyed by the SHA-256 of the scenario's
   canonical key (see :mod:`repro.experiments.cache` for the layout);
@@ -42,13 +42,11 @@ from repro.experiments.cache import (
     ResultCache,
     default_cache_dir,
 )
-from repro.experiments.executors import SoftTimeoutExpired, call_with_soft_timeout
 from repro.experiments.runner import (
     ExperimentRunner,
     ScenarioResult,
     SweepStats,
     progress_ticker,
-    run_scenario,
 )
 from repro.experiments.scenarios import (
     ALGORITHMS,
@@ -58,8 +56,6 @@ from repro.experiments.scenarios import (
     Scenario,
     coloring_digest,
     payload_digest,
-    register_algorithm,
-    register_graph_family,
 )
 
 __all__ = [
@@ -76,14 +72,9 @@ __all__ = [
     "ResultCache",
     "Scenario",
     "ScenarioResult",
-    "SoftTimeoutExpired",
     "SweepStats",
-    "call_with_soft_timeout",
     "coloring_digest",
     "default_cache_dir",
     "payload_digest",
     "progress_ticker",
-    "register_algorithm",
-    "register_graph_family",
-    "run_scenario",
 ]

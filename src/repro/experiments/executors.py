@@ -5,21 +5,22 @@ checkpointing, result assembly) does not care how scenarios execute; that
 lives here, in two functions the runner picks between by ``max_workers``:
 
 :func:`execute_serial`
-    In-process execution, one scenario at a time, with the same soft-timeout
-    watchdog (:func:`call_with_soft_timeout`), retry policy, and integrity
-    verification as the pool -- the status matrix of a sweep is identical
-    whichever of the two ran it.
+    ``max_workers=0``: a plain in-process loop.  Each scenario is tried up
+    to ``retries + 1`` times and an exception becomes ``status="failed"``.
+    The algorithms are deterministic, so nothing a retry could heal happens
+    here: there is no watchdog, no integrity envelope and no fault injector.
 :func:`execute_pool`
-    The ``concurrent.futures`` process pool, executed in *generations*: a
-    broken pool is rebuilt and only unfinished work resubmitted, collective
-    breakage charges bound poison scenarios to ``retries + 1`` attempts, and
-    never-individually-convicted suspects get an isolated retrial.
+    Every other sweep: the ``concurrent.futures`` process pool, executed in
+    *generations*.  A broken pool is rebuilt and only unfinished work
+    resubmitted, collective breakage charges bound poison scenarios to
+    ``retries + 1`` attempts, never-individually-convicted suspects get an
+    isolated retrial, and soft timeouts, integrity digests and the injected
+    faults of a :class:`~repro.resilience.FaultPlan` all act here.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -36,41 +37,6 @@ from repro.resilience.faults import FAULT_PLAN_ENV, FaultInjector, FaultPlan
 _POLL_SECONDS = 0.05
 
 
-class SoftTimeoutExpired(Exception):
-    """A scenario execution exceeded its soft timeout (internal signal)."""
-
-
-def call_with_soft_timeout(fn: Callable[[], Any], timeout: Optional[float]) -> Any:
-    """Run ``fn()`` with a watchdog; raise :class:`SoftTimeoutExpired` on expiry.
-
-    With ``timeout=None`` this is a plain call -- no thread, no overhead.
-    Otherwise ``fn`` runs on a daemon thread and the caller waits up to
-    ``timeout`` seconds: the timed-out thread cannot be killed (it is
-    abandoned and may finish later), which exactly mirrors the pool backend's
-    semantics where a hung worker is written off rather than reclaimed.
-    """
-    if timeout is None:
-        return fn()
-    box: Dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise SoftTimeoutExpired(
-            f"soft timeout: no result within {timeout:g}s (worker hung)"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
 def _run_payload(scenario: Scenario) -> Dict[str, Any]:
     """Execute ``scenario`` on its engine and return its JSON-safe payload."""
     try:
@@ -81,12 +47,7 @@ def _run_payload(scenario: Scenario) -> Dict[str, Any]:
         ) from None
     started = time.perf_counter()
     network = scenario.graph.build()
-    payload = runner(
-        network,
-        scenario.params_dict,
-        scenario.engine,
-        scenario.capture_colors,
-    )
+    payload = runner(network, scenario.params_dict, scenario.engine)
     payload["wall_time"] = time.perf_counter() - started
     payload["num_nodes"] = network.num_nodes
     payload["num_edges"] = network.num_edges
@@ -94,21 +55,15 @@ def _run_payload(scenario: Scenario) -> Dict[str, Any]:
     return payload
 
 
-def _execute_scenario(
-    scenario: Scenario,
-    index: int = 0,
-    attempt: int = 0,
-    injector: Optional[FaultInjector] = None,
-) -> Dict[str, Any]:
-    """The worker entry point (module-level so it pickles): one envelope.
+def _execute_scenario(scenario: Scenario, index: int, attempt: int) -> Dict[str, Any]:
+    """The pool worker entry point (module-level so it pickles): one envelope.
 
     The envelope wraps the result payload with an integrity digest that must
     never leak into the cached payload itself (cached payloads stay
     bit-identical to fault-free runs), computed *before* any injected
     corruption so the parent can verify the payload it received.
     """
-    if injector is None:
-        injector = FaultInjector.from_env()
+    injector = FaultInjector.from_env()
     if injector is not None:
         injector.fire_before_run(index, attempt)
     payload = _run_payload(scenario)
@@ -137,7 +92,8 @@ class ExecutionRequest:
     callback (it caches, counts, and reports progress); an executor must
     call it exactly once per pending index.  ``stats`` is the live
     :class:`~repro.experiments.runner.SweepStats` the executor charges its
-    reliability counters to.
+    reliability counters to.  ``timeout``, ``fault_plan`` and ``workers``
+    are read by the pool only.
     """
 
     scenarios: Sequence[Scenario]
@@ -145,69 +101,36 @@ class ExecutionRequest:
     complete: Callable[[int, _Outcome], None]
     stats: Any
     retries: int = 2
-    retry_backoff: float = 0.0
     timeout: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     workers: int = 1
 
-    def backoff(self, attempt: int) -> None:
-        delay = self.retry_backoff * (2 ** max(0, attempt - 1))
-        if delay > 0:
-            time.sleep(delay)
-
 
 def execute_serial(request: ExecutionRequest) -> None:
-    """In-process execution with the full capture/retry/timeout policy.
+    """Run each pending scenario in-process, up to ``retries + 1`` times.
 
-    The soft timeout is enforced with the same watchdog semantics as the
-    pool (same error string, same attempt charging), so a sweep's status
-    matrix does not depend on which executor ran it.  Injected ``"crash"``
-    faults degrade to raised errors here -- exiting the caller's interpreter
-    is never acceptable in-process.
+    An exception is captured as the attempt's error; the last one becomes
+    ``status="failed"``.  :class:`~repro.exceptions.InvalidParameterError`
+    propagates: an invalid scenario is a caller bug, not a fault.
     """
-    injector = (
-        FaultInjector(request.fault_plan, allow_process_exit=False)
-        if request.fault_plan is not None
-        else None
-    )
     for index in request.pending:
-        scenario = request.scenarios[index]
-        attempt = 0
-        while True:
-            error = None
-            envelope = None
+        for attempt in range(request.retries + 1):
+            if attempt:
+                request.stats.retries += 1
             try:
-                envelope = call_with_soft_timeout(
-                    lambda s=scenario, i=index, a=attempt: _execute_scenario(
-                        s, i, a, injector=injector
-                    ),
-                    request.timeout,
-                )
+                payload = _run_payload(request.scenarios[index])
             except InvalidParameterError:
                 raise
-            except SoftTimeoutExpired as exc:
-                request.stats.timeouts += 1
-                error = str(exc)
             except Exception as exc:  # noqa: BLE001 - capture, not abort
                 error = f"{type(exc).__name__}: {exc}"
-            if error is None and envelope["integrity"] != payload_digest(
-                envelope["payload"]
-            ):
-                error = "payload integrity digest mismatch"
-            if error is None:
-                request.complete(
-                    index, _Outcome(payload=envelope["payload"], attempts=attempt + 1)
-                )
-                break
-            attempt += 1
-            if attempt > request.retries:
-                request.complete(
-                    index,
-                    _Outcome(status="failed", error=error, attempts=attempt),
-                )
-                break
-            request.stats.retries += 1
-            request.backoff(attempt)
+                continue
+            request.complete(index, _Outcome(payload=payload, attempts=attempt + 1))
+            break
+        else:
+            request.complete(
+                index,
+                _Outcome(status="failed", error=error, attempts=request.retries + 1),
+            )
 
 
 def execute_pool(request: ExecutionRequest) -> None:
@@ -336,7 +259,6 @@ def _pool_generation(
                     )
                 else:
                     stats.retries += 1
-                    request.backoff(attempts[index])
                     if not submit(index):
                         lost = charge_all = True
                         break

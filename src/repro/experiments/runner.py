@@ -5,29 +5,28 @@ objects and produces one :class:`ScenarioResult` per scenario, in input order:
 
 1. every scenario is first looked up in the on-disk cache (if one is
    configured) by its SHA-256 cache token;
-2. the misses execute (see :mod:`repro.experiments.executors`): serially
-   in-process when ``max_workers`` is 0 or 1 (or only one scenario is
-   pending), otherwise sharded across a
-   ``concurrent.futures.ProcessPoolExecutor``;
+2. the misses execute (see :mod:`repro.experiments.executors`): in-process
+   as a plain retry loop when ``max_workers=0``, otherwise sharded across a
+   ``concurrent.futures.ProcessPoolExecutor`` (also for one worker or one
+   pending scenario);
 3. every fresh result is written back to the cache *as it lands*
    (write-through), so an interrupted sweep acts as a checkpoint: re-running
    it re-executes only the scenarios that had not finished.
 
 A worker failure never aborts the sweep.  Exceptions are captured per
-scenario into ``ScenarioResult.status`` / ``error``, with configurable
-retries (exponential backoff), a per-scenario soft timeout enforced
-identically in-process and in the pool, and transparent recovery from a
-broken process pool (the pool is rebuilt and only unfinished work
-resubmitted).  Workers stamp an integrity digest on each payload so
-results corrupted in transit are detected and retried.  A seedable
-:class:`~repro.resilience.FaultPlan` can be injected to rehearse all of this
-deterministically.
+scenario into ``ScenarioResult.status`` / ``error`` after up to
+``retries + 1`` attempts.  The faults a retry can heal happen in the pool
+only, so only the pool has a per-scenario soft timeout, transparent
+recovery from a broken process pool (the pool is rebuilt and only
+unfinished work resubmitted) and integrity digests that catch payloads
+corrupted in transit.  A seedable :class:`~repro.resilience.FaultPlan` can
+be injected into the pool to rehearse all of this deterministically.
 
 Only :class:`~repro.exceptions.InvalidParameterError` still propagates: an
 invalid scenario is a caller bug, not a fault, and retrying it cannot help.
 
 Duplicate scenarios (same cache token) are executed only once per ``run``
-call.  Set ``max_workers=0`` to force serial in-process execution -- useful
+call.  ``max_workers=0`` keeps execution in the calling process -- useful
 under hypothesis or in debuggers.
 
 Sweep-level progress is reported through an optional ``on_progress`` callback
@@ -41,7 +40,6 @@ timeouts, pool rebuilds, failures, ...) are kept on
 
 from __future__ import annotations
 
-import ast
 import os
 import sys
 from dataclasses import dataclass
@@ -49,7 +47,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Hashable,
     List,
     Optional,
     Sequence,
@@ -61,7 +58,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.executors import (
     ExecutionRequest,
     _Outcome,
-    _run_payload,
     execute_pool,
     execute_serial,
 )
@@ -87,14 +83,6 @@ def progress_ticker(stream: Optional[TextIO] = None) -> ProgressCallback:
         out.flush()
 
     return tick
-
-
-def run_scenario(scenario: Scenario) -> Dict[str, Any]:
-    """Execute one scenario and return its JSON-safe result payload.
-
-    Single-shot: no cache, no retries, no fault injection.
-    """
-    return _run_payload(scenario)
 
 
 @dataclass
@@ -163,20 +151,9 @@ class ScenarioResult:
     def name(self) -> str:
         return self.scenario.name
 
-    @property
-    def coloring(self) -> Dict[Hashable, int]:
-        """The captured coloring (requires ``capture_colors=True``)."""
-        encoded = self.payload.get("coloring") if self.payload else None
-        if encoded is None:
-            raise ValueError(
-                f"scenario {self.scenario.name!r} did not capture its coloring; "
-                "construct it with capture_colors=True"
-            )
-        return {ast.literal_eval(node): color for node, color in encoded}
-
 
 class ExperimentRunner:
-    """Run scenario sweeps serially or on a process pool, with caching and
+    """Run scenario sweeps in-process or on a process pool, with caching and
     fault tolerance.
 
     Parameters
@@ -185,10 +162,10 @@ class ExperimentRunner:
         Directory of the result cache (see :mod:`repro.experiments.cache`).
         ``None`` disables caching (and with it checkpoint/resume).
     max_workers:
-        Worker count.  ``0`` or ``1`` runs serially in-process; above ``1``
-        the process pool is used whenever more than one scenario is pending.
-        ``None`` uses ``os.cpu_count()`` (capped by the number of pending
-        scenarios).  Negative values raise
+        Worker count.  ``0`` runs the sweep in-process as a plain retry
+        loop; any other value runs it on a process pool with that many
+        workers.  ``None`` uses ``os.cpu_count()`` (capped by the number of
+        pending scenarios).  Negative values raise
         :class:`~repro.exceptions.InvalidParameterError`.
     on_progress:
         Default sweep-progress callback used by :meth:`run` when none is
@@ -196,21 +173,20 @@ class ExperimentRunner:
     retries:
         How many times a failing scenario is re-executed before it is
         recorded as ``status="failed"`` (so each scenario runs at most
-        ``retries + 1`` times, serially or in the pool).  Must be ``>= 0``.
-    retry_backoff:
-        Base of the exponential backoff slept before retry ``k``:
-        ``retry_backoff * 2**(k-1)`` seconds.  ``0`` (the default) retries
-        immediately -- the right choice for deterministic in-process faults;
-        give it a small positive value when failures are environmental.
+        ``retries + 1`` times, in-process or in the pool).  Must be ``>= 0``.
     timeout:
         Per-scenario soft timeout in seconds (``> 0``, or ``None`` for no
-        timeout), measured from when execution starts, enforced identically
-        in-process (each scenario runs under a watchdog thread) and in the
-        pool.  On expiry the scenario is charged an attempt; a hung pool
-        worker additionally loses its pool, because it cannot be reclaimed.
+        timeout), measured from when a pool worker starts the scenario.  On
+        expiry the scenario is charged an attempt and the pool is lost,
+        because a hung worker cannot be reclaimed.  Pool only.
     fault_plan:
         A :class:`~repro.resilience.FaultPlan` to inject deterministic
-        faults, propagated to workers via ``$REPRO_FAULT_PLAN``.
+        faults, propagated to pool workers via ``$REPRO_FAULT_PLAN``.  Pool
+        only.
+
+    ``timeout`` or ``fault_plan`` with ``max_workers=0`` raises
+    :class:`~repro.exceptions.InvalidParameterError`: the in-process loop
+    has neither.
     """
 
     def __init__(
@@ -219,7 +195,6 @@ class ExperimentRunner:
         max_workers: Optional[int] = None,
         on_progress: Optional[ProgressCallback] = None,
         retries: int = 2,
-        retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -231,11 +206,15 @@ class ExperimentRunner:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
         if timeout is not None and timeout <= 0:
             raise InvalidParameterError(f"timeout must be > 0 or None, got {timeout}")
+        if max_workers == 0 and (timeout is not None or fault_plan is not None):
+            raise InvalidParameterError(
+                "timeout and fault_plan act in the process pool only; "
+                "max_workers=0 runs in-process"
+            )
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_workers = max_workers
         self.on_progress = on_progress
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.timeout = timeout
         self.fault_plan = fault_plan
         #: :class:`SweepStats` of the most recent :meth:`run` call.
@@ -304,9 +283,7 @@ class ExperimentRunner:
             workers = self.max_workers
             if workers is None:
                 workers = min(len(pending), os.cpu_count() or 1)
-            execute = (
-                execute_pool if workers > 1 and len(pending) > 1 else execute_serial
-            )
+            execute = execute_serial if workers == 0 else execute_pool
             execute(
                 ExecutionRequest(
                     scenarios=scenarios,
@@ -314,7 +291,6 @@ class ExperimentRunner:
                     complete=complete,
                     stats=stats,
                     retries=self.retries,
-                    retry_backoff=self.retry_backoff,
                     timeout=self.timeout,
                     fault_plan=self.fault_plan,
                     workers=workers,

@@ -28,20 +28,6 @@ from repro.local_model.fast_network import FastNetwork
 # Graph family registry
 # --------------------------------------------------------------------------- #
 
-#: family name -> builder(spec) -> FastNetwork.  Builders read only ``n``,
-#: ``degree``, ``seed`` and ``extra`` from the spec.
-GRAPH_FAMILIES: Dict[str, Callable[["GraphSpec"], FastNetwork]] = {}
-
-
-def register_graph_family(name: str) -> Callable:
-    """Decorator registering a graph builder under ``name``."""
-
-    def decorator(builder: Callable[["GraphSpec"], FastNetwork]) -> Callable:
-        GRAPH_FAMILIES[name] = builder
-        return builder
-
-    return decorator
-
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -97,42 +83,36 @@ class GraphSpec:
         }
 
 
-@register_graph_family("random_regular")
 def _build_random_regular(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.random_regular(spec.n, spec.degree, seed=spec.seed or 0)
 
 
-@register_graph_family("cycle")
 def _build_cycle(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.cycle_graph(spec.n)
 
 
-@register_graph_family("path")
 def _build_path(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.path_graph(spec.n)
 
 
-@register_graph_family("star")
 def _build_star(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.star_graph(spec.n)
 
 
-@register_graph_family("complete")
 def _build_complete(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.complete_graph(spec.n)
 
 
-@register_graph_family("grid")
 def _build_grid(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
@@ -142,21 +122,18 @@ def _build_grid(spec: GraphSpec) -> FastNetwork:
     return graphs.grid_graph(rows, cols)
 
 
-@register_graph_family("hypercube")
 def _build_hypercube(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.hypercube_graph(spec.n)
 
 
-@register_graph_family("clique_with_pendants")
 def _build_clique_with_pendants(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
     return graphs.clique_with_pendants(spec.n)
 
 
-@register_graph_family("erdos_renyi")
 def _build_erdos_renyi(spec: GraphSpec) -> FastNetwork:
     from repro import graphs
 
@@ -165,7 +142,6 @@ def _build_erdos_renyi(spec: GraphSpec) -> FastNetwork:
     return graphs.erdos_renyi(spec.n, probability, seed=spec.seed or 0)
 
 
-@register_graph_family("bipartite_regular")
 def _build_bipartite_regular(spec: GraphSpec) -> FastNetwork:
     """The switch-scheduling workload: ``n`` ports per side, ``degree`` demands."""
     from repro import graphs
@@ -173,7 +149,6 @@ def _build_bipartite_regular(spec: GraphSpec) -> FastNetwork:
     return graphs.random_bipartite_regular(spec.n, spec.degree, seed=spec.seed or 0)
 
 
-@register_graph_family("barabasi_albert")
 def _build_barabasi_albert(spec: GraphSpec) -> FastNetwork:
     """Preferential attachment with ``degree`` edges per arriving vertex."""
     from repro import graphs
@@ -181,7 +156,6 @@ def _build_barabasi_albert(spec: GraphSpec) -> FastNetwork:
     return graphs.barabasi_albert(spec.n, spec.degree, seed=spec.seed or 0)
 
 
-@register_graph_family("planted_degree_sequence")
 def _build_planted_degree_sequence(spec: GraphSpec) -> FastNetwork:
     """Configuration model over a heavy-tailed sequence (knobs via ``extra``)."""
     from repro import graphs
@@ -197,7 +171,6 @@ def _build_planted_degree_sequence(spec: GraphSpec) -> FastNetwork:
     return graphs.planted_degree_sequence(degrees, seed=spec.seed or 0)
 
 
-@register_graph_family("random_geometric")
 def _build_random_geometric(spec: GraphSpec) -> FastNetwork:
     """Unit-square geometric graph; connection radius via ``extra``."""
     from repro import graphs
@@ -207,12 +180,31 @@ def _build_random_geometric(spec: GraphSpec) -> FastNetwork:
     return graphs.random_geometric(spec.n, radius, seed=spec.seed or 0)
 
 
-@register_graph_family("bipartite_switch")
 def _build_bipartite_switch(spec: GraphSpec) -> FastNetwork:
     """Switch-fabric demand instance: ``n`` ports, ``degree`` demands per port."""
     from repro import graphs
 
     return graphs.bipartite_switch(spec.n, spec.degree, seed=spec.seed or 0)
+
+
+#: family name -> builder(spec) -> FastNetwork.  Builders read only ``n``,
+#: ``degree``, ``seed`` and ``extra`` from the spec.
+GRAPH_FAMILIES: Dict[str, Callable[[GraphSpec], FastNetwork]] = {
+    "random_regular": _build_random_regular,
+    "cycle": _build_cycle,
+    "path": _build_path,
+    "star": _build_star,
+    "complete": _build_complete,
+    "grid": _build_grid,
+    "hypercube": _build_hypercube,
+    "clique_with_pendants": _build_clique_with_pendants,
+    "erdos_renyi": _build_erdos_renyi,
+    "bipartite_regular": _build_bipartite_regular,
+    "barabasi_albert": _build_barabasi_albert,
+    "planted_degree_sequence": _build_planted_degree_sequence,
+    "random_geometric": _build_random_geometric,
+    "bipartite_switch": _build_bipartite_switch,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -241,12 +233,11 @@ class Scenario:
     :meth:`make` to build one from a plain dict.
 
     ``engine`` is always a *concrete* engine name: :meth:`make` and
-    :meth:`with_engine` resolve ``None`` to the process default immediately,
+    :meth:`with_engine` resolve ``None`` to ``"vectorized"`` immediately,
     and :meth:`key` resolves defensively for directly constructed instances.
     Cache entries therefore always record which engine actually computed
     them -- a ``"vectorized"`` result can never be served for a ``"reference"``
-    request (or vice versa), and a result computed under one process default
-    can never alias a run under another.
+    request (or vice versa).
     """
 
     name: str
@@ -254,7 +245,6 @@ class Scenario:
     algorithm: str
     params: Tuple[Tuple[str, Any], ...] = ()
     engine: str = "vectorized"
-    capture_colors: bool = False
 
     @classmethod
     def make(
@@ -264,13 +254,11 @@ class Scenario:
         algorithm: str,
         params: Optional[Mapping[str, Any]] = None,
         engine: Optional[str] = "vectorized",
-        capture_colors: bool = False,
     ) -> "Scenario":
         """Build a scenario from a plain parameter mapping.
 
-        ``engine=None`` selects the current process default, resolved to its
-        concrete name *now* so the scenario's cache identity cannot drift
-        with later default changes.
+        ``engine=None`` is resolved to its concrete name (``"vectorized"``),
+        so the cache key always names the engine that ran.
         """
         pairs = tuple(sorted((params or {}).items()))
         return cls(
@@ -279,7 +267,6 @@ class Scenario:
             algorithm=algorithm,
             params=pairs,
             engine=resolve_engine(engine),
-            capture_colors=capture_colors,
         )
 
     def with_engine(self, engine: Optional[str]) -> "Scenario":
@@ -303,7 +290,6 @@ class Scenario:
             "algorithm": self.algorithm,
             "params": [list(pair) for pair in self.params],
             "engine": resolve_engine(self.engine),
-            "capture_colors": self.capture_colors,
         }
 
     def cache_token(self) -> str:
@@ -323,19 +309,6 @@ class Scenario:
 # --------------------------------------------------------------------------- #
 # Algorithm registry
 # --------------------------------------------------------------------------- #
-
-#: algorithm name -> runner(network, params, engine, capture_colors) -> payload dict.
-ALGORITHMS: Dict[str, Callable[..., Dict[str, Any]]] = {}
-
-
-def register_algorithm(name: str) -> Callable:
-    """Decorator registering an algorithm runner under ``name``."""
-
-    def decorator(runner: Callable[..., Dict[str, Any]]) -> Callable:
-        ALGORITHMS[name] = runner
-        return runner
-
-    return decorator
 
 
 def coloring_digest(colors: Mapping[Any, int]) -> str:
@@ -360,11 +333,6 @@ def payload_digest(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def encode_coloring(colors: Mapping[Any, int]) -> list:
-    """Encode a coloring as JSON-safe ``[repr(node), color]`` pairs."""
-    return sorted([repr(node), int(color)] for node, color in colors.items())
-
-
 def _metrics_payload(metrics) -> Dict[str, int]:
     return {
         "rounds": metrics.rounds,
@@ -374,19 +342,15 @@ def _metrics_payload(metrics) -> Dict[str, int]:
     }
 
 
-def _coloring_payload(colors: Mapping[Any, int], capture_colors: bool) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
+def _coloring_payload(colors: Mapping[Any, int]) -> Dict[str, Any]:
+    return {
         "colors_used": len(set(colors.values())),
         "coloring_digest": coloring_digest(colors),
     }
-    if capture_colors:
-        payload["coloring"] = encode_coloring(colors)
-    return payload
 
 
-@register_algorithm("legal_coloring")
 def _run_legal_coloring(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.core import color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -401,14 +365,13 @@ def _run_legal_coloring(
     # Verify through the color column (masked CSR comparisons).
     assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.colors, capture_colors))
+    payload.update(_coloring_payload(result.colors))
     payload.update(palette=result.palette, levels=result.num_levels, verified=True)
     return payload
 
 
-@register_algorithm("edge_coloring")
 def _run_edge_coloring(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.core import color_edges
     from repro.verification import assert_legal_edge_coloring
@@ -422,14 +385,13 @@ def _run_edge_coloring(
     )
     assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.edge_colors, capture_colors))
+    payload.update(_coloring_payload(result.edge_colors))
     payload.update(palette=result.palette, verified=True)
     return payload
 
 
-@register_algorithm("defective_coloring")
 def _run_defective_coloring(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.core import run_defective_color
     from repro.verification.coloring import coloring_defect
@@ -444,7 +406,7 @@ def _run_defective_coloring(
     )
     defect = coloring_defect(network, colors)
     payload = _metrics_payload(metrics)
-    payload.update(_coloring_payload(colors, capture_colors))
+    payload.update(_coloring_payload(colors))
     payload.update(
         palette=info.p,
         defect=defect,
@@ -454,9 +416,8 @@ def _run_defective_coloring(
     return payload
 
 
-@register_algorithm("tradeoff")
 def _run_tradeoff(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.core import tradeoff_color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -477,7 +438,7 @@ def _run_tradeoff(
     )
     assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.colors, capture_colors))
+    payload.update(_coloring_payload(result.colors))
     payload.update(
         palette=result.palette,
         split_palette=result.split_palette,
@@ -486,9 +447,8 @@ def _run_tradeoff(
     return payload
 
 
-@register_algorithm("randomized_coloring")
 def _run_randomized(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.core import randomized_color_vertices
     from repro.verification import assert_legal_vertex_coloring
@@ -501,14 +461,13 @@ def _run_randomized(
     )
     assert_legal_vertex_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.colors, capture_colors))
+    payload.update(_coloring_payload(result.colors))
     payload.update(palette=result.palette, verified=True)
     return payload
 
 
-@register_algorithm("panconesi_rizzi")
 def _run_panconesi_rizzi(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.baselines import panconesi_rizzi_edge_coloring
     from repro.verification import assert_legal_edge_coloring
@@ -516,14 +475,13 @@ def _run_panconesi_rizzi(
     result = panconesi_rizzi_edge_coloring(network, engine=engine)
     assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.edge_colors, capture_colors))
+    payload.update(_coloring_payload(result.edge_colors))
     payload.update(palette=result.palette, verified=True)
     return payload
 
 
-@register_algorithm("luby_edge")
 def _run_luby_edge(
-    network: FastNetwork, params: Dict[str, Any], engine: str, capture_colors: bool
+    network: FastNetwork, params: Dict[str, Any], engine: str
 ) -> Dict[str, Any]:
     from repro.baselines import luby_edge_coloring
     from repro.verification import assert_legal_edge_coloring
@@ -531,6 +489,18 @@ def _run_luby_edge(
     result = luby_edge_coloring(network, seed=params.get("seed", 0), engine=engine)
     assert_legal_edge_coloring(network, result.color_column)
     payload = _metrics_payload(result.metrics)
-    payload.update(_coloring_payload(result.edge_colors, capture_colors))
+    payload.update(_coloring_payload(result.edge_colors))
     payload.update(palette=result.palette, verified=True)
     return payload
+
+
+#: algorithm name -> runner(network, params, engine) -> payload dict.
+ALGORITHMS: Dict[str, Callable[[FastNetwork, Dict[str, Any], str], Dict[str, Any]]] = {
+    "legal_coloring": _run_legal_coloring,
+    "edge_coloring": _run_edge_coloring,
+    "defective_coloring": _run_defective_coloring,
+    "tradeoff": _run_tradeoff,
+    "randomized_coloring": _run_randomized,
+    "panconesi_rizzi": _run_panconesi_rizzi,
+    "luby_edge": _run_luby_edge,
+}

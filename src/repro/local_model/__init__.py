@@ -43,8 +43,6 @@ from repro.local_model.engine import (
     default_engine,
     make_scheduler,
     resolve_engine,
-    set_default_engine,
-    use_engine,
 )
 from repro.local_model.fast_network import FastNetwork, fast_view, node_sort_key
 from repro.local_model.line_csr import LineGraphMeta, build_line_graph_fast, line_meta_for
@@ -85,7 +83,5 @@ __all__ = [
     "node_sort_key",
     "payload_size_words",
     "resolve_engine",
-    "set_default_engine",
     "simulate_on_line_graph",
-    "use_engine",
 ]

@@ -16,18 +16,14 @@ phases.  They produce identical outputs and metrics (enforced by
   user-defined phase without one runs on ``"reference"``.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
-accepts an ``engine`` argument that is resolved here.  ``None`` means the
-process default, :func:`default_engine`: ``"vectorized"`` unless
-:func:`set_default_engine` pins another engine for the process or the
-:func:`use_engine` context manager pins one for a ``with`` block; leaving
-the block restores whatever was in force before.  Kernels are switched off
-with ``REPRO_KERNEL_BACKEND=none``, not by choosing an engine.
+accepts an ``engine`` argument that is resolved here.  ``None`` always means
+:data:`DEFAULT_ENGINE`, ``"vectorized"``.  Kernels are switched off with
+``REPRO_KERNEL_BACKEND=none``, not by choosing an engine.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork
@@ -42,9 +38,8 @@ _ENGINES: Dict[str, Callable[..., SchedulerLike]] = {
     "vectorized": VectorizedScheduler,
 }
 
-#: The engine pinned by :func:`set_default_engine` / :func:`use_engine`;
-#: ``None`` leaves the default at ``"vectorized"``.
-_pinned_default: Optional[str] = None
+#: The engine ``engine=None`` resolves to.
+DEFAULT_ENGINE = "vectorized"
 
 
 def available_engines() -> tuple:
@@ -53,8 +48,8 @@ def available_engines() -> tuple:
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Validate ``engine`` and substitute the process default for ``None``."""
-    name = default_engine() if engine is None else engine
+    """Validate ``engine`` and substitute :data:`DEFAULT_ENGINE` for ``None``."""
+    name = DEFAULT_ENGINE if engine is None else engine
     if name not in _ENGINES:
         raise InvalidParameterError(
             f"unknown engine {name!r}; available engines: {available_engines()}"
@@ -63,30 +58,12 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def default_engine() -> str:
-    """The engine ``engine=None`` resolves to: the pinned default, else ``"vectorized"``."""
-    return _pinned_default if _pinned_default is not None else "vectorized"
-
-
-def set_default_engine(engine: str) -> None:
-    """Pin the process-wide default engine (any of :func:`available_engines`)."""
-    global _pinned_default
-    _pinned_default = resolve_engine(engine)
-
-
-@contextmanager
-def use_engine(engine: str) -> Iterator[str]:
-    """Pin the default engine within a ``with`` block, then restore it."""
-    global _pinned_default
-    previous = _pinned_default
-    _pinned_default = resolve_engine(engine)
-    try:
-        yield _pinned_default
-    finally:
-        _pinned_default = previous
+    """The engine ``engine=None`` resolves to: :data:`DEFAULT_ENGINE`."""
+    return DEFAULT_ENGINE
 
 
 def make_scheduler(network: FastNetwork, engine: Optional[str] = None) -> SchedulerLike:
-    """Instantiate the scheduler for ``engine`` (default: the process default).
+    """Instantiate the scheduler for ``engine`` (default: ``"vectorized"``).
 
     This is the single seam through which all core algorithms obtain their
     executor, so every algorithm runs unchanged on every path.  ``network``

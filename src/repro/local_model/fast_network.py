@@ -525,6 +525,19 @@ class FastNetwork:
         """Dense neighbor indices of node ``i`` (a zero-copy CSR view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
+    def gather_adjacency(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The concatenated adjacency slices of ``nodes``, in CSR order.
+
+        Returns ``(owners, neighbors)``: entry ``e`` is the edge from
+        ``nodes[owners[e]]`` to dense index ``neighbors[e]``.  The work is
+        ``O(len(nodes) + volume)``, never an ``O(|E|)`` scan.
+        """
+        counts = self.degrees[nodes]
+        owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        # Entry e of owner r reads indices[indptr[nodes[r]] + e - first(r)].
+        shift = self.indptr[nodes] - (np.cumsum(counts) - counts)
+        return owners, self.indices[shift[owners] + np.arange(len(owners), dtype=np.int64)]
+
     @property
     def neighbor_ids(self) -> Tuple[Tuple[Hashable, ...], ...]:
         """Per-node neighbor *identifier* tuples (lazy on derived views).
@@ -823,15 +836,9 @@ class FastNetwork:
         # calls this once per update batch, and the conflict ball is tiny
         # next to the graph.  Row/neighbor order is preserved, so the CSR is
         # identical to what a full-mask scan would build.
-        counts = self.degrees_np[nodes]
-        total = int(counts.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        entries = np.repeat(self.indptr_np[nodes], counts) + offsets
-        neighbors = self.indices_np[entries]
+        owners, neighbors = self.gather_adjacency(nodes)
         inside = mask[neighbors]
-        sub_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)[inside]
+        sub_rows = owners[inside]
         sub_cols = relabel[neighbors[inside]]
         degrees = np.bincount(sub_rows, minlength=len(nodes)).astype(np.int64)
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)

@@ -129,17 +129,7 @@ class VectorContext:
         ``neighbors[e]``.  Neighbor order within a node is the deterministic
         network order, matching the scalar engines' inbox iteration order.
         """
-        fast = self.fast
-        lengths = fast.degrees[nodes]
-        total = int(lengths.sum())
-        local_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), lengths)
-        if total == 0:
-            return local_rows, np.zeros(0, dtype=np.int64)
-        starts = np.repeat(fast.indptr[nodes], lengths)
-        offsets = np.zeros(len(nodes), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-        return local_rows, fast.indices[starts + within]
+        return self.fast.gather_adjacency(nodes)
 
     # ------------------------------------------------------------------ #
     # Metric charging

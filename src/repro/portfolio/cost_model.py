@@ -11,8 +11,8 @@ Legal-Color plan instead would be far too loose to replace them.
 The route is not a cost decision here: ``color_edges`` takes the route with
 the smaller planned palette (:func:`repro.core.plan_edge_coloring`).  The
 engine is not one either: every engine produces the same coloring, and the
-portfolio takes the process default of
-:func:`repro.local_model.engine.default_engine`.
+portfolio takes ``"vectorized"``
+(:data:`repro.local_model.engine.DEFAULT_ENGINE`).
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Both entry points take a graph (a :class:`FastNetwork`) and pick
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
   supplied), the Luby randomized baseline for general vertex coloring;
-* the **engine** — the process default of
-  :func:`~repro.local_model.engine.default_engine` (``"vectorized"`` unless
-  pinned); engines are bit-identical, so this is not a cost decision;
+* the **engine** — ``"vectorized"``
+  (:data:`~repro.local_model.engine.DEFAULT_ENGINE`); engines are
+  bit-identical, so this is not a cost decision;
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
   round count (:class:`CostModel`) fits the caller's ``budget``;
@@ -35,7 +35,7 @@ from repro.core.edge_coloring import plan_edge_coloring
 from repro.core.legal_coloring import color_vertices as core_color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model import kernels
-from repro.local_model.engine import default_engine
+from repro.local_model.engine import DEFAULT_ENGINE
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.portfolio.cost_model import CostModel
 from repro.portfolio.result import PortfolioDecision, PortfolioResult
@@ -77,7 +77,7 @@ def _portfolio_result(raw, engine: str, colors, **decided) -> PortfolioResult:
 
 
 def _decide_engine(override: Optional[str]):
-    """The caller's engine, else the process default, with the reason."""
+    """The caller's engine, else the default engine, with the reason."""
     if override is not None:
         return override, "engine pinned by caller"
     backend = kernels.backend_name()
@@ -86,7 +86,7 @@ def _decide_engine(override: Optional[str]):
         if backend is not None
         else "no kernel backend resolved"
     )
-    return default_engine(), f"process default engine ({where})"
+    return DEFAULT_ENGINE, f"default engine ({where})"
 
 
 def _decide_quality(
@@ -222,7 +222,6 @@ def color_edges(
     route: Optional[str] = None,
     engine: Optional[str] = None,
     epsilon: float = 0.75,
-    use_auxiliary_coloring: bool = True,
     seed: int = 0,
 ) -> PortfolioResult:
     """Edge-color ``graph``, choosing algorithm/engine/preset/route automatically.
@@ -297,7 +296,6 @@ def color_edges(
             quality=quality,
             epsilon=epsilon,
             route=route,
-            use_auxiliary_coloring=use_auxiliary_coloring,
             engine=engine,
         )
     elif algorithm == "panconesi-rizzi":

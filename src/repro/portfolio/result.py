@@ -3,8 +3,8 @@
 A :class:`PortfolioDecision` says which algorithm, engine, preset and route
 ran, and why; a :class:`PortfolioResult` carries the coloring in one shape
 for every algorithm.  "Default" in a decision means what a plain ``core``
-call would use, with the engine read from
-:func:`repro.local_model.engine.default_engine` at the time of asking.
+call would use: the engine ``engine=None`` resolves to,
+:data:`repro.local_model.engine.DEFAULT_ENGINE`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
-from repro.local_model.engine import default_engine
+from repro.local_model.engine import DEFAULT_ENGINE
 from repro.local_model.metrics import RunMetrics
 
 
@@ -57,12 +57,12 @@ class PortfolioDecision:
         """Whether the chosen (engine, quality, route) is the default triple.
 
         The defaults are the ones a plain ``core`` call would use: the
-        process default engine (:func:`default_engine`), the ``"linear"``
+        ``"vectorized"`` engine (:data:`DEFAULT_ENGINE`), the ``"linear"``
         preset (or no preset, for the preset-free baselines), and the
         ``"direct"`` route (or no route, for vertex colorings).
         """
         return (
-            self.engine == default_engine()
+            self.engine == DEFAULT_ENGINE
             and self.quality in (None, "linear")
             and self.route in (None, "direct")
         )

@@ -1,15 +1,15 @@
 """The reliability substrate: deterministic fault injection for sweeps.
 
-The paper's LOCAL-model algorithms are designed for unreliable distributed
-settings; this package gives the *execution layer* the same discipline, on
-one machine first, where every failure mode is deterministic and testable:
 :mod:`repro.resilience.faults` holds a seedable :class:`FaultPlan` /
-:class:`FaultInjector` pair that makes scenario workers crash, hang, raise,
-or corrupt their payloads at chosen sweep positions and attempts,
-env-propagated so process-pool runs are injectable.
+:class:`FaultInjector` pair that makes process-pool workers crash, hang,
+raise, or corrupt their payloads at chosen sweep positions and attempts.
+The plan reaches the workers through ``$REPRO_FAULT_PLAN``, and every fault
+is deterministic, so a faulted sweep is exactly reproducible.
 
-The hardened :class:`~repro.experiments.ExperimentRunner` (retries, soft
-timeouts, broken-pool recovery, write-through checkpointing) consumes it.
+The :class:`~repro.experiments.ExperimentRunner`'s process pool (retries,
+soft timeouts, broken-pool recovery, integrity digests) consumes it.  The
+in-process sweep (``max_workers=0``) takes no plan: the algorithms are
+deterministic, so nothing a retry could heal happens there.
 """
 
 from repro.resilience.faults import (

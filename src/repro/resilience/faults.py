@@ -15,9 +15,7 @@ Fault kinds
 -----------
 
 ``"crash"``
-    Kill the worker process with ``os._exit`` (breaking the process pool);
-    in-process execution raises :class:`InjectedFaultError` instead, since
-    exiting the caller's interpreter is never acceptable there.
+    Kill the worker process with ``os._exit`` (breaking the process pool).
 ``"hang"``
     Sleep for ``hang_seconds`` before completing normally -- long enough to
     trip the runner's soft timeout when one is configured.
@@ -167,15 +165,13 @@ class FaultPlan:
 class FaultInjector:
     """Activates a :class:`FaultPlan` around scenario executions.
 
-    Pool workers build one with :meth:`from_env` (crashes are real
-    ``os._exit`` process deaths there); the serial in-process path passes
-    the plan directly, where a crash degrades to a raised
-    :class:`InjectedFaultError` so the caller's interpreter survives.
+    It acts in process-pool workers only: each worker builds one with
+    :meth:`from_env`, and a ``"crash"`` is a real ``os._exit`` of that
+    worker.  The in-process sweep (``max_workers=0``) takes no fault plan.
     """
 
-    def __init__(self, plan: FaultPlan, allow_process_exit: bool = False) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.allow_process_exit = allow_process_exit
 
     @classmethod
     def from_env(cls) -> Optional["FaultInjector"]:
@@ -183,7 +179,7 @@ class FaultInjector:
         raw = os.environ.get(FAULT_PLAN_ENV)
         if not raw:
             return None
-        return cls(FaultPlan.from_json(raw), allow_process_exit=True)
+        return cls(FaultPlan.from_json(raw))
 
     def fire_before_run(self, index: int, attempt: int) -> None:
         """Trigger any pre-execution fault for ``(index, attempt)``."""
@@ -191,11 +187,7 @@ class FaultInjector:
         if spec is None:
             return
         if spec.kind == "crash":
-            if self.allow_process_exit:
-                os._exit(13)
-            raise InjectedFaultError(
-                f"injected worker crash at scenario {index}, attempt {attempt}"
-            )
+            os._exit(13)
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
         elif spec.kind == "error":

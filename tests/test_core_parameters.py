@@ -145,7 +145,7 @@ class TestIndependenceBound:
     """``c`` is checked once, as an integer, before any entry point runs."""
 
     @staticmethod
-    def _entry_points():
+    def _entry_points(engine):
         from repro import graphs
         from repro.core import (
             color_vertices,
@@ -156,21 +156,22 @@ class TestIndependenceBound:
 
         network = graphs.random_geometric(300, 0.12, seed=1)
         return {
-            "legal_coloring": lambda c: color_vertices(network, c=c),
-            "tradeoff": lambda c: tradeoff_color_vertices(network, c=c, g=lambda delta: 2.0),
-            "randomized": lambda c: randomized_color_vertices(network, c=c),
-            "defective_coloring": lambda c: run_defective_color(network, b=1, p=2, c=c),
+            "legal_coloring": lambda c: color_vertices(network, c=c, engine=engine),
+            "tradeoff": lambda c: tradeoff_color_vertices(
+                network, c=c, g=lambda delta: 2.0, engine=engine
+            ),
+            "randomized": lambda c: randomized_color_vertices(network, c=c, engine=engine),
+            "defective_coloring": lambda c: run_defective_color(
+                network, b=1, p=2, c=c, engine=engine
+            ),
         }
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, 0, -2, "3", None])
     def test_every_entry_point_rejects_a_non_integer_or_small_c(self, bad, engine):
-        from repro.local_model import use_engine
-
-        with use_engine(engine):
-            for run in self._entry_points().values():
-                with pytest.raises(InvalidParameterError, match="c must be an integer"):
-                    run(bad)
+        for run in self._entry_points(engine).values():
+            with pytest.raises(InvalidParameterError, match="c must be an integer"):
+                run(bad)
 
     @pytest.mark.parametrize(
         "preset",

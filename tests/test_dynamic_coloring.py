@@ -180,8 +180,6 @@ class TestBatchSemantics:
         base = graphs.grid_graph(3, 3)
         with pytest.raises(InvalidParameterError, match="strategy"):
             DynamicColoring(base, c=2, strategy="lazy")
-        with pytest.raises(InvalidParameterError, match="ball_radius"):
-            DynamicColoring(base, c=2, ball_radius=-1)
 
 
 class TestSessionBehavior:
@@ -256,16 +254,6 @@ class TestSessionBehavior:
         colors = session.colors
         assert set(colors) == set(session.network.order)
         assert all(1 <= color <= session.palette_bound for color in colors.values())
-
-    def test_wider_ball_radius_stays_legal(self):
-        session = DynamicColoring(
-            graphs.random_regular(24, 4, seed=5),
-            c=4,
-            engine="vectorized",
-            ball_radius=2,
-        )
-        self._schedule(session, seed=6, steps=4)
-        session.verify()
 
     def test_hand_built_input_is_accepted(self):
         grid = graph_oracles.adjacency(graphs.grid_graph(3, 4))

@@ -44,7 +44,6 @@ from repro.local_model import (
     fast_view,
     kernels,
     make_scheduler,
-    use_engine,
 )
 from repro.local_model.algorithm import BroadcastPhase, LocalComputationPhase, SILENT
 from repro.local_model.kernels import _loops
@@ -588,7 +587,6 @@ def _retired_name_entry_points():
     from repro import portfolio
     from repro.dynamic import DynamicColoring
     from repro.experiments import GraphSpec, Scenario
-    from repro.local_model import set_default_engine
 
     def scenario(network, engine):
         Scenario.make(
@@ -597,10 +595,6 @@ def _retired_name_entry_points():
             algorithm="legal_coloring",
             engine=engine,
         )
-
-    def scoped(network, engine):
-        with use_engine(engine):
-            pass
 
     return {
         "make_scheduler": lambda network, engine: make_scheduler(network, engine=engine),
@@ -611,8 +605,6 @@ def _retired_name_entry_points():
             fast_view(network), c=2, engine=engine
         ),
         "scenario": scenario,
-        "use_engine": scoped,
-        "set_default_engine": lambda network, engine: set_default_engine(engine),
     }
 
 
@@ -664,41 +656,15 @@ class TestEngineSelection:
         if config == "kernels-off":
             assert scheduler.kernel_backend_name is None
 
-    def test_set_default_engine_pins_the_default(self, triangle, monkeypatch):
-        import repro.local_model.engine as engine_module
-        from repro.local_model import default_engine, set_default_engine
-
-        # Registered first so teardown unpins the default.
-        monkeypatch.setattr(engine_module, "_pinned_default", None)
-        set_default_engine("reference")
-        assert default_engine() == "reference"
-        assert type(make_scheduler(triangle)) is Scheduler
-
-    def test_use_engine_context_switches_default(self, triangle):
-        with use_engine("reference"):
-            assert type(make_scheduler(triangle)) is Scheduler
-        assert type(make_scheduler(triangle)) is VectorizedScheduler
-        with use_engine("vectorized"):
-            with use_engine("reference"):
-                assert type(make_scheduler(triangle)) is Scheduler
-            assert type(make_scheduler(triangle)) is VectorizedScheduler
-
-    def test_leaving_use_engine_unpins(self):
-        from repro.local_model import default_engine
-
-        with use_engine("reference"):
-            assert default_engine() == "reference"
-        assert default_engine() == "vectorized"
-
     def test_unknown_engine_rejected(self, triangle):
         with pytest.raises(InvalidParameterError):
             make_scheduler(triangle, engine="warp-drive")
 
     def test_default_engine_drives_algorithms(self, small_regular, array_engine):
         baseline = color_vertices(small_regular, c=4, engine="reference")
-        with use_engine(array_engine):
-            switched = color_vertices(small_regular, c=4)
-        assert switched.colors == baseline.colors
+        # engine=None runs "vectorized", under the fixture's kernel setting.
+        unset = color_vertices(small_regular, c=4)
+        assert unset.colors == baseline.colors
 
     def test_non_neighbor_message_rejected(self, triangle):
         # Message validation is the reference engine's; a phase with a send

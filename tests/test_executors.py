@@ -3,14 +3,15 @@
 :func:`~repro.experiments.executors.execute_serial` and
 :func:`~repro.experiments.executors.execute_pool` are driven directly through
 an :class:`~repro.experiments.executors.ExecutionRequest` here; the runner's
-dispatch rule (the pool when ``max_workers`` and the pending count both
-exceed 1, else serial) is checked by recording which executor it calls.
-End-to-end fault matrices live in ``test_resilience.py``.
+dispatch rule (in-process at ``max_workers=0`` only, the pool otherwise) is
+checked by recording which executor it calls.  End-to-end fault matrices
+live in ``test_resilience.py``.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.experiments import ExperimentRunner, GraphSpec, Scenario, SweepStats
 from repro.experiments import executors
 from repro.experiments import runner as runner_module
 from repro.experiments.executors import ExecutionRequest, execute_pool, execute_serial
+from repro.experiments.scenarios import ALGORITHMS
 from repro.resilience import FAULT_PLAN_ENV, FaultPlan, FaultSpec
 
 
@@ -80,21 +82,35 @@ def dispatch(monkeypatch):
     return calls
 
 
+def flaky(monkeypatch, failures: int) -> list:
+    """Register algorithm ``"flaky"``: its first ``failures`` runs raise, then
+    it runs ``legal_coloring``.  Returns the list its calls are logged to."""
+    calls = []
+
+    def runner(network, params, engine):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise RuntimeError(f"boom {len(calls)}")
+        return ALGORITHMS["legal_coloring"](network, params, engine)
+
+    monkeypatch.setitem(ALGORITHMS, "flaky", runner)
+    return calls
+
+
 class TestDispatchRule:
     @pytest.mark.parametrize(
         "max_workers, count, expected",
         [
             (0, 3, "serial"),
-            (1, 3, "serial"),
+            (0, 1, "serial"),
+            (1, 3, "pool"),
             (2, 3, "pool"),
             (4, 3, "pool"),
-            (2, 1, "serial"),
-            (4, 1, "serial"),
+            (2, 1, "pool"),
+            (4, 1, "pool"),
         ],
     )
-    def test_pool_only_above_one_worker_and_one_pending(
-        self, dispatch, max_workers, count, expected
-    ):
+    def test_in_process_only_at_zero_workers(self, dispatch, max_workers, count, expected):
         results = ExperimentRunner(cache_dir=None, max_workers=max_workers).run(
             sweep(count)
         )
@@ -103,7 +119,7 @@ class TestDispatchRule:
 
     @pytest.mark.parametrize(
         "cpus, count, expected",
-        [(1, 3, ("serial", 1)), (4, 3, ("pool", 3)), (2, 5, ("pool", 2))],
+        [(1, 3, ("pool", 1)), (4, 3, ("pool", 3)), (2, 5, ("pool", 2))],
     )
     def test_default_workers_follow_cpu_count_capped_by_pending(
         self, dispatch, monkeypatch, cpus, count, expected
@@ -116,7 +132,7 @@ class TestDispatchRule:
     def test_duplicates_count_once_toward_pending(self, dispatch):
         s = scenario("dup")
         first, second = ExperimentRunner(cache_dir=None, max_workers=4).run([s, s])
-        assert dispatch == [("serial", 4, [0])]
+        assert dispatch == [("pool", 4, [0])]
         assert first.payload == second.payload
 
     def test_cache_hits_do_not_count_toward_pending(self, dispatch, tmp_path):
@@ -124,7 +140,7 @@ class TestDispatchRule:
         ExperimentRunner(cache_dir=tmp_path, max_workers=0).run(scenarios[:1])
         dispatch.clear()
         results = ExperimentRunner(cache_dir=tmp_path, max_workers=4).run(scenarios)
-        assert dispatch == [("serial", 4, [1])]
+        assert dispatch == [("pool", 4, [1])]
         assert [r.cached for r in results] == [True, False]
 
     def test_fully_cached_sweep_executes_nothing(self, dispatch, tmp_path):
@@ -147,51 +163,29 @@ class TestExecuteSerial:
             assert outcome.status == "ok" and outcome.attempts == 1
             assert stable(outcome.payload) == expected[index]
 
-    def test_transient_error_is_retried_and_charged(self):
-        plan = FaultPlan((FaultSpec(index=1, kind="error", attempts=1),))
-        request = request_for(sweep(2), retries=2, fault_plan=plan)
+    def test_transient_error_is_retried_and_charged(self, monkeypatch):
+        scenarios = sweep(2)
+        expected = fault_free(scenarios)
+        calls = flaky(monkeypatch, failures=1)
+        scenarios[1] = replace(scenarios[1], algorithm="flaky")
+        request = request_for(scenarios, retries=2)
         execute_serial(request)
+        assert len(calls) == 2
         assert [o.attempts for _, o in request.done] == [1, 2]
         assert all(o.status == "ok" for _, o in request.done)
+        assert [stable(o.payload) for _, o in request.done] == expected
         assert request.stats.retries == 1
 
-    def test_exhausted_retries_complete_as_failed(self):
-        plan = FaultPlan((FaultSpec(index=0, kind="error", attempts=99),))
-        request = request_for(sweep(1), retries=1, fault_plan=plan)
+    def test_exhausted_retries_complete_as_failed(self, monkeypatch):
+        calls = flaky(monkeypatch, failures=99)
+        request = request_for([replace(scenario("0"), algorithm="flaky")], retries=1)
         execute_serial(request)
         ((index, outcome),) = request.done
         assert (index, outcome.status, outcome.attempts) == (0, "failed", 2)
         assert outcome.payload is None
-        assert outcome.error == (
-            "InjectedFaultError: injected worker error at scenario 0, attempt 1"
-        )
+        assert outcome.error == "RuntimeError: boom 2"
+        assert len(calls) == 2
         assert request.stats.retries == 1
-
-    def test_corrupted_payload_fails_integrity_then_retries(self):
-        scenarios = sweep(1)
-        plan = FaultPlan((FaultSpec(index=0, kind="corrupt", attempts=99),))
-        request = request_for(scenarios, retries=0, fault_plan=plan)
-        execute_serial(request)
-        ((_, outcome),) = request.done
-        assert outcome.status == "failed"
-        assert outcome.error == "payload integrity digest mismatch"
-
-        plan = FaultPlan((FaultSpec(index=0, kind="corrupt", attempts=1),))
-        request = request_for(scenarios, retries=1, fault_plan=plan)
-        execute_serial(request)
-        ((_, outcome),) = request.done
-        assert (outcome.status, outcome.attempts) == ("ok", 2)
-        assert stable(outcome.payload) == fault_free(scenarios)[0]
-
-    def test_crash_fault_raises_in_process_instead_of_exiting(self):
-        plan = FaultPlan((FaultSpec(index=0, kind="crash", attempts=99),))
-        request = request_for(sweep(1), retries=0, fault_plan=plan)
-        execute_serial(request)
-        ((_, outcome),) = request.done
-        assert outcome.status == "failed"
-        assert outcome.error == (
-            "InjectedFaultError: injected worker crash at scenario 0, attempt 0"
-        )
 
     def test_invalid_scenario_propagates(self):
         bad = Scenario.make(
@@ -203,23 +197,6 @@ class TestExecuteSerial:
         with pytest.raises(InvalidParameterError, match="unknown algorithm"):
             execute_serial(request)
         assert request.done == []
-
-
-class TestBackoff:
-    @pytest.mark.parametrize("attempt, delay", [(1, 0.1), (2, 0.2), (3, 0.4)])
-    def test_delay_doubles_per_attempt(self, monkeypatch, attempt, delay):
-        slept = []
-        monkeypatch.setattr(executors.time, "sleep", slept.append)
-        request_for([], retry_backoff=0.1).backoff(attempt)
-        assert slept == [pytest.approx(delay)]
-
-    def test_zero_backoff_never_sleeps(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr(executors.time, "sleep", slept.append)
-        request = request_for([], retry_backoff=0.0)
-        for attempt in (1, 2, 3):
-            request.backoff(attempt)
-        assert slept == []
 
 
 class TestExecutePool:

@@ -17,6 +17,7 @@ from repro.experiments import (
     Scenario,
     progress_ticker,
 )
+from repro.resilience import FaultPlan
 
 
 def legal_scenario(degree=4, n=16, seed=1, engine="vectorized", **kwargs) -> Scenario:
@@ -120,8 +121,17 @@ class TestRunnerSettings:
             {"retries": -1},
             {"timeout": 0},
             {"timeout": -2.5},
+            {"max_workers": 0, "timeout": 5.0},
+            {"max_workers": 0, "fault_plan": FaultPlan()},
         ],
-        ids=["max_workers<0", "retries<0", "timeout=0", "timeout<0"],
+        ids=[
+            "max_workers<0",
+            "retries<0",
+            "timeout=0",
+            "timeout<0",
+            "in-process-timeout",
+            "in-process-fault_plan",
+        ],
     )
     def test_invalid_settings_rejected_at_construction(self, settings):
         with pytest.raises(InvalidParameterError):
@@ -210,27 +220,6 @@ class TestSweepProgress:
 
 
 class TestScenarioAndCache:
-    def test_capture_colors_round_trips_node_identifiers(self):
-        scenario = Scenario.make(
-            name="edge-capture",
-            graph=GraphSpec("random_regular", n=10, degree=3, seed=3),
-            algorithm="edge_coloring",
-            params={"quality": "superlinear", "route": "direct"},
-            capture_colors=True,
-        )
-        runner = ExperimentRunner(cache_dir=None, max_workers=0)
-        (result,) = runner.run([scenario])
-        coloring = result.coloring
-        # Edge identifiers are 2-tuples; literal_eval restores them.
-        assert all(isinstance(node, tuple) and len(node) == 2 for node in coloring)
-        assert len(coloring) == result.num_edges
-
-    def test_uncaptured_coloring_raises(self):
-        runner = ExperimentRunner(cache_dir=None, max_workers=0)
-        (result,) = runner.run([legal_scenario(n=12, degree=3)])
-        with pytest.raises(ValueError):
-            result.coloring
-
     def test_unknown_algorithm_rejected(self):
         scenario = Scenario.make(
             name="bad",
@@ -269,7 +258,7 @@ class TestScenarioAndCache:
 
             monkeypatch.setattr(verification, name, spy)
         network = GraphSpec("random_regular", n=16, degree=4, seed=1).build()
-        payload = ALGORITHMS[algorithm](network, {"c": 4}, "vectorized", False)
+        payload = ALGORITHMS[algorithm](network, {"c": 4}, "vectorized")
         assert payload["verified"] is True
         assert seen == [np.ndarray]
 
@@ -304,8 +293,8 @@ class TestEngineCacheKeys:
     Results computed by one engine must never be served for another --
     in particular ``"vectorized"`` results can never collide with
     ``"reference"`` ones -- and a scenario
-    built with ``engine=None`` must resolve the process default *eagerly* so
-    its cache identity cannot drift when the default changes.
+    built with ``engine=None`` must resolve to ``"vectorized"`` at
+    construction, so its cache key names the engine that ran.
     """
 
     def test_tokens_differ_per_engine(self):
@@ -321,18 +310,10 @@ class TestEngineCacheKeys:
             legal_scenario(engine=retired)
 
     def test_engine_none_resolves_to_concrete_default(self):
-        from repro.local_model import default_engine, use_engine
-
         scenario = legal_scenario(engine=None)
-        assert scenario.engine == default_engine()
-        assert scenario.key()["engine"] == default_engine()
-        with use_engine("vectorized"):
-            pinned = legal_scenario(engine=None)
-        assert pinned.engine == "vectorized"
-        # The resolution happened at construction time: the token does not
-        # change when the ambient default changes afterwards.
-        with use_engine("reference"):
-            assert pinned.cache_token() == pinned.with_engine("vectorized").cache_token()
+        assert scenario.engine == "vectorized"
+        assert scenario.key()["engine"] == "vectorized"
+        assert scenario.cache_token() == scenario.with_engine("vectorized").cache_token()
 
     def test_with_engine_none_resolves_to_concrete_default(self):
         from repro.local_model import default_engine

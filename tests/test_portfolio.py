@@ -2,8 +2,8 @@
 
 The façade takes the edge-coloring route whose Legal-Color plan gives the
 smaller palette (ties to the direct route), picks the quality preset under a
-round budget from fitted round multipliers, and runs on the process default
-engine.  These tests check that the plan's palette is the palette every run
+round budget from fitted round multipliers, and runs on the default
+engine (``"vectorized"``).  These tests check that the plan's palette is the palette every run
 reports, pin the route and budget decisions on the benchmarked instance
 classes, and check that every decision is carried on the result object with
 its reason and predicted numbers.
@@ -32,7 +32,7 @@ from repro.portfolio import (
     color_graph,
 )
 from repro.portfolio.cost_model import ROUND_MULTIPLIERS, quality_round_shape
-from repro.local_model import default_engine, kernels, use_engine
+from repro.local_model import default_engine, kernels
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.verification import (
     assert_legal_edge_coloring,
@@ -180,7 +180,7 @@ class TestDecisionPins:
         assert decision.algorithm == "luby"
         assert decision.engine == default_engine()
         assert decision.is_default()
-        assert "process default" in decision.reasons["engine"]
+        assert "default engine" in decision.reasons["engine"]
         assert not any(key.startswith("engine") for key in decision.predicted)
         assert decision.kernel_backend == kernels.backend_name()
         assert decision.kernel_threads >= 1
@@ -208,15 +208,6 @@ class TestDecisionPins:
             assert decision.overrides == ("engine",)
             assert decision.reasons["engine"] == "engine pinned by caller"
             assert decision.is_default() == (engine == default_engine())
-
-    def test_is_default_follows_use_engine(self):
-        network = graphs.random_regular(16, 4, seed=3)
-        with use_engine("reference"):
-            decision = color_graph(network, seed=1).decision
-            assert decision.engine == "reference"
-            assert decision.is_default()
-            pinned = color_graph(network, seed=1, engine="vectorized").decision
-            assert not pinned.is_default()
 
     def test_backend_absent_still_runs_vectorized(self, monkeypatch):
         # With no resolvable kernel backend the default is still the

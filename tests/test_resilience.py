@@ -1,10 +1,12 @@
 """The fault matrix: :mod:`repro.resilience` + the hardened ExperimentRunner.
 
-Every test here drives real executions (serial or a real process pool) under
-a deterministic :class:`FaultPlan` and asserts the runner's contract: a
+Every fault-matrix test here drives a real process pool under a
+deterministic :class:`FaultPlan` and asserts the runner's contract: a
 faulted sweep either completes every scenario with ``status="ok"`` and a
 payload bit-identical to a fault-free run, or attributes the failure on the
-:class:`ScenarioResult` -- it never aborts the sweep.
+:class:`ScenarioResult` -- it never aborts the sweep.  The in-process loop
+(``max_workers=0``) takes no fault plan; its retry and capture rules are
+checked with a raising algorithm.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import copy
 import os
 import pickle
 import subprocess
-import threading
-import time
 
 import pytest
 
@@ -25,17 +25,15 @@ from repro.experiments import (
     GraphSpec,
     ResultCache,
     Scenario,
-    SoftTimeoutExpired,
-    call_with_soft_timeout,
     payload_digest,
 )
+from repro.experiments.scenarios import ALGORITHMS
 from repro.local_model.kernels import _c_backend
 from repro.resilience import (
     FAULT_PLAN_ENV,
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedFaultError,
 )
 
 
@@ -165,13 +163,6 @@ class TestFaultPlan:
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         assert FaultInjector.from_env() is None
 
-    def test_in_process_crash_raises_instead_of_exiting(self):
-        injector = FaultInjector(
-            FaultPlan((FaultSpec(index=0, kind="crash"),)), allow_process_exit=False
-        )
-        with pytest.raises(InjectedFaultError):
-            injector.fire_before_run(0, 0)
-
     def test_corrupt_mutates_payload_after_digest(self):
         injector = FaultInjector(FaultPlan((FaultSpec(index=0, kind="corrupt"),)))
         payload = {"rounds": 3, "coloring_digest": "a" * 64}
@@ -228,39 +219,43 @@ class TestScenarioResultProtocol:
 
 
 class TestSerialResilience:
-    def test_injected_errors_are_retried_to_identical_payloads(self, tmp_path):
-        scenarios = sweep(4)
-        reference = fault_free(scenarios)
-        plan = FaultPlan(
-            (
-                FaultSpec(index=1, kind="error", attempts=1),
-                FaultSpec(index=3, kind="error", attempts=2),
-            )
-        )
-        runner = ExperimentRunner(
-            cache_dir=tmp_path, max_workers=0, retries=2, fault_plan=plan
-        )
-        results = runner.run(scenarios)
-        assert all(r.ok for r in results)
-        assert [stable(r.payload) for r in results] == reference
-        assert runner.last_stats.retries == 3
-        assert results[1].attempts == 2 and results[3].attempts == 3
+    def test_always_raising_scenario_is_charged_retries_plus_one(self, tmp_path, monkeypatch):
+        calls = []
 
-    def test_exhausted_retries_attribute_the_failure(self, tmp_path):
+        def broken(network, params, engine):
+            calls.append(None)
+            raise RuntimeError("always broken")
+
+        monkeypatch.setitem(ALGORITHMS, "broken", broken)
         scenarios = sweep(3)
-        plan = FaultPlan((FaultSpec(index=1, kind="error", attempts=99),))
-        runner = ExperimentRunner(
-            cache_dir=tmp_path, max_workers=0, retries=1, fault_plan=plan
-        )
+        scenarios[1] = Scenario.make(name="broken", graph=scenarios[1].graph, algorithm="broken")
+        runner = ExperimentRunner(cache_dir=tmp_path, max_workers=0, retries=2)
         results = runner.run(scenarios)
         assert [r.status for r in results] == ["ok", "failed", "ok"]
-        assert "InjectedFaultError" in results[1].error
+        assert (results[1].attempts, len(calls)) == (3, 3)
+        assert results[1].error == "RuntimeError: always broken"
         assert results[1].payload is None
-        assert runner.last_stats.failures == 1
-        # The failure is not cached: a healthy re-run recomputes it.
+        stats = runner.last_stats
+        assert (stats.retries, stats.failures, stats.fresh) == (2, 1, 2)
+        # The failure is not cached: a healthy re-run recomputes only it.
+        monkeypatch.setitem(ALGORITHMS, "broken", ALGORITHMS["legal_coloring"])
         healthy = ExperimentRunner(cache_dir=tmp_path, max_workers=0).run(scenarios)
         assert all(r.ok for r in healthy)
         assert [r.cached for r in healthy] == [True, False, True]
+
+    def test_invalid_parameter_error_propagates_without_retry(self, monkeypatch):
+        calls = []
+
+        def invalid(network, params, engine):
+            calls.append(None)
+            raise InvalidParameterError("caller bug")
+
+        monkeypatch.setitem(ALGORITHMS, "invalid", invalid)
+        bad = Scenario.make(name="invalid", graph=sweep(1)[0].graph, algorithm="invalid")
+        runner = ExperimentRunner(cache_dir=None, max_workers=0, retries=5)
+        with pytest.raises(InvalidParameterError, match="caller bug"):
+            runner.run([bad])
+        assert len(calls) == 1
 
     def test_invalid_parameters_still_propagate(self, tmp_path):
         bad = Scenario.make(
@@ -382,6 +377,29 @@ class TestPoolFaultMatrix:
         assert "crashed" in results[0].error
         assert results[1].ok and results[2].ok
 
+    def test_statuses_attempts_and_errors_are_pinned(self):
+        """A permanent error and a permanent hang fail after ``retries + 1``
+        attempts each, with these exact error strings."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(index=1, kind="error", attempts=99),
+                FaultSpec(index=2, kind="hang", attempts=99, hang_seconds=30.0),
+            )
+        )
+        runner = ExperimentRunner(
+            cache_dir=None, max_workers=2, retries=1, timeout=0.75, fault_plan=plan
+        )
+        results = runner.run(sweep(3))
+        stats = runner.last_stats
+        assert [r.status for r in results] == ["ok", "failed", "failed"]
+        assert [r.attempts for r in results] == [1, 2, 2]
+        assert results[1].error == (
+            "InjectedFaultError: injected worker error at scenario 1, attempt 1"
+        )
+        assert results[2].error == "soft timeout: no result within 0.75s (worker hung)"
+        assert stats.timeouts >= 1
+        assert stats.failures == 2 and stats.fresh == 1
+
     def test_kill_and_resume_only_reruns_unfinished(self, tmp_path):
         """Checkpoint/resume across a hard sweep death (pool path)."""
         scenarios = sweep(5)
@@ -404,72 +422,6 @@ class TestPoolFaultMatrix:
         assert all(r.ok for r in results)
         assert resumed.last_stats.cache_hits == on_disk
         assert resumed.last_stats.fresh == len(scenarios) - on_disk
-
-
-class TestSoftTimeoutWrapper:
-    def test_value_passes_through(self):
-        assert call_with_soft_timeout(lambda: 42, None) == 42
-        assert call_with_soft_timeout(lambda: 42, 5.0) == 42
-
-    def test_exception_passes_through(self):
-        with pytest.raises(ZeroDivisionError):
-            call_with_soft_timeout(lambda: 1 / 0, 5.0)
-
-    def test_expiry_raises(self):
-        with pytest.raises(SoftTimeoutExpired, match="soft timeout"):
-            call_with_soft_timeout(lambda: time.sleep(5.0), 0.1)
-
-    def test_none_timeout_runs_on_caller_thread(self):
-        seen = []
-        call_with_soft_timeout(lambda: seen.append(threading.current_thread()), None)
-        assert seen == [threading.current_thread()]
-
-
-class TestStatusMatrixSerialVsPool:
-    """One status matrix, whether the sweep ran in-process or in the pool.
-
-    Both paths route execution through the same soft-timeout semantics and
-    charge the same attempts, so statuses and error shapes agree -- and a
-    permanently hung scenario cannot block a serial sweep forever.
-    """
-
-    PLAN = FaultPlan(
-        specs=(
-            # Permanent error: fails after retries+1 attempts everywhere.
-            FaultSpec(index=1, kind="error", attempts=99),
-            # Permanent hang, longer than the timeout on every attempt.
-            FaultSpec(index=2, kind="hang", attempts=99, hang_seconds=30.0),
-        )
-    )
-
-    def run_sweep(self, max_workers):
-        runner = ExperimentRunner(
-            cache_dir=None,
-            max_workers=max_workers,
-            retries=1,
-            timeout=0.75,
-            fault_plan=self.PLAN,
-        )
-        return runner.run(sweep(3)), runner.last_stats
-
-    @pytest.mark.parametrize("max_workers", [0, 2])
-    def test_statuses_and_attempts_agree(self, max_workers):
-        results, stats = self.run_sweep(max_workers)
-        assert [r.status for r in results] == ["ok", "failed", "failed"]
-        assert [r.attempts for r in results] == [1, 2, 2]
-        assert results[1].error == (
-            "InjectedFaultError: injected worker error at scenario 1, attempt 1"
-        )
-        assert results[2].error == "soft timeout: no result within 0.75s (worker hung)"
-        assert stats.timeouts >= 1
-        assert stats.failures == 2 and stats.fresh == 1
-
-    def test_serial_timeout_is_enforced(self):
-        started = time.monotonic()
-        results, stats = self.run_sweep(0)
-        assert time.monotonic() - started < 10.0
-        assert results[2].status == "failed"
-        assert stats.timeouts == 2  # one per attempt
 
 
 class TestCacheIntegrity:
