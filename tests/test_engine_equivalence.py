@@ -585,8 +585,12 @@ class MaxNeighborId(BroadcastPhase):
 def _retired_name_entry_points():
     """``name -> call(network, engine)`` for every public way to pick an engine."""
     from repro import portfolio
+    from repro.baselines import greedy_reduction_edge_coloring, luby_vertex_coloring
+    from repro.core import params_for_linear_colors, run_legal_coloring
     from repro.dynamic import DynamicColoring
     from repro.experiments import GraphSpec, Scenario
+    from repro.local_model import resolve_engine, simulate_on_line_graph
+    from repro.primitives.linial import LinialColoringPhase
 
     def scenario(network, engine):
         Scenario.make(
@@ -596,11 +600,48 @@ def _retired_name_entry_points():
             engine=engine,
         )
 
+    def line_graph_linial(network, engine):
+        phase = LinialColoringPhase(
+            degree_bound=2 * network.max_degree,
+            initial_palette=network.num_edges,
+            output_key="color",
+        )
+        simulate_on_line_graph(network, phase, engine=engine)
+
+    def legal_coloring(network, engine):
+        params = params_for_linear_colors(network.max_degree, c=2)
+        run_legal_coloring(network, params, c=2, engine=engine)
+
     return {
+        "resolve_engine": lambda network, engine: resolve_engine(engine),
         "make_scheduler": lambda network, engine: make_scheduler(network, engine=engine),
+        "run_legal_coloring": legal_coloring,
+        "run_defective_color": lambda network, engine: run_defective_color(
+            network, b=1, p=2, c=2, engine=engine
+        ),
         "color_vertices": lambda network, engine: color_vertices(network, c=2, engine=engine),
         "color_edges": lambda network, engine: color_edges(network, engine=engine),
+        "randomized_color_vertices": lambda network, engine: randomized_color_vertices(
+            network, c=2, engine=engine
+        ),
+        "tradeoff_color_vertices": lambda network, engine: tradeoff_color_vertices(
+            network, c=2, g=lambda delta: delta, engine=engine
+        ),
+        "simulate_on_line_graph": line_graph_linial,
+        "greedy_reduction_edge_coloring": lambda network, engine: (
+            greedy_reduction_edge_coloring(network, engine=engine)
+        ),
+        "panconesi_rizzi_edge_coloring": lambda network, engine: (
+            panconesi_rizzi_edge_coloring(network, engine=engine)
+        ),
+        "luby_vertex_coloring": lambda network, engine: luby_vertex_coloring(
+            network, engine=engine
+        ),
+        "luby_edge_coloring": lambda network, engine: luby_edge_coloring(network, engine=engine),
         "color_graph": lambda network, engine: portfolio.color_graph(network, engine=engine),
+        "portfolio_color_edges": lambda network, engine: portfolio.color_edges(
+            network, engine=engine
+        ),
         "dynamic_session": lambda network, engine: DynamicColoring(
             fast_view(network), c=2, engine=engine
         ),

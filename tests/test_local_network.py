@@ -7,6 +7,7 @@ import pytest
 
 import graph_oracles
 
+from repro import graphs
 from repro.exceptions import InvalidParameterError
 from repro.local_model import FastNetwork, make_scheduler, node_sort_key
 from repro.verification.coloring import is_legal_vertex_coloring
@@ -170,6 +171,39 @@ class TestDerivedNetworks:
     def test_induced_subgraph_wrong_mask_length_rejected(self, triangle):
         with pytest.raises(InvalidParameterError, match="one entry per node"):
             triangle.induced(np.ones(2, dtype=bool))
+
+
+#: ``name -> (graph, nodes)`` cases for :meth:`FastNetwork.gather_adjacency`.
+GATHER_CASES = {
+    "all-nodes": lambda: (_regular(), np.arange(40)),
+    "reversed": lambda: (_regular(), np.arange(40)[::-1].copy()),
+    "repeats-and-gaps": lambda: (_regular(), np.array([5, 5, 0, 39, 17, 5])),
+    "no-nodes": lambda: (_regular(), np.zeros(0, dtype=np.int64)),
+    "isolated-nodes": lambda: (
+        FastNetwork.from_edge_array([0, 2], [2, 4], num_nodes=6),
+        np.array([1, 0, 3, 2, 5]),
+    ),
+    "star-hub-and-leaves": lambda: (graphs.star_graph(8), np.array([3, 0, 8])),
+    "edgeless": lambda: (FastNetwork.from_edge_array([], [], num_nodes=4), np.arange(4)),
+}
+
+
+def _regular() -> FastNetwork:
+    return graphs.random_regular(40, 5, seed=3)
+
+
+class TestGatherAdjacency:
+    @pytest.mark.parametrize("case", sorted(GATHER_CASES))
+    def test_matches_the_per_node_slices(self, case):
+        network, nodes = GATHER_CASES[case]()
+        owners, neighbors = network.gather_adjacency(nodes)
+        slices = [network.neighbor_indices(int(node)) for node in nodes]
+        expected_owners = [row for row, part in enumerate(slices) for _ in part]
+        expected_neighbors = [int(x) for part in slices for x in part]
+        assert owners.tolist() == expected_owners
+        assert neighbors.tolist() == expected_neighbors
+        assert owners.dtype == np.int64
+        assert neighbors.dtype == network.indices.dtype
 
 
 def same_parity(network: FastNetwork) -> np.ndarray:
