@@ -8,7 +8,8 @@ corruption) and asserts the resilience contract end to end:
 * the sweep completes (no abort) with every scenario ``status="ok"``;
 * the recovered payloads are bit-identical to a fault-free serial run
   (modulo wall time, which is run-dependent by construction);
-* the retry machinery actually engaged (non-empty retry metrics).
+* the retry machinery actually engaged (non-empty retry metrics), and the
+  hang tripped the soft timeout at least once.
 
 Exit code 0 on success; an ``AssertionError`` otherwise.  Run it as::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from dataclasses import replace
 
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario
 from repro.resilience import FaultPlan
@@ -45,7 +47,16 @@ def build_scenarios() -> list:
 
 
 def build_plan() -> FaultPlan:
-    return FaultPlan.seeded(
+    """The seeded plan, with every non-crash fault armed for two attempts.
+
+    A crash fires on attempt 0 of the first pool, and the breakage charges
+    one attempt to every unfinished scenario, so the rebuilt pool runs them
+    at attempt 1.  A hang, error or corruption armed for attempt 0 only
+    would never fire; armed for attempts 0 and 1 it fires in the rebuilt
+    pool (or in the first, if its scenario started before the crash), and a
+    single crash generation still leaves it attempts to spare.
+    """
+    plan = FaultPlan.seeded(
         SEED,
         num_scenarios=NUM_SCENARIOS,
         crash_rate=0.25,
@@ -53,6 +64,12 @@ def build_plan() -> FaultPlan:
         error_rate=0.25,
         corrupt_rate=0.15,
         hang_seconds=60.0,
+    )
+    return FaultPlan(
+        specs=tuple(
+            spec if spec.kind == "crash" else replace(spec, attempts=2)
+            for spec in plan.specs
+        )
     )
 
 
@@ -97,6 +114,7 @@ def main(argv=None) -> int:
     assert recovered == reference, "recovered payloads differ from fault-free run"
     stats = runner.last_stats
     assert stats.retries > 0, f"no retries recorded under a faulted plan: {stats}"
+    assert stats.timeouts >= 1, f"the planned hang never tripped the soft timeout: {stats}"
     print(
         f"ok: {stats.fresh} scenarios completed, {stats.retries} retries, "
         f"{stats.timeouts} timeouts, {stats.pool_rebuilds} pool rebuilds"

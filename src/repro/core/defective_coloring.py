@@ -146,6 +146,7 @@ class PsiSelectionPhase(BroadcastPhase):
         if state.get("_psi_announced"):
             state[self.output_key] = state["_psi_selected"]
             # Drop the selection scratch at halt, as the Luby phase does.
+            state.pop("_psi_announced", None)
             state.pop("_psi_waiting", None)
             state.pop("_psi_counts", None)
             return True
@@ -176,8 +177,9 @@ class PsiSelectionPhase(BroadcastPhase):
         ``phi``-chain below ``v``, which yields the exact round count; every
         vertex broadcasts its ``phi`` once (round 1, a 2-word dict) and its
         ``psi`` once (its announcement round, a 2-word dict), which yields
-        the exact message metrics.  The per-node scratch (``_psi_counts``,
-        ``_psi_waiting``) is never built: every engine drops it at halt.
+        the exact message metrics.  The per-node scratch (``_psi_announced``,
+        ``_psi_counts``, ``_psi_waiting``) is never built: every engine drops
+        it at halt.
 
         The sweep over the ``phi``-classes runs as the fused ``psi_select``
         kernel when ``ctx.kernels`` is set; when kernels are off, or the
@@ -221,7 +223,6 @@ class PsiSelectionPhase(BroadcastPhase):
         )
         ctx.write_column(self.output_key, psi)
         ctx.write_column("_psi_selected", psi)
-        ctx.write_value("_psi_announced", True)
 
     @staticmethod
     def phi_classes(phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

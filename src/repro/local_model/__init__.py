@@ -26,8 +26,8 @@ The main entry points are:
   with a ``vector_run``, so a user-defined phase without one runs on the
   reference scheduler (select an engine via
   :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
-* :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the
-  Lemma 5.2 simulation of an algorithm for ``L(G)`` on the network ``G``.
+* :func:`~repro.local_model.line_graph_sim.apply_lemma_5_2_accounting` --
+  the Lemma 5.2 cost of running an ``L(G)``-algorithm on the network ``G``.
 """
 
 from repro.local_model.algorithm import (
@@ -40,7 +40,6 @@ from repro.local_model.algorithm import (
 from repro.local_model import kernels
 from repro.local_model.engine import (
     available_engines,
-    default_engine,
     make_scheduler,
     resolve_engine,
 )
@@ -51,18 +50,13 @@ from repro.local_model.metrics import RunMetrics
 from repro.local_model.scheduler import PhaseResult, Scheduler
 from repro.local_model.state_table import StateTable
 from repro.local_model.vectorized import VectorContext, VectorizedScheduler
-from repro.local_model.line_graph_sim import (
-    LineGraphSimulationResult,
-    apply_lemma_5_2_accounting,
-    simulate_on_line_graph,
-)
+from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
 
 __all__ = [
     "SILENT",
     "BroadcastPhase",
     "FastNetwork",
     "LineGraphMeta",
-    "LineGraphSimulationResult",
     "LocalView",
     "PhasePipeline",
     "PhaseResult",
@@ -75,7 +69,6 @@ __all__ = [
     "apply_lemma_5_2_accounting",
     "available_engines",
     "build_line_graph_fast",
-    "default_engine",
     "fast_view",
     "kernels",
     "line_meta_for",
@@ -83,5 +76,4 @@ __all__ = [
     "node_sort_key",
     "payload_size_words",
     "resolve_engine",
-    "simulate_on_line_graph",
 ]

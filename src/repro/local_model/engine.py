@@ -57,11 +57,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return name
 
 
-def default_engine() -> str:
-    """The engine ``engine=None`` resolves to: :data:`DEFAULT_ENGINE`."""
-    return DEFAULT_ENGINE
-
-
 def make_scheduler(network: FastNetwork, engine: Optional[str] = None) -> SchedulerLike:
     """Instantiate the scheduler for ``engine`` (default: ``"vectorized"``).
 

@@ -16,92 +16,24 @@ algorithm for ``L(G)``:
   need to forward up to ``Delta`` messages over one edge in one round --
   which is why this route needs messages of size ``O(Delta log n)``.
 
-This module executes the ``L(G)``-algorithm on an explicitly derived
-line-graph view (built directly from ``G``'s CSR arrays by
+The library runs the ``L(G)``-algorithm on an explicitly derived line-graph
+view (built directly from ``G``'s CSR arrays by
 :func:`~repro.local_model.line_csr.build_line_graph_fast`, which yields
 exactly the outputs the simulation would produce) and then applies the
-Lemma 5.2 accounting to the metrics: rounds become ``2 T + O(1)`` and the
-per-edge bandwidth is multiplied by the simulation load factor.  The
-accounting itself -- :func:`apply_lemma_5_2_accounting` -- is shared with
-:func:`repro.core.edge_coloring.color_edges`'s simulation route, which
-charges the identical adjustment.
+Lemma 5.2 accounting of this module to the metrics: rounds become
+``2 T + O(1)`` and the per-edge bandwidth is multiplied by the simulation
+load factor.  :func:`apply_lemma_5_2_accounting` is shared by
+:func:`repro.core.edge_coloring.color_edges`'s simulation route and the
+line-graph baselines (``repro.baselines._line_pipeline``, Luby's edge
+coloring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple, Union
-
-from repro.local_model.algorithm import PhasePipeline, SynchronousPhase
-from repro.local_model.fast_network import FastNetwork
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.local_model.scheduler import PhaseResult
 
 #: Additive setup cost of Lemma 5.2 (computing the unique edge identifiers).
 SIMULATION_SETUP_ROUNDS = 1
-
-
-@dataclass
-class LineGraphSimulationResult:
-    """Result of simulating an ``L(G)``-algorithm on ``G``.
-
-    Attributes
-    ----------
-    edge_states:
-        Final state of every simulated ``L(G)``-vertex, keyed by the canonical
-        edge ``(u, v)`` of ``G`` it corresponds to.
-    metrics:
-        Metrics *after* the Lemma 5.2 adjustment (rounds ``2T + O(1)``,
-        message sizes scaled by the simulation load).
-    line_graph_metrics:
-        The raw metrics of the algorithm as executed on ``L(G)`` itself,
-        before adjustment (useful for comparing the two accountings).
-    line_fast:
-        The CSR line-graph view the algorithm ran on.
-    """
-
-    edge_states: Dict[Tuple[Hashable, Hashable], Dict[str, Any]]
-    metrics: RunMetrics
-    line_graph_metrics: RunMetrics
-    line_fast: FastNetwork
-
-
-def simulate_on_line_graph(
-    network: FastNetwork,
-    algorithm: Union[SynchronousPhase, PhasePipeline],
-    initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
-    engine: Optional[str] = None,
-) -> LineGraphSimulationResult:
-    """Run ``algorithm`` on ``L(G)`` and account its cost on ``G`` per Lemma 5.2.
-
-    Parameters
-    ----------
-    network:
-        The original network ``G``.
-    algorithm:
-        A phase or pipeline written for vertex coloring of ``L(G)``.
-    initial_states:
-        Optional per-``L(G)``-vertex initial states, keyed by canonical edge.
-
-    Returns
-    -------
-    LineGraphSimulationResult
-        The per-edge outputs plus both the raw and the adjusted metrics.
-    """
-    from repro.local_model.engine import make_scheduler
-    from repro.local_model.line_csr import build_line_graph_fast
-
-    line_fast = build_line_graph_fast(network)
-    scheduler = make_scheduler(line_fast, engine=engine)
-    result: PhaseResult = scheduler.run(algorithm, initial_states=initial_states)
-
-    adjusted = apply_lemma_5_2_accounting(network, result.metrics)
-    return LineGraphSimulationResult(
-        edge_states=dict(result.states),
-        metrics=adjusted,
-        line_graph_metrics=result.metrics,
-        line_fast=line_fast,
-    )
 
 
 def apply_lemma_5_2_accounting(network, raw: RunMetrics) -> RunMetrics:

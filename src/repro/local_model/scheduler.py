@@ -121,8 +121,10 @@ class Scheduler:
         The reference scheduler has no columnar execution path -- this is the
         exact dict-view boundary: the table is materialized into per-node
         dictionaries (rows follow the network's deterministic node order),
-        :meth:`run` executes unchanged, and the final states are re-absorbed.
-        Returns ``(table, metrics)`` like the other engines' ``run_table``.
+        :meth:`run` executes unchanged, and the final states are re-absorbed
+        (:meth:`StateTable.from_dicts` rejects final states a table cannot
+        hold).  Returns ``(table, metrics)`` like the other engines'
+        ``run_table``.
         """
         order = self._fast.order
         if table.num_rows != len(order):

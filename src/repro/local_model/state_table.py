@@ -9,30 +9,29 @@ every scheduler run would marshal ``n`` dicts in and out, and the driver
 loops of Procedure Legal-Color would do per-node tuple bookkeeping between
 runs.
 
-:class:`StateTable` stores the same information column-wise:
+:class:`StateTable` stores the same information column-wise, in the two
+kinds of state the paper's algorithms carry between phases.  Every column
+holds a value on every row:
 
-* **int columns** -- ``int64`` numpy arrays for values that are plain Python
-  ints (colors, psi values, scratch keys), the overwhelmingly common case;
-  a column holding an int outside the ``int64`` range stays an object column;
+* **int columns** -- ``int64`` numpy arrays of plain Python ints (colors,
+  psi values, scratch keys);
 * **path columns** -- the recursion-path tuples of Procedure Legal-Color,
   *interned*: the column holds one dense ``int64`` id per node plus a table
   of distinct tuples, so "extend every path by this level's psi-color" and
   "which nodes share a path" are single array operations
-  (:meth:`append_to_paths`, :meth:`path_ids`);
-* **object columns** -- an escape hatch holding references to arbitrary
-  Python values (lists, sets, ``None``, booleans, ...), exactly as a dict
-  would.
-
-Each column carries an optional presence mask so states that only exist on
-some nodes (partial ``initial_states`` seeds) round-trip exactly.
+  (:meth:`append_to_paths`, :meth:`path_ids`).
 
 The dict view is recovered with :meth:`to_dicts` / built with
 :meth:`from_dicts`; the round-trip is *exact* up to Python equality --
-``StateTable.from_dicts(d).to_dicts() == d`` for any states the engines
-produce (property-tested in ``tests/test_state_table.py``).  Two deliberate
-normalizations are invisible to ``==`` (and therefore to the engine
-equivalence contract): int columns materialize fresh (equal) int objects, and
-interning replaces equal path tuples by one shared tuple object.
+``StateTable.from_dicts(d).to_dicts() == d`` (property-tested in
+``tests/test_state_table.py``).  Two deliberate normalizations are
+invisible to ``==`` (and therefore to the engine equivalence contract): int
+columns materialize fresh (equal) int objects, and interning replaces equal
+path tuples by one shared tuple object.  :meth:`from_dicts` raises
+:class:`~repro.exceptions.InvalidParameterError`, naming the key, for any
+other state: a key missing on some node, a ``bool``, an int outside
+``int64``, a list, a tuple with unhashable contents.  Such seeds run on the
+reference scheduler's ``run``, which never builds a table.
 
 The table is the only state representation of the vectorized engine
 (see :meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`)
@@ -43,7 +42,7 @@ the table travels with, and the table itself never stores node identifiers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -52,18 +51,16 @@ from repro.exceptions import InvalidParameterError
 #: Column kind tags (see :meth:`StateTable.kind`).
 INT_KIND = "int"
 PATH_KIND = "path"
-OBJECT_KIND = "object"
 
 
 class _IntColumn:
-    """A full-or-masked column of plain Python ints, stored as ``int64``."""
+    """A column of plain Python ints, stored as ``int64``."""
 
-    __slots__ = ("values", "present")
+    __slots__ = ("values",)
     kind = INT_KIND
 
-    def __init__(self, values: np.ndarray, present: Optional[np.ndarray]) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self.values = values
-        self.present = present  # None means "present on every node".
 
 
 class _PathColumn:
@@ -73,29 +70,12 @@ class _PathColumn:
     (copies, extensions) may share it, so it must never be mutated in place.
     """
 
-    __slots__ = ("ids", "interned", "present")
+    __slots__ = ("ids", "interned")
     kind = PATH_KIND
 
-    def __init__(
-        self,
-        ids: np.ndarray,
-        interned: Sequence[Tuple[Any, ...]],
-        present: Optional[np.ndarray],
-    ) -> None:
+    def __init__(self, ids: np.ndarray, interned: Sequence[Tuple[Any, ...]]) -> None:
         self.ids = ids
         self.interned = interned
-        self.present = present
-
-
-class _ObjectColumn:
-    """References to arbitrary per-node Python values (the escape hatch)."""
-
-    __slots__ = ("values", "present")
-    kind = OBJECT_KIND
-
-    def __init__(self, values: List[Any], present: Optional[np.ndarray]) -> None:
-        self.values = values
-        self.present = present
 
 
 def _as_int64(values: np.ndarray) -> np.ndarray:
@@ -103,6 +83,13 @@ def _as_int64(values: np.ndarray) -> np.ndarray:
     if out.dtype != np.int64:
         out = out.astype(np.int64)
     return out
+
+
+def _unsupported(key: str, problem: str) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"state key {key!r} {problem}; a state table holds int64 ints and "
+        "hashable tuples on every node -- run such states with engine='reference'"
+    )
 
 
 class StateTable:
@@ -132,11 +119,11 @@ class StateTable:
     def from_dicts(cls, dicts: Sequence[Dict[str, Any]]) -> "StateTable":
         """Build a table holding exactly the entries of ``dicts``.
 
-        Classification is per key over the values present: all plain ints
-        (``type(value) is int`` -- ``bool`` goes to the object column so the
-        stored type survives) become an int column, all tuples become an
-        interned path column, anything mixed or non-scalar becomes an object
-        column.
+        A key whose values are all plain ints (``type(value) is int``, so
+        not ``bool``) becomes an int column; one whose values are all tuples
+        becomes an interned path column.  Any other key -- missing on some
+        row, or holding anything else -- raises
+        :class:`~repro.exceptions.InvalidParameterError` naming it.
         """
         table = cls(len(dicts))
         keys: Dict[str, None] = {}
@@ -149,45 +136,27 @@ class StateTable:
 
     @staticmethod
     def _classify(key: str, dicts: Sequence[Dict[str, Any]]) -> Any:
-        n = len(dicts)
-        missing = object()
-        values = [state.get(key, missing) for state in dicts]
-        if any(value is missing for value in values):
-            present = np.fromiter(
-                (value is not missing for value in values), dtype=bool, count=n
-            )
-            filled = [None if value is missing else value for value in values]
-        else:
-            present = None
-            filled = values
-        live_values = [v for i, v in enumerate(filled) if present is None or present[i]]
-        if live_values and all(type(v) is int for v in live_values):
+        try:
+            values = [state[key] for state in dicts]
+        except KeyError:
+            raise _unsupported(key, "is missing on some node") from None
+        if all(type(value) is int for value in values):
             try:
-                ints = np.fromiter(
-                    (v if (present is None or present[i]) else 0 for i, v in enumerate(filled)),
-                    dtype=np.int64,
-                    count=n,
-                )
-            except OverflowError:  # an int outside int64 -- keep objects
-                return _ObjectColumn(list(filled), present)
-            return _IntColumn(ints, present)
-        if live_values and all(type(v) is tuple for v in live_values):
+                return _IntColumn(np.fromiter(values, dtype=np.int64, count=len(values)))
+            except OverflowError:
+                raise _unsupported(key, "holds an int outside the int64 range") from None
+        if all(type(value) is tuple for value in values):
             lookup: Dict[Tuple[Any, ...], int] = {}
-            interned: List[Tuple[Any, ...]] = []
-            ids = np.zeros(n, dtype=np.int64)
             try:
-                for i, v in enumerate(filled):
-                    if present is not None and not present[i]:
-                        continue
-                    label = lookup.get(v)
-                    if label is None:
-                        label = lookup[v] = len(interned)
-                        interned.append(v)
-                    ids[i] = label
-            except TypeError:  # unhashable tuple contents -- keep objects
-                return _ObjectColumn(filled, present)
-            return _PathColumn(ids, interned, present)
-        return _ObjectColumn(list(filled), present)
+                ids = np.fromiter(
+                    (lookup.setdefault(value, len(lookup)) for value in values),
+                    dtype=np.int64,
+                    count=len(values),
+                )
+            except TypeError:
+                raise _unsupported(key, "holds a tuple with unhashable contents") from None
+            return _PathColumn(ids, list(lookup))
+        raise _unsupported(key, "holds neither only ints nor only tuples")
 
     @classmethod
     def from_mapping(
@@ -195,8 +164,9 @@ class StateTable:
     ) -> "StateTable":
         """Build a table from identifier-keyed states, rows in ``order``.
 
-        Nodes absent from ``states`` get empty rows; keys of ``states`` that
-        are not in ``order`` are ignored (matching how the schedulers treat
+        Nodes absent from ``states`` get empty rows, so any key they lack
+        is rejected by :meth:`from_dicts`; keys of ``states`` that are not
+        in ``order`` are ignored (matching how the schedulers treat
         ``initial_states``).  Seed dictionaries are not retained -- their
         entries are copied into the columns.
         """
@@ -207,22 +177,13 @@ class StateTable:
         """Materialize the exact per-row state dictionaries."""
         rows: List[Dict[str, Any]] = [{} for _ in range(self.num_rows)]
         for key, column in self._columns.items():
-            present = column.present
             if column.kind == INT_KIND:
-                values: Iterable[Any] = column.values.tolist()
-            elif column.kind == PATH_KIND:
+                values: Sequence[Any] = column.values.tolist()
+            else:
                 interned = column.interned
-                values = (interned[i] for i in column.ids.tolist())
-            else:
-                values = column.values
-            if present is None:
-                for row, value in zip(rows, values):
-                    row[key] = value
-            else:
-                flags = present.tolist()
-                for row, value, ok in zip(rows, values, flags):
-                    if ok:
-                        row[key] = value
+                values = [interned[i] for i in column.ids.tolist()]
+            for row, value in zip(rows, values):
+                row[key] = value
         return rows
 
     def to_mapping(self, order: Sequence[Hashable]) -> Dict[Hashable, Dict[str, Any]]:
@@ -245,20 +206,17 @@ class StateTable:
         return key in self._columns
 
     def kind(self, key: str) -> str:
-        """``"int"``, ``"path"`` or ``"object"`` (raises ``KeyError``)."""
+        """``"int"`` or ``"path"`` (raises ``KeyError``)."""
         return self._columns[key].kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = {key: column.kind for key, column in self._columns.items()}
         return f"StateTable(rows={self.num_rows}, columns={kinds})"
 
-    def _full_column(self, key: str) -> Any:
+    def _path_column(self, key: str) -> _PathColumn:
         column = self._columns[key]  # KeyError mirrors the dicts' behavior.
-        if column.present is not None and not column.present.all():
-            missing = int(np.flatnonzero(~column.present)[0])
-            raise KeyError(
-                f"state key {key!r} is missing on node index {missing}"
-            )
+        if column.kind != PATH_KIND:
+            raise TypeError(f"state key {key!r} is not a path column")
         return column
 
     # ------------------------------------------------------------------ #
@@ -268,19 +226,14 @@ class StateTable:
     def get_ints(self, key: str) -> np.ndarray:
         """A fresh ``int64`` array of ``state[key]`` over all rows.
 
-        Raises ``KeyError`` when the key is absent (anywhere) and
-        ``TypeError`` when the column does not hold plain ints -- the same
-        failures a per-node ``state[key]`` gather would hit.
+        Raises ``KeyError`` when the key is absent and ``TypeError`` when
+        the column holds paths -- the same failures a per-node
+        ``state[key]`` gather would hit.
         """
-        column = self._full_column(key)
-        if column.kind == INT_KIND:
-            return column.values.copy()
-        if column.kind == OBJECT_KIND:
-            # Mixed columns may still be all-int on the current values.
-            return np.fromiter(
-                (int(v) for v in column.values), dtype=np.int64, count=self.num_rows
-            )
-        raise TypeError(f"state key {key!r} holds paths, not ints")
+        column = self._columns[key]
+        if column.kind != INT_KIND:
+            raise TypeError(f"state key {key!r} holds paths, not ints")
+        return column.values.copy()
 
     def set_ints(self, key: str, values: np.ndarray) -> None:
         """Replace ``state[key]`` on every row with the given int column."""
@@ -289,55 +242,19 @@ class StateTable:
             raise InvalidParameterError(
                 f"column {key!r} must have shape ({self.num_rows},), got {values.shape}"
             )
-        self._columns[key] = _IntColumn(values, None)
+        self._columns[key] = _IntColumn(values)
 
     def fill_int(self, key: str, value: int) -> None:
         """Write the same int into ``state[key]`` on every row."""
-        self._columns[key] = _IntColumn(
-            np.full(self.num_rows, value, dtype=np.int64), None
-        )
-
-    # ------------------------------------------------------------------ #
-    # Object columns
-    # ------------------------------------------------------------------ #
-
-    def fill_object(self, key: str, value: Any) -> None:
-        """Write the same (immutable) object into ``state[key]`` on every row."""
-        self._columns[key] = _ObjectColumn([value] * self.num_rows, None)
-
-    def get_values_or_none(self, key: str) -> List[Any]:
-        """Per-row ``state.get(key)``: the value where present, else ``None``.
-
-        This never raises -- a missing column (or a row the presence mask
-        excludes) yields ``None``, exactly like the dict view's
-        ``state.get``.
-        """
-        if key not in self._columns:
-            return [None] * self.num_rows
-        column = self._columns[key]
-        if column.kind == INT_KIND:
-            values: List[Any] = column.values.tolist()
-        elif column.kind == PATH_KIND:
-            interned = column.interned
-            values = [interned[i] for i in column.ids.tolist()]
-        else:
-            values = list(column.values)
-        if column.present is not None:
-            flags = column.present.tolist()
-            values = [value if ok else None for value, ok in zip(values, flags)]
-        return values
+        self._columns[key] = _IntColumn(np.full(self.num_rows, value, dtype=np.int64))
 
     def copy_column(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every row, kind-preserving."""
-        column = self._full_column(source_key)
+        column = self._columns[source_key]
         if column.kind == INT_KIND:
-            self._columns[target_key] = _IntColumn(column.values.copy(), None)
-        elif column.kind == PATH_KIND:
-            self._columns[target_key] = _PathColumn(
-                column.ids.copy(), column.interned, None
-            )
+            self._columns[target_key] = _IntColumn(column.values.copy())
         else:
-            self._columns[target_key] = _ObjectColumn(list(column.values), None)
+            self._columns[target_key] = _PathColumn(column.ids.copy(), column.interned)
 
     # ------------------------------------------------------------------ #
     # Path columns (the Legal-Color recursion bookkeeping)
@@ -346,7 +263,7 @@ class StateTable:
     def fill_path(self, key: str, path: Tuple[Any, ...] = ()) -> None:
         """Write the same tuple into ``state[key]`` on every row (interned)."""
         self._columns[key] = _PathColumn(
-            np.zeros(self.num_rows, dtype=np.int64), [tuple(path)], None
+            np.zeros(self.num_rows, dtype=np.int64), [tuple(path)]
         )
 
     def path_ids(self, key: str) -> np.ndarray:
@@ -356,28 +273,20 @@ class StateTable:
         property the Legal-Color recursion's subgraph filtering needs.  The
         returned array aliases the column; treat it as read-only.
         """
-        column = self._full_column(key)
-        if column.kind != PATH_KIND:
-            raise TypeError(f"state key {key!r} is not a path column")
-        return column.ids
+        return self._path_column(key).ids
 
     def path_interned(self, key: str) -> Tuple[Tuple[Any, ...], ...]:
-        """The interned tuple table of a path column (fully present).
+        """The interned tuple table of a path column.
 
         :meth:`path_ids` entries index into this sequence; per-distinct-path
         computations (e.g. message-size accounting over recursion paths) run
         over it instead of over every row.
         """
-        column = self._full_column(key)
-        if column.kind != PATH_KIND:
-            raise TypeError(f"state key {key!r} is not a path column")
-        return tuple(column.interned)
+        return tuple(self._path_column(key).interned)
 
     def num_paths(self, key: str) -> int:
         """Number of *distinct* tuples currently held by a path column."""
-        column = self._full_column(key)
-        if column.kind != PATH_KIND:
-            raise TypeError(f"state key {key!r} is not a path column")
+        column = self._path_column(key)
         if self.num_rows == 0:
             return 0
         # Ids index the interned table, so one bincount finds the used ones.
@@ -391,16 +300,14 @@ class StateTable:
         ``(old path, element)`` pair -- the number of subgraphs, not the
         number of nodes.
         """
-        column = self._full_column(key)
-        if column.kind != PATH_KIND:
-            raise TypeError(f"state key {key!r} is not a path column")
+        column = self._path_column(key)
         elements = _as_int64(elements)
         if elements.shape != (self.num_rows,):
             raise InvalidParameterError(
                 f"elements must have shape ({self.num_rows},), got {elements.shape}"
             )
         if self.num_rows == 0:
-            self._columns[key] = _PathColumn(column.ids, [], None)
+            self._columns[key] = _PathColumn(column.ids, [])
             return
         low = int(elements.min())
         span = int(elements.max()) - low + 1
@@ -414,6 +321,4 @@ class StateTable:
         interned = [
             old_interned[old_ids[i]] + (int(elements[i]),) for i in first_seen.tolist()
         ]
-        self._columns[key] = _PathColumn(
-            inverse.astype(np.int64, copy=False), interned, None
-        )
+        self._columns[key] = _PathColumn(inverse.astype(np.int64, copy=False), interned)

@@ -106,12 +106,9 @@ class VectorContext:
         """Write ``values`` into ``state[key]`` (an int column)."""
         self.table.set_ints(key, values)
 
-    def write_value(self, key: str, value: Any) -> None:
-        """Write the same (immutable) value into ``state[key]`` everywhere."""
-        if type(value) is int:
-            self.table.fill_int(key, value)
-        else:
-            self.table.fill_object(key, value)
+    def write_value(self, key: str, value: int) -> None:
+        """Write the same int into ``state[key]`` on every node."""
+        self.table.fill_int(key, value)
 
     def copy_key(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every node, kind-preserving."""
@@ -282,8 +279,10 @@ class VectorizedScheduler:
         """Same contract as :meth:`Scheduler.run`, executed through :meth:`run_table`.
 
         The seeds become a :class:`StateTable` (identifiers outside the
-        network are ignored) and the final table is materialized as the
-        identifier-keyed state dictionaries.
+        network are ignored; a seed the table cannot hold raises
+        :class:`~repro.exceptions.InvalidParameterError`, see
+        :meth:`StateTable.from_dicts`) and the final table is materialized
+        as the identifier-keyed state dictionaries.
         """
         order = self._fast.order
         table = StateTable.from_mapping(initial_states or {}, order)

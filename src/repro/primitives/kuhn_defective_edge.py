@@ -204,48 +204,16 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         on the class values (``None`` when no class restriction applies --
         all nodes active together); ``sizes`` is the per-node word size of
         the ``{"class": value}`` broadcast payload (``None`` for the uniform
-        2-word scalar case).
+        2-word scalar case).  A class column holds ints or recursion paths.
         """
-        if self.class_key is None:
-            return None, None
         table = ctx.table
-        if self.class_key not in table:
+        if self.class_key is None or self.class_key not in table:
             return None, None  # state.get(class_key) is None on every node
-        kind = table.kind(self.class_key)
-        try:
-            if kind == "int":
-                return table.get_ints(self.class_key), None
-            if kind == "path":
-                ids = table.path_ids(self.class_key)
-                interned = table.path_interned(self.class_key)
-                words = np.fromiter(
-                    (1 + payload_size_words(path) for path in interned),
-                    dtype=np.int64,
-                    count=len(interned),
-                )
-                return ids, words[ids]
-        except KeyError:
-            pass  # Partially present column: state.get semantics below.
-        values = table.get_values_or_none(self.class_key)
-
-        codes = np.empty(len(values), dtype=np.int64)
-        try:
-            lookup: Dict[Any, int] = {}
-            for i, value in enumerate(values):
-                codes[i] = lookup.setdefault(value, len(lookup))
-        except TypeError:  # unhashable class values: equality scan
-            seen: List[Any] = []
-            for i, value in enumerate(values):
-                for code, candidate in enumerate(seen):
-                    if candidate == value:
-                        codes[i] = code
-                        break
-                else:
-                    codes[i] = len(seen)
-                    seen.append(value)
-        sizes = np.fromiter(
-            (1 + payload_size_words(value) for value in values),
+        if table.kind(self.class_key) == "int":
+            return table.get_ints(self.class_key), None
+        ids = table.path_ids(self.class_key)
+        words = np.fromiter(
+            (1 + payload_size_words(path) for path in table.path_interned(self.class_key)),
             dtype=np.int64,
-            count=len(values),
         )
-        return codes, sizes
+        return ids, words[ids]

@@ -221,8 +221,9 @@ class TestSchedulerLevelEquivalence:
         self._compare(line, pipeline, initial_states=classes)
 
     def test_int_outside_int64_on_every_engine(self, grid_network):
-        # A seeded value past int64 must stay a Python int in run() and
-        # run_table(), carried through a pure vector pipeline.
+        # The int64 extremes are carried bit for bit by run() and run_table()
+        # of every engine; one past them is carried only by the reference
+        # run(), and every table path rejects it naming the key.
         pipeline, _ = delta_plus_one_pipeline(
             n=grid_network.num_nodes,
             degree_bound=max(1, grid_network.max_degree),
@@ -230,15 +231,34 @@ class TestSchedulerLevelEquivalence:
         )
         fast = fast_view(grid_network)
         order = fast.order
-        seeds = {node: {"big": 2**70 + fast.unique_id(node)} for node in order}
-        self._compare(grid_network, pipeline, initial_states=seeds)
-        reference = Scheduler(grid_network).run(pipeline, initial_states=seeds).states
+        extremes = {
+            node: {"hi": 2**63 - 1 - fast.unique_id(node), "lo": -(2**63) + i}
+            for i, node in enumerate(order)
+        }
+        self._compare(grid_network, pipeline, initial_states=extremes)
+        reference = Scheduler(grid_network).run(pipeline, initial_states=extremes)
         for config in ENGINE_CONFIGS:
             with engine_config(config) as engine:
                 scheduler = make_scheduler(grid_network, engine=engine)
-                table = StateTable.from_mapping(seeds, order)
+                table = StateTable.from_mapping(extremes, order)
                 table, _ = scheduler.run_table(pipeline, table)
-            assert table.to_mapping(order) == reference, config
+            assert table.to_mapping(order) == reference.states, config
+
+        past = {node: {"big": 2**63 + fast.unique_id(node)} for node in order}
+        carried = Scheduler(grid_network).run(pipeline, initial_states=past).states
+        assert all(carried[node]["big"] == past[node]["big"] for node in order)
+        message = r"state key 'big' .*engine='reference'"
+        with pytest.raises(InvalidParameterError, match=message):
+            StateTable.from_mapping(past, order)
+        for config in ARRAY_CONFIGS:
+            with engine_config(config), pytest.raises(InvalidParameterError, match=message):
+                VectorizedScheduler(grid_network).run(pipeline, initial_states=past)
+        # A phase that writes one is rejected where the reference run_table
+        # re-absorbs its final states.
+        with pytest.raises(InvalidParameterError, match=message):
+            Scheduler(grid_network).run_table(
+                PhasePipeline([RecordView()]), StateTable(len(order))
+            )
 
     def test_array_built_views_hand_out_python_ints(self):
         # LocalViews, unique ids and neighbor ids of CSR-built and CSR-masked
@@ -256,9 +276,9 @@ class TestSchedulerLevelEquivalence:
 
     def test_partial_mixed_seeds(self, small_regular):
         # Seeds cover three nodes only, one seed names no node of the network
-        # (ignored, like the reference), and values mix bool, None, tuple,
-        # list and an int past int64: the array engines carry them through
-        # their state table.
+        # (ignored), and values mix bool, None, tuple, list and an int past
+        # int64: the reference run carries them through, and the array
+        # engines, whose state table holds none of them, refuse the seeds.
         nodes = small_regular.nodes()
         seeds = {
             nodes[0]: {"flag": True, "note": None, "big": 2**70},
@@ -271,7 +291,17 @@ class TestSchedulerLevelEquivalence:
             degree_bound=small_regular.max_degree,
             output_key="c",
         )
-        self._compare(small_regular, pipeline, initial_states=seeds)
+        states = Scheduler(small_regular).run(pipeline, initial_states=seeds).states
+        assert "not-a-node" not in states
+        for node in nodes[:3]:
+            for key, value in seeds[node].items():
+                assert states[node][key] == value
+                assert type(states[node][key]) is type(value)
+        assert all("c" in states[node] for node in nodes)
+        message = r"state key '\w+' .*engine='reference'"
+        for config in ARRAY_CONFIGS:
+            with engine_config(config), pytest.raises(InvalidParameterError, match=message):
+                VectorizedScheduler(small_regular).run(pipeline, initial_states=seeds)
 
     def test_empty_network(self):
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
@@ -589,8 +619,7 @@ def _retired_name_entry_points():
     from repro.core import params_for_linear_colors, run_legal_coloring
     from repro.dynamic import DynamicColoring
     from repro.experiments import GraphSpec, Scenario
-    from repro.local_model import resolve_engine, simulate_on_line_graph
-    from repro.primitives.linial import LinialColoringPhase
+    from repro.local_model import resolve_engine
 
     def scenario(network, engine):
         Scenario.make(
@@ -599,14 +628,6 @@ def _retired_name_entry_points():
             algorithm="legal_coloring",
             engine=engine,
         )
-
-    def line_graph_linial(network, engine):
-        phase = LinialColoringPhase(
-            degree_bound=2 * network.max_degree,
-            initial_palette=network.num_edges,
-            output_key="color",
-        )
-        simulate_on_line_graph(network, phase, engine=engine)
 
     def legal_coloring(network, engine):
         params = params_for_linear_colors(network.max_degree, c=2)
@@ -627,7 +648,6 @@ def _retired_name_entry_points():
         "tradeoff_color_vertices": lambda network, engine: tradeoff_color_vertices(
             network, c=2, g=lambda delta: delta, engine=engine
         ),
-        "simulate_on_line_graph": line_graph_linial,
         "greedy_reduction_edge_coloring": lambda network, engine: (
             greedy_reduction_edge_coloring(network, engine=engine)
         ),
@@ -687,10 +707,10 @@ class TestEngineSelection:
         # Kernels are a switch inside the engine, not an engine of their own:
         # the default is "vectorized" either way, and its scheduler reports
         # the backend the kernels run on.
-        from repro.local_model import default_engine
+        from repro.local_model.engine import DEFAULT_ENGINE
 
         with engine_config(config):
-            assert default_engine() == "vectorized"
+            assert DEFAULT_ENGINE == "vectorized"
             scheduler = make_scheduler(triangle)
             assert type(scheduler) is VectorizedScheduler
             assert scheduler.kernel_backend_name == kernels.backend_name()

@@ -316,13 +316,13 @@ class TestEngineCacheKeys:
         assert scenario.cache_token() == scenario.with_engine("vectorized").cache_token()
 
     def test_with_engine_none_resolves_to_concrete_default(self):
-        from repro.local_model import default_engine
+        from repro.local_model.engine import DEFAULT_ENGINE
 
         scenario = legal_scenario(engine="reference").with_engine(None)
-        assert scenario.engine == default_engine()
+        assert scenario.engine == DEFAULT_ENGINE
 
     def test_directly_constructed_scenario_resolves_in_key(self):
-        from repro.local_model import default_engine
+        from repro.local_model.engine import DEFAULT_ENGINE
 
         scenario = Scenario(
             name="direct",
@@ -330,7 +330,7 @@ class TestEngineCacheKeys:
             algorithm="legal_coloring",
             engine=None,
         )
-        assert scenario.key()["engine"] == default_engine()
+        assert scenario.key()["engine"] == DEFAULT_ENGINE
 
     def test_vectorized_and_reference_cache_entries_coexist(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path, max_workers=0)

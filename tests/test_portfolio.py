@@ -32,7 +32,8 @@ from repro.portfolio import (
     color_graph,
 )
 from repro.portfolio.cost_model import ROUND_MULTIPLIERS, quality_round_shape
-from repro.local_model import default_engine, kernels
+from repro.local_model import kernels
+from repro.local_model.engine import DEFAULT_ENGINE
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.verification import (
     assert_legal_edge_coloring,
@@ -165,7 +166,7 @@ class TestDecisionPins:
         network = graphs.random_regular(32, 4, seed=1)
         result = color_edges(network)
         decision = result.decision
-        assert (decision.algorithm, decision.engine) == ("legal-color", default_engine())
+        assert (decision.algorithm, decision.engine) == ("legal-color", DEFAULT_ENGINE)
         assert decision.quality == "linear"
         # Both routes plan 7 colors; the tie goes to the direct route.
         assert decision.route == "direct"
@@ -178,7 +179,7 @@ class TestDecisionPins:
         result = color_graph(network, seed=1)
         decision = result.decision
         assert decision.algorithm == "luby"
-        assert decision.engine == default_engine()
+        assert decision.engine == DEFAULT_ENGINE
         assert decision.is_default()
         assert "default engine" in decision.reasons["engine"]
         assert not any(key.startswith("engine") for key in decision.predicted)
@@ -191,7 +192,7 @@ class TestDecisionPins:
         network = graphs.complete_graph(n)
         result = color_edges(network, budget=40.0)
         decision = result.decision
-        assert decision.engine == default_engine()
+        assert decision.engine == DEFAULT_ENGINE
         assert decision.quality == "superlinear"
         assert not decision.is_default()
         assert "infeasible" in decision.reasons["quality"]
@@ -207,7 +208,7 @@ class TestDecisionPins:
             assert decision.engine == engine
             assert decision.overrides == ("engine",)
             assert decision.reasons["engine"] == "engine pinned by caller"
-            assert decision.is_default() == (engine == default_engine())
+            assert decision.is_default() == (engine == DEFAULT_ENGINE)
 
     def test_backend_absent_still_runs_vectorized(self, monkeypatch):
         # With no resolvable kernel backend the default is still the

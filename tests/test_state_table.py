@@ -2,10 +2,11 @@
 
 The table's whole value rests on one contract: the dict view it materializes
 is *exactly* (``==``) the per-node state the engines would have produced with
-plain dictionaries.  The hypothesis property here drives the round-trip with
-the full mix of value shapes the engines store -- ints, path tuples, lists,
-sets, ``None``, booleans, missing keys -- and the ``run_table`` tests pin the
-columnar execution path of every engine to the dict-based ``run``.
+plain dictionaries.  A table holds two kinds of full columns, int64 ints and
+interned tuples; the hypothesis property drives the round-trip over both,
+the rejection test pins every other seed to the reference scheduler's
+``run``, and the ``run_table`` tests pin the columnar execution path of
+every engine to the dict-based ``run``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from engine_configs import ENGINE_CONFIGS, engine_config
+from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
@@ -25,72 +26,122 @@ from repro.local_model import (
     fast_view,
     make_scheduler,
 )
+from repro.local_model.algorithm import LocalComputationPhase
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 # --------------------------------------------------------------------------- #
-# Strategies: the value shapes node states actually hold
+# Strategies: the value shapes a state table holds
 # --------------------------------------------------------------------------- #
 
-_scalars = st.one_of(
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=4),
-)
+_column_values = {
+    "int": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "path": st.lists(st.integers(0, 50), max_size=3).map(tuple),
+}
 
-_values = st.one_of(
-    _scalars,
-    st.tuples(),
-    st.tuples(st.integers(0, 50)),
-    st.tuples(st.integers(0, 50), st.integers(0, 50)),
-    st.lists(st.integers(0, 9), max_size=4),
-    st.sets(st.integers(0, 9), max_size=4),
-)
 
-_state_dicts = st.lists(
-    st.dictionaries(st.sampled_from(["a", "b", "_path", "c"]), _values, max_size=4),
-    max_size=8,
-)
+@st.composite
+def _state_dicts(draw):
+    """Rows that all hold the same keys, each key all ints or all tuples."""
+    num_rows = draw(st.integers(0, 8))
+    kinds = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "_path", "c"]),
+            st.sampled_from(sorted(_column_values)),
+            max_size=4,
+        )
+    )
+    return [
+        {key: draw(_column_values[kind]) for key, kind in kinds.items()}
+        for _ in range(num_rows)
+    ]
+
+
+#: ``node index -> seed`` for each state a table rejects and the reference
+#: ``run`` carries through.
+UNSUPPORTED_SEEDS = {
+    "partial": lambda i: {"x": 1} if i == 0 else {},
+    "bool": lambda i: {"x": i % 2 == 0},
+    "int-past-int64": lambda i: {"x": 2**70 + i},
+    "list": lambda i: {"x": [i]},
+    "unhashable-tuple": lambda i: {"x": (i, [i])},
+}
 
 
 class TestRoundTrip:
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(dicts=_state_dicts)
+    @given(dicts=_state_dicts())
     def test_from_dicts_to_dicts_is_identity(self, dicts):
         assert StateTable.from_dicts(dicts).to_dicts() == dicts
 
-    def test_mixed_int_tuple_list_states(self):
+    def test_int_and_tuple_keys_get_their_kinds(self):
         dicts = [
-            {"color": 3, "_path": (1, 2), "counts": [0, 1], "seen": {4}},
-            {"color": 7, "_path": (1, 2), "counts": [2, 0], "flag": True},
-            {"color": 5, "_path": (2,), "counts": [], "maybe": None},
+            {"color": 3, "_path": (1, 2)},
+            {"color": 7, "_path": (1, 2)},
+            {"color": 5, "_path": (2,)},
         ]
         table = StateTable.from_dicts(dicts)
         assert table.to_dicts() == dicts
         assert table.kind("color") == "int"
         assert table.kind("_path") == "path"
-        assert table.kind("counts") == "object"
-
-    def test_partial_presence_round_trips(self):
-        dicts = [{"x": 1}, {}, {"x": 3, "y": (1,)}, {"y": (1,)}]
-        table = StateTable.from_dicts(dicts)
-        assert table.to_dicts() == dicts
-        with pytest.raises(KeyError):
-            table.get_ints("x")  # missing on node 1, like state["x"] would be
 
     def test_mapping_round_trip_ignores_unknown_nodes(self):
         order = ("a", "b", "c")
-        states = {"a": {"v": 1}, "c": {"v": 3}, "zz": {"v": 9}}
+        states = {"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "zz": {"v": 9}}
         table = StateTable.from_mapping(states, order)
-        assert table.to_mapping(order) == {"a": {"v": 1}, "b": {}, "c": {"v": 3}}
+        assert table.to_mapping(order) == {"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}}
 
-    def test_bool_values_keep_their_type(self):
-        dicts = [{"flag": True}, {"flag": False}]
-        restored = StateTable.from_dicts(dicts).to_dicts()
-        assert restored == dicts
-        assert type(restored[0]["flag"]) is bool
 
+@pytest.mark.parametrize("case", sorted(UNSUPPORTED_SEEDS))
+def test_table_rejects_seeds_only_the_reference_run_takes(small_regular, case):
+    fast = fast_view(small_regular)
+    seeds = {node: UNSUPPORTED_SEEDS[case](i) for i, node in enumerate(fast.order)}
+    pipeline, _ = delta_plus_one_pipeline(
+        n=fast.num_nodes, degree_bound=fast.max_degree, output_key="c"
+    )
+    message = r"state key 'x' .*engine='reference'"
+    with pytest.raises(InvalidParameterError, match=message):
+        StateTable.from_dicts([seeds[node] for node in fast.order])
+    for config in ARRAY_CONFIGS:
+        with engine_config(config), pytest.raises(InvalidParameterError, match=message):
+            VectorizedScheduler(small_regular).run(pipeline, initial_states=seeds)
+    # The reference run never builds a table: it carries any seed through.
+    states = Scheduler(small_regular).run(pipeline, initial_states=seeds).states
+    for node, seed in seeds.items():
+        assert "c" in states[node]
+        assert states[node].get("x") == seed.get("x")
+
+
+
+class _WriteUnsupported(LocalComputationPhase):
+    """Writes the ``case`` value of :data:`UNSUPPORTED_SEEDS` on every node."""
+
+    name = "write-unsupported"
+
+    def __init__(self, case, index_of):
+        self.make = UNSUPPORTED_SEEDS[case]
+        self.index_of = index_of
+
+    def compute(self, view, state):
+        state.update(self.make(self.index_of[view.unique_id]))
+
+
+@pytest.mark.parametrize("case", sorted(UNSUPPORTED_SEEDS))
+def test_reference_run_table_rejects_final_states_a_table_cannot_hold(
+    small_regular, case
+):
+    # run() keeps what the phase wrote; run_table() re-absorbs the final
+    # states into a table and refuses them, naming the key.
+    fast = fast_view(small_regular)
+    index_of = {fast.unique_id(node): i for i, node in enumerate(fast.order)}
+    phase = _WriteUnsupported(case, index_of)
+    scheduler = Scheduler(small_regular)
+    states = scheduler.run(phase).states
+    for i, node in enumerate(fast.order):
+        assert states[node].get("x") == UNSUPPORTED_SEEDS[case](i).get("x")
+    message = r"state key 'x' .*engine='reference'"
+    with pytest.raises(InvalidParameterError, match=message):
+        scheduler.run_table(phase, StateTable(fast.num_nodes))
 
 class TestColumns:
     def test_int_columns(self):
@@ -119,16 +170,12 @@ class TestColumns:
             table.append_to_paths("_path", np.array([1, 2]))
 
     def test_copy_column_preserves_kind(self):
-        table = StateTable.from_dicts(
-            [{"i": 1, "p": (1,), "o": [2]}, {"i": 2, "p": (), "o": [3]}]
-        )
-        for key in ("i", "p", "o"):
+        table = StateTable.from_dicts([{"i": 1, "p": (1,)}, {"i": 2, "p": ()}])
+        for key in ("i", "p"):
             table.copy_column(key, key + "2")
             assert table.kind(key + "2") == table.kind(key)
         rows = table.to_dicts()
-        assert rows[0]["i2"] == 1 and rows[0]["p2"] == (1,) and rows[0]["o2"] == [2]
-        # Object copies are by reference, exactly like state[t] = state[s].
-        assert rows[0]["o2"] is rows[0]["o"]
+        assert rows[0]["i2"] == 1 and rows[0]["p2"] == (1,) and rows[1]["p2"] == ()
 
 
 class TestPathColumns:
@@ -172,14 +219,6 @@ class TestPathColumns:
         assert [interned[i] for i in ids.tolist()] == [(1, 2), (2, 1), (1, 2)]
         with pytest.raises(TypeError):
             StateTable.from_dicts([{"x": 1}]).path_interned("x")
-
-
-class TestGetValuesOrNone:
-    def test_mirrors_state_get(self):
-        dicts = [{"a": 1, "b": (1, 2)}, {"b": (1, 2)}, {"a": 3, "c": [7]}]
-        table = StateTable.from_dicts(dicts)
-        for key in ("a", "b", "c", "missing"):
-            assert table.get_values_or_none(key) == [d.get(key) for d in dicts]
 
 
 class TestRunTable:
