@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view, sorted_distinct
 from repro.local_model.line_csr import build_line_graph_fast
 from repro.local_model.line_graph_sim import (
     SIMULATION_SETUP_ROUNDS,
@@ -121,7 +121,7 @@ class EdgeColoringResult:
         """Number of distinct colors actually used."""
         if self.color_column is None:
             return len(set(self.edge_colors.values()))
-        return int(np.unique(self.color_column).size)
+        return len(sorted_distinct(self.color_column))
 
 
 def line_graph_max_degree(network: FastNetwork) -> int:

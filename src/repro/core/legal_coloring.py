@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.engine import make_scheduler, resolve_engine
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, fast_view, sorted_distinct
 from repro.local_model.line_csr import line_meta_for
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
@@ -190,7 +190,7 @@ class LegalColoringResult:
         """Number of distinct colors actually present in the coloring."""
         if self.color_column is None:
             return len(set(self.colors.values()))
-        return int(np.unique(self.color_column).size)
+        return len(sorted_distinct(self.color_column))
 
 
 def run_legal_coloring(

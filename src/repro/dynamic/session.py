@@ -7,10 +7,10 @@ arrive as batched raw ``int64`` edge arrays
 (:meth:`DynamicColoring.apply_updates`); each batch is processed in three
 array-native steps:
 
-1. **CSR patch** -- :meth:`FastNetwork.with_edge_updates` delta-merges the
-   removal/insertion keys into the existing (sorted) directed-entry keys and
-   rebuilds the CSR with one bincount/cumsum pass; no full symmetrize-lexsort
-   of the edge set.
+1. **CSR patch** -- :meth:`FastNetwork.with_edge_updates` finds each removed
+   or inserted entry by a bisection inside its own row, deletes and inserts
+   those entries in the index column and patches the touched rows' degrees;
+   no search over the whole edge set, no symmetrize-sort of it.
 2. **Conflict detection** -- deletions never create conflicts and the
    pre-state is legal, so every monochromatic edge of the patched graph is a
    freshly inserted one: the batch's canonical insertion pairs are checked
@@ -48,6 +48,7 @@ import numpy as np
 from repro.core.legal_coloring import color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view, index_array
+from repro.local_model.fast_network import sorted_distinct
 from repro.local_model.metrics import RunMetrics
 from repro.verification.coloring import assert_legal_vertex_coloring
 
@@ -80,6 +81,11 @@ def _as_endpoint_arrays(batch: EdgeBatch) -> Tuple[np.ndarray, np.ndarray]:
             f"an edge batch must have shape (k, 2), got {edges.shape}"
         )
     return edges[:, 0].copy(), edges[:, 1].copy()
+
+
+def _canonical_pairs(u: np.ndarray, v: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct undirected pairs as ``(low, high)`` arrays, in pair-key order."""
+    return np.divmod(sorted_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n)
 
 
 @dataclass(frozen=True)
@@ -238,11 +244,7 @@ class DynamicColoring:
         # legal and deletions never create conflicts), so probing the batch's
         # canonical insertion pairs is both exhaustive and O(|batch|).
         if len(add_u):
-            n = patched.num_nodes
-            low = np.minimum(add_u, add_v)
-            high = np.maximum(add_u, add_v)
-            candidates = np.unique(low * n + high)
-            cand_u, cand_v = candidates // n, candidates % n
+            cand_u, cand_v = _canonical_pairs(add_u, add_v, patched.num_nodes)
             mono = self._column[cand_u] == self._column[cand_v]
             conflict_u, conflict_v = cand_u[mono], cand_v[mono]
         else:
@@ -272,14 +274,8 @@ class DynamicColoring:
         """How many of the removal pairs actually existed before the patch."""
         if not len(rem_u):
             return 0
-        n = before.num_nodes
-        keys = before.edge_keys_np
-        low = np.minimum(rem_u, rem_v)
-        high = np.maximum(rem_u, rem_v)
-        asked = np.unique(low * n + high)
-        slots = np.searchsorted(keys, asked)
-        inside = slots < len(keys)
-        return int((keys[slots[inside]] == asked[inside]).sum())
+        low, high = _canonical_pairs(rem_u, rem_v, before.num_nodes)
+        return int(before.ascending_rows()._find_entries(low, high)[1].sum())
 
     def _full_recolor(self, fast: FastNetwork) -> Tuple[np.ndarray, int]:
         """From-scratch Legal-Color over the whole current graph."""
@@ -316,7 +312,7 @@ class DynamicColoring:
         # so its members can be realigned simultaneously: each takes the
         # smallest color missing from its current neighbor colors, which is
         # at most deg(v) + 1 and never collides within the class.
-        for klass in np.unique(ball_colors):
+        for klass in sorted_distinct(ball_colors):
             members = nodes[ball_colors == klass]
             self._column[members] = self._smallest_missing(members)
         self.palette_bound = max(self.palette_bound, fast.max_degree + 1)

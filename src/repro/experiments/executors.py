@@ -20,6 +20,7 @@ lives here, in two functions the runner picks between by ``max_workers``:
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -264,7 +265,9 @@ def _pool_generation(
                         break
             if lost or request.timeout is None:
                 continue
-            for future in list(futures):
+            # A queued future reports running() once in the call queue; the pool
+            # dispatches in submission order, so only the oldest `workers` run.
+            for future in itertools.islice(futures, workers):
                 if future not in started and future.running():
                     started[future] = now
             expired = [

@@ -75,6 +75,15 @@ def index_array(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """``np.unique(values)`` by sort + adjacent diff, not numpy 2's slower hashing path."""
+    ordered = np.sort(np.asarray(values).ravel())
+    fresh = np.empty(len(ordered), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
 def _lexsort_pairs(major, minor) -> np.ndarray:
     """The stable permutation ``np.lexsort((minor, major))`` returns.
 
@@ -592,11 +601,10 @@ class FastNetwork:
     def edge_keys_np(self) -> np.ndarray:
         """The directed-entry keys ``row * num_nodes + col``, ascending (cached).
 
-        Presence tests and delta merges are plain ``searchsorted`` work on
-        them.  The order is checked once, when the keys are first computed;
-        an ``L(G)`` view's keys are sorted then.  :meth:`with_edge_updates`
-        hands the merged keys straight to the derived view's cache, so a
-        chain of patches never recomputes or rechecks them.
+        They are computed in ``O(|E|)`` on first use, which also checks the
+        row order once; an ``L(G)`` view's keys are sorted then.  The
+        ``searchsorted`` canonical-edge lookups of the line-graph builder
+        read them; :meth:`with_edge_updates` does not.
         """
         cached = self._np_cache.get("edge_keys")
         if cached is None:
@@ -604,6 +612,7 @@ class FastNetwork:
             if not (cached[1:] > cached[:-1]).all():
                 cached.sort()
                 self._np_cache["ascending_indices"] = cached % self.num_nodes
+            self._np_cache.setdefault("ascending_indices", self.indices)
             self._np_cache["edge_keys"] = cached
         return cached
 
@@ -611,15 +620,37 @@ class FastNetwork:
         """This view, or its sibling listing every row's neighbors ascending.
 
         For consumers that read the entries with ``row < col`` as the
-        canonical edges in pair-key order, or merge against the keys.
+        canonical edges in pair-key order, or merge against the keys.  The
+        row order is checked once through :attr:`edge_keys_np`; a view built
+        by :meth:`with_edge_updates` is known ascending and is returned as
+        is, in ``O(1)``.
         """
-        keys = self.edge_keys_np
-        indices = self._np_cache.get("ascending_indices")
-        if indices is None:
+        if "ascending_indices" not in self._np_cache:
+            self.edge_keys_np  # finds the row order
+        indices = self._np_cache["ascending_indices"]
+        if indices is self.indices:
             return self
         sibling = self._sibling(self.indptr, indices, self.degrees, self.line_meta)
-        sibling._np_cache["edge_keys"] = keys
+        sibling._np_cache.update(edge_keys=self.edge_keys_np, ascending_indices=sibling.indices)
         return sibling
+
+    def _find_entries(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, present)`` of each entry ``u[i] -> v[i]`` in this view's ascending rows.
+
+        ``slots[i] = indptr[u] + #{w in row u : w < v}``: a bisection inside
+        each probed row, ``O(len(u) log max_degree)`` reads of those rows only.
+        """
+        slots, size = self.indptr[u], self.degrees[u]
+        end = slots + size
+        if not self.max_degree:
+            return slots, np.zeros(len(u), dtype=bool)
+        for _ in range((self.max_degree - 1).bit_length()):  # halve each row's window
+            half = size >> 1
+            probe = slots + half
+            slots = np.where(self.indices.take(probe, mode="clip") < v, probe, slots)
+            size -= half
+        slots = slots + ((slots < end) & (self.indices.take(slots, mode="clip") < v))
+        return slots, (slots < end) & (self.indices.take(slots, mode="clip") == v)
 
     # ------------------------------------------------------------------ #
     # CSR masking: derived sub-networks
@@ -728,15 +759,14 @@ class FastNetwork:
         """A sibling view with the given edges removed and/or inserted.
 
         This is the CSR patch step of the dynamic-recoloring subsystem
-        (:mod:`repro.dynamic`): removals and insertions arrive as raw
-        ``int64`` endpoint arrays, the surviving directed entries are
-        delta-merged with the (sorted) insertion keys, and the new CSR is
-        rebuilt from incrementally patched degrees with one cumsum -- never
-        a full symmetrize-lexsort over the whole edge set, so a small batch
-        costs ``O(|E| + |batch| log |batch|)`` straight array work (the
-        ``O(|E|)`` part is just masks/inserts on the key and index columns;
-        no per-entry key decode, no full bincount).  This view's rows may be
-        in any order; the derived view's are ascending.
+        (:mod:`repro.dynamic`).  Each side of the batch is deduplicated by
+        sort + adjacent diff, and every directed entry is found by a
+        bisection inside its own row, so the lookups cost ``O(|batch| log
+        max_degree)`` and read only the touched rows.  The ``O(|E|)`` part
+        is two moves of the index column, one delete and one insert; degrees
+        are patched per touched row and ``indptr`` is one cumsum.  This
+        view's rows may be in any order; the derived view's are ascending,
+        and it knows so.
 
         Semantics match :meth:`from_edge_array`: the node set is fixed,
         duplicate insertions (and insertions of already-present edges) are
@@ -765,44 +795,30 @@ class FastNetwork:
                 "in the LOCAL model"
             )
 
-        # The key and index columns are patched in lockstep, and degrees are
-        # adjusted per affected row -- the only O(|E|) work is the masks and
-        # inserts themselves; rows are never decoded out of the keys.
-        base = self.ascending_rows()
-        keys, cols = base.edge_keys_np, base.indices
-        degrees = self.degrees_np.copy()
-        if len(remove_u):
-            drop = np.unique(
-                np.concatenate([remove_u * n + remove_v, remove_v * n + remove_u])
-            )
-            slots = np.searchsorted(keys, drop)
-            inside = slots < len(keys)
-            hit = slots[inside][keys[slots[inside]] == drop[inside]]
-            if len(hit):
-                keep = np.ones(len(keys), dtype=bool)
-                keep[hit] = False
-                np.subtract.at(degrees, keys[hit] // n, 1)
-                keys = keys[keep]
-                cols = cols[keep]
-        if len(add_u):
-            fresh = np.unique(
-                np.concatenate([add_u * n + add_v, add_v * n + add_u])
-            )
-            slots = np.searchsorted(keys, fresh)
-            present = np.zeros(len(fresh), dtype=bool)
-            inside = slots < len(keys)
-            present[inside] = keys[slots[inside]] == fresh[inside]
-            fresh = fresh[~present]
-            if len(fresh):
-                where = np.searchsorted(keys, fresh)
-                keys = np.insert(keys, where, fresh)
-                cols = np.insert(cols, where, fresh % n)
-                np.add.at(degrees, fresh // n, 1)
+        def directed(u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return np.divmod(sorted_distinct(np.concatenate([u * n + v, v * n + u])), n)
 
+        drop_u, drop_v = directed(remove_u, remove_v)
+        put_u, put_v = directed(add_u, add_v)
+        base = self.ascending_rows()
+        slots, found = base._find_entries(
+            np.concatenate([drop_u, put_u]), np.concatenate([drop_v, put_v])
+        )
+        dropped = found[: len(drop_u)]
+        hit = slots[: len(drop_u)][dropped]  # ascending: the probes are sorted
+        slots, found = slots[len(drop_u) :], found[len(drop_u) :]
+        # Removals apply first: an insertion is fresh unless its entry is
+        # present and survives.  `ahead` counts removed entries before a slot.
+        ahead = np.searchsorted(hit, slots)
+        fresh = ~found | (np.append(hit, -1)[ahead] == slots)
+        degrees = self.degrees.copy()
+        np.subtract.at(degrees, drop_u[dropped], 1)
+        np.add.at(degrees, put_u[fresh], 1)
+        cols = np.insert(np.delete(base.indices, hit), (slots - ahead)[fresh], put_v[fresh])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         derived = self._sibling(indptr, cols, degrees, None)
-        derived._np_cache["edge_keys"] = keys
+        derived._np_cache["ascending_indices"] = derived.indices
         return derived
 
     def induced(self, node_mask: np.ndarray) -> Tuple["FastNetwork", np.ndarray]:

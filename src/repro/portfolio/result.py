@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
 from repro.local_model.engine import DEFAULT_ENGINE
+from repro.local_model.fast_network import sorted_distinct
 from repro.local_model.metrics import RunMetrics
 
 
@@ -94,7 +95,7 @@ class PortfolioResult:
     def colors_used(self) -> int:
         if self.color_column is None:
             return len(set(self.colors.values()))
-        return int(np.unique(self.color_column).size)
+        return len(sorted_distinct(self.color_column))
 
     @property
     def edge_colors(self) -> Mapping[Hashable, int]:

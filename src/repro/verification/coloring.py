@@ -33,7 +33,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ColoringError
-from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view
+from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view, sorted_distinct
 from repro.local_model.line_csr import entry_edge_ids
 
 EdgeKey = Tuple[Hashable, Hashable]
@@ -44,7 +44,7 @@ ColorsLike = Union[Mapping[Hashable, int], np.ndarray]
 def palette_size(colors: ColorsLike) -> int:
     """Number of distinct colors used by a coloring."""
     if isinstance(colors, np.ndarray):
-        return int(np.unique(colors).size)
+        return len(sorted_distinct(colors))
     return len(set(colors.values()))
 
 

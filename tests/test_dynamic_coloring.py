@@ -31,6 +31,7 @@ from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
 from repro import graphs
 from repro.dynamic import DynamicColoring, UpdateReport
 from repro.exceptions import InvalidParameterError
+from repro.local_model import build_line_graph_fast
 from repro.local_model.fast_network import FastNetwork
 
 QUICK_PROPERTY = settings(
@@ -58,6 +59,32 @@ def canonical_edge_set(fast: FastNetwork) -> set:
     rows, cols = fast.rows_np, fast.indices_np
     forward = rows < cols
     return set(zip(rows[forward].tolist(), cols[forward].tolist()))
+
+
+def from_edge_set(edges: set, n: int) -> FastNetwork:
+    pairs = sorted(edges)
+    u = np.array([pair[0] for pair in pairs], dtype=np.int64)
+    v = np.array([pair[1] for pair in pairs], dtype=np.int64)
+    return FastNetwork.from_edge_array(u, v, num_nodes=n)
+
+
+def loop_free_pair(n: int):
+    return st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda p: p[0] != p[1])
+
+
+@st.composite
+def patch_base(draw):
+    """A small view with ascending rows, or an ``L(G)`` view (incidence-order rows)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=3, max_value=7))
+        pairs = draw(st.sets(loop_free_pair(k), min_size=1, max_size=14))
+        return build_line_graph_fast(from_edge_set({tuple(sorted(p)) for p in pairs}, k))
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = draw(st.sets(loop_free_pair(n), max_size=20)) if n > 1 else set()
+    return from_edge_set({tuple(sorted(p)) for p in pairs}, n)
 
 
 class TestDifferentialChurn:
@@ -116,6 +143,98 @@ class TestDifferentialChurn:
                 assert list(session.network.indptr) == list(rebuilt.indptr)
                 assert list(session.network.indices) == list(rebuilt.indices)
             assert isinstance(report, UpdateReport)
+
+
+class TestPatchArrays:
+    """``with_edge_updates`` against ``from_edge_array`` on the set arithmetic."""
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    @given(base=patch_base(), data=st.data())
+    def test_patch_chain_equals_rebuild_and_reports_count_it(self, base, data):
+        n = base.num_nodes
+        edges = canonical_edge_set(base)
+        session = DynamicColoring(base, c=n, engine="vectorized")
+        view = base
+        for _ in range(5):  # a chain: each patch starts from a patched view
+            if n > 1:
+                # Present edges (either endpoint order), absent ones, and
+                # duplicates on both sides; an add may repeat a removal.
+                known = sorted(edges | {(0, 1)})
+                pair = st.one_of(
+                    st.sampled_from(known + [p[::-1] for p in known]), loop_free_pair(n)
+                )
+                removed = data.draw(st.lists(pair, max_size=8))
+                repeat = st.sampled_from(removed or known)
+                added = data.draw(st.lists(st.one_of(pair, repeat), max_size=8))
+            else:
+                removed = added = []
+            gone = {tuple(sorted(p)) for p in removed}
+            put = {tuple(sorted(p)) for p in added}
+            survivors = edges - gone
+            add_pairs, remove_pairs = (
+                np.array(side, dtype=np.int64).reshape(-1, 2) for side in (added, removed)
+            )
+            view = view.with_edge_updates(*add_pairs.T, *remove_pairs.T)
+            report = session.apply_updates(added=add_pairs, removed=remove_pairs)
+            assert report.edges_removed == len(gone & edges)
+            assert report.edges_added == len(put - survivors)
+            edges = survivors | put
+            oracle = from_edge_set(edges, n)
+            # An empty batch leaves the session's view as it was (rows in any order).
+            for patched in (view, session.network.ascending_rows()):
+                np.testing.assert_array_equal(patched.indptr, oracle.indptr)
+                np.testing.assert_array_equal(patched.indices, oracle.indices)
+                np.testing.assert_array_equal(patched.degrees, oracle.degrees)
+            assert view.ascending_rows() is view
+            session.verify()
+
+
+class TestTimedChurnPath:
+    def test_patched_session_reads_no_whole_graph_column(self, monkeypatch):
+        """After one patch, a batch never builds an ``O(|E|)`` column of the graph.
+
+        ``rows_np`` and ``edge_keys_np`` raise on any view of the whole graph
+        for five batches; the reports, the coloring and the CSR must equal
+        those of an unguarded run.
+        """
+        base = graphs.random_regular(600, 6, seed=4)
+        n = base.num_nodes
+        rng = np.random.default_rng(5)
+        edges = canonical_edge_set(base)
+        batches = []
+        for _ in range(6):
+            present = sorted(edges)
+            removed = [present[i] for i in rng.choice(len(present), 20, replace=False)]
+            drawn = rng.integers(0, n, (24, 2)).tolist()
+            added = [tuple(sorted(p)) for p in drawn if p[0] != p[1]]
+            edges = (edges - set(removed)) | set(added)
+            batches.append((added, removed))
+
+        def run(guarded: bool):
+            session = DynamicColoring(base, c=6, engine="vectorized")
+            reports = [session.apply_updates(*batches[0])]
+            with monkeypatch.context() as patch:
+                for name in ("rows_np", "edge_keys_np") if guarded else ():
+                    original = getattr(FastNetwork, name).fget
+
+                    def guard(view, original=original, name=name):
+                        if view.num_nodes == n:
+                            raise AssertionError(f"{name} read on the whole graph")
+                        return original(view)
+
+                    patch.setattr(FastNetwork, name, property(guard))
+                reports += [session.apply_updates(*batch) for batch in batches[1:]]
+            session.verify()
+            return reports, session.color_column, session.network
+
+        reports, column, network = run(guarded=True)
+        expected_reports, expected_column, expected_network = run(guarded=False)
+        assert any(report.conflicts for report in reports[1:]), "no batch needed a repair"
+        assert reports == expected_reports
+        np.testing.assert_array_equal(column, expected_column)
+        np.testing.assert_array_equal(network.indptr, expected_network.indptr)
+        np.testing.assert_array_equal(network.indices, expected_network.indices)
+        assert canonical_edge_set(network) == edges
 
 
 class TestBatchSemantics:

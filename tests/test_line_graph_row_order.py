@@ -251,7 +251,7 @@ def test_line_graph_patch_matches_the_rebuilt_oracle(derive):
         view, _ = view.induced(np.arange(view.num_nodes) % 4 != 0)
     rng = np.random.default_rng(7)
     edges = edge_set(view)
-    for _ in range(3):  # a chain: later patches start from handed-over keys
+    for _ in range(3):  # a chain: later patches start from patched views
         added, removed = churn_batch(edges, view.num_nodes, rng)
         edges = (edges - {pair[::-1] for pair in removed}) | set(added)
         view = view.with_edge_updates(*endpoint_arrays(added), *endpoint_arrays(removed))

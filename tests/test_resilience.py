@@ -353,6 +353,23 @@ class TestPoolFaultMatrix:
         assert runner.last_stats.timeouts >= 1
         assert runner.last_stats.pool_rebuilds >= 1
 
+    def test_scenarios_queued_behind_a_hang_are_not_charged(self, tmp_path):
+        """One worker: the scenarios waiting behind a hung one never ran.
+
+        ``ProcessPoolExecutor`` reports a queued future as running once it
+        enters the call queue, so only the hung scenario may time out.
+        """
+        scenarios = sweep(4)
+        plan = FaultPlan((FaultSpec(index=0, kind="hang", attempts=1, hang_seconds=60.0),))
+        runner = ExperimentRunner(
+            cache_dir=tmp_path, max_workers=1, retries=2, timeout=1.0, fault_plan=plan
+        )
+        results = runner.run(scenarios)
+        assert [r.status for r in results] == ["ok"] * 4
+        assert [r.attempts for r in results] == [2, 1, 1, 1]
+        assert runner.last_stats.timeouts == 1
+        assert runner.last_stats.retries == 1
+
     def test_permanent_hang_is_attributed_as_timeout(self, tmp_path):
         scenarios = sweep(2)
         plan = FaultPlan(
