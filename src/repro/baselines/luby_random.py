@@ -123,11 +123,10 @@ class LubyRandomColoringPhase(BroadcastPhase):
         taken set freezes at the end of round ``r``, which the kernel
         realizes by only ever updating rows of still-undecided nodes.  Lane
         ``i`` takes the ``luby_draw(...)``-th free color in ascending order,
-        exactly as the scalar ``available[luby_draw(...)]``.  When
-        ``ctx.kernels`` is set, the four per-round sweeps -- free counting,
-        candidate selection, final absorption, conflict resolution -- run as
-        fused ``luby_*`` kernels; the draws stay here (the draw stream
-        defines bit-identity).
+        exactly as the scalar ``available[luby_draw(...)]``.  The four
+        per-round sweeps -- free counting, candidate selection, final
+        absorption, conflict resolution -- are ``ctx.kernels.luby_*`` steps;
+        the draws stay here (the draw stream defines bit-identity).
         """
         fast = ctx.fast
         n = fast.num_nodes
@@ -136,10 +135,8 @@ class LubyRandomColoringPhase(BroadcastPhase):
         kernels = ctx.kernels
         unique_ids = ctx.unique_ids().astype(np.uint64)
 
-        # uint8 for the kernels; the numpy steps use the bool views.
         taken = np.zeros((n, palette), dtype=np.uint8)
         undecided_mask = np.ones(n, dtype=np.uint8)
-        taken_flags, undecided_flags = taken.view(bool), undecided_mask.view(bool)
         final = np.zeros(n, dtype=np.int64)
         candidate = np.zeros(n, dtype=np.int64)  # 0 encodes "no candidate"
         undecided = np.arange(n, dtype=np.int64)
@@ -155,12 +152,8 @@ class LubyRandomColoringPhase(BroadcastPhase):
             messages += int(degrees[undecided].sum()) + int(degrees[announce].sum())
 
             # --- broadcast: undecided nodes draw from their free colors --- #
-            if kernels is None:
-                free = ~taken_flags[undecided]
-                free_counts = free.sum(axis=1)
-            else:
-                free_counts = np.empty(len(undecided), dtype=np.int64)
-                kernels.luby_free_counts(undecided, taken, palette, free_counts)
+            free_counts = np.empty(len(undecided), dtype=np.int64)
+            kernels.luby_free_counts(undecided, taken, palette, free_counts)
             candidate[undecided] = 0
             drawing = free_counts > 0
             lanes = undecided[drawing]
@@ -169,47 +162,24 @@ class LubyRandomColoringPhase(BroadcastPhase):
                 picks = luby_draw(
                     self.seed, unique_ids[lanes], round_index, limits
                 ).astype(np.int64)
-                if kernels is None:
-                    free_rows = free[drawing]
-                    ranks = np.cumsum(free_rows, axis=1)
-                    hits = free_rows & (ranks == (picks + 1)[:, None])
-                    candidate[lanes] = np.argmax(hits, axis=1) + 1
-                else:
-                    kernels.luby_candidates(lanes, picks, taken, palette, candidate)
+                kernels.luby_candidates(lanes, picks, taken, palette, candidate)
 
             # --- receive: neighbor finals first (undecided rows only) --- #
             if len(announce):
-                if kernels is None:
-                    local, neighbors = ctx.gather_neighbors(announce)
-                    hit = undecided_flags[neighbors]
-                    taken_flags[neighbors[hit], final[announce[local[hit]]] - 1] = True
-                else:
-                    kernels.luby_absorb(
-                        announce, fast.indptr, fast.indices, final, undecided_mask, taken
-                    )
+                kernels.luby_absorb(
+                    announce, fast.indptr, fast.indices, final, undecided_mask, taken
+                )
 
             # --- conflicts + keep, against the just-updated taken rows --- #
-            if kernels is None:
-                local, neighbors = ctx.gather_neighbors(undecided)
-                mine = candidate[undecided[local]]
-                clash = (mine != 0) & (candidate[neighbors] == mine)
-                conflict = np.zeros(len(undecided), dtype=bool)
-                conflict[local[clash]] = True
-                mine = candidate[undecided]
-                keep = (mine != 0) & ~conflict
-                keep &= ~taken_flags[undecided, np.maximum(mine - 1, 0)]
-            else:
-                keep_flags = np.empty(len(undecided), dtype=np.uint8)
-                kernels.luby_resolve(
-                    undecided, fast.indptr, fast.indices, candidate, taken, keep_flags
-                )
-                keep = keep_flags.view(bool)
+            keep = np.empty(len(undecided), dtype=np.uint8)
+            kernels.luby_resolve(undecided, fast.indptr, fast.indices, candidate, taken, keep)
+            keep = keep.view(bool)
             deciders = undecided[keep]
             final[deciders] = candidate[deciders]
             # Decided nodes announce {"final": c} next round: their payload
             # has no "candidate" entry, so they stop clashing immediately.
             candidate[deciders] = 0
-            undecided_flags[deciders] = False
+            undecided_mask[deciders] = 0
             announce = deciders
             undecided = undecided[~keep]
 

@@ -181,38 +181,19 @@ class PsiSelectionPhase(BroadcastPhase):
         ``_psi_counts``, ``_psi_waiting``) is never built: every engine drops
         it at halt.
 
-        The sweep over the ``phi``-classes runs as the fused ``psi_select``
-        kernel when ``ctx.kernels`` is set; when kernels are off, or the
-        kernel cannot allocate its scratch (status 2), it runs as numpy.
+        The sweep over the ``phi``-classes is one ``ctx.kernels.psi_select``
+        call.
         """
         fast = ctx.fast
         n = fast.num_nodes
-        p = self.p
         phi = ctx.column(self.phi_key)
 
         depth = np.zeros(n, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
         order, class_ptr = self.phi_classes(phi)
-        kernels = ctx.kernels
-        if kernels is not None:
-            status = kernels.psi_select(
-                fast.indptr, fast.indices, phi, order, class_ptr, p, depth, psi
-            )
-        if kernels is None or status == 2:
-            for start, end in zip(class_ptr[:-1].tolist(), class_ptr[1:].tolist()):
-                batch = order[start:end]
-                value = phi[batch[0]]
-                local_rows, neighbors = ctx.gather_neighbors(batch)
-                lower = phi[neighbors] < value
-                sources = local_rows[lower]
-                lower_neighbors = neighbors[lower]
-                batch_depth = np.zeros(batch.size, dtype=np.int64)
-                np.maximum.at(batch_depth, sources, depth[lower_neighbors] + 1)
-                depth[batch] = batch_depth
-                batch_counts = np.bincount(
-                    sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
-                ).reshape(batch.size, p)
-                psi[batch] = np.argmin(batch_counts, axis=1) + 1
+        ctx.kernels.psi_select(
+            fast.indptr, fast.indices, phi, order, class_ptr, self.p, depth, psi
+        )
 
         nnz = len(fast.indices)
         ctx.charge(

@@ -47,8 +47,9 @@ import numpy as np
 
 from repro.core.legal_coloring import color_vertices
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _lexsort_pairs, fast_view, index_array
+from repro.local_model.fast_network import FastNetwork, fast_view, index_array
 from repro.local_model.fast_network import sorted_distinct
+from repro.local_model.kernels._numpy import first_free_slot
 from repro.local_model.metrics import RunMetrics
 from repro.verification.coloring import assert_legal_vertex_coloring
 
@@ -320,25 +321,10 @@ class DynamicColoring:
 
     def _smallest_missing(self, members: np.ndarray) -> np.ndarray:
         """Per-member smallest positive color unused by its neighbors."""
-        owner, neighbors = self._fast.gather_adjacency(members)
-        if not len(owner):
-            return np.ones(len(members), dtype=np.int64)
+        fast = self._fast
+        owner, neighbors = fast.gather_adjacency(members)
+        # A member's free color is at most its degree + 1.
+        limit = 1 + int(fast.degrees[members].max())
         neighbor_colors = self._column[neighbors]
-
-        by_owner_color = _lexsort_pairs(owner, neighbor_colors)
-        oc = owner[by_owner_color]
-        cc = neighbor_colors[by_owner_color]
-        distinct = np.empty(len(oc), dtype=bool)
-        distinct[0] = True
-        distinct[1:] = (oc[1:] != oc[:-1]) | (cc[1:] != cc[:-1])
-        oc, cc = oc[distinct], cc[distinct]
-        group_sizes = np.bincount(oc, minlength=len(members))
-        starts = np.cumsum(group_sizes) - group_sizes
-        rank = np.arange(len(oc), dtype=np.int64) - starts[oc]
-        candidate = rank + 1
-        # Default: all of 1..k are taken, so the answer is k + 1; a gap at
-        # rank r means color r + 1 is free -- take the first such gap.
-        chosen = group_sizes + 1
-        gap = cc != candidate
-        np.minimum.at(chosen, oc[gap], candidate[gap])
-        return chosen.astype(np.int64)
+        below = neighbor_colors <= limit
+        return first_free_slot(len(members), limit, owner[below], neighbor_colors[below] - 1) + 1

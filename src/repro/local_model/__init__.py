@@ -22,7 +22,7 @@ The main entry points are:
   of a :class:`~repro.local_model.state_table.StateTable` (its only
   node-state representation; ``run`` wraps ``run_table``), with fused
   C/OpenMP kernels (see :mod:`repro.local_model.kernels`) for their inner
-  steps when the backend resolves and numpy otherwise; it runs only phases
+  steps when the backend resolves and their numpy steps otherwise; it runs only phases
   with a ``vector_run``, so a user-defined phase without one runs on the
   reference scheduler (select an engine via
   :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),

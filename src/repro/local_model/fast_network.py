@@ -23,8 +23,7 @@ of them sit:
   :mod:`repro.local_model.line_csr`.  :meth:`FastNetwork.from_adjacency`
   takes a hand-built ``node -> neighbors`` mapping with hashable
   identifiers, ordered by :func:`node_sort_key`;
-* **CSR masking** (:meth:`FastNetwork.filtered` /
-  :meth:`~FastNetwork.filtered_by_labels`) -- derive the sub-network of a
+* **CSR masking** (:meth:`FastNetwork.filtered_by_labels`) -- derive the sub-network of a
   recursion level directly at the array level (no re-sorting, no set-based
   deduplication).
 """
@@ -104,6 +103,23 @@ def _lexsort_pairs(major, minor) -> np.ndarray:
     key += np.arange(size, dtype=np.int64)
     key.sort()
     return key % size
+
+
+def gather_adjacency(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The concatenated CSR adjacency slices of ``nodes``, in CSR order.
+
+    Returns ``(owners, neighbors)``: entry ``e`` is the edge from
+    ``nodes[owners[e]]`` to dense index ``neighbors[e]``.  The work is
+    ``O(len(nodes) + volume)``, never an ``O(|E|)`` scan.
+    """
+    first = indptr[nodes]
+    counts = indptr[nodes + 1] - first
+    owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    # Entry e of owner r reads indices[indptr[nodes[r]] + e - first(r)].
+    shift = first - (np.cumsum(counts) - counts)
+    return owners, indices[shift[owners] + np.arange(len(owners), dtype=np.int64)]
 
 
 class _RangeIdentifiers:
@@ -535,17 +551,8 @@ class FastNetwork:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def gather_adjacency(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The concatenated adjacency slices of ``nodes``, in CSR order.
-
-        Returns ``(owners, neighbors)``: entry ``e`` is the edge from
-        ``nodes[owners[e]]`` to dense index ``neighbors[e]``.  The work is
-        ``O(len(nodes) + volume)``, never an ``O(|E|)`` scan.
-        """
-        counts = self.degrees[nodes]
-        owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        # Entry e of owner r reads indices[indptr[nodes[r]] + e - first(r)].
-        shift = self.indptr[nodes] - (np.cumsum(counts) - counts)
-        return owners, self.indices[shift[owners] + np.arange(len(owners), dtype=np.int64)]
+        """The concatenated adjacency slices of ``nodes`` (see :func:`gather_adjacency`)."""
+        return gather_adjacency(self.indptr, self.indices, nodes)
 
     @property
     def neighbor_ids(self) -> Tuple[Tuple[Hashable, ...], ...]:
@@ -655,54 +662,6 @@ class FastNetwork:
     # ------------------------------------------------------------------ #
     # CSR masking: derived sub-networks
     # ------------------------------------------------------------------ #
-
-    def filtered(
-        self,
-        edge_mask: Optional[np.ndarray] = None,
-        node_mask: Optional[np.ndarray] = None,
-    ) -> "FastNetwork":
-        """A spanning sub-view keeping only the unmasked edges.
-
-        Parameters
-        ----------
-        edge_mask:
-            Boolean array over the CSR entries (length ``len(indices)``);
-            entry ``e`` keeps the directed edge ``rows_np[e] -> indices_np[e]``.
-            The mask must be symmetric (both directions of an undirected edge
-            kept or dropped together), which every equality-based mask is.
-        node_mask:
-            Boolean array over the nodes (length ``num_nodes``); an edge
-            survives only if *both* endpoints are unmasked.  All nodes are
-            preserved in the result (masked-out nodes become isolated): a
-            spanning subgraph, which is what the "run all subgraphs of a
-            recursion level in parallel" execution requires.
-
-        Returns
-        -------
-        FastNetwork
-            A derived view sharing ``order`` / ``index_of`` / ``unique_ids``
-            with this one.
-        """
-        if edge_mask is None and node_mask is None:
-            raise InvalidParameterError("filtered() requires edge_mask or node_mask")
-        keep = None
-        if edge_mask is not None:
-            keep = np.asarray(edge_mask, dtype=bool)
-            if keep.shape != (len(self.indices),):
-                raise InvalidParameterError(
-                    f"edge_mask must have one entry per CSR slot "
-                    f"({len(self.indices)}), got shape {keep.shape}"
-                )
-        if node_mask is not None:
-            nodes_kept = np.asarray(node_mask, dtype=bool)
-            if nodes_kept.shape != (self.num_nodes,):
-                raise InvalidParameterError(
-                    f"node_mask must have one entry per node "
-                    f"({self.num_nodes}), got shape {nodes_kept.shape}"
-                )
-            endpoint_keep = nodes_kept[self.rows_np] & nodes_kept[self.indices_np]
-            keep = endpoint_keep if keep is None else (keep & endpoint_keep)
-        return self._masked(keep)
 
     def filtered_by_labels(self, labels: np.ndarray) -> "FastNetwork":
         """Keep exactly the edges whose endpoints carry equal labels.
@@ -824,7 +783,7 @@ class FastNetwork:
     def induced(self, node_mask: np.ndarray) -> Tuple["FastNetwork", np.ndarray]:
         """The *compact* induced subgraph on the unmasked nodes.
 
-        Unlike :meth:`filtered`, which keeps every node of the parent (so a
+        Unlike :meth:`filtered_by_labels`, which keeps every node of the parent (so a
         run over the view still pays ``O(n)`` per phase), the induced view
         relabels the ``k`` selected nodes to dense indices ``0..k-1`` and
         drops everything else -- this is what makes the dynamic-recoloring

@@ -1,27 +1,30 @@
 """Fused multi-core kernels inside the ``"vectorized"`` engine.
 
-This package is the vectorized engine's kernel-dispatch layer: for the
-hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
+This package is the vectorized engine's kernel-provider layer: for the hot
+per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
-it provides fused single-pass CSR kernels from one provider, **cext**
-(``_c_backend``): the reference loops of ``_loops.py`` transcribed to C with
-OpenMP, built on demand by the system compiler and loaded via ctypes.
+every phase calls one step by name on ``VectorContext.kernels``.  Two
+providers implement the steps with one signature and in-place/status
+contract:
 
-The provider is optional: without a C toolchain :func:`get_backend` returns
-``None`` and every phase's ``vector_run`` runs its numpy step, bit for bit
-the same results.  The resolved backend reaches a phase as
-``VectorContext.kernels``.  Kernels report failure through a status value,
-never an exception: a kernel whose scratch allocation fails returns status 2
-and the phase falls back to its numpy step.  A freshly loaded provider is
-*probed* -- every kernel is run on a small adversarial graph and compared
-against the ``_loops`` reference -- so a miscompiled library is rejected
-instead of corrupting colorings.
+* **cext** (``_c_backend``): fused single-pass CSR kernels in C with
+  OpenMP, built on demand by the system compiler and loaded via ctypes;
+* the numpy steps of ``_numpy``, used whenever cext does not resolve.
+
+:func:`get_backend` returns the cext backend or ``None``; the vectorized
+engine then hands the phases cext or ``_numpy``, bit for bit the same
+results.  Kernels report failure through a status value, never an
+exception; a C kernel whose scratch allocation fails runs the numpy step
+on the same arrays inside its wrapper, so no phase sees it.  A freshly
+loaded provider is *probed* -- every kernel is run on a small adversarial
+graph and compared against its numpy step -- so a miscompiled library is
+rejected instead of corrupting colorings.
 
 Environment knobs:
 
 * ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``cext`` | ``none`` --
-  force the provider or disable dispatch outright.
+  force the C provider or switch it off (the numpy steps run).
 * ``REPRO_KERNEL_THREADS``: initial thread count, an integer ``>= 1`` (see
   :func:`set_num_threads`; anything else raises
   :class:`~repro.exceptions.InvalidParameterError` when the backend is
@@ -38,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.kernels import _loops
+from repro.local_model.kernels import _numpy
 
 __all__ = [
     "get_backend",
@@ -55,123 +58,72 @@ _BACKEND = None
 _REASON = "backend not yet resolved"
 
 
-def _probe_inputs():
-    """A small adversarial instance: path + isolated node, non-monotone ids."""
-    indptr = np.array([0, 1, 3, 5, 7, 9, 10, 10], dtype=np.int64)
-    indices = np.array([1, 0, 2, 1, 3, 2, 4, 3, 5, 4], dtype=np.int64)
-    uids = np.array([10, 3, 57, 2, 9, 40, 1], dtype=np.int64)
-    return indptr, indices, uids
+def _i64(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
-def _probe(backend) -> bool:
-    """Run every kernel against the ``_loops`` reference; True when identical.
+def _probe_cases():
+    """``(kernel, args)`` pairs on a small adversarial instance.
 
-    The stateful kernels (reductions, Luby) get *legal* colorings so their
+    The graph is a path plus an isolated node with non-monotone ids.  The
+    stateful kernels (reductions, Luby) get *legal* colorings so their
     documented benign races stay benign during the probe itself.
     """
-    indptr, indices, uids = _probe_inputs()
+    indptr = _i64(0, 1, 3, 5, 7, 9, 10, 10)
+    indices = _i64(1, 0, 2, 1, 3, 2, 4, 3, 5, 4)
+    uids = _i64(10, 3, 57, 2, 9, 40, 1)
     n = len(indptr) - 1
-    checks = []
-
-    colors = np.array([1, 7, 13, 19, 25, 2, 9], dtype=np.int64)
-    for kernel in ("linial_round", "defective_step"):
-        expected = np.zeros(n, dtype=np.int64)
-        actual = np.zeros(n, dtype=np.int64)
-        if kernel == "linial_round":
-            _loops.linial_round(indptr, indices, uids, colors, 5, 2, expected)
-            backend.linial_round(indptr, indices, uids, colors, 5, 2, actual)
-        else:
-            _loops.defective_step(indptr, indices, colors, 5, 2, expected)
-            backend.defective_step(indptr, indices, colors, 5, 2, actual)
-        checks.append(np.array_equal(expected, actual))
-
-    legal = np.array([4, 5, 6, 4, 5, 6, 6], dtype=np.int64)
-    expected, actual = legal.copy(), legal.copy()
-    expected_status = np.zeros(1, dtype=np.int64)
-    actual_status = np.zeros(1, dtype=np.int64)
-    _loops.iter_reduce(indptr, indices, expected, 6, 3, 3, expected_status)
-    backend.iter_reduce(indptr, indices, actual, 6, 3, 3, actual_status)
-    checks.append(
-        np.array_equal(expected, actual) and expected_status[0] == actual_status[0]
-    )
-
-    legal = np.array([7, 8, 9, 10, 11, 12, 1], dtype=np.int64)
-    expected, actual = legal.copy(), legal.copy()
-    expected_status[0] = actual_status[0] = 0
-    _loops.kw_reduce(indptr, indices, expected, 3, 6, expected_status)
-    backend.kw_reduce(indptr, indices, actual, 3, 6, actual_status)
-    checks.append(
-        np.array_equal(expected, actual) and expected_status[0] == actual_status[0]
-    )
-
-    edge_u = np.array([0, 1, 1, 2, 3, 0, 5], dtype=np.int64)
-    edge_v = np.array([9, 9, 2, 7, 7, 2, 6], dtype=np.int64)
-    sort_rank = np.array([3, 0, 6, 1, 5, 2, 4], dtype=np.int64)
-    codes = np.array([0, 1, 0, 1, 0, 0, 1], dtype=np.int64)
-    for has_codes in (0, 1):
-        expected_u = np.zeros(n, dtype=np.int64)
-        expected_v = np.zeros(n, dtype=np.int64)
-        actual_u = np.zeros(n, dtype=np.int64)
-        actual_v = np.zeros(n, dtype=np.int64)
-        _loops.edge_rank(
-            indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes,
-            expected_u, expected_v,
-        )
-        backend.edge_rank(
-            indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes,
-            actual_u, actual_v,
-        )
-        checks.append(
-            np.array_equal(expected_u, actual_u)
-            and np.array_equal(expected_v, actual_v)
-        )
-
+    colors = _i64(1, 7, 13, 19, 25, 2, 9)
+    edge_u, edge_v = _i64(0, 1, 1, 2, 3, 0, 5), _i64(9, 9, 2, 7, 7, 2, 6)
+    sort_rank, codes = _i64(3, 0, 6, 1, 5, 2, 4), _i64(0, 1, 0, 1, 0, 0, 1)
     # psi-selection over phi-classes with ties between neighbors (1 and 2).
-    phi = np.array([3, 1, 1, 2, 5, 2, 4], dtype=np.int64)
+    phi = _i64(3, 1, 1, 2, 5, 2, 4)
     order = np.argsort(phi, kind="stable").astype(np.int64)
-    class_ptr = np.array([0, 2, 4, 5, 6, 7], dtype=np.int64)
-    picks = []
-    for provider in (_loops, backend):
-        depth = np.zeros(n, dtype=np.int64)
-        psi = np.zeros(n, dtype=np.int64)
-        status = provider.psi_select(indptr, indices, phi, order, class_ptr, 2, depth, psi)
-        picks.append((status, depth.tolist(), psi.tolist()))
-    checks.append(picks[0] == picks[1])
-
     palette = 4
     taken = np.zeros((n, palette), dtype=np.uint8)
     taken[1, 0] = taken[1, 2] = taken[3, 3] = taken[6, 1] = 1
-    undecided = np.array([0, 2, 3, 6], dtype=np.int64)
-    expected = np.zeros(len(undecided), dtype=np.int64)
-    actual = np.zeros(len(undecided), dtype=np.int64)
-    _loops.luby_free_counts(undecided, taken, palette, expected)
-    backend.luby_free_counts(undecided, taken, palette, actual)
-    checks.append(np.array_equal(expected, actual))
-
-    lanes = np.array([0, 3, 6], dtype=np.int64)
-    picks = np.array([2, 1, 0], dtype=np.int64)
-    expected = np.zeros(n, dtype=np.int64)
-    actual = np.zeros(n, dtype=np.int64)
-    _loops.luby_candidates(lanes, picks, taken, palette, expected)
-    backend.luby_candidates(lanes, picks, taken, palette, actual)
-    checks.append(np.array_equal(expected, actual))
-
-    final = np.array([0, 2, 0, 0, 4, 0, 0], dtype=np.int64)
-    announce = np.array([1, 4], dtype=np.int64)
+    undecided = _i64(0, 2, 3, 6)
+    final, announce = _i64(0, 2, 0, 0, 4, 0, 0), _i64(1, 4)
     undecided_mask = np.array([1, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-    expected_taken, actual_taken = taken.copy(), taken.copy()
-    _loops.luby_absorb(announce, indptr, indices, final, undecided_mask, expected_taken)
-    backend.luby_absorb(announce, indptr, indices, final, undecided_mask, actual_taken)
-    checks.append(np.array_equal(expected_taken, actual_taken))
+    # The rows after the absorb case: node 0's candidate (2) is taken.
+    absorbed = taken.copy()
+    absorbed[[0, 2], 1] = absorbed[[3, 5], 3] = 1
+    out, out2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    counts, keep = np.zeros(len(undecided), dtype=np.int64), np.zeros(len(undecided), np.uint8)
+    status = np.zeros(1, dtype=np.int64)
+    ranks = (indptr, indices, edge_u, edge_v, sort_rank, codes)
+    return [
+        ("linial_round", (indptr, indices, uids, colors, 5, 2, out)),
+        ("defective_step", (indptr, indices, colors, 5, 2, out)),
+        ("iter_reduce", (indptr, indices, _i64(4, 5, 6, 4, 5, 6, 6), 6, 3, 3, status)),
+        ("kw_reduce", (indptr, indices, _i64(7, 8, 9, 10, 11, 12, 1), 3, 6, status)),
+        ("edge_rank", (*ranks, 0, out, out2)),
+        ("edge_rank", (*ranks, 1, out, out2)),
+        ("psi_select", (indptr, indices, phi, order, _i64(0, 2, 4, 5, 6, 7), 2, out, out2)),
+        ("luby_free_counts", (undecided, taken, palette, counts)),
+        ("luby_candidates", (_i64(0, 3, 6), _i64(2, 1, 0), taken, palette, out)),
+        ("luby_absorb", (announce, indptr, indices, final, undecided_mask, taken)),
+        ("luby_resolve", (undecided, indptr, indices, _i64(2, 0, 2, 1, 0, 3, 4), absorbed, keep)),
+    ]
 
-    candidate = np.array([2, 0, 2, 1, 0, 3, 4], dtype=np.int64)
-    expected = np.zeros(len(undecided), dtype=np.uint8)
-    actual = np.zeros(len(undecided), dtype=np.uint8)
-    _loops.luby_resolve(undecided, indptr, indices, candidate, expected_taken, expected)
-    backend.luby_resolve(undecided, indptr, indices, candidate, expected_taken, actual)
-    checks.append(np.array_equal(expected, actual))
 
-    return all(checks)
+def _probe(backend) -> bool:
+    """Run every kernel of ``backend`` against its numpy step; True when identical.
+
+    Both sides run on their own copies of each case's arrays; the return
+    values and every array afterwards (the in-place outputs) must agree.
+    """
+    for kernel, args in _probe_cases():
+        runs = []
+        for provider in (_numpy, backend):
+            copies = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
+            runs.append((getattr(provider, kernel)(*copies), copies))
+        (expected, expected_args), (actual, actual_args) = runs
+        if expected != actual or not all(
+            np.array_equal(a, b) for a, b in zip(expected_args, actual_args)
+        ):
+            return False
+    return True
 
 
 def _thread_count(value) -> int:
@@ -223,7 +175,7 @@ def _resolve():
         _REASON = f"cext: probe raised {exc!r}"
         return
     if not healthy:
-        _REASON = "cext: probe mismatch vs reference loops"
+        _REASON = "cext: probe mismatch vs the numpy steps"
         return
     _BACKEND, _REASON = backend, "cext (probed ok)"
     if threads is not None:

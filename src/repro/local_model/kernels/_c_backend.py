@@ -7,12 +7,15 @@ Artifacts land in ``_build/`` next to this file when writable (gitignored),
 else under the system temp directory, so read-only installs still work.
 
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
-signature of its ``_loops`` reference, so the phases and the test suite can
-swap one for the other.
+signature and in-place/status contract of its numpy step in ``_numpy``, so
+the phases and the test suite can swap one provider for the other.  The two
+kernels that allocate scratch (``kw_reduce``, ``psi_select``) report a
+failed allocation as status 2 with their outputs untouched; their wrappers
+then run the numpy step on the same arrays.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
-and the engine falls back per phase.
+and the phases run the numpy steps.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro.local_model.kernels import _numpy
 
 _SOURCE = Path(__file__).with_name("csrc") / "kernels.c"
 _CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
@@ -82,7 +87,7 @@ def _compile(source: Path, compiler: str, use_openmp: bool) -> Optional[Path]:
     if artifact.exists():
         return artifact
     # Failure memo: a previous build of this exact (source, flags) pair timed
-    # out or failed, so skip straight to the numpy fallback instead of
+    # out or failed, so skip straight to the numpy steps instead of
     # re-invoking (and potentially re-hanging on) the system compiler every
     # process start.  The memo is keyed by the same content tag as the
     # artifact, so editing the source or flags retries automatically; delete
@@ -147,7 +152,7 @@ class CExtensionBackend:
     def set_threads(self, count: int) -> None:
         self._lib.repro_set_threads(int(count))
 
-    # -- kernel wrappers (signatures mirror repro.local_model.kernels._loops) --
+    # -- kernel wrappers (signatures mirror repro.local_model.kernels._numpy) --
 
     def linial_round(self, indptr, indices, uids, colors, q, num_digits, out):
         self._lib.linial_round(
@@ -172,6 +177,9 @@ class CExtensionBackend:
             _as_i64(indptr), _as_i64(indices), _as_i64(colors),
             len(indptr) - 1, k, total_rounds, _as_i64(status),
         )
+        if status[0] == 2:  # no scratch; colors untouched
+            status[0] = 0
+            _numpy.kw_reduce(indptr, indices, colors, k, total_rounds, status)
 
     def edge_rank(self, indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes, rank_u, rank_v):
         self._lib.edge_rank(
@@ -181,11 +189,14 @@ class CExtensionBackend:
         )
 
     def psi_select(self, indptr, indices, phi, order, class_ptr, p, depth, psi):
-        return self._lib.psi_select(
+        status = self._lib.psi_select(
             _as_i64(indptr), _as_i64(indices), _as_i64(order),
             _as_i64(class_ptr), len(class_ptr) - 1, p, _as_i64(depth),
             _as_i64(psi),
         )
+        if status == 2:  # no scratch; depth and psi untouched
+            return _numpy.psi_select(indptr, indices, phi, order, class_ptr, p, depth, psi)
+        return status
 
     def luby_free_counts(self, undecided, taken, palette, free_counts):
         self._lib.luby_free_counts(

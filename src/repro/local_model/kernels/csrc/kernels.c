@@ -1,9 +1,12 @@
 /* Fused CSR kernels for the "vectorized" engine.
  *
- * Line-by-line transcription of the reference loops in `_loops.py`
- * (which is the semantic source of truth -- see its docstring for the
- * conventions and the per-kernel race arguments); `psi_select` alone
- * changes the data layout, as its comment explains.  Built on demand by
+ * Each kernel fuses the numpy step of the same name in `_numpy.py` (the
+ * contract: arguments, in-place outputs, status values) into one pass over
+ * the CSR arrays; the backend probe and tests/test_kernels.py hold every
+ * kernel to its numpy step.  The per-node loops run in parallel and write
+ * only cells owned by their own iteration, except where a comment argues
+ * the race is benign; `psi_select` alone changes the data layout, as its
+ * comment explains.  Built on demand by
  * `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC` and loaded via
  * ctypes; every entry point uses only int64/uint8 pointers and int64
  * scalars so the ABI stays trivial.
@@ -89,6 +92,9 @@ static i64 slow_eval(i64 value, i64 point, i64 q, i64 num_digits)
     return row_eval(row, point, q, num_digits);
 }
 
+/* One Linial round: the smallest point at which the node's polynomial
+ * differs from every differing neighbor's, `uid % q` when none is free.
+ * Reads `colors`, writes `out`: no cross-node hazards. */
 void linial_round(const i64 *indptr, const i64 *indices, const i64 *uids,
                   const i64 *colors, i64 n, i64 q, i64 num_digits, i64 *out)
 {
@@ -216,6 +222,9 @@ void defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
     free(table);
 }
 
+/* The iterative reduction, one eliminated class per round.  The recoloring
+ * class is independent (the input coloring is legal), so no recoloring node
+ * reads another recoloring node's color: the per-round loop is race-free. */
 void iter_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
                  i64 palette, i64 target, i64 total_rounds, i64 *status)
 {
@@ -253,6 +262,12 @@ void iter_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
     }
 }
 
+/* The Kuhn-Wattenhofer block reduction, in place.  Adjacent recoloring
+ * nodes are always in different blocks (equal block + offset would mean
+ * equal colors on an edge), so the value a concurrent recoloring neighbor
+ * holds -- old upper-half offset or new lower-half offset, both in the
+ * *other* block -- never passes this node's same-block filter: the in-place
+ * parallel round is benign.  Aligned int64 stores do not tear. */
 void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
                i64 k, i64 total_rounds, i64 *status)
 {
@@ -260,7 +275,8 @@ void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
     /* Blocks and offsets are materialized once and maintained across
      * rounds (divisions happen only here and at compactions, not every
      * round); a neighbor's maintained pair is read under the same benign
-     * race argument as its color -- see `_loops.py`. */
+     * race argument as its color: its block never changes mid-round, and
+     * its offset only matters when the blocks match. */
     i64 *blocks = (i64 *)malloc((size_t)n * sizeof(i64));
     i64 *offsets = (i64 *)malloc((size_t)n * sizeof(i64));
     if (blocks == NULL || offsets == NULL) {
@@ -324,6 +340,8 @@ void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
     free(offsets);
 }
 
+/* Per line-graph node, its rank among the same-class incident edges at
+ * each endpoint.  Read-only over the shared columns, one writer per row. */
 void edge_rank(const i64 *indptr, const i64 *indices, const i64 *edge_u,
                const i64 *edge_v, const i64 *sort_rank, const i64 *codes,
                i64 has_codes, i64 n, i64 *rank_u, i64 *rank_v)
@@ -477,6 +495,10 @@ void luby_candidates(const i64 *lanes, i64 m, const i64 *picks,
     }
 }
 
+/* Two announcers sharing an undecided neighbor write different columns of
+ * its row (their finals differ -- they kept in the same round without a
+ * conflict) or the same byte with the same value: idempotent byte stores,
+ * benign under concurrency. */
 void luby_absorb(const i64 *announce, i64 m, const i64 *indptr,
                  const i64 *indices, const i64 *final_color,
                  const u8 *undecided_mask, u8 *taken, i64 palette)

@@ -10,11 +10,12 @@ adjacency of a :class:`~repro.local_model.fast_network.FastNetwork`.
 
 :class:`VectorizedScheduler` runs a phase that implements ``vector_run(ctx)``
 as that array program, where ``ctx`` is the :class:`VectorContext` defined
-here.  The fused kernels of :mod:`repro.local_model.kernels` reach the phase
-as ``ctx.kernels`` (``None`` when no backend resolved or
-``REPRO_KERNEL_BACKEND=none``): a phase with a fused kernel calls it for its
-inner step and runs its numpy step otherwise, so validation, metric charging
-and state writes live once, in ``vector_run``.  Every phase the package
+here.  The kernel steps reach the phase as ``ctx.kernels``: the fused C
+kernels of :mod:`repro.local_model.kernels` when that backend resolved, else
+the module of their numpy steps (``kernels._numpy``, also under
+``REPRO_KERNEL_BACKEND=none``).  A phase calls its step there
+unconditionally, so validation, metric charging and state writes live once,
+in ``vector_run``.  Every phase the package
 ships has a ``vector_run``; a pipeline holding a phase without one (a
 user-defined phase) is rejected before any phase runs -- run it with
 ``engine="reference"``.
@@ -70,8 +71,8 @@ class VectorContext:
         :meth:`check_round_budget` enforces it with the scheduler's exact
         exception.
     kernels:
-        The fused-kernel backend (see :mod:`repro.local_model.kernels`), or
-        ``None`` when kernels are off; a phase calls it for its inner step.
+        The kernel provider a phase calls for its inner steps: the C backend
+        (see :mod:`repro.local_model.kernels`) or the numpy steps.
     """
 
     def __init__(
@@ -81,7 +82,7 @@ class VectorContext:
         metrics: PhaseMetrics,
         round_limit: int,
         phase_name: str,
-        kernels: Any = None,
+        kernels: Any = kernels._numpy,
     ) -> None:
         self.fast = fast
         self.table = table
@@ -113,20 +114,6 @@ class VectorContext:
     def copy_key(self, source_key: str, target_key: str) -> None:
         """``state[target] = state[source]`` on every node, kind-preserving."""
         self.table.copy_column(source_key, target_key)
-
-    # ------------------------------------------------------------------ #
-    # Adjacency gathers
-    # ------------------------------------------------------------------ #
-
-    def gather_neighbors(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The concatenated neighbor lists of ``nodes``.
-
-        Returns ``(local_rows, neighbors)``: CSR entry ``e`` of the result is
-        the edge from ``nodes[local_rows[e]]`` to dense index
-        ``neighbors[e]``.  Neighbor order within a node is the deterministic
-        network order, matching the scalar engines' inbox iteration order.
-        """
-        return self.fast.gather_adjacency(nodes)
 
     # ------------------------------------------------------------------ #
     # Metric charging
@@ -198,12 +185,11 @@ class VectorizedScheduler:
         :class:`FastNetwork`, used as-is, so recursion levels run on their
         filtered views without any rebuild.
 
-    Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
-    is cached on the pipeline object), not per phase execution.  Every
-    phase runs its ``vector_run`` with the resolved kernel backend as
-    ``ctx.kernels``; a phase without ``vector_run`` makes :meth:`_compile`
-    raise :class:`~repro.exceptions.InvalidParameterError` before any phase
-    runs (such a phase runs on ``engine="reference"``).
+    Every phase runs its ``vector_run`` with the kernel provider as
+    ``ctx.kernels`` (the resolved C backend, else the numpy steps); a phase
+    without ``vector_run`` makes :meth:`run_table` raise
+    :class:`~repro.exceptions.InvalidParameterError` before any phase runs
+    (such a phase runs on ``engine="reference"``).
 
     :meth:`run_table` is the engine's only execution path (:meth:`run`
     wraps it): the :class:`~repro.local_model.state_table.StateTable`
@@ -214,45 +200,26 @@ class VectorizedScheduler:
     def __init__(self, network: FastNetwork) -> None:
         self._fast: FastNetwork = fast_view(network)
         self._backend = kernels.get_backend()
+        self._kernels = self._backend if self._backend is not None else kernels._numpy
 
     @property
     def kernel_backend_name(self) -> Optional[str]:
         """``"cext"`` / ``None`` -- the backend kernels run on."""
         return self._backend.name if self._backend is not None else None
 
-    # ------------------------------------------------------------------ #
-    # Pipeline compilation (one-time dispatch resolution)
-    # ------------------------------------------------------------------ #
-
     @staticmethod
-    def _resolve_vector_run(phase: SynchronousPhase):
-        vector_run = getattr(phase, "vector_run", None)
-        if vector_run is None:
-            raise InvalidParameterError(
-                f"phase {phase.name!r} has no vector_run; "
-                "run it with engine='reference'"
-            )
-        return vector_run
-
-    @classmethod
-    def _compile(
-        cls, algorithm: Union[SynchronousPhase, PhasePipeline]
+    def _plan(
+        algorithm: Union[SynchronousPhase, PhasePipeline],
     ) -> Tuple[Tuple[SynchronousPhase, Any], ...]:
-        """The ``(phase, vector_run)`` execution plan of ``algorithm``.
-
-        For a :class:`PhasePipeline` the plan is computed once and cached on
-        the pipeline object (dispatch does not depend on the scheduler
-        instance), so repeated runs of the same pipeline skip re-resolution.
-        """
-        if isinstance(algorithm, PhasePipeline):
-            phases = algorithm.phases
-            cached = getattr(algorithm, "_vector_plan", None)
-            if cached is not None and cached[0] == phases:
-                return cached[1]
-            plan = tuple((phase, cls._resolve_vector_run(phase)) for phase in phases)
-            algorithm._vector_plan = (phases, plan)
-            return plan
-        return ((algorithm, cls._resolve_vector_run(algorithm)),)
+        """The ``(phase, vector_run)`` pairs of ``algorithm``, checked up front."""
+        phases = algorithm.phases if isinstance(algorithm, PhasePipeline) else (algorithm,)
+        plan = tuple((phase, getattr(phase, "vector_run", None)) for phase in phases)
+        for phase, vector_run in plan:
+            if vector_run is None:
+                raise InvalidParameterError(
+                    f"phase {phase.name!r} has no vector_run; run it with engine='reference'"
+                )
+        return plan
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -267,7 +234,7 @@ class VectorizedScheduler:
             return phase_metrics
         round_limit = phase.max_rounds(fast.num_nodes, fast.max_degree)
         vector_run(
-            VectorContext(fast, table, phase_metrics, round_limit, phase.name, self._backend)
+            VectorContext(fast, table, phase_metrics, round_limit, phase.name, self._kernels)
         )
         return phase_metrics
 
@@ -307,7 +274,7 @@ class VectorizedScheduler:
                 f"state table has {table.num_rows} rows, network has "
                 f"{fast.num_nodes} nodes"
             )
-        plan = self._compile(algorithm)
+        plan = self._plan(algorithm)
         metrics = RunMetrics()
         for phase, vector_run in plan:
             started = time.perf_counter()
@@ -315,64 +282,3 @@ class VectorizedScheduler:
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
         return table, metrics
-
-
-# --------------------------------------------------------------------------- #
-# Shared polynomial helpers (used by the Linial / defective-step kernels)
-# --------------------------------------------------------------------------- #
-
-
-def digits_base_q(values: np.ndarray, q: int, num_digits: int) -> np.ndarray:
-    """The ``num_digits`` least-significant base-``q`` digits of each value.
-
-    Column ``j`` of the result holds digit ``j`` (the coefficient of ``x^j``),
-    matching :func:`repro.primitives.numbers.base_q_digits`.
-    """
-    digits = np.empty((len(values), num_digits), dtype=np.int64)
-    remaining = values.copy()
-    for j in range(num_digits):
-        digits[:, j] = remaining % q
-        remaining //= q
-    return digits
-
-
-def poly_eval_columns(digits: np.ndarray, point: int, q: int) -> np.ndarray:
-    """Evaluate every row's polynomial at the scalar ``point`` over ``GF(q)``.
-
-    Horner's rule from the most significant coefficient, exactly like
-    :func:`repro.primitives.numbers.poly_eval`.
-    """
-    values = digits[:, -1].copy()
-    for j in range(digits.shape[1] - 2, -1, -1):
-        values *= point
-        values += digits[:, j]
-        values %= q
-    return values
-
-
-def poly_eval_at_points(digits: np.ndarray, points: np.ndarray, q: int) -> np.ndarray:
-    """Evaluate every row's polynomial at its own point over ``GF(q)``."""
-    values = digits[:, -1].copy()
-    for j in range(digits.shape[1] - 2, -1, -1):
-        values *= points
-        values += digits[:, j]
-        values %= q
-    return values
-
-
-def first_free_slot(
-    num_rows: int, limit: int, local_rows: np.ndarray, taken_slots: np.ndarray
-) -> np.ndarray:
-    """Per row, the smallest slot in ``0..limit-1`` not marked taken (-1 if none).
-
-    ``taken_slots[e]`` marks slot ``taken_slots[e]`` of row ``local_rows[e]``
-    as occupied; entries outside ``0..limit-1`` must be filtered by the
-    caller.  This is the vectorized form of the scalar engines' "first free
-    color among the neighbors" scan.
-    """
-    taken = np.zeros(num_rows * limit, dtype=bool)
-    taken[local_rows * limit + taken_slots] = True
-    free = ~taken.reshape(num_rows, limit)
-    slots = np.argmax(free, axis=1)
-    slots[~free.any(axis=1)] = -1
-    return slots

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView, PhasePipeline
-from repro.local_model.vectorized import VectorContext, check_color_range, first_free_slot
+from repro.local_model.vectorized import VectorContext, check_color_range
 from repro.primitives.linial import LinialColoringPhase
 from repro.primitives.numbers import ceil_div
 
@@ -130,8 +130,7 @@ class IterativeColorReductionPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        The rounds run as the fused ``iter_reduce`` kernel when
-        ``ctx.kernels`` is set, else :meth:`_recolor_rounds`.
+        The rounds run as one ``ctx.kernels.iter_reduce`` call.
         """
         colors = _validated_colors(ctx, self.input_key, self.palette)
         if self.total_rounds == 0:
@@ -140,45 +139,22 @@ class IterativeColorReductionPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
-        if ctx.kernels is None:
-            self._recolor_rounds(ctx, colors)
-        else:
-            fast = ctx.fast
-            status = np.zeros(1, dtype=np.int64)
-            ctx.kernels.iter_reduce(
-                fast.indptr,
-                fast.indices,
-                colors,
-                self.palette,
-                self.target,
-                self.total_rounds,
-                status,
-            )
-            if status[0] != 0:
-                raise SimulationError(_ITERATIVE_NO_FREE)
+        fast = ctx.fast
+        status = np.zeros(1, dtype=np.int64)
+        ctx.kernels.iter_reduce(
+            fast.indptr,
+            fast.indices,
+            colors,
+            self.palette,
+            self.target,
+            self.total_rounds,
+            status,
+        )
+        if status[0] != 0:
+            raise SimulationError(_ITERATIVE_NO_FREE)
         ctx.charge_uniform_broadcast(self.total_rounds)
         ctx.write_column("_reduce_current", colors)
         ctx.write_column(self.output_key, colors)
-
-    def _recolor_rounds(self, ctx: VectorContext, colors: np.ndarray) -> None:
-        """Every round of the reduction on ``colors``, in place, as numpy."""
-        for round_index in range(1, self.total_rounds + 1):
-            active_color = self.palette - round_index + 1
-            recoloring = np.flatnonzero(colors == active_color)
-            if not recoloring.size:
-                continue
-            local_rows, neighbors = ctx.gather_neighbors(recoloring)
-            neighbor_colors = colors[neighbors]
-            in_target = neighbor_colors <= self.target
-            replacement = first_free_slot(
-                recoloring.size,
-                self.target,
-                local_rows[in_target],
-                neighbor_colors[in_target] - 1,
-            )
-            if (replacement < 0).any():
-                raise SimulationError(_ITERATIVE_NO_FREE)
-            colors[recoloring] = replacement + 1
 
 
 class KuhnWattenhoferReductionPhase(BroadcastPhase):
@@ -292,10 +268,7 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        The rounds run as the fused ``kw_reduce`` kernel when
-        ``ctx.kernels`` is set, else (or when the kernel cannot allocate its
-        scratch, status 2, leaving ``colors`` untouched) as
-        :meth:`_recolor_rounds`.
+        The rounds run as one ``ctx.kernels.kw_reduce`` call.
         """
         colors = _validated_colors(ctx, self.input_key, self.palette)
         if self.total_rounds == 0:
@@ -304,53 +277,16 @@ class KuhnWattenhoferReductionPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
-        kernels = ctx.kernels
+        fast = ctx.fast
         status = np.zeros(1, dtype=np.int64)
-        if kernels is not None:
-            fast = ctx.fast
-            kernels.kw_reduce(
-                fast.indptr, fast.indices, colors, self.target, self.total_rounds, status
-            )
-        if kernels is None or status[0] == 2:
-            colors = self._recolor_rounds(ctx, colors)
-        elif status[0] != 0:
+        ctx.kernels.kw_reduce(
+            fast.indptr, fast.indices, colors, self.target, self.total_rounds, status
+        )
+        if status[0] != 0:
             raise SimulationError(_KW_NO_FREE)
         ctx.charge_uniform_broadcast(self.total_rounds)
         ctx.write_column("_kw_current", colors)
         ctx.write_column(self.output_key, colors)
-
-    def _recolor_rounds(self, ctx: VectorContext, colors: np.ndarray) -> np.ndarray:
-        """Every round of the reduction as numpy; returns the final colors."""
-        k = self.target
-        block_width = 2 * k
-        for round_index in range(1, self.total_rounds + 1):
-            step = (round_index - 1) % k
-            blocks = (colors - 1) // block_width
-            offsets = (colors - 1) % block_width
-            recoloring = np.flatnonzero(offsets == k + step)
-            if recoloring.size:
-                local_rows, neighbors = ctx.gather_neighbors(recoloring)
-                neighbor_colors = colors[neighbors]
-                neighbor_blocks = (neighbor_colors - 1) // block_width
-                neighbor_offsets = (neighbor_colors - 1) % block_width
-                relevant = (neighbor_blocks == blocks[recoloring][local_rows]) & (
-                    neighbor_offsets < k
-                )
-                replacement = first_free_slot(
-                    recoloring.size,
-                    k,
-                    local_rows[relevant],
-                    neighbor_offsets[relevant],
-                )
-                if (replacement < 0).any():
-                    raise SimulationError(_KW_NO_FREE)
-                colors[recoloring] = blocks[recoloring] * block_width + replacement + 1
-            if step == k - 1:
-                # End of the iteration: compact (block, lower-offset) pairs.
-                blocks = (colors - 1) // block_width
-                offsets = (colors - 1) % block_width
-                colors = blocks * k + offsets + 1
-        return colors
 
 
 def delta_plus_one_pipeline(

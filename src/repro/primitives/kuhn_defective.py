@@ -29,12 +29,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView, PhasePipeline, SynchronousPhase
-from repro.local_model.vectorized import (
-    VectorContext,
-    check_color_range,
-    digits_base_q,
-    poly_eval_columns,
-)
+from repro.local_model.vectorized import VectorContext, check_color_range
 from repro.primitives.linial import LinialColoringPhase
 from repro.primitives.numbers import (
     base_q_digits,
@@ -155,63 +150,19 @@ class DefectiveStepPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        The step runs the fused ``defective_step`` kernel when
-        ``ctx.kernels`` is set, else :func:`_defective_recolor`.
+        The step is one ``ctx.kernels.defective_step`` call.
         """
         colors = ctx.column(self.input_key)
         check_color_range(
             colors, self.palette, "color {color} outside declared palette 1..{palette}"
         )
         fast = ctx.fast
-        if ctx.kernels is None:
-            recolored = _defective_recolor(ctx, colors, self.q, self.digits)
-        else:
-            recolored = np.empty(fast.num_nodes, dtype=np.int64)
-            ctx.kernels.defective_step(
-                fast.indptr, fast.indices, colors, self.q, self.digits, recolored
-            )
+        recolored = np.empty(fast.num_nodes, dtype=np.int64)
+        ctx.kernels.defective_step(
+            fast.indptr, fast.indices, colors, self.q, self.digits, recolored
+        )
         ctx.charge_uniform_broadcast(1)
         ctx.write_column(self.output_key, recolored)
-
-
-def _defective_recolor(
-    ctx: VectorContext, colors: np.ndarray, q: int, digits: int
-) -> np.ndarray:
-    """One defective polynomial step over the whole graph.
-
-    Every vertex moves to ``(a, g_v(a))`` for the first point ``a``
-    minimizing its collisions with differing neighbors -- the vectorized
-    form of :meth:`DefectiveStepPhase.receive`.
-    """
-    fast = ctx.fast
-    n = fast.num_nodes
-    coeffs = digits_base_q(colors - 1, q, digits)
-    rows, cols = fast.rows_np, fast.indices_np
-    # Neighbors holding the *same* color never count as collisions.
-    differing = np.flatnonzero(colors[rows] != colors[cols])
-    edge_rows = rows[differing]
-    edge_cols = cols[differing]
-
-    best_count = np.zeros(n, dtype=np.int64)
-    best_point = np.zeros(n, dtype=np.int64)
-    best_value = np.zeros(n, dtype=np.int64)
-    for point in range(q):
-        values = poly_eval_columns(coeffs, point, q)
-        collide = values[edge_rows] == values[edge_cols]
-        count = np.bincount(edge_rows[collide], minlength=n)
-        if point == 0:
-            best_count = count
-            best_value = values
-        else:
-            improve = count < best_count
-            best_count = np.where(improve, count, best_count)
-            best_point[improve] = point
-            best_value[improve] = values[improve]
-        if not best_count.any():
-            # Strict improvement means later points can never displace a
-            # zero-collision choice, exactly like the scalar early break.
-            break
-    return best_point * q + best_value + 1
 
 
 def _split_defect_budget(target_defect: int) -> List[int]:

@@ -141,45 +141,28 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         order, pre-encoded in the incidence metadata's ``sort_rank`` column)
         among the incident edges of the same class -- that is, the number of
         same-class CSR neighbors that share the endpoint and sort strictly
-        before it.  The fused ``edge_rank`` kernel counts them when
-        ``ctx.kernels`` is set; otherwise it is one masked ``bincount`` over
-        the (possibly CSR-masked) line-graph adjacency per endpoint column.
+        before it; one ``ctx.kernels.edge_rank`` call counts them over the
+        (possibly CSR-masked) line-graph adjacency.
         """
         fast = ctx.fast
         meta = line_meta_for(fast)
         n = fast.num_nodes
         codes, sizes = self._class_column(ctx)
 
-        edge_u, edge_v, sort_rank = meta.edge_u, meta.edge_v, meta.sort_rank
-        if ctx.kernels is not None:
-            has_codes = codes is not None
-            rank_u = np.empty(n, dtype=np.int64)
-            rank_v = np.empty(n, dtype=np.int64)
-            ctx.kernels.edge_rank(
-                fast.indptr,
-                fast.indices,
-                np.ascontiguousarray(edge_u, dtype=np.int64),
-                np.ascontiguousarray(edge_v, dtype=np.int64),
-                np.ascontiguousarray(sort_rank, dtype=np.int64),
-                np.ascontiguousarray(codes if has_codes else np.zeros(n), dtype=np.int64),
-                int(has_codes),
-                rank_u,
-                rank_v,
-            )
-        else:
-            rows, cols = fast.rows_np, fast.indices_np
-            before = sort_rank[cols] < sort_rank[rows]
-            if codes is not None:
-                before &= codes[rows] == codes[cols]
-            neighbor_u, neighbor_v = edge_u[cols], edge_v[cols]
-            rank_u = np.bincount(
-                rows[before & ((neighbor_u == edge_u[rows]) | (neighbor_v == edge_u[rows]))],
-                minlength=n,
-            )
-            rank_v = np.bincount(
-                rows[before & ((neighbor_u == edge_v[rows]) | (neighbor_v == edge_v[rows]))],
-                minlength=n,
-            )
+        has_codes = codes is not None
+        rank_u = np.empty(n, dtype=np.int64)
+        rank_v = np.empty(n, dtype=np.int64)
+        ctx.kernels.edge_rank(
+            fast.indptr,
+            fast.indices,
+            np.ascontiguousarray(meta.edge_u, dtype=np.int64),
+            np.ascontiguousarray(meta.edge_v, dtype=np.int64),
+            np.ascontiguousarray(meta.sort_rank, dtype=np.int64),
+            np.ascontiguousarray(codes if has_codes else np.zeros(n), dtype=np.int64),
+            int(has_codes),
+            rank_u,
+            rank_v,
+        )
         label_u = np.minimum(rank_u // self._chunk + 1, self.p_prime)
         label_v = np.minimum(rank_v // self._chunk + 1, self.p_prime)
 

@@ -25,13 +25,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView
-from repro.local_model.vectorized import (
-    VectorContext,
-    check_color_range,
-    digits_base_q,
-    poly_eval_at_points,
-    poly_eval_columns,
-)
+from repro.local_model.vectorized import VectorContext, check_color_range
 from repro.primitives.numbers import (
     base_q_digits,
     next_prime,
@@ -208,8 +202,7 @@ class LinialColoringPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        Each round runs the fused ``linial_round`` kernel when
-        ``ctx.kernels`` is set, else :func:`_linial_recolor_round`.
+        Each round is one ``ctx.kernels.linial_round`` step.
         """
         if self.input_key is None:
             colors = ctx.unique_ids().copy()
@@ -232,66 +225,13 @@ class LinialColoringPhase(BroadcastPhase):
             ctx.write_column(self.output_key, colors)
             return
 
-        fast, kernels = ctx.fast, ctx.kernels
+        fast = ctx.fast
         for q, digits, _palette_before in self.schedule:
-            if kernels is None:
-                colors = _linial_recolor_round(ctx, colors, q, digits)
-            else:
-                out = np.empty(fast.num_nodes, dtype=np.int64)
-                kernels.linial_round(
-                    fast.indptr, fast.indices, fast.unique_ids, colors, q, digits, out
-                )
-                colors = out
+            out = np.empty(fast.num_nodes, dtype=np.int64)
+            ctx.kernels.linial_round(
+                fast.indptr, fast.indices, fast.unique_ids, colors, q, digits, out
+            )
+            colors = out
         ctx.charge_uniform_broadcast(len(self.schedule))
         ctx.write_column("_linial_current", colors)
         ctx.write_column(self.output_key, colors)
-
-
-def _linial_recolor_round(
-    ctx: VectorContext, colors: np.ndarray, q: int, digits: int
-) -> np.ndarray:
-    """One Linial recoloring round over the whole graph.
-
-    Every vertex moves to ``(a, g_v(a))`` for the smallest evaluation point
-    ``a`` at which its polynomial differs from those of all neighbors holding
-    a different color -- the vectorized form of
-    :meth:`LinialColoringPhase.receive`.
-    """
-    fast = ctx.fast
-    n = fast.num_nodes
-    rows, cols = fast.rows_np, fast.indices_np
-    coeffs = digits_base_q(colors - 1, q, digits)
-
-    chosen_point = np.full(n, -1, dtype=np.int64)
-    chosen_value = np.zeros(n, dtype=np.int64)
-    # Only edges whose endpoints hold different colors can ever conflict
-    # (identical polynomials are skipped by the scalar code too); edges whose
-    # source has already chosen its point are dropped as the loop proceeds.
-    active = np.flatnonzero(colors[rows] != colors[cols])
-    for point in range(q):
-        values = poly_eval_columns(coeffs, point, q)
-        conflicted = np.zeros(n, dtype=bool)
-        if active.size:
-            edge_rows = rows[active]
-            collide = values[edge_rows] == values[cols[active]]
-            conflicted[edge_rows[collide]] = True
-        newly = (chosen_point < 0) & ~conflicted
-        chosen_point[newly] = point
-        chosen_value[newly] = values[newly]
-        if active.size:
-            active = active[chosen_point[rows[active]] < 0]
-        if not active.size:
-            # Every undecided node had a conflict-capable edge; none are left,
-            # so every node has chosen its point.
-            break
-
-    undecided = chosen_point < 0
-    if undecided.any():
-        # Unreachable for legal inputs (q > Delta * t guarantees a free
-        # point); mirror the scalar fallback to stay deterministic anyway.
-        fallback_points = ctx.unique_ids()[undecided] % q
-        chosen_point[undecided] = fallback_points
-        chosen_value[undecided] = poly_eval_at_points(
-            coeffs[undecided], fallback_points, q
-        )
-    return chosen_point * q + chosen_value + 1

@@ -97,9 +97,7 @@ def _vertex_column(fast: FastNetwork, colors: ColorsLike) -> np.ndarray:
 def is_legal_vertex_coloring(network: FastNetwork, colors: ColorsLike) -> bool:
     """Whether ``colors`` is a legal vertex coloring of ``network``."""
     fast = fast_view(network)
-    column = _vertex_column(fast, colors)
-    rows, cols = fast.rows_np, fast.indices_np
-    return not bool((column[rows] == column[cols]).any())
+    return _find_vertex_violation(fast, _vertex_column(fast, colors)) is None
 
 
 def assert_legal_vertex_coloring(
@@ -202,16 +200,7 @@ def _edge_column(fast: FastNetwork, edge_colors: ColorsLike) -> np.ndarray:
 def is_legal_edge_coloring(network: FastNetwork, edge_colors: ColorsLike) -> bool:
     """Whether ``edge_colors`` is a legal edge coloring of ``network``."""
     fast = fast_view(network).ascending_rows()
-    column = _edge_column(fast, edge_colors)
-    edge_u, edge_v = _canonical_edge_endpoints(fast)
-    endpoints = np.concatenate([edge_u, edge_v])
-    entry_colors = np.concatenate([column, column])
-    if not len(endpoints):
-        return True
-    by_endpoint_color = _lexsort_pairs(endpoints, entry_colors)
-    ep = endpoints[by_endpoint_color]
-    ec = entry_colors[by_endpoint_color]
-    return not bool(((ep[1:] == ep[:-1]) & (ec[1:] == ec[:-1])).any())
+    return _find_edge_violation(fast, _edge_column(fast, edge_colors)) is None
 
 
 def assert_legal_edge_coloring(

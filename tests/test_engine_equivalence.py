@@ -11,9 +11,9 @@ The vectorized engine is exercised in *both* of its configurations (the
 ``array_engine`` fixture): with whatever kernel backend the machine resolves
 (the C extension), and with kernels switched off so every phase's
 ``vector_run`` runs its numpy steps -- the results must be identical either
-way.  The phases' kernel steps are also driven by the pure-Python ``_loops``
-backend on any machine, with and without kernels reporting a
-scratch-allocation failure (``TestLoopsBackend*``).
+way.  The phases' kernel steps are also driven through a recording wrapper
+around the numpy steps on any machine, with and without the C backend's
+wrappers meeting a scratch-allocation failure (``TestRecordingBackend*``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ import numpy as np
 import pytest
 
 import graph_oracles
-from engine_configs import ARRAY_CONFIGS, ENGINE_CONFIGS, engine_config
+from engine_configs import (
+    ARRAY_CONFIGS,
+    ENGINE_CONFIGS,
+    SCRATCH_KERNELS,
+    ScratchFailLibrary,
+    engine_config,
+)
 
 from repro import graphs
 from repro.baselines import luby_edge_coloring, panconesi_rizzi_edge_coloring
@@ -46,7 +52,7 @@ from repro.local_model import (
     make_scheduler,
 )
 from repro.local_model.algorithm import BroadcastPhase, LocalComputationPhase, SILENT
-from repro.local_model.kernels import _loops
+from repro.local_model.kernels import _c_backend, _numpy
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
@@ -828,22 +834,23 @@ class TestKernelsResolution:
             kernels.set_num_threads(count)
 
 
-class LoopsBackend:
-    """A kernel backend built from the pure-Python loops of ``_loops``.
+class RecordingBackend:
+    """The numpy steps behind a recorder of every kernel call, in order.
 
-    It runs on any machine, so the phases' kernel steps are held to the reference
-    engine even where no compiled provider resolves.  The call numbers in
-    ``scratch_fails`` (1-based) must be calls of a kernel with a
-    scratch-allocation branch (:data:`SCRATCH_KERNELS`); those calls report
-    status 2 and write nothing.  ``kernels`` lists every call's kernel name
-    in order.
+    It runs on any machine, so every phase is seen calling its provider.
+    The call numbers in ``scratch_fails`` (1-based) must be calls of a
+    kernel in :data:`SCRATCH_KERNELS`; those calls go through the C
+    backend's wrapper over a :class:`ScratchFailLibrary`, whose kernel
+    reports status 2 so that the wrapper runs the numpy step itself.
+    ``kernels`` lists every call's kernel name in order.
     """
 
-    name = "loops"
+    name = "recording"
 
     def __init__(self, scratch_fails=()):
         self.scratch_fails = set(scratch_fails)
         self.kernels = []
+        self.failing = _c_backend.CExtensionBackend(ScratchFailLibrary(), openmp=False)
 
     def max_threads(self):
         return 1
@@ -856,23 +863,16 @@ class LoopsBackend:
         return [i for i, k in enumerate(self.kernels, 1) if k in SCRATCH_KERNELS]
 
     def __getattr__(self, kernel):
-        loop = getattr(_loops, kernel)
+        step = getattr(_numpy, kernel)
 
         def call(*args):
             self.kernels.append(kernel)
             if len(self.kernels) not in self.scratch_fails:
-                return loop(*args)
+                return step(*args)
             assert kernel in SCRATCH_KERNELS, kernel
-            if kernel == "kw_reduce":  # reports through its status array
-                args[-1][0] = 2
-                return None
-            return 2
+            return getattr(self.failing, kernel)(*args)
 
         return call
-
-
-#: The kernels whose status 2 sends the phase to its numpy step.
-SCRATCH_KERNELS = ("kw_reduce", "psi_select")
 
 
 def run_on(backend, run):
@@ -940,19 +940,19 @@ def _kernel_pipelines():
 KERNEL_PIPELINES = _kernel_pipelines()
 
 
-class TestLoopsBackend:
-    """Every kernel step, driven by the ``_loops`` backend, against reference."""
+class TestRecordingBackend:
+    """Every kernel step, called through the recording backend, against reference."""
 
     @pytest.mark.parametrize("pipeline_name", sorted(KERNEL_PIPELINES))
     def test_pipeline_matches_reference(self, pipeline_name):
         network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
         reference = Scheduler(network).run(pipeline, initial_states=seeds)
-        backend = LoopsBackend()
+        backend = RecordingBackend()
         scheduler = run_on(backend, lambda: VectorizedScheduler(network))
         result = run_on(
             backend, lambda: scheduler.run(pipeline, initial_states=seeds)
         )
-        assert scheduler.kernel_backend_name == "loops"
+        assert scheduler.kernel_backend_name == "recording"
         assert backend.kernels
         assert result.states == reference.states
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
@@ -963,13 +963,13 @@ class TestLoopsBackend:
     def test_pipelines_cover_every_kernel(self):
         called = set()
         for network, pipeline, seeds in KERNEL_PIPELINES.values():
-            backend = LoopsBackend()
+            backend = RecordingBackend()
             run_on(
                 backend,
                 lambda: VectorizedScheduler(network).run(pipeline, initial_states=seeds),
             )
             called.update(backend.kernels)
-        assert called == set(_loops.KERNEL_NAMES)
+        assert called == set(_numpy.KERNEL_NAMES)
 
     @pytest.mark.parametrize(
         "pipeline_name, kernel",
@@ -981,11 +981,12 @@ class TestLoopsBackend:
         ],
     )
     def test_scratch_failure_reruns_only_that_phase(self, pipeline_name, kernel):
-        # Status 2 re-runs the phase's numpy vector_run; the scheduler keeps
-        # its backend, so every later phase still runs as a kernel.
+        # Status 2 makes the C wrapper run the numpy step on the same arrays;
+        # the phase never sees it, and every later call still reaches the
+        # backend.
         network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
         reference = Scheduler(network).run(pipeline, initial_states=seeds)
-        healthy = LoopsBackend()
+        healthy = RecordingBackend()
         run_on(
             healthy,
             lambda: VectorizedScheduler(network).run(pipeline, initial_states=seeds),
@@ -993,7 +994,7 @@ class TestLoopsBackend:
         assert healthy.kernels.count(kernel) == 1
         failing_call = healthy.kernels.index(kernel) + 1
 
-        backend = LoopsBackend(scratch_fails=[failing_call])
+        backend = RecordingBackend(scratch_fails=[failing_call])
         scheduler = run_on(backend, lambda: VectorizedScheduler(network))
         result = run_on(
             backend, lambda: scheduler.run(pipeline, initial_states=seeds)
@@ -1004,7 +1005,8 @@ class TestLoopsBackend:
         )
         assert result.metrics.fallback_phase_names == []
         assert backend.kernels == healthy.kernels
-        assert scheduler.kernel_backend_name == "loops"
+        assert backend.failing._lib.calls == [kernel]
+        assert scheduler.kernel_backend_name == "recording"
 
     @pytest.mark.parametrize("case", ["palette", "iterative-no-free", "kw-no-free"])
     def test_kernel_path_errors_match_reference(self, case):
@@ -1040,7 +1042,7 @@ class TestLoopsBackend:
             error = SimulationError
         with pytest.raises(error) as expected:
             Scheduler(network).run(phase, initial_states=seeds)
-        backend = LoopsBackend()
+        backend = RecordingBackend()
         with pytest.raises(error) as actual:
             run_on(
                 backend,
@@ -1090,13 +1092,13 @@ WHOLE_RUNS = _whole_runs()
 SCRATCH_RUNS = sorted(set(WHOLE_RUNS) - {"luby-vertex", "luby-edge", "greedy-reduction"})
 
 
-class TestLoopsBackendWholeRuns:
-    """Every algorithm family, run on the ``_loops`` backend, returns the reference result."""
+class TestRecordingBackendWholeRuns:
+    """Every algorithm family, run on the recording backend, returns the reference result."""
 
     @pytest.mark.parametrize("name", sorted(WHOLE_RUNS))
     def test_result_matches_reference(self, name):
         run = WHOLE_RUNS[name]
-        backend = LoopsBackend()
+        backend = RecordingBackend()
         assert run_on(backend, lambda: run("vectorized")) == run("reference")
         assert backend.kernels
         assert bool(backend.scratch_calls()) == (name in SCRATCH_RUNS)
@@ -1105,18 +1107,21 @@ class TestLoopsBackendWholeRuns:
     def test_scratch_failures_match_reference(self, name):
         # Every scratch-kernel call of the run reports status 2.
         run = WHOLE_RUNS[name]
-        healthy = LoopsBackend()
+        healthy = RecordingBackend()
         run_on(healthy, lambda: run("vectorized"))
-        backend = LoopsBackend(scratch_fails=healthy.scratch_calls())
+        backend = RecordingBackend(scratch_fails=healthy.scratch_calls())
         assert run_on(backend, lambda: run("vectorized")) == run("reference")
         assert backend.kernels == healthy.kernels
+        assert backend.failing._lib.calls == [
+            kernel for kernel in healthy.kernels if kernel in SCRATCH_KERNELS
+        ]
 
     def test_scratch_failures_record_no_fallback(self, small_regular):
         reference = color_vertices(small_regular, c=4, engine="reference")
-        healthy = LoopsBackend()
+        healthy = RecordingBackend()
         run_on(healthy, lambda: color_vertices(small_regular, c=4, engine="vectorized"))
         assert healthy.scratch_calls()
-        backend = LoopsBackend(scratch_fails=healthy.scratch_calls())
+        backend = RecordingBackend(scratch_fails=healthy.scratch_calls())
         result = run_on(
             backend, lambda: color_vertices(small_regular, c=4, engine="vectorized")
         )
@@ -1136,7 +1141,7 @@ class TestKernelsDispatch:
         network = graphs.cycle_graph(12)
         seeds = {node: {"a": 1 + i % 12} for i, node in enumerate(network.nodes())}
         reference = Scheduler(network).run(phase, initial_states=seeds)
-        backend = LoopsBackend()
+        backend = RecordingBackend()
         result = run_on(
             backend,
             lambda: VectorizedScheduler(network).run(phase, initial_states=seeds),
@@ -1159,7 +1164,7 @@ class TestKernelsDispatch:
 
         class NumpyOnly(KuhnWattenhoferReductionPhase):
             def vector_run(self, ctx):
-                ctx.kernels = None
+                ctx.kernels = _numpy
                 super().vector_run(ctx)
 
         phase = NumpyOnly(palette=12, target=3, input_key="a", output_key="b")

@@ -1,15 +1,15 @@
-"""The fused kernel backend against the ``_loops`` reference, adversarially.
+"""The fused kernel backend against the numpy steps, adversarially.
 
 The provider the machine can load (the C extension, built on first use) is
-held to the pure-Python reference loops in
-:mod:`repro.local_model.kernels._loops` over a battery of adversarial CSR
+held to the numpy steps in :mod:`repro.local_model.kernels._numpy` (the
+provider when no C backend resolves) over a battery of adversarial CSR
 instances: empty graphs, graphs that are nothing *but* isolated nodes,
 empty rows in the middle of the indptr, non-monotone and negative unique
 ids, and palettes small enough to force the rarely-taken fallback branches
 (the Linial ``uid % q`` escape, the iterative reduction's no-free-color
 status).  The resolution machinery itself (env forcing, probe rejection of
-a corrupt backend) and the phases' kernel dispatch through
-``VectorContext.kernels`` are covered at the bottom.
+a corrupt backend) and the C wrappers' scratch-failure path are covered at
+the bottom.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.core.defective_coloring import PsiSelectionPhase
-from repro.local_model.kernels import _c_backend, _loops
+from engine_configs import ScratchFailLibrary
+
+from repro.local_model.kernels import _c_backend, _numpy
 from repro.local_model import kernels
 
 
@@ -128,7 +130,7 @@ class TestPolynomialKernels:
         colors = rng.integers(1, q**digits + 1, size=n).astype(np.int64)
         expected = np.zeros(n, dtype=np.int64)
         actual = np.zeros(n, dtype=np.int64)
-        _loops.linial_round(indptr, indices, uids, colors, q, digits, expected)
+        _numpy.linial_round(indptr, indices, uids, colors, q, digits, expected)
         backend.linial_round(indptr, indices, uids, colors, q, digits, actual)
         assert np.array_equal(expected, actual)
 
@@ -139,7 +141,7 @@ class TestPolynomialKernels:
         colors = np.array([1, 2, 3], dtype=np.int64)
         expected = np.zeros(3, dtype=np.int64)
         actual = np.zeros(3, dtype=np.int64)
-        _loops.linial_round(indptr, indices, uids, colors, 2, 2, expected)
+        _numpy.linial_round(indptr, indices, uids, colors, 2, 2, expected)
         backend.linial_round(indptr, indices, uids, colors, 2, 2, actual)
         assert np.array_equal(expected, actual)
 
@@ -151,7 +153,7 @@ class TestPolynomialKernels:
         colors = rng.integers(1, q**digits + 1, size=n).astype(np.int64)
         expected = np.zeros(n, dtype=np.int64)
         actual = np.zeros(n, dtype=np.int64)
-        _loops.defective_step(indptr, indices, colors, q, digits, expected)
+        _numpy.defective_step(indptr, indices, colors, q, digits, expected)
         backend.defective_step(indptr, indices, colors, q, digits, actual)
         assert np.array_equal(expected, actual)
 
@@ -168,7 +170,7 @@ class TestReductionKernels:
         expected, actual = colors.copy(), colors.copy()
         se = np.zeros(1, dtype=np.int64)
         sa = np.zeros(1, dtype=np.int64)
-        _loops.iter_reduce(indptr, indices, expected, palette, target, rounds, se)
+        _numpy.iter_reduce(indptr, indices, expected, palette, target, rounds, se)
         backend.iter_reduce(indptr, indices, actual, palette, target, rounds, sa)
         assert np.array_equal(expected, actual)
         assert se[0] == sa[0] == 0
@@ -182,9 +184,23 @@ class TestReductionKernels:
         expected, actual = colors.copy(), colors.copy()
         se = np.zeros(1, dtype=np.int64)
         sa = np.zeros(1, dtype=np.int64)
-        _loops.iter_reduce(indptr, indices, expected, palette, 1, palette - 1, se)
+        _numpy.iter_reduce(indptr, indices, expected, palette, 1, palette - 1, se)
         backend.iter_reduce(indptr, indices, actual, palette, 1, palette - 1, sa)
         assert se[0] == sa[0] == 1
+        assert np.array_equal(expected, actual)
+
+    def test_kw_reduce_no_free_color_status(self, backend):
+        # k=2 on a star: the hub sits at offset k of block 0, and its
+        # leaves hold both lower offsets of that block.
+        indptr, indices, _ = INSTANCES["star_plus_isolated"]
+        colors = np.array([1, 2, 1, 2, 3, 1, 2, 5, 8], dtype=np.int64)
+        expected, actual = colors.copy(), colors.copy()
+        se = np.zeros(1, dtype=np.int64)
+        sa = np.zeros(1, dtype=np.int64)
+        _numpy.kw_reduce(indptr, indices, expected, 2, 4, se)
+        backend.kw_reduce(indptr, indices, actual, 2, 4, sa)
+        assert se[0] == sa[0] == 1
+        assert np.array_equal(expected, actual)
 
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_kw_reduce(self, backend, instance, iterations):
@@ -200,7 +216,7 @@ class TestReductionKernels:
         se = np.zeros(1, dtype=np.int64)
         sa = np.zeros(1, dtype=np.int64)
         rounds = k * iterations
-        _loops.kw_reduce(indptr, indices, expected, k, rounds, se)
+        _numpy.kw_reduce(indptr, indices, expected, k, rounds, se)
         backend.kw_reduce(indptr, indices, actual, k, rounds, sa)
         assert np.array_equal(expected, actual)
         assert se[0] == sa[0] == 0
@@ -241,7 +257,7 @@ class TestEdgeRankKernel:
         expected_v = np.zeros(n, dtype=np.int64)
         actual_u = np.zeros(n, dtype=np.int64)
         actual_v = np.zeros(n, dtype=np.int64)
-        _loops.edge_rank(
+        _numpy.edge_rank(
             indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes,
             expected_u, expected_v,
         )
@@ -282,7 +298,7 @@ class TestPsiSelectKernel:
         n = len(indptr) - 1
         phi = PSI_PHIS[phis](n, np.random.default_rng(n + p)).astype(np.int64)
         status, depth, psi = run_psi(backend, indptr, indices, phi, p)
-        expected = run_psi(_loops, indptr, indices, phi, p)
+        expected = run_psi(_numpy, indptr, indices, phi, p)
         assert status == expected[0] == 0
         assert np.array_equal(depth, expected[1])
         assert np.array_equal(psi, expected[2])
@@ -298,7 +314,7 @@ class TestPsiSelectKernel:
         status, depth, psi = run_psi(backend, indptr, indices, phi, 300)
         assert status == 0
         assert psi[leaves] == 2 and depth[leaves] == 1
-        expected = run_psi(_loops, indptr, indices, phi, 300)
+        expected = run_psi(_numpy, indptr, indices, phi, 300)
         assert np.array_equal(psi, expected[2])
         assert np.array_equal(depth, expected[1])
 
@@ -307,32 +323,17 @@ class TestPsiSelectKernel:
     def test_psi_phase_matches_numpy(self, backend, kernel, status):
         # Through the engine, for each kernel that reports a scratch failure
         # as status 2: the kernel path (status 0) and the failure path
-        # (status 2, which re-runs vector_run) both write the numpy path's
-        # state and charge its metrics, with the kernel called exactly once.
+        # (status 2, on which the C wrapper runs the numpy step) both write
+        # the numpy path's state and charge its metrics.
         from repro import graphs
         from repro.local_model.state_table import StateTable
         from repro.local_model.vectorized import VectorizedScheduler
         from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
 
-        class Provider:
-            name = "status-test"
-            calls = 0
-
-            def __getattr__(self, name):
-                real = getattr(backend, name)
-                if name != kernel:
-                    return real
-
-                def call(*args):
-                    self.calls += 1
-                    if status == 0:
-                        return real(*args)
-                    if kernel == "kw_reduce":  # reports through its status array
-                        args[-1][0] = 2
-                        return None
-                    return 2
-
-                return call
+        library = ScratchFailLibrary(backend._lib)
+        provider = backend
+        if status == 2:
+            provider = _c_backend.CExtensionBackend(library, openmp=backend.openmp)
 
         fast = graphs.random_regular(120, 7, seed=3)
         n = fast.num_nodes
@@ -349,7 +350,6 @@ class TestPsiSelectKernel:
                 palette=int(seed.max()), target=k, input_key="c"
             )
             seed_key, out_key = "c", phase.output_key
-        provider = Provider()
         outcomes = []
         for installed in (provider, None):
             restore = kernels.force_backend(installed, reason="status test")
@@ -367,7 +367,7 @@ class TestPsiSelectKernel:
                     metrics.fallback_phase_names,
                 )
             )
-        assert provider.calls == 1
+        assert library.calls == ([kernel] if status == 2 else [])
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == []
 
@@ -386,14 +386,14 @@ class TestLubyKernels:
         _, _, n, palette, taken, undecided = luby_state
         expected = np.zeros(len(undecided), dtype=np.int64)
         actual = np.zeros(len(undecided), dtype=np.int64)
-        _loops.luby_free_counts(undecided, taken, palette, expected)
+        _numpy.luby_free_counts(undecided, taken, palette, expected)
         backend.luby_free_counts(undecided, taken, palette, actual)
         assert np.array_equal(expected, actual)
 
     def test_candidates(self, backend, luby_state):
         _, _, n, palette, taken, undecided = luby_state
         free = np.zeros(len(undecided), dtype=np.int64)
-        _loops.luby_free_counts(undecided, taken, palette, free)
+        _numpy.luby_free_counts(undecided, taken, palette, free)
         drawing = free > 0
         lanes = np.ascontiguousarray(undecided[drawing])
         rng = np.random.default_rng(3)
@@ -401,7 +401,7 @@ class TestLubyKernels:
         picks = np.ascontiguousarray(picks, dtype=np.int64)
         expected = np.zeros(n, dtype=np.int64)
         actual = np.zeros(n, dtype=np.int64)
-        _loops.luby_candidates(lanes, picks, taken, palette, expected)
+        _numpy.luby_candidates(lanes, picks, taken, palette, expected)
         backend.luby_candidates(lanes, picks, taken, palette, actual)
         assert np.array_equal(expected, actual)
 
@@ -415,7 +415,7 @@ class TestLubyKernels:
         final[decided] = rng.integers(1, palette + 1, size=len(decided))
         announce = decided
         expected_taken, actual_taken = taken.copy(), taken.copy()
-        _loops.luby_absorb(
+        _numpy.luby_absorb(
             announce, indptr, indices, final, undecided_mask, expected_taken
         )
         backend.luby_absorb(
@@ -427,7 +427,7 @@ class TestLubyKernels:
         candidate[undecided] = rng.integers(0, palette + 1, size=len(undecided))
         expected = np.zeros(len(undecided), dtype=np.uint8)
         actual = np.zeros(len(undecided), dtype=np.uint8)
-        _loops.luby_resolve(
+        _numpy.luby_resolve(
             undecided, indptr, indices, candidate, expected_taken, expected
         )
         backend.luby_resolve(

@@ -9,7 +9,7 @@ import graph_oracles
 
 from repro import graphs
 from repro.exceptions import InvalidParameterError
-from repro.local_model import FastNetwork, make_scheduler, node_sort_key
+from repro.local_model import FastNetwork, build_line_graph_fast, make_scheduler, node_sort_key
 from repro.verification.coloring import is_legal_vertex_coloring
 
 
@@ -115,8 +115,7 @@ class TestOrdering:
 
     def test_derived_networks_preserve_ordering(self):
         network = FastNetwork.from_adjacency({i: [(i + 1) % 12] for i in range(12)})
-        rows, cols = network.rows_np, network.indices
-        filtered = network.filtered(edge_mask=(rows + cols) % 3 == 0)
+        filtered = network.filtered_by_labels(np.arange(12) % 3)
         assert filtered.nodes() == network.nodes()
         induced, picked = network.induced(np.arange(12) % 2 == 0)
         assert induced.nodes() == tuple(range(0, 12, 2))
@@ -144,18 +143,26 @@ class TestUniqueIds:
 
 
 class TestDerivedNetworks:
-    def test_filtered_by_edge_keeps_all_nodes(self, small_regular):
-        filtered = small_regular.filtered(edge_mask=np.zeros(len(small_regular.indices), bool))
+    def test_filtered_by_labels_keeps_all_nodes(self, small_regular):
+        # Distinct labels everywhere drop every edge.
+        filtered = small_regular.filtered_by_labels(np.arange(small_regular.num_nodes))
         assert filtered.num_nodes == small_regular.num_nodes
         assert filtered.num_edges == 0
+        assert filtered.max_degree == 0
 
-    def test_filtered_by_edge_preserves_unique_ids(self, small_regular):
-        filtered = small_regular.filtered(edge_mask=same_parity(small_regular))
+    def test_filtered_by_labels_shares_order_ids_and_line_meta(self, small_regular):
+        filtered = small_regular.filtered_by_labels(parity(small_regular))
+        assert filtered.order == small_regular.order
+        assert filtered.unique_ids is small_regular.unique_ids
         for node in small_regular.nodes():
             assert filtered.unique_id(node) == small_regular.unique_id(node)
+        line = build_line_graph_fast(small_regular)
+        line_filtered = line.filtered_by_labels(parity(line))
+        assert line_filtered.line_meta is line.line_meta
+        assert line_filtered.order == line.order
 
-    def test_filtered_by_edge_is_subset(self, small_regular):
-        filtered = small_regular.filtered(edge_mask=same_parity(small_regular))
+    def test_filtered_by_labels_is_subset(self, small_regular):
+        filtered = small_regular.filtered_by_labels(parity(small_regular))
         original_edges = set(map(frozenset, small_regular.edges()))
         assert 0 < filtered.num_edges < small_regular.num_edges
         for u, v in filtered.edges():
@@ -206,9 +213,9 @@ class TestGatherAdjacency:
         assert neighbors.dtype == network.indices.dtype
 
 
-def same_parity(network: FastNetwork) -> np.ndarray:
-    """The edge mask keeping the entries whose endpoints share a parity."""
-    return network.rows_np % 2 == network.indices % 2
+def parity(network: FastNetwork) -> np.ndarray:
+    """The labels keeping the edges whose endpoints share a dense-index parity."""
+    return np.arange(network.num_nodes) % 2
 
 
 #: Hand-built graphs and the view the dict-adjacency ``Network`` compiled to

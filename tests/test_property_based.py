@@ -339,52 +339,29 @@ class TestFastNetworkFiltering:
 
     @SLOW
     @given(random_edge_lists())
-    def test_edge_mask_subset_matches_network_path(self, data):
-        n, edges = data
-        network = build_network(n, edges)
-        fast = fast_view(network)
-        # Keep every second canonical edge -- an arbitrary symmetric subset.
-        kept_edges = {
-            frozenset(edge)
-            for i, edge in enumerate(graph_oracles.edges(network))
-            if i % 2 == 0
-        }
-        expected = graph_oracles.filtered_by_edge(
-            network, lambda u, v: frozenset((u, v)) in kept_edges
-        )
-        rows, cols = fast.rows_np, fast.indices_np
-        order = fast.order
-        edge_mask = np.fromiter(
-            (
-                frozenset((order[u], order[v])) in kept_edges
-                for u, v in zip(rows.tolist(), cols.tolist())
-            ),
-            dtype=bool,
-            count=len(rows),
-        )
-        _assert_same_filtered(fast.filtered(edge_mask=edge_mask), expected)
-
-    @SLOW
-    @given(random_edge_lists())
-    def test_node_mask_matches_network_path(self, data):
+    def test_dropped_nodes_match_network_path(self, data):
+        # Kept nodes share one label, every dropped node has its own: an
+        # edge survives only when both endpoints are kept.
         n, edges = data
         network = build_network(n, edges)
         fast = fast_view(network)
         kept = {node for node in network.nodes() if node % 3 != 0}
         expected = graph_oracles.filtered_by_edge(network, lambda u, v: u in kept and v in kept)
-        node_mask = np.fromiter(
-            (node in kept for node in fast.order), dtype=bool, count=n
+        labels = np.fromiter(
+            (0 if node in kept else 1 + i for i, node in enumerate(fast.order)),
+            dtype=np.int64,
+            count=n,
         )
-        _assert_same_filtered(fast.filtered(node_mask=node_mask), expected)
+        _assert_same_filtered(fast.filtered_by_labels(labels), expected)
 
     @SLOW
     @given(random_edge_lists())
-    def test_empty_edge_mask_isolates_every_node(self, data):
+    def test_distinct_labels_isolate_every_node(self, data):
         n, edges = data
         network = build_network(n, edges)
         fast = fast_view(network)
         expected = graph_oracles.filtered_by_edge(network, lambda u, v: False)
-        derived = fast.filtered(edge_mask=np.zeros(len(fast.indices), dtype=bool))
+        derived = fast.filtered_by_labels(np.arange(n))
         _assert_same_filtered(derived, expected)
         assert derived.num_edges == 0
         assert derived.max_degree == 0
