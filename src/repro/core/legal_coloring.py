@@ -18,9 +18,12 @@ level share the same parameters, so one pass of Procedure Defective-Color on
 the union of the subgraphs (with edges between different subgraphs removed)
 is exactly the "invoke recursively on each subgraph in parallel" step of the
 paper, and the measured rounds of that pass equal the parallel time of the
-level.  Every vertex carries its recursion *path* (the sequence of
-``psi``-colors it received so far); two vertices are in the same current
-subgraph exactly when their paths are equal.
+level.  Every vertex carries its recursion *path*, the ``psi``-colors it
+received so far read as the digits of one base-``p`` integer:
+``path = path * p + (psi_j - 1)`` at level ``j``.  Two vertices are in the
+same current subgraph exactly when their paths are equal, and since the
+level-``j`` palettes are spaced ``theta^{(j)} = p * theta^{(j+1)}`` apart,
+the merged final color is ``bottom + path * (hat-Lambda + 1)``.
 
 The level recursion itself needs no graph: every level's ``Lambda'`` is the
 Theorem 3.7 bound of the level above, so :func:`plan_legal_coloring` works
@@ -29,9 +32,9 @@ out the degree bounds, the bottom bound ``hat-Lambda`` and the palette
 :func:`run_legal_coloring` executes that plan level by level.
 
 Node state lives in a :class:`~repro.local_model.state_table.StateTable`
-throughout: the paths are one interned path-id column (so the per-level
-subgraph filtering, the path extension, and the subgraph count are single
-array operations), and each level's scheduler pass runs through the engines'
+throughout: the paths are one ``int64`` column (so the per-level subgraph
+filtering, the path extension, the subgraph count and the palette merge are
+single array operations), and each level's scheduler pass runs through the engines'
 ``run_table`` entry points -- natively columnar on the vectorized engine,
 through the exact dict view on the reference engine.
 
@@ -58,6 +61,7 @@ from repro.core.defective_coloring import defective_color_pipeline, psi_defect_b
 from repro.core.parameters import (
     LegalColorParameters,
     independence_bound,
+    params_for_few_rounds,
     params_for_quality,
 )
 from repro.primitives.color_reduction import delta_plus_one_pipeline
@@ -265,12 +269,11 @@ def run_legal_coloring(
     params.validate(degree_bound, c)
 
     metrics = RunMetrics()
-    # Node state is columnar: one interned path-id column for the recursion
-    # paths, plus the int columns the phases produce.  Vertices with equal
-    # interned ids are exactly the vertices with equal paths, so each level's
-    # subgraph filtering is a single label comparison over the CSR arrays.
+    # Node state is columnar: the base-p recursion paths are one int column
+    # beside the columns the phases produce, so each level's subgraph
+    # filtering is a single label comparison over the CSR arrays.
     table = StateTable(fast.num_nodes)
-    table.fill_path("_path", ())
+    table.fill_int("_path", 0)
 
     # ------------------------------------------------------------------ #
     # Section 4.2: auxiliary O(Delta^2)-coloring rho, computed once.
@@ -301,10 +304,10 @@ def run_legal_coloring(
     bounds = plan.degree_bounds
     view = fast
     levels: List[LevelTrace] = []
+    num_subgraphs = 1
     for level in range(plan.num_levels):
-        if table.num_paths("_path") > 1:
-            view = view.filtered_by_labels(table.path_ids("_path"))
-        psi_key = f"_psi_{level}"
+        if num_subgraphs > 1:
+            view = view.filtered_by_labels(table.get_ints("_path"))
         pipeline, info = defective_color_pipeline(
             n=fast.num_nodes,
             b=params.b,
@@ -315,21 +318,24 @@ def run_legal_coloring(
             auxiliary_key=auxiliary_key,
             auxiliary_palette=auxiliary_palette,
             class_key="_path",
-            output_key=psi_key,
+            output_key="_psi",
         )
         table, level_metrics = make_scheduler(view, engine=engine).run_table(
             pipeline, table
         )
         metrics.merge(level_metrics)
 
-        table.append_to_paths("_path", table.get_ints(psi_key))
+        # psi is the level's base-p digit of the path (psi lies in 1..p).
+        path = table.get_ints("_path") * params.p + table.get_ints("_psi") - 1
+        table.set_ints("_path", path)
+        num_subgraphs = len(sorted_distinct(path))
         levels.append(
             LevelTrace(
                 level=level,
                 degree_bound=bounds[level],
                 phi_palette=info.phi_palette,
                 next_degree_bound=bounds[level + 1],
-                num_subgraphs=table.num_paths("_path"),
+                num_subgraphs=num_subgraphs,
                 max_subgraph_degree=view.max_degree,
                 rounds=level_metrics.rounds,
             )
@@ -338,8 +344,8 @@ def run_legal_coloring(
     # ------------------------------------------------------------------ #
     # Bottom level: a legal (Lambda + 1)-coloring of every remaining subgraph.
     # ------------------------------------------------------------------ #
-    if table.num_paths("_path") > 1:
-        view = view.filtered_by_labels(table.path_ids("_path"))
+    if num_subgraphs > 1:
+        view = view.filtered_by_labels(table.get_ints("_path"))
     bottom_bound = max(bounds[-1], view.max_degree)
     bottom_target = bottom_bound + 1
     bottom_pipeline, _ = delta_plus_one_pipeline(
@@ -356,24 +362,45 @@ def run_legal_coloring(
     metrics.merge(bottom_metrics)
 
     # ------------------------------------------------------------------ #
-    # Merge the per-level colorings into disjoint palettes (Figure 3):
-    # level j's psi-colors are spaced theta^{(j+1)} = p^{L-j-1} * (Lambda + 1)
-    # apart, and the palette is theta^{(0)}.
+    # Merge the per-level colorings into disjoint palettes (Figure 3): level
+    # j's psi-colors are spaced theta^{(j+1)} = p^{L-j-1} * (hat-Lambda + 1)
+    # apart, which is the base-p path times the bottom palette, and the
+    # palette is theta^{(0)} = p^L * (hat-Lambda + 1).
     # ------------------------------------------------------------------ #
-    color_column = table.get_ints("_bottom_color")
-    theta = bottom_target
-    for j in range(plan.num_levels - 1, -1, -1):
-        color_column += (table.get_ints(f"_psi_{j}") - 1) * theta
-        theta *= params.p
+    color_column = table.get_ints("_bottom_color") + table.get_ints("_path") * bottom_target
     return LegalColoringResult(
         colors=fast.column_mapping(color_column),
-        palette=theta,
+        palette=params.p**plan.num_levels * bottom_target,
         metrics=metrics,
         levels=levels,
         parameters=params,
         bottom_degree_bound=bottom_bound,
         color_column=color_column,
     )
+
+
+def _color_split_classes(
+    class_network: FastNetwork,
+    labels: np.ndarray,
+    c: int,
+    parameters: Optional[LegalColorParameters],
+    engine: Optional[str],
+    metrics: RunMetrics,
+) -> Tuple[np.ndarray, int]:
+    """Color every class of a split with Theorem 4.8(2), class palettes stacked.
+
+    ``labels`` holds each node's class in ``{1, ..., k}`` and
+    ``class_network`` keeps only the same-class edges (both in one dense node
+    order).  The classes run in parallel as one Legal-Color pass, whose
+    metrics are merged into ``metrics``; class ``i`` gets the ``i``-th block
+    of the per-class palette.  Returns ``(color_column, per_class_palette)``.
+    """
+    params = parameters or params_for_few_rounds(max(1, class_network.max_degree), c)
+    per_class = run_legal_coloring(
+        class_network, params, c=c, use_auxiliary_coloring=True, engine=engine
+    )
+    metrics.merge(per_class.metrics)
+    return (labels - 1) * per_class.palette + per_class.color_column, per_class.palette
 
 
 def color_vertices(

@@ -23,13 +23,8 @@ import numpy as np
 
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
-from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
-from repro.core.parameters import (
-    LegalColorParameters,
-    independence_bound,
-    integer_seed,
-    params_for_few_rounds,
-)
+from repro.core.legal_coloring import _color_split_classes
+from repro.core.parameters import LegalColorParameters, independence_bound, integer_seed
 from repro.primitives.numbers import luby_draw
 
 #: The round word of the split's counter-hash draw.  Luby's rounds count up
@@ -132,16 +127,10 @@ def randomized_color_vertices(
         split_defect = delta
         class_network = fast
 
-    class_delta = max(1, class_network.max_degree)
-    params = parameters or params_for_few_rounds(class_delta, c)
-    per_class: LegalColoringResult = run_legal_coloring(
-        class_network, params, c=c, use_auxiliary_coloring=True, engine=engine
-    )
-    metrics.merge(per_class.metrics)
-
-    per_class_palette = per_class.palette
     # Both columns follow fast.order, so the palette merge is array work.
-    color_column = (labels - 1) * per_class_palette + per_class.color_column
+    color_column, per_class_palette = _color_split_classes(
+        class_network, labels, c, parameters, engine, metrics
+    )
     return RandomizedColoringResult(
         colors=fast.column_mapping(color_column),
         palette=num_classes * per_class_palette,

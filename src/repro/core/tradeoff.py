@@ -21,12 +21,8 @@ from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.state_table import StateTable
-from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
-from repro.core.parameters import (
-    LegalColorParameters,
-    independence_bound,
-    params_for_few_rounds,
-)
+from repro.core.legal_coloring import _color_split_classes
+from repro.core.parameters import LegalColorParameters, independence_bound
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 
@@ -119,17 +115,11 @@ def tradeoff_color_vertices(
         class_network = fast
         split_defect_bound = delta
 
-    class_delta = max(1, class_network.max_degree)
-    params = parameters or params_for_few_rounds(class_delta, c)
-    per_class: LegalColoringResult = run_legal_coloring(
-        class_network, params, c=c, use_auxiliary_coloring=True, engine=engine
-    )
-    metrics.merge(per_class.metrics)
-
-    per_class_palette = per_class.palette
     # Both columns follow fast.order (class_network shares the parent view's
     # node order), so the Figure 3 palette merge is pure array arithmetic.
-    color_column = (split_column - 1) * per_class_palette + per_class.color_column
+    color_column, per_class_palette = _color_split_classes(
+        class_network, split_column, c, parameters, engine, metrics
+    )
     return TradeoffColoringResult(
         colors=fast.column_mapping(color_column),
         palette=split_palette * per_class_palette,

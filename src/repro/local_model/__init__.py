@@ -18,9 +18,9 @@ The main entry points are:
 * :class:`~repro.local_model.scheduler.Scheduler` -- executes phases round by
   round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the default
-  engine: the paper's color phases run over the CSR arrays and the columns
-  of a :class:`~repro.local_model.state_table.StateTable` (its only
-  node-state representation; ``run`` wraps ``run_table``), with fused
+  engine: the paper's color phases run over the CSR arrays and the
+  ``int64`` columns of a :class:`~repro.local_model.state_table.StateTable`
+  (its only node-state representation; ``run`` wraps ``run_table``), with fused
   C/OpenMP kernels (see :mod:`repro.local_model.kernels`) for their inner
   steps when the backend resolves and their numpy steps otherwise; it runs only phases
   with a ``vector_run``, so a user-defined phase without one runs on the

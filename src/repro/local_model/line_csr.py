@@ -17,8 +17,7 @@ per-edge work and no sort:
   consumer is row-order free (``tests/test_line_graph_row_order.py``);
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
-  the API boundary (result extraction, reference-engine runs), exactly
-  like the interned path-id column of the state table.
+  the API boundary (result extraction, reference-engine runs).
 
 The builder also attaches a :class:`LineGraphMeta` -- int64 ``edge_u`` /
 ``edge_v`` endpoint columns and a ``sort_rank`` column encoding the

@@ -87,23 +87,6 @@ class RunMetrics:
             self.add_phase(phase)
         for name, seconds in other.phase_seconds.items():
             self.add_phase_seconds(name, seconds)
-        if not other.phases:
-            # The other run may carry only aggregate values (e.g. analytic
-            # adjustments); account them as an anonymous phase.
-            if other.rounds or other.messages:
-                self.add_phase(
-                    PhaseMetrics(
-                        name="(aggregate)",
-                        rounds=other.rounds,
-                        messages=other.messages,
-                        total_words=other.total_words,
-                        max_message_words=other.max_message_words,
-                    )
-                )
-
-    def add_rounds(self, rounds: int, name: str = "(adjustment)") -> None:
-        """Add extra rounds without messages (e.g. simulation overhead)."""
-        self.add_phase(PhaseMetrics(name=name, rounds=rounds))
 
     def summary(self) -> Tuple[int, int, int, int]:
         """Return ``(rounds, messages, total_words, max_message_words)``."""

@@ -122,9 +122,9 @@ class Scheduler:
         exact dict-view boundary: the table is materialized into per-node
         dictionaries (rows follow the network's deterministic node order),
         :meth:`run` executes unchanged, and the final states are re-absorbed
-        (:meth:`StateTable.from_dicts` rejects final states a table cannot
-        hold).  Returns ``(table, metrics)`` like the other engines'
-        ``run_table``.
+        (:meth:`StateTable.from_dicts` rejects, naming the key, a final state
+        that is not an ``int64`` int on every node).  Returns
+        ``(table, metrics)`` like the other engines' ``run_table``.
         """
         order = self._fast.order
         if table.num_rows != len(order):

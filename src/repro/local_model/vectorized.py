@@ -112,7 +112,7 @@ class VectorContext:
         self.table.fill_int(key, value)
 
     def copy_key(self, source_key: str, target_key: str) -> None:
-        """``state[target] = state[source]`` on every node, kind-preserving."""
+        """``state[target] = state[source]`` on every node."""
         self.table.copy_column(source_key, target_key)
 
     # ------------------------------------------------------------------ #

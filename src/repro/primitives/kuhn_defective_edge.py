@@ -28,7 +28,6 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView
 from repro.local_model.line_csr import NOT_A_LINE_GRAPH, line_meta_for
-from repro.local_model.messages import payload_size_words
 from repro.local_model.fast_network import node_sort_key
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.numbers import ceil_div
@@ -48,8 +47,8 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         State key the edge color is written to (an integer in
         ``{1, ..., p'^2}``).
     class_key:
-        Optional state key identifying the subgraph (recursion path) the edge
-        currently belongs to.  Only incident edges with an equal class value
+        Optional int state key identifying the subgraph (the base-``p``
+        recursion path) the edge currently belongs to.  Only incident edges with an equal class value
         are counted when computing label ranks, which is how the routine is
         reused at every level of the Legal-Color recursion.
     """
@@ -147,9 +146,10 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         fast = ctx.fast
         meta = line_meta_for(fast)
         n = fast.num_nodes
-        codes, sizes = self._class_column(ctx)
-
-        has_codes = codes is not None
+        # state.get(class_key) is None on every node when the key is absent:
+        # no class restriction, all nodes active together.
+        has_codes = self.class_key is not None and self.class_key in ctx.table
+        codes = ctx.table.get_ints(self.class_key) if has_codes else np.zeros(n)
         rank_u = np.empty(n, dtype=np.int64)
         rank_v = np.empty(n, dtype=np.int64)
         ctx.kernels.edge_rank(
@@ -158,7 +158,7 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
             np.ascontiguousarray(meta.edge_u, dtype=np.int64),
             np.ascontiguousarray(meta.edge_v, dtype=np.int64),
             np.ascontiguousarray(meta.sort_rank, dtype=np.int64),
-            np.ascontiguousarray(codes if has_codes else np.zeros(n), dtype=np.int64),
+            np.ascontiguousarray(codes, dtype=np.int64),
             int(has_codes),
             rank_u,
             rank_v,
@@ -167,36 +167,5 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         label_v = np.minimum(rank_v // self._chunk + 1, self.p_prime)
 
         # One round: every node broadcasts {"class": value} and halts.
-        if sizes is None:
-            ctx.charge_uniform_broadcast(1, payload_words=2)
-        else:
-            nnz = len(fast.indices)
-            degrees = fast.degrees_np
-            ctx.charge(
-                rounds=1,
-                messages=nnz,
-                total_words=int((degrees * sizes).sum()),
-                max_message_words=int(sizes[degrees > 0].max()) if nnz else 0,
-            )
+        ctx.charge_uniform_broadcast(1, payload_words=2)
         ctx.write_column(self.output_key, (label_u - 1) * self.p_prime + label_v)
-
-    def _class_column(self, ctx: VectorContext):
-        """Per-node ``(codes, sizes)`` of the class values.
-
-        ``codes`` is an ``int64`` column whose equality matches Python ``==``
-        on the class values (``None`` when no class restriction applies --
-        all nodes active together); ``sizes`` is the per-node word size of
-        the ``{"class": value}`` broadcast payload (``None`` for the uniform
-        2-word scalar case).  A class column holds ints or recursion paths.
-        """
-        table = ctx.table
-        if self.class_key is None or self.class_key not in table:
-            return None, None  # state.get(class_key) is None on every node
-        if table.kind(self.class_key) == "int":
-            return table.get_ints(self.class_key), None
-        ids = table.path_ids(self.class_key)
-        words = np.fromiter(
-            (1 + payload_size_words(path) for path in table.path_interned(self.class_key)),
-            dtype=np.int64,
-        )
-        return ids, words[ids]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from engine_configs import ENGINE_CONFIGS, engine_config
+from make_goldens import FIXTURES
 from repro import graphs
 from repro.core.edge_coloring import color_edges
 from repro.core.parameters import params_for_few_rounds
@@ -94,6 +96,24 @@ class TestRoutesAndMessageSizes:
         assert direct.metrics.max_message_words <= max(
             direct.parameters.p, 4
         )
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_class_broadcast_is_two_words_at_every_level(self, config):
+        # Theorem 5.5's O(log n)-bit messages: the Corollary 5.4 class
+        # broadcast carries one base-p path word at every recursion depth.
+        build, _ = FIXTURES["edge_direct_superlinear_regular40x16"]
+        with engine_config(config) as engine:
+            result = color_edges(build(), quality="superlinear", route="direct", engine=engine)
+        kuhn = [
+            phase
+            for phase in result.metrics.phases
+            if phase.name.startswith("kuhn-defective-edge")
+        ]
+        assert len(kuhn) > 1
+        for phase in kuhn:
+            assert phase.messages > 0
+            assert phase.total_words == 2 * phase.messages, phase
+            assert phase.max_message_words == 2, phase
 
     def test_both_routes_agree_on_palette_shape(self, small_regular):
         direct = color_edges(small_regular, quality="superlinear", route="direct")

@@ -89,7 +89,16 @@ def assert_python_ints(value, where):
         assert type(value) is int, f"{where}: {type(value).__name__} {value!r}"
 
 
-class RecordView(LocalComputationPhase):
+class WriteBig(LocalComputationPhase):
+    """Writes an int beyond int64 on every node."""
+
+    name = "write-big"
+
+    def compute(self, view, state):
+        state["big"] = 2**70 + view.unique_id
+
+
+class RecordView(WriteBig):
     """Copies what each node sees into its state, plus an int beyond int64."""
 
     name = "record-view"
@@ -97,7 +106,7 @@ class RecordView(LocalComputationPhase):
     def compute(self, view, state):
         state["uid"] = view.unique_id
         state["neighbors"] = view.neighbors
-        state["big"] = 2**70 + view.unique_id
+        super().compute(view, state)
 
 
 GRAPHS = {
@@ -263,7 +272,7 @@ class TestSchedulerLevelEquivalence:
         # re-absorbs its final states.
         with pytest.raises(InvalidParameterError, match=message):
             Scheduler(grid_network).run_table(
-                PhasePipeline([RecordView()]), StateTable(len(order))
+                PhasePipeline([WriteBig()]), StateTable(len(order))
             )
 
     def test_array_built_views_hand_out_python_ints(self):

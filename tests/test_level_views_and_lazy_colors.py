@@ -51,13 +51,12 @@ class TestRefinedViews:
         u = np.array([a for a, _ in pairs], dtype=np.int64)
         v = np.array([b for _, b in pairs], dtype=np.int64)
         root = FastNetwork.from_edge_array(u, v, num_nodes=n)
-        # Nested refinements, relabelled densely like interned path ids.
+        # Nested refinements, extended like base-4 recursion paths.
         labels = np.zeros(n, dtype=np.int64)
         parent = root
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
             extension = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-            _, labels = np.unique(labels * 4 + np.array(extension), return_inverse=True)
-            labels = labels.astype(np.int64).ravel()
+            labels = labels * 4 + np.array(extension, dtype=np.int64)
             from_parent = parent.filtered_by_labels(labels)
             from_root = root.filtered_by_labels(labels)
             assert _csr(from_parent) == _csr(from_root)

@@ -202,18 +202,6 @@ class TestRunMetrics:
         assert [phase.name for phase in first.phases] == ["a", "b"]
         assert first.rounds == 3
 
-    def test_merge_aggregate_only_metrics(self):
-        first = RunMetrics()
-        second = RunMetrics(rounds=4, messages=2, total_words=2, max_message_words=1)
-        first.merge(second)
-        assert first.rounds == 4
-
-    def test_add_rounds_adjustment(self):
-        metrics = RunMetrics()
-        metrics.add_rounds(3, name="setup")
-        assert metrics.rounds == 3
-        assert metrics.phases[0].name == "setup"
-
     def test_record_message_tracks_maximum(self):
         phase = PhaseMetrics(name="x")
         phase.record_message(2)

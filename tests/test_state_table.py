@@ -2,10 +2,9 @@
 
 The table's whole value rests on one contract: the dict view it materializes
 is *exactly* (``==``) the per-node state the engines would have produced with
-plain dictionaries.  A table holds two kinds of full columns, int64 ints and
-interned tuples; the hypothesis property drives the round-trip over both,
-the rejection test pins every other seed to the reference scheduler's
-``run``, and the ``run_table`` tests pin the columnar execution path of
+plain dictionaries.  A table holds one kind of full column, int64 ints;
+the hypothesis property drives the round-trip over it, the rejection test
+pins every other seed to the reference scheduler's ``run``, and the ``run_table`` tests pin the columnar execution path of
 every engine to the dict-based ``run``.
 """
 
@@ -34,27 +33,15 @@ from repro.primitives.kuhn_defective import defective_coloring_pipeline
 # Strategies: the value shapes a state table holds
 # --------------------------------------------------------------------------- #
 
-_column_values = {
-    "int": st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    "path": st.lists(st.integers(0, 50), max_size=3).map(tuple),
-}
+_int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 @st.composite
 def _state_dicts(draw):
-    """Rows that all hold the same keys, each key all ints or all tuples."""
+    """Rows that all hold the same keys, each holding an int64 int."""
     num_rows = draw(st.integers(0, 8))
-    kinds = draw(
-        st.dictionaries(
-            st.sampled_from(["a", "b", "_path", "c"]),
-            st.sampled_from(sorted(_column_values)),
-            max_size=4,
-        )
-    )
-    return [
-        {key: draw(_column_values[kind]) for key, kind in kinds.items()}
-        for _ in range(num_rows)
-    ]
+    keys = draw(st.lists(st.sampled_from(["a", "b", "_path", "c"]), unique=True))
+    return [{key: draw(_int64s) for key in keys} for _ in range(num_rows)]
 
 
 #: ``node index -> seed`` for each state a table rejects and the reference
@@ -64,6 +51,7 @@ UNSUPPORTED_SEEDS = {
     "bool": lambda i: {"x": i % 2 == 0},
     "int-past-int64": lambda i: {"x": 2**70 + i},
     "list": lambda i: {"x": [i]},
+    "tuple": lambda i: {"x": (i,)},
     "unhashable-tuple": lambda i: {"x": (i, [i])},
 }
 
@@ -73,17 +61,6 @@ class TestRoundTrip:
     @given(dicts=_state_dicts())
     def test_from_dicts_to_dicts_is_identity(self, dicts):
         assert StateTable.from_dicts(dicts).to_dicts() == dicts
-
-    def test_int_and_tuple_keys_get_their_kinds(self):
-        dicts = [
-            {"color": 3, "_path": (1, 2)},
-            {"color": 7, "_path": (1, 2)},
-            {"color": 5, "_path": (2,)},
-        ]
-        table = StateTable.from_dicts(dicts)
-        assert table.to_dicts() == dicts
-        assert table.kind("color") == "int"
-        assert table.kind("_path") == "path"
 
     def test_mapping_round_trip_ignores_unknown_nodes(self):
         order = ("a", "b", "c")
@@ -155,70 +132,16 @@ class TestColumns:
         column[0] = 99
         assert table.get_ints("c").tolist() == [5, 6, 7, 8]
 
-    def test_get_ints_rejects_paths(self):
-        table = StateTable(2)
-        table.fill_path("_path", (1,))
-        with pytest.raises(TypeError):
-            table.get_ints("_path")
-
     def test_shape_validation(self):
         table = StateTable(3)
         with pytest.raises(InvalidParameterError):
             table.set_ints("c", np.array([1, 2]))
-        table.fill_path("_path", ())
-        with pytest.raises(InvalidParameterError):
-            table.append_to_paths("_path", np.array([1, 2]))
 
-    def test_copy_column_preserves_kind(self):
-        table = StateTable.from_dicts([{"i": 1, "p": (1,)}, {"i": 2, "p": ()}])
-        for key in ("i", "p"):
-            table.copy_column(key, key + "2")
-            assert table.kind(key + "2") == table.kind(key)
-        rows = table.to_dicts()
-        assert rows[0]["i2"] == 1 and rows[0]["p2"] == (1,) and rows[1]["p2"] == ()
-
-
-class TestPathColumns:
-    def test_fill_and_append(self):
-        table = StateTable(5)
-        table.fill_path("_path", ())
-        assert table.num_paths("_path") == 1
-        table.append_to_paths("_path", np.array([1, 2, 1, 2, 3]))
-        assert table.num_paths("_path") == 3
-        table.append_to_paths("_path", np.array([1, 1, 2, 1, 1]))
-        expected = [(1, 1), (2, 1), (1, 2), (2, 1), (3, 1)]
-        assert [row["_path"] for row in table.to_dicts()] == expected
-        assert table.num_paths("_path") == 4
-
-    def test_path_ids_equal_iff_paths_equal(self):
-        table = StateTable.from_dicts(
-            [{"_path": (1, 2)}, {"_path": (2, 1)}, {"_path": (1, 2)}]
-        )
-        ids = table.path_ids("_path")
-        assert ids[0] == ids[2] and ids[0] != ids[1]
-
-    def test_append_interns_per_distinct_pair(self):
-        table = StateTable(1000)
-        table.fill_path("_path", ())
-        table.append_to_paths("_path", np.arange(1000) % 7 + 1)
-        assert table.num_paths("_path") == 7
-
-    def test_empty_table_paths(self):
-        table = StateTable(0)
-        table.fill_path("_path", ())
-        table.append_to_paths("_path", np.zeros(0, dtype=np.int64))
-        assert table.num_paths("_path") == 0
-        assert table.to_dicts() == []
-
-    def test_path_interned_indexes_the_ids(self):
-        table = StateTable.from_dicts(
-            [{"_path": (1, 2)}, {"_path": (2, 1)}, {"_path": (1, 2)}]
-        )
-        interned = table.path_interned("_path")
-        ids = table.path_ids("_path")
-        assert [interned[i] for i in ids.tolist()] == [(1, 2), (2, 1), (1, 2)]
-        with pytest.raises(TypeError):
-            StateTable.from_dicts([{"x": 1}]).path_interned("x")
+    def test_copy_column_is_independent(self):
+        table = StateTable.from_dicts([{"i": 1}, {"i": 2}])
+        table.copy_column("i", "i2")
+        table.set_ints("i", np.array([5, 6]))
+        assert table.to_dicts() == [{"i": 5, "i2": 1}, {"i": 6, "i2": 2}]
 
 
 class TestRunTable:
@@ -277,7 +200,7 @@ class TestRunTable:
         pipeline = self._pipeline(small_regular)
         scheduler = VectorizedScheduler(small_regular)
         final, _ = scheduler.run_table(pipeline, StateTable(small_regular.num_nodes))
-        assert final.kind("d") == "int"
+        assert final.get_ints("d").dtype == np.int64
 
     def test_empty_network_run_table(self):
         from repro.local_model import FastNetwork
