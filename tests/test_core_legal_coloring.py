@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from engine_configs import ENGINE_CONFIGS, engine_config
 from graph_oracles import line_graph_network
 
 from repro import graphs
-from repro.core.legal_coloring import color_vertices, run_legal_coloring
-from repro.core.parameters import params_for_few_rounds, params_for_linear_colors
+from repro.core.legal_coloring import (
+    _color_split_classes,
+    color_vertices,
+    run_legal_coloring,
+)
+from repro.core.parameters import (
+    LegalColorParameters,
+    params_for_few_rounds,
+    params_for_linear_colors,
+)
 from repro.exceptions import InvalidParameterError
+from repro.local_model.metrics import RunMetrics
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
 
@@ -87,6 +98,24 @@ class TestRecursionBehaviour:
         assert result.palette == expected
         assert max_color(result.colors) <= result.palette
 
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_color_quotients_are_base_p_recursion_paths(self, config):
+        # Figure 3: color = bottom + path * (hat-Lambda + 1), with the path
+        # (psi_0 - 1, ..., psi_{L-1} - 1) read as a base-p number.  So the
+        # first j + 1 digits of every quotient name the node's level-j
+        # subgraph, and each level's subgraph count is their distinct count.
+        line = line_graph_network(graphs.random_regular(40, 16, seed=1))
+        params = LegalColorParameters(b=2, p=5, threshold=4, description="three levels")
+        with engine_config(config) as engine:
+            result = run_legal_coloring(line, params, c=2, engine=engine)
+        assert result.num_levels == 3
+        paths = (result.color_column - 1) // (result.bottom_degree_bound + 1)
+        assert paths.min() >= 0 and paths.max() < params.p**result.num_levels
+        for trace in result.levels:
+            prefixes = paths // params.p ** (result.num_levels - trace.level - 1)
+            assert len(np.unique(prefixes)) == trace.num_subgraphs
+        assert_legal_vertex_coloring(line, result.colors)
+
     def test_small_graph_goes_straight_to_bottom(self, triangle):
         params = params_for_few_rounds(2, c=2)
         result = run_legal_coloring(triangle, params, c=2)
@@ -147,3 +176,19 @@ class TestColorQuality:
         result = run_legal_coloring(small_regular, params, c=2)
         if result.num_levels == 0:
             assert result.palette <= max(params.threshold, small_regular.max_degree) + 1
+
+
+class TestSplitClasses:
+    def test_class_palettes_are_stacked_blocks(self):
+        # Any split works: class i is colored on its own edges and gets the
+        # i-th block of the per-class palette, so the stacked coloring is
+        # legal on the whole graph.
+        fast = graphs.random_regular(40, 8, seed=2)
+        labels = np.arange(fast.num_nodes, dtype=np.int64) % 3 + 1
+        metrics = RunMetrics()
+        colors, per_class_palette = _color_split_classes(
+            fast.filtered_by_labels(labels), labels, 2, None, None, metrics
+        )
+        assert ((colors - 1) // per_class_palette + 1).tolist() == labels.tolist()
+        assert metrics.rounds > 0
+        assert_legal_vertex_coloring(fast, fast.column_mapping(colors))

@@ -202,6 +202,17 @@ class TestRunMetrics:
         assert [phase.name for phase in first.phases] == ["a", "b"]
         assert first.rounds == 3
 
+    def test_merge_accumulates_phase_seconds(self):
+        first = RunMetrics()
+        first.add_phase_seconds("a", 1.0)
+        second = RunMetrics()
+        second.add_phase(PhaseMetrics(name="a", rounds=2, messages=3, total_words=6))
+        second.add_phase_seconds("a", 0.5)
+        second.add_phase_seconds("b", 2.0)
+        first.merge(second)
+        assert first.phase_seconds == {"a": 1.5, "b": 2.0}
+        assert first.summary() == (2, 3, 6, 0)
+
     def test_record_message_tracks_maximum(self):
         phase = PhaseMetrics(name="x")
         phase.record_message(2)

@@ -214,6 +214,19 @@ class TestDefectiveEdgeColoringKernel:
         )
         self._compare(line, phase, initial_states=states)
 
+    def test_bit_identical_with_base_p_path_classes(self):
+        # Legal-Color passes its base-p recursion paths as the classes; deep
+        # paths are large ints, and equal paths must still be one class.
+        network = graphs.random_regular(18, 4, seed=3)
+        line = line_graph_network(network)
+        states = {
+            edge: {"cls": 9**18 + line.unique_id(edge) % 2} for edge in line.nodes()
+        }
+        phase = KuhnDefectiveEdgeColoringPhase(
+            p_prime=2, degree_bound=4, output_key="edge_color", class_key="cls"
+        )
+        self._compare(line, phase, initial_states=states)
+
     def test_bit_identical_with_non_monotone_unique_ids(self):
         # node_sort_key order of the edge tuples disagrees with pair-key
         # order here; the kernel's sort_rank column must follow the former.

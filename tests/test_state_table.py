@@ -132,6 +132,19 @@ class TestColumns:
         column[0] = 99
         assert table.get_ints("c").tolist() == [5, 6, 7, 8]
 
+    def test_get_ints_of_absent_key_raises_key_error(self):
+        # The failure a per-node state[key] gather would hit.
+        table = StateTable.from_dicts([{"c": 1}])
+        with pytest.raises(KeyError):
+            table.get_ints("d")
+
+    def test_set_ints_stores_int64(self):
+        table = StateTable(3)
+        table.set_ints("c", np.array([1, 2, 3], dtype=np.int32))
+        table.set_ints("d", [4, 5, 6])
+        assert table.get_ints("c").dtype == np.int64
+        assert table.to_dicts() == [{"c": 1, "d": 4}, {"c": 2, "d": 5}, {"c": 3, "d": 6}]
+
     def test_shape_validation(self):
         table = StateTable(3)
         with pytest.raises(InvalidParameterError):
