@@ -245,7 +245,6 @@ def defective_color_pipeline(
     mode: str = "vertex",
     auxiliary_key: Optional[str] = None,
     auxiliary_palette: Optional[int] = None,
-    class_key: Optional[str] = None,
     output_key: str = "psi_color",
 ) -> Tuple[PhasePipeline, DefectiveColorInfo]:
     """Build the full Procedure Defective-Color pipeline.
@@ -262,14 +261,13 @@ def defective_color_pipeline(
     mode:
         ``"vertex"`` computes the step-1 coloring ``phi`` with the Lemma
         2.1(3) routine; ``"edge"`` uses Corollary 5.4 (the pipeline must then
-        run on a line-graph network whose node ids are edge 2-tuples).
+        run on a line-graph network whose node ids are edge 2-tuples).  Every
+        neighbor in the network counts: to color several subgraphs at once,
+        run the pipeline on the view filtered by their labels
+        (``FastNetwork.filtered_by_labels``), as Legal-Color does.
     auxiliary_key, auxiliary_palette:
         Optional pre-computed legal coloring fed to the vertex-mode step 1
         (the Section 4.2 improvement that avoids repeated ``log* n`` terms).
-    class_key:
-        Optional state key identifying the Legal-Color recursion subgraph
-        (edge mode only; see
-        :class:`~repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase`).
     output_key:
         The state key the ``psi``-color ends up in.
 
@@ -307,7 +305,6 @@ def defective_color_pipeline(
             p_prime=b * p,
             degree_bound=Lambda,
             output_key=phi_key,
-            class_key=class_key,
         )
         phases = [edge_phase]
         phi_palette = edge_phase.output_palette

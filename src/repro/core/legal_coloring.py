@@ -317,7 +317,6 @@ def run_legal_coloring(
             mode="edge" if edge_mode else "vertex",
             auxiliary_key=auxiliary_key,
             auxiliary_palette=auxiliary_palette,
-            class_key="_path",
             output_key="_psi",
         )
         table, level_metrics = make_scheduler(view, engine=engine).run_table(

@@ -24,7 +24,9 @@ rejected instead of corrupting colorings.
 Environment knobs:
 
 * ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``cext`` | ``none`` --
-  force the C provider or switch it off (the numpy steps run).
+  force the C provider or switch it off (the numpy steps run); any other
+  value raises :class:`~repro.exceptions.InvalidParameterError` when the
+  backend is resolved.
 * ``REPRO_KERNEL_THREADS``: initial thread count, an integer ``>= 1`` (see
   :func:`set_num_threads`; anything else raises
   :class:`~repro.exceptions.InvalidParameterError` when the backend is
@@ -75,7 +77,7 @@ def _probe_cases():
     n = len(indptr) - 1
     colors = _i64(1, 7, 13, 19, 25, 2, 9)
     edge_u, edge_v = _i64(0, 1, 1, 2, 3, 0, 5), _i64(9, 9, 2, 7, 7, 2, 6)
-    sort_rank, codes = _i64(3, 0, 6, 1, 5, 2, 4), _i64(0, 1, 0, 1, 0, 0, 1)
+    sort_rank = _i64(3, 0, 6, 1, 5, 2, 4)
     # psi-selection over phi-classes with ties between neighbors (1 and 2).
     phi = _i64(3, 1, 1, 2, 5, 2, 4)
     order = np.argsort(phi, kind="stable").astype(np.int64)
@@ -91,14 +93,12 @@ def _probe_cases():
     out, out2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     counts, keep = np.zeros(len(undecided), dtype=np.int64), np.zeros(len(undecided), np.uint8)
     status = np.zeros(1, dtype=np.int64)
-    ranks = (indptr, indices, edge_u, edge_v, sort_rank, codes)
     return [
         ("linial_round", (indptr, indices, uids, colors, 5, 2, out)),
         ("defective_step", (indptr, indices, colors, 5, 2, out)),
         ("iter_reduce", (indptr, indices, _i64(4, 5, 6, 4, 5, 6, 6), 6, 3, 3, status)),
         ("kw_reduce", (indptr, indices, _i64(7, 8, 9, 10, 11, 12, 1), 3, 6, status)),
-        ("edge_rank", (*ranks, 0, out, out2)),
-        ("edge_rank", (*ranks, 1, out, out2)),
+        ("edge_rank", (indptr, indices, edge_u, edge_v, sort_rank, out, out2)),
         ("psi_select", (indptr, indices, phi, order, _i64(0, 2, 4, 5, 6, 7), 2, out, out2)),
         ("luby_free_counts", (undecided, taken, palette, counts)),
         ("luby_candidates", (_i64(0, 3, 6), _i64(2, 1, 0), taken, palette, out)),
@@ -149,13 +149,14 @@ def _resolve():
         return
     threads = os.environ.get("REPRO_KERNEL_THREADS")
     threads = _thread_count(threads) if threads else None
-    _RESOLVED = True
     requested = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-    if requested in ("none", "off", "0", "disabled"):
+    if requested not in ("auto", "cext", "none"):
+        raise InvalidParameterError(
+            f"REPRO_KERNEL_BACKEND must be one of auto, cext, none; got {requested!r}"
+        )
+    _RESOLVED = True
+    if requested == "none":
         _BACKEND, _REASON = None, "disabled via REPRO_KERNEL_BACKEND"
-        return
-    if requested not in ("auto", "cext"):
-        _BACKEND, _REASON = None, f"unknown REPRO_KERNEL_BACKEND {requested!r}"
         return
 
     from repro.local_model.kernels import _c_backend

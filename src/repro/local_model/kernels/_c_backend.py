@@ -181,11 +181,10 @@ class CExtensionBackend:
             status[0] = 0
             _numpy.kw_reduce(indptr, indices, colors, k, total_rounds, status)
 
-    def edge_rank(self, indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes, rank_u, rank_v):
+    def edge_rank(self, indptr, indices, edge_u, edge_v, sort_rank, rank_u, rank_v):
         self._lib.edge_rank(
             _as_i64(indptr), _as_i64(indices), _as_i64(edge_u), _as_i64(edge_v),
-            _as_i64(sort_rank), _as_i64(codes), has_codes,
-            len(indptr) - 1, _as_i64(rank_u), _as_i64(rank_v),
+            _as_i64(sort_rank), len(indptr) - 1, _as_i64(rank_u), _as_i64(rank_v),
         )
 
     def psi_select(self, indptr, indices, phi, order, class_ptr, p, depth, psi):
@@ -230,7 +229,7 @@ _SIGNATURES = {
     "defective_step": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
     "iter_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR),
     "kw_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
-    "edge_rank": (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
+    "edge_rank": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR),
     "psi_select": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "luby_free_counts": (_PTR, _I64, _PTR, _I64, _PTR),
     "luby_candidates": (_PTR, _I64, _PTR, _PTR, _I64, _PTR),

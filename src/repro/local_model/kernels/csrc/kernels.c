@@ -340,11 +340,12 @@ void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
     free(offsets);
 }
 
-/* Per line-graph node, its rank among the same-class incident edges at
- * each endpoint.  Read-only over the shared columns, one writer per row. */
+/* Per line-graph node, its rank among the incident edges at each endpoint
+ * that are its CSR neighbors (a filtered view keeps one subgraph's edges).
+ * Read-only over the shared columns, one writer per row. */
 void edge_rank(const i64 *indptr, const i64 *indices, const i64 *edge_u,
-               const i64 *edge_v, const i64 *sort_rank, const i64 *codes,
-               i64 has_codes, i64 n, i64 *rank_u, i64 *rank_v)
+               const i64 *edge_v, const i64 *sort_rank, i64 n, i64 *rank_u,
+               i64 *rank_v)
 {
 #pragma omp parallel for schedule(dynamic, 1024)
     for (i64 x = 0; x < n; x++) {
@@ -353,8 +354,6 @@ void edge_rank(const i64 *indptr, const i64 *indices, const i64 *edge_u,
         i64 count_u = 0, count_v = 0;
         for (i64 e = indptr[x]; e < indptr[x + 1]; e++) {
             i64 y = indices[e];
-            if (has_codes && codes[y] != codes[x])
-                continue;
             if (sort_rank[y] >= own_rank)
                 continue;
             i64 nu = edge_u[y], nv = edge_v[y];

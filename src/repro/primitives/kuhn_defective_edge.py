@@ -10,18 +10,21 @@ defect is at most ``4 * ceil(Delta / p')`` (at each endpoint, at most
 
 In this repository the routine runs on the line-graph network: each
 line-graph node *is* an edge ``(u, w)`` of ``G`` and can compute both of its
-labels locally once it knows which of its incident edges participate (its
-line-graph neighbors sharing the endpoint), because every vertex's labeling
-rule is the deterministic "sort the incident edges and chunk" rule.  The only
-communication needed is one round to learn which neighbors are *active*
-(belong to the same subgraph of the Legal-Color recursion); when no class
-restriction is supplied the phase still spends that one round, matching the
-``O(1)`` cost the paper charges.
+labels locally once it knows its incident edges (its line-graph neighbors
+sharing the endpoint), because every vertex's labeling rule is the
+deterministic "sort the incident edges and chunk" rule.  The phase spends one
+round in which every edge announces itself to its neighbors, the ``O(1)``
+cost the paper charges.
+
+Corollary 5.4 ranks an edge among its incident edges *inside its own
+subgraph*.  The network the phase runs on is that subgraph: Legal-Color hands
+each level the view filtered by the recursion paths, so every neighbor the
+phase sees is in the same subgraph and every one is counted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -46,11 +49,10 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
     output_key:
         State key the edge color is written to (an integer in
         ``{1, ..., p'^2}``).
-    class_key:
-        Optional int state key identifying the subgraph (the base-``p``
-        recursion path) the edge currently belongs to.  Only incident edges with an equal class value
-        are counted when computing label ranks, which is how the routine is
-        reused at every level of the Legal-Color recursion.
+
+    Every line-graph neighbor counts towards the label ranks; to rank within
+    subgraphs, run the phase on the view filtered by the subgraph labels
+    (``FastNetwork.filtered_by_labels``), as Legal-Color does at every level.
     """
 
     def __init__(
@@ -58,7 +60,6 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         p_prime: int,
         degree_bound: int,
         output_key: str = "defective_edge_color",
-        class_key: Optional[str] = None,
     ) -> None:
         if p_prime < 1:
             raise InvalidParameterError("p_prime must be at least 1")
@@ -68,7 +69,6 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         self.p_prime = p_prime
         self.degree_bound = degree_bound
         self.output_key = output_key
-        self.class_key = class_key
         self.output_palette = p_prime * p_prime
         self.defect_bound = 4 * ceil_div(degree_bound, p_prime)
         self._chunk = max(1, ceil_div(degree_bound, p_prime))
@@ -81,8 +81,7 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
             raise InvalidParameterError(NOT_A_LINE_GRAPH)
 
     def broadcast(self, view: LocalView, state: Dict[str, Any], round_index: int) -> Any:
-        own_class = state.get(self.class_key) if self.class_key else None
-        return {"class": own_class}
+        return {"active": True}
 
     def receive(
         self,
@@ -91,16 +90,9 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         inbox: Mapping[Hashable, Any],
         round_index: int,
     ) -> bool:
-        own_class = state.get(self.class_key) if self.class_key else None
-        active_neighbors = [
-            neighbor
-            for neighbor, payload in inbox.items()
-            if payload.get("class") == own_class
-        ]
-
         endpoint_a, endpoint_b = view.node_id
-        label_a = self._label_at_endpoint(endpoint_a, view.node_id, active_neighbors)
-        label_b = self._label_at_endpoint(endpoint_b, view.node_id, active_neighbors)
+        label_a = self._label_at_endpoint(endpoint_a, view.node_id, inbox)
+        label_b = self._label_at_endpoint(endpoint_b, view.node_id, inbox)
         state[self.output_key] = (label_a - 1) * self.p_prime + label_b
         return True
 
@@ -113,17 +105,15 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         self,
         endpoint: Hashable,
         own_edge: Tuple[Hashable, Hashable],
-        active_neighbors: List[Tuple[Hashable, Hashable]],
+        neighbors: Iterable[Tuple[Hashable, Hashable]],
     ) -> int:
         """The label the vertex ``endpoint`` assigns to ``own_edge``.
 
-        Every edge incident to ``endpoint`` (within the active class) computes
-        the same deterministic ordering of that incidence list, so all of them
-        agree on the labeling without any extra communication.
+        Every edge incident to ``endpoint`` computes the same deterministic
+        ordering of that incidence list, so all of them agree on the labeling
+        without any extra communication.
         """
-        incident = [own_edge] + [
-            neighbor for neighbor in active_neighbors if endpoint in neighbor
-        ]
+        incident = [own_edge] + [neighbor for neighbor in neighbors if endpoint in neighbor]
         incident.sort(key=node_sort_key)
         rank = incident.index(own_edge)
         label = rank // self._chunk + 1
@@ -138,18 +128,14 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
 
         An edge's label at an endpoint is its rank (in ``node_sort_key``
         order, pre-encoded in the incidence metadata's ``sort_rank`` column)
-        among the incident edges of the same class -- that is, the number of
-        same-class CSR neighbors that share the endpoint and sort strictly
-        before it; one ``ctx.kernels.edge_rank`` call counts them over the
-        (possibly CSR-masked) line-graph adjacency.
+        among its incident edges -- that is, the number of CSR neighbors that
+        share the endpoint and sort strictly before it; one
+        ``ctx.kernels.edge_rank`` call counts them over the (possibly
+        CSR-masked) line-graph adjacency.
         """
         fast = ctx.fast
         meta = line_meta_for(fast)
         n = fast.num_nodes
-        # state.get(class_key) is None on every node when the key is absent:
-        # no class restriction, all nodes active together.
-        has_codes = self.class_key is not None and self.class_key in ctx.table
-        codes = ctx.table.get_ints(self.class_key) if has_codes else np.zeros(n)
         rank_u = np.empty(n, dtype=np.int64)
         rank_v = np.empty(n, dtype=np.int64)
         ctx.kernels.edge_rank(
@@ -158,14 +144,12 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
             np.ascontiguousarray(meta.edge_u, dtype=np.int64),
             np.ascontiguousarray(meta.edge_v, dtype=np.int64),
             np.ascontiguousarray(meta.sort_rank, dtype=np.int64),
-            np.ascontiguousarray(codes, dtype=np.int64),
-            int(has_codes),
             rank_u,
             rank_v,
         )
         label_u = np.minimum(rank_u // self._chunk + 1, self.p_prime)
         label_v = np.minimum(rank_v // self._chunk + 1, self.p_prime)
 
-        # One round: every node broadcasts {"class": value} and halts.
+        # One round: every node broadcasts {"active": True} and halts.
         ctx.charge_uniform_broadcast(1, payload_words=2)
         ctx.write_column(self.output_key, (label_u - 1) * self.p_prime + label_v)

@@ -99,8 +99,9 @@ class TestRoutesAndMessageSizes:
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGS)
     def test_class_broadcast_is_two_words_at_every_level(self, config):
-        # Theorem 5.5's O(log n)-bit messages: the Corollary 5.4 class
-        # broadcast carries one base-p path word at every recursion depth.
+        # Theorem 5.5's O(log n)-bit messages: the Corollary 5.4 round's
+        # broadcast is a 2-word payload at every recursion depth (the level
+        # view, not the message, keeps each subgraph apart).
         build, _ = FIXTURES["edge_direct_superlinear_regular40x16"]
         with engine_config(config) as engine:
             result = color_edges(build(), quality="superlinear", route="direct", engine=engine)

@@ -216,8 +216,7 @@ class TestSchedulerLevelEquivalence:
 
     def test_defective_color_pipeline_edge_mode(self, grid_network):
         # The Corollary 5.4 route, full final states included: the line-graph
-        # incidence kernel must reproduce the per-node callbacks bit for bit,
-        # with and without a class restriction.
+        # incidence kernel must reproduce the per-node callbacks bit for bit.
         line = graph_oracles.line_graph_network(grid_network)
         if line.num_nodes == 0:
             return
@@ -228,12 +227,8 @@ class TestSchedulerLevelEquivalence:
             Lambda=max(2, grid_network.max_degree),
             c=2,
             mode="edge",
-            class_key="cls",
         )
-        classes = {
-            edge: {"cls": line.unique_id(edge) % 3} for edge in line.nodes()
-        }
-        self._compare(line, pipeline, initial_states=classes)
+        self._compare(line, pipeline)
 
     def test_int_outside_int64_on_every_engine(self, grid_network):
         # The int64 extremes are carried bit for bit by run() and run_table()
@@ -823,14 +818,19 @@ class TestKernelsResolution:
         )
         assert result.metrics.fallback_phase_names == []
 
-    @pytest.mark.parametrize("requested", ["warp-drive", "numba"])
-    def test_unknown_backend_request_resolves_to_none(self, monkeypatch, requested):
+    @pytest.mark.parametrize("requested", ["warp-drive", "numba", "cxet", "off", "0"])
+    def test_unknown_backend_request_raises(self, monkeypatch, requested):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", requested)
         kernels.reset()
         try:
-            assert kernels.get_backend() is None
-            assert repr(requested) in kernels.backend_reason()
+            with pytest.raises(InvalidParameterError, match="auto, cext, none") as raised:
+                kernels.get_backend()
+            assert repr(requested) in str(raised.value)
+            # Still rejected on the next call: nothing half-resolved is cached.
+            with pytest.raises(InvalidParameterError):
+                kernels.backend_reason()
         finally:
+            monkeypatch.delenv("REPRO_KERNEL_BACKEND")
             kernels.reset()
 
     def test_thread_count_queries(self):
@@ -901,7 +901,7 @@ def _kernel_pipelines():
     n = cycles.num_nodes
     line = graph_oracles.line_graph_network(graphs.random_regular(200, 3, seed=4))
     edge, _ = defective_color_pipeline(
-        n=line.num_nodes, b=1, p=2, Lambda=4, c=2, mode="edge", class_key="cls"
+        n=line.num_nodes, b=1, p=2, Lambda=4, c=2, mode="edge"
     )
     line_prefix, _ = delta_plus_one_pipeline(
         n=line.num_nodes, degree_bound=line.max_degree, output_key="c"
@@ -929,7 +929,7 @@ def _kernel_pipelines():
         "edge-rank": (
             line,
             PhasePipeline([*line_prefix.phases, *edge.phases]),
-            {e: {"cls": line.unique_id(e) % 3} for e in line.nodes()},
+            None,
         ),
         "psi-vertex": (
             line,

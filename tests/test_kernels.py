@@ -244,29 +244,53 @@ class TestReductionKernels:
 
 
 class TestEdgeRankKernel:
-    @pytest.mark.parametrize("has_codes", [0, 1])
-    def test_edge_rank(self, backend, instance, has_codes):
+    def test_edge_rank(self, backend, instance):
         indptr, indices, _ = instance
         n = len(indptr) - 1
-        rng = np.random.default_rng(n * 7 + has_codes)
+        rng = np.random.default_rng(n * 7)
         edge_u = rng.integers(0, 10, size=n).astype(np.int64)
         edge_v = rng.integers(0, 10, size=n).astype(np.int64)
         sort_rank = rng.permutation(n).astype(np.int64)
-        codes = rng.integers(0, 3, size=n).astype(np.int64)
         expected_u = np.zeros(n, dtype=np.int64)
         expected_v = np.zeros(n, dtype=np.int64)
         actual_u = np.zeros(n, dtype=np.int64)
         actual_v = np.zeros(n, dtype=np.int64)
-        _numpy.edge_rank(
-            indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes,
-            expected_u, expected_v,
-        )
-        backend.edge_rank(
-            indptr, indices, edge_u, edge_v, sort_rank, codes, has_codes,
-            actual_u, actual_v,
-        )
+        _numpy.edge_rank(indptr, indices, edge_u, edge_v, sort_rank, expected_u, expected_v)
+        backend.edge_rank(indptr, indices, edge_u, edge_v, sort_rank, actual_u, actual_v)
         assert np.array_equal(expected_u, actual_u)
         assert np.array_equal(expected_v, actual_v)
+
+    def test_edge_rank_on_a_filtered_csr_counts_same_class_neighbors(self, backend, instance):
+        # A CSR masked to equal-label entries (as filtered_by_labels builds
+        # it) ranks every node among its same-class incident edges only.
+        indptr, indices, _ = instance
+        n = len(indptr) - 1
+        rng = np.random.default_rng(n * 7 + 1)
+        edge_u = rng.integers(0, 10, size=n).astype(np.int64)
+        edge_v = rng.integers(0, 10, size=n).astype(np.int64)
+        sort_rank = rng.permutation(n).astype(np.int64)
+        labels = rng.integers(0, 3, size=n).astype(np.int64)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        keep = labels[rows] == labels[indices]
+        masked_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=masked_indptr[1:])
+        masked_indices = np.ascontiguousarray(indices[keep])
+        expected_u = np.zeros(n, dtype=np.int64)
+        expected_v = np.zeros(n, dtype=np.int64)
+        for x in range(n):
+            for y in indices[indptr[x] : indptr[x + 1]]:
+                if labels[y] != labels[x] or sort_rank[y] >= sort_rank[x]:
+                    continue
+                expected_u[x] += edge_u[x] in (edge_u[y], edge_v[y])
+                expected_v[x] += edge_v[x] in (edge_u[y], edge_v[y])
+        for provider in (_numpy, backend):
+            actual_u = np.zeros(n, dtype=np.int64)
+            actual_v = np.zeros(n, dtype=np.int64)
+            provider.edge_rank(
+                masked_indptr, masked_indices, edge_u, edge_v, sort_rank, actual_u, actual_v
+            )
+            assert np.array_equal(expected_u, actual_u)
+            assert np.array_equal(expected_v, actual_v)
 
 
 def run_psi(provider, indptr, indices, phi, p):

@@ -24,7 +24,7 @@ import repro
 from make_goldens import FIXTURES
 from repro import graphs
 from repro.core import color_edges as core_color_edges
-from repro.core import color_vertices, edge_coloring, run_legal_coloring
+from repro.core import color_vertices, edge_coloring, legal_coloring, run_legal_coloring
 from repro.core.parameters import params_for_few_rounds, params_for_linear_colors
 from repro.local_model import line_csr
 from repro.local_model.fast_network import ColumnMapping, FastNetwork
@@ -63,12 +63,13 @@ class TestRefinedViews:
             assert from_parent.max_degree == from_root.max_degree
             parent = from_parent
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     @pytest.mark.parametrize(
         "preset,edge_mode",
         [(params_for_linear_colors, False), (params_for_few_rounds, True)],
     )
     def test_level_zero_runs_on_the_root_and_later_levels_refine(
-        self, monkeypatch, preset, edge_mode
+        self, monkeypatch, preset, edge_mode, engine
     ):
         line = build_line_graph_fast(graphs.random_regular(40, 16, seed=3))
         filtered_from = []
@@ -78,9 +79,24 @@ class TestRefinedViews:
             filtered_from.append(view)
             return real(view, labels)
 
+        passes = []
+        real_make = legal_coloring.make_scheduler
+
+        def make(view, engine=None):
+            scheduler = real_make(view, engine=engine)
+            run_table = scheduler.run_table
+
+            def recorded(algorithm, table):
+                passes.append((view, table.get_ints("_path").copy()))
+                return run_table(algorithm, table)
+
+            scheduler.run_table = recorded
+            return scheduler
+
         monkeypatch.setattr(FastNetwork, "filtered_by_labels", spy)
+        monkeypatch.setattr(legal_coloring, "make_scheduler", make)
         params = preset(line.max_degree, 2)
-        result = run_legal_coloring(line, params, c=2, edge_mode=edge_mode)
+        result = run_legal_coloring(line, params, c=2, edge_mode=edge_mode, engine=engine)
         assert result.num_levels >= 2
         # One filter per level after the first, plus the bottom view; the
         # first filter refines the root, every later one its predecessor.
@@ -88,6 +104,12 @@ class TestRefinedViews:
         assert filtered_from[0] is line
         assert all(view is not line for view in filtered_from[1:])
         assert [level.num_subgraphs for level in result.levels][0] > 1
+        # Every pass (the auxiliary coloring, each level, the bottom) runs on
+        # a view whose edges join equal recursion paths only: the view alone
+        # keeps each subgraph's phases inside the subgraph.
+        assert len(passes) == result.num_levels + 2
+        for view, path in passes:
+            assert np.array_equal(path[view.rows_np], path[view.indices])
 
 
 def _spy_line_builder(monkeypatch):

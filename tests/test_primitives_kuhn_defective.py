@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from engine_configs import ARRAY_CONFIGS, engine_config
@@ -155,17 +156,17 @@ class TestDefectiveEdgeColoring:
         result = Scheduler(line).run(phase)
         assert result.metrics.rounds == 1
 
-    def test_class_restriction_limits_counted_neighbors(self):
+    def test_filtered_view_limits_counted_neighbors(self):
         network = graphs.random_regular(20, 4, seed=9)
         line = self._line_graph(network)
-        # Put every edge in its own class: every label rank becomes 0, so all
-        # edges get color (1, 1) -> 1, and the defect bound is vacuous because
-        # no two incident edges share a class.
-        states = {edge: {"cls": index} for index, edge in enumerate(line.nodes())}
+        # Give every edge a label of its own: the filtered view has no
+        # neighbors left, every label rank is 0, so all edges get color
+        # (1, 1) -> 1.
+        alone = line.filtered_by_labels(np.arange(line.num_nodes))
         phase = KuhnDefectiveEdgeColoringPhase(
-            p_prime=3, degree_bound=4, output_key="edge_color", class_key="cls"
+            p_prime=3, degree_bound=4, output_key="edge_color"
         )
-        result = Scheduler(line).run(phase, initial_states=states)
+        result = Scheduler(alone).run(phase)
         assert set(result.extract("edge_color").values()) == {1}
 
     def test_requires_line_graph_node_ids(self, triangle):
@@ -205,27 +206,17 @@ class TestDefectiveEdgeColoringKernel:
         )
         self._compare(line, phase)
 
-    def test_bit_identical_with_class_restriction(self):
+    def test_bit_identical_on_a_filtered_view(self):
+        # How Legal-Color runs a level: the CSR-masked view keeps the edges
+        # between same-class nodes only.
         network = graphs.random_regular(20, 4, seed=9)
         line = line_graph_network(network)
-        states = {edge: {"cls": index % 3} for index, edge in enumerate(line.nodes())}
+        view = line.filtered_by_labels(np.arange(line.num_nodes) % 3)
+        assert 0 < view.indices.size < line.indices.size
         phase = KuhnDefectiveEdgeColoringPhase(
-            p_prime=3, degree_bound=4, output_key="edge_color", class_key="cls"
+            p_prime=3, degree_bound=4, output_key="edge_color"
         )
-        self._compare(line, phase, initial_states=states)
-
-    def test_bit_identical_with_base_p_path_classes(self):
-        # Legal-Color passes its base-p recursion paths as the classes; deep
-        # paths are large ints, and equal paths must still be one class.
-        network = graphs.random_regular(18, 4, seed=3)
-        line = line_graph_network(network)
-        states = {
-            edge: {"cls": 9**18 + line.unique_id(edge) % 2} for edge in line.nodes()
-        }
-        phase = KuhnDefectiveEdgeColoringPhase(
-            p_prime=2, degree_bound=4, output_key="edge_color", class_key="cls"
-        )
-        self._compare(line, phase, initial_states=states)
+        self._compare(view, phase)
 
     def test_bit_identical_with_non_monotone_unique_ids(self):
         # node_sort_key order of the edge tuples disagrees with pair-key
