@@ -77,7 +77,6 @@ def _probe_cases():
     n = len(indptr) - 1
     colors = _i64(1, 7, 13, 19, 25, 2, 9)
     edge_u, edge_v = _i64(0, 1, 1, 2, 3, 0, 5), _i64(9, 9, 2, 7, 7, 2, 6)
-    sort_rank = _i64(3, 0, 6, 1, 5, 2, 4)
     # psi-selection over phi-classes with ties between neighbors (1 and 2).
     phi = _i64(3, 1, 1, 2, 5, 2, 4)
     order = np.argsort(phi, kind="stable").astype(np.int64)
@@ -98,7 +97,7 @@ def _probe_cases():
         ("defective_step", (indptr, indices, colors, 5, 2, out)),
         ("iter_reduce", (indptr, indices, _i64(4, 5, 6, 4, 5, 6, 6), 6, 3, 3, status)),
         ("kw_reduce", (indptr, indices, _i64(7, 8, 9, 10, 11, 12, 1), 3, 6, status)),
-        ("edge_rank", (indptr, indices, edge_u, edge_v, sort_rank, out, out2)),
+        ("edge_rank", (indptr, indices, edge_u, edge_v, out, out2)),
         ("psi_select", (indptr, indices, phi, order, _i64(0, 2, 4, 5, 6, 7), 2, out, out2)),
         ("luby_free_counts", (undecided, taken, palette, counts)),
         ("luby_candidates", (_i64(0, 3, 6), _i64(2, 1, 0), taken, palette, out)),

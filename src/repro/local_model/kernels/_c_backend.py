@@ -1,10 +1,14 @@
 """C/OpenMP kernel backend: builds ``csrc/kernels.c`` on demand via gcc.
 
-The shared library is compiled once per source version -- the artifact name
-embeds a SHA-256 of the C source plus the compile flags, so editing the
-source or flags triggers a rebuild and stale artifacts are simply ignored.
-Artifacts land in ``_build/`` next to this file when writable (gitignored),
-else under the system temp directory, so read-only installs still work.
+The C source is read once, at import, and only that snapshot is compiled
+(from a copy written beside the artifact), so the ctypes wrappers and
+``_SIGNATURES`` below always match the loaded library, even if
+``kernels.c`` changes on disk while the process runs.  The shared library
+is compiled once per source version -- the artifact name embeds a SHA-256
+of the snapshot plus the compile flags, so editing the source or flags
+triggers a rebuild and stale artifacts are simply ignored.  Artifacts land
+in ``_build/`` next to this file when writable (gitignored), else under the
+system temp directory, so read-only installs still work.
 
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
 signature and in-place/status contract of its numpy step in ``_numpy``, so
@@ -34,6 +38,8 @@ import numpy as np
 from repro.local_model.kernels import _numpy
 
 _SOURCE = Path(__file__).with_name("csrc") / "kernels.c"
+#: The source bytes as of import; the only text :func:`load` compiles.
+_SOURCE_TEXT = _SOURCE.read_bytes() if _SOURCE.exists() else None
 _CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 _OPENMP_FLAG = "-fopenmp"
 
@@ -78,11 +84,9 @@ def _compile_timeout() -> float:
     return _COMPILE_TIMEOUT_DEFAULT
 
 
-def _compile(source: Path, compiler: str, use_openmp: bool) -> Optional[Path]:
+def _compile(source: bytes, compiler: str, use_openmp: bool) -> Optional[Path]:
     flags = list(_CFLAGS) + ([_OPENMP_FLAG] if use_openmp else [])
-    tag = hashlib.sha256(
-        source.read_bytes() + " ".join(flags).encode()
-    ).hexdigest()[:16]
+    tag = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()[:16]
     artifact = _build_dir() / f"kernels-{tag}.so"
     if artifact.exists():
         return artifact
@@ -96,8 +100,10 @@ def _compile(source: Path, compiler: str, use_openmp: bool) -> Optional[Path]:
     if memo.exists():
         return None
     scratch = artifact.with_suffix(f".{os.getpid()}.tmp")
-    command = [compiler, *flags, str(source), "-o", str(scratch)]
+    source_copy = artifact.with_suffix(f".{os.getpid()}.c")
+    command = [compiler, *flags, str(source_copy), "-o", str(scratch)]
     try:
+        source_copy.write_bytes(source)
         subprocess.run(
             command,
             check=True,
@@ -107,11 +113,13 @@ def _compile(source: Path, compiler: str, use_openmp: bool) -> Optional[Path]:
         )
     except (subprocess.SubprocessError, OSError) as error:
         scratch.unlink(missing_ok=True)
+        source_copy.unlink(missing_ok=True)
         try:
             memo.write_text(f"{type(error).__name__}: {error}\n", encoding="utf-8")
         except OSError:
             pass
         return None
+    os.replace(source_copy, artifact.with_suffix(".c"))
     os.replace(scratch, artifact)  # atomic under concurrent builders
     return artifact
 
@@ -181,10 +189,10 @@ class CExtensionBackend:
             status[0] = 0
             _numpy.kw_reduce(indptr, indices, colors, k, total_rounds, status)
 
-    def edge_rank(self, indptr, indices, edge_u, edge_v, sort_rank, rank_u, rank_v):
+    def edge_rank(self, indptr, indices, edge_u, edge_v, rank_u, rank_v):
         self._lib.edge_rank(
             _as_i64(indptr), _as_i64(indices), _as_i64(edge_u), _as_i64(edge_v),
-            _as_i64(sort_rank), len(indptr) - 1, _as_i64(rank_u), _as_i64(rank_v),
+            len(indptr) - 1, _as_i64(rank_u), _as_i64(rank_v),
         )
 
     def psi_select(self, indptr, indices, phi, order, class_ptr, p, depth, psi):
@@ -229,7 +237,7 @@ _SIGNATURES = {
     "defective_step": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
     "iter_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR),
     "kw_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
-    "edge_rank": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR),
+    "edge_rank": (_PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR),
     "psi_select": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "luby_free_counts": (_PTR, _I64, _PTR, _I64, _PTR),
     "luby_candidates": (_PTR, _I64, _PTR, _PTR, _I64, _PTR),
@@ -240,13 +248,13 @@ _SIGNATURES = {
 
 def load() -> Optional[CExtensionBackend]:
     """Build (if needed) and load the C backend; ``None`` when unavailable."""
-    if not _SOURCE.exists():
+    if _SOURCE_TEXT is None:
         return None
     compiler = _compiler()
     if compiler is None:
         return None
     for use_openmp in (True, False):
-        artifact = _compile(_SOURCE, compiler, use_openmp)
+        artifact = _compile(_SOURCE_TEXT, compiler, use_openmp)
         if artifact is None:
             continue
         try:

@@ -230,17 +230,17 @@ def kw_reduce(indptr, indices, colors, k, total_rounds, status):
             colors[:] = ((colors - 1) // block_width) * k + (colors - 1) % block_width + 1
 
 
-def edge_rank(indptr, indices, edge_u, edge_v, sort_rank, rank_u, rank_v):
-    """Per line-graph node, its rank among its incident edges at each endpoint.
+def edge_rank(indptr, indices, edge_u, edge_v, rank_u, rank_v):
+    """Per line-graph node, its rank by unique id among its incident edges at each endpoint.
 
-    ``rank_u[x]`` / ``rank_v[x]`` count the CSR neighbors of ``x`` that
-    sort strictly before it (``sort_rank``) and share endpoint
-    ``edge_u[x]`` / ``edge_v[x]``.  Only CSR neighbors count, so on a
-    filtered view the ranks stay inside each subgraph.
+    ``rank_u[x]`` / ``rank_v[x]`` count the CSR neighbors of ``x`` with a
+    smaller dense index -- dense order is unique-id order -- that share
+    endpoint ``edge_u[x]`` / ``edge_v[x]``.  Only CSR neighbors count, so on
+    a filtered view the ranks stay inside each subgraph.
     """
     n = len(indptr) - 1
     rows = _rows(indptr)
-    before = sort_rank[indices] < sort_rank[rows]
+    before = indices < rows
     neighbor_u, neighbor_v = edge_u[indices], edge_v[indices]
     for own, rank in ((edge_u[rows], rank_u), (edge_v[rows], rank_v)):
         rank[:] = np.bincount(

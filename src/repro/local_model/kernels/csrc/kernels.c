@@ -340,21 +340,20 @@ void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
     free(offsets);
 }
 
-/* Per line-graph node, its rank among the incident edges at each endpoint
- * that are its CSR neighbors (a filtered view keeps one subgraph's edges).
- * Read-only over the shared columns, one writer per row. */
+/* Per line-graph node, its rank by unique id (= dense index) among the
+ * incident edges at each endpoint that are its CSR neighbors (a filtered
+ * view keeps one subgraph's edges).  Read-only over the shared columns, one
+ * writer per row. */
 void edge_rank(const i64 *indptr, const i64 *indices, const i64 *edge_u,
-               const i64 *edge_v, const i64 *sort_rank, i64 n, i64 *rank_u,
-               i64 *rank_v)
+               const i64 *edge_v, i64 n, i64 *rank_u, i64 *rank_v)
 {
 #pragma omp parallel for schedule(dynamic, 1024)
     for (i64 x = 0; x < n; x++) {
         i64 u = edge_u[x], v = edge_v[x];
-        i64 own_rank = sort_rank[x];
         i64 count_u = 0, count_v = 0;
         for (i64 e = indptr[x]; e < indptr[x + 1]; e++) {
             i64 y = indices[e];
-            if (sort_rank[y] >= own_rank)
+            if (y >= x)
                 continue;
             i64 nu = edge_u[y], nv = edge_v[y];
             if (nu == u || nv == u)

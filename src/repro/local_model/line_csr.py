@@ -19,14 +19,13 @@ per-edge work and no sort:
   :class:`FastNetwork` carries a provider that interns them on first use at
   the API boundary (result extraction, reference-engine runs).
 
-The builder also attaches a :class:`LineGraphMeta` -- int64 ``edge_u`` /
-``edge_v`` endpoint columns and a ``sort_rank`` column encoding the
-deterministic incident-edge order of Corollary 5.4 (the columns the
-vectorized
+The builder also attaches a :class:`LineGraphMeta` -- the int64 ``edge_u``
+/ ``edge_v`` endpoint columns, which the vectorized
 :class:`~repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase`
-kernel ranks against).  CSR-masked sub-views (the per-level subgraphs of
-Procedure Legal-Color) inherit the encoding, so the whole edge-mode
-recursion stays on the array path.  A hand-built line graph (edge-2-tuple
+kernel compares to find the incident edges that share an endpoint (it
+ranks them by dense index, which is unique-id order).  CSR-masked sub-views
+(the per-level subgraphs of Procedure Legal-Color) inherit the encoding, so
+the whole edge-mode recursion stays on the array path.  A hand-built line graph (edge-2-tuple
 identifiers, :meth:`FastNetwork.from_adjacency`) gets the encoding derived
 on demand by :func:`line_meta_for`.
 """
@@ -38,7 +37,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, fast_view, node_sort_key
+from repro.local_model.fast_network import FastNetwork, fast_view
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
 #: (kept identical to the scalar phase's ``initialize`` message).
@@ -60,33 +59,18 @@ class LineGraphMeta:
         :func:`build_line_graph_fast`, or interned endpoint codes when
         derived from an existing line-graph network; either way, code
         equality is identifier equality, which is all the kernels compare.
-    sort_rank:
-        ``int64`` key per line-graph node, strictly increasing in the
-        :func:`~repro.local_model.fast_network.node_sort_key` order of the
-        edge tuples -- the deterministic order in which Corollary 5.4's
-        "sort the incident edges and chunk" rule ranks them.
     """
 
-    __slots__ = ("edge_u", "edge_v", "sort_rank")
+    __slots__ = ("edge_u", "edge_v")
 
-    def __init__(self, edge_u: np.ndarray, edge_v: np.ndarray, sort_rank: np.ndarray) -> None:
+    def __init__(self, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.sort_rank = sort_rank
 
     @property
     def num_edges(self) -> int:
         """Number of line-graph nodes (= edges of the source graph)."""
         return len(self.edge_u)
-
-
-def _node_sort_ranks(identifiers: Tuple) -> np.ndarray:
-    """``rank[i]`` = position of ``identifiers[i]`` in node_sort_key order."""
-    n = len(identifiers)
-    ranks = np.empty(n, dtype=np.int64)
-    by_key = sorted(range(n), key=lambda i: node_sort_key(identifiers[i]))
-    ranks[np.asarray(by_key, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    return ranks
 
 
 def entry_edge_ids(g: FastNetwork) -> np.ndarray:
@@ -118,7 +102,6 @@ def build_line_graph_fast(network) -> FastNetwork:
     ``1..|E|`` in lexicographic pair-key order (Lemma 5.2).
     """
     g = fast_view(network).ascending_rows()
-    n = g.num_nodes
     rows, cols = g.rows_np, g.indices
 
     # Canonical edges: dense order is unique-id order, so the CSR entries
@@ -149,15 +132,6 @@ def build_line_graph_fast(network) -> FastNetwork:
     slot += slot >= np.repeat(own, chunk_sizes)
     line_indices = eid[slot]
 
-    # The Corollary 5.4 ranking key: node_sort_key order over the edge
-    # tuples is lexicographic over the endpoints' node_sort_key ranks.  The
-    # default identifiers 0..n-1 are their own ranks; others take the sort.
-    if g.has_range_ids:
-        node_ranks = np.arange(n, dtype=np.int64)
-    else:
-        node_ranks = _node_sort_ranks(g.order)
-    sort_rank = node_ranks[edge_u] * (n + 1) + node_ranks[edge_v]
-
     line = FastNetwork()
     line._order = None
     line._index_of = None
@@ -168,7 +142,7 @@ def build_line_graph_fast(network) -> FastNetwork:
     line.degrees = line_degrees
     line.max_degree = int(line_degrees.max()) if m else 0
     line._neighbor_ids = None
-    line.line_meta = LineGraphMeta(edge_u=edge_u, edge_v=edge_v, sort_rank=sort_rank)
+    line.line_meta = LineGraphMeta(edge_u=edge_u, edge_v=edge_v)
 
     def edge_tuples() -> Iterator[Tuple]:
         g_order = g.order
@@ -186,9 +160,8 @@ def _derive_line_meta(fast: FastNetwork) -> LineGraphMeta:
 
     This is the path for line graphs built by hand
     (:meth:`FastNetwork.from_adjacency` over edge-tuple identifiers):
-    endpoints are interned into dense codes and the ranking key is computed
-    by one Python sort.  The result is cached on the view, so repeated
-    kernel executions on the same network pay it once.
+    endpoints are interned into dense codes.  The result is cached on the
+    view, so repeated kernel executions on the same network pay it once.
     """
     order = fast.order
     m = fast.num_nodes
@@ -201,8 +174,7 @@ def _derive_line_meta(fast: FastNetwork) -> LineGraphMeta:
         a, b = node
         edge_u[k] = codes.setdefault(a, len(codes))
         edge_v[k] = codes.setdefault(b, len(codes))
-
-    return LineGraphMeta(edge_u=edge_u, edge_v=edge_v, sort_rank=_node_sort_ranks(order))
+    return LineGraphMeta(edge_u=edge_u, edge_v=edge_v)
 
 
 def line_meta_for(fast: FastNetwork) -> LineGraphMeta:

@@ -12,9 +12,10 @@ In this repository the routine runs on the line-graph network: each
 line-graph node *is* an edge ``(u, w)`` of ``G`` and can compute both of its
 labels locally once it knows its incident edges (its line-graph neighbors
 sharing the endpoint), because every vertex's labeling rule is the
-deterministic "sort the incident edges and chunk" rule.  The phase spends one
-round in which every edge announces itself to its neighbors, the ``O(1)``
-cost the paper charges.
+deterministic "sort the incident edges and chunk" rule.  The sort order is
+unique-id order: the unique ids of ``L(G)`` are Lemma 5.2's pair
+identifiers.  The phase spends one round in which every edge announces its
+unique id to its neighbors, the ``O(1)`` cost the paper charges.
 
 Corollary 5.4 ranks an edge among its incident edges *inside its own
 subgraph*.  The network the phase runs on is that subgraph: Legal-Color hands
@@ -24,14 +25,13 @@ phase sees is in the same subgraph and every one is counted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Mapping, Tuple
+from typing import Any, Dict, Hashable, Mapping
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView
 from repro.local_model.line_csr import NOT_A_LINE_GRAPH, line_meta_for
-from repro.local_model.fast_network import node_sort_key
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.numbers import ceil_div
 
@@ -81,7 +81,7 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
             raise InvalidParameterError(NOT_A_LINE_GRAPH)
 
     def broadcast(self, view: LocalView, state: Dict[str, Any], round_index: int) -> Any:
-        return {"active": True}
+        return {"uid": view.unique_id}
 
     def receive(
         self,
@@ -91,8 +91,8 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
         round_index: int,
     ) -> bool:
         endpoint_a, endpoint_b = view.node_id
-        label_a = self._label_at_endpoint(endpoint_a, view.node_id, inbox)
-        label_b = self._label_at_endpoint(endpoint_b, view.node_id, inbox)
+        label_a = self._label_at_endpoint(endpoint_a, view.unique_id, inbox)
+        label_b = self._label_at_endpoint(endpoint_b, view.unique_id, inbox)
         state[self.output_key] = (label_a - 1) * self.p_prime + label_b
         return True
 
@@ -102,20 +102,20 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
     # ------------------------------------------------------------------ #
 
     def _label_at_endpoint(
-        self,
-        endpoint: Hashable,
-        own_edge: Tuple[Hashable, Hashable],
-        neighbors: Iterable[Tuple[Hashable, Hashable]],
+        self, endpoint: Hashable, own_uid: int, inbox: Mapping[Hashable, Any]
     ) -> int:
-        """The label the vertex ``endpoint`` assigns to ``own_edge``.
+        """The label the vertex ``endpoint`` assigns to the edge with ``own_uid``.
 
-        Every edge incident to ``endpoint`` computes the same deterministic
-        ordering of that incidence list, so all of them agree on the labeling
-        without any extra communication.
+        The edge's rank is the number of senders that share ``endpoint`` and
+        have a smaller unique id.  Every edge incident to ``endpoint`` ranks
+        by the same unique ids, so all of them agree on the labeling without
+        any extra communication.
         """
-        incident = [own_edge] + [neighbor for neighbor in neighbors if endpoint in neighbor]
-        incident.sort(key=node_sort_key)
-        rank = incident.index(own_edge)
+        rank = sum(
+            1
+            for neighbor, message in inbox.items()
+            if endpoint in neighbor and message["uid"] < own_uid
+        )
         label = rank // self._chunk + 1
         return min(label, self.p_prime)
 
@@ -126,12 +126,11 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        An edge's label at an endpoint is its rank (in ``node_sort_key``
-        order, pre-encoded in the incidence metadata's ``sort_rank`` column)
-        among its incident edges -- that is, the number of CSR neighbors that
-        share the endpoint and sort strictly before it; one
-        ``ctx.kernels.edge_rank`` call counts them over the (possibly
-        CSR-masked) line-graph adjacency.
+        An edge's label at an endpoint is its rank by unique id among its
+        incident edges -- that is, the number of CSR neighbors that share the
+        endpoint and have a smaller dense index, since dense order is
+        unique-id order; one ``ctx.kernels.edge_rank`` call counts them over
+        the (possibly CSR-masked) line-graph adjacency.
         """
         fast = ctx.fast
         meta = line_meta_for(fast)
@@ -143,13 +142,12 @@ class KuhnDefectiveEdgeColoringPhase(BroadcastPhase):
             fast.indices,
             np.ascontiguousarray(meta.edge_u, dtype=np.int64),
             np.ascontiguousarray(meta.edge_v, dtype=np.int64),
-            np.ascontiguousarray(meta.sort_rank, dtype=np.int64),
             rank_u,
             rank_v,
         )
         label_u = np.minimum(rank_u // self._chunk + 1, self.p_prime)
         label_v = np.minimum(rank_v // self._chunk + 1, self.p_prime)
 
-        # One round: every node broadcasts {"active": True} and halts.
+        # One round: every node broadcasts {"uid": unique id} and halts.
         ctx.charge_uniform_broadcast(1, payload_words=2)
         ctx.write_column(self.output_key, (label_u - 1) * self.p_prime + label_v)

@@ -250,25 +250,24 @@ class TestEdgeRankKernel:
         rng = np.random.default_rng(n * 7)
         edge_u = rng.integers(0, 10, size=n).astype(np.int64)
         edge_v = rng.integers(0, 10, size=n).astype(np.int64)
-        sort_rank = rng.permutation(n).astype(np.int64)
         expected_u = np.zeros(n, dtype=np.int64)
         expected_v = np.zeros(n, dtype=np.int64)
         actual_u = np.zeros(n, dtype=np.int64)
         actual_v = np.zeros(n, dtype=np.int64)
-        _numpy.edge_rank(indptr, indices, edge_u, edge_v, sort_rank, expected_u, expected_v)
-        backend.edge_rank(indptr, indices, edge_u, edge_v, sort_rank, actual_u, actual_v)
+        _numpy.edge_rank(indptr, indices, edge_u, edge_v, expected_u, expected_v)
+        backend.edge_rank(indptr, indices, edge_u, edge_v, actual_u, actual_v)
         assert np.array_equal(expected_u, actual_u)
         assert np.array_equal(expected_v, actual_v)
 
     def test_edge_rank_on_a_filtered_csr_counts_same_class_neighbors(self, backend, instance):
         # A CSR masked to equal-label entries (as filtered_by_labels builds
-        # it) ranks every node among its same-class incident edges only.
+        # it) ranks every node among its same-class incident edges only, by
+        # dense index (= unique id).
         indptr, indices, _ = instance
         n = len(indptr) - 1
         rng = np.random.default_rng(n * 7 + 1)
         edge_u = rng.integers(0, 10, size=n).astype(np.int64)
         edge_v = rng.integers(0, 10, size=n).astype(np.int64)
-        sort_rank = rng.permutation(n).astype(np.int64)
         labels = rng.integers(0, 3, size=n).astype(np.int64)
         rows = np.repeat(np.arange(n), np.diff(indptr))
         keep = labels[rows] == labels[indices]
@@ -279,16 +278,14 @@ class TestEdgeRankKernel:
         expected_v = np.zeros(n, dtype=np.int64)
         for x in range(n):
             for y in indices[indptr[x] : indptr[x + 1]]:
-                if labels[y] != labels[x] or sort_rank[y] >= sort_rank[x]:
+                if labels[y] != labels[x] or y >= x:
                     continue
                 expected_u[x] += edge_u[x] in (edge_u[y], edge_v[y])
                 expected_v[x] += edge_v[x] in (edge_u[y], edge_v[y])
         for provider in (_numpy, backend):
             actual_u = np.zeros(n, dtype=np.int64)
             actual_v = np.zeros(n, dtype=np.int64)
-            provider.edge_rank(
-                masked_indptr, masked_indices, edge_u, edge_v, sort_rank, actual_u, actual_v
-            )
+            provider.edge_rank(masked_indptr, masked_indices, edge_u, edge_v, actual_u, actual_v)
             assert np.array_equal(expected_u, actual_u)
             assert np.array_equal(expected_v, actual_v)
 
@@ -510,6 +507,41 @@ class TestResolutionMachinery:
         first = _c_backend.load()
         second = _c_backend.load()
         assert first is not None and second is not None
+
+    def test_resolve_compiles_the_source_read_at_import(self, monkeypatch, tmp_path):
+        # A source edited under a running process must not reach the loaded
+        # library: its wrappers and signatures belong to the imported text.
+        if not any(b.name == "cext" for b in BACKENDS):
+            pytest.skip("no C toolchain on this machine")
+        snapshot = _c_backend._SOURCE_TEXT
+        edited = snapshot.replace(b"count_u++;", b"count_u += 2;")
+        assert edited != snapshot
+        source = tmp_path / "kernels.c"
+        source.write_bytes(edited)
+        monkeypatch.setattr(_c_backend, "_SOURCE", source)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
+        kernels.reset()
+        try:
+            assert kernels.backend_reason() == "cext (probed ok)"
+        finally:
+            kernels.reset()
+
+    def test_build_compiles_a_copy_of_the_snapshot_beside_the_artifact(
+        self, monkeypatch, tmp_path
+    ):
+        compiler = _c_backend._compiler()
+        if compiler is None:
+            pytest.skip("no C toolchain on this machine")
+        monkeypatch.setattr(_c_backend, "_build_dir", lambda: tmp_path)
+        artifact = _c_backend._compile(_c_backend._SOURCE_TEXT, compiler, use_openmp=False)
+        assert artifact is not None
+        assert artifact.with_suffix(".c").read_bytes() == _c_backend._SOURCE_TEXT
+        # The tag depends on the source bytes and the flags only.
+        assert _c_backend._compile(_c_backend._SOURCE_TEXT, compiler, use_openmp=False) == artifact
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            artifact.with_suffix(".c").name,
+            artifact.name,
+        ]
 
     def test_c_backend_rejects_wrong_dtype(self):
         cext = next((b for b in BACKENDS if b.name == "cext"), None)

@@ -1,12 +1,11 @@
-"""Refined level views, lazy ``colors`` mappings and the line-graph rank column.
+"""Refined level views and lazy ``colors`` mappings.
 
 Legal-Color's recursion paths only refine, so each level's CSR view is
 filtered from the previous level's view instead of from the root, and the
 root itself serves level 0.  Results hold their coloring as a dense
 ``color_column`` plus a mapping that interns node identifiers only when read,
 so a run that reads only the column never builds the ``|E|`` edge tuples of
-``L(G)`` and never keeps the line graph alive.  The line-graph builder ranks
-the default identifiers ``0..n-1`` without a Python sort.
+``L(G)`` and never keeps the line graph alive.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro import graphs
 from repro.core import color_edges as core_color_edges
 from repro.core import color_vertices, edge_coloring, legal_coloring, run_legal_coloring
 from repro.core.parameters import params_for_few_rounds, params_for_linear_colors
-from repro.local_model import line_csr
 from repro.local_model.fast_network import ColumnMapping, FastNetwork
 from repro.local_model.line_csr import build_line_graph_fast
 
@@ -209,59 +207,3 @@ def test_colors_used_from_the_column_matches_the_mapping(name):
     for label, result in _results(network):
         colors = result.edge_colors if hasattr(result, "edge_colors") else result.colors
         assert result.colors_used == len(set(colors.values())), (name, label)
-
-
-class TestRankColumn:
-    @staticmethod
-    def _count_sorts(monkeypatch):
-        calls = []
-        real = line_csr._node_sort_ranks
-
-        def spy(identifiers):
-            calls.append(len(identifiers))
-            return real(identifiers)
-
-        monkeypatch.setattr(line_csr, "_node_sort_ranks", spy)
-        return calls
-
-    @staticmethod
-    def _twin(g, order):
-        rows, cols = g.rows_np, g.indices_np
-        forward = rows < cols
-        return FastNetwork.from_edge_array(
-            rows[forward], cols[forward], num_nodes=g.num_nodes, order=order
-        )
-
-    def test_range_ids_skip_the_sort_with_identical_ranks(self, monkeypatch):
-        g = graphs.random_regular(80, 5, seed=9)
-        assert g.has_range_ids
-        calls = self._count_sorts(monkeypatch)
-        fast_ranks = build_line_graph_fast(g).line_meta.sort_rank
-        assert calls == []
-        # The same identifiers given as an explicit tuple take the sort.
-        sorted_ranks = build_line_graph_fast(
-            self._twin(g, tuple(range(g.num_nodes)))
-        ).line_meta.sort_rank
-        assert calls == [g.num_nodes]
-        assert fast_ranks.tolist() == sorted_ranks.tolist()
-
-    @pytest.mark.parametrize(
-        "identifiers",
-        [
-            lambda n: [(i // 3, i % 3) for i in range(n)],
-            lambda n: [f"v{i}" for i in range(n)],
-            lambda n: [(7 * i) % n for i in range(n)],
-        ],
-        ids=["tuples", "strings", "non-monotone"],
-    )
-    def test_other_identifiers_take_the_sort(self, monkeypatch, identifiers):
-        g = graphs.random_regular(40, 4, seed=6)
-        twin = self._twin(g, identifiers(g.num_nodes))
-        assert not twin.has_range_ids
-        calls = self._count_sorts(monkeypatch)
-        line = build_line_graph_fast(twin)
-        assert calls == [g.num_nodes]
-        ranks = line_csr._node_sort_ranks(twin.order)
-        meta = line.line_meta
-        expected = ranks[meta.edge_u] * (g.num_nodes + 1) + ranks[meta.edge_v]
-        assert meta.sort_rank.tolist() == expected.tolist()

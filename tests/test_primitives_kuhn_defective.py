@@ -218,20 +218,89 @@ class TestDefectiveEdgeColoringKernel:
         )
         self._compare(view, phase)
 
-    def test_bit_identical_with_non_monotone_unique_ids(self):
-        # node_sort_key order of the edge tuples disagrees with pair-key
-        # order here; the kernel's sort_rank column must follow the former.
+    @staticmethod
+    def _non_monotone_k4_line_graph():
+        # node_sort_key order of the edge tuples disagrees with unique-id
+        # (pair-key) order here; both engines rank by unique id.
         from repro.local_model import FastNetwork
 
         base = FastNetwork.from_adjacency(
             {10: [20, 30, 40], 20: [30, 40], 30: [40], 40: []},
             unique_ids={10: 4, 20: 3, 30: 2, 40: 1},
         )
-        line = line_graph_network(base)
+        return line_graph_network(base)
+
+    def test_bit_identical_with_non_monotone_unique_ids(self):
+        line = self._non_monotone_k4_line_graph()
         phase = KuhnDefectiveEdgeColoringPhase(
             p_prime=2, degree_bound=3, output_key="edge_color"
         )
         self._compare(line, phase)
+
+    def test_labels_follow_unique_id_order(self):
+        # L(K4) with unique ids 1..6 along the pairs (1,2) (1,3) (1,4) (2,3)
+        # (2,4) (3,4) of G's ids (40=1, 30=2, 20=3, 10=4).  Each vertex ranks
+        # its three edges by unique id; chunk = ceil(3/2) = 2 gives labels
+        # 1, 1, 2, and the color is (label_first - 1) * 2 + label_second:
+        #   vertex 40: (40,30) (40,20) (40,10)    vertex 30: (40,30) (30,20) (30,10)
+        #   vertex 20: (40,20) (30,20) (20,10)    vertex 10: (40,10) (30,10) (20,10)
+        # node_sort_key order would put (40,30) last at both 40 and 30 (color 4).
+        line = self._non_monotone_k4_line_graph()
+        phase = KuhnDefectiveEdgeColoringPhase(
+            p_prime=2, degree_bound=3, output_key="edge_color"
+        )
+        expected = {
+            (40, 30): 1,
+            (40, 20): 1,
+            (40, 10): 3,
+            (30, 20): 1,
+            (30, 10): 3,
+            (20, 10): 4,
+        }
+        # _compare holds kernels-on and kernels-off to the reference states.
+        assert self._compare(line, phase).extract("edge_color") == expected
+
+    @pytest.mark.parametrize(
+        "identifiers",
+        [
+            lambda n: [(i // 3, i % 3) for i in range(n)],
+            lambda n: [f"v{i}" for i in range(n)],
+            lambda n: [(7 * i) % n for i in range(n)],
+        ],
+        ids=["tuples", "strings", "non-monotone"],
+    )
+    def test_builder_view_ranks_by_unique_id_whatever_the_identifiers(self, identifiers):
+        from repro.local_model import FastNetwork, build_line_graph_fast
+
+        g = graphs.random_regular(40, 4, seed=6)
+        forward = g.rows_np < g.indices
+        line = build_line_graph_fast(
+            FastNetwork.from_edge_array(
+                g.rows_np[forward],
+                g.indices[forward],
+                num_nodes=g.num_nodes,
+                order=identifiers(g.num_nodes),
+            )
+        )
+        phase = KuhnDefectiveEdgeColoringPhase(
+            p_prime=3, degree_bound=4, output_key="edge_color"
+        )
+        # Oracle: an edge's rank at an endpoint counts the incident edges
+        # with a smaller unique id; chunk = ceil(4/3) = 2.
+        uid = dict(zip(line.order, line.unique_ids.tolist()))
+        incident = {}
+        for edge in line.order:
+            for endpoint in edge:
+                incident.setdefault(endpoint, []).append(uid[edge])
+
+        def label(endpoint, edge):
+            rank = sum(other < uid[edge] for other in incident[endpoint])
+            return min(rank // 2 + 1, 3)
+
+        expected = {
+            edge: (label(edge[0], edge) - 1) * 3 + label(edge[1], edge) for edge in line.order
+        }
+        assert self._compare(line, phase).extract("edge_color") == expected
 
     def test_vectorized_requires_line_graph_node_ids(self, triangle):
         from repro.local_model import VectorizedScheduler

@@ -265,7 +265,8 @@ class TestFastLineGraphBuilder:
         network = build_network(n, edges)
         if scramble_ids:
             # Non-monotone unique ids: identifier order and node_sort_key
-            # order disagree, which exercises the pair-key/sort-rank split.
+            # order disagree, and the line graph must follow unique-id
+            # (pair-key) order, the order Corollary 5.4 ranks edges by.
             network = FastNetwork.from_adjacency(
                 graph_oracles.adjacency(network),
                 unique_ids={node: n + 1 - network.unique_id(node) for node in network.nodes()},

@@ -560,15 +560,15 @@ class TestCompileHardening:
             raise subprocess.TimeoutExpired(cmd=command, timeout=kwargs["timeout"])
 
         monkeypatch.setattr(_c_backend.subprocess, "run", hanging_run)
-        assert _c_backend._compile(_c_backend._SOURCE, "cc", use_openmp=False) is None
+        assert _c_backend._compile(_c_backend._SOURCE_TEXT, "cc", use_openmp=False) is None
         assert len(calls) == 1
         memos = list(tmp_path.glob("*.failed"))
         assert len(memos) == 1
         assert "TimeoutExpired" in memos[0].read_text()
         # Second attempt consults the memo: the compiler is not re-invoked.
-        assert _c_backend._compile(_c_backend._SOURCE, "cc", use_openmp=False) is None
+        assert _c_backend._compile(_c_backend._SOURCE_TEXT, "cc", use_openmp=False) is None
         assert len(calls) == 1
         # Removing the memo retries the build.
         memos[0].unlink()
-        assert _c_backend._compile(_c_backend._SOURCE, "cc", use_openmp=False) is None
+        assert _c_backend._compile(_c_backend._SOURCE_TEXT, "cc", use_openmp=False) is None
         assert len(calls) == 2
