@@ -9,6 +9,10 @@
   (``O(log n)`` rounds w.h.p.); the randomized baseline of Table 2.
 * :mod:`repro.baselines.sequential` -- centralized greedy colorings used as
   correctness oracles and palette yardsticks.
+
+The three distributed edge baselines vertex-color ``L(G)`` and hand the run
+to :func:`repro.core.edge_coloring.color_edges_via_line_graph`, which builds
+the line graph and charges the Lemma 5.2 simulation cost on ``G``.
 """
 
 from repro.baselines.greedy_reduction import greedy_reduction_edge_coloring

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines._line_pipeline import run_line_graph_delta_plus_one
-from repro.core.edge_coloring import EdgeColoringResult
+from repro.core.edge_coloring import EdgeColoringResult, color_edges_via_line_graph
+from repro.core.legal_coloring import LegalColoringResult, run_coloring_phases
 from repro.local_model.fast_network import FastNetwork
+from repro.primitives.color_reduction import delta_plus_one_pipeline
 
 
 def greedy_reduction_edge_coloring(
@@ -25,10 +26,14 @@ def greedy_reduction_edge_coloring(
     degree column of the array-built line graph, and the result carries
     ``color_column`` over the canonical edges in pair-key order.
     """
-    return run_line_graph_delta_plus_one(
-        network,
-        output_key="_greedy_color",
-        use_kuhn_wattenhofer=False,
-        route="baseline-greedy-reduction",
-        engine=engine,
-    )
+
+    def reduce(line_fast: FastNetwork) -> LegalColoringResult:
+        pipeline, palette = delta_plus_one_pipeline(
+            n=line_fast.num_nodes,
+            degree_bound=max(1, line_fast.max_degree),
+            output_key="_greedy_color",
+            use_kuhn_wattenhofer=False,
+        )
+        return run_coloring_phases(line_fast, pipeline, "_greedy_color", palette, engine)
+
+    return color_edges_via_line_graph(network, "baseline-greedy-reduction", reduce)

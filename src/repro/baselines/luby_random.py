@@ -20,22 +20,18 @@ colorings, states and metrics (the equivalence suite locks this down).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView
-from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import FastNetwork, fast_view
-from repro.local_model.line_csr import build_line_graph_fast
-from repro.local_model.state_table import StateTable
-from repro.core.edge_coloring import EdgeColoringResult
-from repro.core.legal_coloring import LegalColoringResult
+from repro.core.edge_coloring import EdgeColoringResult, color_edges_via_line_graph
+from repro.core.legal_coloring import LegalColoringResult, run_coloring_phases
 from repro.core.parameters import integer_seed
 from repro.primitives.numbers import luby_draw
-from repro.local_model.line_graph_sim import apply_lemma_5_2_accounting
-from repro.local_model.metrics import RunMetrics
+
 
 class LubyRandomColoringPhase(BroadcastPhase):
     """One phase implementing the trial-and-keep randomized coloring."""
@@ -194,18 +190,6 @@ class LubyRandomColoringPhase(BroadcastPhase):
         ctx.write_column("_luby_final", final)
 
 
-def _run_phase(
-    network: FastNetwork, phase: LubyRandomColoringPhase, engine: Optional[str]
-) -> Tuple[np.ndarray, RunMetrics, Any]:
-    """Run the phase table-native and return (color column, metrics, fast)."""
-    fast = fast_view(network)
-    scheduler = make_scheduler(fast, engine=engine)
-    table, metrics = scheduler.run_table(phase, StateTable(fast.num_nodes))
-    if fast.num_nodes == 0:
-        return np.zeros(0, dtype=np.int64), metrics, fast
-    return table.get_ints(phase.output_key), metrics, fast
-
-
 def luby_vertex_coloring(
     network: FastNetwork,
     palette: int | None = None,
@@ -225,13 +209,7 @@ def luby_vertex_coloring(
     if palette is None:
         palette = fast.max_degree + 1
     phase = LubyRandomColoringPhase(palette=palette, seed=seed)
-    column, metrics, fast = _run_phase(fast, phase, engine)
-    return LegalColoringResult(
-        colors=fast.column_mapping(column),
-        palette=palette,
-        metrics=metrics,
-        color_column=column,
-    )
+    return run_coloring_phases(fast, phase, phase.output_key, palette, engine)
 
 
 def luby_edge_coloring(
@@ -242,21 +220,12 @@ def luby_edge_coloring(
 ) -> EdgeColoringResult:
     """Randomized ``(2 Delta - 1)``-edge-coloring via the line graph.
 
-    Takes a ``FastNetwork``; the line graph is derived CSR-native
-    (:func:`~repro.local_model.line_csr.build_line_graph_fast`) and the
-    result carries ``color_column`` in the line graph's dense edge order.
+    Takes a ``FastNetwork``: :func:`luby_vertex_coloring` of ``L(G)``
+    (default palette ``Delta(L(G)) + 1``) under the Lemma 5.2 charge, with
+    ``color_column`` in the line graph's dense edge order.
     """
-    line_fast = build_line_graph_fast(network)
-    if palette is None:
-        palette = max(1, line_fast.max_degree + 1)
-    phase = LubyRandomColoringPhase(palette=palette, seed=seed)
-    column, raw_metrics, line_fast = _run_phase(line_fast, phase, engine)
-    metrics = apply_lemma_5_2_accounting(network, raw_metrics)
-    return EdgeColoringResult(
-        edge_colors=line_fast.column_mapping(column),
-        palette=palette,
-        metrics=metrics,
-        route="baseline-luby",
-        line_graph_max_degree=line_fast.max_degree,
-        color_column=column,
+    return color_edges_via_line_graph(
+        network,
+        "baseline-luby",
+        lambda line_fast: luby_vertex_coloring(line_fast, palette, seed, engine),
     )

@@ -12,17 +12,17 @@ applied so the reported cost is the cost on ``G``.
 The benchmark harnesses additionally plot the *analytic* ``O(Delta) + log* n``
 curve of the original algorithm (see
 :func:`repro.analysis.complexity.rounds_panconesi_rizzi`), so Table 1 / 2 can
-be compared against both the measured and the idealized baseline.  This
-substitution is recorded in DESIGN.md.
+be compared against both the measured and the idealized baseline.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines._line_pipeline import run_line_graph_delta_plus_one
-from repro.core.edge_coloring import EdgeColoringResult
+from repro.core.edge_coloring import EdgeColoringResult, color_edges_via_line_graph
+from repro.core.legal_coloring import LegalColoringResult, run_coloring_phases
 from repro.local_model.fast_network import FastNetwork
+from repro.primitives.color_reduction import delta_plus_one_pipeline
 
 
 def panconesi_rizzi_edge_coloring(
@@ -36,10 +36,14 @@ def panconesi_rizzi_edge_coloring(
     in pair-key order; the palette bound is
     ``Delta(L(G)) + 1 <= 2 Delta(G) - 1``.
     """
-    return run_line_graph_delta_plus_one(
-        network,
-        output_key="_pr_color",
-        use_kuhn_wattenhofer=True,
-        route="baseline-pr",
-        engine=engine,
-    )
+
+    def reduce(line_fast: FastNetwork) -> LegalColoringResult:
+        pipeline, palette = delta_plus_one_pipeline(
+            n=line_fast.num_nodes,
+            degree_bound=max(1, line_fast.max_degree),
+            output_key="_pr_color",
+            use_kuhn_wattenhofer=True,
+        )
+        return run_coloring_phases(line_fast, pipeline, "_pr_color", palette, engine)
+
+    return color_edges_via_line_graph(network, "baseline-pr", reduce)

@@ -17,17 +17,19 @@ colorings of ``G``.  The paper gives two routes, both implemented here:
   Theorem 5.5(2), where ``p = O(1)`` -- the messages stay of size
   ``O(log n)``.
 
-Both routes derive ``L(G)`` with the CSR line-graph builder
-(:func:`~repro.local_model.line_csr.build_line_graph_fast`): the line graph
-is compiled straight from ``G``'s CSR arrays -- no Python dict-of-set
-construction -- and on the vectorized engine the whole pipeline (including
-the Corollary 5.4 kernel) runs as array rounds.
+:func:`color_edges_via_line_graph` is the one place an ``L(G)`` run becomes
+an edge coloring of ``G``: both routes and the line-graph baselines of
+:mod:`repro.baselines` go through it.  It derives ``L(G)`` with the CSR
+line-graph builder (:func:`~repro.local_model.line_csr.build_line_graph_fast`),
+straight from ``G``'s CSR arrays, and charges the route: Theorem 5.5 for the
+direct route, Lemma 5.2 for every other.  On the vectorized engine the whole
+pipeline (including the Corollary 5.4 kernel) runs as array rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from repro.local_model.line_graph_sim import (
     SIMULATION_SETUP_ROUNDS,
     apply_lemma_5_2_accounting,
 )
-from repro.local_model.metrics import PhaseMetrics, RunMetrics
+from repro.local_model.metrics import RunMetrics
 from repro.core.legal_coloring import (
     LegalColoringResult,
     LegalColorPlan,
@@ -56,6 +58,7 @@ __all__ = [
     "SIMULATION_SETUP_ROUNDS",
     "EdgeColoringResult",
     "color_edges",
+    "color_edges_via_line_graph",
     "line_graph_max_degree",
     "plan_edge_coloring",
 ]
@@ -159,6 +162,47 @@ def plan_edge_coloring(
     )
 
 
+def color_edges_via_line_graph(
+    network: FastNetwork,
+    route: str,
+    color_line_graph: Callable[[FastNetwork], LegalColoringResult],
+) -> EdgeColoringResult:
+    """Edge-color ``network`` by vertex-coloring ``L(G)``, charged on ``G``.
+
+    The one place an ``L(G)`` run becomes an edge coloring of ``G``: it
+    builds ``L(G)`` from ``G``'s CSR, runs ``color_line_graph`` on it and
+    charges the route.  The ``"direct"`` route pays Theorem 5.5: both
+    endpoints keep an edge's state, so rounds stay as measured, but the
+    ``psi``-selection exchange ships the ``p`` counters ``N_{e,u}(1..p)`` in
+    one message of at least ``p`` words.  Every other route (the Theorem
+    5.3 simulation and the baselines) pays Lemma 5.2
+    (:func:`~repro.local_model.line_graph_sim.apply_lemma_5_2_accounting`).
+    """
+    line_fast = build_line_graph_fast(network)
+    vertex_result = color_line_graph(line_fast)
+    raw = vertex_result.metrics
+    if route == "direct":
+        metrics = RunMetrics()
+        for phase in raw.phases:
+            if phase.name.startswith("psi-selection"):
+                words = max(phase.max_message_words, vertex_result.parameters.p)
+                phase = replace(phase, max_message_words=words)
+            metrics.add_phase(phase)
+        metrics.phase_seconds.update(raw.phase_seconds)
+    else:
+        metrics = apply_lemma_5_2_accounting(network, raw)
+    return EdgeColoringResult(
+        edge_colors=vertex_result.colors,
+        palette=vertex_result.palette,
+        metrics=metrics,
+        route=route,
+        levels=vertex_result.levels,
+        parameters=vertex_result.parameters,
+        line_graph_max_degree=line_fast.max_degree,
+        color_column=vertex_result.color_column,
+    )
+
+
 def color_edges(
     network: FastNetwork,
     quality: str = "linear",
@@ -198,60 +242,16 @@ def color_edges(
     if route not in ("direct", "simulation"):
         raise InvalidParameterError(f"unknown route {route!r}")
 
-    line_fast = build_line_graph_fast(network)
-    delta_line = max(1, line_fast.max_degree)
-    params = parameters or params_for_quality(
-        quality, delta_line, LINE_GRAPH_INDEPENDENCE, epsilon
-    )
-
-    vertex_result: LegalColoringResult = run_legal_coloring(
-        line_fast,
-        params,
-        c=LINE_GRAPH_INDEPENDENCE,
-        edge_mode=(route == "direct"),
-        engine=engine,
-    )
-
-    if route == "simulation":
-        metrics = apply_lemma_5_2_accounting(network, vertex_result.metrics)
-    else:
-        metrics = _direct_metrics(params, vertex_result.metrics)
-
-    return EdgeColoringResult(
-        edge_colors=vertex_result.colors,
-        palette=vertex_result.palette,
-        metrics=metrics,
-        route=route,
-        levels=vertex_result.levels,
-        parameters=params,
-        line_graph_max_degree=line_fast.max_degree,
-        color_column=vertex_result.color_column,
-    )
-
-
-def _direct_metrics(params: LegalColorParameters, raw: RunMetrics) -> RunMetrics:
-    """Theorem 5.5 accounting for the direct (both-endpoints) implementation.
-
-    Rounds are unchanged (both endpoints of an edge maintain its state, so no
-    relaying is needed), but the ``psi``-selection exchange ships the ``p``
-    counters ``N_{e,u}(1..p)`` in one message, so the maximum message size is
-    at least ``p`` words.
-    """
-    adjusted = RunMetrics()
-    for phase in raw.phases:
-        max_words = phase.max_message_words
-        if phase.name.startswith("psi-selection"):
-            max_words = max(max_words, params.p)
-        adjusted.add_phase(
-            PhaseMetrics(
-                name=phase.name,
-                rounds=phase.rounds,
-                messages=phase.messages,
-                total_words=phase.total_words,
-                max_message_words=max_words,
-            )
+    def legal_color(line_fast: FastNetwork) -> LegalColoringResult:
+        params = parameters or params_for_quality(
+            quality, max(1, line_fast.max_degree), LINE_GRAPH_INDEPENDENCE, epsilon
         )
-    # The adjustment must not drop the measured wall-time breakdown.
-    for name, seconds in raw.phase_seconds.items():
-        adjusted.add_phase_seconds(name, seconds)
-    return adjusted
+        return run_legal_coloring(
+            line_fast,
+            params,
+            c=LINE_GRAPH_INDEPENDENCE,
+            edge_mode=(route == "direct"),
+            engine=engine,
+        )
+
+    return color_edges_via_line_graph(network, route, legal_color)

@@ -197,6 +197,35 @@ class LegalColoringResult:
         return len(sorted_distinct(self.color_column))
 
 
+def run_coloring_phases(
+    network: FastNetwork,
+    algorithm,
+    output_key: str,
+    palette: int,
+    engine: Optional[str] = None,
+) -> LegalColoringResult:
+    """Run a one-pass coloring ``algorithm`` (a phase or pipeline) on a fresh table.
+
+    The coloring is the ``output_key`` column (empty on an empty graph), in
+    the dense node order of ``network``; ``palette`` is the bound the
+    algorithm guarantees.  The ``Delta + 1`` baselines run through here.
+    """
+    fast = fast_view(network)
+    table, metrics = make_scheduler(fast, engine=engine).run_table(
+        algorithm, StateTable(fast.num_nodes)
+    )
+    if fast.num_nodes:
+        column = table.get_ints(output_key)
+    else:
+        column = np.zeros(0, dtype=np.int64)
+    return LegalColoringResult(
+        colors=fast.column_mapping(column),
+        palette=palette,
+        metrics=metrics,
+        color_column=column,
+    )
+
+
 def run_legal_coloring(
     network: FastNetwork,
     params: LegalColorParameters,

@@ -22,10 +22,11 @@ view (built directly from ``G``'s CSR arrays by
 exactly the outputs the simulation would produce) and then applies the
 Lemma 5.2 accounting of this module to the metrics: rounds become
 ``2 T + O(1)`` and the per-edge bandwidth is multiplied by the simulation
-load factor.  :func:`apply_lemma_5_2_accounting` is shared by
-:func:`repro.core.edge_coloring.color_edges`'s simulation route and the
-line-graph baselines (``repro.baselines._line_pipeline``, Luby's edge
-coloring).
+load factor.  :func:`repro.core.edge_coloring.color_edges_via_line_graph`
+charges it to every ``L(G)`` run except the direct route of Theorem 5.5:
+the simulation route and the three line-graph baselines.  A custom
+``L(G)`` phase is charged the same way: run it on
+``build_line_graph_fast(G)`` and pass its metrics here.
 """
 
 from __future__ import annotations

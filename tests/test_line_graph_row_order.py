@@ -59,11 +59,7 @@ FAMILIES = {
 }
 
 #: Every module that derives L(G) for a coloring run.
-LINE_GRAPH_CONSUMERS = (
-    "repro.core.edge_coloring",
-    "repro.baselines._line_pipeline",
-    "repro.baselines.luby_random",
-)
+LINE_GRAPH_CONSUMERS = ("repro.core.edge_coloring",)
 
 
 def shuffled_rows(line: FastNetwork, seed: int) -> FastNetwork:
@@ -152,6 +148,26 @@ class TestLineGraphRowOrderIndependence:
             )
         if config == "reference":
             assert shuffled == fingerprint(runs[baseline](network, engine="vectorized"))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: color_edges(g, route="direct"),
+        lambda g: color_edges(g, route="simulation"),
+        panconesi_rizzi_edge_coloring,
+        greedy_reduction_edge_coloring,
+        luby_edge_coloring,
+    ],
+    ids=["direct", "simulation", "panconesi-rizzi", "greedy-reduction", "luby"],
+)
+def test_every_edge_coloring_builds_line_graph_once(run):
+    """Each L(G) coloring goes through the one pipeline in core.edge_coloring."""
+    module = importlib.import_module("repro.core.edge_coloring")
+    with mock.patch.object(module, "build_line_graph_fast", wraps=build_line_graph_fast) as spy:
+        result = run(graphs.random_regular(20, 4, seed=1))
+    assert spy.call_count == 1
+    assert len(result.color_column) == 40
 
 
 # --------------------------------------------------------------------------- #
