@@ -164,7 +164,3 @@ class StateTable:
     def fill_int(self, key: str, value: int) -> None:
         """Write the same int into ``state[key]`` on every row."""
         self._columns[key] = np.full(self.num_rows, value, dtype=np.int64)
-
-    def copy_column(self, source_key: str, target_key: str) -> None:
-        """``state[target] = state[source]`` on every row."""
-        self._columns[target_key] = self._columns[source_key].copy()

@@ -111,10 +111,6 @@ class VectorContext:
         """Write the same int into ``state[key]`` on every node."""
         self.table.fill_int(key, value)
 
-    def copy_key(self, source_key: str, target_key: str) -> None:
-        """``state[target] = state[source]`` on every node."""
-        self.table.copy_column(source_key, target_key)
-
     # ------------------------------------------------------------------ #
     # Metric charging
     # ------------------------------------------------------------------ #

@@ -30,7 +30,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import BroadcastPhase, LocalView, PhasePipeline, SynchronousPhase
 from repro.local_model.vectorized import VectorContext, check_color_range
-from repro.primitives.linial import LinialColoringPhase
+from repro.primitives.linial import LinialColoringPhase, linial_final_palette
 from repro.primitives.numbers import (
     base_q_digits,
     ceil_div,
@@ -38,7 +38,6 @@ from repro.primitives.numbers import (
     num_base_q_digits,
     poly_eval,
 )
-from repro.primitives.util_phases import CopyKeyPhase
 
 
 def defective_step_parameters(
@@ -212,31 +211,34 @@ def defective_coloring_pipeline(
     if initial_palette is None:
         initial_palette = n
 
-    linial = LinialColoringPhase(
-        degree_bound=degree_bound,
-        initial_palette=initial_palette,
-        input_key=input_key,
-        output_key="_kuhn_base",
-    )
-    phases: List[SynchronousPhase] = [linial]
-    current_key = "_kuhn_base"
-    current_palette = linial.final_palette
-
+    # Pick the defective steps first, so the last phase writes output_key.
+    palette = linial_final_palette(initial_palette, degree_bound)
+    steps: List[Tuple[int, int]] = []  # (input palette, defect budget)
     if target_defect > 0 and degree_bound > 0:
-        for index, budget in enumerate(_split_defect_budget(target_defect)):
-            q, _digits = defective_step_parameters(current_palette, degree_bound, budget)
-            if q * q >= current_palette:
-                continue  # The step would not shrink the palette; skip it.
-            step = DefectiveStepPhase(
-                palette=current_palette,
+        for budget in _split_defect_budget(target_defect):
+            q, _digits = defective_step_parameters(palette, degree_bound, budget)
+            if q * q < palette:  # A step that would not shrink the palette is skipped.
+                steps.append((palette, budget))
+                palette = q * q
+
+    keys = ["_kuhn_base"] + [f"_kuhn_step_{index}" for index in range(len(steps))]
+    keys[-1] = output_key
+    phases: List[SynchronousPhase] = [
+        LinialColoringPhase(
+            degree_bound=degree_bound,
+            initial_palette=initial_palette,
+            input_key=input_key,
+            output_key=keys[0],
+        )
+    ]
+    for (step_palette, budget), source, target in zip(steps, keys, keys[1:]):
+        phases.append(
+            DefectiveStepPhase(
+                palette=step_palette,
                 degree_bound=degree_bound,
                 defect_budget=budget,
-                input_key=current_key,
-                output_key=f"_kuhn_step_{index}",
+                input_key=source,
+                output_key=target,
             )
-            phases.append(step)
-            current_key = step.output_key
-            current_palette = step.output_palette
-
-    phases.append(CopyKeyPhase(current_key, output_key))
-    return PhasePipeline(phases, name="kuhn-defective"), current_palette
+        )
+    return PhasePipeline(phases, name="kuhn-defective"), palette

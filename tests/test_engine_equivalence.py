@@ -516,7 +516,6 @@ class TestVectorRunOnly:
             if cls.__module__.startswith("repro.") and not inspect.isabstract(cls)
         }
         assert {cls.__name__ for cls in library} >= {
-            "CopyKeyPhase",
             "DefectiveStepPhase",
             "IterativeColorReductionPhase",
             "KuhnDefectiveEdgeColoringPhase",

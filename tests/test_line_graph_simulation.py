@@ -1,4 +1,4 @@
-"""Unit tests for the Lemma 5.2 accounting and the copy glue phase.
+"""Unit tests for the Lemma 5.2 accounting.
 
 The library's Lemma 5.2 routes -- ``color_edges(route="simulation")`` and
 the line-graph ``Delta + 1`` baselines -- run their vertex-coloring
@@ -18,10 +18,9 @@ from repro import graphs
 from repro.baselines import panconesi_rizzi_edge_coloring
 from repro.core import color_edges, params_for_quality, run_legal_coloring
 from repro.core.edge_coloring import LINE_GRAPH_INDEPENDENCE
-from repro.local_model import Scheduler, build_line_graph_fast, make_scheduler
+from repro.local_model import Scheduler, build_line_graph_fast
 from repro.local_model.line_graph_sim import SIMULATION_SETUP_ROUNDS
 from repro.primitives.color_reduction import delta_plus_one_pipeline
-from repro.primitives.util_phases import CopyKeyPhase
 from repro.verification.coloring import assert_legal_edge_coloring, assert_legal_vertex_coloring
 
 
@@ -97,13 +96,3 @@ class TestSimulateOnLineGraph:
     def test_simulated_coloring_is_legal_on_the_line_graph(self, small_regular):
         result = self._simulate(small_regular)
         assert_legal_vertex_coloring(build_line_graph_fast(small_regular), result.edge_colors)
-
-class TestCopyKeyPhase:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_copy_key_phase(self, triangle, engine):
-        result = make_scheduler(triangle, engine=engine).run(
-            CopyKeyPhase("a", "b"),
-            initial_states={node: {"a": triangle.unique_id(node)} for node in triangle.nodes()},
-        )
-        assert result.extract("b") == {node: triangle.unique_id(node) for node in triangle.nodes()}
-        assert result.metrics.rounds == 0

@@ -150,12 +150,6 @@ class TestColumns:
         with pytest.raises(InvalidParameterError):
             table.set_ints("c", np.array([1, 2]))
 
-    def test_copy_column_is_independent(self):
-        table = StateTable.from_dicts([{"i": 1}, {"i": 2}])
-        table.copy_column("i", "i2")
-        table.set_ints("i", np.array([5, 6]))
-        assert table.to_dicts() == [{"i": 5, "i2": 1}, {"i": 6, "i2": 2}]
-
 
 class TestRunTable:
     """``run_table`` == ``run`` on the dict view, for every engine."""
