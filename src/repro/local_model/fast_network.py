@@ -30,6 +30,7 @@ of them sit:
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
@@ -120,23 +121,6 @@ def gather_adjacency(
     # Entry e of owner r reads indices[indptr[nodes[r]] + e - first(r)].
     shift = first - (np.cumsum(counts) - counts)
     return owners, indices[shift[owners] + np.arange(len(owners), dtype=np.int64)]
-
-
-class _RangeIdentifiers:
-    """The order provider of array-built views without explicit identifiers.
-
-    The identifiers are the dense range ``0..n-1``; the provider's type is
-    what :attr:`FastNetwork.has_range_ids` checks, so nothing is interned to
-    tell.
-    """
-
-    __slots__ = ("num_nodes",)
-
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-
-    def __call__(self) -> range:
-        return range(self.num_nodes)
 
 
 class ColumnMapping(Mapping):
@@ -465,7 +449,7 @@ class FastNetwork:
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
-            built._order_provider = _RangeIdentifiers(built.num_nodes)
+            built._order_provider = functools.partial(range, built.num_nodes)
         elif callable(order):
             built._order = None
             built._order_provider = order
@@ -502,11 +486,6 @@ class FastNetwork:
         if self._order is None:
             self._order = tuple(self._order_provider())
         return self._order
-
-    @property
-    def has_range_ids(self) -> bool:
-        """Whether the node identifiers are the default range ``0..n-1``."""
-        return isinstance(self._order_provider, _RangeIdentifiers)
 
     def column_mapping(self, column: np.ndarray) -> ColumnMapping:
         """``column`` (dense node order) keyed by node identifier, lazily.

@@ -6,7 +6,7 @@ exact algorithm (Barenboim-Elkin [4] / Kuhn [19]) is only ever invoked on
 subgraphs whose maximum degree is bounded by the *constant* (or tiny)
 threshold ``lambda`` of Procedure Legal-Color, so its precise dependence on
 ``Delta`` does not affect any of the paper's asymptotic statements.  We
-provide two substitutes and document the substitution in DESIGN.md:
+provide two substitutes:
 
 * :class:`IterativeColorReductionPhase` -- the folklore reduction that
   removes one color class per round (``m - k`` rounds from ``m`` colors to
