@@ -129,9 +129,12 @@ def plan_legal_coloring(
 ) -> LegalColorPlan:
     """The levels Procedure Legal-Color runs from the degree bound ``degree_bound``.
 
-    The recursion continues while the bound exceeds the threshold ``lambda``
-    and the parameters stay valid at that scale (``b * p <= Lambda``,
-    ``p >= 2``); a level whose bound does not shrink is the last one.
+    The recursion continues while the bound exceeds the threshold ``lambda``,
+    the parameters stay valid at that scale (``b * p <= Lambda``,
+    ``p >= 2``) and the next bound ``Lambda'`` is smaller than ``Lambda``.
+    A level whose ``Lambda'`` does not shrink is never planned: it would
+    split into ``p`` classes of bound ``Lambda' >= Lambda``, so its palette
+    ``p * (Lambda' + 1)`` exceeds the ``Lambda + 1`` of bottoming out now.
     ``edge_mode`` selects the Corollary 5.4 defect of the direct route.
     """
     mode = "edge" if edge_mode else "vertex"
@@ -140,9 +143,10 @@ def plan_legal_coloring(
         bound = bounds[-1]
         if params.b * params.p > bound or params.p < 2:
             break  # Parameters no longer valid at this degree scale; bottom out.
-        bounds.append(psi_defect_bound(params.b, params.p, bound, c, mode))
-        if bounds[-1] >= bound:
-            break  # No progress with these parameters; bottom out to stay safe.
+        next_bound = psi_defect_bound(params.b, params.p, bound, c, mode)
+        if next_bound >= bound:
+            break  # No progress with these parameters; bottom out.
+        bounds.append(next_bound)
     return LegalColorPlan(params=params, degree_bounds=tuple(bounds))
 
 

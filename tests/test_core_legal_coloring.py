@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from engine_configs import ENGINE_CONFIGS, engine_config
 from graph_oracles import line_graph_network
@@ -12,12 +14,14 @@ from repro import graphs
 from repro.core.legal_coloring import (
     _color_split_classes,
     color_vertices,
+    plan_legal_coloring,
     run_legal_coloring,
 )
 from repro.core.parameters import (
     LegalColorParameters,
     params_for_few_rounds,
     params_for_linear_colors,
+    params_for_quality,
 )
 from repro.exceptions import InvalidParameterError
 from repro.local_model.metrics import RunMetrics
@@ -58,6 +62,25 @@ class TestQualityPresets:
         line = hypergraph_line_graph(hypergraph)
         result = color_vertices(line, c=3, quality="superlinear")
         assert_legal_vertex_coloring(line, result.colors)
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quality=st.sampled_from(["linear", "superlinear", "subpolynomial"]),
+        delta=st.integers(1, 700),
+        c=st.integers(1, 5),
+        edge_mode=st.booleans(),
+    )
+    # Delta(L(G)) of a 16-regular graph: the Corollary 5.4 bound would be 36.
+    @example(quality="linear", delta=30, c=2, edge_mode=True)
+    def test_every_planned_level_shrinks_the_bound(self, quality, delta, c, edge_mode):
+        params = params_for_quality(quality, delta, c)
+        plan = plan_legal_coloring(params, delta, c, edge_mode=edge_mode)
+        bounds = plan.degree_bounds
+        assert all(later < earlier for earlier, later in zip(bounds, bounds[1:]))
+        if plan.num_levels == 0:
+            assert plan.palette == delta + 1
 
 
 class TestRecursionBehaviour:

@@ -87,12 +87,15 @@ class TestRouteRule:
     @pytest.mark.parametrize(
         "make, route, direct, simulation",
         [
-            (lambda: graphs.random_regular(500, 6, seed=1), "simulation", 126, 42),
-            (lambda: graphs.random_regular(1000, 16, seed=1), "direct", 222, 324),
+            # At Delta(L) = 10 and 30 the Corollary 5.4 bound would not
+            # shrink, so the direct route plans no level: 2 Delta - 1 colors.
+            (lambda: graphs.random_regular(500, 6, seed=1), "direct", 11, 42),
+            (lambda: graphs.random_regular(1000, 16, seed=1), "direct", 31, 324),
             (lambda: graphs.random_regular(32, 4, seed=1), "direct", 7, 7),
-            # The Corollary 5.4 defect stops shrinking the degree bound of a
-            # hub-heavy line graph, so the direct palette explodes (n = 800
-            # is the smallest n of this family found to show it).
+            # The Corollary 5.4 defect shrinks the degree bound of a hub-heavy
+            # line graph by only about a fifth per level, so the direct
+            # palette explodes (n = 800 is the smallest n of this family
+            # found to show it).
             (
                 lambda: graphs.barabasi_albert(800, 8, seed=1),
                 "simulation",
@@ -116,11 +119,12 @@ class TestRouteRule:
         assert_legal_edge_coloring(network, result.color_column)
 
     def test_pinned_route_still_quotes_both_palettes(self):
+        # The rule picks the direct route here (11 < 42); the pin overrides it.
         network = graphs.random_regular(500, 6, seed=1)
-        decision = color_edges(network, route="direct").decision
-        assert decision.route == "direct"
+        decision = color_edges(network, route="simulation").decision
+        assert decision.route == "simulation"
         assert decision.reasons["route"] == "route pinned by caller"
-        assert decision.predicted["palette_direct"] == 126
+        assert decision.predicted["palette_direct"] == 11
         assert decision.predicted["palette_simulation"] == 42
 
 
