@@ -29,7 +29,9 @@ The level recursion itself needs no graph: every level's ``Lambda'`` is the
 Theorem 3.7 bound of the level above, so :func:`plan_legal_coloring` works
 out the degree bounds, the bottom bound ``hat-Lambda`` and the palette
 ``p^L * (hat-Lambda + 1)`` from ``(b, p, lambda, Delta, c, mode)`` alone, and
-:func:`run_legal_coloring` executes that plan level by level.
+:func:`run_legal_coloring` executes that plan level by level.  The plan
+bottoms out early where the next bound would not shrink: such a level would
+only multiply the palette by ``p`` and add rounds.
 
 Node state lives in a :class:`~repro.local_model.state_table.StateTable`
 throughout: the paths are one ``int64`` column (so the per-level subgraph
