@@ -17,11 +17,9 @@ from typing import Callable, Hashable, Mapping, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.engine import make_scheduler
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import RunMetrics
-from repro.local_model.state_table import StateTable
-from repro.core.legal_coloring import _color_split_classes
+from repro.core.legal_coloring import _color_split_classes, run_coloring_phases
 from repro.core.parameters import LegalColorParameters, independence_bound
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
@@ -102,11 +100,9 @@ def tradeoff_color_vertices(
             target_defect=target_defect,
             output_key="_tradeoff_split",
         )
-        table, split_metrics = make_scheduler(fast, engine=engine).run_table(
-            pipeline, StateTable(fast.num_nodes)
-        )
-        metrics.merge(split_metrics)
-        split_column = table.get_ints("_tradeoff_split")
+        split = run_coloring_phases(fast, pipeline, "_tradeoff_split", split_palette, engine)
+        metrics.merge(split.metrics)
+        split_column = split.color_column
         class_network = fast.filtered_by_labels(split_column)
         split_defect_bound = target_defect
     else:
