@@ -4,19 +4,21 @@ This package is the vectorized engine's kernel-provider layer: for the hot
 per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
-every phase calls one step by name on ``VectorContext.kernels``.  Two
-providers implement the steps with one signature and in-place/status
-contract:
+every phase calls one step by name on ``VectorContext.kernels``, and the
+``L(G)`` builder (:mod:`repro.local_model.line_csr`) calls its twin scan
+(``entry_twins``) and incidence gather (``line_gather``) on
+:func:`provider`: twelve steps.  Two providers implement the steps with one
+signature and in-place/status contract:
 
 * **cext** (``_c_backend``): fused single-pass CSR kernels in C with
   OpenMP, built on demand by the system compiler and loaded via ctypes;
 * the numpy steps of ``_numpy``, used whenever cext does not resolve.
 
-:func:`get_backend` returns the cext backend or ``None``; the vectorized
-engine then hands the phases cext or ``_numpy``, bit for bit the same
-results.  Kernels report failure through a status value, never an
-exception; a C kernel whose scratch allocation fails runs the numpy step
-on the same arrays inside its wrapper, so no phase sees it.  A freshly
+:func:`get_backend` returns the cext backend or ``None``; :func:`provider`
+returns cext or ``_numpy``, bit for bit the same results.  Kernels report
+failure through a status value, never an exception; a C kernel whose
+scratch allocation fails runs the numpy step on the same arrays inside its
+wrapper, so no caller sees it.  A freshly
 loaded provider is *probed* -- every kernel is run on a small adversarial
 graph and compared against its numpy step -- so a miscompiled library is
 rejected instead of corrupting colorings.
@@ -47,6 +49,7 @@ from repro.local_model.kernels import _numpy
 
 __all__ = [
     "get_backend",
+    "provider",
     "backend_name",
     "backend_reason",
     "force_backend",
@@ -92,6 +95,13 @@ def _probe_cases():
     out, out2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     counts, keep = np.zeros(len(undecided), dtype=np.int64), np.zeros(len(undecided), np.uint8)
     status = np.zeros(1, dtype=np.int64)
+    # The L(G) builder's steps on the same (ascending-row) CSR.
+    eid, own = np.zeros_like(indices), np.zeros_like(indices)
+    _numpy.entry_twins(indptr, indices, eid, own)
+    chunk_rows = indices[own.reshape(-1, 2)[:, ::-1].ravel()]
+    line_sizes = (np.diff(indptr)[chunk_rows] - 1).reshape(-1, 2).sum(axis=1)
+    line_indptr = np.r_[0, np.cumsum(line_sizes)]
+    line_out = np.zeros(line_indptr[-1], dtype=np.int64)
     return [
         ("linial_round", (indptr, indices, uids, colors, 5, 2, out)),
         ("defective_step", (indptr, indices, colors, 5, 2, out)),
@@ -103,6 +113,8 @@ def _probe_cases():
         ("luby_candidates", (_i64(0, 3, 6), _i64(2, 1, 0), taken, palette, out)),
         ("luby_absorb", (announce, indptr, indices, final, undecided_mask, taken)),
         ("luby_resolve", (undecided, indptr, indices, _i64(2, 0, 2, 1, 0, 3, 4), absorbed, keep)),
+        ("entry_twins", (indptr, indices, np.zeros_like(eid), np.zeros_like(own))),
+        ("line_gather", (indptr, chunk_rows, own, eid, line_indptr, line_out)),
     ]
 
 
@@ -186,6 +198,12 @@ def get_backend():
     """The active kernel backend, or ``None`` when dispatch is unavailable."""
     _resolve()
     return _BACKEND
+
+
+def provider():
+    """The module-like provider of every kernel step: the backend, else ``_numpy``."""
+    backend = get_backend()
+    return backend if backend is not None else _numpy
 
 
 def backend_name() -> Optional[str]:

@@ -12,14 +12,16 @@ system temp directory, so read-only installs still work.
 
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
 signature and in-place/status contract of its numpy step in ``_numpy``, so
-the phases and the test suite can swap one provider for the other.  The two
-kernels that allocate scratch (``kw_reduce``, ``psi_select``) report a
-failed allocation as status 2 with their outputs untouched; their wrappers
-then run the numpy step on the same arrays.
+the phases, the ``L(G)`` builder and the test suite can swap one provider
+for the other.  Twelve steps: the ten phase kernels and the builder's twin
+scan (``entry_twins``) and incidence gather (``line_gather``).  The three
+kernels that allocate scratch (``kw_reduce``, ``psi_select``,
+``entry_twins``) report a failed allocation as status 2 with their outputs
+untouched; their wrappers then run the numpy step on the same arrays.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
-and the phases run the numpy steps.
+and the numpy steps run.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ class CExtensionBackend:
             handle = getattr(library, symbol)
             handle.restype = None
             handle.argtypes = argtypes
-        library.psi_select.restype = _I64  # the one kernel returning a status
+        # The kernels returning a status.
+        library.psi_select.restype = library.entry_twins.restype = _I64
 
     def max_threads(self) -> int:
         return int(self._lib.repro_max_threads())
@@ -231,6 +234,25 @@ class CExtensionBackend:
             taken.shape[1], _as_u8(keep),
         )
 
+    def entry_twins(self, indptr, indices, eid, own):
+        if not len(eid) == len(own) == len(indices):
+            raise ValueError("eid and own must have one slot per CSR entry")
+        status = self._lib.entry_twins(
+            _as_i64(indptr), _as_i64(indices), len(indptr) - 1, _as_i64(eid), _as_i64(own)
+        )
+        if status == 2:  # no cursor; eid and own untouched
+            _numpy.entry_twins(indptr, indices, eid, own)
+
+    def line_gather(self, indptr, chunk_rows, own, eid, line_indptr, out):
+        if not len(chunk_rows) == len(own) == 2 * (len(line_indptr) - 1):
+            raise ValueError("chunk_rows and own must have two chunks per line-graph row")
+        if len(out) != line_indptr[-1]:
+            raise ValueError("out must have one slot per line-graph entry")
+        self._lib.line_gather(
+            _as_i64(indptr), _as_i64(chunk_rows), _as_i64(own), _as_i64(eid),
+            _as_i64(line_indptr), len(line_indptr) - 1, _as_i64(out),
+        )
+
 
 _SIGNATURES = {
     "linial_round": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
@@ -243,6 +265,8 @@ _SIGNATURES = {
     "luby_candidates": (_PTR, _I64, _PTR, _PTR, _I64, _PTR),
     "luby_absorb": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64),
     "luby_resolve": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR),
+    "entry_twins": (_PTR, _PTR, _I64, _PTR, _PTR),
+    "line_gather": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR),
 }
 
 

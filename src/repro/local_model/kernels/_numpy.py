@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.local_model.fast_network import gather_adjacency
 
-#: Names of the kernels a provider must offer (the phases call them by name
-#: on ``VectorContext.kernels``).
+#: Names of the kernels the phases call by name on ``VectorContext.kernels``.
+#: A provider also offers the two ``L(G)`` builder steps, ``entry_twins``
+#: and ``line_gather``, which :mod:`repro.local_model.line_csr` calls.
 KERNEL_NAMES = (
     "linial_round",
     "defective_step",
@@ -310,3 +311,41 @@ def luby_resolve(undecided, indptr, indices, candidate, taken, keep):
     kept = (mine != 0) & ~conflict
     kept &= taken[undecided, np.maximum(mine - 1, 0)] == 0
     keep[:] = kept
+
+
+def entry_twins(indptr, indices, eid, own):
+    """Canonical-edge index and twin slots of every entry of an ascending-row CSR.
+
+    Forward entries (``row < col``) count off ``0..m-1`` in CSR order, which
+    is pair-key order; each backward entry finds its twin by pair-key binary
+    search.  ``eid[s]`` is the edge of entry ``s``; for edge ``e = (u, v)``,
+    ``own[2e]`` is the slot of ``u -> v`` and ``own[2e + 1]`` that of
+    ``v -> u``.
+    """
+    n = len(indptr) - 1
+    rows = _rows(indptr)
+    forward = rows < indices
+    forward_slots = np.flatnonzero(forward)
+    eid[forward_slots] = np.arange(len(forward_slots), dtype=np.int64)
+    backward = np.flatnonzero(~forward)
+    eid[backward] = np.searchsorted(
+        rows[forward_slots] * n + indices[forward_slots], indices[backward] * n + rows[backward]
+    )
+    own[0::2] = forward_slots
+    own[1::2][eid[backward]] = backward
+
+
+def line_gather(indptr, chunk_rows, own, eid, line_indptr, out):
+    """The ``L(G)`` incidence gather into ``out``.
+
+    Row ``e = (u, v)`` of ``L(G)`` is chunk ``2e`` then chunk ``2e + 1``:
+    chunk ``c`` lists ``eid`` over CSR row ``chunk_rows[c]`` of ``G``,
+    stepping over the edge's own slot ``own[c]``.  ``line_indptr`` (the row
+    starts in ``out``) splits the work of the C kernel only.
+    """
+    chunk_sizes = indptr[chunk_rows + 1] - indptr[chunk_rows] - 1
+    # Slot k of a chunk is CSR slot indptr[row] + k, stepping over its own.
+    slot = np.repeat(indptr[chunk_rows] - (np.cumsum(chunk_sizes) - chunk_sizes), chunk_sizes)
+    slot += np.arange(len(slot), dtype=np.int64)
+    slot += slot >= np.repeat(own, chunk_sizes)
+    np.take(eid, slot, out=out)

@@ -6,10 +6,11 @@
  * kernel to its numpy step.  The per-node loops run in parallel and write
  * only cells owned by their own iteration, except where a comment argues
  * the race is benign; `psi_select` alone changes the data layout, as its
- * comment explains.  Built on demand by
- * `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC` and loaded via
- * ctypes; every entry point uses only int64/uint8 pointers and int64
- * scalars so the ABI stays trivial.
+ * comment explains.  The two L(G) builder steps at the end, `entry_twins`
+ * and `line_gather`, are called by `line_csr.py`, not by a phase.  Built
+ * on demand by `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC` and
+ * loaded via ctypes; every entry point uses only int64/uint8 pointers and
+ * int64 scalars so the ABI stays trivial.
  *
  * Python `%` on possibly-negative operands differs from C's: the only
  * operand here that may be negative is a unique id (non-monotone ids are
@@ -537,5 +538,56 @@ void luby_resolve(const i64 *undecided, i64 m, const i64 *indptr,
             }
         }
         keep[i] = ok;
+    }
+}
+
+/* Canonical-edge index and twin slots of every entry of an ascending-row
+ * CSR, in one sequential pass.  Forward entries u -> v (u < v) count off
+ * 0..m-1 in CSR order.  Row v lists its backward entries v -> u (u < v)
+ * first, in ascending u, and the rows are walked in ascending u, so the
+ * twin of forward entry u -> v is the next unmatched backward entry of row
+ * v: slot cursor[v]++.  Returns 0, or 2 when the cursor cannot be
+ * allocated; `eid`/`own` are then untouched. */
+i64 entry_twins(const i64 *indptr, const i64 *indices, i64 n, i64 *eid,
+                i64 *own)
+{
+    i64 *cursor = (i64 *)malloc((size_t)(n + 1) * sizeof(i64));
+    if (cursor == NULL)
+        return 2;
+    memcpy(cursor, indptr, (size_t)n * sizeof(i64));
+    i64 edge = 0;
+    for (i64 u = 0; u < n; u++) {
+        for (i64 s = indptr[u]; s < indptr[u + 1]; s++) {
+            i64 v = indices[s];
+            if (v <= u)
+                continue;
+            i64 twin = cursor[v]++;
+            eid[s] = eid[twin] = edge;
+            own[2 * edge] = s;
+            own[2 * edge + 1] = twin;
+            edge++;
+        }
+    }
+    free(cursor);
+    return 0;
+}
+
+/* The L(G) incidence gather: row e = (u, v) copies `eid` over G's row
+ * chunk_rows[2e] (u), then over row chunk_rows[2e + 1] (v), each time
+ * skipping the edge's own slot own[c].  Edge e writes only its own row
+ * out[line_indptr[e] .. line_indptr[e + 1]). */
+void line_gather(const i64 *indptr, const i64 *chunk_rows, const i64 *own,
+                 const i64 *eid, const i64 *line_indptr, i64 m, i64 *out)
+{
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (i64 e = 0; e < m; e++) {
+        i64 *dst = out + line_indptr[e];
+        for (i64 c = 2 * e; c < 2 * e + 2; c++) {
+            i64 row = chunk_rows[c], skip = own[c];
+            for (i64 s = indptr[row]; s < skip; s++)
+                *dst++ = eid[s];
+            for (i64 s = skip + 1; s < indptr[row + 1]; s++)
+                *dst++ = eid[s];
+        }
     }
 }

@@ -4,14 +4,17 @@ The paper's entire edge-coloring route (Section 5) runs vertex-coloring
 algorithms on the line graph ``L(G)``.  :func:`build_line_graph_fast`
 derives ``L(G)`` directly from the CSR arrays of ``G``'s
 :class:`~repro.local_model.fast_network.FastNetwork` view, with no Python
-per-edge work and no sort:
+per-edge work and no sort, in two steps of the kernel layer
+(:mod:`repro.local_model.kernels`, called on ``kernels.provider()``):
 
-* the canonical edges of ``G`` (ordered by endpoint unique id, Lemma 5.2's
-  pair-identifier scheme) are exactly the CSR entries with
-  ``row < column`` -- dense node order *is* unique-id order -- and their CSR
-  enumeration order is the lexicographic pair-key order, so the line-graph
-  unique ids ``1..|E|`` fall out of one boolean mask;
-* the adjacency of ``L(G)`` is one incidence gather: Lemma 5.2 simulates
+* the twin scan ``entry_twins``: the canonical edges of ``G`` (ordered by
+  endpoint unique id, Lemma 5.2's pair-identifier scheme) are exactly the
+  CSR entries with ``row < column`` -- dense node order *is* unique-id
+  order -- and their CSR enumeration order is the lexicographic pair-key
+  order, so the line-graph unique ids ``1..|E|`` count off along them.  The
+  scan gives every entry its edge index and every edge its two slots
+  ``u -> v`` and ``v -> u``;
+* the incidence gather ``line_gather``: Lemma 5.2 simulates
   ``e = (u, v)`` at its endpoints, so row ``e`` is ``inc(u) \\ {e}`` then
   ``inc(v) \\ {e}``.  Rows are in incidence order, not ascending; every
   consumer is row-order free (``tests/test_line_graph_row_order.py``);
@@ -37,6 +40,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.local_model import kernels
 from repro.local_model.fast_network import FastNetwork, fast_view
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
@@ -73,21 +77,21 @@ class LineGraphMeta:
         return len(self.edge_u)
 
 
+def _twins(g: FastNetwork) -> Tuple[np.ndarray, np.ndarray]:
+    """``(eid, own)`` of the ascending-row view ``g`` (the ``entry_twins`` step)."""
+    eid = np.empty(len(g.indices), dtype=np.int64)
+    own = np.empty(len(g.indices), dtype=np.int64)
+    kernels.provider().entry_twins(g.indptr, g.indices, eid, own)
+    return eid, own
+
+
 def entry_edge_ids(g: FastNetwork) -> np.ndarray:
     """Canonical-edge index of every directed CSR entry of ``g`` (rows ascending).
 
     Forward entries (``row < col``) count off ``0..m-1`` in pair-key order;
-    each backward entry finds its twin by pair-key binary search.
+    each backward entry carries its twin's index.
     """
-    rows, cols = g.rows_np, g.indices
-    forward = rows < cols
-    eid = np.empty(len(rows), dtype=np.int64)
-    eid[forward] = np.arange(int(forward.sum()), dtype=np.int64)
-    backward = ~forward
-    eid[backward] = np.searchsorted(
-        g.edge_keys_np[forward], cols[backward] * g.num_nodes + rows[backward]
-    )
-    return eid
+    return _twins(g)[0]
 
 
 def build_line_graph_fast(network) -> FastNetwork:
@@ -102,35 +106,25 @@ def build_line_graph_fast(network) -> FastNetwork:
     ``1..|E|`` in lexicographic pair-key order (Lemma 5.2).
     """
     g = fast_view(network).ascending_rows()
-    rows, cols = g.rows_np, g.indices
 
     # Canonical edges: dense order is unique-id order, so the CSR entries
     # with row < col enumerate the pairs (Id(u), Id(v)), u < v, already in
     # lexicographic pair-key order.  Line-graph unique ids are 1..m along it.
-    forward = rows < cols
-    edge_u = rows[forward]
-    edge_v = cols[forward]
+    # own[2e] is the slot of u -> v and own[2e + 1] that of its twin v -> u,
+    # so the twin's column is u and the entry's own column is v.
+    eid, own = _twins(g)
+    chunk_rows = g.indices[own.reshape(-1, 2)[:, ::-1].ravel()]  # chunk 2e: u; 2e + 1: v
+    edge_u, edge_v = chunk_rows[0::2].copy(), chunk_rows[1::2].copy()
     m = len(edge_u)
-
-    eid = entry_edge_ids(g)
-    backward = np.flatnonzero(~forward)
     # The incidence gather (Lemma 5.2 simulates e = (u, v) at its endpoints):
     # row e reads G's row u around e's own entry u -> v, then row v around
     # the twin v -> u.  Two edges of a simple graph share at most one
     # endpoint, so no neighbour repeats.
-    own = np.empty(2 * m, dtype=np.int64)  # chunk 2e: slot of u -> v; 2e + 1: v -> u
-    own[0::2] = np.flatnonzero(forward)
-    own[1::2][eid[backward]] = backward
-    chunk_rows = rows[own]
-    chunk_sizes = g.degrees[chunk_rows] - 1
-    line_degrees = chunk_sizes[0::2] + chunk_sizes[1::2]
+    line_degrees = g.degrees[edge_u] + g.degrees[edge_v] - 2
     line_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(line_degrees, out=line_indptr[1:])
-    # Slot k of a chunk is CSR slot indptr[row] + k, stepping over its own.
-    slot = np.repeat(g.indptr[chunk_rows] - (np.cumsum(chunk_sizes) - chunk_sizes), chunk_sizes)
-    slot += np.arange(len(slot), dtype=np.int64)
-    slot += slot >= np.repeat(own, chunk_sizes)
-    line_indices = eid[slot]
+    line_indices = np.empty(line_indptr[-1], dtype=np.int64)
+    kernels.provider().line_gather(g.indptr, chunk_rows, own, eid, line_indptr, line_indices)
 
     line = FastNetwork()
     line._order = None

@@ -196,7 +196,7 @@ class VectorizedScheduler:
     def __init__(self, network: FastNetwork) -> None:
         self._fast: FastNetwork = fast_view(network)
         self._backend = kernels.get_backend()
-        self._kernels = self._backend if self._backend is not None else kernels._numpy
+        self._kernels = kernels.provider()
 
     @property
     def kernel_backend_name(self) -> Optional[str]:

@@ -41,7 +41,8 @@ def engine_config(config: str) -> Iterator[str]:
             restore()
 
 
-#: The kernels that allocate scratch and report a failed allocation as status 2.
+#: The phase kernels that allocate scratch and report a failed allocation as
+#: status 2 (the L(G) builder's ``entry_twins`` does too; no phase calls it).
 SCRATCH_KERNELS = ("kw_reduce", "psi_select")
 
 
@@ -49,8 +50,8 @@ class ScratchFailLibrary:
     """A compiled kernel library whose scratch kernels cannot allocate.
 
     Loaded under :class:`~repro.local_model.kernels._c_backend.CExtensionBackend`,
-    its :data:`SCRATCH_KERNELS` report status 2 with their outputs untouched
-    and record their names in :attr:`calls`.  Every other symbol comes from
+    its :data:`SCRATCH_KERNELS` and ``entry_twins`` report status 2 with
+    their outputs untouched and record their names in :attr:`calls`.  Every other symbol comes from
     ``library`` (a loaded library) or, without one, raises when called, so
     no C compiler is needed.
     """
@@ -67,7 +68,11 @@ class ScratchFailLibrary:
             self.calls.append("psi_select")
             return 2
 
-        self.kw_reduce, self.psi_select = kw_reduce, psi_select
+        def entry_twins(*args):
+            self.calls.append("entry_twins")
+            return 2
+
+        self.kw_reduce, self.psi_select, self.entry_twins = kw_reduce, psi_select, entry_twins
         if library is None:
             self.repro_max_threads = lambda: 1
             self.repro_set_threads = lambda count: None

@@ -7,21 +7,26 @@ instances: empty graphs, graphs that are nothing *but* isolated nodes,
 empty rows in the middle of the indptr, non-monotone and negative unique
 ids, and palettes small enough to force the rarely-taken fallback branches
 (the Linial ``uid % q`` escape, the iterative reduction's no-free-color
-status).  The resolution machinery itself (env forcing, probe rejection of
-a corrupt backend) and the C wrappers' scratch-failure path are covered at
-the bottom.
+status).  The two ``L(G)`` builder steps (the twin scan and the incidence
+gather) are also held to their numpy steps over random graphs, and the
+whole builder to its kernels-off output.  The resolution machinery itself
+(env forcing, probe rejection of a corrupt backend) and the C wrappers'
+scratch-failure path are covered at the bottom.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
 from engine_configs import ScratchFailLibrary
 
 from repro.local_model.kernels import _c_backend, _numpy
-from repro.local_model import kernels
+from repro.local_model import FastNetwork, build_line_graph_fast, kernels
 
 
 def _load_backends():
@@ -455,6 +460,139 @@ class TestLubyKernels:
             undecided, indptr, indices, candidate, actual_taken, actual
         )
         assert np.array_equal(expected, actual)
+
+
+def builder_steps(provider, indptr, indices):
+    """``entry_twins`` then ``line_gather`` of ``provider`` on an ascending-row CSR.
+
+    The gather's inputs are derived as ``build_line_graph_fast`` derives
+    them; returns ``(eid, own, line_indptr, line_indices)``.
+    """
+    eid = np.full(len(indices), -7, dtype=np.int64)
+    own = np.full(len(indices), -7, dtype=np.int64)
+    provider.entry_twins(indptr, indices, eid, own)
+    chunk_rows = indices[own.reshape(-1, 2)[:, ::-1].ravel()]
+    sizes = (np.diff(indptr)[chunk_rows] - 1).reshape(-1, 2).sum(axis=1)
+    line_indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=line_indptr[1:])
+    out = np.full(line_indptr[-1], -7, dtype=np.int64)
+    provider.line_gather(indptr, chunk_rows, own, eid, line_indptr, out)
+    return eid, own, line_indptr, out
+
+
+@st.composite
+def ascending_csrs(draw):
+    """An ascending-row CSR of a random simple graph (isolated nodes allowed)."""
+    n = draw(st.integers(0, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return csr_from_edges(n, edges)
+
+
+@st.composite
+def adjacency_networks(draw):
+    """A ``from_adjacency`` graph with shuffled, non-integer identifiers."""
+    indptr, indices = draw(ascending_csrs())
+    n = len(indptr) - 1
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    return FastNetwork.from_adjacency(
+        {
+            names[v]: [names[u] for u in indices[indptr[v] : indptr[v + 1]]]
+            for v in range(n)
+        }
+    )
+
+
+def line_graph_arrays(network):
+    line = build_line_graph_fast(network)
+    meta = line.line_meta
+    return [line.indptr, line.indices, line.degrees, line.unique_ids, meta.edge_u, meta.edge_v]
+
+
+class TestLineGraphBuilderKernels:
+    """The twin scan and the incidence gather, the two ``L(G)`` builder steps."""
+
+    def assert_steps_match(self, backend, indptr, indices):
+        expected = builder_steps(_numpy, indptr, indices)
+        actual = builder_steps(backend, indptr, indices)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
+        eid, own = expected[0], expected[1]
+        assert np.array_equal(eid[own], np.repeat(np.arange(len(own) // 2), 2))
+
+    def test_builder_steps(self, backend, instance):
+        indptr, indices, _ = instance
+        self.assert_steps_match(backend, indptr, indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(csr=ascending_csrs())
+    def test_builder_steps_on_random_graphs(self, csr):
+        for backend in BACKENDS:
+            self.assert_steps_match(backend, *csr)
+
+    @settings(max_examples=30, deadline=None)
+    @given(network=adjacency_networks())
+    def test_builder_steps_on_adjacency_graphs(self, network):
+        g = network.ascending_rows()
+        for backend in BACKENDS:
+            self.assert_steps_match(backend, g.indptr, g.indices)
+
+    @settings(max_examples=30, deadline=None)
+    @given(network=adjacency_networks())
+    def test_line_graph_is_identical_with_kernels_off(self, network):
+        kernels_on = line_graph_arrays(network)
+        restore = kernels.force_backend(None, reason="kernels switched off by the test")
+        try:
+            kernels_off = line_graph_arrays(network)
+        finally:
+            restore()
+        for on, off in zip(kernels_on, kernels_off):
+            assert on.dtype == off.dtype and np.array_equal(on, off)
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            graphs.random_regular(60, 5, seed=2),
+            graphs.star_graph(9),
+            FastNetwork.from_adjacency({}),
+            FastNetwork.from_adjacency({1: [], 2: []}),
+        ],
+        ids=["regular", "star", "empty", "isolated"],
+    )
+    def test_line_graph_is_identical_under_each_provider(self, backend, network):
+        arrays = []
+        for provider in (backend, None):
+            restore = kernels.force_backend(provider, reason="provider test")
+            try:
+                arrays.append(line_graph_arrays(network))
+            finally:
+                restore()
+        for on, off in zip(*arrays):
+            assert on.dtype == off.dtype and np.array_equal(on, off)
+
+    def test_wrappers_reject_mismatched_sizes(self, backend):
+        # The C bodies write through the output pointers, so a short buffer
+        # must be refused before the call.
+        indptr, indices, _ = INSTANCES["triangle"]
+        eid, own, line_indptr, out = builder_steps(_numpy, indptr, indices)
+        chunk_rows = indices[own.reshape(-1, 2)[:, ::-1].ravel()]
+        with pytest.raises(ValueError):
+            backend.entry_twins(indptr, indices, eid[:-1], own)
+        with pytest.raises(ValueError):
+            backend.line_gather(indptr, chunk_rows, own, eid, line_indptr, out[:-1])
+        with pytest.raises(ValueError):
+            backend.line_gather(indptr, chunk_rows[:-2], own[:-2], eid, line_indptr, out)
+
+    def test_twin_scan_scratch_failure_runs_the_numpy_step(self, backend):
+        # Status 2 (no cursor) makes the wrapper run the numpy step itself.
+        library = ScratchFailLibrary(backend._lib)
+        failing = _c_backend.CExtensionBackend(library, openmp=backend.openmp)
+        indptr, indices, _ = INSTANCES["random40"]
+        expected = builder_steps(_numpy, indptr, indices)
+        actual = builder_steps(failing, indptr, indices)
+        assert library.calls == ["entry_twins"]
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
 
 
 class TestResolutionMachinery:

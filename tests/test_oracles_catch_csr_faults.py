@@ -5,7 +5,10 @@ fault in the CSR builders cannot show as an engine disagreement.  The
 networkx generator check and the dict-built line graph of
 ``graph_oracles`` are what catch it; these tests seed one fault in each
 builder -- a mutated copy of the function's own source, patched in for the
-test -- and show the oracle fails.
+test -- and show the oracle fails.  The line-graph fault sits in the numpy
+body of the ``line_gather`` kernel step, so that test runs with the C
+kernels switched off; the backend probe and ``tests/test_kernels.py`` hold
+the C body to the numpy body.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import graph_oracles
 from test_generator_backends import DETERMINISTIC_FAMILIES, assert_matches_networkx
 
 from repro import graphs
-from repro.local_model import FastNetwork, fast_network, line_csr
+from repro.local_model import FastNetwork, fast_network, kernels
+from repro.local_model.kernels import _numpy
 
 
 def mutated(function, module, original: str, replacement: str):
@@ -43,10 +47,10 @@ def without_dedup():
 
 
 def with_off_by_one_skip():
-    """``build_line_graph_fast`` that steps over the slot after a row's own entry."""
+    """``line_gather`` (numpy body) that steps over the slot after a row's own entry."""
     return mutated(
-        line_csr.build_line_graph_fast,
-        line_csr,
+        _numpy.line_gather,
+        _numpy,
         "slot += slot >= np.repeat(own, chunk_sizes)",
         "slot += slot > np.repeat(own, chunk_sizes)",
     )
@@ -82,6 +86,9 @@ def test_a_dropped_dedup_fails_the_networkx_generator_check(monkeypatch):
 
 
 def test_an_off_by_one_skip_slot_fails_the_dict_line_graph_oracle(monkeypatch):
-    monkeypatch.setattr(line_csr, "build_line_graph_fast", with_off_by_one_skip())
-    monkeypatch.setattr(graph_oracles, "build_line_graph_fast", line_csr.build_line_graph_fast)
-    assert line_graph_check_fails()
+    monkeypatch.setattr(_numpy, "line_gather", with_off_by_one_skip())
+    restore = kernels.force_backend(None, reason="the numpy line_gather is mutated")
+    try:
+        assert line_graph_check_fails()
+    finally:
+        restore()
