@@ -40,7 +40,7 @@ def panconesi_rizzi_edge_coloring(
     def reduce(line_fast: FastNetwork) -> LegalColoringResult:
         pipeline, palette = delta_plus_one_pipeline(
             n=line_fast.num_nodes,
-            degree_bound=max(1, line_fast.max_degree),
+            degree_bound=line_fast.max_degree,
             output_key="_pr_color",
             use_kuhn_wattenhofer=True,
         )

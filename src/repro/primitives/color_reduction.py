@@ -316,7 +316,7 @@ def delta_plus_one_pipeline(
             f"target palette {target} must be at least degree_bound + 1 = {degree_bound + 1}"
         )
     if initial_palette is None:
-        initial_palette = n
+        initial_palette = max(1, n)  # an empty graph has no ids to palette
 
     linial = LinialColoringPhase(
         degree_bound=degree_bound,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from engine_configs import ENGINE_CONFIGS, engine_config
 
-from repro import graphs
+from repro import color_edges, graphs
 from repro.baselines import (
     greedy_reduction_edge_coloring,
     greedy_sequential_edge_coloring,
@@ -15,6 +16,7 @@ from repro.baselines import (
     panconesi_rizzi_edge_coloring,
 )
 from repro.exceptions import InvalidParameterError
+from repro.local_model import FastNetwork
 from repro.verification.coloring import (
     assert_legal_edge_coloring,
     assert_legal_vertex_coloring,
@@ -137,3 +139,26 @@ class TestLubyBaseline:
             luby_vertex_coloring(small_regular, seed=np.int64(5)).colors
             == luby_vertex_coloring(small_regular, seed=5).colors
         )
+
+
+@pytest.mark.parametrize("config", ENGINE_CONFIGS)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, engine: color_edges(g, route="direct", engine=engine),
+        lambda g, engine: color_edges(g, route="simulation", engine=engine),
+        panconesi_rizzi_edge_coloring,
+        greedy_reduction_edge_coloring,
+        luby_edge_coloring,
+    ],
+    ids=["direct", "simulation", "panconesi-rizzi", "greedy-reduction", "luby"],
+)
+@pytest.mark.parametrize("adjacency", [{}, {1: [], 2: []}], ids=["empty", "isolated"])
+def test_every_edge_entry_point_colors_an_edgeless_graph(config, run, adjacency):
+    network = FastNetwork.from_adjacency(adjacency)
+    with engine_config(config) as engine:
+        result = run(network, engine=engine)
+    assert result.edge_colors == {}
+    assert result.palette == 1
+    assert len(result.color_column) == 0
+    assert_legal_edge_coloring(network, result.edge_colors)
