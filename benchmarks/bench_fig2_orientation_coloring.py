@@ -15,6 +15,8 @@ reports the implied chromatic bound versus the class's actual maximum degree
 
 from __future__ import annotations
 
+import numpy as np
+
 from common_bench import print_section, run_once
 
 from repro import graphs
@@ -42,8 +44,8 @@ def _sweep():
     # (exactly the Lemma 3.5 tie-breaking rule) and check Lemma 3.4's bound.
     rows = []
     for klass in sorted(set(psi.values())):
-        members = [node for node in line.nodes() if psi[node] == klass]
-        subgraph = line.induced_subgraph(members)
+        in_class = np.array([psi[node] == klass for node in line.nodes()])
+        subgraph = line.induced(in_class)[0]
         ids = {node: subgraph.unique_id(node) for node in subgraph.nodes()}
         orientation = acyclic_orientation_from_coloring(subgraph, ids)
         assert is_acyclic_orientation(subgraph, orientation)
