@@ -537,29 +537,7 @@ class TestLineGraphBuilderKernels:
         for backend in BACKENDS:
             self.assert_steps_match(backend, g.indptr, g.indices)
 
-    @settings(max_examples=30, deadline=None)
-    @given(network=adjacency_networks())
-    def test_line_graph_is_identical_with_kernels_off(self, network):
-        kernels_on = line_graph_arrays(network)
-        restore = kernels.force_backend(None, reason="kernels switched off by the test")
-        try:
-            kernels_off = line_graph_arrays(network)
-        finally:
-            restore()
-        for on, off in zip(kernels_on, kernels_off):
-            assert on.dtype == off.dtype and np.array_equal(on, off)
-
-    @pytest.mark.parametrize(
-        "network",
-        [
-            graphs.random_regular(60, 5, seed=2),
-            graphs.star_graph(9),
-            FastNetwork.from_adjacency({}),
-            FastNetwork.from_adjacency({1: [], 2: []}),
-        ],
-        ids=["regular", "star", "empty", "isolated"],
-    )
-    def test_line_graph_is_identical_under_each_provider(self, backend, network):
+    def assert_builder_matches_kernels_off(self, backend, network):
         arrays = []
         for provider in (backend, None):
             restore = kernels.force_backend(provider, reason="provider test")
@@ -569,6 +547,25 @@ class TestLineGraphBuilderKernels:
                 restore()
         for on, off in zip(*arrays):
             assert on.dtype == off.dtype and np.array_equal(on, off)
+
+    @settings(max_examples=30, deadline=None)
+    @given(network=adjacency_networks())
+    def test_line_graph_is_identical_with_kernels_off(self, network):
+        for backend in BACKENDS:
+            self.assert_builder_matches_kernels_off(backend, network)
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            graphs.random_regular(600, 8, seed=2),  # 2400 edges: several gather chunks
+            graphs.star_graph(9),
+            FastNetwork.from_adjacency({}),
+            FastNetwork.from_adjacency({1: [], 2: []}),
+        ],
+        ids=["regular", "star", "empty", "isolated"],
+    )
+    def test_line_graph_is_identical_under_each_provider(self, backend, network):
+        self.assert_builder_matches_kernels_off(backend, network)
 
     def test_wrappers_reject_mismatched_sizes(self, backend):
         # The C bodies write through the output pointers, so a short buffer
