@@ -127,7 +127,7 @@ class LubyRandomColoringPhase(BroadcastPhase):
         fast = ctx.fast
         n = fast.num_nodes
         palette = self.palette
-        degrees = fast.degrees_np
+        degrees = fast.degrees
         kernels = ctx.kernels
         unique_ids = ctx.unique_ids().astype(np.uint64)
 

@@ -153,7 +153,7 @@ def plan_edge_coloring(
     """
     if route not in ("direct", "simulation"):
         raise InvalidParameterError(f"unknown route {route!r}")
-    delta_line = max(1, line_graph_max_degree(network))
+    delta_line = line_graph_max_degree(network)
     return plan_legal_coloring(
         params_for_quality(quality, delta_line, LINE_GRAPH_INDEPENDENCE, epsilon),
         delta_line,
@@ -208,10 +208,16 @@ def color_edges(
     quality: str = "linear",
     epsilon: float = 0.75,
     route: str = "direct",
-    parameters: Optional[LegalColorParameters] = None,
     engine: Optional[str] = None,
 ) -> EdgeColoringResult:
     """Distributed edge coloring of a general graph (Theorems 5.3 / 5.5).
+
+    The ``quality`` preset is built from the measured ``Delta(L(G))``, and
+    Legal-Color runs on ``L(G)`` from that degree (a matching gets palette
+    1).  To run another preset, pass a vertex coloring of ``L(G)`` to
+    :func:`color_edges_via_line_graph`, e.g.
+    ``lambda line: run_legal_coloring(line, params, c=2, edge_mode=True)``
+    on the direct route.
 
     Parameters
     ----------
@@ -228,8 +234,6 @@ def color_edges(
     route:
         ``"direct"`` (Theorem 5.5, small messages) or ``"simulation"``
         (Theorem 5.3, Lemma 5.2 simulation with ``O(Delta log n)`` messages).
-    parameters:
-        Explicit Legal-Color parameters, overriding the ``quality`` preset.
     engine:
         Execution engine (``"reference"`` / ``"vectorized"``; ``None`` is
         ``"vectorized"``, see :mod:`repro.local_model.engine`).
@@ -243,12 +247,11 @@ def color_edges(
         raise InvalidParameterError(f"unknown route {route!r}")
 
     def legal_color(line_fast: FastNetwork) -> LegalColoringResult:
-        params = parameters or params_for_quality(
-            quality, max(1, line_fast.max_degree), LINE_GRAPH_INDEPENDENCE, epsilon
-        )
         return run_legal_coloring(
             line_fast,
-            params,
+            params_for_quality(
+                quality, line_fast.max_degree, LINE_GRAPH_INDEPENDENCE, epsilon
+            ),
             c=LINE_GRAPH_INDEPENDENCE,
             edge_mode=(route == "direct"),
             engine=engine,

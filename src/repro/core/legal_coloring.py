@@ -40,10 +40,11 @@ single array operations), and each level's scheduler pass runs through the engin
 ``run_table`` entry points -- natively columnar on the vectorized engine,
 through the exact dict view on the reference engine.
 
-The Section 4.2 improvement is applied by default: an auxiliary
-``O(Delta^2)``-coloring ``rho`` is computed once (``log* n`` rounds) and fed
-to every level's defective-coloring step, so the per-level cost depends only
-on ``Delta``, not on ``n``.
+Every run plans from the graph's measured maximum degree ``Delta`` and
+applies the Section 4.2 improvement: an auxiliary ``O(Delta^2)``-coloring
+``rho`` is computed once (``log* n`` rounds) and fed to every level's
+defective-coloring step, so the per-level cost depends only on ``Delta``,
+not on ``n``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
 from repro.local_model.engine import make_scheduler, resolve_engine
 from repro.local_model.fast_network import FastNetwork, fast_view, sorted_distinct
 from repro.local_model.line_csr import line_meta_for
@@ -236,12 +236,15 @@ def run_legal_coloring(
     network: FastNetwork,
     params: LegalColorParameters,
     c: int,
-    degree_bound: Optional[int] = None,
     edge_mode: bool = False,
-    use_auxiliary_coloring: bool = True,
     engine: Optional[str] = None,
 ) -> LegalColoringResult:
     """Run Procedure Legal-Color on ``network``.
+
+    The plan starts from the measured maximum degree ``Delta`` of
+    ``network`` (a graph with ``Delta = 0`` gets palette 1), and the
+    Section 4.2 auxiliary ``O(Delta^2)``-coloring ``rho`` is computed once
+    and fed to every level.
 
     Parameters
     ----------
@@ -258,15 +261,10 @@ def run_legal_coloring(
         The bound on the neighborhood independence of ``network``
         (``c = 2`` for line graphs of graphs, ``c = r`` for line graphs of
         ``r``-hypergraphs).
-    degree_bound:
-        The initial ``Lambda`` (defaults to the network's maximum degree).
     edge_mode:
         Use Corollary 5.4 instead of Lemma 2.1(3) for the per-level defective
         coloring ``phi`` -- this is the Theorem 5.5 variant whose messages
         stay small.
-    use_auxiliary_coloring:
-        Apply the Section 4.2 improvement (compute the auxiliary
-        ``O(Delta^2)``-coloring ``rho`` once and reuse it at every level).
     engine:
         Execution engine: ``"reference"`` (the message-at-a-time scheduler),
         ``"vectorized"`` (the array engine), or ``None`` for the process
@@ -295,13 +293,7 @@ def run_legal_coloring(
         # built by build_line_graph_fast already carry it (free).
         line_meta_for(fast)
     delta = fast.max_degree
-    if degree_bound is None:
-        degree_bound = max(1, delta)
-    if degree_bound < delta:
-        raise InvalidParameterError(
-            f"degree_bound {degree_bound} is below the actual maximum degree {delta}"
-        )
-    params.validate(degree_bound, c)
+    params.validate(delta, c)
 
     metrics = RunMetrics()
     # Node state is columnar: the base-p recursion paths are one int column
@@ -313,20 +305,11 @@ def run_legal_coloring(
     # ------------------------------------------------------------------ #
     # Section 4.2: auxiliary O(Delta^2)-coloring rho, computed once.
     # ------------------------------------------------------------------ #
-    auxiliary_key: Optional[str] = None
-    auxiliary_palette: Optional[int] = None
-    if use_auxiliary_coloring:
-        aux_phase = LinialColoringPhase(
-            degree_bound=max(1, delta),
-            initial_palette=fast.num_nodes,
-            output_key="_aux_rho",
-        )
-        table, aux_metrics = make_scheduler(fast, engine=engine).run_table(
-            aux_phase, table
-        )
-        metrics.merge(aux_metrics)
-        auxiliary_key = "_aux_rho"
-        auxiliary_palette = aux_phase.final_palette
+    aux_phase = LinialColoringPhase(
+        degree_bound=delta, initial_palette=fast.num_nodes, output_key="_aux_rho"
+    )
+    table, aux_metrics = make_scheduler(fast, engine=engine).run_table(aux_phase, table)
+    metrics.merge(aux_metrics)
 
     # ------------------------------------------------------------------ #
     # Recursion levels, as planned (executed iteratively; all subgraphs of a
@@ -335,7 +318,7 @@ def run_legal_coloring(
     # one (the same CSR as filtering the root), and while every path is
     # still equal the view is the root itself.
     # ------------------------------------------------------------------ #
-    plan = plan_legal_coloring(params, degree_bound, c, edge_mode=edge_mode)
+    plan = plan_legal_coloring(params, delta, c, edge_mode=edge_mode)
     bounds = plan.degree_bounds
     view = fast
     levels: List[LevelTrace] = []
@@ -350,8 +333,8 @@ def run_legal_coloring(
             Lambda=bounds[level],
             c=c,
             mode="edge" if edge_mode else "vertex",
-            auxiliary_key=auxiliary_key,
-            auxiliary_palette=auxiliary_palette,
+            auxiliary_key="_aux_rho",
+            auxiliary_palette=aux_phase.final_palette,
             output_key="_psi",
         )
         table, level_metrics = make_scheduler(view, engine=engine).run_table(
@@ -385,8 +368,8 @@ def run_legal_coloring(
     bottom_pipeline, _ = delta_plus_one_pipeline(
         n=fast.num_nodes,
         degree_bound=bottom_bound,
-        initial_palette=auxiliary_palette,
-        input_key=auxiliary_key,
+        initial_palette=aux_phase.final_palette,
+        input_key="_aux_rho",
         output_key="_bottom_color",
         target=bottom_target,
     )
@@ -417,7 +400,6 @@ def _color_split_classes(
     class_network: FastNetwork,
     labels: np.ndarray,
     c: int,
-    parameters: Optional[LegalColorParameters],
     engine: Optional[str],
     metrics: RunMetrics,
 ) -> Tuple[np.ndarray, int]:
@@ -429,10 +411,8 @@ def _color_split_classes(
     metrics are merged into ``metrics``; class ``i`` gets the ``i``-th block
     of the per-class palette.  Returns ``(color_column, per_class_palette)``.
     """
-    params = parameters or params_for_few_rounds(max(1, class_network.max_degree), c)
-    per_class = run_legal_coloring(
-        class_network, params, c=c, use_auxiliary_coloring=True, engine=engine
-    )
+    params = params_for_few_rounds(class_network.max_degree, c)
+    per_class = run_legal_coloring(class_network, params, c=c, engine=engine)
     metrics.merge(per_class.metrics)
     return (labels - 1) * per_class.palette + per_class.color_column, per_class.palette
 
@@ -465,7 +445,7 @@ def color_vertices(
     """
     return run_legal_coloring(
         network,
-        params_for_quality(quality, max(1, network.max_degree), c, epsilon),
+        params_for_quality(quality, network.max_degree, c, epsilon),
         c=c,
         engine=engine,
     )

@@ -24,7 +24,7 @@ import numpy as np
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.core.legal_coloring import _color_split_classes
-from repro.core.parameters import LegalColorParameters, independence_bound, integer_seed
+from repro.core.parameters import independence_bound, integer_seed
 from repro.primitives.numbers import luby_draw
 
 #: The round word of the split's counter-hash draw.  Luby's rounds count up
@@ -73,7 +73,6 @@ def randomized_color_vertices(
     network: FastNetwork,
     c: int,
     seed: int = 0,
-    parameters: Optional[LegalColorParameters] = None,
     engine: Optional[str] = None,
 ) -> RandomizedColoringResult:
     """Randomized ``O(Delta * min{Delta, log n}^eta)``-coloring (Theorem 6.1).
@@ -88,8 +87,11 @@ def randomized_color_vertices(
         Integer seed of the (per-vertex, identifier-keyed) randomness; runs
         are reproducible given the seed.  Bools and non-integers raise
         :class:`~repro.exceptions.InvalidParameterError`.
-    parameters:
-        Optional explicit Legal-Color parameters for the per-class coloring.
+    engine:
+        Execution engine (see :mod:`repro.local_model.engine`).
+
+    Every class is colored with Theorem 4.8(2) planned from the classes'
+    measured maximum degree, so an edgeless graph gets palette 1.
     """
     c = independence_bound(c)
     seed = integer_seed(seed, "randomized seed")
@@ -129,7 +131,7 @@ def randomized_color_vertices(
 
     # Both columns follow fast.order, so the palette merge is array work.
     color_column, per_class_palette = _color_split_classes(
-        class_network, labels, c, parameters, engine, metrics
+        class_network, labels, c, engine, metrics
     )
     return RandomizedColoringResult(
         colors=fast.column_mapping(color_column),

@@ -20,7 +20,7 @@ from repro.exceptions import InvalidParameterError
 from repro.local_model.fast_network import FastNetwork, fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.core.legal_coloring import _color_split_classes, run_coloring_phases
-from repro.core.parameters import LegalColorParameters, independence_bound
+from repro.core.parameters import independence_bound
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 
@@ -60,7 +60,6 @@ def tradeoff_color_vertices(
     c: int,
     g: Callable[[int], float],
     eta: float = 0.5,
-    parameters: Optional[LegalColorParameters] = None,
     engine: Optional[str] = None,
 ) -> TradeoffColoringResult:
     """Corollary 6.3: an ``O(Delta^2 / g(Delta))``-coloring of ``network``.
@@ -76,8 +75,11 @@ def tradeoff_color_vertices(
         values mean fewer colors and more rounds.
     eta:
         The small constant of the paper's derivation (``q = g^{1/(1-eta)}``).
-    parameters:
-        Optional explicit Legal-Color parameters for the per-class stage.
+    engine:
+        Execution engine (see :mod:`repro.local_model.engine`).
+
+    The per-class stage runs Theorem 4.8(2) planned from the classes'
+    measured maximum degree, so an edgeless graph gets palette 1.
     """
     c = independence_bound(c)
     if not 0 < eta < 1:
@@ -114,7 +116,7 @@ def tradeoff_color_vertices(
     # Both columns follow fast.order (class_network shares the parent view's
     # node order), so the Figure 3 palette merge is pure array arithmetic.
     color_column, per_class_palette = _color_split_classes(
-        class_network, split_column, c, parameters, engine, metrics
+        class_network, split_column, c, engine, metrics
     )
     return TradeoffColoringResult(
         colors=fast.column_mapping(color_column),

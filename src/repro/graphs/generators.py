@@ -316,7 +316,7 @@ def random_regular(n: int, degree: int, seed: int = 0, backend: str = "fast") ->
         # converge.  Sample the (n - 1 - degree)-regular *complement*
         # instead -- sparse, same machinery -- and invert.
         complement = random_regular(n, n - 1 - degree, seed=seed)
-        rows, cols = complement.rows_np, complement.indices_np
+        rows, cols = complement.rows_np, complement.indices
         absent = rows[rows < cols] * n + cols[rows < cols]
         all_u, all_v = np.triu_indices(n, k=1)
         all_keys = all_u.astype(np.int64) * n + all_v.astype(np.int64)

@@ -184,8 +184,9 @@ class FastNetwork:
     indptr, indices:
         The CSR arrays (``int64``): the neighbors of node ``i`` are the dense
         indices ``indices[indptr[i]:indptr[i + 1]]``, ascending (unique-id
-        order) except on an ``L(G)`` view and its masks, whose rows are in
-        incidence order (see :meth:`ascending_rows`).
+        order) except on an ``L(G)`` view and the views derived from it by
+        masking or induction, whose rows are in incidence order.  Each
+        constructor records which (see :meth:`ascending_rows`).
     neighbor_ids:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
         ``i`` in CSR row order (materialized on first use).
@@ -207,12 +208,16 @@ class FastNetwork:
         "num_nodes",
         "max_degree",
         "line_meta",
+        "_rows_ascending",
         "_np_cache",
     )
 
     def __init__(self) -> None:
-        #: Derived arrays computed on first use (``rows``, ``edge_keys``, ``ascending_indices``).
+        #: Derived arrays computed on first use (``rows``).
         self._np_cache: Dict[str, np.ndarray] = {}
+        #: Whether every CSR row lists its neighbors ascending; set by the
+        #: constructor that built the rows (``L(G)`` rows are not).
+        self._rows_ascending = False
         #: Dense incidence encoding for line-graph views (see
         #: :mod:`repro.local_model.line_csr`); ``None`` on ordinary networks.
         self.line_meta = None
@@ -367,18 +372,16 @@ class FastNetwork:
         *,
         unique_ids=None,
         order=None,
-        check: bool = True,
     ) -> "FastNetwork":
         """Build a :class:`FastNetwork` from ready-made CSR arrays.
 
         ``indptr``/``indices`` follow the usual convention (neighbors of node
-        ``i`` are ``indices[indptr[i]:indptr[i + 1]]``).  With ``check=True``
-        (the default) the arrays are validated vectorially: monotone
-        ``indptr``, in-range indices, per-row strictly ascending neighbor
-        lists (which is the unique-id neighbor order, and excludes duplicate
-        edges), no self-loops, and a symmetric adjacency.  Pass
-        ``check=False`` only for arrays produced by trusted array code.
-        ``unique_ids`` / ``order`` behave as in :meth:`from_edge_array`.
+        ``i`` are ``indices[indptr[i]:indptr[i + 1]]``).  The arrays are
+        always validated vectorially: monotone ``indptr``, in-range indices,
+        per-row strictly ascending neighbor lists (which is the unique-id
+        neighbor order, and excludes duplicate edges), no self-loops, and a
+        symmetric adjacency.  ``unique_ids`` / ``order`` behave as in
+        :meth:`from_edge_array`.
         """
         # Copies, so the view never aliases (and cannot be mutated through)
         # the caller's arrays.
@@ -388,40 +391,35 @@ class FastNetwork:
             raise InvalidParameterError("indptr must start with 0")
         n = len(indptr) - 1
         degrees = np.diff(indptr)
-        if check:
-            if (degrees < 0).any():
-                raise InvalidParameterError("indptr must be non-decreasing")
-            if int(indptr[-1]) != len(indices):
-                raise InvalidParameterError(
-                    f"indptr ends at {int(indptr[-1])} but there are "
-                    f"{len(indices)} CSR entries"
-                )
-            if len(indices) and (indices.min() < 0 or indices.max() >= n):
-                raise InvalidParameterError(
-                    f"CSR indices must be dense indices in 0..{n - 1}"
-                )
-            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            if (rows == indices).any():
-                raise InvalidParameterError(
-                    "self-loops are not allowed in the LOCAL model"
-                )
-            interior = np.ones(len(indices), dtype=bool)
-            starts = indptr[1:-1]
-            interior[starts[starts < len(indices)]] = False  # row starts
-            if len(indices) and not (np.diff(indices) > 0)[interior[1:]].all():
-                raise InvalidParameterError(
-                    "neighbor lists must be strictly increasing per row "
-                    "(dense order is unique-id order)"
-                )
-            forward = np.sort(rows * n + indices)
-            backward = np.sort(indices * n + rows)
-            if not np.array_equal(forward, backward):
-                raise InvalidParameterError("adjacency must be symmetric")
+        if (degrees < 0).any():
+            raise InvalidParameterError("indptr must be non-decreasing")
+        if int(indptr[-1]) != len(indices):
+            raise InvalidParameterError(
+                f"indptr ends at {int(indptr[-1])} but there are "
+                f"{len(indices)} CSR entries"
+            )
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise InvalidParameterError(f"CSR indices must be dense indices in 0..{n - 1}")
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        if (rows == indices).any():
+            raise InvalidParameterError("self-loops are not allowed in the LOCAL model")
+        interior = np.ones(len(indices), dtype=bool)
+        starts = indptr[1:-1]
+        interior[starts[starts < len(indices)]] = False  # row starts
+        if len(indices) and not (np.diff(indices) > 0)[interior[1:]].all():
+            raise InvalidParameterError(
+                "neighbor lists must be strictly increasing per row "
+                "(dense order is unique-id order)"
+            )
+        forward = np.sort(rows * n + indices)
+        backward = np.sort(indices * n + rows)
+        if not np.array_equal(forward, backward):
+            raise InvalidParameterError("adjacency must be symmetric")
         return cls._from_parts(indptr, indices, degrees, n, unique_ids, order)
 
     @classmethod
     def _from_parts(
-        cls, indptr, indices, degrees, num_nodes, unique_ids, order
+        cls, indptr, indices, degrees, num_nodes, unique_ids, order, rows_ascending=True
     ) -> "FastNetwork":
         """Finalize an array-built view (shared by the array constructors)."""
         if unique_ids is None:
@@ -445,6 +443,7 @@ class FastNetwork:
         built.indices = np.ascontiguousarray(indices, dtype=np.int64)
         built.degrees = np.ascontiguousarray(degrees, dtype=np.int64)
         built.max_degree = int(np.max(degrees)) if num_nodes else 0
+        built._rows_ascending = rows_ascending
         built._neighbor_ids = None
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
@@ -573,52 +572,30 @@ class FastNetwork:
     def rows_np(self) -> np.ndarray:
         """``rows_np[e]`` is the *source* node of CSR entry ``e`` (cached).
 
-        Together with ``indices_np`` this lists every directed edge
-        ``rows_np[e] -> indices_np[e]``; each undirected edge appears twice.
+        Together with ``indices`` this lists every directed edge
+        ``rows_np[e] -> indices[e]``; each undirected edge appears twice.
         """
         cached = self._np_cache.get("rows")
         if cached is None:
             cached = self._np_cache["rows"] = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), self.degrees_np
+                np.arange(self.num_nodes, dtype=np.int64), self.degrees
             )
-        return cached
-
-    @property
-    def edge_keys_np(self) -> np.ndarray:
-        """The directed-entry keys ``row * num_nodes + col``, ascending (cached).
-
-        They are computed in ``O(|E|)`` on first use, which also checks the
-        row order once; an ``L(G)`` view's keys are sorted then.  The
-        ``searchsorted`` canonical-edge lookups of the line-graph builder
-        read them; :meth:`with_edge_updates` does not.
-        """
-        cached = self._np_cache.get("edge_keys")
-        if cached is None:
-            cached = self.rows_np * self.num_nodes + self.indices_np
-            if not (cached[1:] > cached[:-1]).all():
-                cached.sort()
-                self._np_cache["ascending_indices"] = cached % self.num_nodes
-            self._np_cache.setdefault("ascending_indices", self.indices)
-            self._np_cache["edge_keys"] = cached
         return cached
 
     def ascending_rows(self) -> "FastNetwork":
         """This view, or its sibling listing every row's neighbors ascending.
 
         For consumers that read the entries with ``row < col`` as the
-        canonical edges in pair-key order, or merge against the keys.  The
-        row order is checked once through :attr:`edge_keys_np`; a view built
-        by :meth:`with_edge_updates` is known ascending and is returned as
-        is, in ``O(1)``.
+        canonical edges in pair-key order.  A view whose constructor built
+        ascending rows is returned as is, in ``O(1)``; any other (``L(G)``
+        and the views derived from it) gets a sibling with every row sorted.
         """
-        if "ascending_indices" not in self._np_cache:
-            self.edge_keys_np  # finds the row order
-        indices = self._np_cache["ascending_indices"]
-        if indices is self.indices:
+        if self._rows_ascending:
             return self
-        sibling = self._sibling(self.indptr, indices, self.degrees, self.line_meta)
-        sibling._np_cache.update(edge_keys=self.edge_keys_np, ascending_indices=sibling.indices)
-        return sibling
+        within_rows = _lexsort_pairs(self.rows_np, self.indices)
+        return self._sibling(
+            self.indptr, self.indices[within_rows], self.degrees, self.line_meta, True
+        )
 
     def _find_entries(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(slots, present)`` of each entry ``u[i] -> v[i]`` in this view's ascending rows.
@@ -655,22 +632,33 @@ class FastNetwork:
                 f"labels must have one entry per node ({self.num_nodes}), "
                 f"got shape {labels.shape}"
             )
-        return self._masked(labels[self.rows_np] == labels[self.indices_np])
+        return self._masked(labels[self.rows_np] == labels[self.indices])
 
     def _masked(self, keep: np.ndarray) -> "FastNetwork":
         """Build the derived view for a per-CSR-entry boolean mask."""
-        new_indices = self.indices_np[keep]
+        new_indices = self.indices[keep]
         new_degrees = np.bincount(
             self.rows_np[keep], minlength=self.num_nodes
         ).astype(np.int64)
         new_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(new_degrees, out=new_indptr[1:])
-        return self._sibling(new_indptr, new_indices, new_degrees, self.line_meta)
+        return self._sibling(
+            new_indptr, new_indices, new_degrees, self.line_meta, self._rows_ascending
+        )
 
     def _sibling(
-        self, indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray, line_meta
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        degrees: np.ndarray,
+        line_meta,
+        rows_ascending: bool = False,
     ) -> "FastNetwork":
-        """A view over the same node set (order, ids) with new CSR arrays."""
+        """A view over the same node set (order, ids) with new CSR arrays.
+
+        ``rows_ascending`` records whether every new row is ascending; the
+        default claims nothing, so :meth:`ascending_rows` sorts.
+        """
         derived = FastNetwork()
         derived._order = self._order
         derived._index_of = self._index_of
@@ -682,6 +670,7 @@ class FastNetwork:
         derived.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         derived.degrees = np.ascontiguousarray(degrees, dtype=np.int64)
         derived.max_degree = int(degrees.max()) if self.num_nodes else 0
+        derived._rows_ascending = rows_ascending
         # Neighbor-identifier structures are materialized lazily (see the
         # neighbor_ids property): the vectorized engine never touches them.
         derived._neighbor_ids = None
@@ -755,9 +744,7 @@ class FastNetwork:
         cols = np.insert(np.delete(base.indices, hit), (slots - ahead)[fresh], put_v[fresh])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        derived = self._sibling(indptr, cols, degrees, None)
-        derived._np_cache["ascending_indices"] = derived.indices
-        return derived
+        return self._sibling(indptr, cols, degrees, None, True)
 
     def induced(self, node_mask: np.ndarray) -> Tuple["FastNetwork", np.ndarray]:
         """The *compact* induced subgraph on the unmasked nodes.
@@ -812,6 +799,7 @@ class FastNetwork:
             len(nodes),
             None,  # compacted to 1..k; parent id order is preserved
             identifiers,
+            self._rows_ascending,  # each row keeps its parent's order
         )
         return sub, nodes
 

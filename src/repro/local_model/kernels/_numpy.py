@@ -317,22 +317,20 @@ def entry_twins(indptr, indices, eid, own):
     """Canonical-edge index and twin slots of every entry of an ascending-row CSR.
 
     Forward entries (``row < col``) count off ``0..m-1`` in CSR order, which
-    is pair-key order; each backward entry finds its twin by pair-key binary
-    search.  ``eid[s]`` is the edge of entry ``s``; for edge ``e = (u, v)``,
+    is pair-key order.  The backward entries in CSR order are ``(v, u)``
+    ascending, so they are the twins of the forward edges stably sorted by
+    column.  ``eid[s]`` is the edge of entry ``s``; for edge ``e = (u, v)``,
     ``own[2e]`` is the slot of ``u -> v`` and ``own[2e + 1]`` that of
     ``v -> u``.
     """
-    n = len(indptr) - 1
-    rows = _rows(indptr)
-    forward = rows < indices
+    forward = _rows(indptr) < indices
     forward_slots = np.flatnonzero(forward)
     eid[forward_slots] = np.arange(len(forward_slots), dtype=np.int64)
     backward = np.flatnonzero(~forward)
-    eid[backward] = np.searchsorted(
-        rows[forward_slots] * n + indices[forward_slots], indices[backward] * n + rows[backward]
-    )
+    by_column = np.argsort(indices[forward_slots], kind="stable")
+    eid[backward] = by_column
     own[0::2] = forward_slots
-    own[1::2][eid[backward]] = backward
+    own[1::2][by_column] = backward
 
 
 def line_gather(indptr, chunk_rows, own, eid, line_indptr, out):

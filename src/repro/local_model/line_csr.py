@@ -16,8 +16,10 @@ per-edge work and no sort, in two steps of the kernel layer
   ``u -> v`` and ``v -> u``;
 * the incidence gather ``line_gather``: Lemma 5.2 simulates
   ``e = (u, v)`` at its endpoints, so row ``e`` is ``inc(u) \\ {e}`` then
-  ``inc(v) \\ {e}``.  Rows are in incidence order, not ascending; every
-  consumer is row-order free (``tests/test_line_graph_row_order.py``);
+  ``inc(v) \\ {e}``.  Rows are in incidence order, not ascending, and the
+  view records so: :meth:`FastNetwork.ascending_rows` sorts a sibling for
+  the consumers that read ascending rows, and every coloring run is
+  row-order free (``tests/test_line_graph_row_order.py``);
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
   the API boundary (result extraction, reference-engine runs).
@@ -135,6 +137,7 @@ def build_line_graph_fast(network) -> FastNetwork:
     line.indptr = line_indptr
     line.degrees = line_degrees
     line.max_degree = int(line_degrees.max()) if m else 0
+    line._rows_ascending = False  # incidence order
     line._neighbor_ids = None
     line.line_meta = LineGraphMeta(edge_u=edge_u, edge_v=edge_v)
 

@@ -121,7 +121,7 @@ def coloring_defect(network: FastNetwork, colors: ColorsLike) -> int:
     column = _vertex_column(fast, colors)
     if fast.num_nodes == 0 or len(fast.indices) == 0:
         return 0
-    rows, cols = fast.rows_np, fast.indices_np
+    rows, cols = fast.rows_np, fast.indices
     same = column[rows] == column[cols]
     return int(np.bincount(rows[same], minlength=fast.num_nodes).max())
 
@@ -130,7 +130,7 @@ def _find_vertex_violation(
     fast: FastNetwork, column: np.ndarray
 ) -> Optional[Tuple[Hashable, Hashable]]:
     """First monochromatic edge in canonical order (identifiers interned lazily)."""
-    rows, cols = fast.rows_np, fast.indices_np
+    rows, cols = fast.rows_np, fast.indices
     conflict = column[rows] == column[cols]
     if not conflict.any():
         return None
@@ -149,7 +149,7 @@ def _find_vertex_violation(
 
 def _canonical_edge_endpoints(fast: FastNetwork) -> Tuple[np.ndarray, np.ndarray]:
     """Dense endpoint indices of the canonical edges, in unique-id pair order."""
-    rows, cols = fast.rows_np, fast.indices_np
+    rows, cols = fast.rows_np, fast.indices
     forward = rows < cols
     return rows[forward], cols[forward]
 
@@ -271,7 +271,7 @@ def _find_edge_violation(
     while first > 0 and repeat[first - 1]:
         first -= 1
     order = fast.order
-    cols = fast.indices_np
+    cols = fast.indices
     node = order[int(r_sorted[winner])]
     seen_neighbor = order[int(cols[by_row_color[first]])]
     repeat_neighbor = order[int(cols[by_row_color[winner]])]

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from engine_configs import ENGINE_CONFIGS, engine_config
 
-from repro import color_edges, graphs
+from repro import (
+    DynamicColoring,
+    color_edges,
+    color_graph,
+    color_vertices,
+    graphs,
+    randomized_color_vertices,
+    tradeoff_color_vertices,
+)
 from repro.baselines import (
     greedy_reduction_edge_coloring,
     greedy_sequential_edge_coloring,
@@ -153,12 +163,51 @@ class TestLubyBaseline:
     ],
     ids=["direct", "simulation", "panconesi-rizzi", "greedy-reduction", "luby"],
 )
-@pytest.mark.parametrize("adjacency", [{}, {1: [], 2: []}], ids=["empty", "isolated"])
+@pytest.mark.parametrize(
+    "adjacency",
+    [{}, {1: [], 2: []}, {1: [2], 2: [1], 3: [4], 4: [3]}],
+    ids=["empty", "isolated", "matching"],
+)
 def test_every_edge_entry_point_colors_an_edgeless_graph(config, run, adjacency):
+    """Graphs whose line graph has no edge (Delta(L(G)) = 0) take one color."""
     network = FastNetwork.from_adjacency(adjacency)
     with engine_config(config) as engine:
         result = run(network, engine=engine)
-    assert result.edge_colors == {}
     assert result.palette == 1
-    assert len(result.color_column) == 0
+    assert len(result.color_column) == network.num_edges
     assert_legal_edge_coloring(network, result.edge_colors)
+    if network.num_edges:
+        assert result.colors_used == 1
+    else:
+        assert result.edge_colors == {}
+    decision = getattr(result, "decision", None)
+    if decision is not None:  # the portfolio plans the palette it runs
+        assert decision.predicted["palette_direct"] == result.palette
+
+
+def dynamic_session(network, engine):
+    """A :class:`DynamicColoring` session's palette bound and coloring."""
+    session = DynamicColoring(network, c=2, engine=engine)
+    session.verify()
+    return SimpleNamespace(palette=session.palette_bound, color_column=session.color_column)
+
+
+@pytest.mark.parametrize("config", ENGINE_CONFIGS)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, engine: color_vertices(g, c=2, engine=engine),
+        lambda g, engine: tradeoff_color_vertices(g, c=2, g=lambda delta: 2.0, engine=engine),
+        lambda g, engine: randomized_color_vertices(g, c=2, engine=engine),
+        lambda g, engine: color_graph(g, c=2, engine=engine),
+        dynamic_session,
+    ],
+    ids=["legal-color", "tradeoff", "randomized", "portfolio", "dynamic"],
+)
+def test_every_vertex_entry_point_colors_isolated_vertices_with_one_color(config, run):
+    """A graph with Delta = 0 gets palette 1 and every vertex color 1."""
+    network = FastNetwork.from_adjacency({1: [], 2: [], 3: []})
+    with engine_config(config) as engine:
+        result = run(network, engine)
+    assert result.palette == 1
+    assert result.color_column.tolist() == [1, 1, 1]

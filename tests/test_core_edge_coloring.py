@@ -8,7 +8,6 @@ from engine_configs import ENGINE_CONFIGS, engine_config
 from make_goldens import FIXTURES
 from repro import graphs
 from repro.core.edge_coloring import color_edges
-from repro.core.parameters import params_for_few_rounds
 from repro.exceptions import InvalidParameterError
 from repro.verification.coloring import assert_legal_edge_coloring
 
@@ -64,11 +63,6 @@ class TestResultObject:
     def test_line_graph_degree_recorded(self, small_regular):
         result = color_edges(small_regular, quality="superlinear")
         assert result.line_graph_max_degree <= 2 * (small_regular.max_degree - 1)
-
-    def test_explicit_parameters_override_quality(self, small_regular):
-        params = params_for_few_rounds(2 * small_regular.max_degree, c=2, p=11, b=2)
-        result = color_edges(small_regular, parameters=params)
-        assert result.parameters is params
 
     def test_unknown_route_rejected(self, small_regular):
         with pytest.raises(InvalidParameterError):

@@ -25,6 +25,7 @@ from repro.core.parameters import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.local_model.metrics import RunMetrics
+from repro.primitives.linial import LinialColoringPhase
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
 
@@ -146,29 +147,30 @@ class TestRecursionBehaviour:
         assert_legal_vertex_coloring(triangle, result.colors)
         assert result.palette <= params.threshold + 1
 
-    def test_degree_bound_below_actual_degree_rejected(self, fig1_graph):
-        params = params_for_few_rounds(fig1_graph.max_degree, c=2)
-        with pytest.raises(InvalidParameterError):
-            run_legal_coloring(fig1_graph, params, c=2, degree_bound=1)
-
     def test_invalid_c_rejected(self, fig1_graph):
         params = params_for_few_rounds(fig1_graph.max_degree, c=2)
         with pytest.raises(InvalidParameterError):
             run_legal_coloring(fig1_graph, params, c=0)
 
-    def test_auxiliary_coloring_reduces_rounds(self):
+    def test_auxiliary_coloring_reduces_rounds(self, monkeypatch):
         base = graphs.random_regular(60, 8, seed=4)
         line = line_graph_network(base)
         params = params_for_few_rounds(line.max_degree, c=2)
-        with_aux = run_legal_coloring(line, params, c=2, use_auxiliary_coloring=True)
-        without_aux = run_legal_coloring(line, params, c=2, use_auxiliary_coloring=False)
+        starts = []
+        original = LinialColoringPhase.__init__
+
+        def spy(phase, *args, **kwargs):
+            original(phase, *args, **kwargs)
+            starts.append((phase.input_key, phase.initial_palette))
+
+        monkeypatch.setattr(LinialColoringPhase, "__init__", spy)
+        with_aux = run_legal_coloring(line, params, c=2)
         assert_legal_vertex_coloring(line, with_aux.colors)
-        assert_legal_vertex_coloring(line, without_aux.colors)
-        # Both are legal; the Section 4.2 variant should not be slower once
-        # there is at least one recursion level (it pays log* n once instead
-        # of once per level).
-        if with_aux.num_levels >= 1:
-            assert with_aux.metrics.rounds <= without_aux.metrics.rounds + 4
+        # Section 4.2: Linial starts from the identifier palette exactly once,
+        # for the auxiliary coloring rho; every later Linial starts from rho.
+        assert starts[0] == (None, line.num_nodes)
+        assert len(starts) > 1
+        assert all(key == "_aux_rho" for key, _ in starts[1:])
 
     def test_empty_and_single_vertex_networks(self):
         from repro.local_model import FastNetwork
@@ -210,7 +212,7 @@ class TestSplitClasses:
         labels = np.arange(fast.num_nodes, dtype=np.int64) % 3 + 1
         metrics = RunMetrics()
         colors, per_class_palette = _color_split_classes(
-            fast.filtered_by_labels(labels), labels, 2, None, None, metrics
+            fast.filtered_by_labels(labels), labels, 2, None, metrics
         )
         assert ((colors - 1) // per_class_palette + 1).tolist() == labels.tolist()
         assert metrics.rounds > 0

@@ -12,8 +12,8 @@ Three contracts are locked down here:
    documented ``numpy.random.default_rng(seed)`` streams, so they cannot be
    compared edge-for-edge against networkx; instead the exact guarantees are
    asserted: exact degrees for the regular families, simplicity and symmetry
-   everywhere (re-validated from scratch by ``FastNetwork.from_csr(...,
-   check=True)``), and seed-reproducibility.
+   everywhere (re-validated from scratch by ``FastNetwork.from_csr``), and
+   seed-reproducibility.
 3. **The array entry path.**  A golden scenario enters through
    ``FastNetwork.from_edge_array``, runs the full Legal-Color pipeline on the
    vectorized engine and verifies through the array oracles; the colors
@@ -63,9 +63,7 @@ def all_close_pairs(points: np.ndarray, radius: float) -> np.ndarray:
 
 def assert_simple_and_symmetric(network: FastNetwork) -> None:
     """Re-validate the CSR from scratch: simple, ascending rows, symmetric."""
-    FastNetwork.from_csr(
-        network.indptr, network.indices, unique_ids=network.unique_ids, check=True
-    )
+    FastNetwork.from_csr(network.indptr, network.indices, unique_ids=network.unique_ids)
 
 
 def csr_edges(network: FastNetwork) -> np.ndarray:
