@@ -174,6 +174,10 @@ class LegalColoringResult:
         The parameter preset that was used.
     bottom_degree_bound:
         The degree bound ``hat-Lambda`` at which the recursion bottomed out.
+    bottom_max_degree:
+        The measured maximum degree of the subgraphs the bottom colors (the
+        bottom view's ``max_degree``).  The last level's Theorem 3.7 bound
+        held when this is at most that level's ``next_degree_bound``.
     color_column:
         The same coloring as ``colors``, as an ``int64`` array in the dense
         node order of the network's
@@ -188,6 +192,7 @@ class LegalColoringResult:
     levels: List[LevelTrace] = field(default_factory=list)
     parameters: Optional[LegalColorParameters] = None
     bottom_degree_bound: int = 0
+    bottom_max_degree: int = 0
     color_column: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -392,6 +397,7 @@ def run_legal_coloring(
         levels=levels,
         parameters=params,
         bottom_degree_bound=bottom_bound,
+        bottom_max_degree=view.max_degree,
         color_column=color_column,
     )
 

@@ -85,13 +85,16 @@ def tradeoff_color_vertices(
     if not 0 < eta < 1:
         raise InvalidParameterError("eta must lie in (0, 1)")
     fast = fast_view(network)
-    delta = max(1, fast.max_degree)
+    delta = fast.max_degree
 
-    g_value = float(g(delta))
-    if g_value < 1:
-        raise InvalidParameterError("g(Delta) must be at least 1")
-    q_value = g_value ** (1.0 / (1.0 - eta))
-    p_split = max(1, round(delta / max(1.0, q_value)))
+    # An edgeless graph needs no split, so g is not asked for g(0).
+    p_split = 1
+    if delta:
+        g_value = float(g(delta))
+        if g_value < 1:
+            raise InvalidParameterError("g(Delta) must be at least 1")
+        q_value = g_value ** (1.0 / (1.0 - eta))
+        p_split = max(1, round(delta / max(1.0, q_value)))
     target_defect = max(1, delta // p_split) if p_split > 1 else delta
 
     metrics = RunMetrics()

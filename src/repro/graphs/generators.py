@@ -35,6 +35,7 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.local_model import kernels
 from repro.local_model.fast_network import FastNetwork, _lexsort_pairs
 
 #: Vectorized re-pairing rounds attempted before falling back to the exact
@@ -667,6 +668,17 @@ def _geometric_edges(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All pairs of points in ``[0, 1]^2`` within ``radius``: a half-radius cell sweep.
 
+    The ``geo_pairs`` kernel step on :func:`repro.local_model.kernels.provider`
+    sweeps the cell table of :func:`_sweep_arrays` (a count pass and a fill
+    pass in C, or one ``repeat``/``arange`` per candidate range in numpy) and
+    maps only the close pairs back to input indices.
+    """
+    return kernels.provider().geo_pairs(*_sweep_arrays(points, radius))
+
+
+def _sweep_arrays(points: np.ndarray, radius: float) -> tuple:
+    """The arguments of ``geo_pairs``: the points sorted into half-radius cells.
+
     The points are bucketed into ``cells x cells`` squares of side just over
     ``radius / 2``: ``cells = floor(2 / radius)``, shrunk by a few ulps so
     that rounding in ``x * cells`` cannot put a close pair three cells
@@ -675,11 +687,12 @@ def _geometric_edges(
     every forward neighbor ``j > i`` of point ``i`` lies in three contiguous
     index ranges: its own column from ``i + 1`` to the end of cell
     ``(cx, cy + 2)``, and rows ``cy - 2 .. cy + 2`` of columns ``cx + 1``
-    and ``cx + 2``, clipped to the grid.  Each range is enumerated with one
-    ``repeat``/``arange``, so each unordered pair is found exactly once,
-    from about 2 candidates per close pair (12.5 cells of area
+    and ``cx + 2``, clipped to the grid.  So each unordered pair is found
+    exactly once, from about 2 candidates per close pair (12.5 cells of area
     ``radius**2 / 4`` against a half disk; full-radius cells need about
-    2.9).  Only the close pairs are mapped back to input indices.
+    2.9).  Returns ``(x, y, cx, cy, start, cells, radius_sq, by_cell)``: the
+    cell-sorted coordinates and cells, the cell starts (two empty columns
+    past the grid), the grid side, ``radius * radius`` and the sort order.
     """
     n = len(points)
     margin = 2.0**-50
@@ -694,24 +707,7 @@ def _geometric_edges(
     cx, cy = cx[by_cell], cy[by_cell]
     x = np.ascontiguousarray(points[by_cell, 0])
     y = np.ascontiguousarray(points[by_cell, 1])
-    row_lo = np.maximum(cy - 2, 0)
-    row_hi = np.minimum(cy + 2, cells - 1) + 1
-    radius_sq = radius * radius
-    parts_u: List[np.ndarray] = []
-    parts_v: List[np.ndarray] = []
-    for dx in (0, 1, 2):
-        column = (cx + dx) * cells
-        lo = np.arange(1, n + 1) if dx == 0 else start[column + row_lo]
-        counts = start[column + row_hi] - lo
-        # Candidate t of source i is lo[i] + t - (t of i's first candidate).
-        dst = np.repeat(lo + counts - np.cumsum(counts), counts)
-        dst += np.arange(len(dst))
-        ddx = x[dst] - np.repeat(x, counts)
-        ddy = y[dst] - np.repeat(y, counts)
-        close = np.flatnonzero(ddx * ddx + ddy * ddy <= radius_sq)
-        parts_u.append(by_cell[np.repeat(np.arange(n), counts)[close]])
-        parts_v.append(by_cell[dst[close]])
-    return np.concatenate(parts_u), np.concatenate(parts_v)
+    return x, y, cx, cy, start, cells, radius * radius, by_cell
 
 
 def random_geometric(n: int, radius: float, seed: int = 0, backend: str = "fast") -> FastNetwork:
@@ -721,12 +717,13 @@ def random_geometric(n: int, radius: float, seed: int = 0, backend: str = "fast"
     most ``radius`` are adjacent.  The points are
     ``numpy.random.default_rng(seed).random((n, 2))`` -- its first draws, so
     tests can regenerate them -- and the close pairs come from the
-    half-radius cell sweep of :func:`_geometric_edges`: three contiguous
-    candidate ranges per point, about 2 candidates per edge, so
-    ``O(n + edges)`` instead of the ``O(n^2)`` all-pairs check.  The distance
-    test is ``dx * dx + dy * dy <= radius * radius`` in float64, so the edge
-    set (and the CSR) of a seed does not depend on the sweep.  ``backend``
-    accepts only ``"fast"`` (kept for callers that still pass it).
+    half-radius cell sweep of :func:`_geometric_edges` (the ``geo_pairs``
+    kernel step): three contiguous candidate ranges per point, about 2
+    candidates per edge, so ``O(n + edges)`` instead of the ``O(n^2)``
+    all-pairs check.  The distance test is ``dx * dx + dy * dy <= radius *
+    radius`` in float64 on both kernel providers, so the edge set (and the
+    CSR) of a seed does not depend on the sweep.  ``backend`` accepts only
+    ``"fast"`` (kept for callers that still pass it).
     """
     _require_fast(backend)
     if n < 1:

@@ -625,25 +625,24 @@ class FastNetwork:
         This is the CSR form of the Legal-Color recursion step: vertices with
         equal recursion paths stay connected, edges crossing between classes
         are dropped.  ``labels`` is any integer array of length ``num_nodes``.
+        The ``label_filter`` kernel step builds the new CSR; every row keeps
+        its order, so a view with ascending rows derives one.
         """
+        # The kernels' numpy steps import this module, so import on use.
+        from repro.local_model import kernels
+
         labels = np.asarray(labels)
         if labels.shape != (self.num_nodes,):
             raise InvalidParameterError(
                 f"labels must have one entry per node ({self.num_nodes}), "
                 f"got shape {labels.shape}"
             )
-        return self._masked(labels[self.rows_np] == labels[self.indices])
-
-    def _masked(self, keep: np.ndarray) -> "FastNetwork":
-        """Build the derived view for a per-CSR-entry boolean mask."""
-        new_indices = self.indices[keep]
-        new_degrees = np.bincount(
-            self.rows_np[keep], minlength=self.num_nodes
-        ).astype(np.int64)
-        new_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(new_degrees, out=new_indptr[1:])
+        if labels.dtype.kind not in "biu":
+            raise InvalidParameterError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        new_indptr, new_indices = kernels.provider().label_filter(self.indptr, self.indices, labels)
         return self._sibling(
-            new_indptr, new_indices, new_degrees, self.line_meta, self._rows_ascending
+            new_indptr, new_indices, np.diff(new_indptr), self.line_meta, self._rows_ascending
         )
 
     def _sibling(

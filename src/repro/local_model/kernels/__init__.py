@@ -4,11 +4,15 @@ This package is the vectorized engine's kernel-provider layer: for the hot
 per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
-every phase calls one step by name on ``VectorContext.kernels``, and the
+every phase calls one step by name on ``VectorContext.kernels``; the
 ``L(G)`` builder (:mod:`repro.local_model.line_csr`) calls its twin scan
-(``entry_twins``) and incidence gather (``line_gather``) on
-:func:`provider`: twelve steps.  Two providers implement the steps with one
-signature and in-place/status contract:
+(``entry_twins``) and incidence gather (``line_gather``),
+:func:`~repro.graphs.random_geometric` its unit-disk cell sweep
+(``geo_pairs``), and
+:meth:`~repro.local_model.fast_network.FastNetwork.filtered_by_labels` its
+equal-label filter (``label_filter``) on :func:`provider`: fourteen steps.
+Two providers implement the steps with one signature and in-place/status
+contract:
 
 * **cext** (``_c_backend``): fused single-pass CSR kernels in C with
   OpenMP, built on demand by the system compiler and loaded via ctypes;
@@ -72,8 +76,12 @@ def _probe_cases():
 
     The graph is a path plus an isolated node with non-monotone ids.  The
     stateful kernels (reductions, Luby) get *legal* colorings so their
-    documented benign races stay benign during the probe itself.
+    documented benign races stay benign during the probe itself.  The
+    unit-disk sweep runs on nine points over a 3 x 3 grid, with pairs at
+    exactly the radius, across cells and in the closed square's corners.
     """
+    from repro.graphs.generators import _sweep_arrays
+
     indptr = _i64(0, 1, 3, 5, 7, 9, 10, 10)
     indices = _i64(1, 0, 2, 1, 3, 2, 4, 3, 5, 4)
     uids = _i64(10, 3, 57, 2, 9, 40, 1)
@@ -102,6 +110,9 @@ def _probe_cases():
     line_sizes = (np.diff(indptr)[chunk_rows] - 1).reshape(-1, 2).sum(axis=1)
     line_indptr = np.r_[0, np.cumsum(line_sizes)]
     line_out = np.zeros(line_indptr[-1], dtype=np.int64)
+    # Pairs at exactly the radius 0.25, and the closed square's corners.
+    exact = [(0.25, 0.5), (0.5, 0.5), (0.3, 0.1), (0.5, 0.25), (0.1, 0.3)]
+    points = np.array(exact + [(0.0, 0.0), (1.0, 1.0), (0.75, 0.75), (0.9, 0.95)])
     return [
         ("linial_round", (indptr, indices, uids, colors, 5, 2, out)),
         ("defective_step", (indptr, indices, colors, 5, 2, out)),
@@ -115,6 +126,8 @@ def _probe_cases():
         ("luby_resolve", (undecided, indptr, indices, _i64(2, 0, 2, 1, 0, 3, 4), absorbed, keep)),
         ("entry_twins", (indptr, indices, np.zeros_like(eid), np.zeros_like(own))),
         ("line_gather", (indptr, chunk_rows, own, eid, line_indptr, line_out)),
+        ("geo_pairs", _sweep_arrays(points, 0.25)),
+        ("label_filter", (indptr, indices, _i64(2, 2, 2, 5, 5, 2, 5))),
     ]
 
 
@@ -122,7 +135,8 @@ def _probe(backend) -> bool:
     """Run every kernel of ``backend`` against its numpy step; True when identical.
 
     Both sides run on their own copies of each case's arrays; the return
-    values and every array afterwards (the in-place outputs) must agree.
+    values (a status, or the arrays a step sizes from the data) and every
+    array afterwards (the in-place outputs) must agree.
     """
     for kernel, args in _probe_cases():
         runs = []
@@ -130,11 +144,20 @@ def _probe(backend) -> bool:
             copies = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
             runs.append((getattr(provider, kernel)(*copies), copies))
         (expected, expected_args), (actual, actual_args) = runs
-        if expected != actual or not all(
+        if not _same(expected, actual) or not all(
             np.array_equal(a, b) for a, b in zip(expected_args, actual_args)
         ):
             return False
     return True
+
+
+def _same(expected, actual) -> bool:
+    """Equal statuses, or equal tuples of arrays of one dtype each."""
+    if isinstance(expected, tuple):
+        return len(expected) == len(actual) and all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(expected, actual)
+        )
+    return expected == actual
 
 
 def _thread_count(value) -> int:

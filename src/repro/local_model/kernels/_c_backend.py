@@ -13,11 +13,15 @@ system temp directory, so read-only installs still work.
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
 signature and in-place/status contract of its numpy step in ``_numpy``, so
 the phases, the ``L(G)`` builder and the test suite can swap one provider
-for the other.  Twelve steps: the ten phase kernels and the builder's twin
-scan (``entry_twins``) and incidence gather (``line_gather``).  The three
-kernels that allocate scratch (``kw_reduce``, ``psi_select``,
+for the other.  Fourteen steps: the ten phase kernels, the builder's twin
+scan (``entry_twins``) and incidence gather (``line_gather``), the unit-disk
+sweep (``geo_pairs``) and the level-view filter (``label_filter``).  The
+three kernels that allocate scratch (``kw_reduce``, ``psi_select``,
 ``entry_twins``) report a failed allocation as status 2 with their outputs
-untouched; their wrappers then run the numpy step on the same arrays.
+untouched; their wrappers then run the numpy step on the same arrays.  The
+last two steps size their output from the data: each wrapper runs the C
+count pass, takes the prefix sum and allocates in numpy, then runs the C
+fill pass, so their C bodies allocate nothing.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
@@ -52,6 +56,7 @@ _COMPILE_TIMEOUT_ENV = "REPRO_KERNEL_COMPILE_TIMEOUT"
 _COMPILE_TIMEOUT_DEFAULT = 120.0
 
 _I64 = ctypes.c_longlong
+_F64 = ctypes.c_double
 _PTR = ctypes.c_void_p
 
 
@@ -129,6 +134,12 @@ def _compile(source: bytes, compiler: str, use_openmp: bool) -> Optional[Path]:
 def _as_i64(array: np.ndarray) -> int:
     if array.dtype != np.int64 or not array.flags.c_contiguous:
         raise ValueError("kernel arrays must be C-contiguous int64")
+    return array.ctypes.data
+
+
+def _as_f64(array: np.ndarray) -> int:
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise ValueError("kernel coordinate arrays must be C-contiguous float64")
     return array.ctypes.data
 
 
@@ -253,6 +264,37 @@ class CExtensionBackend:
             _as_i64(line_indptr), len(line_indptr) - 1, _as_i64(out),
         )
 
+    def geo_pairs(self, x, y, cx, cy, start, cells, radius_sq, by_cell):
+        n = len(x)
+        if not len(y) == len(cx) == len(cy) == len(by_cell) == n:
+            raise ValueError("x, y, cx, cy and by_cell must have one entry per point")
+        if len(start) != (cells + 2) * cells + 1:
+            raise ValueError("start must have one entry per cell of cells + 2 columns, plus one")
+        points = (_as_f64(x), _as_f64(y), _as_i64(cx), _as_i64(cy), _as_i64(start), n, cells)
+        offsets = np.zeros(3 * n + 1, dtype=np.int64)
+        counts = offsets[1:]
+        self._lib.geo_pairs_count(*points, radius_sq, _as_i64(counts))
+        np.cumsum(counts, out=counts)
+        u = np.empty(offsets[-1], dtype=np.int64)
+        v = np.empty(offsets[-1], dtype=np.int64)
+        self._lib.geo_pairs_fill(
+            *points, radius_sq, _as_i64(by_cell), _as_i64(offsets), _as_i64(u), _as_i64(v)
+        )
+        return u, v
+
+    def label_filter(self, indptr, indices, labels):
+        n = len(indptr) - 1
+        if len(labels) != n:
+            raise ValueError("labels must have one entry per CSR row")
+        csr = (_as_i64(indptr), _as_i64(indices), _as_i64(labels), n)
+        new_indptr = np.zeros(n + 1, dtype=np.int64)
+        counts = new_indptr[1:]
+        self._lib.label_filter_count(*csr, _as_i64(counts))
+        np.cumsum(counts, out=counts)
+        out = np.empty(new_indptr[-1], dtype=np.int64)
+        self._lib.label_filter_fill(*csr, _as_i64(new_indptr), _as_i64(out))
+        return new_indptr, out
+
 
 _SIGNATURES = {
     "linial_round": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
@@ -267,6 +309,10 @@ _SIGNATURES = {
     "luby_resolve": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR),
     "entry_twins": (_PTR, _PTR, _I64, _PTR, _PTR),
     "line_gather": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR),
+    "geo_pairs_count": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _F64, _PTR),
+    "geo_pairs_fill": (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _F64, _PTR, _PTR, _PTR, _PTR),
+    "label_filter_count": (_PTR, _PTR, _PTR, _I64, _PTR),
+    "label_filter_fill": (_PTR, _PTR, _PTR, _I64, _PTR, _PTR),
 }
 
 

@@ -27,7 +27,10 @@ from repro.local_model.fast_network import gather_adjacency
 
 #: Names of the kernels the phases call by name on ``VectorContext.kernels``.
 #: A provider also offers the two ``L(G)`` builder steps, ``entry_twins``
-#: and ``line_gather``, which :mod:`repro.local_model.line_csr` calls.
+#: and ``line_gather``, which :mod:`repro.local_model.line_csr` calls, the
+#: unit-disk sweep ``geo_pairs`` (:func:`repro.graphs.random_geometric`) and
+#: the level-view filter ``label_filter``
+#: (:meth:`~repro.local_model.fast_network.FastNetwork.filtered_by_labels`).
 KERNEL_NAMES = (
     "linial_round",
     "defective_step",
@@ -347,3 +350,46 @@ def line_gather(indptr, chunk_rows, own, eid, line_indptr, out):
     slot += np.arange(len(slot), dtype=np.int64)
     slot += slot >= np.repeat(own, chunk_sizes)
     np.take(eid, slot, out=out)
+
+
+def geo_pairs(x, y, cx, cy, start, cells, radius_sq, by_cell):
+    """The close forward pairs of the unit-disk cell sweep, as input indices.
+
+    The points are sorted by cell id ``cx * cells + cy`` (coordinates
+    ``x``, ``y``); ``start[k]`` is the first point of cell ``k``, with two
+    empty columns past the grid.  Range ``dx`` of point ``i`` is its own
+    column from ``i + 1`` (``dx = 0``), or rows ``cy - 2 .. cy + 2`` of
+    column ``cx + dx`` (``dx = 1, 2``), clipped to the grid.  A pair is
+    close when ``ddx * ddx + ddy * ddy <= radius_sq`` in float64.  Returns
+    ``(u, v)``, mapped back through ``by_cell``: range 0's pairs, then range
+    1's, then range 2's, each in point order.
+    """
+    n = len(x)
+    row_lo = np.maximum(cy - 2, 0)
+    row_hi = np.minimum(cy + 2, cells - 1) + 1
+    parts_u, parts_v = [], []
+    for dx in (0, 1, 2):
+        column = (cx + dx) * cells
+        lo = np.arange(1, n + 1) if dx == 0 else start[column + row_lo]
+        counts = start[column + row_hi] - lo
+        # Candidate t of source i is lo[i] + t - (t of i's first candidate).
+        dst = np.repeat(lo + counts - np.cumsum(counts), counts)
+        dst += np.arange(len(dst))
+        ddx = x[dst] - np.repeat(x, counts)
+        ddy = y[dst] - np.repeat(y, counts)
+        close = np.flatnonzero(ddx * ddx + ddy * ddy <= radius_sq)
+        parts_u.append(by_cell[np.repeat(np.arange(n), counts)[close]])
+        parts_v.append(by_cell[dst[close]])
+    return np.concatenate(parts_u), np.concatenate(parts_v)
+
+
+def label_filter(indptr, indices, labels):
+    """The CSR of the entries whose endpoints carry equal labels.
+
+    Returns ``(new_indptr, new_indices)``: row ``v`` keeps the entries
+    ``v -> w`` with ``labels[v] == labels[w]``, in its own order.
+    """
+    keep = np.repeat(labels, np.diff(indptr)) == labels[indices]
+    kept_before = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[indptr], indices[keep]

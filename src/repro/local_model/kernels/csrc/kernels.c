@@ -6,11 +6,15 @@
  * kernel to its numpy step.  The per-node loops run in parallel and write
  * only cells owned by their own iteration, except where a comment argues
  * the race is benign; `psi_select` alone changes the data layout, as its
- * comment explains.  The two L(G) builder steps at the end, `entry_twins`
- * and `line_gather`, are called by `line_csr.py`, not by a phase.  Built
- * on demand by `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC` and
- * loaded via ctypes; every entry point uses only int64/uint8 pointers and
- * int64 scalars so the ABI stays trivial.
+ * comment explains.  The steps at the end are not called by a phase: the
+ * two L(G) builder steps `entry_twins` and `line_gather` (`line_csr.py`),
+ * the unit-disk sweep `geo_pairs` (`graphs/generators.py`) and the level
+ * view filter `label_filter` (`FastNetwork.filtered_by_labels`).  The last
+ * two size their output from the data, so each is a count pass and a fill
+ * pass, with the prefix sum and the allocations in the Python wrapper.
+ * Built on demand by `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC`
+ * and loaded via ctypes; every entry point uses only int64/uint8/float64
+ * pointers and int64/double scalars so the ABI stays trivial.
  *
  * Python `%` on possibly-negative operands differs from C's: the only
  * operand here that may be negative is a unique id (non-monotone ids are
@@ -589,5 +593,101 @@ void line_gather(const i64 *indptr, const i64 *chunk_rows, const i64 *own,
             for (i64 s = skip + 1; s < indptr[row + 1]; s++)
                 *dst++ = eid[s];
         }
+    }
+}
+
+/* The unit-disk cell sweep of `_geometric_edges`, over points sorted by
+ * cell id cx * cells + cy; `start[k]` is the first point of cell k, with
+ * two empty columns past the grid.  Range dx = 0, 1, 2 of point i is its
+ * own column from i + 1, then rows cy - 2 .. cy + 2 of column cx + dx,
+ * clipped to the grid.  Shared by both passes so they test the same
+ * candidates. */
+static inline void geo_range(const i64 *cx, const i64 *cy, const i64 *start,
+                             i64 cells, i64 i, i64 dx, i64 *lo, i64 *hi)
+{
+    i64 column = (cx[i] + dx) * cells;
+    i64 row_lo = cy[i] - 2 > 0 ? cy[i] - 2 : 0;
+    i64 row_hi = (cy[i] + 2 < cells - 1 ? cy[i] + 2 : cells - 1) + 1;
+    *lo = dx == 0 ? i + 1 : start[column + row_lo];
+    *hi = start[column + row_hi];
+}
+
+/* The float64 test of the numpy step, term by term: `_CFLAGS` keeps
+ * -std=c99 and no -march, so GCC contracts no multiply-add here and the
+ * sum rounds exactly as numpy's does. */
+static inline int geo_close(const double *x, const double *y, i64 i, i64 j,
+                            double radius_sq)
+{
+    double ddx = x[j] - x[i], ddy = y[j] - y[i];
+    return ddx * ddx + ddy * ddy <= radius_sq;
+}
+
+/* Pass one of `geo_pairs`: counts[dx * n + i] is the number of close
+ * forward pairs of point i in range dx.  Point i writes its own cells. */
+void geo_pairs_count(const double *x, const double *y, const i64 *cx,
+                     const i64 *cy, const i64 *start, i64 n, i64 cells,
+                     double radius_sq, i64 *counts)
+{
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (i64 i = 0; i < n; i++) {
+        for (i64 dx = 0; dx < 3; dx++) {
+            i64 lo, hi, count = 0;
+            geo_range(cx, cy, start, cells, i, dx, &lo, &hi);
+            for (i64 j = lo; j < hi; j++)
+                count += geo_close(x, y, i, j, radius_sq);
+            counts[dx * n + i] = count;
+        }
+    }
+}
+
+/* Pass two: the pairs of (dx, i) from offsets[dx * n + i] on, mapped back
+ * to input indices through `by_cell`.  The offsets run range-major, so the
+ * output is the numpy step's, entry for entry. */
+void geo_pairs_fill(const double *x, const double *y, const i64 *cx,
+                    const i64 *cy, const i64 *start, i64 n, i64 cells,
+                    double radius_sq, const i64 *by_cell, const i64 *offsets,
+                    i64 *u, i64 *v)
+{
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (i64 i = 0; i < n; i++) {
+        for (i64 dx = 0; dx < 3; dx++) {
+            i64 lo, hi, slot = offsets[dx * n + i];
+            geo_range(cx, cy, start, cells, i, dx, &lo, &hi);
+            for (i64 j = lo; j < hi; j++) {
+                if (geo_close(x, y, i, j, radius_sq)) {
+                    u[slot] = by_cell[i];
+                    v[slot++] = by_cell[j];
+                }
+            }
+        }
+    }
+}
+
+/* Pass one of `label_filter`: counts[v] is the number of entries v -> w of
+ * row v with labels[v] == labels[w]. */
+void label_filter_count(const i64 *indptr, const i64 *indices,
+                        const i64 *labels, i64 n, i64 *counts)
+{
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (i64 v = 0; v < n; v++) {
+        i64 own = labels[v], count = 0;
+        for (i64 e = indptr[v]; e < indptr[v + 1]; e++)
+            count += labels[indices[e]] == own;
+        counts[v] = count;
+    }
+}
+
+/* Pass two: row v's equal-label entries, in row order, from new_indptr[v]
+ * on.  Row v writes only out[new_indptr[v] .. new_indptr[v + 1]). */
+void label_filter_fill(const i64 *indptr, const i64 *indices,
+                       const i64 *labels, i64 n, const i64 *new_indptr,
+                       i64 *out)
+{
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (i64 v = 0; v < n; v++) {
+        i64 own = labels[v], slot = new_indptr[v];
+        for (i64 e = indptr[v]; e < indptr[v + 1]; e++)
+            if (labels[indices[e]] == own)
+                out[slot++] = indices[e];
     }
 }

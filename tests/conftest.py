@@ -5,10 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from engine_configs import ARRAY_CONFIGS, engine_config
+from engine_configs import ARRAY_CONFIGS, CEXT, engine_config
 
 from repro import graphs
+from repro.local_model import kernels
 from repro.local_model.fast_network import FastNetwork
+
+
+@pytest.fixture(params=["cext", "numpy"])
+def kernel_provider(request):
+    """Each kernel provider in turn, installed as the resolved one.
+
+    ``"cext"`` is the C library whatever ``REPRO_KERNEL_BACKEND`` says (it is
+    skipped without a compiler); ``"numpy"`` switches kernels off, so the
+    numpy steps run.  Yields the provider whose steps the code under test calls.
+    """
+    if request.param == "cext" and CEXT is None:  # pragma: no cover - no compiler
+        pytest.skip("no C toolchain on this machine")
+    backend = CEXT if request.param == "cext" else None
+    restore = kernels.force_backend(backend, reason=f"{request.param} provider test")
+    try:
+        yield kernels.provider()
+    finally:
+        restore()
 
 
 @pytest.fixture(params=ARRAY_CONFIGS)

@@ -5,6 +5,7 @@
 kernel backend the machine resolves, once with kernels switched off through
 ``kernels.force_backend(None)``.  Kernels are a switch inside the engine, so
 the two array configurations are a fixture here, not engine names.
+:data:`CEXT` is the C library, for tests that hold it to the numpy steps.
 
 :class:`ScratchFailLibrary` stands in for the compiled kernel library, so
 the scratch-failure path of the C backend's wrappers runs on any machine.
@@ -17,6 +18,12 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.local_model import kernels
+from repro.local_model.kernels import _c_backend
+
+
+#: The C kernel library, loaded once whatever ``REPRO_KERNEL_BACKEND`` says
+#: (``None`` on a machine without a compiler).
+CEXT = _c_backend.load()
 
 #: The vectorized engine with kernels as resolved, and with kernels off.
 ARRAY_CONFIGS = ("kernels-on", "kernels-off")

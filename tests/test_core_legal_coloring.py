@@ -113,6 +113,20 @@ class TestRecursionBehaviour:
             result.levels[-1].next_degree_bound if result.levels else params.threshold,
         )
 
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_bottom_max_degree_is_the_bottom_views_degree(self, c):
+        # Recompute the bottom view from the final recursion paths (the
+        # color quotients), with a mask over the root's CSR entries.
+        network = graphs.random_regular(2000, 32, seed=1)
+        result = color_vertices(network, c=c)
+        assert result.num_levels >= 1
+        paths = (result.color_column - 1) // (result.bottom_degree_bound + 1)
+        rows = np.repeat(np.arange(network.num_nodes), network.degrees)
+        same = paths[rows] == paths[network.indices]
+        measured = int(np.bincount(rows[same], minlength=network.num_nodes).max())
+        assert result.bottom_max_degree == measured
+        assert result.bottom_degree_bound == max(result.levels[-1].next_degree_bound, measured)
+
     def test_palette_accounting_matches_figure_3(self):
         base = graphs.random_regular(48, 10, seed=3)
         line = line_graph_network(base)

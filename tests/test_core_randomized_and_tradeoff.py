@@ -13,6 +13,7 @@ from repro import graphs
 from repro.core.randomized import _SPLIT_DOMAIN, randomized_color_vertices
 from repro.core.tradeoff import tradeoff_color_vertices
 from repro.exceptions import InvalidParameterError
+from repro.local_model import FastNetwork
 from repro.primitives.numbers import luby_draw
 from repro.verification.coloring import assert_legal_vertex_coloring, max_color
 
@@ -116,6 +117,19 @@ class TestTradeoffColoring:
         result = tradeoff_color_vertices(network, c=2, g=lambda d: d**0.5)
         # The per-class subgraph degree is bounded by the split defect bound.
         assert result.split_defect_bound >= 1
+
+    def test_edgeless_graph_needs_no_split_and_one_color(self):
+        # Three isolated vertices: Delta = 0, so neither split runs, g is
+        # never asked for g(0), and both report the split defect 0.
+        network = FastNetwork.from_adjacency({1: [], 2: [], 3: []})
+        asked = []
+        tradeoff = tradeoff_color_vertices(network, c=2, g=lambda d: asked.append(d) or 2.0)
+        randomized = randomized_color_vertices(network, c=2, seed=1)
+        assert asked == []
+        assert tradeoff.split_defect_bound == randomized.split_defect == 0
+        for result in (tradeoff, randomized):
+            assert result.palette == 1
+            assert result.color_column.tolist() == [1, 1, 1]
 
     def test_invalid_parameters(self, fig1_graph):
         with pytest.raises(InvalidParameterError):

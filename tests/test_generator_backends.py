@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro import graphs
 from repro.core import color_vertices
 from repro.exceptions import InvalidParameterError
-from repro.graphs.generators import _geometric_edges
+from repro.graphs.generators import _geometric_edges, _sweep_arrays
 from repro.local_model.fast_network import FastNetwork
 from repro.verification import assert_legal_vertex_coloring
 
@@ -356,8 +356,13 @@ class TestHeavyTailedFamilies:
         assert list(again.indices) == list(network.indices)
 
 
+@pytest.mark.usefixtures("kernel_provider")
 class TestGeometricSweep:
-    """The unit-disk sweep: a pinned CSR per seed, and hand-placed edge cases."""
+    """The unit-disk sweep: a pinned CSR per seed, and hand-placed edge cases.
+
+    Every case runs on both ``geo_pairs`` providers (the C body and the numpy
+    body), against the same pins.
+    """
 
     #: SHA-256 of ``indptr`` then ``indices`` (int64 bytes) of
     #: ``random_geometric(n, radius, seed)``, recorded with the
@@ -455,6 +460,22 @@ class TestGeometricSweep:
         found = self.assert_sweep_is_exact(self.with_filler(points), radius)
         rows = {tuple(pair) for pair in found.tolist()}
         assert (0, 1) in rows and (2, 3) in rows
+
+    @pytest.mark.parametrize(
+        "n,radius,cells",
+        [
+            (2000, 0.001, 44),  # floor(2 / r) = 2000 is capped at isqrt(n)
+            (300, 1e-9, 17),  # the cap again, every pair far apart
+            (400, 5.0, 1),  # floor(2 / r) = 0: one cell holds every point
+            (400, 0.9, 2),
+            (1, 0.5, 1),  # one point, no pair
+            (5, 0.3, 2),  # isqrt(5) = 2 caps floor(2 / r) = 6
+        ],
+    )
+    def test_grid_regimes(self, n, radius, cells):
+        points = np.random.default_rng(n).random((n, 2))
+        assert _sweep_arrays(points, radius)[5] == cells
+        self.assert_sweep_is_exact(points, radius)
 
 
 class TestNetworkFreeEntryPath:

@@ -9,7 +9,9 @@ ids, and palettes small enough to force the rarely-taken fallback branches
 (the Linial ``uid % q`` escape, the iterative reduction's no-free-color
 status).  The two ``L(G)`` builder steps (the twin scan and the incidence
 gather) are also held to their numpy steps over random graphs, and the
-whole builder to its kernels-off output.  The resolution machinery itself
+whole builder to its kernels-off output; so are the two steps that size
+their output from the data, the unit-disk sweep (``geo_pairs``) and the
+level-view filter (``label_filter``).  The resolution machinery itself
 (env forcing, probe rejection of a corrupt backend) and the C wrappers'
 scratch-failure path are covered at the bottom.
 """
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
+from repro.graphs.generators import _sweep_arrays
 from engine_configs import ScratchFailLibrary
 
 from repro.local_model.kernels import _c_backend, _numpy
@@ -592,6 +595,48 @@ class TestLineGraphBuilderKernels:
             assert np.array_equal(want, got)
 
 
+class TestSizedOutputKernels:
+    """``geo_pairs`` and ``label_filter``: steps that size their output from the data.
+
+    ``tests/test_local_network.py`` holds ``label_filter`` to a Python oracle.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        radius=st.floats(min_value=0.001, max_value=1.5),
+        seed=st.integers(0, 2**31),
+    )
+    def test_geo_pairs_entry_for_entry(self, n, radius, seed):
+        args = _sweep_arrays(np.random.default_rng(seed).random((n, 2)), radius)
+        expected = _numpy.geo_pairs(*args)
+        for backend in BACKENDS:
+            actual = backend.geo_pairs(*args)
+            for want, got in zip(expected, actual):
+                assert got.dtype == want.dtype and np.array_equal(want, got)
+
+    def test_geo_pairs_on_a_vertex_workload_sized_graph(self, backend):
+        # n = 20000 at mean degree 24: many cells, several fill chunks.
+        n = 20_000
+        args = _sweep_arrays(np.random.default_rng(7).random((n, 2)), (24 / (np.pi * n)) ** 0.5)
+        for want, got in zip(_numpy.geo_pairs(*args), backend.geo_pairs(*args)):
+            assert np.array_equal(want, got)
+
+    def test_wrappers_reject_mismatched_sizes(self, backend):
+        x, y, cx, cy, start, cells, radius_sq, by_cell = _sweep_arrays(
+            np.random.default_rng(1).random((50, 2)), 0.2
+        )
+        with pytest.raises(ValueError):
+            backend.geo_pairs(x, y[:-1], cx, cy, start, cells, radius_sq, by_cell)
+        with pytest.raises(ValueError):
+            backend.geo_pairs(x, y, cx, cy, start[:-1], cells, radius_sq, by_cell)
+        with pytest.raises(ValueError):  # coordinates must be float64
+            backend.geo_pairs(x.astype(np.float32), y, cx, cy, start, cells, radius_sq, by_cell)
+        indptr, indices, uids = INSTANCES["triangle"]
+        with pytest.raises(ValueError):
+            backend.label_filter(indptr, indices, uids[:-1])
+
+
 class TestResolutionMachinery:
     def test_probe_accepts_loaded_backends(self, backend):
         assert kernels._probe(backend) is True
@@ -624,6 +669,22 @@ class TestResolutionMachinery:
                 return status
 
         assert kernels._probe(Corrupt()) is False
+
+    @pytest.mark.parametrize("kernel", ["geo_pairs", "label_filter"])
+    def test_probe_rejects_corrupt_sized_output(self, backend, kernel):
+        class Corrupt:
+            name = "corrupt"
+
+            def __getattr__(self, attr):
+                return getattr(backend, attr)
+
+        def reversed_output(*args):
+            first, second = getattr(backend, kernel)(*args)
+            return first, second[::-1].copy()  # right sizes, wrong order
+
+        corrupt = Corrupt()
+        setattr(corrupt, kernel, reversed_output)
+        assert kernels._probe(corrupt) is False
 
     def test_env_forced_cext(self, monkeypatch):
         if not any(b.name == "cext" for b in BACKENDS):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graph_oracles
+from engine_configs import CEXT
 
 from repro import graphs
 from repro.exceptions import InvalidParameterError
 from repro.local_model import FastNetwork, build_line_graph_fast, make_scheduler, node_sort_key
+from repro.local_model.kernels import _numpy
 from repro.verification.coloring import is_legal_vertex_coloring
 
 
@@ -265,3 +269,86 @@ class TestOnlyFastNetworks:
     def test_verification_rejects_a_list(self):
         with pytest.raises(InvalidParameterError, match="got list; .*from_adjacency"):
             is_legal_vertex_coloring([[1], [0]], {0: 1, 1: 2})
+
+
+def label_filter_oracle(indptr, indices, labels):
+    """Row by row in Python: each row's entries to an equal label, in row order."""
+    rows = [
+        [w for w in indices[indptr[v] : indptr[v + 1]].tolist() if labels[w] == labels[v]]
+        for v in range(len(indptr) - 1)
+    ]
+    new_indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return new_indptr, np.array([w for row in rows for w in row], dtype=np.int64)
+
+
+def assert_label_filter_matches_oracle(provider, indptr, indices, labels):
+    expected = label_filter_oracle(indptr, indices, labels)
+    actual = provider.label_filter(indptr, indices, labels)
+    for want, got in zip(expected, actual):
+        assert got.dtype == np.int64 and np.array_equal(want, got)
+
+
+#: name -> (graph, labels of its dense nodes).
+LABEL_FILTER_CASES = {
+    "no_nodes": (FastNetwork.from_adjacency({}), []),
+    "no_edges": (FastNetwork.from_adjacency({1: [], 2: [], 3: []}), [4, 4, 4]),
+    "star": (graphs.star_graph(7), [1, 1, 2, 1, 2, 2, 1, 1]),
+    "one_label": (graphs.random_regular(30, 6, seed=2), [9] * 30),
+    "all_distinct": (graphs.random_regular(30, 6, seed=2), list(range(30, 0, -1))),
+    "line_graph": (
+        build_line_graph_fast(graphs.random_regular(12, 4, seed=1)),
+        [i % 3 for i in range(24)],
+    ),
+}
+
+
+class TestLabelFilterStep:
+    """``label_filter``, the level-view step, on both providers against a Python oracle."""
+
+    @pytest.mark.parametrize("case", sorted(LABEL_FILTER_CASES))
+    def test_label_filter_matches_the_oracle(self, kernel_provider, case):
+        network, labels = LABEL_FILTER_CASES[case]
+        labels = np.array(labels, dtype=np.int64)
+        assert_label_filter_matches_oracle(
+            kernel_provider, network.indptr, network.indices, labels
+        )
+        view = network.filtered_by_labels(labels)
+        expected_indptr, expected_indices = label_filter_oracle(
+            network.indptr, network.indices, labels
+        )
+        assert np.array_equal(view.indptr, expected_indptr)
+        assert np.array_equal(view.indices, expected_indices)
+        assert np.array_equal(view.degrees, np.diff(expected_indptr))
+        assert view.max_degree == int(np.diff(expected_indptr).max(initial=0))
+        # Rows keep their order, so the view inherits the parent's claim.
+        assert view._rows_ascending == network._rows_ascending
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_label_filter_on_random_rows(self, data):
+        # Any CSR: rows in any order, repeated entries, self-entries.
+        n = data.draw(st.integers(0, 16))
+        entries = st.lists(st.integers(0, max(n - 1, 0)), max_size=8)
+        rows = [data.draw(entries) for _ in range(n)]
+        indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+        indices = np.array([w for row in rows for w in row], dtype=np.int64)
+        labels = np.array(
+            data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64
+        )
+        for provider in [_numpy] + ([CEXT] if CEXT is not None else []):
+            assert_label_filter_matches_oracle(provider, indptr, indices, labels)
+
+    def test_label_filter_reads_no_rows_column(self, kernel_provider):
+        network = graphs.random_regular(40, 6, seed=3)
+        view = network.filtered_by_labels(parity(network))
+        assert "rows" not in network._np_cache and "rows" not in view._np_cache
+
+    def test_filtered_by_labels_takes_any_integer_labels(self, kernel_provider):
+        network = graphs.random_regular(40, 6, seed=3)
+        expected = network.filtered_by_labels(parity(network))
+        for labels in (parity(network).astype(bool), parity(network).astype(np.uint64) + 2**63):
+            view = network.filtered_by_labels(labels)
+            assert np.array_equal(view.indptr, expected.indptr)
+            assert np.array_equal(view.indices, expected.indices)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            network.filtered_by_labels(parity(network) + 0.5)
