@@ -1,16 +1,17 @@
 """Fused multi-core kernels inside the ``"vectorized"`` engine.
 
 This package is the vectorized engine's kernel-provider layer: for the hot
-per-round loops of the coloring pipeline (Linial recoloring, Kuhn
-defective steps, the two palette reductions, the defective *edge* ranking,
-Algorithm 1's psi-selection sweep over the phi-classes, and the Luby round)
-every phase calls one step by name on ``VectorContext.kernels``; the
+per-round loops of the coloring pipeline (the polynomial recoloring step
+of Linial's rounds and Kuhn's defective steps, the two palette reductions,
+the defective *edge* ranking, Algorithm 1's psi-selection sweep over the
+phi-classes, and the Luby round) every phase calls one step by name on
+``VectorContext.kernels``; the
 ``L(G)`` builder (:mod:`repro.local_model.line_csr`) calls its twin scan
 (``entry_twins``) and incidence gather (``line_gather``),
 :func:`~repro.graphs.random_geometric` its unit-disk cell sweep
 (``geo_pairs``), and
 :meth:`~repro.local_model.fast_network.FastNetwork.filtered_by_labels` its
-equal-label filter (``label_filter``) on :func:`provider`: fourteen steps.
+equal-label filter (``label_filter``) on :func:`provider`: thirteen steps.
 Two providers implement the steps with one signature and in-place/status
 contract:
 
@@ -74,9 +75,11 @@ def _i64(*values) -> np.ndarray:
 def _probe_cases():
     """``(kernel, args)`` pairs on a small adversarial instance.
 
-    The graph is a path plus an isolated node with non-monotone ids.  The
-    stateful kernels (reductions, Luby) get *legal* colorings so their
-    documented benign races stay benign during the probe itself.  The
+    The graph is a path plus an isolated node.  The polynomial step runs
+    once where every node has a collision-free point and once where nodes 1
+    and 3 have none.  The stateful kernels (reductions, Luby) get *legal*
+    colorings so their documented benign races stay benign during the
+    probe itself.  The
     unit-disk sweep runs on nine points over a 3 x 3 grid, with pairs at
     exactly the radius, across cells and in the closed square's corners.
     """
@@ -84,7 +87,6 @@ def _probe_cases():
 
     indptr = _i64(0, 1, 3, 5, 7, 9, 10, 10)
     indices = _i64(1, 0, 2, 1, 3, 2, 4, 3, 5, 4)
-    uids = _i64(10, 3, 57, 2, 9, 40, 1)
     n = len(indptr) - 1
     colors = _i64(1, 7, 13, 19, 25, 2, 9)
     edge_u, edge_v = _i64(0, 1, 1, 2, 3, 0, 5), _i64(9, 9, 2, 7, 7, 2, 6)
@@ -114,8 +116,8 @@ def _probe_cases():
     exact = [(0.25, 0.5), (0.5, 0.5), (0.3, 0.1), (0.5, 0.25), (0.1, 0.3)]
     points = np.array(exact + [(0.0, 0.0), (1.0, 1.0), (0.75, 0.75), (0.9, 0.95)])
     return [
-        ("linial_round", (indptr, indices, uids, colors, 5, 2, out)),
         ("defective_step", (indptr, indices, colors, 5, 2, out)),
+        ("defective_step", (indptr, indices, _i64(3, 1, 4, 1, 3, 2, 2), 2, 2, out)),
         ("iter_reduce", (indptr, indices, _i64(4, 5, 6, 4, 5, 6, 6), 6, 3, 3, status)),
         ("kw_reduce", (indptr, indices, _i64(7, 8, 9, 10, 11, 12, 1), 3, 6, status)),
         ("edge_rank", (indptr, indices, edge_u, edge_v, out, out2)),

@@ -13,15 +13,15 @@ system temp directory, so read-only installs still work.
 Loaded through :mod:`ctypes`; every wrapper presents the exact Python
 signature and in-place/status contract of its numpy step in ``_numpy``, so
 the phases, the ``L(G)`` builder and the test suite can swap one provider
-for the other.  Fourteen steps: the ten phase kernels, the builder's twin
+for the other.  Thirteen steps: the nine phase kernels, the builder's twin
 scan (``entry_twins``) and incidence gather (``line_gather``), the unit-disk
 sweep (``geo_pairs``) and the level-view filter (``label_filter``).  The
-three kernels that allocate scratch (``kw_reduce``, ``psi_select``,
-``entry_twins``) report a failed allocation as status 2 with their outputs
-untouched; their wrappers then run the numpy step on the same arrays.  The
-last two steps size their output from the data: each wrapper runs the C
-count pass, takes the prefix sum and allocates in numpy, then runs the C
-fill pass, so their C bodies allocate nothing.
+four kernels that allocate scratch (``defective_step``, ``kw_reduce``,
+``psi_select``, ``entry_twins``) report a failed allocation as status 2 with
+their outputs untouched; their wrappers then run the numpy step on the same
+arrays.  The last two steps size their output from the data: each wrapper
+runs the C count pass, takes the prefix sum and allocates in numpy, then
+runs the C fill pass, so their C bodies allocate nothing.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
@@ -166,7 +166,8 @@ class CExtensionBackend:
             handle.restype = None
             handle.argtypes = argtypes
         # The kernels returning a status.
-        library.psi_select.restype = library.entry_twins.restype = _I64
+        for symbol in ("defective_step", "psi_select", "entry_twins"):
+            getattr(library, symbol).restype = _I64
 
     def max_threads(self) -> int:
         return int(self._lib.repro_max_threads())
@@ -176,17 +177,13 @@ class CExtensionBackend:
 
     # -- kernel wrappers (signatures mirror repro.local_model.kernels._numpy) --
 
-    def linial_round(self, indptr, indices, uids, colors, q, num_digits, out):
-        self._lib.linial_round(
-            _as_i64(indptr), _as_i64(indices), _as_i64(uids), _as_i64(colors),
-            len(indptr) - 1, q, num_digits, _as_i64(out),
-        )
-
     def defective_step(self, indptr, indices, colors, q, num_digits, out):
-        self._lib.defective_step(
+        status = self._lib.defective_step(
             _as_i64(indptr), _as_i64(indices), _as_i64(colors),
             len(indptr) - 1, q, num_digits, _as_i64(out),
         )
+        if status == 2:  # no digit table; out untouched
+            _numpy.defective_step(indptr, indices, colors, q, num_digits, out)
 
     def iter_reduce(self, indptr, indices, colors, palette, target, total_rounds, status):
         self._lib.iter_reduce(
@@ -297,7 +294,6 @@ class CExtensionBackend:
 
 
 _SIGNATURES = {
-    "linial_round": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
     "defective_step": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
     "iter_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR),
     "kw_reduce": (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),

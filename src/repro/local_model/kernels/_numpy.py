@@ -32,7 +32,6 @@ from repro.local_model.fast_network import gather_adjacency
 #: the level-view filter ``label_filter``
 #: (:meth:`~repro.local_model.fast_network.FastNetwork.filtered_by_labels`).
 KERNEL_NAMES = (
-    "linial_round",
     "defective_step",
     "iter_reduce",
     "kw_reduce",
@@ -64,16 +63,15 @@ def digits_base_q(values: np.ndarray, q: int, num_digits: int) -> np.ndarray:
     return digits
 
 
-def poly_eval_at(digits: np.ndarray, points, q: int) -> np.ndarray:
-    """Evaluate every row's polynomial over ``GF(q)`` at ``points``.
+def poly_eval_at(digits: np.ndarray, point: int, q: int) -> np.ndarray:
+    """Evaluate every row's polynomial over ``GF(q)`` at ``point``.
 
-    ``points`` is one scalar for every row or one point per row; Horner's
-    rule from the most significant coefficient, exactly like
+    Horner's rule from the most significant coefficient, exactly like
     :func:`repro.primitives.numbers.poly_eval`.
     """
     values = digits[:, -1].copy()
     for j in range(digits.shape[1] - 2, -1, -1):
-        values *= points
+        values *= point
         values += digits[:, j]
         values %= q
     return values
@@ -97,20 +95,21 @@ def first_free_slot(
     return slots
 
 
-def linial_round(indptr, indices, uids, colors, q, num_digits, out):
-    """One Linial recoloring round into ``out``.
+def defective_step(indptr, indices, colors, q, num_digits, out):
+    """One polynomial recoloring step (Kuhn's defective step, Linial's round) into ``out``.
 
-    Every node moves to ``(a, g_v(a))`` for the smallest evaluation point
-    ``a`` at which its polynomial differs from those of all neighbors
-    holding a different color, falling back to ``uid % q`` when no point is
-    free (unreachable for legal inputs).
+    Every node moves to ``(a, g_v(a))`` for the first point ``a`` with the
+    fewest collisions against neighbors holding a different color, as
+    :func:`repro.primitives.numbers.defective_step_color` does.  Pass 1 takes
+    the first collision-free point; only the nodes left without one count
+    their collisions in pass 2.
     """
     n = len(indptr) - 1
     rows = _rows(indptr)
     coeffs = digits_base_q(colors - 1, q, num_digits)
     chosen_point = np.full(n, -1, dtype=np.int64)
     chosen_value = np.zeros(n, dtype=np.int64)
-    # Only edges whose endpoints hold different colors can ever conflict;
+    # Only edges whose endpoints hold different colors can ever collide;
     # edges whose source has already chosen its point drop out as we go.
     active = np.flatnonzero(colors[rows] != colors[indices])
     for point in range(q):
@@ -126,53 +125,24 @@ def linial_round(indptr, indices, uids, colors, q, num_digits, out):
         if active.size:
             active = active[chosen_point[rows[active]] < 0]
         if not active.size:
-            # Every undecided node had a conflict-capable edge; none are
-            # left, so every node has chosen its point.
+            # Every undecided node had a differing neighbor; none are left,
+            # so every node has chosen its point.
             break
 
-    undecided = chosen_point < 0
-    if undecided.any():
-        fallback_points = uids[undecided] % q
-        chosen_point[undecided] = fallback_points
-        chosen_value[undecided] = poly_eval_at(coeffs[undecided], fallback_points, q)
-    out[:] = chosen_point * q + chosen_value + 1
-
-
-def defective_step(indptr, indices, colors, q, num_digits, out):
-    """One Kuhn defective polynomial step into ``out``.
-
-    Every node moves to ``(a, g_v(a))`` for the first point ``a`` minimizing
-    its collisions with differing neighbors (strict improvement, stopping
-    at zero collisions).
-    """
-    n = len(indptr) - 1
-    rows = _rows(indptr)
-    coeffs = digits_base_q(colors - 1, q, num_digits)
-    # Neighbors holding the *same* color never count as collisions.
-    differing = np.flatnonzero(colors[rows] != colors[indices])
-    edge_rows = rows[differing]
-    edge_cols = indices[differing]
-
-    best_count = np.zeros(n, dtype=np.int64)
-    best_point = np.zeros(n, dtype=np.int64)
-    best_value = np.zeros(n, dtype=np.int64)
-    for point in range(q):
-        values = poly_eval_at(coeffs, point, q)
-        collide = values[edge_rows] == values[edge_cols]
-        count = np.bincount(edge_rows[collide], minlength=n)
-        if point == 0:
-            best_count = count
-            best_value = values
-        else:
+    if active.size:
+        # Pass 1 saw every point collide for the sources of ``active``: the
+        # first point with the fewest collisions (strict improvement).
+        edge_rows, edge_cols = rows[active], indices[active]
+        best_count = np.where(chosen_point < 0, np.iinfo(np.int64).max, 0)
+        for point in range(q):
+            values = poly_eval_at(coeffs, point, q)
+            collide = values[edge_rows] == values[edge_cols]
+            count = np.bincount(edge_rows[collide], minlength=n)
             improve = count < best_count
-            best_count = np.where(improve, count, best_count)
-            best_point[improve] = point
-            best_value[improve] = values[improve]
-        if not best_count.any():
-            # Strict improvement means later points can never displace a
-            # zero-collision choice, exactly like the scalar early break.
-            break
-    out[:] = best_point * q + best_value + 1
+            best_count[improve] = count[improve]
+            chosen_point[improve] = point
+            chosen_value[improve] = values[improve]
+    out[:] = chosen_point * q + chosen_value + 1
 
 
 def iter_reduce(indptr, indices, colors, palette, target, total_rounds, status):

@@ -1,4 +1,6 @@
-/* Fused CSR kernels for the "vectorized" engine.
+/* Fused CSR kernels for the "vectorized" engine: thirteen steps, nine of
+ * them phase kernels.  One polynomial step, `defective_step`, serves both
+ * Linial's rounds and Kuhn's defective steps.
  *
  * Each kernel fuses the numpy step of the same name in `_numpy.py` (the
  * contract: arguments, in-place outputs, status values) into one pass over
@@ -15,11 +17,6 @@
  * Built on demand by `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC`
  * and loaded via ctypes; every entry point uses only int64/uint8/float64
  * pointers and int64/double scalars so the ABI stays trivial.
- *
- * Python `%` on possibly-negative operands differs from C's: the only
- * operand here that may be negative is a unique id (non-monotone ids are
- * allowed, negative ones are not guaranteed absent), so `PYMOD` folds the
- * remainder back to Python semantics.
  */
 
 #include <stdint.h>
@@ -33,7 +30,6 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-#define PYMOD(a, m) ((((a) % (m)) + (m)) % (m))
 
 void repro_set_threads(i64 n)
 {
@@ -54,8 +50,8 @@ i64 repro_max_threads(void)
 #endif
 }
 
-/* Base-q digit rows of `colors - 1`, most significant digit last.  Shared
- * by the polynomial kernels: extracting digits once per node per round
+/* Base-q digit rows of `colors - 1`, most significant digit last, for the
+ * polynomial step: extracting digits once per node per round
  * (instead of once per neighbor-point visit) removes the divisions from
  * the innermost Horner loops. */
 static i64 *digit_table(const i64 *colors, i64 n, i64 q, i64 num_digits)
@@ -84,55 +80,20 @@ static inline i64 row_eval(const i64 *row, i64 point, i64 q, i64 num_digits)
     return result;
 }
 
-/* Uncached evaluation for the digit_table out-of-memory path (base >= 2
- * bounds num_digits by the 63 value bits of i64, so the row fits on the
- * stack). */
-static i64 slow_eval(i64 value, i64 point, i64 q, i64 num_digits)
-{
-    i64 row[64];
-    for (i64 j = 0; j < num_digits; j++) {
-        row[j] = value % q;
-        value /= q;
-    }
-    return row_eval(row, point, q, num_digits);
-}
-
-/* One Linial round: the smallest point at which the node's polynomial
- * differs from every differing neighbor's, `uid % q` when none is free.
- * Reads `colors`, writes `out`: no cross-node hazards. */
-void linial_round(const i64 *indptr, const i64 *indices, const i64 *uids,
-                  const i64 *colors, i64 n, i64 q, i64 num_digits, i64 *out)
+/* One polynomial recoloring step (Kuhn's defective step; Linial's round is
+ * the case with a collision-free point guaranteed): the first point with the
+ * fewest collisions against differing neighbors.  Pass 1 stops a point at
+ * its first collision and takes the first free point; a node with none
+ * counts every point in pass 2, each count stopped once it reaches the best
+ * so far.  (One loop with a cap of 1, then degree + 1, measured slower on
+ * Linial's inputs.)  Reads `colors`, writes `out`: no cross-node hazards.
+ * Returns 2 with `out` untouched when the digit table cannot be allocated. */
+i64 defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
+                   i64 n, i64 q, i64 num_digits, i64 *out)
 {
     i64 *table = digit_table(colors, n, q, num_digits);
-    if (table == NULL) {
-        for (i64 v = 0; v < n; v++) {
-            i64 own = colors[v] - 1;
-            i64 chosen_point = -1, chosen_value = 0;
-            for (i64 point = 0; point < q && chosen_point < 0; point++) {
-                i64 own_value = slow_eval(own, point, q, num_digits);
-                int ok = 1;
-                for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
-                    i64 other = colors[indices[e]] - 1;
-                    if (other == own)
-                        continue;
-                    if (slow_eval(other, point, q, num_digits) == own_value) {
-                        ok = 0;
-                        break;
-                    }
-                }
-                if (ok) {
-                    chosen_point = point;
-                    chosen_value = own_value;
-                }
-            }
-            if (chosen_point < 0) {
-                chosen_point = PYMOD(uids[v], q);
-                chosen_value = slow_eval(own, chosen_point, q, num_digits);
-            }
-            out[v] = chosen_point * q + chosen_value + 1;
-        }
-        return;
-    }
+    if (table == NULL)
+        return 2; /* out of memory: the wrapper falls back to numpy */
 #pragma omp parallel for schedule(dynamic, 1024)
     for (i64 v = 0; v < n; v++) {
         i64 own = colors[v] - 1;
@@ -159,72 +120,28 @@ void linial_round(const i64 *indptr, const i64 *indices, const i64 *uids,
             }
         }
         if (chosen_point < 0) {
-            chosen_point = PYMOD(uids[v], q);
-            chosen_value = row_eval(own_row, chosen_point, q, num_digits);
+            i64 best_count = end - start + 1;
+            for (i64 point = 0; point < q; point++) {
+                i64 own_value = row_eval(own_row, point, q, num_digits);
+                i64 count = 0;
+                for (i64 e = start; e < end && count < best_count; e++) {
+                    i64 u = indices[e];
+                    if (colors[u] - 1 != own
+                        && row_eval(table + u * num_digits, point, q, num_digits)
+                               == own_value)
+                        count++;
+                }
+                if (count < best_count) {
+                    best_count = count;
+                    chosen_point = point;
+                    chosen_value = own_value;
+                }
+            }
         }
         out[v] = chosen_point * q + chosen_value + 1;
     }
     free(table);
-}
-
-void defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
-                    i64 n, i64 q, i64 num_digits, i64 *out)
-{
-    i64 *table = digit_table(colors, n, q, num_digits);
-    if (table == NULL) {
-        for (i64 v = 0; v < n; v++) {
-            i64 own = colors[v] - 1;
-            i64 best_point = 0, best_value = 0, best_count = -1;
-            for (i64 point = 0; point < q; point++) {
-                i64 own_value = slow_eval(own, point, q, num_digits);
-                i64 count = 0;
-                for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
-                    i64 other = colors[indices[e]] - 1;
-                    if (other == own)
-                        continue;
-                    if (slow_eval(other, point, q, num_digits) == own_value)
-                        count++;
-                }
-                if (best_count < 0 || count < best_count) {
-                    best_point = point;
-                    best_value = own_value;
-                    best_count = count;
-                    if (count == 0)
-                        break;
-                }
-            }
-            out[v] = best_point * q + best_value + 1;
-        }
-        return;
-    }
-#pragma omp parallel for schedule(dynamic, 1024)
-    for (i64 v = 0; v < n; v++) {
-        i64 own = colors[v] - 1;
-        i64 start = indptr[v], end = indptr[v + 1];
-        const i64 *own_row = table + v * num_digits;
-        i64 best_point = 0, best_value = 0, best_count = -1;
-        for (i64 point = 0; point < q; point++) {
-            i64 own_value = row_eval(own_row, point, q, num_digits);
-            i64 count = 0;
-            for (i64 e = start; e < end; e++) {
-                i64 u = indices[e];
-                if (colors[u] - 1 == own)
-                    continue;
-                if (row_eval(table + u * num_digits, point, q, num_digits)
-                    == own_value)
-                    count++;
-            }
-            if (best_count < 0 || count < best_count) {
-                best_point = point;
-                best_value = own_value;
-                best_count = count;
-                if (count == 0)
-                    break;
-            }
-        }
-        out[v] = best_point * q + best_value + 1;
-    }
-    free(table);
+    return 0;
 }
 
 /* The iterative reduction, one eliminated class per round.  The recoloring

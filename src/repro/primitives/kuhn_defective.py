@@ -19,6 +19,11 @@ by ``d`` while shrinking the palette to ``q^2``.  Collisions with neighbors
 holding the *same* color are unavoidable (identical polynomials); they are
 bounded by the defect of the input coloring, which is why the overall defect
 budget is split geometrically across the steps.
+
+Linial's round is this step with a collision-free point guaranteed (its
+``q > Delta * t`` makes the fewest collisions zero), so both phases run one
+rule: :func:`~repro.primitives.numbers.defective_step_color` per node and
+the ``defective_step`` kernel on the array engine.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from repro.local_model.algorithm import BroadcastPhase, LocalView, PhasePipeline
 from repro.local_model.vectorized import VectorContext, check_color_range
 from repro.primitives.linial import LinialColoringPhase, linial_final_palette
 from repro.primitives.numbers import (
-    base_q_digits,
     ceil_div,
+    defective_step_color,
     next_prime,
     num_base_q_digits,
-    poly_eval,
 )
 
 
@@ -110,32 +114,8 @@ class DefectiveStepPhase(BroadcastPhase):
         inbox: Mapping[Hashable, Any],
         round_index: int,
     ) -> bool:
-        q, digits = self.q, self.digits
-        own_color = int(state[self.input_key])
-        own_coeffs = base_q_digits(own_color - 1, q, digits)
-        neighbor_coeffs = [
-            base_q_digits(int(color) - 1, q, digits)
-            for color in inbox.values()
-            if int(color) != own_color
-        ]
-
-        best_point = 0
-        best_collisions = None
-        for point in range(q):
-            own_value = poly_eval(own_coeffs, point, q)
-            collisions = sum(
-                1
-                for coeffs in neighbor_coeffs
-                if poly_eval(coeffs, point, q) == own_value
-            )
-            if best_collisions is None or collisions < best_collisions:
-                best_point = point
-                best_collisions = collisions
-                if collisions == 0:
-                    break
-
-        state[self.output_key] = (
-            best_point * q + poly_eval(own_coeffs, best_point, q) + 1
+        state[self.output_key] = defective_step_color(
+            state[self.input_key], inbox.values(), self.q, self.digits
         )
         return True
 

@@ -12,6 +12,13 @@ color is the pair ``(a, g_v(a))``, drawn from a palette of ``q^2`` colors, and
 the new coloring is again legal.  Iterating shrinks the palette from ``n`` to
 ``O(Delta^2)`` within ``O(log* n)`` rounds.
 
+A round is Kuhn's defective polynomial step
+(:mod:`repro.primitives.kuhn_defective`) with a collision-free point
+guaranteed: both move to the first point with the fewest collisions, which
+``q > Delta * t`` makes zero.  Both phases run
+:func:`~repro.primitives.numbers.defective_step_color` per node and the
+``defective_step`` kernel per round.
+
 This is the classical cover-free-family construction of Linial [21] (in the
 form popularized by the Erdos-Frankl-Furedi polynomial sets); the paper uses
 it as a black box, and so do we.
@@ -26,12 +33,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView
 from repro.local_model.vectorized import VectorContext, check_color_range
-from repro.primitives.numbers import (
-    base_q_digits,
-    next_prime,
-    num_base_q_digits,
-    poly_eval,
-)
+from repro.primitives.numbers import defective_step_color, next_prime, num_base_q_digits
 
 #: One Linial recoloring step: (prime q, number of digits, palette before the step).
 LinialStep = Tuple[int, int, int]
@@ -162,29 +164,8 @@ class LinialColoringPhase(BroadcastPhase):
             return True
 
         q, digits, _palette_before = self.schedule[round_index - 1]
-        own_color = state["_linial_current"]
-        own_coeffs = base_q_digits(own_color - 1, q, digits)
-        neighbor_coeffs = [
-            base_q_digits(int(color) - 1, q, digits)
-            for color in inbox.values()
-            if int(color) != own_color
-        ]
-
-        chosen_point = None
-        for point in range(q):
-            own_value = poly_eval(own_coeffs, point, q)
-            if all(
-                poly_eval(coeffs, point, q) != own_value for coeffs in neighbor_coeffs
-            ):
-                chosen_point = point
-                break
-        if chosen_point is None:
-            # Unreachable for legal inputs (q > Delta * t guarantees a free
-            # point); keep the vertex deterministic anyway.
-            chosen_point = view.unique_id % q
-
-        state["_linial_current"] = (
-            chosen_point * q + poly_eval(own_coeffs, chosen_point, q) + 1
+        state["_linial_current"] = defective_step_color(
+            state["_linial_current"], inbox.values(), q, digits
         )
 
         if round_index == len(self.schedule):
@@ -202,7 +183,7 @@ class LinialColoringPhase(BroadcastPhase):
     def vector_run(self, ctx: VectorContext) -> None:
         """The whole phase as array arithmetic; bit-identical to the callbacks.
 
-        Each round is one ``ctx.kernels.linial_round`` step.
+        Each round is one ``ctx.kernels.defective_step`` call.
         """
         if self.input_key is None:
             colors = ctx.unique_ids().copy()
@@ -228,9 +209,7 @@ class LinialColoringPhase(BroadcastPhase):
         fast = ctx.fast
         for q, digits, _palette_before in self.schedule:
             out = np.empty(fast.num_nodes, dtype=np.int64)
-            ctx.kernels.linial_round(
-                fast.indptr, fast.indices, fast.unique_ids, colors, q, digits, out
-            )
+            ctx.kernels.defective_step(fast.indptr, fast.indices, colors, q, digits, out)
             colors = out
         ctx.charge_uniform_broadcast(len(self.schedule))
         ctx.write_column("_linial_current", colors)

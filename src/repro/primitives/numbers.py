@@ -3,8 +3,9 @@ the library's one seeded draw.
 
 Linial's algorithm and the defective-coloring steps encode a color as the
 coefficient vector of a polynomial over a prime field ``GF(q)``; this module
-provides the small number-theoretic utilities those constructions need, plus
-the ``log*`` function that appears throughout the paper's running-time bounds.
+provides the small number-theoretic utilities those constructions need, the
+one recoloring step both apply (:func:`defective_step_color`), and the
+``log*`` function that appears throughout the paper's running-time bounds.
 :func:`luby_draw`, a counter hash, serves Luby's rounds and the random split
 of Theorem 6.1.
 """
@@ -128,6 +129,37 @@ def poly_eval(coefficients: List[int], point: int, q: int) -> int:
     for coefficient in reversed(coefficients):
         result = (result * point + coefficient) % q
     return result
+
+
+def defective_step_color(own_color, neighbor_colors, q: int, num_digits: int) -> int:
+    """The color one polynomial recoloring step moves ``own_color`` to.
+
+    Colors are read as polynomials over ``GF(q)`` (the ``num_digits`` base-q
+    digits of ``color - 1``).  The node moves to ``(a, g(a))``, encoded as
+    ``a * q + g(a) + 1``, for the first point ``a`` with the fewest
+    collisions against neighbors holding a *different* color.  Kuhn's
+    defective step bounds that minimum by its defect budget; the
+    ``q > Delta * t`` of Linial's round makes it 0, so that round is this
+    step with a collision-free point guaranteed.
+    """
+    own_color = int(own_color)
+    own_coeffs = base_q_digits(own_color - 1, q, num_digits)
+    neighbor_coeffs = [
+        base_q_digits(int(color) - 1, q, num_digits)
+        for color in neighbor_colors
+        if int(color) != own_color
+    ]
+    best_point, best_collisions = 0, None
+    for point in range(q):
+        own_value = poly_eval(own_coeffs, point, q)
+        collisions = sum(
+            1 for coeffs in neighbor_coeffs if poly_eval(coeffs, point, q) == own_value
+        )
+        if best_collisions is None or collisions < best_collisions:
+            best_point, best_collisions = point, collisions
+            if collisions == 0:
+                break
+    return best_point * q + poly_eval(own_coeffs, best_point, q) + 1
 
 
 _MASK64 = 2**64 - 1

@@ -121,25 +121,34 @@ def coloring_defect(network: FastNetwork, colors: ColorsLike) -> int:
     column = _vertex_column(fast, colors)
     if fast.num_nodes == 0 or len(fast.indices) == 0:
         return 0
-    rows, cols = fast.rows_np, fast.indices
-    same = column[rows] == column[cols]
-    return int(np.bincount(rows[same], minlength=fast.num_nodes).max())
+    hits = _monochromatic_entries(fast, column)
+    return int(np.bincount(_entry_rows(fast, hits), minlength=fast.num_nodes).max())
+
+
+def _monochromatic_entries(fast: FastNetwork, column: np.ndarray) -> np.ndarray:
+    """The CSR entries whose two endpoints share a color."""
+    return np.flatnonzero(np.repeat(column, fast.degrees) == column[fast.indices])
+
+
+def _entry_rows(fast: FastNetwork, entries: np.ndarray) -> np.ndarray:
+    """The source node of each of ``entries`` (ascending CSR entry indices)."""
+    return np.searchsorted(fast.indptr, entries, side="right") - 1
 
 
 def _find_vertex_violation(
     fast: FastNetwork, column: np.ndarray
 ) -> Optional[Tuple[Hashable, Hashable]]:
     """First monochromatic edge in canonical order (identifiers interned lazily)."""
-    rows, cols = fast.rows_np, fast.indices
-    conflict = column[rows] == column[cols]
-    if not conflict.any():
+    hits = _monochromatic_entries(fast, column)
+    if not hits.size:
         return None
+    rows, cols = _entry_rows(fast, hits), fast.indices[hits]
     # The forward conflict with the smallest (row, col) is the first canonical
     # edge in pair-key order, whatever order each row lists its neighbors in.
-    hits = np.flatnonzero(conflict & (rows < cols))
-    forward = hits[np.argmin(rows[hits] * fast.num_nodes + cols[hits])]
+    forward = np.flatnonzero(rows < cols)
+    first = forward[np.argmin(rows[forward] * fast.num_nodes + cols[forward])]
     order = fast.order
-    return (order[int(rows[forward])], order[int(cols[forward])])
+    return (order[int(rows[first])], order[int(cols[first])])
 
 
 # --------------------------------------------------------------------------- #

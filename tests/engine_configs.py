@@ -50,7 +50,7 @@ def engine_config(config: str) -> Iterator[str]:
 
 #: The phase kernels that allocate scratch and report a failed allocation as
 #: status 2 (the L(G) builder's ``entry_twins`` does too; no phase calls it).
-SCRATCH_KERNELS = ("kw_reduce", "psi_select")
+SCRATCH_KERNELS = ("defective_step", "kw_reduce", "psi_select")
 
 
 class ScratchFailLibrary:
@@ -67,6 +67,10 @@ class ScratchFailLibrary:
         self.library = library
         self.calls = []
 
+        def defective_step(*args):
+            self.calls.append("defective_step")
+            return 2
+
         def kw_reduce(*args):  # reports through its status array (last argument)
             self.calls.append("kw_reduce")
             ctypes.c_longlong.from_address(args[-1]).value = 2
@@ -79,7 +83,8 @@ class ScratchFailLibrary:
             self.calls.append("entry_twins")
             return 2
 
-        self.kw_reduce, self.psi_select, self.entry_twins = kw_reduce, psi_select, entry_twins
+        self.defective_step, self.kw_reduce = defective_step, kw_reduce
+        self.psi_select, self.entry_twins = psi_select, entry_twins
         if library is None:
             self.repro_max_threads = lambda: 1
             self.repro_set_threads = lambda count: None

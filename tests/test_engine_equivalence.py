@@ -55,6 +55,8 @@ from repro.local_model.algorithm import BroadcastPhase, LocalComputationPhase, S
 from repro.local_model.kernels import _c_backend, _numpy
 from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
+from repro.primitives.linial import LinialColoringPhase
+from repro.primitives.numbers import base_q_digits, poly_eval
 
 ENGINE_CLASSES = {
     "reference": Scheduler,
@@ -176,6 +178,30 @@ class TestSchedulerLevelEquivalence:
             output_key="d",
         )
         self._compare(grid_network, pipeline)
+
+    @pytest.mark.parametrize(
+        "make, degree_bound",
+        [
+            (lambda: graphs.clique_with_pendants(8), 1),
+            (lambda: graphs.random_regular(30, 6, seed=11), 2),
+        ],
+    )
+    def test_linial_with_an_understated_degree_bound(self, make, degree_bound):
+        # Below the true degree, q > degree_bound * t no longer guarantees a
+        # collision-free point: in the first round some node has none and
+        # takes its fewest-collision point instead.
+        network = make()
+        phase = LinialColoringPhase(degree_bound=degree_bound, initial_palette=network.num_nodes)
+        q, digits, _ = phase.schedule[0]
+        polys = [base_q_digits(uid - 1, q, digits) for uid in network.unique_ids.tolist()]
+        assert any(
+            all(
+                any(poly_eval(polys[u], a, q) == poly_eval(polys[v], a, q) for u in neighbors)
+                for a in range(q)
+            )
+            for v, neighbors in enumerate(np.split(network.indices, network.indptr[1:-1]))
+        )
+        self._compare(network, phase)
 
     def test_defective_color_pipeline_with_psi_selection(self, grid_network):
         pipeline, _ = defective_color_pipeline(
@@ -980,18 +1006,21 @@ class TestRecordingBackend:
         assert called == set(_numpy.KERNEL_NAMES)
 
     @pytest.mark.parametrize(
-        "pipeline_name, kernel",
+        "pipeline_name, kernel, failing_call",
         [
-            ("linial-kw", "kw_reduce"),
-            ("edge-rank", "kw_reduce"),
-            ("edge-rank", "psi_select"),
-            ("psi-vertex", "psi_select"),
+            ("linial-kw", "kw_reduce", 3),
+            ("edge-rank", "kw_reduce", 2),
+            ("edge-rank", "psi_select", 4),
+            ("psi-vertex", "psi_select", 2),
+            ("psi-vertex", "defective_step", 1),  # Linial's only round
+            ("linial-kw", "defective_step", 2),  # Linial's second round
+            ("defective-step", "defective_step", 3),  # Kuhn's defective step
         ],
     )
-    def test_scratch_failure_reruns_only_that_phase(self, pipeline_name, kernel):
+    def test_scratch_failure_reruns_only_that_phase(self, pipeline_name, kernel, failing_call):
         # Status 2 makes the C wrapper run the numpy step on the same arrays;
         # the phase never sees it, and every later call still reaches the
-        # backend.
+        # backend.  ``failing_call`` numbers the calls of the run from 1.
         network, pipeline, seeds = KERNEL_PIPELINES[pipeline_name]
         reference = Scheduler(network).run(pipeline, initial_states=seeds)
         healthy = RecordingBackend()
@@ -999,8 +1028,7 @@ class TestRecordingBackend:
             healthy,
             lambda: VectorizedScheduler(network).run(pipeline, initial_states=seeds),
         )
-        assert healthy.kernels.count(kernel) == 1
-        failing_call = healthy.kernels.index(kernel) + 1
+        assert healthy.kernels[failing_call - 1] == kernel
 
         backend = RecordingBackend(scratch_fails=[failing_call])
         scheduler = run_on(backend, lambda: VectorizedScheduler(network))

@@ -4,14 +4,15 @@ The provider the machine can load (the C extension, built on first use) is
 held to the numpy steps in :mod:`repro.local_model.kernels._numpy` (the
 provider when no C backend resolves) over a battery of adversarial CSR
 instances: empty graphs, graphs that are nothing *but* isolated nodes,
-empty rows in the middle of the indptr, non-monotone and negative unique
-ids, and palettes small enough to force the rarely-taken fallback branches
-(the Linial ``uid % q`` escape, the iterative reduction's no-free-color
-status).  The two ``L(G)`` builder steps (the twin scan and the incidence
-gather) are also held to their numpy steps over random graphs, and the
-whole builder to its kernels-off output; so are the two steps that size
-their output from the data, the unit-disk sweep (``geo_pairs``) and the
-level-view filter (``label_filter``).  The resolution machinery itself
+empty rows in the middle of the indptr, and palettes small enough to force
+the rarely-taken branches (a polynomial step with no collision-free point,
+the iterative reduction's no-free-color status).  The polynomial step is
+also held to the scalar engines' rule.  The two ``L(G)`` builder steps (the
+twin scan and the incidence gather) are held to their numpy steps over
+random graphs, and the whole builder to its kernels-off output; so are the
+two steps that size their output from the data, the unit-disk sweep
+(``geo_pairs``) and the level-view filter (``label_filter``).  The
+resolution machinery itself
 (env forcing, probe rejection of a corrupt backend) and the C wrappers'
 scratch-failure path are covered at the bottom.
 """
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
 from repro.graphs.generators import _sweep_arrays
+from repro.primitives.numbers import defective_step_color
 from engine_configs import ScratchFailLibrary
 
 from repro.local_model.kernels import _c_backend, _numpy
@@ -97,30 +99,14 @@ def random_graph(n, p, seed):
     return csr_from_edges(n, edges)
 
 
-#: name -> (indptr, indices, uids).  Non-monotone, duplicated-gap, and
-#: *negative* unique ids throughout (the Linial fallback must reproduce
-#: Python's `%` on negatives).
+#: name -> (indptr, indices).
 INSTANCES = {
-    "empty": (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-              np.zeros(0, dtype=np.int64)),
-    "all_isolated": (np.zeros(6, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     np.array([9, -4, 70, 2, 5], dtype=np.int64)),
-    "path_with_holes": (
-        *csr_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        np.array([10, 3, -57, 2, 9, 40, 1], dtype=np.int64),
-    ),
-    "star_plus_isolated": (
-        *csr_from_edges(9, [(4, v) for v in range(4)] + [(4, 5), (4, 6)]),
-        np.array([3, 14, 15, -9, 2, 6, 53, 5, 8], dtype=np.int64),
-    ),
-    "triangle": (
-        *csr_from_edges(3, [(0, 1), (1, 2), (0, 2)]),
-        np.array([-1, -2, 7], dtype=np.int64),
-    ),
-    "random40": (
-        *random_graph(40, 0.12, seed=5),
-        np.random.default_rng(17).permutation(40).astype(np.int64) * 3 - 20,
-    ),
+    "empty": (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    "all_isolated": (np.zeros(6, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    "path_with_holes": csr_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "star_plus_isolated": csr_from_edges(9, [(4, v) for v in range(4)] + [(4, 5), (4, 6)]),
+    "triangle": csr_from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+    "random40": random_graph(40, 0.12, seed=5),
 }
 
 
@@ -129,33 +115,21 @@ def _instance(request):
     return INSTANCES[request.param]
 
 
+def scalar_step(indptr, indices, colors, q, digits):
+    """Every node's :func:`defective_step_color`, the scalar engines' rule."""
+    return np.array(
+        [
+            defective_step_color(colors[v], colors[indices[indptr[v] : indptr[v + 1]]], q, digits)
+            for v in range(len(indptr) - 1)
+        ],
+        dtype=np.int64,
+    )
+
+
 class TestPolynomialKernels:
-    @pytest.mark.parametrize("q,digits", [(2, 2), (5, 2), (5, 3), (11, 1)])
-    def test_linial_round(self, backend, instance, q, digits):
-        indptr, indices, uids = instance
-        n = len(indptr) - 1
-        rng = np.random.default_rng(q * 100 + digits)
-        colors = rng.integers(1, q**digits + 1, size=n).astype(np.int64)
-        expected = np.zeros(n, dtype=np.int64)
-        actual = np.zeros(n, dtype=np.int64)
-        _numpy.linial_round(indptr, indices, uids, colors, q, digits, expected)
-        backend.linial_round(indptr, indices, uids, colors, q, digits, actual)
-        assert np.array_equal(expected, actual)
-
-    def test_linial_fallback_branch_matches_python_modulo(self, backend):
-        # q=2 on a triangle with clashing polynomials forces the `uid % q`
-        # escape; the negative uids make C's `%` diverge unless folded.
-        indptr, indices, uids = INSTANCES["triangle"]
-        colors = np.array([1, 2, 3], dtype=np.int64)
-        expected = np.zeros(3, dtype=np.int64)
-        actual = np.zeros(3, dtype=np.int64)
-        _numpy.linial_round(indptr, indices, uids, colors, 2, 2, expected)
-        backend.linial_round(indptr, indices, uids, colors, 2, 2, actual)
-        assert np.array_equal(expected, actual)
-
-    @pytest.mark.parametrize("q,digits", [(2, 2), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("q,digits", [(2, 2), (5, 2), (5, 3), (7, 3), (11, 1)])
     def test_defective_step(self, backend, instance, q, digits):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         rng = np.random.default_rng(q * 31 + digits)
         colors = rng.integers(1, q**digits + 1, size=n).astype(np.int64)
@@ -164,11 +138,25 @@ class TestPolynomialKernels:
         _numpy.defective_step(indptr, indices, colors, q, digits, expected)
         backend.defective_step(indptr, indices, colors, q, digits, actual)
         assert np.array_equal(expected, actual)
+        assert np.array_equal(expected, scalar_step(indptr, indices, colors, q, digits))
+
+    def test_no_free_point_takes_the_fewest_collisions(self, backend):
+        # q=2 on a triangle holding the polynomials 0, x and 1 + x (colors 1,
+        # 3, 4): node 0 meets x at 0 and 1 + x at 1, so it has no free point
+        # and takes point 0 (one collision, first on the tie).
+        indptr, indices = INSTANCES["triangle"]
+        colors = np.array([1, 3, 4], dtype=np.int64)
+        expected = np.zeros(3, dtype=np.int64)
+        actual = np.zeros(3, dtype=np.int64)
+        _numpy.defective_step(indptr, indices, colors, 2, 2, expected)
+        backend.defective_step(indptr, indices, colors, 2, 2, actual)
+        assert expected.tolist() == actual.tolist() == [1, 4, 2]
+        assert scalar_step(indptr, indices, colors, 2, 2).tolist() == [1, 4, 2]
 
 
 class TestReductionKernels:
     def test_iter_reduce(self, backend, instance):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         colors = greedy_colors(n, indptr, indices)
         palette = int(colors.max()) + 3 if n else 3
@@ -185,7 +173,7 @@ class TestReductionKernels:
 
     def test_iter_reduce_no_free_color_status(self, backend):
         # target=1 on a star: the hub has every neighbor on color 1.
-        indptr, indices, _ = INSTANCES["star_plus_isolated"]
+        indptr, indices = INSTANCES["star_plus_isolated"]
         n = len(indptr) - 1
         colors = greedy_colors(n, indptr, indices)
         palette = int(colors.max())
@@ -200,7 +188,7 @@ class TestReductionKernels:
     def test_kw_reduce_no_free_color_status(self, backend):
         # k=2 on a star: the hub sits at offset k of block 0, and its
         # leaves hold both lower offsets of that block.
-        indptr, indices, _ = INSTANCES["star_plus_isolated"]
+        indptr, indices = INSTANCES["star_plus_isolated"]
         colors = np.array([1, 2, 1, 2, 3, 1, 2, 5, 8], dtype=np.int64)
         expected, actual = colors.copy(), colors.copy()
         se = np.zeros(1, dtype=np.int64)
@@ -212,7 +200,7 @@ class TestReductionKernels:
 
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_kw_reduce(self, backend, instance, iterations):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         base = greedy_colors(n, indptr, indices)
         degree = int(np.diff(indptr).max()) if n else 0
@@ -253,7 +241,7 @@ class TestReductionKernels:
 
 class TestEdgeRankKernel:
     def test_edge_rank(self, backend, instance):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         rng = np.random.default_rng(n * 7)
         edge_u = rng.integers(0, 10, size=n).astype(np.int64)
@@ -271,7 +259,7 @@ class TestEdgeRankKernel:
         # A CSR masked to equal-label entries (as filtered_by_labels builds
         # it) ranks every node among its same-class incident edges only, by
         # dense index (= unique id).
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         rng = np.random.default_rng(n * 7 + 1)
         edge_u = rng.integers(0, 10, size=n).astype(np.int64)
@@ -323,7 +311,7 @@ class TestPsiSelectKernel:
     @pytest.mark.parametrize("phis", sorted(PSI_PHIS))
     def test_psi_select(self, backend, instance, phis, p):
         # p=300 is past the C provider's stack counters (heap scratch).
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         phi = PSI_PHIS[phis](n, np.random.default_rng(n + p)).astype(np.int64)
         status, depth, psi = run_psi(backend, indptr, indices, phi, p)
@@ -403,7 +391,7 @@ class TestPsiSelectKernel:
 class TestLubyKernels:
     @pytest.fixture
     def luby_state(self, instance):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         n = len(indptr) - 1
         palette = 5
         rng = np.random.default_rng(n * 13 + 1)
@@ -524,7 +512,7 @@ class TestLineGraphBuilderKernels:
         assert np.array_equal(eid[own], np.repeat(np.arange(len(own) // 2), 2))
 
     def test_builder_steps(self, backend, instance):
-        indptr, indices, _ = instance
+        indptr, indices = instance
         self.assert_steps_match(backend, indptr, indices)
 
     @settings(max_examples=60, deadline=None)
@@ -573,7 +561,7 @@ class TestLineGraphBuilderKernels:
     def test_wrappers_reject_mismatched_sizes(self, backend):
         # The C bodies write through the output pointers, so a short buffer
         # must be refused before the call.
-        indptr, indices, _ = INSTANCES["triangle"]
+        indptr, indices = INSTANCES["triangle"]
         eid, own, line_indptr, out = builder_steps(_numpy, indptr, indices)
         chunk_rows = indices[own.reshape(-1, 2)[:, ::-1].ravel()]
         with pytest.raises(ValueError):
@@ -587,7 +575,7 @@ class TestLineGraphBuilderKernels:
         # Status 2 (no cursor) makes the wrapper run the numpy step itself.
         library = ScratchFailLibrary(backend._lib)
         failing = _c_backend.CExtensionBackend(library, openmp=backend.openmp)
-        indptr, indices, _ = INSTANCES["random40"]
+        indptr, indices = INSTANCES["random40"]
         expected = builder_steps(_numpy, indptr, indices)
         actual = builder_steps(failing, indptr, indices)
         assert library.calls == ["entry_twins"]
@@ -632,9 +620,9 @@ class TestSizedOutputKernels:
             backend.geo_pairs(x, y, cx, cy, start[:-1], cells, radius_sq, by_cell)
         with pytest.raises(ValueError):  # coordinates must be float64
             backend.geo_pairs(x.astype(np.float32), y, cx, cy, start, cells, radius_sq, by_cell)
-        indptr, indices, uids = INSTANCES["triangle"]
+        indptr, indices = INSTANCES["triangle"]
         with pytest.raises(ValueError):
-            backend.label_filter(indptr, indices, uids[:-1])
+            backend.label_filter(indptr, indices, np.ones(2, dtype=np.int64))
 
 
 class TestResolutionMachinery:
@@ -745,8 +733,7 @@ class TestResolutionMachinery:
             pytest.skip("no C toolchain on this machine")
         indptr = np.zeros(2, dtype=np.int32)  # wrong dtype
         indices = np.zeros(0, dtype=np.int64)
-        uids = np.zeros(1, dtype=np.int64)
         colors = np.ones(1, dtype=np.int64)
         out = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError):
-            cext.linial_round(indptr, indices, uids, colors, 3, 1, out)
+            cext.defective_step(indptr, indices, colors, 3, 1, out)

@@ -10,6 +10,7 @@ from repro.primitives.numbers import (
     base_q_digits,
     ceil_div,
     ceil_log,
+    defective_step_color,
     is_prime,
     log_star,
     next_prime,
@@ -126,3 +127,21 @@ class TestBaseQAndPolynomials:
     def test_poly_eval_invalid_modulus(self):
         with pytest.raises(InvalidParameterError):
             poly_eval([1, 2], 3, 1)
+
+
+class TestDefectiveStepColor:
+    """One recoloring step: ``(a, g(a))`` for the first fewest-collision point ``a``."""
+
+    def test_first_free_point(self):
+        # GF(5), colors 1..25 read as a + b x: own 2 + x (color 8) meets
+        # 2 (color 3) at x = 0 and 3 + 2x (color 14) at x = 4; x = 1 is free.
+        assert defective_step_color(8, [3, 14], 5, 2) == 1 * 5 + 3 + 1
+
+    def test_same_colored_neighbors_never_collide(self):
+        assert defective_step_color(8, [8, 8, 8], 5, 2) == 0 * 5 + 2 + 1
+
+    def test_no_free_point_takes_the_first_fewest(self):
+        # GF(2): own 0 (color 1) meets x (color 3) at 0 and 1 + x (color 4)
+        # at 1, twice x at 0: point 1 has the fewest collisions.
+        assert defective_step_color(1, [3, 4], 2, 2) == 0 * 2 + 0 + 1
+        assert defective_step_color(1, [3, 3, 4], 2, 2) == 1 * 2 + 0 + 1

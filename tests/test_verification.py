@@ -150,6 +150,26 @@ class TestArrayOracles:
             assert self._message(assert_legal_edge_coloring, fast, column) == expected
             assert self._message(assert_legal_edge_coloring, fast, edge_colors) == expected
 
+    def test_vertex_oracles_build_no_row_column(self, monkeypatch):
+        # The vertex checks compare each row's color, repeated, with its
+        # neighbors' colors; the cached O(|E|) rows_np is never built.
+        fast = graphs.random_regular(60, 6, seed=5)
+        colors = np.zeros(fast.num_nodes, dtype=np.int64)
+        for v in range(fast.num_nodes):  # first fit
+            taken = set(colors[fast.indices[fast.indptr[v] : fast.indptr[v + 1]]].tolist())
+            colors[v] = min(set(range(1, 8)) - taken)
+
+        def guard(view):
+            raise AssertionError("rows_np read by a vertex oracle")
+
+        monkeypatch.setattr(FastNetwork, "rows_np", property(guard))
+        assert_legal_vertex_coloring(fast, colors)
+        assert coloring_defect(fast, colors) == 0
+        colors[int(fast.indices[0])] = colors[0]
+        with pytest.raises(ColoringError):
+            assert_legal_vertex_coloring(fast, colors)
+        assert coloring_defect(fast, colors) >= 1
+
     def test_missing_entries_report_the_same_errors(self):
         fast = graphs.cycle_graph(3)
         first_node = {fast.nodes()[0]: 1}
