@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
 from repro.graphs.generators import _sweep_arrays
-from repro.primitives.numbers import defective_step_color
+from repro.primitives.numbers import defective_step_color, next_prime
 from engine_configs import ScratchFailLibrary
 
 from repro.local_model.kernels import _c_backend, _numpy
@@ -152,6 +152,22 @@ class TestPolynomialKernels:
         backend.defective_step(indptr, indices, colors, 2, 2, actual)
         assert expected.tolist() == actual.tolist() == [1, 4, 2]
         assert scalar_step(indptr, indices, colors, 2, 2).tolist() == [1, 4, 2]
+
+    def test_linial_regime_keeps_a_proper_coloring_proper(self, backend, instance):
+        # Linial's round: distinct ids as colors, two digits, and a prime
+        # q > Delta * (digits - 1) leave every node a collision-free point,
+        # so the step maps a proper coloring into a proper one on q**2 colors.
+        indptr, indices = instance
+        n = len(indptr) - 1
+        degree = int(np.diff(indptr).max()) if n else 0
+        q = next_prime(max(2, degree + 1, int(np.ceil(np.sqrt(n)))))
+        colors = np.arange(1, n + 1, dtype=np.int64)
+        actual = np.zeros(n, dtype=np.int64)
+        backend.defective_step(indptr, indices, colors, q, 2, actual)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert not np.any(actual[rows] == actual[indices])
+        assert np.all((actual >= 1) & (actual <= q * q))
+        assert np.array_equal(actual, scalar_step(indptr, indices, colors, q, 2))
 
 
 class TestReductionKernels:
