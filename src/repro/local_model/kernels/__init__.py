@@ -22,8 +22,9 @@ contract:
 :func:`get_backend` returns the cext backend or ``None``; :func:`provider`
 returns cext or ``_numpy``, bit for bit the same results.  Kernels report
 failure through a status value, never an exception; a C kernel whose
-scratch allocation fails runs the numpy step on the same arrays inside its
-wrapper, so no caller sees it.  A freshly
+scratch allocation fails, or whose input lies past the range its C body
+handles, runs the numpy step on the same arrays inside its wrapper, so no
+caller sees it.  A freshly
 loaded provider is *probed* -- every kernel is run on a small adversarial
 graph and compared against its numpy step -- so a miscompiled library is
 rejected instead of corrupting colorings.

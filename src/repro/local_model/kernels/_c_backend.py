@@ -16,12 +16,14 @@ the phases, the ``L(G)`` builder and the test suite can swap one provider
 for the other.  Thirteen steps: the nine phase kernels, the builder's twin
 scan (``entry_twins``) and incidence gather (``line_gather``), the unit-disk
 sweep (``geo_pairs``) and the level-view filter (``label_filter``).  The
-four kernels that allocate scratch (``defective_step``, ``kw_reduce``,
-``psi_select``, ``entry_twins``) report a failed allocation as status 2 with
-their outputs untouched; their wrappers then run the numpy step on the same
-arrays.  The last two steps size their output from the data: each wrapper
-runs the C count pass, takes the prefix sum and allocates in numpy, then
-runs the C fill pass, so their C bodies allocate nothing.
+five kernels that allocate scratch (``defective_step``, ``iter_reduce``,
+``kw_reduce``, ``psi_select``, ``entry_twins``) report a failed allocation
+as status 2 with their outputs untouched, as do ``defective_step`` past its
+fastmod range (``q >= 2**16``) and ``kw_reduce`` and ``psi_select`` past
+int32; their wrappers then run the numpy step on the same arrays.  The last
+two steps size their output from the data: each wrapper runs the C count
+pass, takes the prefix sum and allocates in numpy, then runs the C fill
+pass, so their C bodies allocate nothing.
 
 When OpenMP is unavailable the build retries without it (serial kernels,
 still fused); when no C compiler is present :func:`load` returns ``None``
@@ -182,7 +184,7 @@ class CExtensionBackend:
             _as_i64(indptr), _as_i64(indices), _as_i64(colors),
             len(indptr) - 1, q, num_digits, _as_i64(out),
         )
-        if status == 2:  # no digit table; out untouched
+        if status == 2:  # q past the fastmod range, or no digit table; out untouched
             _numpy.defective_step(indptr, indices, colors, q, num_digits, out)
 
     def iter_reduce(self, indptr, indices, colors, palette, target, total_rounds, status):
@@ -190,13 +192,16 @@ class CExtensionBackend:
             _as_i64(indptr), _as_i64(indices), _as_i64(colors),
             len(indptr) - 1, palette, target, total_rounds, _as_i64(status),
         )
+        if status[0] == 2:  # no scratch; colors untouched
+            status[0] = 0
+            _numpy.iter_reduce(indptr, indices, colors, palette, target, total_rounds, status)
 
     def kw_reduce(self, indptr, indices, colors, k, total_rounds, status):
         self._lib.kw_reduce(
             _as_i64(indptr), _as_i64(indices), _as_i64(colors),
             len(indptr) - 1, k, total_rounds, _as_i64(status),
         )
-        if status[0] == 2:  # no scratch; colors untouched
+        if status[0] == 2:  # no scratch, or past int32; colors untouched
             status[0] = 0
             _numpy.kw_reduce(indptr, indices, colors, k, total_rounds, status)
 

@@ -14,9 +14,20 @@
  * view filter `label_filter` (`FastNetwork.filtered_by_labels`).  The last
  * two size their output from the data, so each is a count pass and a fill
  * pass, with the prefix sum and the allocations in the Python wrapper.
+ *
+ * The two phase kernels that carry the time keep divisions out of their
+ * inner loops.  `defective_step` reduces each Horner step with Lemire's
+ * fastmod on a uint32 digit table, exact while q < 2^16; `kw_reduce` runs
+ * all its rounds in one parallel region on an int32 color column, visiting
+ * only each round's bucket of recoloring nodes.  Past those ranges (and
+ * when scratch cannot be allocated) a kernel returns status 2 with its
+ * outputs untouched, and the wrapper runs the numpy step: there is no
+ * second C code path.
+ *
  * Built on demand by `_c_backend.py` with `gcc -O3 -fopenmp -shared -fPIC`
  * and loaded via ctypes; every entry point uses only int64/uint8/float64
- * pointers and int64/double scalars so the ABI stays trivial.
+ * pointers and int64/double scalars so the ABI stays trivial (the int32
+ * and uint32 columns are kernel-internal scratch).
  */
 
 #include <stdint.h>
@@ -29,6 +40,7 @@
 
 typedef int64_t i64;
 typedef uint8_t u8;
+typedef uint32_t u32;
 
 
 void repro_set_threads(i64 n)
@@ -50,33 +62,66 @@ i64 repro_max_threads(void)
 #endif
 }
 
+/* The index of the calling thread in its team (0 without OpenMP): the slot
+ * of its per-thread scratch. */
+static inline i64 thread_index(void)
+{
+#ifdef _OPENMP
+    return (i64)omp_get_thread_num();
+#else
+    return 0;
+#endif
+}
+
+/* Lemire's fastmod (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+ * Computation", 2019): with M = ceil(2^64 / d), a mod d is the high 64 bits
+ * of (M * a mod 2^64) * d, exact for every 32-bit a and d (d = 1 wraps M to
+ * 0, and the remainder is 0).  One multiply-high instead of a hardware
+ * division; `__uint128_t` is a GCC/Clang extension that -std=c99 accepts. */
+static inline uint64_t fastmod_magic(u32 d)
+{
+    return UINT64_MAX / d + 1;
+}
+
+static inline u32 fastmod(u32 a, uint64_t magic, u32 d)
+{
+    return (u32)(((__uint128_t)(magic * a) * d) >> 64);
+}
+
+/* The polynomial step's fastmod range: every Horner intermediate of a
+ * GF(q) evaluation is at most (q - 1) * (q - 1) + (q - 1) = q^2 - q, below
+ * 2^32 exactly when q < 2^16. */
+#define FASTMOD_Q_LIMIT 65536
+
 /* Base-q digit rows of `colors - 1`, most significant digit last, for the
  * polynomial step: extracting digits once per node per round
- * (instead of once per neighbor-point visit) removes the divisions from
- * the innermost Horner loops. */
-static i64 *digit_table(const i64 *colors, i64 n, i64 q, i64 num_digits)
+ * (instead of once per neighbor-point visit) keeps the divisions out of
+ * the Horner loops.  Digits are below q < 2^16, so a row is uint32. */
+static u32 *digit_table(const i64 *colors, i64 n, i64 q, i64 num_digits)
 {
-    i64 *table = (i64 *)malloc((size_t)(n * num_digits) * sizeof(i64));
+    u32 *table = (u32 *)malloc((size_t)(n * num_digits) * sizeof(u32));
     if (table == NULL)
         return NULL;
 #pragma omp parallel for schedule(static)
     for (i64 v = 0; v < n; v++) {
         i64 remaining = colors[v] - 1;
-        i64 *row = table + v * num_digits;
+        u32 *row = table + v * num_digits;
         for (i64 j = 0; j < num_digits; j++) {
-            row[j] = remaining % q;
+            row[j] = (u32)(remaining % q);
             remaining /= q;
         }
     }
     return table;
 }
 
-/* Horner evaluation of one cached digit row at `point`. */
-static inline i64 row_eval(const i64 *row, i64 point, i64 q, i64 num_digits)
+/* Horner evaluation of one cached digit row at `point` over GF(q), each
+ * step reduced by fastmod: exact for q < FASTMOD_Q_LIMIT. */
+static inline u32 row_eval(const u32 *row, u32 point, uint64_t magic, u32 q,
+                           i64 num_digits)
 {
-    i64 result = 0;
+    u32 result = 0;
     for (i64 j = num_digits - 1; j >= 0; j--)
-        result = (result * point + row[j]) % q;
+        result = fastmod(result * point + row[j], magic, q);
     return result;
 }
 
@@ -87,27 +132,32 @@ static inline i64 row_eval(const i64 *row, i64 point, i64 q, i64 num_digits)
  * counts every point in pass 2, each count stopped once it reaches the best
  * so far.  (One loop with a cap of 1, then degree + 1, measured slower on
  * Linial's inputs.)  Reads `colors`, writes `out`: no cross-node hazards.
- * Returns 2 with `out` untouched when the digit table cannot be allocated. */
+ * Returns 2 with `out` untouched when q is past the fastmod range or the
+ * digit table cannot be allocated; the wrapper then runs the numpy step. */
 i64 defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
                    i64 n, i64 q, i64 num_digits, i64 *out)
 {
-    i64 *table = digit_table(colors, n, q, num_digits);
+    if (q >= FASTMOD_Q_LIMIT)
+        return 2;
+    u32 *table = digit_table(colors, n, q, num_digits);
     if (table == NULL)
-        return 2; /* out of memory: the wrapper falls back to numpy */
+        return 2;
+    u32 modulus = (u32)q;
+    uint64_t magic = fastmod_magic(modulus);
 #pragma omp parallel for schedule(dynamic, 1024)
     for (i64 v = 0; v < n; v++) {
         i64 own = colors[v] - 1;
         i64 start = indptr[v], end = indptr[v + 1];
-        const i64 *own_row = table + v * num_digits;
+        const u32 *own_row = table + v * num_digits;
         i64 chosen_point = -1, chosen_value = 0;
-        for (i64 point = 0; point < q; point++) {
-            i64 own_value = row_eval(own_row, point, q, num_digits);
+        for (u32 point = 0; point < modulus; point++) {
+            u32 own_value = row_eval(own_row, point, magic, modulus, num_digits);
             int ok = 1;
             for (i64 e = start; e < end; e++) {
                 i64 u = indices[e];
                 if (colors[u] - 1 == own)
                     continue;
-                if (row_eval(table + u * num_digits, point, q, num_digits)
+                if (row_eval(table + u * num_digits, point, magic, modulus, num_digits)
                     == own_value) {
                     ok = 0;
                     break;
@@ -121,13 +171,14 @@ i64 defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
         }
         if (chosen_point < 0) {
             i64 best_count = end - start + 1;
-            for (i64 point = 0; point < q; point++) {
-                i64 own_value = row_eval(own_row, point, q, num_digits);
+            for (u32 point = 0; point < modulus; point++) {
+                u32 own_value = row_eval(own_row, point, magic, modulus, num_digits);
                 i64 count = 0;
                 for (i64 e = start; e < end && count < best_count; e++) {
                     i64 u = indices[e];
                     if (colors[u] - 1 != own
-                        && row_eval(table + u * num_digits, point, q, num_digits)
+                        && row_eval(table + u * num_digits, point, magic, modulus,
+                                    num_digits)
                                == own_value)
                         count++;
                 }
@@ -146,15 +197,23 @@ i64 defective_step(const i64 *indptr, const i64 *indices, const i64 *colors,
 
 /* The iterative reduction, one eliminated class per round.  The recoloring
  * class is independent (the input coloring is legal), so no recoloring node
- * reads another recoloring node's color: the per-round loop is race-free. */
+ * reads another recoloring node's color: the per-round loop is race-free.
+ * The per-thread `taken` rows are allocated once, before the first round;
+ * when they cannot be, status[0] is 2 with `colors` untouched and the
+ * wrapper runs the numpy step. */
 void iter_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
                  i64 palette, i64 target, i64 total_rounds, i64 *status)
 {
+    u8 *scratch = (u8 *)malloc((size_t)(repro_max_threads() * target));
+    if (scratch == NULL) {
+        status[0] = 2;
+        return;
+    }
     for (i64 round_index = 1; round_index <= total_rounds; round_index++) {
         i64 active = palette - round_index + 1;
 #pragma omp parallel
         {
-            u8 *taken = (u8 *)malloc((size_t)target);
+            u8 *taken = scratch + thread_index() * target;
 #pragma omp for schedule(dynamic, 2048)
             for (i64 v = 0; v < n; v++) {
                 if (colors[v] != active)
@@ -177,89 +236,158 @@ void iter_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
                 else
                     colors[v] = replacement + 1;
             }
-            free(taken);
-        }
-        if (status[0] != 0)
-            return;
-    }
-}
-
-/* The Kuhn-Wattenhofer block reduction, in place.  Adjacent recoloring
- * nodes are always in different blocks (equal block + offset would mean
- * equal colors on an edge), so the value a concurrent recoloring neighbor
- * holds -- old upper-half offset or new lower-half offset, both in the
- * *other* block -- never passes this node's same-block filter: the in-place
- * parallel round is benign.  Aligned int64 stores do not tear. */
-void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
-               i64 k, i64 total_rounds, i64 *status)
-{
-    i64 block_width = 2 * k;
-    /* Blocks and offsets are materialized once and maintained across
-     * rounds (divisions happen only here and at compactions, not every
-     * round); a neighbor's maintained pair is read under the same benign
-     * race argument as its color: its block never changes mid-round, and
-     * its offset only matters when the blocks match. */
-    i64 *blocks = (i64 *)malloc((size_t)n * sizeof(i64));
-    i64 *offsets = (i64 *)malloc((size_t)n * sizeof(i64));
-    if (blocks == NULL || offsets == NULL) {
-        free(blocks);
-        free(offsets);
-        status[0] = 2; /* out of memory: the wrapper falls back to numpy */
-        return;
-    }
-#pragma omp parallel for schedule(static)
-    for (i64 v = 0; v < n; v++) {
-        blocks[v] = (colors[v] - 1) / block_width;
-        offsets[v] = (colors[v] - 1) % block_width;
-    }
-    for (i64 round_index = 1; round_index <= total_rounds; round_index++) {
-        i64 step = (round_index - 1) % k;
-#pragma omp parallel
-        {
-            u8 *taken = (u8 *)malloc((size_t)k);
-#pragma omp for schedule(dynamic, 2048)
-            for (i64 v = 0; v < n; v++) {
-                if (offsets[v] != k + step)
-                    continue;
-                i64 block = blocks[v];
-                memset(taken, 0, (size_t)k);
-                for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
-                    i64 u = indices[e];
-                    if (blocks[u] != block)
-                        continue;
-                    i64 neighbor_offset = offsets[u];
-                    if (neighbor_offset < k)
-                        taken[neighbor_offset] = 1;
-                }
-                i64 replacement = -1;
-                for (i64 o = 0; o < k; o++) {
-                    if (!taken[o]) {
-                        replacement = o;
-                        break;
-                    }
-                }
-                if (replacement < 0) {
-                    status[0] = 1;
-                } else {
-                    colors[v] = block * block_width + replacement + 1;
-                    offsets[v] = replacement;
-                }
-            }
-            free(taken);
         }
         if (status[0] != 0)
             break;
-        if (step == k - 1) {
-#pragma omp parallel for schedule(static)
-            for (i64 v = 0; v < n; v++) {
-                colors[v] = blocks[v] * k + offsets[v] + 1;
-                blocks[v] = (colors[v] - 1) / block_width;
-                offsets[v] = (colors[v] - 1) % block_width;
-            }
+    }
+    free(scratch);
+}
+
+/* The Kuhn-Wattenhofer block reduction, in place, all rounds in one
+ * parallel region.  A color is block * 2k + offset + 1; round `step` of
+ * each k-round iteration moves the nodes at offset k + step to their
+ * block's first free lower offset, and a completed iteration compacts
+ * (block, lower offset) into block * k + offset.
+ *
+ * The rounds work on a 0-based int32 color column `col`.  Each iteration
+ * starts by counting-sorting the upper-half nodes by offset (fastmod by
+ * 2k, exact on 32-bit values), so round `step` visits only its bucket,
+ * about 1/(2k) of the nodes; no node enters the upper half mid-iteration
+ * (a recolored node takes a lower offset), so the buckets hold for all k
+ * rounds.  With `base` the first color of node v's block, a neighbor u
+ * holds lower offset d = col[u] - base of that block exactly when
+ * 0 <= d < k: one range check per neighbor, no division.  A bucket's
+ * rows lie far apart in `indices`, so the loop prefetches the rows of the
+ * nodes a few steps ahead, as `psi_select` does.
+ *
+ * Races: adjacent recoloring nodes of one round are always in different
+ * blocks (equal block and offset would mean equal colors on an edge), so
+ * the value a concurrent recoloring neighbor holds -- its old upper-half
+ * color or its new lower-half one, both inside *its own* block -- fails
+ * this node's range check either way: the in-place round is benign.
+ * Aligned int32 stores do not tear, and each round's closing barrier
+ * publishes its colors to the next round.  A node with no free offset
+ * records its round in `failed`; every thread reads it after that round's
+ * barrier, and only a value equal to the round just run stops the sweep,
+ * so a thread already in a later round cannot stop a slower one early.
+ *
+ * status[0] is 1 when a node found no free offset (the sweep stops after
+ * that round, as the numpy step does), or 2 with `colors` untouched when
+ * the scratch cannot be allocated or n, k or a color does not fit int32;
+ * the wrapper then runs the numpy step. */
+void kw_reduce(const i64 *indptr, const i64 *indices, i64 *colors, i64 n,
+               i64 k, i64 total_rounds, i64 *status)
+{
+    if (n > INT32_MAX || k > INT32_MAX) {
+        status[0] = 2;
+        return;
+    }
+    int32_t *col = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    int32_t *order = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    i64 *bucket = (i64 *)malloc((size_t)(k + 2) * sizeof(i64));
+    u8 *scratch = (u8 *)malloc((size_t)(repro_max_threads() * k));
+    int fits = col != NULL && order != NULL && bucket != NULL && scratch != NULL;
+    if (fits) {
+#pragma omp parallel for schedule(static) reduction(&&:fits)
+        for (i64 v = 0; v < n; v++) {
+            if (colors[v] < 1 || colors[v] > INT32_MAX)
+                fits = 0;
+            else
+                col[v] = (int32_t)(colors[v] - 1);
         }
     }
-    free(blocks);
-    free(offsets);
+    if (!fits) {
+        free(col);
+        free(order);
+        free(bucket);
+        free(scratch);
+        status[0] = 2;
+        return;
+    }
+    u32 width = (u32)(2 * k);
+    uint64_t magic = fastmod_magic(width);
+    i64 failed = 0;
+#pragma omp parallel
+    {
+        u8 *taken = scratch + thread_index() * k;
+        for (i64 first = 1; first <= total_rounds; first += k) {
+            /* Bucket s spans order[bucket[s] .. bucket[s + 1]). */
+#pragma omp single
+            {
+                memset(bucket, 0, (size_t)(k + 2) * sizeof(i64));
+                for (i64 v = 0; v < n; v++) {
+                    i64 offset = fastmod((u32)col[v], magic, width);
+                    if (offset >= k)
+                        bucket[offset - k + 2]++;
+                }
+                for (i64 s = 2; s <= k + 1; s++)
+                    bucket[s] += bucket[s - 1];
+                for (i64 v = 0; v < n; v++) {
+                    i64 offset = fastmod((u32)col[v], magic, width);
+                    if (offset >= k)
+                        order[bucket[offset - k + 1]++] = (int32_t)v;
+                }
+            }
+            i64 steps = total_rounds - first + 1 < k ? total_rounds - first + 1 : k;
+            int stopped = 0;
+            for (i64 step = 0; step < steps && !stopped; step++) {
+                i64 lo = bucket[step], hi = bucket[step + 1];
+                if (lo == hi)
+                    continue; /* the same test in every thread */
+#pragma omp for schedule(dynamic, 64)
+                for (i64 i = lo; i < hi; i++) {
+                    if (i + 16 < hi)
+                        __builtin_prefetch(indptr + order[i + 16]);
+                    if (i + 8 < hi) {
+                        const i64 *ahead = indices + indptr[order[i + 8]];
+                        __builtin_prefetch(ahead);
+                        __builtin_prefetch(ahead + 8);
+                    }
+                    i64 v = order[i];
+                    i64 base = (i64)col[v] - k - step;
+                    memset(taken, 0, (size_t)k);
+                    for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
+                        i64 d = (i64)col[indices[e]] - base;
+                        if (d >= 0 && d < k)
+                            taken[d] = 1;
+                    }
+                    i64 replacement = 0;
+                    while (replacement < k && taken[replacement])
+                        replacement++;
+                    if (replacement < k) {
+                        col[v] = (int32_t)(base + replacement);
+                    } else {
+#pragma omp atomic write
+                        failed = first + step;
+                    }
+                }
+                i64 seen;
+#pragma omp atomic read
+                seen = failed;
+                stopped = seen == first + step;
+            }
+            if (stopped)
+                break;
+            if (steps == k) {
+                /* c = block * 2k + offset with offset < k, so
+                 * (c + offset) / 2 = block * k + offset. */
+#pragma omp for schedule(static)
+                for (i64 v = 0; v < n; v++) {
+                    u32 c = (u32)col[v];
+                    col[v] = (int32_t)((c + fastmod(c, magic, width)) / 2);
+                }
+            }
+        }
+#pragma omp for schedule(static)
+        for (i64 v = 0; v < n; v++)
+            colors[v] = (i64)col[v] + 1;
+    }
+    if (failed != 0)
+        status[0] = 1;
+    free(col);
+    free(order);
+    free(bucket);
+    free(scratch);
 }
 
 /* Per line-graph node, its rank by unique id (= dense index) among the
@@ -334,13 +462,8 @@ i64 psi_select(const i64 *indptr, const i64 *indices, const i64 *order,
     {
         i64 stack_counts[PSI_STACK_COLORS + 1];
         i64 *counts = stack_counts;
-#ifdef _OPENMP
         if (heap != NULL)
-            counts = heap + (i64)omp_get_thread_num() * (p + 1);
-#else
-        if (heap != NULL)
-            counts = heap;
-#endif
+            counts = heap + thread_index() * (p + 1);
         for (i64 k = 0; k < num_classes; k++) {
             i64 end = class_ptr[k + 1];
 #pragma omp for schedule(static)

@@ -50,7 +50,7 @@ def engine_config(config: str) -> Iterator[str]:
 
 #: The phase kernels that allocate scratch and report a failed allocation as
 #: status 2 (the L(G) builder's ``entry_twins`` does too; no phase calls it).
-SCRATCH_KERNELS = ("defective_step", "kw_reduce", "psi_select")
+SCRATCH_KERNELS = ("defective_step", "iter_reduce", "kw_reduce", "psi_select")
 
 
 class ScratchFailLibrary:
@@ -58,33 +58,27 @@ class ScratchFailLibrary:
 
     Loaded under :class:`~repro.local_model.kernels._c_backend.CExtensionBackend`,
     its :data:`SCRATCH_KERNELS` and ``entry_twins`` report status 2 with
-    their outputs untouched and record their names in :attr:`calls`.  Every other symbol comes from
-    ``library`` (a loaded library) or, without one, raises when called, so
-    no C compiler is needed.
+    their outputs untouched and record their names in :attr:`calls`.  Every
+    other symbol comes from ``library`` (a loaded library) or, without one,
+    raises when called, so no C compiler is needed.
     """
 
     def __init__(self, library=None) -> None:
         self.library = library
         self.calls = []
 
-        def defective_step(*args):
-            self.calls.append("defective_step")
-            return 2
+        def failing(name, through_status_array):
+            def kernel(*args):
+                self.calls.append(name)
+                if not through_status_array:
+                    return 2
+                ctypes.c_longlong.from_address(args[-1]).value = 2
 
-        def kw_reduce(*args):  # reports through its status array (last argument)
-            self.calls.append("kw_reduce")
-            ctypes.c_longlong.from_address(args[-1]).value = 2
+            return kernel
 
-        def psi_select(*args):
-            self.calls.append("psi_select")
-            return 2
-
-        def entry_twins(*args):
-            self.calls.append("entry_twins")
-            return 2
-
-        self.defective_step, self.kw_reduce = defective_step, kw_reduce
-        self.psi_select, self.entry_twins = psi_select, entry_twins
+        for name in SCRATCH_KERNELS + ("entry_twins",):
+            # The two reductions report through their status array (last argument).
+            setattr(self, name, failing(name, name in ("iter_reduce", "kw_reduce")))
         if library is None:
             self.repro_max_threads = lambda: 1
             self.repro_set_threads = lambda count: None

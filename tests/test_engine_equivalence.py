@@ -1009,6 +1009,7 @@ class TestRecordingBackend:
         "pipeline_name, kernel, failing_call",
         [
             ("linial-kw", "kw_reduce", 3),
+            ("linial-iterative", "iter_reduce", 3),
             ("edge-rank", "kw_reduce", 2),
             ("edge-rank", "psi_select", 4),
             ("psi-vertex", "psi_select", 2),
@@ -1125,7 +1126,7 @@ def _whole_runs():
 WHOLE_RUNS = _whole_runs()
 
 #: The whole runs that make at least one call to a kernel in SCRATCH_KERNELS.
-SCRATCH_RUNS = sorted(set(WHOLE_RUNS) - {"luby-vertex", "luby-edge", "greedy-reduction"})
+SCRATCH_RUNS = sorted(set(WHOLE_RUNS) - {"luby-vertex", "luby-edge"})
 
 
 class TestRecordingBackendWholeRuns:

@@ -11,8 +11,10 @@ also held to the scalar engines' rule.  The two ``L(G)`` builder steps (the
 twin scan and the incidence gather) are held to their numpy steps over
 random graphs, and the whole builder to its kernels-off output; so are the
 two steps that size their output from the data, the unit-disk sweep
-(``geo_pairs``) and the level-view filter (``label_filter``).  The
-resolution machinery itself
+(``geo_pairs``) and the level-view filter (``label_filter``).  The edges
+of the C kernels' fast paths (the polynomial step's fastmod range, the
+Kuhn-Wattenhofer reduction's int32 column and round buckets) have their own
+boundary cases.  The resolution machinery itself
 (env forcing, probe rejection of a corrupt backend) and the C wrappers'
 scratch-failure path are covered at the bottom.
 """
@@ -253,6 +255,167 @@ class TestReductionKernels:
         finally:
             restore()
         assert str(actual.value) == str(expected.value)
+
+
+def raw_defective_step(backend, indptr, indices, colors, q, digits):
+    """The C ``defective_step`` without its wrapper: ``(status, out)``."""
+    n = len(indptr) - 1
+    out = np.zeros(n, dtype=np.int64)
+    csr = [array.ctypes.data for array in (indptr, indices, colors)]
+    status = backend._lib.defective_step(*csr, n, q, digits, out.ctypes.data)
+    return status, out
+
+
+def raw_kw_reduce(backend, indptr, indices, colors, k, rounds):
+    """The C ``kw_reduce`` without its wrapper, on a copy: ``(status, colors)``."""
+    colors, status = colors.copy(), np.zeros(1, dtype=np.int64)
+    csr = [array.ctypes.data for array in (indptr, indices, colors)]
+    backend._lib.kw_reduce(*csr, len(indptr) - 1, k, rounds, status.ctypes.data)
+    return int(status[0]), colors
+
+
+def kw_both(backend, indptr, indices, colors, k, rounds):
+    """``kw_reduce`` through the wrapper and as the numpy step: both results."""
+    results = []
+    for provider in (backend, _numpy):
+        out, status = colors.copy(), np.zeros(1, dtype=np.int64)
+        provider.kw_reduce(indptr, indices, out, k, rounds, status)
+        results.append((int(status[0]), out))
+    return results
+
+
+class TestKernelBoundaries:
+    """The edges of the C kernels' fast paths: the fastmod range of the
+    polynomial step, the int32 color column and the round buckets of the
+    Kuhn-Wattenhofer reduction, and both steps on a mid-sized ``L(G)``."""
+
+    @pytest.mark.parametrize("digits", [2, 3])
+    def test_defective_step_at_the_widest_fastmod_q(self, backend, digits):
+        # q = 65521 is the largest prime below 2^16: the C step runs (status
+        # 0), with digits up to q - 1, and agrees with both rules.
+        q = 65521
+        indptr, indices = INSTANCES["random40"]
+        rng = np.random.default_rng(digits)
+        n = len(indptr) - 1
+        colors = rng.integers(q**digits - 5000, q**digits + 1, size=n, dtype=np.int64)
+        status, actual = raw_defective_step(backend, indptr, indices, colors, q, digits)
+        expected = np.zeros_like(actual)
+        _numpy.defective_step(indptr, indices, colors, q, digits, expected)
+        assert status == 0
+        assert np.array_equal(actual, expected)
+        assert np.array_equal(actual, scalar_step(indptr, indices, colors, q, digits))
+
+    def test_defective_step_at_the_widest_fastmod_q_past_many_collisions(self, backend):
+        # The hub's polynomial (q - 1)x + (q - 2) meets leaf j's
+        # (q - 2)x + (q - 2 + j) exactly at point j, so the hub walks the
+        # blocked points 0..m-1 to point m, on digits near q - 1.
+        q, m = 65521, 150
+        hub_top, hub_low = q - 1, q - 2
+        leaves = [(hub_top - 1, (hub_low + j) % q) for j in range(m)]
+        colors = np.array(
+            [hub_top * q + hub_low + 1] + [top * q + low + 1 for top, low in leaves],
+            dtype=np.int64,
+        )
+        indptr, indices = csr_from_edges(m + 1, [(0, j) for j in range(1, m + 1)])
+        status, actual = raw_defective_step(backend, indptr, indices, colors, q, 2)
+        expected = np.zeros_like(actual)
+        _numpy.defective_step(indptr, indices, colors, q, 2, expected)
+        assert status == 0
+        assert np.array_equal(actual, expected)
+        assert actual[0] // q == m  # the hub's first free point
+        assert np.array_equal(actual, scalar_step(indptr, indices, colors, q, 2))
+
+    def test_defective_step_past_the_fastmod_range_runs_the_numpy_step(self, backend):
+        # q = 65537 (a prime past 2^16): the C step reports status 2 with
+        # `out` untouched, and the wrapper's numpy step gives the answer.
+        q = 65537
+        indptr, indices = INSTANCES["random40"]
+        colors = np.random.default_rng(7).integers(1, q**2 + 1, size=40).astype(np.int64)
+        status, untouched = raw_defective_step(backend, indptr, indices, colors, q, 2)
+        assert status == 2
+        assert not untouched.any()
+        actual, expected = np.zeros(40, dtype=np.int64), np.zeros(40, dtype=np.int64)
+        backend.defective_step(indptr, indices, colors, q, 2, actual)
+        _numpy.defective_step(indptr, indices, colors, q, 2, expected)
+        assert np.array_equal(actual, expected)
+        assert np.array_equal(actual, scalar_step(indptr, indices, colors, q, 2))
+
+    @pytest.mark.parametrize("top, c_status", [(2**31 - 1, 0), (2**31, 2)])
+    def test_kw_reduce_int32_guard(self, backend, top, c_status):
+        # A legal coloring spread over three 2k-blocks, shifted so that its
+        # largest color is `top`: at 2^31 - 1 the C rounds run on the int32
+        # column; at 2^31 the kernel reports status 2 with colors untouched.
+        indptr, indices = INSTANCES["random40"]
+        n = len(indptr) - 1
+        k = int(np.diff(indptr).max()) + 1
+        colors = greedy_colors(n, indptr, indices)
+        colors += (np.arange(n, dtype=np.int64) % 3) * 2 * k
+        colors += top - int(colors.max())
+        status, raw = raw_kw_reduce(backend, indptr, indices, colors, k, 2 * k)
+        assert status == c_status
+        if c_status == 2:
+            assert np.array_equal(raw, colors)
+        (got_status, actual), (want_status, expected) = kw_both(
+            backend, indptr, indices, colors, k, 2 * k
+        )
+        assert got_status == want_status == 0
+        assert np.array_equal(actual, expected)
+        if c_status == 0:
+            assert np.array_equal(raw, expected)
+
+    @pytest.mark.parametrize("rounds_of_k", [(1, -1), (1, 1), (2, 3)])
+    def test_kw_reduce_partial_iteration_and_empty_buckets(self, backend, rounds_of_k):
+        # Odd greedy colors take lower offsets, even ones the odd upper
+        # offsets: every even bucket k + 0, k + 2, ... is empty.  The round
+        # counts end mid-iteration.
+        indptr, indices = INSTANCES["random40"]
+        n = len(indptr) - 1
+        k = int(np.diff(indptr).max()) + 1
+        greedy = greedy_colors(n, indptr, indices)
+        offsets = np.where(greedy % 2 == 1, greedy - 1, k + greedy - 1)
+        colors = (np.arange(n, dtype=np.int64) % 3) * 2 * k + offsets + 1
+        upper = set((offsets[offsets >= k] - k).tolist())
+        assert upper and not upper & set(range(0, k, 2))
+        iterations, extra = rounds_of_k
+        rounds = iterations * k + extra
+        assert rounds % k
+        status, raw = raw_kw_reduce(backend, indptr, indices, colors, k, rounds)
+        (got_status, actual), (want_status, expected) = kw_both(
+            backend, indptr, indices, colors, k, rounds
+        )
+        assert status == got_status == want_status == 0
+        assert np.array_equal(raw, expected)
+        assert np.array_equal(actual, expected)
+
+    def test_both_steps_on_a_line_graph(self, backend):
+        # Linial's round on L(G) of an 8-regular graph, then the full
+        # Kuhn-Wattenhofer reduction of its output to Delta + 1 colors.
+        from repro.primitives.color_reduction import KuhnWattenhoferReductionPhase
+
+        line = build_line_graph_fast(graphs.random_regular(2000, 8, seed=1))
+        indptr, indices = line.indptr, line.indices
+        n, degree = line.num_nodes, line.max_degree
+        q = next_prime(max(degree + 1, int(np.ceil(np.sqrt(n)))))
+        ids = np.arange(1, n + 1, dtype=np.int64)
+        status, linial = raw_defective_step(backend, indptr, indices, ids, q, 2)
+        expected = np.zeros(n, dtype=np.int64)
+        _numpy.defective_step(indptr, indices, ids, q, 2, expected)
+        assert status == 0
+        assert np.array_equal(linial, expected)
+        assert np.array_equal(linial, scalar_step(indptr, indices, ids, q, 2))
+
+        k = degree + 1
+        rounds = KuhnWattenhoferReductionPhase(palette=q * q, target=k, input_key="c").total_rounds
+        status, raw = raw_kw_reduce(backend, indptr, indices, linial, k, rounds)
+        (got_status, actual), (want_status, reduced) = kw_both(
+            backend, indptr, indices, linial, k, rounds
+        )
+        assert status == got_status == want_status == 0
+        assert np.array_equal(raw, reduced)
+        assert np.array_equal(actual, reduced)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert not np.any(reduced[rows] == reduced[indices])
+        assert reduced.max() <= k
 
 
 class TestEdgeRankKernel:
